@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 
 from .crf import CrfConfig, crf_refine
@@ -198,23 +197,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    cfg = PipelineConfig.from_json(args.config)
-    cap = _thread_cap(args)
-    if cap is not None:
-        cfg.threads = min(cfg.threads, cap)
-    run_pipeline(cfg)
-
-
-def _thread_cap(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("APMKIT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"APMKIT_THREADS must be an integer, got {env!r}") from exc
-    return None
+    run_pipeline(PipelineConfig.from_json(args.config))
 
 
 # --- parser -------------------------------------------------------------------
@@ -228,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json-errors", action="store_true",
         help="print failures as a JSON object on stderr",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="cap worker threads (default: APMKIT_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,7 @@ all-pairs computation.
 The bilateral branch can optionally run on a coarsened guidance grid
 (block mean by a compression factor, message passing at reduced
 resolution, bilinear upsampling back), trading fidelity for speed on
-large tiles.
+large frames.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,16 +30,8 @@ from .raster.grid import RasterGrid
 
 # Accepted aliases for JSON config keys.
 _CONFIG_ALIASES = {
-    "beta": "beta",
-    "feature_channels": "feature_channels",
-    "sigma": "sigma",
     "compression_factor": "compression",
-    "compression": "compression",
     "crf_temperature": "temperature",
-    "temperature": "temperature",
-    "iterations": "iterations",
-    "pairwise_weights": "pairwise_weights",
-    "compress_guidance": "compress_guidance",
 }
 
 
@@ -111,15 +103,13 @@ class CrfConfig:
                     doc = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
+        # The compatibility matrix stays Potts for JSON configs.
+        known = {f.name for f in fields(CrfConfig)} - {"compatibility"}
         kwargs = {}
         for key, value in doc.items():
-            name = _CONFIG_ALIASES.get(key)
-            if name is None:
+            name = _CONFIG_ALIASES.get(key, key)
+            if name not in known:
                 raise ConfigError(f"unknown refinement option '{key}'")
-            if name == "compatibility":
-                value = np.asarray(value, dtype=np.float64)
-            if name == "pairwise_weights":
-                value = tuple(value)
             kwargs[name] = value
         return CrfConfig(**kwargs)
 

@@ -15,13 +15,13 @@ never mistaken for good artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +34,7 @@ from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
 from .metrics import (
+    DensityCurve,
     MetricsReport,
     ScoredSample,
     aul,
@@ -51,11 +52,13 @@ from .raster.grid import RasterGrid, load_raster, save_raster
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
 from .raster.sites import filter_sites, read_sites_csv
 from .raster.terrain import derive_terrain
-from .raster.tiling import extract_window, stitch, tile_plan
 
 logger = logging.getLogger(__name__)
 
 STAGES = ("features", "labels", "lamap", "crf", "pseudolabel", "evaluate")
+
+# Keys of the retired tiled CRF path; older configs still carry them.
+_RETIRED_KEYS = ("tile_size", "overlap", "threads")
 
 
 @dataclass
@@ -77,13 +80,10 @@ class PipelineConfig:
     logits: str | None = None
     historical_targets: tuple[str, ...] = ()
     period: str | None = None
-    tile_size: int = 128
-    overlap: float = 0.9
     label_radius: float = DEFAULT_LABEL_RADIUS
-    threads: int = 1
-    lamap: dict = field(default_factory=dict)
-    crf: dict = field(default_factory=dict)
-    dpl: dict = field(default_factory=dict)
+    lamap: LamapConfig = field(default_factory=LamapConfig)
+    crf: CrfConfig = field(default_factory=CrfConfig)
+    dpl: DplConfig = field(default_factory=DplConfig)
     step: int = 0
 
     def __post_init__(self) -> None:
@@ -98,12 +98,6 @@ class PipelineConfig:
             raise ConfigError("no stages requested")
         # Keep canonical order regardless of listing order.
         self.stages = tuple(s for s in STAGES if s in stages)
-        if self.tile_size < 1:
-            raise ConfigError(f"tile_size must be >= 1, got {self.tile_size}")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ConfigError(f"overlap must be in [0, 1), got {self.overlap}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         self._require_inputs()
 
     def _require_inputs(self) -> None:
@@ -144,7 +138,13 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(source: str | os.PathLike | dict) -> "PipelineConfig":
-        """Load and validate a config document (path or dict)."""
+        """Load and validate a config document (path or dict).
+
+        The ``lamap``, ``crf`` and ``dpl`` sections are built into their
+        config objects here, so a bad key or value fails before any stage
+        runs. The retired keys ``tile_size``, ``overlap`` and ``threads``
+        are accepted and ignored with a warning.
+        """
         if isinstance(source, dict):
             doc = dict(source)
         else:
@@ -159,12 +159,18 @@ class PipelineConfig:
         if not isinstance(inputs, dict):
             raise ConfigError("'inputs' must be an object")
         known = {
-            "output_dir", "stages", "seed", "inputs", "period", "tile_size",
-            "overlap", "label_radius", "threads", "lamap", "crf", "dpl", "step",
+            "output_dir", "stages", "seed", "inputs", "period", "label_radius",
+            "lamap", "crf", "dpl", "step",
         }
         for key in doc:
-            if key not in known:
+            if key not in known and key not in _RETIRED_KEYS:
                 raise ConfigError(f"unknown config key '{key}'")
+        retired = [key for key in _RETIRED_KEYS if key in doc]
+        if retired:
+            logger.warning(
+                "ignoring retired config keys %s: the crf stage refines the whole frame",
+                ", ".join(retired),
+            )
         known_inputs = {
             "dem", "stack", "sites", "branch1", "branch2", "logits",
             "historical_targets",
@@ -173,10 +179,11 @@ class PipelineConfig:
             if key not in known_inputs:
                 raise ConfigError(f"unknown input key '{key}'")
         try:
+            seed = int(doc.get("seed", 0))
             return PipelineConfig(
                 output_dir=doc.get("output_dir", ""),
                 stages=tuple(doc.get("stages", [])),
-                seed=int(doc.get("seed", 0)),
+                seed=seed,
                 dem=inputs.get("dem"),
                 stack=inputs.get("stack"),
                 sites=inputs.get("sites"),
@@ -185,16 +192,16 @@ class PipelineConfig:
                 logits=inputs.get("logits"),
                 historical_targets=tuple(inputs.get("historical_targets", [])),
                 period=doc.get("period"),
-                tile_size=int(doc.get("tile_size", 128)),
-                overlap=float(doc.get("overlap", 0.9)),
                 label_radius=float(doc.get("label_radius", DEFAULT_LABEL_RADIUS)),
-                threads=int(doc.get("threads", 1)),
-                lamap=dict(doc.get("lamap", {})),
-                crf=dict(doc.get("crf", {})),
-                dpl=dict(doc.get("dpl", {})),
+                lamap=LamapConfig(**_section(doc, "lamap", LamapConfig)),
+                # CrfConfig.from_json checks the keys; it knows their aliases.
+                crf=CrfConfig.from_json(_section(doc, "crf")),
+                dpl=DplConfig(**{"rng_seed": seed, **_section(doc, "dpl", DplConfig)}),
                 step=int(doc.get("step", 0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DataError) as exc:
+            # Nothing is read here, so a DataError (LamapConfig's range
+            # checks) is a bad config value too.
             raise ConfigError(f"bad config value: {exc}") from exc
 
     def canonical_dict(self) -> dict:
@@ -212,19 +219,38 @@ class PipelineConfig:
                 "historical_targets": list(self.historical_targets),
             },
             "period": self.period,
-            "tile_size": self.tile_size,
-            "overlap": self.overlap,
             "label_radius": self.label_radius,
-            "threads": self.threads,
-            "lamap": self.lamap,
-            "crf": self.crf,
-            "dpl": self.dpl,
+            "lamap": _plain(self.lamap),
+            "crf": _plain(self.crf),
+            "dpl": _plain(self.dpl),
             "step": self.step,
         }
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+
+def _section(doc: dict, name: str, cls: type | None = None) -> dict:
+    """The ``name`` object of a config document, its keys checked against
+    the fields of ``cls`` when given."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    if cls is not None:
+        names = {f.name for f in dataclasses.fields(cls)}
+        for key in section:
+            if key not in names:
+                raise ConfigError(f"unknown {name} option '{key}'")
+    return section
+
+
+def _plain(sub) -> dict:
+    """A sub-config's fields as JSON values."""
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in dataclasses.asdict(sub).items()
+    }
 
 
 def _json_bytes(doc: dict) -> bytes:
@@ -262,11 +288,13 @@ def emit_surface_products(
     out_dir: str | os.PathLike,
     stem: str,
     baseline: RasterGrid | None = None,
+    density: DensityCurve | None = None,
 ) -> list[str]:
     """Write a surface raster, its density CSV and an optional difference.
 
     The difference raster is ``surface - baseline`` (signed) and requires
-    both grids on the same frame.
+    both grids on the same frame. ``density`` is the surface's density
+    curve when the caller already has it.
 
     Returns the list of written paths.
     """
@@ -277,7 +305,7 @@ def emit_surface_products(
     save_raster(surface, raster_path)
     paths.append(str(raster_path))
     density_path = out / f"{stem}_density.csv"
-    write_density_csv(density_path, surface_density(surface))
+    write_density_csv(density_path, density or surface_density(surface))
     paths.append(str(density_path))
     if baseline is not None:
         if not surface.same_frame(baseline):
@@ -356,12 +384,8 @@ def _stage_lamap(run: _Run) -> None:
     positives = filter_sites(run.period_sites, polarity="positive")
     if not positives:
         raise DataError("no positive sites for the surface stage")
-    lamap_cfg_args = dict(cfg.lamap)
-    if "bands" in lamap_cfg_args and lamap_cfg_args["bands"] is not None:
-        lamap_cfg_args["bands"] = tuple(lamap_cfg_args["bands"])
-    lcfg = LamapConfig(**lamap_cfg_args)
-    models = build_site_models(stack, positives, lcfg)
-    surface = lamap_surface(stack, models, lcfg)
+    models = build_site_models(stack, positives, cfg.lamap)
+    surface = lamap_surface(stack, models, cfg.lamap)
     run.baseline = surface
     if run.surface is None:
         run.surface = surface
@@ -371,7 +395,6 @@ def _stage_lamap(run: _Run) -> None:
 def _stage_crf(run: _Run) -> None:
     cfg = run.cfg
     stack = run.get_stack()
-    ccfg = CrfConfig.from_json(cfg.crf) if cfg.crf else CrfConfig()
     if cfg.logits:
         logits = load_raster(cfg.logits)
     else:
@@ -386,45 +409,7 @@ def _stage_crf(run: _Run) -> None:
         )
     if not logits.same_frame(stack):
         raise DataError("logits and feature stack are on different frames")
-    if logits.height > cfg.tile_size or logits.width > cfg.tile_size:
-        plan = tile_plan(logits, cfg.tile_size, cfg.overlap)
-        guidance_data = stack.data
-        logits_data = logits.data
-        mask = logits.nodata_mask | stack.nodata_mask
-
-        def refine_one(window):
-            sub_logits = RasterGrid(
-                np.ascontiguousarray(extract_window(logits_data, window)),
-                logits.geotransform,
-                extract_window(mask, window),
-                logits.band_names,
-            )
-            sub_guidance = RasterGrid(
-                np.ascontiguousarray(extract_window(guidance_data, window)),
-                stack.geotransform,
-                extract_window(mask, window),
-                stack.band_names,
-            )
-            refined = crf_refine(sub_logits, sub_guidance, ccfg)
-            return np.where(
-                refined.nodata_mask, 0.5, refined.band(0).astype(np.float64)
-            )
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                tiles = list(pool.map(refine_one, plan))
-        else:
-            tiles = [refine_one(w) for w in plan]
-        stitched = stitch(
-            tiles, plan, logits.shape, logits.geotransform, ("probability",)
-        )
-        values = np.where(mask, np.nan, stitched.band(0)).astype(np.float32)
-        refined_grid = RasterGrid(
-            values[None, :, :], logits.geotransform, mask,
-            ("probability",), {"refinement": "mean_field_dense_crf", "tiled": True},
-        )
-    else:
-        refined_grid = crf_refine(logits, stack, ccfg)
+    refined_grid = crf_refine(logits, stack, cfg.crf)
     run.surface = refined_grid
     run.write_raster("crf", "refined_surface.grid", refined_grid)
 
@@ -434,17 +419,14 @@ def _stage_pseudolabel(run: _Run) -> None:
     y1 = load_raster(cfg.branch1)
     y2 = load_raster(cfg.branch2)
     pair = BranchPair(y1, y2)
-    dcfg_args = dict(cfg.dpl)
-    dcfg_args.setdefault("rng_seed", cfg.seed)
-    dcfg = DplConfig(**dcfg_args)
     rng = module_rng(cfg.seed, "pseudolabel")
     labeled = None
     if run.labels is not None:
         labeled = (y1, y2, run.labels)
-    breakdown = dpl_objective(labeled, [pair], dcfg, step=cfg.step)
-    masked = confident_pseudolabel(pair, dcfg, rng=rng)
+    breakdown = dpl_objective(labeled, [pair], cfg.dpl, step=cfg.step)
+    masked = confident_pseudolabel(pair, cfg.dpl, rng=rng)
     run.write_raster("pseudolabel", "pseudolabel.grid", masked)
-    doc = {"step": cfg.step, "loss_kind": dcfg.loss_kind, **breakdown.as_dict()}
+    doc = {"step": cfg.step, "loss_kind": cfg.dpl.loss_kind, **breakdown.as_dict()}
     run.write_bytes("pseudolabel", "loss_breakdown.json", _json_bytes(doc))
 
 
@@ -474,16 +456,28 @@ def evaluate_surface(
     sites,
     n_bins: int = 6,
     metadata: dict | None = None,
+    density: DensityCurve | None = None,
 ) -> MetricsReport:
     """Score a probability surface at the given sites.
 
     AUROC, confusion metrics and the reliability bins need both labeled
     classes; AUL needs positives; the find-count correlation needs 3+
-    sites with counts. Metrics without enough data stay None.
+    sites with counts. Metrics without enough data stay None. ``density``
+    is the surface's density curve when the caller already has it.
 
     Raises:
         DataError: when no site can be sampled from the surface.
     """
+    report = _site_metrics(surface, sites, n_bins, metadata)
+    density = density or surface_density(surface)
+    report.density_histogram = [float(v) for v in density.histogram]
+    return report
+
+
+def _site_metrics(
+    surface: RasterGrid, sites, n_bins: int = 6, metadata: dict | None = None
+) -> MetricsReport:
+    """Everything :func:`evaluate_surface` reports except the density."""
     samples = sample_surface_sites(surface, sites)
     if not samples:
         raise DataError("no evaluable sites on the surface")
@@ -512,8 +506,6 @@ def evaluate_surface(
     with_counts = [s for s in samples if s.find_count is not None]
     if len(with_counts) >= 3:
         report.find_count_rho = find_count_correlation(samples)
-    density = surface_density(surface)
-    report.density_histogram = [float(v) for v in density.histogram]
     return report
 
 
@@ -522,14 +514,18 @@ def _stage_evaluate(run: _Run) -> None:
     if surface is None:
         raise ConfigError("evaluate stage found no surface to score")
     surface_name = "crf" if "crf" in run.cfg.stages else "lamap"
+    density = surface_density(surface)
     report = evaluate_surface(
         surface,
         run.period_sites,
         metadata={"surface": surface_name, "period": run.cfg.period},
+        density=density,
     )
     if run.baseline is not None and run.surface is not run.baseline:
         if report.auroc is not None:
-            base_report = evaluate_surface(run.baseline, run.period_sites)
+            # The volume gain reads only the site metrics, so the baseline's
+            # density curve is not computed.
+            base_report = _site_metrics(run.baseline, run.period_sites)
             if base_report.auroc is not None:
                 try:
                     report.volume_gain = volume_gain(report, base_report)
@@ -537,7 +533,7 @@ def _stage_evaluate(run: _Run) -> None:
                 except DataError:
                     logger.warning("baseline radar area is zero; volume gain omitted")
         products = emit_surface_products(
-            surface, run.out, "surface", baseline=run.baseline
+            surface, run.out, "surface", baseline=run.baseline, density=density
         )
         run.artifacts.setdefault("evaluate", []).extend(products)
     run.write_bytes("evaluate", "report.json", _json_bytes(report.to_dict()))

@@ -222,8 +222,16 @@ def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
         fh.write(payload.tobytes())
 
 
+_HEADER_KEYS = ("width", "height", "bands", "geotransform", "band_names")
+
+
 def load_raster(path: str | os.PathLike) -> RasterGrid:
-    """Read a grid previously written by :func:`save_raster`."""
+    """Read a grid previously written by :func:`save_raster`.
+
+    Raises:
+        DataError: on a bad magic, a truncated file, or a header that lacks
+            a required key or a size below 1.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -239,9 +247,17 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt header: {exc}") from exc
-        width = int(header["width"])
-        height = int(header["height"])
-        bands = int(header["bands"])
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: corrupt header: not a JSON object")
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise DataError(f"{path}: header lacks {', '.join(missing)}")
+        try:
+            width, height, bands = (int(header[k]) for k in ("width", "height", "bands"))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: corrupt header: {exc}") from exc
+        if min(width, height, bands) < 1:
+            raise DataError(f"{path}: bad size {bands}x{height}x{width} in header")
         count = bands * height * width
         payload = fh.read(4 * count)
         if len(payload) != 4 * count:

@@ -298,31 +298,56 @@ class TestRunAndErrors:
         assert doc["exit_code"] == 3
         assert "nope.grid" in doc["message"]
 
-    def test_bad_thread_env(self, ws, monkeypatch):
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"lamap": {"bandwidth": 3}},
+            {"dpl": {"tau": 0.9}},
+            {"crf": {"sigmaa": 2}},
+        ],
+    )
+    def test_bad_sub_config_fails_before_any_stage(self, ws, section):
         cfg_path = ws / "cfg.json"
         cfg_path.write_text(json.dumps({
             "output_dir": str(ws / "out"),
-            "stages": ["derive-features"],
-            "inputs": {"dem": str(ws / "dem.grid")},
+            "stages": ["derive-features", "lamap", "crf", "pseudolabel"],
+            "inputs": {
+                "dem": str(ws / "dem.grid"),
+                "sites": str(ws / "sites.csv"),
+                "branch1": str(ws / "branch1.grid"),
+                "branch2": str(ws / "branch2.grid"),
+            },
+            **section,
         }))
-        monkeypatch.setenv("APMKIT_THREADS", "lots")
         assert main(["run", "--config", str(cfg_path)]) == 2
+        assert list((ws / "out").glob("*")) == []
 
-    def test_thread_flag_caps_config(self, ws, monkeypatch):
-        cfg_path = ws / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "output_dir": str(ws / "out"),
-            "stages": ["derive-features"],
-            "inputs": {"dem": str(ws / "dem.grid")},
-            "threads": 8,
-        }))
-        seen = {}
-        import apmkit.cli as cli_module
-
-        def spy(cfg):
-            seen["threads"] = cfg.threads
-            return {}
-
-        monkeypatch.setattr(cli_module, "run_pipeline", spy)
-        assert main(["--threads", "2", "run", "--config", str(cfg_path)]) == 0
-        assert seen["threads"] == 2
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("width", None),
+            ("height", None),
+            ("bands", None),
+            ("geotransform", None),
+            ("band_names", None),
+            ("width", -32),
+            ("height", -1),
+        ],
+    )
+    def test_bad_grid_header_is_data_error(self, ws, capsys, key, value):
+        raw = (ws / "branch1.grid").read_bytes()
+        hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        header = json.loads(raw[8:8 + hlen])
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        blob = json.dumps(header).encode("utf-8")
+        bad = ws / "bad.grid"
+        bad.write_bytes(raw[:4] + np.uint32(len(blob)).tobytes() + blob + raw[8 + hlen:])
+        code = main([
+            "evaluate", "--pred", str(bad),
+            "--sites", str(ws / "sites.csv"), "--out", str(ws / "r.json"),
+        ])
+        assert code == 3
+        assert "bad.grid" in capsys.readouterr().err

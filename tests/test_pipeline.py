@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import apmkit.metrics as metrics_module
+from apmkit.cli import main
 from apmkit.errors import ConfigError, DataError, ToolkitError
+from apmkit.metrics import volume_gain
 from apmkit.pipeline import (
     PipelineConfig,
     build_feature_stack,
@@ -16,7 +19,7 @@ from apmkit.pipeline import (
     sample_surface_sites,
 )
 from apmkit.raster.grid import RasterGrid, load_raster, save_raster
-from apmkit.raster.sites import SiteRecord, write_sites_csv
+from apmkit.raster.sites import SiteRecord, read_sites_csv, write_sites_csv
 
 
 def synth_dem(h=32, w=64):
@@ -137,11 +140,40 @@ class TestConfig:
     def test_value_ranges(self):
         base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
         with pytest.raises(ConfigError):
-            PipelineConfig.from_json({**base, "overlap": 1.0})
+            PipelineConfig.from_json({**base, "lamap": {"catchment_radius": -1.0}})
         with pytest.raises(ConfigError):
-            PipelineConfig.from_json({**base, "tile_size": 0})
+            PipelineConfig.from_json({**base, "crf": {"beta": 2.0}})
         with pytest.raises(ConfigError):
-            PipelineConfig.from_json({**base, "threads": 0})
+            PipelineConfig.from_json({**base, "dpl": {"confidence_tau": 0.5}})
+        with pytest.raises(ConfigError, match="must be an object"):
+            PipelineConfig.from_json({**base, "crf": [1, 2]})
+
+    def test_sub_configs_built_up_front(self):
+        cfg = PipelineConfig.from_json({
+            "output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"},
+            "seed": 5,
+            "lamap": {"bands": [0, 2]},
+            "crf": {"compression_factor": 4},
+            "dpl": {"confidence_tau": 0.9},
+        })
+        assert cfg.lamap.bands == (0, 2)
+        assert cfg.crf.compression == 4
+        assert cfg.dpl.confidence_tau == 0.9
+        assert cfg.dpl.rng_seed == 5
+
+    def test_retired_tiling_keys_warn_and_are_ignored(self, caplog):
+        base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
+        with caplog.at_level("WARNING", logger="apmkit.pipeline"):
+            cfg = PipelineConfig.from_json(
+                {**base, "tile_size": 0, "overlap": 1.0, "threads": 0}
+            )
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert all(k in warnings[0].getMessage() for k in ("tile_size", "overlap", "threads"))
+        for key in ("tile_size", "overlap", "threads"):
+            assert not hasattr(cfg, key)
+            assert key not in cfg.canonical_dict()
+        assert cfg.config_hash() == PipelineConfig.from_json(base).config_hash()
 
     def test_config_hash_tracks_content(self):
         base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
@@ -329,6 +361,60 @@ class TestRun:
         assert {"supervised", "pseudolabel", "consistency", "entropy", "total"} <= set(
             breakdown
         )
+
+    def test_crf_stage_matches_crf_refine_command(self, workspace):
+        # The 32x64 frame exceeds the retired tile_size of 32 that
+        # full_config still carries, so a tiled CRF stage would differ.
+        branch = load_raster(workspace / "branch1.grid")
+        p = np.clip(branch.band(0).astype(np.float64), 1e-7, 1.0 - 1e-7)
+        logits = RasterGrid.from_array(
+            np.log(p / (1.0 - p)).astype(np.float32), branch.geotransform
+        )
+        save_raster(logits, workspace / "logits.grid")
+        doc = full_config(workspace)
+        doc["inputs"]["logits"] = str(workspace / "logits.grid")
+        doc["threads"] = 2
+        run_pipeline(PipelineConfig.from_json(doc))
+        out = workspace / "out"
+        (workspace / "crf.json").write_text(json.dumps(doc["crf"]))
+        code = main([
+            "crf-refine", "--logits", str(workspace / "logits.grid"),
+            "--guidance", str(out / "stack.grid"),
+            "--config", str(workspace / "crf.json"),
+            "--out", str(workspace / "cli_refined.grid"),
+        ])
+        assert code == 0
+        assert (out / "refined_surface.grid").read_bytes() == (
+            workspace / "cli_refined.grid"
+        ).read_bytes()
+
+    def test_evaluate_computes_density_once(self, workspace, monkeypatch):
+        calls = []
+        density = metrics_module.probability_density
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return density(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "probability_density", counted)
+        run_pipeline(PipelineConfig.from_json(full_config(workspace)))
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        # The report and CSV equal what the library functions compute directly.
+        out = workspace / "out"
+        surface = load_raster(out / "refined_surface.grid")
+        baseline = load_raster(out / "lamap_surface.grid")
+        sites = read_sites_csv(workspace / "sites.csv")
+        report = evaluate_surface(surface, sites, metadata={"surface": "crf", "period": None})
+        report.volume_gain = volume_gain(report, evaluate_surface(baseline, sites))
+        report.baseline_name = "lamap"
+        want = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert (out / "report.json").read_text() == want
+        emit_surface_products(surface, workspace / "lib", "surface", baseline=baseline)
+        assert (out / "surface_density.csv").read_bytes() == (
+            workspace / "lib" / "surface_density.csv"
+        ).read_bytes()
 
     def test_rerun_is_byte_identical(self, workspace):
         run_pipeline(PipelineConfig.from_json(full_config(workspace, "run_a")))
