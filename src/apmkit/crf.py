@@ -4,16 +4,22 @@ iteration.
 The model is the usual two-class Potts CRF over pixels. Unary potentials
 come from logits (scaled by a temperature); pairwise potentials combine a
 spatial Gaussian kernel and a bilateral kernel over concatenated
-(position / sigma, beta * guidance features). Both kernels are evaluated
-by direct windowed accumulation truncated at radius ceil(3 sigma), where
-the Gaussian tail is negligible; within that window the messages are
-exact, which keeps small-field behaviour checkable against a dense
-all-pairs computation.
+(position / sigma, beta * guidance features). Both kernels are truncated
+to the square window of radius ceil(3 sigma), where the Gaussian tail is
+negligible; within that window the messages are exact, which keeps
+small-field behaviour checkable against a dense all-pairs computation.
+
+The spatial kernel factorises over rows and columns, so its message runs
+as two 1-D passes. The bilateral weights depend only on the guidance, so
+a refinement builds them once (:func:`bilateral_weights`) and each step
+only multiplies and adds. As w(p, p + d) = w(p + d, p), only half the
+window's offsets are stored, each used in both directions: that cache
+costs 8 * ceil(offsets / 2) bytes per pixel of the grid it lives on.
 
 The bilateral branch can optionally run on a coarsened guidance grid
 (block mean by a compression factor, message passing at reduced
-resolution, bilinear upsampling back), trading fidelity for speed on
-large frames.
+resolution, bilinear upsampling back), trading fidelity for speed and
+memory on large frames; it does so by default.
 """
 
 from __future__ import annotations
@@ -144,41 +150,29 @@ def _offset_slices(h: int, w: int, di: int, dj: int) -> tuple[slice, slice, slic
     return rt, ct, rs, cs
 
 
-def _windowed_messages(
-    q: np.ndarray,
-    guidance: np.ndarray | None,
-    sigma: float,
-    beta: float,
-    want_spatial: bool,
-    want_bilateral: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial and bilateral messages, self-contribution excluded.
+def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
+    """Spatial message, self-contribution excluded.
 
-    ``q`` must already be zeroed at invalid pixels so they contribute
-    nothing; ``guidance`` is (Cg, H, W) or None.
+    The Gaussian on the square window of radius ceil(3 sigma) factorises,
+    k(di, dj) = g(di) g(dj), so the window sum runs as a pass along rows
+    and a pass along columns, each with 2 r taps besides the centre one.
+    Pixels outside the frame count as zero. The centre tap k(0, 0) = 1
+    carries the self term, which is subtracted at the end. ``q`` must
+    already be zeroed at invalid pixels.
     """
-    nclass, h, w = q.shape
-    msg_sp = np.zeros_like(q)
-    msg_bil = np.zeros_like(q)
     radius = int(math.ceil(3.0 * sigma))
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
-    half_beta2 = 0.5 * beta * beta
-    for di in range(-radius, radius + 1):
-        for dj in range(-radius, radius + 1):
-            if di == 0 and dj == 0:
-                continue
-            w_sp = math.exp(-(di * di + dj * dj) * inv_two_sigma2)
-            rt, ct, rs, cs = _offset_slices(h, w, di, dj)
-            if rt.start >= rt.stop or ct.start >= ct.stop:
-                continue
-            contrib = q[:, rs, cs]
-            if want_spatial:
-                msg_sp[:, rt, ct] += w_sp * contrib
-            if want_bilateral and guidance is not None:
-                diff = guidance[:, rt, ct] - guidance[:, rs, cs]
-                w_bil = w_sp * np.exp(-half_beta2 * np.sum(diff * diff, axis=0))
-                msg_bil[:, rt, ct] += w_bil * contrib
-    return msg_sp, msg_bil
+    taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
+    rows = q.copy()
+    for k, g in taps:
+        rows[:, :, :-k] += g * q[:, :, k:]
+        rows[:, :, k:] += g * q[:, :, :-k]
+    msg = rows.copy()
+    for k, g in taps:
+        msg[:, :-k, :] += g * rows[:, k:, :]
+        msg[:, k:, :] += g * rows[:, :-k, :]
+    msg -= q
+    return msg
 
 
 def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -205,31 +199,95 @@ def _bilinear_upsample(arr: np.ndarray, factor: int, h: int, w: int) -> np.ndarr
     c0 = np.clip(np.floor(ci).astype(int), 0, wc - 1)
     c1 = np.clip(c0 + 1, 0, wc - 1)
     fc = np.clip(ci - c0, 0.0, 1.0)
-    top = arr[..., r0, :][..., :, c0] * (1 - fc) + arr[..., r0, :][..., :, c1] * fc
-    bot = arr[..., r1, :][..., :, c0] * (1 - fc) + arr[..., r1, :][..., :, c1] * fc
-    return top * (1 - fr[:, None]) + bot * fr[:, None]
+    cols = arr[..., :, c0] * (1 - fc) + arr[..., :, c1] * fc
+    return cols[..., r0, :] * (1 - fr[:, None]) + cols[..., r1, :] * fr[:, None]
 
 
-def _compressed_bilateral(
-    q: np.ndarray, guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
-) -> np.ndarray:
-    """Bilateral message computed on a coarsened grid and upsampled back.
+@dataclass(frozen=True)
+class BilateralWeights:
+    """Bilateral kernel weights of one guidance field.
 
-    Block sums stand in for the fine-scale contributions; the upsampled
-    message keeps the full-resolution magnitude (no extra scale factor is
-    needed because block sums already aggregate the gamma^2 fine pixels).
+    They depend on the guidance alone, so a refinement builds them once
+    and every mean-field step only multiplies and adds. ``pairs`` holds
+    one entry per offset d of half the window (the first non-zero of
+    (di, dj) positive): the target and source slices of the overlap, as
+    from :func:`_offset_slices`, and w(p, p + d) over it. Since
+    w(p + d, p) is the same number, each entry serves both directions.
+
+    Attributes:
+        factor: Block size of the grid the weights live on; 1 means full
+            resolution.
+        pairs: ``(rt, ct, rs, cs, weight)`` per half-window offset.
     """
-    gamma = cfg.compression
-    h, w = q.shape[1], q.shape[2]
-    qc = _block_sum(q, gamma)
-    vc = _block_sum(valid.astype(np.float64), gamma)
-    gc_sum = _block_sum(guidance * valid, gamma)
-    gc = np.divide(gc_sum, vc, out=np.zeros_like(gc_sum), where=vc > 0)
-    sigma_c = cfg.sigma / gamma
-    _, msg_c = _windowed_messages(
-        qc, gc, sigma_c, cfg.beta, want_spatial=False, want_bilateral=True
-    )
-    return _bilinear_upsample(msg_c, gamma, h, w)
+
+    factor: int
+    pairs: tuple[tuple[slice, slice, slice, slice, np.ndarray], ...]
+
+
+def bilateral_weights(
+    guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
+) -> BilateralWeights:
+    """Build the bilateral weights for ``guidance`` (Cg, H, W).
+
+    With ``cfg.compress_guidance`` the weights live on the grid of
+    ``cfg.compression``-sized blocks, whose features are the means over
+    each block's valid pixels (zero for a block with none) and whose
+    spatial sigma shrinks by the same factor; otherwise on the full frame.
+    Memory is 8 bytes per pixel of that grid and per half-window offset.
+    """
+    if cfg.compress_guidance:
+        factor = cfg.compression
+        counts = _block_sum(valid.astype(np.float64), factor)
+        sums = _block_sum(guidance * valid, factor)
+        feats = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    else:
+        factor, feats = 1, guidance
+    sigma = cfg.sigma / factor
+    h, w = feats.shape[1:]
+    radius = int(math.ceil(3.0 * sigma))
+    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    half_beta2 = 0.5 * cfg.beta * cfg.beta
+    pairs = []
+    for di in range(0, radius + 1):
+        for dj in range(-radius, radius + 1):
+            if di == 0 and dj <= 0:
+                continue
+            rt, ct, rs, cs = _offset_slices(h, w, di, dj)
+            if rt.start >= rt.stop or ct.start >= ct.stop:
+                continue
+            w_sp = math.exp(-(di * di + dj * dj) * inv_two_sigma2)
+            diff = feats[:, rt, ct] - feats[:, rs, cs]
+            weight = w_sp * np.exp(-half_beta2 * np.sum(diff * diff, axis=0))
+            pairs.append((rt, ct, rs, cs, weight))
+    return BilateralWeights(factor, tuple(pairs))
+
+
+def _bilateral_message(q: np.ndarray, weights: BilateralWeights) -> np.ndarray:
+    """Bilateral message, self-contribution excluded.
+
+    ``q`` must already be zeroed at invalid pixels. On a coarsened grid,
+    block sums stand in for the fine-scale contributions, and the message
+    is upsampled back bilinearly with no extra scale factor, because the
+    block sums already aggregate the factor^2 fine pixels.
+    """
+    h, w = q.shape[1:]
+    gamma = weights.factor
+    src = _block_sum(q, gamma) if gamma > 1 else q
+    msg = np.zeros_like(src)
+    for rt, ct, rs, cs, weight in weights.pairs:
+        msg[:, rt, ct] += weight * src[:, rs, cs]
+        msg[:, rs, cs] += weight * src[:, rt, ct]
+    return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
+
+
+def _as_guidance(guidance: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Guidance as float64 (Cg, H, W) on the field's frame, or None."""
+    if guidance is None:
+        return None
+    guidance = np.asarray(guidance, dtype=np.float64)
+    if guidance.ndim != 3 or guidance.shape[1:] != shape[1:]:
+        raise DataError(f"guidance shape {guidance.shape} does not match field {shape}")
+    return guidance
 
 
 def mean_field_step(
@@ -238,6 +296,8 @@ def mean_field_step(
     guidance: np.ndarray | None,
     cfg: CrfConfig,
     valid: np.ndarray | None = None,
+    *,
+    weights: BilateralWeights | None = None,
 ) -> np.ndarray:
     """One mean-field update.
 
@@ -255,6 +315,9 @@ def mean_field_step(
         cfg: Refinement settings.
         valid: Optional (H, W) bool; False pixels neither send messages
             nor keep meaningful values.
+        weights: The bilateral weights of ``guidance`` under ``cfg`` and
+            ``valid``, as :func:`bilateral_weights` builds them; built
+            here when None.
 
     Returns:
         Updated distribution, same shape, per-pixel sums exactly 1.
@@ -265,32 +328,18 @@ def mean_field_step(
         raise DataError(
             f"distribution {q.shape} and unary {unary.shape} must both be (2, H, W)"
         )
-    if guidance is not None:
-        guidance = np.asarray(guidance, dtype=np.float64)
-        if guidance.ndim != 3 or guidance.shape[1:] != q.shape[1:]:
-            raise DataError(
-                f"guidance shape {guidance.shape} does not match field {q.shape}"
-            )
+    guidance = _as_guidance(guidance, q.shape)
     if valid is None:
         valid = np.ones(q.shape[1:], dtype=bool)
     w_sp, w_bil = cfg.pairwise_weights
     qv = q * valid
-    use_bilateral = guidance is not None and w_bil > 0
-    if use_bilateral and cfg.compress_guidance:
-        msg_sp, _ = _windowed_messages(
-            qv, None, cfg.sigma, cfg.beta, want_spatial=w_sp > 0, want_bilateral=False
-        )
-        msg_bil = _compressed_bilateral(qv, guidance, cfg, valid)
-    else:
-        msg_sp, msg_bil = _windowed_messages(
-            qv,
-            guidance if use_bilateral else None,
-            cfg.sigma,
-            cfg.beta,
-            want_spatial=w_sp > 0,
-            want_bilateral=use_bilateral,
-        )
-    message = w_sp * msg_sp + w_bil * msg_bil
+    message = np.zeros_like(q)
+    if w_sp > 0:
+        message += w_sp * _spatial_message(qv, cfg.sigma)
+    if guidance is not None and w_bil > 0:
+        if weights is None:
+            weights = bilateral_weights(guidance, cfg, valid)
+        message += w_bil * _bilateral_message(qv, weights)
     energy = np.einsum("ab,bhw->ahw", cfg.compatibility, message)
     return class_softmax(-unary - energy)
 
@@ -314,9 +363,13 @@ def refine_values(
     if not np.isfinite(arr[:, valid]).all():
         raise DataError("non-finite logits outside the nodata mask")
     unary = unary_potentials(arr, cfg.temperature)
+    guidance = _as_guidance(guidance, arr.shape)
+    weights = None
+    if guidance is not None and cfg.pairwise_weights[1] > 0:
+        weights = bilateral_weights(guidance, cfg, valid)
     q = class_softmax(-unary)
     for _ in range(cfg.iterations):
-        q = mean_field_step(q, unary, guidance, cfg, valid)
+        q = mean_field_step(q, unary, guidance, cfg, valid, weights=weights)
     return q[1]
 
 

@@ -59,19 +59,20 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auroc(samples: Sequence[ScoredSample]) -> float:
+def auroc_from_arrays(scores: np.ndarray, positive: np.ndarray) -> float:
     """Area under the ROC curve by the rank-sum formulation.
 
-    Ties contribute half via midranks, matching pair counting with 0.5
-    credit for equal scores.
+    ``scores`` and the boolean ``positive`` are parallel arrays; every
+    score not flagged positive is a negative. Ties contribute half via
+    midranks, matching pair counting with 0.5 credit for equal scores.
 
     Raises:
         DataError: when either class is absent, naming the missing one.
     """
-    scores = np.array([s.score for s in samples], dtype=np.float64)
-    labels = np.array([s.label for s in samples], dtype=object)
-    pos = scores[labels == "positive"]
-    neg = scores[labels == "negative"]
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(positive, dtype=bool)
+    pos = scores[positive]
+    neg = scores[~positive]
     if pos.size == 0:
         raise DataError("AUROC undefined: no positive samples")
     if neg.size == 0:
@@ -82,15 +83,16 @@ def auroc(samples: Sequence[ScoredSample]) -> float:
     return u / (pos.size * neg.size)
 
 
-def auroc_from_arrays(scores: np.ndarray, positive: np.ndarray) -> float:
-    """AUROC from parallel arrays (``positive`` boolean)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    positive = np.asarray(positive, dtype=bool)
-    samples = [
-        ScoredSample(float(s), "positive" if p else "negative")
-        for s, p in zip(scores, positive)
-    ]
-    return auroc(samples)
+def auroc(samples: Sequence[ScoredSample]) -> float:
+    """AUROC of the labeled samples; unlabeled ones are left out.
+
+    Raises:
+        DataError: when either class is absent, naming the missing one.
+    """
+    labeled = [s for s in samples if s.label is not None]
+    scores = np.array([s.score for s in labeled], dtype=np.float64)
+    positive = np.array([s.label == "positive" for s in labeled], dtype=bool)
+    return auroc_from_arrays(scores, positive)
 
 
 def aul(scores: np.ndarray, labeled: np.ndarray) -> float:
@@ -353,10 +355,13 @@ def probability_density(
     iqr = float(q75 - q25)
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     bandwidth = max(0.9 * spread * s.size ** (-0.2), 1e-3)
-    z = (centers[:, None] - s[None, :]) / bandwidth
-    smoothed = np.exp(-0.5 * z * z).sum(axis=1) / (
-        s.size * bandwidth * math.sqrt(2.0 * math.pi)
-    )
+    # One bin centre at a time: a (bins, N) kernel matrix would dominate
+    # the memory of a whole evaluation. Each row sums in the same order.
+    kernel_sums = np.empty(n_bins)
+    for i, c in enumerate(centers):
+        z = (c - s) / bandwidth
+        kernel_sums[i] = np.exp(-0.5 * z * z).sum()
+    smoothed = kernel_sums / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
     return DensityCurve(centers, density, smoothed, bandwidth)
 
 

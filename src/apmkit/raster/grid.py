@@ -225,12 +225,18 @@ def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
 _HEADER_KEYS = ("width", "height", "bands", "geotransform", "band_names")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_raster(path: str | os.PathLike) -> RasterGrid:
     """Read a grid previously written by :func:`save_raster`.
 
     Raises:
-        DataError: on a bad magic, a truncated file, or a header that lacks
-            a required key or a size below 1.
+        DataError: on a bad magic, a truncated file, bytes after the
+            payload, or a header that lacks a required key, holds a size
+            below 1, a geotransform that is not four numbers, a band-name
+            list of the wrong length, or a nodata or meta of the wrong type.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -258,25 +264,33 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
             raise DataError(f"{path}: corrupt header: {exc}") from exc
         if min(width, height, bands) < 1:
             raise DataError(f"{path}: bad size {bands}x{height}x{width} in header")
+        geotransform = header["geotransform"]
+        if not (
+            isinstance(geotransform, list)
+            and len(geotransform) == 4
+            and all(_is_number(v) for v in geotransform)
+        ):
+            raise DataError(f"{path}: geotransform must be four numbers, got {geotransform!r}")
+        band_names = header["band_names"]
+        if not isinstance(band_names, list) or len(band_names) != bands:
+            raise DataError(f"{path}: band_names must list {bands} names, got {band_names!r}")
+        nodata, meta = header.get("nodata"), header.get("meta", {})
+        if not (nodata is None or _is_number(nodata)) or not isinstance(meta, dict):
+            raise DataError(f"{path}: nodata must be a number or null and meta an object")
         count = bands * height * width
         payload = fh.read(4 * count)
         if len(payload) != 4 * count:
             raise DataError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise DataError(f"{path}: bytes after the {bands}x{height}x{width} payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(bands, height, width)
     data = data.astype(np.float32)
-    nodata = header.get("nodata")
     if nodata is None:
         mask = np.isnan(data[0])
     else:
         mask = data[0] == np.float32(nodata)
         data = np.where(mask[None, :, :], np.nan, data).astype(np.float32)
-    return RasterGrid(
-        data,
-        tuple(header["geotransform"]),
-        mask,
-        tuple(header["band_names"]),
-        header.get("meta", {}),
-    )
+    return RasterGrid(data, tuple(geotransform), mask, tuple(band_names), meta)
 
 
 # --- ESRI ASCII interchange ----------------------------------------------

@@ -332,19 +332,35 @@ class TestRunAndErrors:
             ("band_names", None),
             ("width", -32),
             ("height", -1),
+            ("geotransform", "abcd"),
+            ("geotransform", 5),
+            ("band_names", "x"),
+            ("nodata", "none"),
         ],
     )
     def test_bad_grid_header_is_data_error(self, ws, capsys, key, value):
+        def edit(header):
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+
+        self._assert_bad_grid_exits_3(ws, capsys, edit)
+
+    def test_bytes_after_grid_payload_is_data_error(self, ws, capsys):
+        self._assert_bad_grid_exits_3(ws, capsys, lambda header: None, tail=bytes(12))
+
+    @staticmethod
+    def _assert_bad_grid_exits_3(ws, capsys, edit, tail=b""):
         raw = (ws / "branch1.grid").read_bytes()
         hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
         header = json.loads(raw[8:8 + hlen])
-        if value is None:
-            del header[key]
-        else:
-            header[key] = value
+        edit(header)
         blob = json.dumps(header).encode("utf-8")
         bad = ws / "bad.grid"
-        bad.write_bytes(raw[:4] + np.uint32(len(blob)).tobytes() + blob + raw[8 + hlen:])
+        bad.write_bytes(
+            raw[:4] + np.uint32(len(blob)).tobytes() + blob + raw[8 + hlen:] + tail
+        )
         code = main([
             "evaluate", "--pred", str(bad),
             "--sites", str(ws / "sites.csv"), "--out", str(ws / "r.json"),

@@ -1,10 +1,16 @@
 """Mean-field refinement against a dense all-pairs reference."""
 
+import math
+
 import numpy as np
 import pytest
 
+from apmkit import crf
 from apmkit.crf import (
     CrfConfig,
+    _bilinear_upsample,
+    _block_sum,
+    _offset_slices,
     class_softmax,
     crf_refine,
     mean_field_step,
@@ -251,6 +257,154 @@ class TestMeanField:
         before = int(np.sum((noisy > 0.5) != (truth > 0.5)))
         after = int(np.sum((refined > 0.5) != (truth > 0.5)))
         assert after < before
+
+
+def direct_messages(q, guidance, sigma, beta, want_spatial, want_bilateral):
+    """Direct windowed messages: every offset of the window, every step."""
+    nclass, h, w = q.shape
+    msg_sp = np.zeros_like(q)
+    msg_bil = np.zeros_like(q)
+    radius = int(math.ceil(3.0 * sigma))
+    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    half_beta2 = 0.5 * beta * beta
+    for di in range(-radius, radius + 1):
+        for dj in range(-radius, radius + 1):
+            if di == 0 and dj == 0:
+                continue
+            w_sp = math.exp(-(di * di + dj * dj) * inv_two_sigma2)
+            rt, ct, rs, cs = _offset_slices(h, w, di, dj)
+            if rt.start >= rt.stop or ct.start >= ct.stop:
+                continue
+            contrib = q[:, rs, cs]
+            if want_spatial:
+                msg_sp[:, rt, ct] += w_sp * contrib
+            if want_bilateral and guidance is not None:
+                diff = guidance[:, rt, ct] - guidance[:, rs, cs]
+                w_bil = w_sp * np.exp(-half_beta2 * np.sum(diff * diff, axis=0))
+                msg_bil[:, rt, ct] += w_bil * contrib
+    return msg_sp, msg_bil
+
+
+def direct_compressed_bilateral(q, guidance, cfg, valid):
+    """Direct bilateral message on the block-mean grid, upsampled back."""
+    gamma = cfg.compression
+    h, w = q.shape[1], q.shape[2]
+    qc = _block_sum(q, gamma)
+    vc = _block_sum(valid.astype(np.float64), gamma)
+    gc_sum = _block_sum(guidance * valid, gamma)
+    gc = np.divide(gc_sum, vc, out=np.zeros_like(gc_sum), where=vc > 0)
+    _, msg_c = direct_messages(
+        qc, gc, cfg.sigma / gamma, cfg.beta, want_spatial=False, want_bilateral=True
+    )
+    return _bilinear_upsample(msg_c, gamma, h, w)
+
+
+def reference_step(q, unary, guidance, cfg, valid):
+    """The direct mean-field step the separable, cached one replaced."""
+    w_sp, w_bil = cfg.pairwise_weights
+    qv = q * valid
+    use_bilateral = guidance is not None and w_bil > 0
+    if use_bilateral and cfg.compress_guidance:
+        msg_sp, _ = direct_messages(
+            qv, None, cfg.sigma, cfg.beta, want_spatial=w_sp > 0, want_bilateral=False
+        )
+        msg_bil = direct_compressed_bilateral(qv, guidance, cfg, valid)
+    else:
+        msg_sp, msg_bil = direct_messages(
+            qv,
+            guidance if use_bilateral else None,
+            cfg.sigma,
+            cfg.beta,
+            want_spatial=w_sp > 0,
+            want_bilateral=use_bilateral,
+        )
+    message = w_sp * msg_sp + w_bil * msg_bil
+    energy = np.einsum("ab,bhw->ahw", cfg.compatibility, message)
+    return class_softmax(-unary - energy)
+
+
+def reference_refine(logits, guidance, cfg, valid):
+    unary = unary_potentials(logits, cfg.temperature)
+    q = class_softmax(-unary)
+    for _ in range(cfg.iterations):
+        q = reference_step(q, unary, guidance, cfg, valid)
+    return q[1]
+
+
+class TestMatchesDirectStep:
+    """The separable spatial pass and the prebuilt bilateral weights give
+    the direct windowed step's result up to summation order.
+
+    Pairwise weights are small enough that no pixel saturates, so a wrong
+    tap or a lost offset shows in the probabilities."""
+
+    @pytest.mark.parametrize(
+        "shape,channels,masked,kwargs",
+        [
+            pytest.param((30, 34), 3, True, {}, id="compressed-masked"),
+            pytest.param((30, 34), 3, False, {"compress_guidance": False}, id="full-res"),
+            pytest.param(
+                (24, 26),
+                2,
+                True,
+                {
+                    "pairwise_weights": (0.7, 1.3),
+                    "compatibility": [[0.0, 0.005], [0.02, 0.0]],
+                },
+                id="non-potts-weights",
+            ),
+            pytest.param((24, 26), 2, False, {"pairwise_weights": (0.05, 0.0)}, id="spatial-only"),
+            pytest.param(
+                (24, 26), 2, False, {"pairwise_weights": (0.0, 0.05)}, id="bilateral-only"
+            ),
+            pytest.param((24, 26), 2, True, {"sigma": 2.3}, id="sigma-2.3"),
+            pytest.param((13, 17), 3, True, {"compression": 4}, id="compression-4-ragged"),
+            pytest.param((5, 7), 2, False, {}, id="frame-below-radius"),
+        ],
+    )
+    def test_refine_within_1e12(self, rng, shape, channels, masked, kwargs):
+        logits = rng.normal(size=(2, *shape)) * 0.5
+        guidance = rng.normal(size=(channels, *shape))
+        valid = np.ones(shape, dtype=bool)
+        if masked:
+            valid[2:5, 3:7] = False
+            guidance[:, ~valid] = 0.0
+        cfg = CrfConfig(
+            **{"beta": 0.6, "iterations": 4, "pairwise_weights": (0.05, 0.05), **kwargs}
+        )
+        got = refine_values(logits, guidance, cfg, valid)
+        want = reference_refine(logits, guidance, cfg, valid)
+        assert 0.01 < want.min() and want.max() < 0.99
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_standalone_step_equals_step_in_refine(self, rng):
+        logits = rng.normal(size=(2, 20, 22))
+        guidance = rng.normal(size=(3, 20, 22))
+        valid = rng.random((20, 22)) > 0.1
+        cfg = CrfConfig(iterations=3)
+        unary = unary_potentials(logits, cfg.temperature)
+        q = class_softmax(-unary)
+        for _ in range(cfg.iterations):
+            q = mean_field_step(q, unary, guidance, cfg, valid)
+        assert np.array_equal(q[1], refine_values(logits, guidance, cfg, valid))
+
+    def test_weights_built_once_and_step_called_per_iteration(self, rng, monkeypatch):
+        calls = {"weights": 0, "step": 0}
+        build, step = crf.bilateral_weights, crf.mean_field_step
+
+        def counted_build(*args, **kwargs):
+            calls["weights"] += 1
+            return build(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(crf, "bilateral_weights", counted_build)
+        monkeypatch.setattr(crf, "mean_field_step", counted_step)
+        cfg = CrfConfig(iterations=5)
+        refine_values(rng.normal(size=(2, 12, 12)), rng.normal(size=(2, 12, 12)), cfg)
+        assert calls == {"weights": 1, "step": 5}
 
 
 class TestRasterWrapper:

@@ -89,6 +89,17 @@ class TestAuroc:
         )
         assert auroc_from_arrays(scores, positive) == want
 
+    def test_sample_and_array_forms_agree_with_ties(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 80))
+            scores = rng.integers(0, 8, size=n) / 4.0
+            positive = rng.random(n) < 0.4
+            positive[:2] = (True, False)
+            labels = np.where(positive, "positive", "negative")
+            samples = [ScoredSample(float(s), str(lab)) for s, lab in zip(scores, labels)]
+            samples.append(ScoredSample(0.5, None))
+            assert auroc(samples) == auroc_from_arrays(scores, positive)
+
 
 class TestAul:
     def test_hand_example(self):
@@ -287,7 +298,23 @@ class TestSpearman:
         assert find_count_correlation(padded) == find_count_correlation(counted)
 
 
+def broadcast_smoothed(scores, bandwidth, n_bins=100):
+    """The density curve from the full (bins, N) kernel matrix."""
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    z = (centers[:, None] - scores[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (
+        scores.size * bandwidth * math.sqrt(2.0 * math.pi)
+    )
+
+
 class TestDensity:
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_smoothed_equals_broadcast_form(self, rng, kind):
+        scores = rng.beta(2.0, 5.0, 12_345) if kind == "random" else np.full(10_000, 0.3)
+        d = probability_density(scores)
+        assert np.array_equal(d.smoothed, broadcast_smoothed(scores, d.bandwidth))
+
     def test_histogram_integrates_to_one(self, rng):
         d = probability_density(rng.random(2000))
         assert d.histogram.sum() / d.histogram.size == pytest.approx(1.0, abs=1e-9)
