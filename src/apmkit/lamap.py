@@ -149,6 +149,17 @@ def potential_values(
 ) -> np.ndarray:
     """Float64 potential surface; NaN where the stack is masked.
 
+    Each selected band's pixels are sorted once (an ``int32`` order plus
+    the sorted ``float32`` values). A site's ECDF is then evaluated at
+    every pixel by searching its sorted samples into the sorted pixels:
+    a sample raises ``#{s < v}`` for every pixel past its right insertion
+    point and ``#{s <= v}`` for every pixel past its left one, so one
+    ``bincount`` of both hit vectors and a cumulative sum give
+    ``below + upto`` per sorted pixel. The searches compare in float64
+    and the counts are integers, and ``0.5 * (below + upto) / n`` equals
+    :meth:`Ecdf.cdf`'s ``(below + 0.5 * (upto - below)) / n`` bit for bit
+    because both numerators are the same exact half-integer.
+
     Site contributions are accumulated in a canonical order (sorted by
     site_id), so any permutation of ``models`` produces bit-identical
     output.
@@ -166,16 +177,40 @@ def potential_values(
     if not valid.any():
         raise EmptyInputError("stack is fully masked")
     x, y = stack.center_grids()
-    band_values = [stack.band(b).astype(np.float64) for b in bands]
+    npix = x.size
+    # One block per array for all bands, and the counts below turned into
+    # floats in place: per-band and per-site temporaries would otherwise
+    # leave heap holes that raise peak RSS.
+    orders = np.empty((len(bands), npix), dtype=np.int32)
+    sorted_values = np.empty((len(bands), npix), dtype=np.float32)
+    for i, b in enumerate(bands):
+        flat = stack.band(b).ravel()
+        orders[i] = np.argsort(flat, kind="stable")
+        np.take(flat, orders[i], out=sorted_values[i])
+    f = np.empty(npix, dtype=np.float64)
     num = np.zeros(stack.shape, dtype=np.float64)
     den = np.zeros(stack.shape, dtype=np.float64)
     for model in sorted(models, key=lambda m: m.site_id):
-        d = np.hypot(x - model.x, y - model.y)
-        w = np.exp(-d / cfg.kernel_bandwidth)
+        w = np.exp(-np.hypot(x - model.x, y - model.y) / cfg.kernel_bandwidth)
         u = np.zeros(stack.shape, dtype=np.float64)
-        for ecdf, vals in zip(model.ecdfs, band_values):
-            f = ecdf.cdf(vals)
-            u += 1.0 - np.abs(2.0 * f - 1.0)
+        for ecdf, order, values in zip(model.ecdfs, orders, sorted_values):
+            hits = np.concatenate(
+                (
+                    np.searchsorted(values, ecdf.samples, side="right"),
+                    np.searchsorted(values, ecdf.samples, side="left"),
+                )
+            )
+            twice = np.bincount(hits, minlength=npix + 1)[:npix]
+            np.cumsum(twice, out=twice)
+            ranked = twice.view(np.float64)
+            np.multiply(twice, 0.5, out=ranked)
+            np.divide(ranked, ecdf.n, out=ranked)
+            f[order] = ranked
+            np.multiply(f, 2.0, out=f)
+            np.subtract(f, 1.0, out=f)
+            np.abs(f, out=f)
+            np.subtract(1.0, f, out=f)
+            u += f.reshape(stack.shape)
         u /= len(bands)
         num += w * u
         den += w

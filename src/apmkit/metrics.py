@@ -11,6 +11,7 @@ six equal-width probability bins, and surfaces can be reduced to a
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .raster.grid import RasterGrid
+from .raster.grid import RasterGrid, atomic_write
 
 SCHEMA_VERSION = 1
 
@@ -367,11 +368,13 @@ def probability_density(
 
 def write_density_csv(path: str | os.PathLike, density: DensityCurve) -> None:
     """Write the density curve as CSV with a fixed three-column schema."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as raw:
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         writer = csv.writer(fh)
         writer.writerow(["bin_center", "histogram_density", "smoothed_density"])
         for c, h, s in zip(density.bin_centers, density.histogram, density.smoothed):
             writer.writerow([f"{c:.10g}", f"{h:.10g}", f"{s:.10g}"])
+        fh.flush()
 
 
 def surface_density(surface: RasterGrid, n_bins: int = N_DENSITY_BINS) -> DensityCurve:

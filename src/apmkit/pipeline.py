@@ -48,7 +48,7 @@ from .metrics import (
 )
 from .pseudolabel import BranchPair, DplConfig, confident_pseudolabel, dpl_objective
 from .raster.distance import distance_map, load_targets
-from .raster.grid import RasterGrid, load_raster, save_raster
+from .raster.grid import RasterGrid, atomic_write, load_raster, save_raster
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
 from .raster.sites import filter_sites, read_sites_csv
 from .raster.terrain import derive_terrain
@@ -350,7 +350,8 @@ class _Run:
 
     def write_bytes(self, stage: str, name: str, blob: bytes) -> Path:
         path = self.out / name
-        path.write_bytes(blob)
+        with atomic_write(path) as fh:
+            fh.write(blob)
         self.artifacts.setdefault(stage, []).append(str(path))
         return path
 
@@ -582,7 +583,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "seed": cfg.seed,
         "stages": manifest_stages,
     }
-    (run.out / "manifest.json").write_bytes(_json_bytes(manifest))
+    with atomic_write(run.out / "manifest.json") as fh:
+        fh.write(_json_bytes(manifest))
     return manifest
 
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -193,8 +196,28 @@ class RasterGrid:
 # --- binary container ----------------------------------------------------
 
 
+@contextmanager
+def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Open a binary file that appears at ``path`` only once fully written.
+
+    Bytes go to a temp file in the target's directory, which replaces
+    ``path`` with :func:`os.replace` when the block exits cleanly. If the
+    block raises, the temp file is removed and ``path`` keeps whatever it
+    held before (or stays absent).
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
-    """Write ``grid`` to the portable binary container.
+    """Write ``grid`` to the portable binary container, atomically.
 
     Layout: magic ``APMG``, uint32 little-endian header length, UTF-8 JSON
     header, then the float32 little-endian band-major payload. Masked
@@ -214,12 +237,11 @@ def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
         blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise DataError(f"raster metadata is not JSON-serialisable: {exc}") from exc
-    payload = np.ascontiguousarray(grid.data, dtype="<f4")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(np.uint32(len(blob)).tobytes())
         fh.write(blob)
-        fh.write(payload.tobytes())
+        fh.write(np.ascontiguousarray(grid.data, dtype="<f4").tobytes())
 
 
 _HEADER_KEYS = ("width", "height", "bands", "geotransform", "band_names")

@@ -7,6 +7,7 @@ import pytest
 
 from apmkit.errors import DataError, EmptyInputError
 from apmkit.raster.distance import (
+    _lower_envelope_rows,
     distance_map,
     distance_to_mask,
     load_targets,
@@ -26,6 +27,116 @@ def brute_force_distance(target, dx, dy):
             dc = (cols - c) * dx
             out[r, c] = np.sqrt((dr * dr + dc * dc).min())
     return out
+
+
+def reference_envelope_1d(f, spacing):
+    """The per-row lower envelope that ``distance_to_mask`` used to loop over."""
+    n = f.size
+    out = np.full(n, np.inf)
+    v = np.zeros(n, dtype=np.intp)
+    z = np.zeros(n + 1)
+    k = -1
+    s = 0.0
+    for i in range(n):
+        fi = f[i]
+        if not np.isfinite(fi):
+            continue
+        q = i * spacing
+        while k >= 0:
+            p = v[k] * spacing
+            s = ((fi + q * q) - (f[v[k]] + p * p)) / (2.0 * q - 2.0 * p)
+            if s <= z[k]:
+                k -= 1
+            else:
+                break
+        k += 1
+        v[k] = i
+        z[k] = -np.inf if k == 0 else s
+        z[k + 1] = np.inf
+    if k < 0:
+        return out
+    j = 0
+    for i in range(n):
+        x = i * spacing
+        while z[j + 1] < x:
+            j += 1
+        p = v[j] * spacing
+        out[i] = (x - p) ** 2 + f[v[j]]
+    return out
+
+
+def reference_distance(target, pixel_size_x, pixel_size_y):
+    """The column sweep plus one envelope call per row, as before."""
+    height, _ = target.shape
+    dx = float(pixel_size_x)
+    dy = abs(float(pixel_size_y))
+    steps = np.where(target, 0.0, np.inf)
+    for r in range(1, height):
+        steps[r] = np.minimum(steps[r], steps[r - 1] + 1.0)
+    for r in range(height - 2, -1, -1):
+        steps[r] = np.minimum(steps[r], steps[r + 1] + 1.0)
+    sq = np.where(np.isfinite(steps), (steps * dy) ** 2, np.inf)
+    out = np.empty(target.shape, dtype=np.float64)
+    for r in range(height):
+        out[r] = reference_envelope_1d(sq[r], dx)
+    return np.sqrt(out)
+
+
+def _seeded_mask(shape, density, seed):
+    target = np.random.default_rng(seed).random(shape) < density
+    if not target.any():
+        target[shape[0] // 2, shape[1] // 2] = True
+    return target
+
+
+def _sparse_rows_and_columns():
+    target = np.zeros((24, 31), bool)
+    target[3, 5] = target[3, 20] = target[17, 5] = True
+    return target
+
+
+EQUALITY_CASES = {
+    "density-0.0005": (_seeded_mask((120, 150), 0.0005, 1), 1.0, 1.0),
+    "density-0.01": (_seeded_mask((64, 80), 0.01, 2), 1.0, 1.0),
+    "density-0.05": (_seeded_mask((64, 80), 0.05, 3), 1.0, 1.0),
+    "anisotropic": (_seeded_mask((40, 45), 0.02, 4), 3.0, -7.5),
+    "empty-rows-and-columns": (_sparse_rows_and_columns(), 2.0, 2.0),
+    "one-row": (_seeded_mask((1, 57), 0.05, 5), 1.0, 1.0),
+    "one-column": (_seeded_mask((57, 1), 0.05, 6), 1.0, 1.0),
+    "one-pixel": (np.ones((1, 1), bool), 1.0, 1.0),
+    "all-targets": (np.ones((9, 13), bool), 3.0, -7.5),
+    "ragged-37x53": (_seeded_mask((37, 53), 0.03, 7), 10.0, -10.0),
+}
+
+
+class TestEqualsPerRowEnvelope:
+    """The all-rows envelope returns the per-row loop's floats bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
+    def test_bit_identical(self, case):
+        target, dx, dy = EQUALITY_CASES[case]
+        got = distance_to_mask(target, dx, dy)
+        assert np.array_equal(got, reference_distance(target, dx, dy))
+
+    def test_rows_with_gaps_and_no_finite_entry(self):
+        # Any non-empty mask leaves every row finite somewhere, so call the
+        # envelope directly to reach rows that are all inf.
+        rng = np.random.default_rng(9)
+        f = np.round(rng.uniform(0.0, 40.0, size=(30, 41)))
+        f[rng.random(f.shape) < 0.6] = np.inf
+        f[[0, 11, 29]] = np.inf
+        got = _lower_envelope_rows(f, 2.0)
+        want = np.stack([reference_envelope_1d(row, 2.0) for row in f])
+        assert np.isinf(got[[0, 11, 29]]).all()
+        assert np.array_equal(got, want)
+
+    def test_inexact_spacing_within_one_ulp(self):
+        # numpy scalar ``** 2`` calls libm ``pow``, which may round a square
+        # that is not exactly representable one ulp away from ``x * x``; the
+        # array form squares. Only such spacings can differ, by <= 1 ulp.
+        target = _seeded_mask((60, 70), 0.01, 8)
+        got = distance_to_mask(target, 0.3, 0.7)
+        np.testing.assert_array_max_ulp(got, reference_distance(target, 0.3, 0.7), 1)
 
 
 class TestDistanceToMask:

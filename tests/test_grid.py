@@ -1,11 +1,14 @@
 """Raster container, binary IO, ESRI ASCII reader, and grid geometry."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from apmkit.errors import DataError, DimensionError, EmptyInputError
 from apmkit.raster.grid import (
     RasterGrid,
+    atomic_write,
     fill_holes,
     load_raster,
     read_esri_ascii,
@@ -133,6 +136,50 @@ class TestBinaryContainer:
         path.write_bytes(blob[:-8])
         with pytest.raises(DataError):
             load_raster(path)
+
+
+class _PayloadFails:
+    """Array-like whose conversion raises, after the header is written."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("device full")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("previous", [None, b"old bytes"])
+    def test_raise_mid_write_keeps_target(self, tmp_path, previous):
+        path = tmp_path / "a.bin"
+        if previous is not None:
+            path.write_bytes(previous)
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("serialisation failed")
+        assert (path.read_bytes() if path.exists() else None) == previous
+        assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["a.bin"])
+
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_failed_save_raster_leaves_no_partial_grid(self, tmp_path, make_grid, previous):
+        path = tmp_path / "g.grid"
+        good = make_grid(np.arange(12.0).reshape(3, 4))
+        if previous:
+            save_raster(good, path)
+        before = path.read_bytes() if previous else None
+        names = ("width", "height", "bands", "band_names", "geotransform", "meta")
+        broken = SimpleNamespace(**{n: getattr(good, n) for n in names}, data=_PayloadFails())
+        with pytest.raises(OSError, match="device full"):
+            save_raster(broken, path)
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == (["g.grid"] if previous else [])
+        if previous:
+            assert np.array_equal(load_raster(path).data, good.data)
+
+    def test_rewrite_replaces_bytes(self, tmp_path, make_grid):
+        path = tmp_path / "g.grid"
+        save_raster(make_grid(np.zeros((2, 2))), path)
+        save_raster(make_grid(np.ones((2, 2))), path)
+        assert np.all(load_raster(path).data == 1.0)
+        assert [p.name for p in tmp_path.iterdir()] == ["g.grid"]
 
 
 class TestEsriAscii:

@@ -7,6 +7,7 @@ from apmkit.errors import DataError, EmptyInputError
 from apmkit.lamap import (
     Ecdf,
     LamapConfig,
+    SiteModel,
     build_site_model,
     build_site_models,
     lamap_surface,
@@ -235,6 +236,97 @@ class TestPotential:
         solo = make_grid(base)
         want = potential_values(solo, build_site_models(solo, [site("a", 3.0, -3.0)], LamapConfig(2.0)), LamapConfig(2.0))
         assert np.allclose(got, want, atol=1e-12)
+
+
+def reference_potential(stack, models, cfg):
+    """The per-site ``ecdf.cdf`` loop that ``potential_values`` used to run."""
+    bands = cfg.bands if cfg.bands is not None else tuple(range(stack.bands))
+    valid = ~stack.nodata_mask
+    x, y = stack.center_grids()
+    band_values = [stack.band(b).astype(np.float64) for b in bands]
+    num = np.zeros(stack.shape, dtype=np.float64)
+    den = np.zeros(stack.shape, dtype=np.float64)
+    for model in sorted(models, key=lambda m: m.site_id):
+        d = np.hypot(x - model.x, y - model.y)
+        w = np.exp(-d / cfg.kernel_bandwidth)
+        u = np.zeros(stack.shape, dtype=np.float64)
+        for ecdf, vals in zip(model.ecdfs, band_values):
+            f = ecdf.cdf(vals)
+            u += 1.0 - np.abs(2.0 * f - 1.0)
+        u /= len(bands)
+        num += w * u
+        den += w
+    surface = np.clip(num / den, 0.0, 1.0)
+    surface[~valid] = np.nan
+    return surface
+
+
+def _scattered_sites(h, w, count, rng):
+    return [
+        site(f"s{i:02d}", float(rng.uniform(0, w)), float(-rng.uniform(0, h)))
+        for i in range(count)
+    ]
+
+
+class TestEqualsPerSiteCdf:
+    """Sorting each band once returns the per-site ECDF loop's floats bit for bit."""
+
+    def _check(self, grid, models, cfg):
+        got = potential_values(grid, models, cfg)
+        assert np.array_equal(got, reference_potential(grid, models, cfg), equal_nan=True)
+
+    def test_masked_hole(self, make_grid, rng):
+        values = rng.normal(size=(3, 30, 34))
+        mask = np.zeros((30, 34), dtype=bool)
+        mask[8:20, 10:25] = True
+        grid = make_grid(values, mask=mask)
+        cfg = LamapConfig(catchment_radius=3.0, kernel_bandwidth=6.0)
+        sites = [s for s in _scattered_sites(30, 34, 12, rng)
+                 if not mask[int(-s.y), int(s.x)]]
+        self._check(grid, build_site_models(grid, sites, cfg), cfg)
+
+    def test_heavy_ties(self, make_grid, rng):
+        values = np.stack([np.round(rng.normal(size=(25, 27)) * 2.0),
+                           rng.normal(size=(25, 27))])
+        grid = make_grid(values)
+        cfg = LamapConfig(catchment_radius=4.0, kernel_bandwidth=5.0)
+        self._check(grid, build_site_models(grid, _scattered_sites(25, 27, 9, rng), cfg), cfg)
+
+    def test_band_subset(self, make_grid, rng):
+        grid = make_grid(rng.normal(size=(4, 20, 22)))
+        cfg = LamapConfig(catchment_radius=3.0, kernel_bandwidth=4.0, bands=(3, 1))
+        self._check(grid, build_site_models(grid, _scattered_sites(20, 22, 6, rng), cfg), cfg)
+
+    def test_one_row_frame(self, make_grid, rng):
+        grid = make_grid(rng.normal(size=(2, 1, 40)))
+        cfg = LamapConfig(catchment_radius=3.0, kernel_bandwidth=5.0)
+        sites = [site(f"s{i}", float(x), -0.5) for i, x in enumerate((2.5, 19.0, 37.5))]
+        self._check(grid, build_site_models(grid, sites, cfg), cfg)
+
+    def test_single_sample_catchments(self, make_grid, rng):
+        grid = make_grid(np.round(rng.normal(size=(2, 15, 16)), 1))
+        cfg = LamapConfig(catchment_radius=0.2, kernel_bandwidth=3.0)
+        models = build_site_models(grid, _scattered_sites(15, 16, 8, rng), cfg)
+        assert all(m.catchment_pixels == 1 for m in models)
+        self._check(grid, models, cfg)
+
+    def test_samples_float32_cannot_represent(self, make_grid, rng):
+        # Samples sit one float64 ulp either side of stored float32 pixel
+        # values, so a comparison done in float32 would count them as ties.
+        values = np.round(rng.normal(size=(18, 19)), 2).astype(np.float32)
+        grid = make_grid(values)
+        cfg = LamapConfig(kernel_bandwidth=4.0)
+        pixels = np.unique(values.astype(np.float64))
+        models = []
+        for i in range(5):
+            base = rng.choice(pixels, size=7)
+            near = np.concatenate(
+                [np.nextafter(base, np.inf), np.nextafter(base, -np.inf), base[:2]]
+            )
+            assert not np.array_equal(near.astype(np.float32).astype(np.float64), near)
+            models.append(SiteModel(f"h{i}", float(rng.uniform(0, 19)),
+                                    float(-rng.uniform(0, 18)), (Ecdf(near),), near.size))
+        self._check(grid, models, cfg)
 
 
 class TestSurfaceWrapper:

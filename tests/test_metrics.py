@@ -1,5 +1,6 @@
 """Ranking, confusion, reliability and density metrics."""
 
+import dataclasses
 import json
 import math
 
@@ -351,6 +352,19 @@ class TestDensity:
         assert len(lines) == 5
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.125, abs=1e-9)
+
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, rng):
+        d = probability_density(rng.random(50), n_bins=4)
+        path = tmp_path / "density.csv"
+        write_density_csv(path, d)
+        before = path.read_bytes()
+        smoothed = list(d.smoothed)
+        smoothed[2] = "not a number"  # formatting the third row raises
+        bad = dataclasses.replace(d, smoothed=smoothed)
+        with pytest.raises(ValueError):
+            write_density_csv(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["density.csv"]
 
 
 class TestReport:

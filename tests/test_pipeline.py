@@ -445,6 +445,19 @@ class TestRun:
         assert (out / "lamap_surface.grid").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_failed_json_write_leaves_no_partial_file(self, workspace, monkeypatch):
+        import apmkit.pipeline as pipeline_module
+
+        cfg = PipelineConfig.from_json(full_config(workspace, "broken"))
+        # str is not bytes: the write raises inside the atomic block.
+        monkeypatch.setattr(pipeline_module, "_json_bytes", lambda doc: "not bytes")
+        with pytest.raises(ToolkitError, match="stage 'pseudolabel' failed"):
+            run_pipeline(cfg)
+        out = workspace / "broken"
+        assert not (out / "loss_breakdown.json").exists()
+        assert not (out / "failed" / "loss_breakdown.json").exists()
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
     def test_stage_error_is_named(self, workspace):
         cfg = PipelineConfig.from_json(
             {
