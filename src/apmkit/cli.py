@@ -35,18 +35,12 @@ from .pipeline import (
 from .pseudolabel import BranchPair, DplConfig, confident_pseudolabel, dpl_objective
 from ._rng import module_rng
 from .raster.distance import distance_map, load_targets
-from .raster.grid import load_raster, save_raster
+from .raster.grid import load_raster, save_raster, write_json
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
 from .raster.sites import filter_sites, read_sites_csv
 from .raster.tiling import load_plan, save_plan, stitch, tile_plan
 
 logger = logging.getLogger(__name__)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _read_json(path: str) -> dict:
@@ -143,7 +137,7 @@ def _cmd_pseudolabel(args) -> None:
     masked = confident_pseudolabel(pair, cfg, alpha=args.alpha, rng=rng)
     save_raster(masked, args.out_raster)
     doc = {"step": args.step, "loss_kind": cfg.loss_kind, **breakdown.as_dict()}
-    _write_json(args.out_json, doc)
+    write_json(args.out_json, doc)
 
 
 def _cmd_split_folds(args) -> None:
@@ -193,7 +187,7 @@ def _cmd_evaluate(args) -> None:
         baseline = MetricsReport.from_dict(_read_json(args.baseline_report))
         report.volume_gain = volume_gain(report, baseline)
         report.baseline_name = baseline.metadata.get("surface") or "baseline"
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
 
 
 def _cmd_run(args) -> None:

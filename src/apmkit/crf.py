@@ -9,6 +9,12 @@ to the square window of radius ceil(3 sigma), where the Gaussian tail is
 negligible; within that window the messages are exact, which keeps
 small-field behaviour checkable against a dense all-pairs computation.
 
+The model has two classes and messages are linear in the distribution,
+so each step passes messages for class 1 only: with q0 = valid - q1, the
+class-0 message is the message of the valid mask less that of class 1.
+A refinement builds the valid mask's message once, alongside the
+bilateral weights.
+
 The spatial kernel factorises over rows and columns, so its message runs
 as two 1-D passes. The bilateral weights depend only on the guidance, so
 a refinement builds them once (:func:`bilateral_weights`) and each step
@@ -151,7 +157,7 @@ def _offset_slices(h: int, w: int, di: int, dj: int) -> tuple[slice, slice, slic
 
 
 def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
-    """Spatial message, self-contribution excluded.
+    """Spatial message of an (H, W) field, self-contribution excluded.
 
     The Gaussian on the square window of radius ceil(3 sigma) factorises,
     k(di, dj) = g(di) g(dj), so the window sum runs as a pass along rows
@@ -165,12 +171,12 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
     taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
     rows = q.copy()
     for k, g in taps:
-        rows[:, :, :-k] += g * q[:, :, k:]
-        rows[:, :, k:] += g * q[:, :, :-k]
+        rows[:, :-k] += g * q[:, k:]
+        rows[:, k:] += g * q[:, :-k]
     msg = rows.copy()
     for k, g in taps:
-        msg[:, :-k, :] += g * rows[:, k:, :]
-        msg[:, k:, :] += g * rows[:, :-k, :]
+        msg[:-k, :] += g * rows[k:, :]
+        msg[k:, :] += g * rows[:-k, :]
     msg -= q
     return msg
 
@@ -263,21 +269,38 @@ def bilateral_weights(
 
 
 def _bilateral_message(q: np.ndarray, weights: BilateralWeights) -> np.ndarray:
-    """Bilateral message, self-contribution excluded.
+    """Bilateral message of an (H, W) field, self-contribution excluded.
 
     ``q`` must already be zeroed at invalid pixels. On a coarsened grid,
     block sums stand in for the fine-scale contributions, and the message
     is upsampled back bilinearly with no extra scale factor, because the
     block sums already aggregate the factor^2 fine pixels.
     """
-    h, w = q.shape[1:]
+    h, w = q.shape
     gamma = weights.factor
     src = _block_sum(q, gamma) if gamma > 1 else q
     msg = np.zeros_like(src)
     for rt, ct, rs, cs, weight in weights.pairs:
-        msg[:, rt, ct] += weight * src[:, rs, cs]
-        msg[:, rs, cs] += weight * src[:, rt, ct]
+        msg[rt, ct] += weight * src[rs, cs]
+        msg[rs, cs] += weight * src[rt, ct]
     return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
+
+
+def _pairwise_message(
+    field: np.ndarray, cfg: CrfConfig, weights: BilateralWeights | None
+) -> np.ndarray:
+    """Spatial plus bilateral message of one (H, W) field, weighted by
+    ``cfg.pairwise_weights``; ``weights`` None skips the bilateral kernel.
+
+    ``field`` must already be zeroed at invalid pixels.
+    """
+    w_sp, w_bil = cfg.pairwise_weights
+    message = np.zeros_like(field)
+    if w_sp > 0:
+        message += w_sp * _spatial_message(field, cfg.sigma)
+    if weights is not None:
+        message += w_bil * _bilateral_message(field, weights)
+    return message
 
 
 def _as_guidance(guidance: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -298,6 +321,7 @@ def mean_field_step(
     valid: np.ndarray | None = None,
     *,
     weights: BilateralWeights | None = None,
+    valid_message: np.ndarray | None = None,
 ) -> np.ndarray:
     """One mean-field update.
 
@@ -307,8 +331,13 @@ def mean_field_step(
 
         Q' = softmax(-unary - compatibility @ message)
 
+    Only class 1 passes messages: as q0 = valid - q1 at valid pixels and
+    messages are linear, the class-0 message is ``valid_message`` minus
+    the class-1 one.
+
     Args:
-        q: Current distribution, (2, H, W), rows summing to 1.
+        q: Current distribution, (2, H, W), rows summing to 1; only
+            ``q[1]`` is read.
         unary: Unary energies, (2, H, W).
         guidance: Bilateral guidance features (Cg, H, W) or None to skip
             the bilateral kernel.
@@ -318,6 +347,8 @@ def mean_field_step(
         weights: The bilateral weights of ``guidance`` under ``cfg`` and
             ``valid``, as :func:`bilateral_weights` builds them; built
             here when None.
+        valid_message: :func:`_pairwise_message` of ``valid`` under the
+            same weights; built here when None.
 
     Returns:
         Updated distribution, same shape, per-pixel sums exactly 1.
@@ -331,15 +362,14 @@ def mean_field_step(
     guidance = _as_guidance(guidance, q.shape)
     if valid is None:
         valid = np.ones(q.shape[1:], dtype=bool)
-    w_sp, w_bil = cfg.pairwise_weights
-    qv = q * valid
-    message = np.zeros_like(q)
-    if w_sp > 0:
-        message += w_sp * _spatial_message(qv, cfg.sigma)
-    if guidance is not None and w_bil > 0:
-        if weights is None:
-            weights = bilateral_weights(guidance, cfg, valid)
-        message += w_bil * _bilateral_message(qv, weights)
+    if guidance is None or cfg.pairwise_weights[1] <= 0:
+        weights = None
+    elif weights is None:
+        weights = bilateral_weights(guidance, cfg, valid)
+    if valid_message is None:
+        valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
+    m1 = _pairwise_message(q[1] * valid, cfg, weights)
+    message = np.stack([valid_message - m1, m1])
     energy = np.einsum("ab,bhw->ahw", cfg.compatibility, message)
     return class_softmax(-unary - energy)
 
@@ -353,7 +383,8 @@ def refine_values(
     """Run the full mean-field loop; returns the class-1 probability field.
 
     ``logits`` may be (H, W) (single-logit convention: class 0 pinned at
-    zero) or (2, H, W).
+    zero) or (2, H, W). The bilateral weights and the valid mask's message
+    are built once and handed to every step.
     """
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim == 2:
@@ -367,9 +398,12 @@ def refine_values(
     weights = None
     if guidance is not None and cfg.pairwise_weights[1] > 0:
         weights = bilateral_weights(guidance, cfg, valid)
+    valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
     q = class_softmax(-unary)
     for _ in range(cfg.iterations):
-        q = mean_field_step(q, unary, guidance, cfg, valid, weights=weights)
+        q = mean_field_step(
+            q, unary, guidance, cfg, valid, weights=weights, valid_message=valid_message
+        )
     return q[1]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError
-from .raster.grid import RasterGrid
+from .raster.grid import RasterGrid, write_json
 from .raster.sites import SiteRecord
 from .raster.tiling import TileWindow
 
@@ -121,9 +121,7 @@ class FoldAssignment:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "FoldAssignment":

@@ -5,7 +5,7 @@ midranks in O(N log N), so massive score pools stay cheap and ties are
 handled exactly. Confusion metrics run over labeled pixels only, which is
 what presence-only evaluation calls for. Reliability is summarised over
 six equal-width probability bins, and surfaces can be reduced to a
-100-bin density with a Gaussian-smoothed curve for export.
+100-bin density histogram, with a Gaussian-smoothed curve for export.
 """
 
 from __future__ import annotations
@@ -334,23 +334,37 @@ class DensityCurve:
     bandwidth: float
 
 
+def _finite_scores(scores: np.ndarray) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    s = s[np.isfinite(s)]
+    if s.size == 0:
+        raise DataError("no finite scores to bin")
+    return s
+
+
+def density_histogram(scores: np.ndarray, n_bins: int = N_DENSITY_BINS) -> np.ndarray:
+    """Histogram density of the finite scores over ``n_bins`` equal-width
+    bins of [0, 1]; it integrates to the share of scores inside [0, 1]."""
+    s = _finite_scores(scores)
+    hist, _ = np.histogram(s, bins=np.linspace(0.0, 1.0, n_bins + 1))
+    return hist / (s.size * (1.0 / n_bins))
+
+
 def probability_density(
     scores: np.ndarray, n_bins: int = N_DENSITY_BINS
 ) -> DensityCurve:
     """Score density over [0, 1]: histogram plus Gaussian-kernel curve.
 
-    The kernel bandwidth follows the Silverman rule
-    ``0.9 min(std, IQR / 1.34) n^(-1/5)`` with a small floor so constant
-    scores stay well defined.
+    The histogram is :func:`density_histogram`'s. The kernel bandwidth
+    follows the Silverman rule ``0.9 min(std, IQR / 1.34) n^(-1/5)`` with
+    a small floor so constant scores stay well defined. The curve costs
+    one pass over the scores per bin; only the density CSV reads it, so
+    callers that need the histogram alone call :func:`density_histogram`.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    s = s[np.isfinite(s)]
-    if s.size == 0:
-        raise DataError("no finite scores to bin")
+    s = _finite_scores(scores)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    hist, _ = np.histogram(s, bins=edges)
-    density = hist / (s.size * (1.0 / n_bins))
+    density = density_histogram(s, n_bins)
     std = float(s.std())
     q75, q25 = np.percentile(s, [75.0, 25.0])
     iqr = float(q75 - q25)

@@ -34,13 +34,13 @@ from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
 from .metrics import (
-    DensityCurve,
     MetricsReport,
     ScoredSample,
     aul,
     auroc,
     bin_analysis,
     confusion_from_counts,
+    density_histogram,
     find_count_correlation,
     surface_density,
     volume_gain,
@@ -48,7 +48,14 @@ from .metrics import (
 )
 from .pseudolabel import BranchPair, DplConfig, confident_pseudolabel, dpl_objective
 from .raster.distance import distance_map, load_targets
-from .raster.grid import RasterGrid, atomic_write, load_raster, save_raster
+from .raster.grid import (
+    RasterGrid,
+    atomic_write,
+    json_bytes,
+    load_raster,
+    save_raster,
+    write_json,
+)
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
 from .raster.sites import filter_sites, read_sites_csv
 from .raster.terrain import derive_terrain
@@ -253,10 +260,6 @@ def _plain(sub) -> dict:
     }
 
 
-def _json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
 def build_feature_stack(
     dem: RasterGrid, target_paths: Sequence[str | os.PathLike] = ()
 ) -> RasterGrid:
@@ -288,13 +291,13 @@ def emit_surface_products(
     out_dir: str | os.PathLike,
     stem: str,
     baseline: RasterGrid | None = None,
-    density: DensityCurve | None = None,
 ) -> list[str]:
     """Write a surface raster, its density CSV and an optional difference.
 
-    The difference raster is ``surface - baseline`` (signed) and requires
-    both grids on the same frame. ``density`` is the surface's density
-    curve when the caller already has it.
+    The CSV is the only artifact that carries the smoothed density curve,
+    so the curve is built here. The difference raster is
+    ``surface - baseline`` (signed) and requires both grids on the same
+    frame.
 
     Returns the list of written paths.
     """
@@ -305,7 +308,7 @@ def emit_surface_products(
     save_raster(surface, raster_path)
     paths.append(str(raster_path))
     density_path = out / f"{stem}_density.csv"
-    write_density_csv(density_path, density or surface_density(surface))
+    write_density_csv(density_path, surface_density(surface))
     paths.append(str(density_path))
     if baseline is not None:
         if not surface.same_frame(baseline):
@@ -428,7 +431,7 @@ def _stage_pseudolabel(run: _Run) -> None:
     masked = confident_pseudolabel(pair, cfg.dpl, rng=rng)
     run.write_raster("pseudolabel", "pseudolabel.grid", masked)
     doc = {"step": cfg.step, "loss_kind": cfg.dpl.loss_kind, **breakdown.as_dict()}
-    run.write_bytes("pseudolabel", "loss_breakdown.json", _json_bytes(doc))
+    run.write_bytes("pseudolabel", "loss_breakdown.json", json_bytes(doc))
 
 
 def sample_surface_sites(surface: RasterGrid, sites) -> list[ScoredSample]:
@@ -457,21 +460,21 @@ def evaluate_surface(
     sites,
     n_bins: int = 6,
     metadata: dict | None = None,
-    density: DensityCurve | None = None,
 ) -> MetricsReport:
     """Score a probability surface at the given sites.
 
     AUROC, confusion metrics and the reliability bins need both labeled
     classes; AUL needs positives; the find-count correlation needs 3+
-    sites with counts. Metrics without enough data stay None. ``density``
-    is the surface's density curve when the caller already has it.
+    sites with counts. Metrics without enough data stay None. The report
+    carries the density histogram of the surface's unmasked scores, not
+    the smoothed curve, which only :func:`emit_surface_products` builds.
 
     Raises:
         DataError: when no site can be sampled from the surface.
     """
     report = _site_metrics(surface, sites, n_bins, metadata)
-    density = density or surface_density(surface)
-    report.density_histogram = [float(v) for v in density.histogram]
+    scores = surface.band(0)[~surface.nodata_mask]
+    report.density_histogram = [float(v) for v in density_histogram(scores)]
     return report
 
 
@@ -515,17 +518,15 @@ def _stage_evaluate(run: _Run) -> None:
     if surface is None:
         raise ConfigError("evaluate stage found no surface to score")
     surface_name = "crf" if "crf" in run.cfg.stages else "lamap"
-    density = surface_density(surface)
     report = evaluate_surface(
         surface,
         run.period_sites,
         metadata={"surface": surface_name, "period": run.cfg.period},
-        density=density,
     )
     if run.baseline is not None and run.surface is not run.baseline:
         if report.auroc is not None:
             # The volume gain reads only the site metrics, so the baseline's
-            # density curve is not computed.
+            # density histogram is not computed.
             base_report = _site_metrics(run.baseline, run.period_sites)
             if base_report.auroc is not None:
                 try:
@@ -534,10 +535,10 @@ def _stage_evaluate(run: _Run) -> None:
                 except DataError:
                     logger.warning("baseline radar area is zero; volume gain omitted")
         products = emit_surface_products(
-            surface, run.out, "surface", baseline=run.baseline, density=density
+            surface, run.out, "surface", baseline=run.baseline
         )
         run.artifacts.setdefault("evaluate", []).extend(products)
-    run.write_bytes("evaluate", "report.json", _json_bytes(report.to_dict()))
+    run.write_bytes("evaluate", "report.json", json_bytes(report.to_dict()))
 
 
 _STAGE_FUNCS = {
@@ -583,8 +584,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "seed": cfg.seed,
         "stages": manifest_stages,
     }
-    with atomic_write(run.out / "manifest.json") as fh:
-        fh.write(_json_bytes(manifest))
+    write_json(run.out / "manifest.json", manifest)
     return manifest
 
 

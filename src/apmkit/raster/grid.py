@@ -216,6 +216,18 @@ def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
         raise
 
 
+def json_bytes(doc) -> bytes:
+    """The JSON artifact format: sorted keys, two-space indent, a final
+    newline, UTF-8."""
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def write_json(path: str | os.PathLike, doc) -> None:
+    """Write ``doc`` as :func:`json_bytes` through :func:`atomic_write`."""
+    with atomic_write(path) as fh:
+        fh.write(json_bytes(doc))
+
+
 def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
     """Write ``grid`` to the portable binary container, atomically.
 

@@ -9,10 +9,12 @@ chronological periods, ``polarity`` one of ``positive``, ``negative`` or
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
 from ..errors import DataError
+from .grid import atomic_write
 
 CSV_HEADER = ("site_id", "x", "y", "period", "polarity", "find_count")
 
@@ -104,8 +106,9 @@ def read_sites_csv(path: str | os.PathLike) -> list[SiteRecord]:
 
 
 def write_sites_csv(path: str | os.PathLike, sites: list[SiteRecord]) -> None:
-    """Write site records in the canonical CSV schema."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write site records in the canonical CSV schema, atomically."""
+    with atomic_write(path) as raw:
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for s in sites:
@@ -119,6 +122,7 @@ def write_sites_csv(path: str | os.PathLike, sites: list[SiteRecord]) -> None:
                     "" if s.find_count is None else str(s.find_count),
                 ]
             )
+        fh.flush()
 
 
 def filter_sites(

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, DataError, DimensionError
-from .grid import RasterGrid
+from .grid import RasterGrid, write_json
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,8 @@ def save_plan(
     shape: tuple[int, int],
     geotransform: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
 ) -> None:
-    """Write a window plan, with its frame shape and geotransform, as JSON."""
+    """Write a window plan, with its frame shape and geotransform, as JSON,
+    atomically."""
     doc = {
         "height": int(shape[0]),
         "width": int(shape[1]),
@@ -219,9 +220,7 @@ def save_plan(
             for w in plan
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_plan(path) -> tuple[list[TileWindow], tuple[int, int], tuple[float, float, float, float]]:

@@ -8,6 +8,7 @@ import pytest
 from apmkit.cli import main
 from apmkit.folds import FoldAssignment
 from apmkit.lamap import LamapConfig, build_site_models, lamap_surface
+from apmkit.metrics import MetricsReport
 from apmkit.pipeline import build_feature_stack, evaluate_surface
 from apmkit.raster.grid import RasterGrid, load_raster, save_raster
 from apmkit.raster.sites import SiteRecord, write_sites_csv
@@ -253,6 +254,23 @@ class TestEvaluate:
         doc = json.loads(out.read_text())
         assert doc["volume_gain"] is not None
         assert doc["baseline_name"] == "baseline_run"
+
+
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_failed_report_write_keeps_previous_file(self, ws, monkeypatch, previous):
+        out = ws / "reports" / "report.json"
+        out.parent.mkdir()
+        if previous:
+            out.write_text("{}\n")
+        # The report cannot be serialised, so the write fails part way.
+        monkeypatch.setattr(MetricsReport, "to_dict", lambda self: {"a": 1, "z": object()})
+        with pytest.raises(TypeError):
+            main([
+                "evaluate", "--pred", str(ws / "branch1.grid"),
+                "--sites", str(ws / "sites.csv"), "--out", str(out),
+            ])
+        assert (out.read_text() if out.exists() else None) == ("{}\n" if previous else None)
+        assert [p.name for p in out.parent.iterdir()] == (["report.json"] if previous else [])
 
 
 class TestRunAndErrors:

@@ -407,6 +407,115 @@ class TestMatchesDirectStep:
         assert calls == {"weights": 1, "step": 5}
 
 
+def two_class_spatial_message(q, sigma):
+    """The separable spatial message of both classes, (2, H, W)."""
+    radius = int(math.ceil(3.0 * sigma))
+    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
+    rows = q.copy()
+    for k, g in taps:
+        rows[:, :, :-k] += g * q[:, :, k:]
+        rows[:, :, k:] += g * q[:, :, :-k]
+    msg = rows.copy()
+    for k, g in taps:
+        msg[:, :-k, :] += g * rows[:, k:, :]
+        msg[:, k:, :] += g * rows[:, :-k, :]
+    msg -= q
+    return msg
+
+
+def two_class_bilateral_message(q, weights):
+    """The cached-weight bilateral message of both classes, (2, H, W)."""
+    h, w = q.shape[1:]
+    gamma = weights.factor
+    src = _block_sum(q, gamma) if gamma > 1 else q
+    msg = np.zeros_like(src)
+    for rt, ct, rs, cs, weight in weights.pairs:
+        msg[:, rt, ct] += weight * src[:, rs, cs]
+        msg[:, rs, cs] += weight * src[:, rt, ct]
+    return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
+
+
+def two_class_step(q, unary, guidance, cfg, valid):
+    """The step that passed messages for both classes."""
+    w_sp, w_bil = cfg.pairwise_weights
+    qv = q * valid
+    message = np.zeros_like(q)
+    if w_sp > 0:
+        message += w_sp * two_class_spatial_message(qv, cfg.sigma)
+    if guidance is not None and w_bil > 0:
+        weights = crf.bilateral_weights(guidance, cfg, valid)
+        message += w_bil * two_class_bilateral_message(qv, weights)
+    energy = np.einsum("ab,bhw->ahw", cfg.compatibility, message)
+    return class_softmax(-unary - energy)
+
+
+def two_class_refine(logits, guidance, cfg, valid):
+    unary = unary_potentials(logits, cfg.temperature)
+    q = class_softmax(-unary)
+    for _ in range(cfg.iterations):
+        q = two_class_step(q, unary, guidance, cfg, valid)
+    return q[1]
+
+
+class TestMatchesTwoClassStep:
+    """Class-1 messages plus the valid mask's message give the two-class
+    step's result up to rounding, since q0 = valid - q1."""
+
+    @pytest.mark.parametrize(
+        "shape,channels,masked,kwargs",
+        [
+            pytest.param((30, 34), 3, True, {}, id="masked"),
+            pytest.param(
+                (24, 26),
+                2,
+                True,
+                {
+                    "pairwise_weights": (0.7, 1.3),
+                    "compatibility": [[0.0, 0.005], [0.02, 0.0]],
+                },
+                id="non-potts-weights",
+            ),
+            pytest.param((24, 26), 2, True, {"pairwise_weights": (0.05, 0.0)}, id="spatial-only"),
+            pytest.param(
+                (24, 26), 2, True, {"pairwise_weights": (0.0, 0.05)}, id="bilateral-only"
+            ),
+            pytest.param((13, 17), 3, True, {"compression": 4}, id="compression-4-ragged"),
+            pytest.param((30, 34), 3, True, {"compress_guidance": False}, id="full-res"),
+        ],
+    )
+    def test_refine_within_1e12(self, rng, shape, channels, masked, kwargs):
+        logits = rng.normal(size=(2, *shape)) * 0.5
+        guidance = rng.normal(size=(channels, *shape))
+        valid = np.ones(shape, dtype=bool)
+        if masked:
+            valid[2:5, 3:7] = False
+            guidance[:, ~valid] = 0.0
+        cfg = CrfConfig(
+            **{"beta": 0.6, "iterations": 4, "pairwise_weights": (0.05, 0.05), **kwargs}
+        )
+        got = refine_values(logits, guidance, cfg, valid)
+        want = two_class_refine(logits, guidance, cfg, valid)
+        assert 0.01 < want.min() and want.max() < 0.99
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_valid_message_built_once_per_refinement(self, rng, monkeypatch):
+        fields = []
+        message = crf._pairwise_message
+
+        def recorded(field, *args, **kwargs):
+            fields.append(field.copy())
+            return message(field, *args, **kwargs)
+
+        monkeypatch.setattr(crf, "_pairwise_message", recorded)
+        valid = rng.random((12, 12)) > 0.2
+        cfg = CrfConfig(iterations=4)
+        refine_values(rng.normal(size=(2, 12, 12)), rng.normal(size=(2, 12, 12)), cfg, valid)
+        # One message of the valid mask, then one of class 1 per step.
+        assert len(fields) == 1 + cfg.iterations
+        assert np.array_equal(fields[0], valid.astype(np.float64))
+
+
 class TestRasterWrapper:
     def test_refine_raster(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(10, 10)))

@@ -225,6 +225,19 @@ class TestStratified:
         with pytest.raises(DataError):
             fa.fold_of("zzz")
 
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_failed_save_keeps_previous_file(self, tmp_path, previous):
+        path = tmp_path / "folds.json"
+        if previous:
+            FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0).save(path)
+        before = path.read_bytes() if previous else None
+        # The metadata cannot be serialised, so the write fails part way.
+        broken = FoldAssignment(2, {"a": 1, "b": 0}, "manual", 0, metadata={"z": object()})
+        with pytest.raises(TypeError):
+            broken.save(path)
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == (["folds.json"] if previous else [])
+
 
 class TestFoldRaster:
     def fold_map(self, make_grid, radius):

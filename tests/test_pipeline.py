@@ -416,6 +416,36 @@ class TestRun:
             workspace / "lib" / "surface_density.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "stage,surface_file",
+        [("crf", "refined_surface.grid"), ("lamap", "lamap_surface.grid")],
+        ids=["crf", "lamap"],
+    )
+    def test_evaluate_without_csv_builds_no_density_curve(
+        self, workspace, monkeypatch, stage, surface_file
+    ):
+        calls = []
+        density = metrics_module.probability_density
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return density(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "probability_density", counted)
+        doc = full_config(workspace)
+        doc["stages"] = [stage, "evaluate"]
+        doc["inputs"]["stack"] = doc["inputs"].pop("dem")
+        run_pipeline(PipelineConfig.from_json(doc))
+        assert calls == []
+        monkeypatch.undo()
+
+        out = workspace / "out"
+        assert not (out / "surface_density.csv").exists()
+        surface = load_raster(out / surface_file)
+        want = density(surface.band(0)[~surface.nodata_mask]).histogram
+        got = json.loads((out / "report.json").read_text())["density_histogram"]
+        assert np.array_equal(np.array(got), want)
+
     def test_rerun_is_byte_identical(self, workspace):
         run_pipeline(PipelineConfig.from_json(full_config(workspace, "run_a")))
         run_pipeline(PipelineConfig.from_json(full_config(workspace, "run_b")))
@@ -435,7 +465,7 @@ class TestRun:
         def boom(doc):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(pipeline_module, "_json_bytes", boom)
+        monkeypatch.setattr(pipeline_module, "json_bytes", boom)
         with pytest.raises(ToolkitError, match="stage 'pseudolabel' failed"):
             run_pipeline(cfg)
         out = workspace / "broken"
@@ -450,7 +480,7 @@ class TestRun:
 
         cfg = PipelineConfig.from_json(full_config(workspace, "broken"))
         # str is not bytes: the write raises inside the atomic block.
-        monkeypatch.setattr(pipeline_module, "_json_bytes", lambda doc: "not bytes")
+        monkeypatch.setattr(pipeline_module, "json_bytes", lambda doc: "not bytes")
         with pytest.raises(ToolkitError, match="stage 'pseudolabel' failed"):
             run_pipeline(cfg)
         out = workspace / "broken"

@@ -1,5 +1,7 @@
 """Site records and the sites CSV schema."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from apmkit.errors import DataError
@@ -43,6 +45,24 @@ def test_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == ",".join(CSV_HEADER)
     back = read_sites_csv(path)
     assert back == sites
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_failed_write_keeps_previous_file(tmp_path, previous):
+    path = tmp_path / "sites.csv"
+    good = [SiteRecord("a1", 10.25, -3.5, "Roman Imperial", "positive", 12)]
+    if previous:
+        write_sites_csv(path, good)
+    before = path.read_bytes() if previous else None
+    # The second row's x is not a number: the first row is already written.
+    bad = SimpleNamespace(
+        site_id="b", x="east", y=0.0, period="Byzantine", polarity="positive", find_count=None
+    )
+    other = SiteRecord("c3", 1.0, 2.0, "Late Antique", "negative")
+    with pytest.raises(ValueError):
+        write_sites_csv(path, [other, bad])
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == (["sites.csv"] if previous else [])
 
 
 def test_bad_header(tmp_path):

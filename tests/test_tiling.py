@@ -1,5 +1,7 @@
 """Sliding-window planning and seamless stitching."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,19 @@ class TestPlanIO:
         assert windows == plan
         assert shape == grid.shape
         assert gt == grid.geotransform
+
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_failed_save_keeps_previous_file(self, tmp_path, previous):
+        path = tmp_path / "plan.json"
+        if previous:
+            save_plan(path, [TileWindow(0, 0, 4)], (4, 4))
+        before = path.read_bytes() if previous else None
+        # The second window's margin cannot be serialised.
+        broken = SimpleNamespace(row0=0, col0=0, size=4, crop_margin=object())
+        with pytest.raises(TypeError):
+            save_plan(path, [TileWindow(0, 0, 4), broken], (4, 4))
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == (["plan.json"] if previous else [])
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
