@@ -95,11 +95,14 @@ def _cmd_lamap(args) -> None:
     positives = filter_sites(sites, polarity="positive")
     if not positives:
         raise DataError("no positive sites to model")
-    cfg = LamapConfig(
-        catchment_radius=args.catchment,
-        kernel_bandwidth=args.bandwidth,
-        bands=_parse_band_list(stack, args.bands) if args.bands else None,
-    )
+    bands = _parse_band_list(stack, args.bands) if args.bands else None
+    try:
+        cfg = LamapConfig(
+            catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=bands
+        )
+    except DataError as exc:
+        # Its range checks raise DataError; here they judge flag values.
+        raise ConfigError(f"bad lamap option: {exc}") from exc
     models = build_site_models(stack, positives, cfg)
     save_raster(lamap_surface(stack, models, cfg), args.out)
 
@@ -124,10 +127,12 @@ def _cmd_crf_refine(args) -> None:
 def _cmd_pseudolabel(args) -> None:
     pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
     cfg_args = _read_json(args.config) if args.config else {}
+    if not isinstance(cfg_args, dict):
+        raise ConfigError("pseudolabel config must be a JSON object")
     cfg_args.setdefault("rng_seed", args.seed)
     try:
         cfg = DplConfig(**cfg_args)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad pseudolabel config: {exc}") from exc
     labeled = None
     if args.labels:

@@ -115,6 +115,8 @@ class CrfConfig:
                     doc = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("refinement config must be a JSON object")
         # The compatibility matrix stays Potts for JSON configs.
         known = {f.name for f in fields(CrfConfig)} - {"compatibility"}
         kwargs = {}
@@ -123,7 +125,10 @@ class CrfConfig:
             if name not in known:
                 raise ConfigError(f"unknown refinement option '{key}'")
             kwargs[name] = value
-        return CrfConfig(**kwargs)
+        try:
+            return CrfConfig(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad refinement option: {exc}") from exc
 
 
 def unary_potentials(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

@@ -144,21 +144,62 @@ def build_site_models(
     return [build_site_model(stack, s, cfg) for s in sites]
 
 
+def _value_slots(samples: list[np.ndarray], band: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sorted distinct values ``U`` of the pooled ``samples``.
+
+    Writes each pixel's slot into ``out``: ``2i`` when its value lies
+    strictly between ``U[i-1]`` and ``U[i]``, ``2i + 1`` when it equals
+    ``U[i]``. Comparisons are in float64.
+    """
+    # np.sort and a neighbour mask rather than np.unique, whose first call
+    # imports numpy.ma for good.
+    pooled = np.sort(np.concatenate(samples))
+    distinct = np.empty(pooled.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(pooled[1:], pooled[:-1], out=distinct[1:])
+    values = pooled[distinct]
+    at = np.searchsorted(values, band, side="left")
+    on_value = values[np.minimum(at, values.size - 1)] == band
+    np.multiply(at, 2, out=at)
+    np.add(at, on_value, out=out)
+    return values
+
+
+def _affinity_table(ecdf: Ecdf, values: np.ndarray) -> np.ndarray:
+    """:func:`similarity` of ``ecdf`` for every slot over ``values``, a
+    superset of its samples (see :func:`_value_slots`)."""
+    counts = np.bincount(np.searchsorted(values, ecdf.samples), minlength=values.size)
+    le = np.cumsum(counts)
+    lt = le - counts
+    twice = np.empty(2 * values.size + 1, dtype=np.int64)  # below + upto
+    np.multiply(lt, 2, out=twice[:-1:2])
+    np.add(lt, le, out=twice[1::2])
+    twice[-1] = 2 * ecdf.n
+    table = twice * 0.5
+    np.divide(table, ecdf.n, out=table)
+    np.multiply(table, 2.0, out=table)
+    np.subtract(table, 1.0, out=table)
+    np.abs(table, out=table)
+    np.subtract(1.0, table, out=table)
+    return table
+
+
 def potential_values(
     stack: RasterGrid, models: list[SiteModel], cfg: LamapConfig | None = None
 ) -> np.ndarray:
     """Float64 potential surface; NaN where the stack is masked.
 
-    Each selected band's pixels are sorted once (an ``int32`` order plus
-    the sorted ``float32`` values). A site's ECDF is then evaluated at
-    every pixel by searching its sorted samples into the sorted pixels:
-    a sample raises ``#{s < v}`` for every pixel past its right insertion
-    point and ``#{s <= v}`` for every pixel past its left one, so one
-    ``bincount`` of both hit vectors and a cumulative sum give
-    ``below + upto`` per sorted pixel. The searches compare in float64
-    and the counts are integers, and ``0.5 * (below + upto) / n`` equals
-    :meth:`Ecdf.cdf`'s ``(below + 0.5 * (upto - below)) / n`` bit for bit
-    because both numerators are the same exact half-integer.
+    Per band, each pixel gets a slot among the distinct values ``U`` of
+    every modelled site's samples (:func:`_value_slots`). A site's samples
+    are a subset of ``U``, so ``below + upto`` takes one value per slot:
+    ``2 lt`` between values, ``lt + le`` on a value and ``2n`` past the
+    last one, with ``lt`` and ``le`` counting the site's samples below and
+    up to each ``U`` value. The affinity is computed once per slot
+    (:func:`_affinity_table`) and gathered to the pixels. The comparisons
+    are in float64 and the counts are integers, and
+    ``0.5 * (below + upto) / n`` equals :meth:`Ecdf.cdf`'s
+    ``(below + 0.5 * (upto - below)) / n`` bit for bit because both
+    numerators are the same exact half-integer.
 
     Site contributions are accumulated in a canonical order (sorted by
     site_id), so any permutation of ``models`` produces bit-identical
@@ -176,47 +217,37 @@ def potential_values(
     valid = ~stack.nodata_mask
     if not valid.any():
         raise EmptyInputError("stack is fully masked")
-    x, y = stack.center_grids()
-    npix = x.size
-    # One block per array for all bands, and the counts below turned into
-    # floats in place: per-band and per-site temporaries would otherwise
-    # leave heap holes that raise peak RSS.
-    orders = np.empty((len(bands), npix), dtype=np.int32)
-    sorted_values = np.empty((len(bands), npix), dtype=np.float32)
-    for i, b in enumerate(bands):
-        flat = stack.band(b).ravel()
-        orders[i] = np.argsort(flat, kind="stable")
-        np.take(flat, orders[i], out=sorted_values[i])
-    f = np.empty(npix, dtype=np.float64)
+    models = sorted(models, key=lambda m: m.site_id)
+    # One int32 block for all bands' slots: 4 bytes per pixel and band.
+    slots = np.empty((len(bands), *stack.shape), dtype=np.int32)
+    band_values = [
+        _value_slots([m.ecdfs[i].samples for m in models], stack.band(b), slots[i])
+        for i, b in enumerate(bands)
+    ]
+    col_x, row_y = stack.center_xy(np.arange(stack.height), np.arange(stack.width))
+    f = np.empty(stack.shape, dtype=np.float64)
+    w = np.empty(stack.shape, dtype=np.float64)
+    u = np.empty(stack.shape, dtype=np.float64)
     num = np.zeros(stack.shape, dtype=np.float64)
     den = np.zeros(stack.shape, dtype=np.float64)
-    for model in sorted(models, key=lambda m: m.site_id):
-        w = np.exp(-np.hypot(x - model.x, y - model.y) / cfg.kernel_bandwidth)
-        u = np.zeros(stack.shape, dtype=np.float64)
-        for ecdf, order, values in zip(model.ecdfs, orders, sorted_values):
-            hits = np.concatenate(
-                (
-                    np.searchsorted(values, ecdf.samples, side="right"),
-                    np.searchsorted(values, ecdf.samples, side="left"),
-                )
-            )
-            twice = np.bincount(hits, minlength=npix + 1)[:npix]
-            np.cumsum(twice, out=twice)
-            ranked = twice.view(np.float64)
-            np.multiply(twice, 0.5, out=ranked)
-            np.divide(ranked, ecdf.n, out=ranked)
-            f[order] = ranked
-            np.multiply(f, 2.0, out=f)
-            np.subtract(f, 1.0, out=f)
-            np.abs(f, out=f)
-            np.subtract(1.0, f, out=f)
-            u += f.reshape(stack.shape)
+    for model in models:
+        # x - x_s is the same on every row (and y - y_s on every column),
+        # so the 1-D offsets give the full grid's distances bit for bit.
+        np.hypot((col_x - model.x)[None, :], (row_y - model.y)[:, None], out=w)
+        np.divide(w, -cfg.kernel_bandwidth, out=w)
+        np.exp(w, out=w)
+        u.fill(0.0)
+        for ecdf, values, slot in zip(model.ecdfs, band_values, slots):
+            np.take(_affinity_table(ecdf, values), slot, out=f)
+            u += f
         u /= len(bands)
-        num += w * u
+        u *= w
+        num += u
         den += w
-    surface = np.clip(num / den, 0.0, 1.0)
-    surface[~valid] = np.nan
-    return surface
+    np.divide(num, den, out=num)
+    np.clip(num, 0.0, 1.0, out=num)
+    num[~valid] = np.nan
+    return num
 
 
 def lamap_surface(

@@ -402,14 +402,26 @@ def fill_holes(values: np.ndarray, hole_mask: np.ndarray) -> np.ndarray:
     """Fill masked cells by iterative 8-neighbour averaging.
 
     Used to give gradient stencils something sensible to chew on near
-    nodata holes. Raises when nothing at all is valid.
+    nodata holes. Each pass sets every unfilled cell that has a filled
+    neighbour to the mean of its filled neighbours. A pass works only on
+    the bounding box of the cells still unfilled, widened by one cell
+    (clipped to the frame): that box holds every neighbour of those cells,
+    and the sums run in the same order as over the whole frame, so the
+    result is the same. Raises when nothing at all is valid.
     """
     if hole_mask.all():
         raise EmptyInputError("cannot fill: every cell is masked")
-    filled = np.asarray(values, dtype=np.float64).copy()
-    filled[hole_mask] = 0.0
-    hole = hole_mask.copy()
-    while hole.any():
+    out = np.asarray(values, dtype=np.float64).copy()
+    out[hole_mask] = 0.0
+    unfilled = hole_mask.copy()
+    while unfilled.any():
+        rows = np.flatnonzero(unfilled.any(axis=1))
+        cols = np.flatnonzero(unfilled.any(axis=0))
+        box = (
+            slice(max(rows[0] - 1, 0), rows[-1] + 2),
+            slice(max(cols[0] - 1, 0), cols[-1] + 2),
+        )
+        filled, hole = out[box], unfilled[box]  # views: writes land in the frame
         valid = (~hole).astype(np.float64)
         vals = np.where(hole, 0.0, filled)
         sums = np.zeros_like(filled)
@@ -429,4 +441,4 @@ def fill_holes(values: np.ndarray, hole_mask: np.ndarray) -> np.ndarray:
             break
         filled[ready] = sums[ready] / counts[ready]
         hole[ready] = False
-    return filled
+    return out

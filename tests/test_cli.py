@@ -316,6 +316,38 @@ class TestRunAndErrors:
         assert doc["exit_code"] == 3
         assert "nope.grid" in doc["message"]
 
+    @pytest.mark.parametrize("flag,value", [("--bandwidth", "0"), ("--catchment", "-1")])
+    def test_lamap_out_of_range_flag_is_config_error(self, ws, capsys, flag, value):
+        code = main([
+            "lamap", "--stack", str(ws / "dem.grid"), "--sites", str(ws / "sites.csv"),
+            flag, value, "--out", str(ws / "lamap.grid"),
+        ])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (ws / "lamap.grid").exists()
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"iterations": "5"}, {"sigma": [3]}])
+    def test_crf_refine_malformed_config_is_config_error(self, ws, doc):
+        config = ws / "crf.json"
+        config.write_text(json.dumps(doc))
+        code = main([
+            "crf-refine", "--logits", str(ws / "branch1.grid"),
+            "--guidance", str(ws / "dem.grid"), "--config", str(config),
+            "--out", str(ws / "x.grid"),
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("doc", [["dice"], {"class_weights": ["a", "b"]}])
+    def test_pseudolabel_malformed_config_is_config_error(self, ws, doc):
+        config = ws / "dpl.json"
+        config.write_text(json.dumps(doc))
+        code = main([
+            "pseudolabel", "--branch1", str(ws / "branch1.grid"),
+            "--branch2", str(ws / "branch2.grid"), "--config", str(config),
+            "--out-raster", str(ws / "p.grid"), "--out-json", str(ws / "p.json"),
+        ])
+        assert code == 2
+
     @pytest.mark.parametrize(
         "section",
         [

@@ -226,3 +226,84 @@ class TestFillHoles:
     def test_all_masked_raises(self):
         with pytest.raises(EmptyInputError):
             fill_holes(np.zeros((2, 2)), np.ones((2, 2), bool))
+
+
+def full_frame_fill(values, hole_mask):
+    """The fill loop as it ran before the bounding box: every pass over the
+    whole frame."""
+    filled = np.asarray(values, dtype=np.float64).copy()
+    filled[hole_mask] = 0.0
+    hole = hole_mask.copy()
+    while hole.any():
+        valid = (~hole).astype(np.float64)
+        vals = np.where(hole, 0.0, filled)
+        sums = np.zeros_like(filled)
+        counts = np.zeros_like(filled)
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                if dr == 0 and dc == 0:
+                    continue
+                src_r = slice(max(0, dr), filled.shape[0] + min(0, dr))
+                src_c = slice(max(0, dc), filled.shape[1] + min(0, dc))
+                dst_r = slice(max(0, -dr), filled.shape[0] - max(0, dr))
+                dst_c = slice(max(0, -dc), filled.shape[1] - max(0, dc))
+                sums[dst_r, dst_c] += vals[src_r, src_c]
+                counts[dst_r, dst_c] += valid[src_r, src_c]
+        ready = hole & (counts > 0)
+        if not ready.any():
+            break
+        filled[ready] = sums[ready] / counts[ready]
+        hole[ready] = False
+    return filled
+
+
+class TestFillHolesEqualsFullFrame:
+    """Passes confined to the unfilled cells' box give the full-frame
+    loop's array bit for bit, valid cells included."""
+
+    def _check(self, values, mask):
+        got = fill_holes(values, mask)
+        assert np.array_equal(got, full_frame_fill(values, mask))
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (slice(0, 4), slice(5, 11)),  # top edge
+            (slice(13, 18), slice(2, 9)),  # bottom edge
+            (slice(6, 12), slice(0, 3)),  # left edge
+            (slice(3, 9), slice(15, 19)),  # right edge
+            (slice(0, 5), slice(0, 6)),  # a corner
+            (slice(0, 18), slice(7, 10)),  # top to bottom
+        ],
+    )
+    def test_hole_touching_an_edge(self, rng, box):
+        mask = np.zeros((18, 19), dtype=bool)
+        mask[box] = True
+        self._check(rng.normal(size=(18, 19)), mask)
+
+    def test_one_pixel_hole(self, rng):
+        for r, c in ((0, 0), (7, 9), (11, 3), (0, 6)):
+            mask = np.zeros((12, 10), dtype=bool)
+            mask[r, c] = True
+            self._check(rng.normal(size=(12, 10)), mask)
+
+    def test_disjoint_holes_of_different_sizes(self, rng):
+        mask = np.zeros((30, 28), dtype=bool)
+        mask[2:4, 3:5] = True
+        mask[10:22, 8:20] = True
+        mask[25, 26] = True
+        mask[5:8, 22:27] = True
+        self._check(rng.normal(size=(30, 28)), mask)
+
+    def test_all_masked_but_one_pixel(self, rng):
+        for r, c in ((0, 0), (8, 5), (15, 12), (4, 12)):
+            mask = np.ones((16, 13), dtype=bool)
+            mask[r, c] = False
+            self._check(rng.normal(size=(16, 13)), mask)
+
+    def test_random_masks(self, rng):
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(1, 20, size=2))
+            mask = rng.random((h, w)) < rng.uniform(0, 0.95)
+            mask.flat[rng.integers(0, h * w)] = False
+            self._check(rng.normal(size=(h, w)), mask)

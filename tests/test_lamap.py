@@ -348,3 +348,140 @@ class TestSurfaceWrapper:
             LamapConfig(catchment_radius=-1.0)
         with pytest.raises(DataError):
             LamapConfig(kernel_bandwidth=0.0)
+
+
+def sorted_pixel_potential(stack, models, cfg):
+    """The path ``potential_values`` took before merged value tables: sort
+    each band's pixels once, then per (site, band) a full-frame
+    ``bincount`` of the samples' insertion points, a ``cumsum`` and a
+    scatter back through the sort order."""
+    bands = cfg.bands if cfg.bands is not None else tuple(range(stack.bands))
+    valid = ~stack.nodata_mask
+    x, y = stack.center_grids()
+    npix = x.size
+    orders = np.empty((len(bands), npix), dtype=np.int32)
+    sorted_values = np.empty((len(bands), npix), dtype=np.float32)
+    for i, b in enumerate(bands):
+        flat = stack.band(b).ravel()
+        orders[i] = np.argsort(flat, kind="stable")
+        np.take(flat, orders[i], out=sorted_values[i])
+    f = np.empty(npix, dtype=np.float64)
+    num = np.zeros(stack.shape, dtype=np.float64)
+    den = np.zeros(stack.shape, dtype=np.float64)
+    for model in sorted(models, key=lambda m: m.site_id):
+        w = np.exp(-np.hypot(x - model.x, y - model.y) / cfg.kernel_bandwidth)
+        u = np.zeros(stack.shape, dtype=np.float64)
+        for ecdf, order, values in zip(model.ecdfs, orders, sorted_values):
+            hits = np.concatenate(
+                (
+                    np.searchsorted(values, ecdf.samples, side="right"),
+                    np.searchsorted(values, ecdf.samples, side="left"),
+                )
+            )
+            twice = np.bincount(hits, minlength=npix + 1)[:npix]
+            np.cumsum(twice, out=twice)
+            ranked = twice.view(np.float64)
+            np.multiply(twice, 0.5, out=ranked)
+            np.divide(ranked, ecdf.n, out=ranked)
+            f[order] = ranked
+            np.multiply(f, 2.0, out=f)
+            np.subtract(f, 1.0, out=f)
+            np.abs(f, out=f)
+            np.subtract(1.0, f, out=f)
+            u += f.reshape(stack.shape)
+        u /= len(bands)
+        num += w * u
+        den += w
+    surface = np.clip(num / den, 0.0, 1.0)
+    surface[~valid] = np.nan
+    return surface
+
+
+def _overlapping_models(grid, count, radius, rng, bands=None):
+    """Sites on random valid pixels, so catchments overlap when many."""
+    h, w = grid.shape
+    valid = np.argwhere(~grid.nodata_mask)
+    picks = valid[rng.integers(0, len(valid), size=count)]
+    xs, ys = grid.center_xy(picks[:, 0], picks[:, 1])
+    sites = [site(f"o{i:03d}", float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
+    cfg = LamapConfig(catchment_radius=radius, kernel_bandwidth=float(h + w), bands=bands)
+    return build_site_models(grid, sites, cfg), cfg
+
+
+class TestEqualsSortedPixelPath:
+    """Merged value tables return the sorted-pixel path's floats bit for bit."""
+
+    def _check(self, grid, models, cfg):
+        got = potential_values(grid, models, cfg)
+        assert np.array_equal(got, sorted_pixel_potential(grid, models, cfg), equal_nan=True)
+
+    def test_samples_tied_with_pixels(self, make_grid, rng):
+        for trial in range(5):
+            values = np.round(rng.normal(size=(2, 17, 21)) * (1 + trial))
+            grid = make_grid(values)
+            models, cfg = _overlapping_models(grid, 9, 2.5, rng)
+            self._check(grid, models, cfg)
+
+    def test_masked_pixels(self, make_grid, rng):
+        for trial in range(5):
+            mask = rng.random((19, 23)) < 0.1 + 0.15 * trial
+            mask[9, 11] = False
+            grid = make_grid(rng.normal(size=(3, 19, 23)), mask=mask)
+            models, cfg = _overlapping_models(grid, 7, 3.0, rng)
+            self._check(grid, models, cfg)
+
+    def test_band_subset(self, make_grid, rng):
+        grid = make_grid(np.round(rng.normal(size=(5, 16, 18)), 1))
+        for bands in ((4,), (3, 0), (1, 4, 2)):
+            models, cfg = _overlapping_models(grid, 6, 2.0, rng, bands=bands)
+            self._check(grid, models, cfg)
+
+    def test_single_sample_ecdfs(self, make_grid, rng):
+        grid = make_grid(np.round(rng.normal(size=(2, 14, 15)), 1))
+        models, cfg = _overlapping_models(grid, 12, 0.2, rng)
+        assert all(m.catchment_pixels == 1 for m in models)
+        self._check(grid, models, cfg)
+
+    def test_float64_samples_between_float32_pixels(self, make_grid, rng):
+        values = rng.normal(size=(13, 17)).astype(np.float32)
+        grid = make_grid(values)
+        pixels = np.sort(values.astype(np.float64).ravel())
+        models = []
+        for i in range(6):
+            lo = rng.choice(pixels[:-1], size=9)
+            # Halfway between float32 neighbours: exact in float64, a tie or
+            # a neighbour once rounded to float32.
+            mid = (lo + np.nextafter(lo.astype(np.float32), np.float32(np.inf))) / 2.0
+            near = np.concatenate([mid, np.nextafter(lo, -np.inf), lo[:3]])
+            assert not np.array_equal(near.astype(np.float32).astype(np.float64), near)
+            models.append(SiteModel(f"m{i}", float(rng.uniform(0, 17)),
+                                    float(-rng.uniform(0, 13)), (Ecdf(near),), near.size))
+        self._check(grid, models, LamapConfig(kernel_bandwidth=6.0))
+
+    def test_more_samples_than_pixels(self, make_grid, rng):
+        # Many overlapping catchments on a small frame, as on the tiled
+        # benchmark frame: every pixel value is some site's sample.
+        mask = np.zeros((20, 24), dtype=bool)
+        mask[5:9, 3:12] = True
+        grid = make_grid(np.round(rng.normal(size=(2, 20, 24)), 2), mask=mask)
+        models, cfg = _overlapping_models(grid, 60, 6.0, rng)
+        assert sum(m.ecdfs[0].n for m in models) > grid.height * grid.width
+        self._check(grid, models, cfg)
+
+    def test_seeded_random_frames(self, make_grid, rng):
+        for trial in range(30):
+            h, w = (int(v) for v in rng.integers(1, 25, size=2))
+            nb = int(rng.integers(1, 4))
+            values = rng.normal(size=(nb, h, w))
+            if trial % 2:
+                values = np.round(values * 3)
+            mask = rng.random((h, w)) < rng.uniform(0, 0.4)
+            mask.flat[rng.integers(0, h * w)] = False
+            gt = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
+                  float(rng.uniform(0.3, 3)), -float(rng.uniform(0.3, 3)))
+            grid = make_grid(values, geotransform=gt, mask=mask)
+            models, cfg = _overlapping_models(
+                grid, int(rng.integers(1, 20)), float(rng.uniform(0, 6)), rng
+            )
+            cfg.kernel_bandwidth = float(rng.uniform(0.5, 30))
+            self._check(grid, models, cfg)
