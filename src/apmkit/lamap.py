@@ -236,10 +236,15 @@ def potential_values(
         np.hypot((col_x - model.x)[None, :], (row_y - model.y)[:, None], out=w)
         np.divide(w, -cfg.kernel_bandwidth, out=w)
         np.exp(w, out=w)
-        u.fill(0.0)
-        for ecdf, values, slot in zip(model.ecdfs, band_values, slots):
-            np.take(_affinity_table(ecdf, values), slot, out=f)
-            u += f
+        # The first band's affinities go straight into u: every table entry
+        # is >= +0.0, so 0.0 + f == f bit for bit. Every slot indexes its
+        # table, so mode="clip" only skips the bounds-checked take's
+        # full-frame buffer.
+        for i, (ecdf, values, slot) in enumerate(zip(model.ecdfs, band_values, slots)):
+            table = _affinity_table(ecdf, values)
+            np.take(table, slot, out=f if i else u, mode="clip")
+            if i:
+                u += f
         u /= len(bands)
         u *= w
         num += u

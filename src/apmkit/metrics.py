@@ -15,11 +15,11 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .raster.grid import RasterGrid, atomic_write
 
 SCHEMA_VERSION = 1
@@ -270,9 +270,13 @@ def _radar_values(report: Mapping | "MetricsReport") -> list[float]:
     else:
         source = dict(report)
     try:
-        return [float(source[name]) for name in RADAR_AXES]
+        values = [source[name] for name in RADAR_AXES]
     except KeyError as exc:
         raise DataError(f"report is missing radar metric {exc.args[0]!r}") from None
+    for name, value in zip(RADAR_AXES, values):
+        if value is None:
+            raise DataError(f"report has no value for radar metric {name!r}")
+    return [float(v) for v in values]
 
 
 def volume_gain(report: Mapping | "MetricsReport", baseline: Mapping | "MetricsReport") -> float:
@@ -452,7 +456,13 @@ class MetricsReport:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "MetricsReport":
-        metrics = doc.get("metrics", {})
+        """Inverse of :meth:`to_dict`.
+
+        Raises:
+            ConfigError: when ``doc`` does not have a report's shape.
+        """
+        _check_report_shape(doc)
+        metrics = doc["metrics"]
         bins = [
             BinStats(
                 b["lo"], b["hi"], b["count"], b.get("mean_score"),
@@ -475,3 +485,51 @@ class MetricsReport:
             metadata=dict(doc.get("metadata", {})),
             schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
         )
+
+
+def _check_report_shape(doc) -> None:
+    """Raise ConfigError unless ``doc`` is shaped like the output of
+    :meth:`MetricsReport.to_dict`: every section of the right container
+    type and every number a number, or null where a report allows it."""
+
+    def fail(where: str, want: str, value) -> NoReturn:
+        raise ConfigError(f"report {where} must be {want}, got {value!r}")
+
+    def number(where: str, value, nullable: bool = True) -> None:
+        if value is None and nullable:
+            return
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            fail(where, "a number", value)
+
+    if not isinstance(doc, Mapping):
+        fail("document", "a JSON object", doc)
+    metrics = doc.get("metrics")
+    if not isinstance(metrics, Mapping):
+        fail("'metrics'", "an object", metrics)
+    for name in MetricsReport().metric_dict():
+        number(f"metric {name!r}", metrics.get(name))
+    bins = doc.get("bins", [])
+    if not isinstance(bins, list):
+        fail("'bins'", "a list", bins)
+    for i, b in enumerate(bins):
+        if not isinstance(b, Mapping):
+            fail(f"bin {i}", "an object", b)
+        for key in ("lo", "hi", "count"):
+            number(f"bin {i} {key!r}", b.get(key), nullable=False)
+        for key in ("mean_score", "positive_ratio", "calibration_gap"):
+            number(f"bin {i} {key!r}", b.get(key))
+    histogram = doc.get("density_histogram", [])
+    if not isinstance(histogram, list):
+        fail("'density_histogram'", "a list", histogram)
+    for value in histogram:
+        number("'density_histogram' entry", value, nullable=False)
+    for key in ("find_count_rho", "volume_gain"):
+        number(repr(key), doc.get(key))
+    name = doc.get("baseline_name")
+    if name is not None and not isinstance(name, str):
+        fail("'baseline_name'", "a string", name)
+    if not isinstance(doc.get("metadata", {}), Mapping):
+        fail("'metadata'", "an object", doc.get("metadata"))
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if isinstance(version, bool) or not isinstance(version, int):
+        fail("'schema_version'", "an integer", version)

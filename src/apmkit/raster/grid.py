@@ -149,15 +149,6 @@ class RasterGrid:
         y = oy + (np.asarray(rows, dtype=np.float64) + 0.5) * py
         return x, y
 
-    def center_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full (H, W) grids of pixel-center map coordinates."""
-        rows = np.arange(self.height, dtype=np.float64)[:, None]
-        cols = np.arange(self.width, dtype=np.float64)[None, :]
-        ox, oy, px, py = self.geotransform
-        x = np.broadcast_to(ox + (cols + 0.5) * px, (self.height, self.width))
-        y = np.broadcast_to(oy + (rows + 0.5) * py, (self.height, self.width))
-        return x, y
-
     def disk_mask(self, x: float, y: float, radius: float) -> np.ndarray:
         """Pixels whose center lies within ``radius`` of (x, y), in map units.
 

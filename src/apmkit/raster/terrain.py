@@ -8,6 +8,10 @@
 * proximity to the drainage network in map units, where the network is
   the set of cells whose D8 flow accumulation reaches a fraction of the
   grid's cell count.
+
+D8 flow directions and accumulation are array code: the directions come
+from one pass per neighbour offset, and accumulation passes counts
+downstream in in-degree waves that touch only the current frontier.
 """
 
 from __future__ import annotations
@@ -65,6 +69,54 @@ def slope_aspect(
     return slope, aspect
 
 
+def _d8_codes(
+    values: np.ndarray, valid: np.ndarray, dx: float, dy: float
+) -> np.ndarray:
+    """``int8`` index into ``_D8_OFFSETS`` of each cell's steepest strictly
+    lower valid neighbour, or -1 where there is none.
+
+    Each offset's drop is computed over the overlapping slices only, into
+    one reused buffer. Only a strictly larger drop replaces the best so
+    far, and the offsets run in ``_D8_OFFSETS`` order, so ties go to the
+    earlier offset.
+    """
+    height, width = values.shape
+    z = np.where(valid, values, np.inf)
+    # Masked cells start at +inf so no drop beats it; valid ones at 0 so
+    # only strictly positive drops win.
+    best_drop = np.where(valid, 0.0, np.inf)
+    code = np.full((height, width), -1, dtype=np.int8)
+    drop_buf = np.empty(height * width, dtype=np.float64)
+    keep_buf = np.empty(height * width, dtype=bool)
+    for k, (dr, dc) in enumerate(_D8_OFFSETS):
+        dist = np.hypot(dr * dy, dc * dx)
+        src_r = slice(max(0, dr), height + min(0, dr))
+        src_c = slice(max(0, dc), width + min(0, dc))
+        dst_r = slice(max(0, -dr), height - max(0, dr))
+        dst_c = slice(max(0, -dc), width - max(0, dc))
+        shape = (height - abs(dr), width - abs(dc))
+        drop = drop_buf[: shape[0] * shape[1]].reshape(shape)
+        keep = keep_buf[: drop.size].reshape(shape)
+        # The difference is taken in the DEM's own precision, as ``z - z``
+        # would be. inf - inf between two masked cells is a NaN that never
+        # wins.
+        with np.errstate(invalid="ignore"):
+            np.subtract(z[dst_r, dst_c], z[src_r, src_c], out=drop, dtype=z.dtype)
+        np.divide(drop, dist, out=drop)
+        best = best_drop[dst_r, dst_c]
+        np.greater(drop, best, out=keep)
+        np.logical_not(keep, out=keep)
+        # fmax leaves the best drop where this one is not larger or is NaN.
+        np.fmax(best, drop, out=best)
+        # code = k where this drop won, else unchanged: (code - k) * keep + k,
+        # which is much faster than a masked copy.
+        winner = code[dst_r, dst_c]
+        winner -= k
+        winner *= keep
+        winner += k
+    return code
+
+
 def d8_flow_targets(
     values: np.ndarray,
     valid: np.ndarray,
@@ -75,32 +127,18 @@ def d8_flow_targets(
 
     Drops are elevation differences divided by center distance, so the
     diagonal direction competes fairly with the axis ones. Only strictly
-    lower, valid neighbours receive flow.
+    lower, valid neighbours receive flow; among equal drops the first
+    offset in ``_D8_OFFSETS`` order wins.
     """
     height, width = values.shape
-    dx = float(pixel_size_x)
-    dy = abs(float(pixel_size_y))
-    best_drop = np.zeros((height, width), dtype=np.float64)
-    target = np.full((height, width), -1, dtype=np.int64)
-    cols = np.arange(width)
-    rows = np.arange(height)
-    flat_index = rows[:, None] * width + cols[None, :]
-    z = np.where(valid, values, np.inf)
-    for dr, dc in _D8_OFFSETS:
-        dist = np.hypot(dr * dy, dc * dx)
-        src_r = slice(max(0, dr), height + min(0, dr))
-        src_c = slice(max(0, dc), width + min(0, dc))
-        dst_r = slice(max(0, -dr), height - max(0, dr))
-        dst_c = slice(max(0, -dc), width - max(0, dc))
-        drop = np.full((height, width), -np.inf)
-        # inf - inf between two masked cells is fine: the NaN never wins.
-        with np.errstate(invalid="ignore"):
-            drop[dst_r, dst_c] = (z[dst_r, dst_c] - z[src_r, src_c]) / dist
-        nbr = np.full((height, width), -1, dtype=np.int64)
-        nbr[dst_r, dst_c] = flat_index[src_r, src_c]
-        better = valid & (drop > best_drop) & (drop > 0.0)
-        best_drop[better] = drop[better]
-        target[better] = nbr[better]
+    code = _d8_codes(values, valid, float(pixel_size_x), abs(float(pixel_size_y)))
+    deltas = np.array([dr * width + dc for dr, dc in _D8_OFFSETS], dtype=np.int64)
+    # Code -1 wraps to the last delta; those cells are reset to -1 below.
+    target = code.astype(np.int64)
+    np.take(deltas, target, out=target, mode="wrap")
+    target += np.arange(height, dtype=np.int64)[:, None] * width
+    target += np.arange(width, dtype=np.int64)
+    np.putmask(target, code < 0, -1)
     return target
 
 
@@ -112,19 +150,34 @@ def flow_accumulation(
 ) -> np.ndarray:
     """D8 accumulation: number of cells (self included) draining through each.
 
-    Cells are processed from highest to lowest so every contribution is
-    final when passed downstream. Invalid cells take no part.
+    Cells are passed downstream in waves (Barnes, "Parallel non-divergent
+    flow accumulation", Environ. Model. Softw. 2017). A cell joins the
+    frontier once every cell draining into it has been passed, so its
+    accumulation is final. Each wave sorts only the frontier's targets,
+    sums the frontier's accumulations per target and lowers the targets'
+    in-degrees by the run lengths; no step of a wave touches the whole
+    frame. Accumulations are integer counts held in float64, so the order
+    of the sums does not matter. Invalid cells take no part.
     """
     height, width = values.shape
-    target = d8_flow_targets(values, valid, pixel_size_x, pixel_size_y)
+    target = d8_flow_targets(values, valid, pixel_size_x, pixel_size_y).ravel()
     acc = np.where(valid, 1.0, 0.0).ravel()
-    flat_target = target.ravel()
-    z = np.where(valid, values, -np.inf).ravel()
-    order = np.argsort(-z, kind="stable")
-    for idx in order:
-        t = flat_target[idx]
-        if t >= 0:
-            acc[t] += acc[idx]
+    # A pit's -1 lands in bin 0, which the slice drops.
+    indegree = np.bincount(target + 1, minlength=target.size + 1)[1:]
+    frontier = np.flatnonzero((indegree == 0) & (target >= 0))
+    while frontier.size:
+        dest = target[frontier]
+        order = np.argsort(dest, kind="stable")
+        dest = dest[order]
+        run_start = np.empty(dest.size, dtype=bool)
+        run_start[0] = True
+        np.not_equal(dest[1:], dest[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        heads = dest[starts]
+        acc[heads] += np.add.reduceat(acc[frontier[order]], starts)
+        indegree[heads] -= np.diff(starts, append=dest.size)
+        ready = heads[indegree[heads] == 0]
+        frontier = ready[target[ready] >= 0]
     return acc.reshape(height, width)
 
 

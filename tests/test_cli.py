@@ -256,6 +256,52 @@ class TestEvaluate:
         assert doc["baseline_name"] == "baseline_run"
 
 
+    GOOD_METRICS = {"auroc": 0.7, "aul": 0.6, "dice": 0.5, "iou": 0.4, "f1": 0.5, "accuracy": 0.6}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"auroc": "x"},
+            {"metrics": [0.7, 0.6]},
+            {"metrics": {**GOOD_METRICS, "auroc": "x"}},
+            {"metrics": GOOD_METRICS, "bins": {"lo": 0.0}},
+            {"metrics": GOOD_METRICS, "bins": [{"lo": 0.0, "hi": 0.5}]},
+            {"metrics": GOOD_METRICS, "density_histogram": ["a"]},
+            {"metrics": GOOD_METRICS, "metadata": 5},
+            {"metrics": GOOD_METRICS, "schema_version": "1"},
+        ],
+        ids=[
+            "array", "no-metrics", "metrics-list", "metric-string", "bins-object",
+            "bin-missing-count", "histogram-string", "metadata-number", "version-string",
+        ],
+    )
+    def test_malformed_baseline_report_is_config_error(self, ws, capsys, doc):
+        base_path = ws / "base.json"
+        base_path.write_text(json.dumps(doc))
+        out = ws / "report.json"
+        code = main([
+            "evaluate", "--pred", str(ws / "branch1.grid"),
+            "--sites", str(ws / "sites.csv"),
+            "--baseline-report", str(base_path), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("apmkit: error: report ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_baseline_without_radar_value_is_data_error(self, ws, capsys):
+        base_path = ws / "base.json"
+        base_path.write_text(json.dumps({"metrics": {**self.GOOD_METRICS, "iou": None}}))
+        code = main([
+            "evaluate", "--pred", str(ws / "branch1.grid"),
+            "--sites", str(ws / "sites.csv"),
+            "--baseline-report", str(base_path), "--out", str(ws / "report.json"),
+        ])
+        assert code == 3
+        assert "radar metric 'iou'" in capsys.readouterr().err
+
+
     @pytest.mark.parametrize("previous", [False, True])
     def test_failed_report_write_keeps_previous_file(self, ws, monkeypatch, previous):
         out = ws / "reports" / "report.json"

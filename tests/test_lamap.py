@@ -238,11 +238,21 @@ class TestPotential:
         assert np.allclose(got, want, atol=1e-12)
 
 
+def center_grids(stack):
+    """Full (H, W) grids of the stack's pixel-center map coordinates."""
+    rows = np.arange(stack.height, dtype=np.float64)[:, None]
+    cols = np.arange(stack.width, dtype=np.float64)[None, :]
+    ox, oy, px, py = stack.geotransform
+    x = np.broadcast_to(ox + (cols + 0.5) * px, stack.shape)
+    y = np.broadcast_to(oy + (rows + 0.5) * py, stack.shape)
+    return x, y
+
+
 def reference_potential(stack, models, cfg):
     """The per-site ``ecdf.cdf`` loop that ``potential_values`` used to run."""
     bands = cfg.bands if cfg.bands is not None else tuple(range(stack.bands))
     valid = ~stack.nodata_mask
-    x, y = stack.center_grids()
+    x, y = center_grids(stack)
     band_values = [stack.band(b).astype(np.float64) for b in bands]
     num = np.zeros(stack.shape, dtype=np.float64)
     den = np.zeros(stack.shape, dtype=np.float64)
@@ -357,7 +367,7 @@ def sorted_pixel_potential(stack, models, cfg):
     scatter back through the sort order."""
     bands = cfg.bands if cfg.bands is not None else tuple(range(stack.bands))
     valid = ~stack.nodata_mask
-    x, y = stack.center_grids()
+    x, y = center_grids(stack)
     npix = x.size
     orders = np.empty((len(bands), npix), dtype=np.int32)
     sorted_values = np.empty((len(bands), npix), dtype=np.float32)

@@ -176,3 +176,122 @@ class TestDeriveTerrain:
     def test_multiband_rejected(self, make_grid):
         with pytest.raises(DimensionError):
             derive_terrain(make_grid(np.zeros((2, 4, 4))))
+
+
+def offset_loop_targets(values, valid, pixel_size_x, pixel_size_y):
+    """The per-offset loop ``d8_flow_targets`` ran before the int8 direction
+    code: a full-frame drop and neighbour array for each of the 8 offsets."""
+    offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+    height, width = values.shape
+    dx = float(pixel_size_x)
+    dy = abs(float(pixel_size_y))
+    best_drop = np.zeros((height, width), dtype=np.float64)
+    target = np.full((height, width), -1, dtype=np.int64)
+    flat_index = np.arange(height)[:, None] * width + np.arange(width)[None, :]
+    z = np.where(valid, values, np.inf)
+    for dr, dc in offsets:
+        dist = np.hypot(dr * dy, dc * dx)
+        src_r = slice(max(0, dr), height + min(0, dr))
+        src_c = slice(max(0, dc), width + min(0, dc))
+        dst_r = slice(max(0, -dr), height - max(0, dr))
+        dst_c = slice(max(0, -dc), width - max(0, dc))
+        drop = np.full((height, width), -np.inf)
+        with np.errstate(invalid="ignore"):
+            drop[dst_r, dst_c] = (z[dst_r, dst_c] - z[src_r, src_c]) / dist
+        nbr = np.full((height, width), -1, dtype=np.int64)
+        nbr[dst_r, dst_c] = flat_index[src_r, src_c]
+        better = valid & (drop > best_drop) & (drop > 0.0)
+        best_drop[better] = drop[better]
+        target[better] = nbr[better]
+    return target
+
+
+def descending_loop_accumulation(values, valid, pixel_size_x, pixel_size_y):
+    """The per-cell loop ``flow_accumulation`` ran before the frontier waves:
+    every cell, highest first, adds its count to its target's."""
+    target = offset_loop_targets(values, valid, pixel_size_x, pixel_size_y).ravel()
+    acc = np.where(valid, 1.0, 0.0).ravel()
+    z = np.where(valid, values, -np.inf).ravel()
+    for idx in np.argsort(-z, kind="stable"):
+        if target[idx] >= 0:
+            acc[target[idx]] += acc[idx]
+    return acc.reshape(values.shape)
+
+
+def _hole(shape, rows, cols):
+    valid = np.ones(shape, bool)
+    valid[rows, cols] = False
+    return valid
+
+
+def _named_cases():
+    rng = np.random.default_rng(2017)
+    field = rng.normal(size=(12, 15)).cumsum(axis=0).cumsum(axis=1)
+    shape = field.shape
+    bowl = np.fromfunction(lambda r, c: (r - 5.0) ** 2 + (c - 7.0) ** 2, shape)
+    pits = bowl.copy()
+    pits[2, 3] = pits[8, 11] = -50.0  # two local sinks besides the bowl's
+    cases = {
+        "hole_top_edge": (field, _hole(shape, slice(0, 3), slice(4, 9))),
+        "hole_bottom_edge": (field, _hole(shape, slice(9, 12), slice(2, 6))),
+        "hole_left_edge": (field, _hole(shape, slice(3, 8), slice(0, 2))),
+        "hole_right_edge": (field, _hole(shape, slice(4, 10), slice(12, 15))),
+        "hole_corner": (field, _hole(shape, slice(8, 12), slice(11, 15))),
+        "one_pixel_hole": (field, _hole(shape, 6, 7)),
+        "pits": (pits, np.ones(shape, bool)),
+        "integer_flats": (np.round(field / 3.0), np.ones(shape, bool)),
+        "integer_flats_float32": (
+            np.round(field / 3.0).astype(np.float32), _hole(shape, 5, slice(0, 15))
+        ),
+        "constant": (np.full(shape, 7.0), np.ones(shape, bool)),
+        # In float32, 1e7 - 0.25 rounds to 1e7: the north and south drops
+        # tie, so the difference must be taken in the DEM's precision.
+        "float32_rounded_tie": (
+            np.array([[1e7, 0.25, 1e7], [1e7, 1e7, 1e7], [1e7, 0.0, 1e7]], np.float32),
+            np.ones((3, 3), bool),
+        ),
+        "one_valid_pixel": (field, ~_hole(shape, 4, 9)),
+        "row_1xN": (field[:1], np.ones((1, 15), bool)),
+        "column_Nx1": (field[:, :1], _hole((12, 1), 5, 0)),
+    }
+    return cases
+
+
+NAMED_CASES = _named_cases()
+PIXEL_SIZES = [(1.0, -1.0), (2.0, -0.5), (30.0, 30.0), (-1.5, -4.0)]
+
+
+class TestFrontierMatchesLoops:
+    """``d8_flow_targets`` and ``flow_accumulation`` equal the loops they
+    replaced bit for bit."""
+
+    @pytest.mark.parametrize("px,py", PIXEL_SIZES)
+    @pytest.mark.parametrize("name", sorted(NAMED_CASES))
+    def test_named_frames(self, name, px, py):
+        z, valid = NAMED_CASES[name]
+        got = d8_flow_targets(z, valid, px, py)
+        want = offset_loop_targets(z, valid, px, py)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = flow_accumulation(z, valid, px, py)
+        want = descending_loop_accumulation(z, valid, px, py)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_random_frames(self, seed):
+        rng = np.random.default_rng(seed)
+        height, width = (int(n) for n in rng.integers(1, 24, size=2))
+        z = rng.normal(size=(height, width)) * 5.0
+        if seed % 3 == 1:
+            z = np.round(z)  # ties and flats
+        elif seed % 3 == 2:
+            z = z.astype(np.float32)
+        valid = rng.random((height, width)) < rng.choice([0.1, 0.6, 0.9, 1.0])
+        px = float(rng.choice([1.0, 2.5, -0.75]))
+        py = float(rng.choice([-1.0, 4.0, -0.3]))
+        assert np.array_equal(
+            d8_flow_targets(z, valid, px, py), offset_loop_targets(z, valid, px, py)
+        )
+        assert np.array_equal(
+            flow_accumulation(z, valid, px, py),
+            descending_loop_accumulation(z, valid, px, py),
+        )
