@@ -15,12 +15,23 @@ class-0 message is the message of the valid mask less that of class 1.
 A refinement builds the valid mask's message once, alongside the
 bilateral weights.
 
+Both kernels sum over shifted copies of a field, and they do so on one
+row-padded flat layout: an (h, w) field is stored row-major with a row
+pitch of w + radius, the pad columns zero. A window offset (di, dj) is
+then the constant flat shift di * pitch + dj, since a shift past either
+side of a row lands in a pad column, and every offset or tap is one
+contiguous 1-D multiply and add. The pairs that reach into the padding
+add only +0.0, so each pixel's sum holds the same nonzero terms in the
+same order as over the frame alone.
+
 The spatial kernel factorises over rows and columns, so its message runs
 as two 1-D passes. The bilateral weights depend only on the guidance, so
 a refinement builds them once (:func:`bilateral_weights`) and each step
 only multiplies and adds. As w(p, p + d) = w(p + d, p), only half the
 window's offsets are stored, each used in both directions: that cache
-costs 8 * ceil(offsets / 2) bytes per pixel of the grid it lives on.
+costs 8 * ceil(offsets / 2) * (w + radius) / w bytes per pixel of the
+grid it lives on. A cache larger than the machine's physical memory is
+refused before it is built.
 
 The bilateral branch can optionally run on a coarsened guidance grid
 (block mean by a compression factor, message passing at reduced
@@ -37,7 +48,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
 from .raster.grid import RasterGrid
 
 # Accepted aliases for JSON config keys.
@@ -147,18 +158,36 @@ def unary_potentials(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
 
 def class_softmax(neg_energy: np.ndarray) -> np.ndarray:
     """Per-pixel softmax over the leading class axis, numerically shifted."""
-    shifted = neg_energy - neg_energy.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    out = neg_energy - neg_energy.max(axis=0, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    return out
 
 
-def _offset_slices(h: int, w: int, di: int, dj: int) -> tuple[slice, slice, slice, slice]:
-    """Target and source slices so target[i] pairs with source[i + (di, dj)]."""
-    rt = slice(max(0, -di), h - max(0, di))
-    ct = slice(max(0, -dj), w - max(0, dj))
-    rs = slice(rt.start + di, rt.stop + di)
-    cs = slice(ct.start + dj, ct.stop + dj)
-    return rt, ct, rs, cs
+def _padded(arr: np.ndarray, pitch: int) -> np.ndarray:
+    """``arr`` (..., h, w) as flat rows of ``pitch`` values, pad columns zero."""
+    *lead, h, w = arr.shape
+    out = np.zeros((*lead, h, pitch))
+    out[..., :w] = arr
+    return out.reshape(*lead, h * pitch)
+
+
+def _add_shifted(
+    acc: np.ndarray, src: np.ndarray, shift: int, weight: float | np.ndarray, buf: np.ndarray
+) -> None:
+    """Both directions of one flat offset, in place on ``acc``.
+
+    ``acc[p] += weight[p] * src[p + shift]``, then
+    ``acc[p + shift] += weight[p] * src[p]``, for every p with p + shift
+    inside the buffer; ``weight`` is a scalar or holds ``acc.size - shift``
+    values. ``buf`` is scratch space of ``acc``'s size.
+    """
+    m = acc.size - shift
+    prod = buf[:m]
+    np.multiply(weight, src[shift:], out=prod)
+    acc[:m] += prod
+    np.multiply(weight, src[:m], out=prod)
+    acc[shift:] += prod
 
 
 def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
@@ -167,33 +196,40 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
     The Gaussian on the square window of radius ceil(3 sigma) factorises,
     k(di, dj) = g(di) g(dj), so the window sum runs as a pass along rows
     and a pass along columns, each with 2 r taps besides the centre one.
-    Pixels outside the frame count as zero. The centre tap k(0, 0) = 1
-    carries the self term, which is subtracted at the end. ``q`` must
-    already be zeroed at invalid pixels.
+    Both passes run on the row-padded flat layout (see the module
+    docstring), so a tap is a flat shift of k or k * pitch. Pixels outside
+    the frame count as zero. The centre tap k(0, 0) = 1 carries the self
+    term, which is subtracted at the end. ``q`` must already be zeroed at
+    invalid pixels.
     """
+    h, w = q.shape
     radius = int(math.ceil(3.0 * sigma))
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
     taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
-    rows = q.copy()
+    pitch = w + radius
+    flat = _padded(q, pitch)
+    buf = np.empty_like(flat)
+    rows = flat.copy()
     for k, g in taps:
-        rows[:, :-k] += g * q[:, k:]
-        rows[:, k:] += g * q[:, :-k]
+        _add_shifted(rows, flat, k, g, buf)
     msg = rows.copy()
-    for k, g in taps:
-        msg[:-k, :] += g * rows[k:, :]
-        msg[k:, :] += g * rows[:-k, :]
-    msg -= q
-    return msg
+    # A column tap of k >= h pairs no two rows of the frame.
+    for k, g in taps[: h - 1]:
+        _add_shifted(msg, rows, k * pitch, g, buf)
+    msg -= flat
+    return msg.reshape(h, pitch)[:, :w]
 
 
 def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
     """Sum over factor x factor blocks, zero-padding ragged edges."""
     *lead, h, w = arr.shape
-    hp = (h + factor - 1) // factor * factor
-    wp = (w + factor - 1) // factor * factor
-    padded = np.zeros((*lead, hp, wp), dtype=np.float64)
-    padded[..., :h, :w] = arr
-    return padded.reshape(*lead, hp // factor, factor, wp // factor, factor).sum(
+    if h % factor or w % factor:
+        hp = (h + factor - 1) // factor * factor
+        wp = (w + factor - 1) // factor * factor
+        padded = np.zeros((*lead, hp, wp), dtype=np.float64)
+        padded[..., :h, :w] = arr
+        arr, h, w = padded, hp, wp
+    return arr.reshape(*lead, h // factor, factor, w // factor, factor).sum(
         axis=(-3, -1)
     )
 
@@ -219,20 +255,38 @@ class BilateralWeights:
     """Bilateral kernel weights of one guidance field.
 
     They depend on the guidance alone, so a refinement builds them once
-    and every mean-field step only multiplies and adds. ``pairs`` holds
-    one entry per offset d of half the window (the first non-zero of
-    (di, dj) positive): the target and source slices of the overlap, as
-    from :func:`_offset_slices`, and w(p, p + d) over it. Since
+    and every mean-field step only multiplies and adds. The weights live
+    on the row-padded flat layout of their grid: row pitch
+    ``w + radius``, pad columns zero. ``pairs`` holds one entry per
+    offset d = (di, dj) of half the window (the first non-zero of
+    (di, dj) positive) that pairs at least two pixels of the grid: its
+    flat shift ``di * pitch + dj`` and w(p, p + shift) at every flat p
+    below ``h * pitch - shift``, zero where either end is padding. Since
     w(p + d, p) is the same number, each entry serves both directions.
+    All entries share one block of ``8 * len(pairs) * h * pitch`` bytes,
+    i.e. ``8 * ceil(offsets / 2) * (w + radius) / w`` bytes per grid
+    pixel.
 
     Attributes:
         factor: Block size of the grid the weights live on; 1 means full
             resolution.
-        pairs: ``(rt, ct, rs, cs, weight)`` per half-window offset.
+        shape: ``(h, w)`` of that grid.
+        pitch: Row pitch of the flat layout, ``w + radius``.
+        pairs: ``(shift, weight)`` per half-window offset.
     """
 
     factor: int
-    pairs: tuple[tuple[slice, slice, slice, slice, np.ndarray], ...]
+    shape: tuple[int, int]
+    pitch: int
+    pairs: tuple[tuple[int, np.ndarray], ...]
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def bilateral_weights(
@@ -244,33 +298,69 @@ def bilateral_weights(
     ``cfg.compression``-sized blocks, whose features are the means over
     each block's valid pixels (zero for a block with none) and whose
     spatial sigma shrinks by the same factor; otherwise on the full frame.
-    Memory is 8 bytes per pixel of that grid and per half-window offset.
+    The squared feature differences of an offset accumulate one channel
+    at a time in its weight row, which then takes the exp and the spatial
+    factor in place.
+
+    Raises:
+        DimensionError: The cache would exceed the machine's physical
+            memory; checked before any weight is allocated.
     """
+    factor = cfg.compression if cfg.compress_guidance else 1
+    sigma = cfg.sigma / factor
+    h, w = (-(-n // factor) for n in guidance.shape[1:])
+    radius = int(math.ceil(3.0 * sigma))
+    pitch = w + radius
+    n = h * pitch
+    reach_i, reach_j = min(radius, h - 1), min(radius, w - 1)
+    offsets = [
+        (di, dj)
+        for di in range(reach_i + 1)
+        for dj in range(-reach_j, reach_j + 1)
+        if di > 0 or dj > 0
+    ]
+    size = 8 * len(offsets) * n
+    limit = _physical_memory()
+    if limit is not None and size > limit:
+        raise DimensionError(
+            f"the bilateral weight cache of a {h}x{w} grid needs {size} bytes, "
+            f"more than the {limit} bytes of physical memory "
+            f"(compress_guidance is {cfg.compress_guidance})"
+        )
     if cfg.compress_guidance:
-        factor = cfg.compression
         counts = _block_sum(valid.astype(np.float64), factor)
         sums = _block_sum(guidance * valid, factor)
         feats = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     else:
-        factor, feats = 1, guidance
-    sigma = cfg.sigma / factor
-    h, w = feats.shape[1:]
-    radius = int(math.ceil(3.0 * sigma))
+        feats = guidance
+    # A stack with no bands gets one zero band: the kernel is then the
+    # spatial one, as for equal features.
+    feats = _padded(feats if len(feats) else np.zeros((1, h, w)), pitch)
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
     half_beta2 = 0.5 * cfg.beta * cfg.beta
+    cache = np.empty((len(offsets), n))
+    buf = np.empty(n)
     pairs = []
-    for di in range(0, radius + 1):
-        for dj in range(-radius, radius + 1):
-            if di == 0 and dj <= 0:
-                continue
-            rt, ct, rs, cs = _offset_slices(h, w, di, dj)
-            if rt.start >= rt.stop or ct.start >= ct.stop:
-                continue
-            w_sp = math.exp(-(di * di + dj * dj) * inv_two_sigma2)
-            diff = feats[:, rt, ct] - feats[:, rs, cs]
-            weight = w_sp * np.exp(-half_beta2 * np.sum(diff * diff, axis=0))
-            pairs.append((rt, ct, rs, cs, weight))
-    return BilateralWeights(factor, tuple(pairs))
+    for (di, dj), row in zip(offsets, cache):
+        shift = di * pitch + dj
+        m = n - shift
+        weight, sq = row[:m], buf[:m]
+        np.subtract(feats[0, :m], feats[0, shift:], out=weight)
+        weight *= weight
+        for band in feats[1:]:
+            np.subtract(band[:m], band[shift:], out=sq)
+            sq *= sq
+            weight += sq
+        weight *= -half_beta2
+        np.exp(weight, out=weight)
+        weight *= math.exp(-(di * di + dj * dj) * inv_two_sigma2)
+        # Zero the pairs with an end in the pad columns: a target pad
+        # column, or a source column past either side of the frame.
+        grid = row.reshape(h, pitch)
+        grid[:, min(w, w - dj):] = 0.0
+        grid[:, : max(0, -dj)] = 0.0
+        pairs.append((shift, weight))
+    return BilateralWeights(factor, (h, w), pitch, tuple(pairs))
 
 
 def _bilateral_message(q: np.ndarray, weights: BilateralWeights) -> np.ndarray:
@@ -283,11 +373,13 @@ def _bilateral_message(q: np.ndarray, weights: BilateralWeights) -> np.ndarray:
     """
     h, w = q.shape
     gamma = weights.factor
-    src = _block_sum(q, gamma) if gamma > 1 else q
+    src = _padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
     msg = np.zeros_like(src)
-    for rt, ct, rs, cs, weight in weights.pairs:
-        msg[rt, ct] += weight * src[rs, cs]
-        msg[rs, cs] += weight * src[rt, ct]
+    buf = np.empty_like(src)
+    for shift, weight in weights.pairs:
+        _add_shifted(msg, src, shift, weight, buf)
+    hc, wc = weights.shape
+    msg = msg.reshape(hc, weights.pitch)[:, :wc]
     return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
 
 

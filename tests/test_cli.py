@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from apmkit import crf
 from apmkit.cli import main
 from apmkit.folds import FoldAssignment
 from apmkit.lamap import LamapConfig, build_site_models, lamap_surface
@@ -382,6 +383,20 @@ class TestRunAndErrors:
             "--out", str(ws / "x.grid"),
         ])
         assert code == 2
+
+    def test_crf_refine_cache_beyond_memory_is_data_error(self, ws, capsys, monkeypatch):
+        monkeypatch.setattr(crf, "_physical_memory", lambda: 1 << 10)
+        config = ws / "crf.json"
+        config.write_text(json.dumps({"compress_guidance": False}))
+        code = main([
+            "crf-refine", "--logits", str(ws / "branch1.grid"),
+            "--guidance", str(ws / "dem.grid"), "--config", str(config),
+            "--out", str(ws / "x.grid"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "compress_guidance" in err and "Traceback" not in err
+        assert not list(ws.glob("x.grid*"))
 
     @pytest.mark.parametrize("doc", [["dice"], {"class_weights": ["a", "b"]}])
     def test_pseudolabel_malformed_config_is_config_error(self, ws, doc):

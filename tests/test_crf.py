@@ -1,6 +1,8 @@
 """Mean-field refinement against a dense all-pairs reference."""
 
 import math
+import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,14 +12,13 @@ from apmkit.crf import (
     CrfConfig,
     _bilinear_upsample,
     _block_sum,
-    _offset_slices,
     class_softmax,
     crf_refine,
     mean_field_step,
     refine_values,
     unary_potentials,
 )
-from apmkit.errors import ConfigError, DataError
+from apmkit.errors import ConfigError, DataError, DimensionError
 
 
 class TestConfig:
@@ -259,6 +260,15 @@ class TestMeanField:
         assert after < before
 
 
+def _offset_slices(h, w, di, dj):
+    """Target and source slices so target[i] pairs with source[i + (di, dj)]."""
+    rt = slice(max(0, -di), h - max(0, di))
+    ct = slice(max(0, -dj), w - max(0, dj))
+    rs = slice(rt.start + di, rt.stop + di)
+    cs = slice(ct.start + dj, ct.stop + dj)
+    return rt, ct, rs, cs
+
+
 def direct_messages(q, guidance, sigma, beta, want_spatial, want_bilateral):
     """Direct windowed messages: every offset of the window, every step."""
     nclass, h, w = q.shape
@@ -407,6 +417,252 @@ class TestMatchesDirectStep:
         assert calls == {"weights": 1, "step": 5}
 
 
+def slice_class_softmax(neg_energy):
+    """The softmax with a temporary per step."""
+    shifted = neg_energy - neg_energy.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def slice_spatial_message(q, sigma):
+    """The separable spatial message over 2-D slices of the frame."""
+    radius = int(math.ceil(3.0 * sigma))
+    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
+    rows = q.copy()
+    for k, g in taps:
+        rows[:, :-k] += g * q[:, k:]
+        rows[:, k:] += g * q[:, :-k]
+    msg = rows.copy()
+    for k, g in taps:
+        msg[:-k, :] += g * rows[k:, :]
+        msg[k:, :] += g * rows[:-k, :]
+    msg -= q
+    return msg
+
+
+def slice_block_sum(arr, factor):
+    """Block sums through a zero-padded copy, whatever the shape."""
+    *lead, h, w = arr.shape
+    hp = (h + factor - 1) // factor * factor
+    wp = (w + factor - 1) // factor * factor
+    padded = np.zeros((*lead, hp, wp), dtype=np.float64)
+    padded[..., :h, :w] = arr
+    return padded.reshape(*lead, hp // factor, factor, wp // factor, factor).sum(
+        axis=(-3, -1)
+    )
+
+
+SliceWeights = namedtuple("SliceWeights", "factor pairs")
+
+
+def slice_bilateral_weights(guidance, cfg, valid):
+    """The weight cache as 2-D overlaps: ``(rt, ct, rs, cs, weight)`` per
+    half-window offset, from a (C, h, w) difference per offset."""
+    if cfg.compress_guidance:
+        factor = cfg.compression
+        counts = slice_block_sum(valid.astype(np.float64), factor)
+        sums = slice_block_sum(guidance * valid, factor)
+        feats = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    else:
+        factor, feats = 1, guidance
+    sigma = cfg.sigma / factor
+    h, w = feats.shape[1:]
+    radius = int(math.ceil(3.0 * sigma))
+    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    half_beta2 = 0.5 * cfg.beta * cfg.beta
+    pairs = []
+    for di in range(0, radius + 1):
+        for dj in range(-radius, radius + 1):
+            if di == 0 and dj <= 0:
+                continue
+            rt, ct, rs, cs = _offset_slices(h, w, di, dj)
+            if rt.start >= rt.stop or ct.start >= ct.stop:
+                continue
+            w_sp = math.exp(-(di * di + dj * dj) * inv_two_sigma2)
+            diff = feats[:, rt, ct] - feats[:, rs, cs]
+            weight = w_sp * np.exp(-half_beta2 * np.sum(diff * diff, axis=0))
+            pairs.append((rt, ct, rs, cs, weight))
+    return SliceWeights(factor, tuple(pairs))
+
+
+def slice_bilateral_message(q, weights):
+    """The bilateral message over the 2-D overlaps of the slice cache."""
+    h, w = q.shape
+    gamma = weights.factor
+    src = slice_block_sum(q, gamma) if gamma > 1 else q
+    msg = np.zeros_like(src)
+    for rt, ct, rs, cs, weight in weights.pairs:
+        msg[rt, ct] += weight * src[rs, cs]
+        msg[rs, cs] += weight * src[rt, ct]
+    return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
+
+
+def slice_pairwise_message(field, cfg, weights):
+    w_sp, w_bil = cfg.pairwise_weights
+    message = np.zeros_like(field)
+    if w_sp > 0:
+        message += w_sp * slice_spatial_message(field, cfg.sigma)
+    if weights is not None:
+        message += w_bil * slice_bilateral_message(field, weights)
+    return message
+
+
+def slice_refine(logits, guidance, cfg, valid):
+    """The class-1 refinement loop on the slice kernels."""
+    unary = unary_potentials(logits, cfg.temperature)
+    weights = None
+    if guidance is not None and cfg.pairwise_weights[1] > 0:
+        weights = slice_bilateral_weights(guidance, cfg, valid)
+    valid_message = slice_pairwise_message(valid.astype(np.float64), cfg, weights)
+    q = slice_class_softmax(-unary)
+    for _ in range(cfg.iterations):
+        m1 = slice_pairwise_message(q[1] * valid, cfg, weights)
+        message = np.stack([valid_message - m1, m1])
+        energy = np.einsum("ab,bhw->ahw", cfg.compatibility, message)
+        q = slice_class_softmax(-unary - energy)
+    return q[1]
+
+
+def raw_unit_guidance(rng, channels, shape):
+    """Bands in the thousands with neighbour steps of a few tens, like
+    elevations and distances in metres: most weights are 0 or tiny."""
+    steps = rng.uniform(0.0, 40.0, size=(channels, *shape))
+    return 500.0 + np.cumsum(np.cumsum(steps, axis=2), axis=1) / shape[0]
+
+
+FLAT_CASES = [
+    pytest.param((30, 34), 3, True, {}, False, id="compressed-masked"),
+    pytest.param((30, 34), 3, True, {"compress_guidance": False}, False, id="full-res"),
+    pytest.param((13, 17), 3, True, {"compression": 4}, False, id="compression-4-ragged"),
+    pytest.param((5, 7), 2, False, {}, False, id="frame-below-radius"),
+    pytest.param(
+        (5, 7), 2, False, {"compress_guidance": False}, False, id="frame-below-radius-full"
+    ),
+    pytest.param((1, 23), 2, False, {}, False, id="1xN"),
+    pytest.param((23, 1), 2, False, {}, False, id="Nx1"),
+    pytest.param((1, 23), 2, False, {"compress_guidance": False}, False, id="1xN-full"),
+    pytest.param((23, 1), 2, False, {"compress_guidance": False}, False, id="Nx1-full"),
+    pytest.param((24, 26), 2, True, {"sigma": 2.3}, False, id="sigma-2.3"),
+    pytest.param((40, 44), 5, True, {}, True, id="raw-units"),
+    pytest.param((40, 44), 5, True, {"compress_guidance": False}, True, id="raw-units-full"),
+]
+
+
+class TestFlatLayoutMatchesSlices:
+    """The row-padded flat kernels equal the 2-D slice kernels they
+    replaced bit for bit: the same nonzero terms reach every pixel in the
+    same order, and the padding adds only +0.0."""
+
+    @staticmethod
+    def case(rng, shape, channels, masked, kwargs, raw):
+        logits = rng.normal(size=(2, *shape))
+        if raw:
+            guidance = raw_unit_guidance(rng, channels, shape)
+        else:
+            guidance = rng.normal(size=(channels, *shape))
+        valid = np.ones(shape, dtype=bool)
+        if masked:
+            valid[2:5, 3:7] = False
+            guidance[:, ~valid] = 0.0
+        cfg = CrfConfig(**{"beta": 0.6, "iterations": 3, **kwargs})
+        return logits, guidance, valid, cfg
+
+    @pytest.mark.parametrize("shape,channels,masked,kwargs,raw", FLAT_CASES)
+    def test_weights(self, rng, shape, channels, masked, kwargs, raw):
+        _, guidance, valid, cfg = self.case(rng, shape, channels, masked, kwargs, raw)
+        got = crf.bilateral_weights(guidance, cfg, valid)
+        want = slice_bilateral_weights(guidance, cfg, valid)
+        h, w = got.shape
+        n = h * got.pitch
+        assert got.factor == want.factor
+        assert len(got.pairs) == len(want.pairs)
+        for (shift, weight), (rt, ct, rs, cs, old) in zip(got.pairs, want.pairs):
+            di, dj = rs.start - rt.start, cs.start - ct.start
+            assert shift == di * got.pitch + dj
+            flat = np.zeros(n)
+            flat[: n - shift] = weight
+            expected = np.zeros((h, got.pitch))
+            expected[rt, ct] = old
+            assert np.array_equal(flat.reshape(h, got.pitch), expected)
+        cache = got.pairs[0][1].base
+        assert cache.nbytes == 8 * len(got.pairs) * n
+        if raw:
+            inside = np.concatenate([p[-1].ravel() for p in want.pairs])
+            assert (inside == 0.0).any()
+            assert ((inside > 0.0) & (inside < np.finfo(np.float64).tiny)).any()
+
+    @pytest.mark.parametrize("shape,channels,masked,kwargs,raw", FLAT_CASES)
+    def test_messages(self, rng, shape, channels, masked, kwargs, raw):
+        _, guidance, valid, cfg = self.case(rng, shape, channels, masked, kwargs, raw)
+        q = rng.random(shape) * valid
+        got = crf._bilateral_message(q, crf.bilateral_weights(guidance, cfg, valid))
+        want = slice_bilateral_message(q, slice_bilateral_weights(guidance, cfg, valid))
+        assert np.array_equal(got, want)
+        for field in (q, valid.astype(np.float64)):
+            assert np.array_equal(
+                crf._spatial_message(field, cfg.sigma),
+                slice_spatial_message(field, cfg.sigma),
+            )
+
+    @pytest.mark.parametrize("shape,channels,masked,kwargs,raw", FLAT_CASES)
+    def test_refine(self, rng, shape, channels, masked, kwargs, raw):
+        logits, guidance, valid, cfg = self.case(rng, shape, channels, masked, kwargs, raw)
+        got = refine_values(logits, guidance, cfg, valid)
+        assert np.array_equal(got, slice_refine(logits, guidance, cfg, valid))
+
+    @pytest.mark.parametrize("shape", [(12, 16), (13, 17), (1, 8), (7, 1), (2, 3, 8, 12)])
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_block_sum(self, rng, shape, factor):
+        arr = rng.normal(size=shape)
+        assert np.array_equal(_block_sum(arr, factor), slice_block_sum(arr, factor))
+
+    def test_class_softmax(self, rng):
+        energy = rng.normal(size=(2, 9, 11)) * 30.0
+        assert np.array_equal(class_softmax(energy), slice_class_softmax(energy))
+
+
+class TestWeightCacheGuard:
+    """A weight cache larger than physical memory is refused up front."""
+
+    def test_cache_larger_than_memory_is_refused_before_building(
+        self, make_grid, rng, monkeypatch
+    ):
+        monkeypatch.setattr(crf, "_physical_memory", lambda: 1 << 20)
+        logits = make_grid(rng.normal(size=(128, 128)))
+        guidance = make_grid(rng.normal(size=(3, 128, 128)))
+        cfg = CrfConfig(compress_guidance=False, iterations=2)
+        # 180 half-window offsets at sigma 3, row pitch 128 + 9.
+        size = 8 * 180 * 128 * 137
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="compress_guidance") as err:
+                crf_refine(logits, guidance, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(size) in str(err.value)
+        assert err.value.exit_code == 3
+        assert peak < size / 8
+
+    def test_cache_within_memory_is_built(self, make_grid, rng, monkeypatch):
+        monkeypatch.setattr(crf, "_physical_memory", lambda: 8 * 180 * 16 * 25)
+        logits = make_grid(rng.normal(size=(16, 16)))
+        guidance = make_grid(rng.normal(size=(3, 16, 16)))
+        cfg = CrfConfig(compress_guidance=False, iterations=2)
+        crf_refine(logits, guidance, cfg)
+
+    def test_unknown_memory_skips_the_check(self, make_grid, rng, monkeypatch):
+        monkeypatch.setattr(crf, "_physical_memory", lambda: None)
+        logits = make_grid(rng.normal(size=(16, 16)))
+        guidance = make_grid(rng.normal(size=(3, 16, 16)))
+        crf_refine(logits, guidance, CrfConfig(compress_guidance=False, iterations=2))
+
+    def test_physical_memory_lookup(self):
+        mem = crf._physical_memory()
+        assert mem is None or mem > 0
+
+
 def two_class_spatial_message(q, sigma):
     """The separable spatial message of both classes, (2, H, W)."""
     radius = int(math.ceil(3.0 * sigma))
@@ -444,7 +700,7 @@ def two_class_step(q, unary, guidance, cfg, valid):
     if w_sp > 0:
         message += w_sp * two_class_spatial_message(qv, cfg.sigma)
     if guidance is not None and w_bil > 0:
-        weights = crf.bilateral_weights(guidance, cfg, valid)
+        weights = slice_bilateral_weights(guidance, cfg, valid)
         message += w_bil * two_class_bilateral_message(qv, weights)
     energy = np.einsum("ab,bhw->ahw", cfg.compatibility, message)
     return class_softmax(-unary - energy)
