@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 
+from .config import build_config, read_json
 from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .folds import site_strat_vector, stratified_kfold, uniform_kfold
@@ -41,14 +42,6 @@ from .raster.sites import filter_sites, read_sites_csv
 from .raster.tiling import load_plan, save_plan, stitch, tile_plan
 
 logger = logging.getLogger(__name__)
-
-
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_sites(path: str, period: str | None) -> list:
@@ -96,13 +89,9 @@ def _cmd_lamap(args) -> None:
     if not positives:
         raise DataError("no positive sites to model")
     bands = _parse_band_list(stack, args.bands) if args.bands else None
-    try:
-        cfg = LamapConfig(
-            catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=bands
-        )
-    except DataError as exc:
-        # Its range checks raise DataError; here they judge flag values.
-        raise ConfigError(f"bad lamap option: {exc}") from exc
+    cfg = LamapConfig(
+        catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=bands
+    )
     models = build_site_models(stack, positives, cfg)
     save_raster(lamap_surface(stack, models, cfg), args.out)
 
@@ -126,14 +115,8 @@ def _cmd_crf_refine(args) -> None:
 
 def _cmd_pseudolabel(args) -> None:
     pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
-    cfg_args = _read_json(args.config) if args.config else {}
-    if not isinstance(cfg_args, dict):
-        raise ConfigError("pseudolabel config must be a JSON object")
-    cfg_args.setdefault("rng_seed", args.seed)
-    try:
-        cfg = DplConfig(**cfg_args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad pseudolabel config: {exc}") from exc
+    doc = read_json(args.config, ConfigError) if args.config else {}
+    cfg = build_config(DplConfig, doc, "dpl", rng_seed=args.seed)
     labeled = None
     if args.labels:
         labeled = (pair.y1, pair.y2, load_raster(args.labels))
@@ -189,7 +172,7 @@ def _cmd_evaluate(args) -> None:
         surface, sites, n_bins=args.bins, metadata={"period": args.period}
     )
     if args.baseline_report:
-        baseline = MetricsReport.from_dict(_read_json(args.baseline_report))
+        baseline = MetricsReport.from_dict(read_json(args.baseline_report, ConfigError))
         report.volume_gain = volume_gain(report, baseline)
         report.baseline_name = baseline.metadata.get("surface") or "baseline"
     write_json(args.out, report.to_dict())

@@ -41,13 +41,13 @@ memory on large frames; it does so by default.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import build_config, read_json
 from .errors import ConfigError, DataError, DimensionError
 from .raster.grid import RasterGrid
 
@@ -117,29 +117,9 @@ class CrfConfig:
 
     @staticmethod
     def from_json(source: str | os.PathLike | dict) -> "CrfConfig":
-        """Build a config from a dict or a JSON file path."""
-        if isinstance(source, dict):
-            doc = source
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                try:
-                    doc = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("refinement config must be a JSON object")
-        # The compatibility matrix stays Potts for JSON configs.
-        known = {f.name for f in fields(CrfConfig)} - {"compatibility"}
-        kwargs = {}
-        for key, value in doc.items():
-            name = _CONFIG_ALIASES.get(key, key)
-            if name not in known:
-                raise ConfigError(f"unknown refinement option '{key}'")
-            kwargs[name] = value
-        try:
-            return CrfConfig(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad refinement option: {exc}") from exc
+        """Build a config from a JSON object or the path of a JSON file."""
+        doc = read_json(source, ConfigError) if isinstance(source, (str, os.PathLike)) else source
+        return build_config(CrfConfig, doc, "crf", _CONFIG_ALIASES)
 
 
 def unary_potentials(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

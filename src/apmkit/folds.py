@@ -10,11 +10,11 @@ uniform splitter is provided as the baseline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import read_json
 from .errors import ConfigError, DataError, EmptyInputError
 from .raster.grid import RasterGrid, write_json
 from .raster.sites import SiteRecord
@@ -125,8 +125,7 @@ class FoldAssignment:
 
     @staticmethod
     def load(path) -> "FoldAssignment":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path, DataError)
         return FoldAssignment(
             k=int(doc["k"]),
             assignment={k: int(v) for k, v in doc["assignment"].items()},

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError
+from .errors import ConfigError, DataError, EmptyInputError
 from .raster.grid import RasterGrid
 from .raster.sites import SiteRecord
 
@@ -82,11 +82,9 @@ class LamapConfig:
 
     def __post_init__(self) -> None:
         if self.catchment_radius < 0:
-            raise DataError(f"catchment_radius must be >= 0, got {self.catchment_radius}")
+            raise ConfigError(f"catchment_radius must be >= 0, got {self.catchment_radius}")
         if self.kernel_bandwidth <= 0:
-            raise DataError(f"kernel_bandwidth must be > 0, got {self.kernel_bandwidth}")
-        if self.bands is not None:
-            self.bands = tuple(int(b) for b in self.bands)
+            raise ConfigError(f"kernel_bandwidth must be > 0, got {self.kernel_bandwidth}")
 
 
 @dataclass(frozen=True)

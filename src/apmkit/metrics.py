@@ -223,7 +223,7 @@ def bin_analysis(
     ``|mean_score - positive_ratio|``.
     """
     if n_bins < 1:
-        raise DataError(f"n_bins must be >= 1, got {n_bins}")
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     counts = np.zeros(n_bins, dtype=np.int64)
     score_sums = np.zeros(n_bins, dtype=np.float64)
     pos_counts = np.zeros(n_bins, dtype=np.int64)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import module_rng
+from .config import build_config, config_values, read_json
 from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
@@ -68,24 +69,29 @@ STAGES = ("features", "labels", "lamap", "crf", "pseudolabel", "evaluate")
 _RETIRED_KEYS = ("tile_size", "overlap", "threads")
 
 
+# Metadata of the fields read from the config's "inputs" object.
+_INPUT = {"input": True}
+
+
 @dataclass
 class PipelineConfig:
     """Validated run configuration.
 
-    Attributes mirror the JSON schema; see ``from_json``. Only the stages
-    listed in ``stages`` run, in canonical order.
+    Attributes mirror the JSON schema; see ``from_json``. The fields
+    marked ``_INPUT`` sit in the document's ``inputs`` object. Only the
+    stages listed in ``stages`` run, in canonical order.
     """
 
-    output_dir: str
-    stages: tuple[str, ...]
+    output_dir: str = ""
+    stages: tuple[str, ...] = ()
     seed: int = 0
-    dem: str | None = None
-    stack: str | None = None
-    sites: str | None = None
-    branch1: str | None = None
-    branch2: str | None = None
-    logits: str | None = None
-    historical_targets: tuple[str, ...] = ()
+    dem: str | None = field(default=None, metadata=_INPUT)
+    stack: str | None = field(default=None, metadata=_INPUT)
+    sites: str | None = field(default=None, metadata=_INPUT)
+    branch1: str | None = field(default=None, metadata=_INPUT)
+    branch2: str | None = field(default=None, metadata=_INPUT)
+    logits: str | None = field(default=None, metadata=_INPUT)
+    historical_targets: tuple[str, ...] = field(default=(), metadata=_INPUT)
     period: str | None = None
     label_radius: float = DEFAULT_LABEL_RADIUS
     lamap: LamapConfig = field(default_factory=LamapConfig)
@@ -105,6 +111,10 @@ class PipelineConfig:
             raise ConfigError("no stages requested")
         # Keep canonical order regardless of listing order.
         self.stages = tuple(s for s in STAGES if s in stages)
+        if self.label_radius < 0:
+            raise ConfigError(f"label_radius must be >= 0, got {self.label_radius}")
+        if self.step < 0:
+            raise ConfigError(f"step must be >= 0, got {self.step}")
         self._require_inputs()
 
     def _require_inputs(self) -> None:
@@ -147,117 +157,44 @@ class PipelineConfig:
     def from_json(source: str | os.PathLike | dict) -> "PipelineConfig":
         """Load and validate a config document (path or dict).
 
-        The ``lamap``, ``crf`` and ``dpl`` sections are built into their
-        config objects here, so a bad key or value fails before any stage
+        Every key and value is checked here, the ``lamap``, ``crf`` and
+        ``dpl`` sections included, so a bad one fails before any stage
         runs. The retired keys ``tile_size``, ``overlap`` and ``threads``
         are accepted and ignored with a warning.
         """
-        if isinstance(source, dict):
-            doc = dict(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                try:
-                    doc = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
+        doc = read_json(source, ConfigError) if isinstance(source, (str, os.PathLike)) else source
         if not isinstance(doc, dict):
-            raise ConfigError("pipeline config must be a JSON object")
-        inputs = doc.get("inputs", {})
-        if not isinstance(inputs, dict):
-            raise ConfigError("'inputs' must be an object")
-        known = {
-            "output_dir", "stages", "seed", "inputs", "period", "label_radius",
-            "lamap", "crf", "dpl", "step",
-        }
-        for key in doc:
-            if key not in known and key not in _RETIRED_KEYS:
-                raise ConfigError(f"unknown config key '{key}'")
+            raise ConfigError("config must be an object")
         retired = [key for key in _RETIRED_KEYS if key in doc]
         if retired:
             logger.warning(
                 "ignoring retired config keys %s: the crf stage refines the whole frame",
                 ", ".join(retired),
             )
-        known_inputs = {
-            "dem", "stack", "sites", "branch1", "branch2", "logits",
-            "historical_targets",
-        }
-        for key in inputs:
-            if key not in known_inputs:
-                raise ConfigError(f"unknown input key '{key}'")
-        try:
-            seed = int(doc.get("seed", 0))
-            return PipelineConfig(
-                output_dir=doc.get("output_dir", ""),
-                stages=tuple(doc.get("stages", [])),
-                seed=seed,
-                dem=inputs.get("dem"),
-                stack=inputs.get("stack"),
-                sites=inputs.get("sites"),
-                branch1=inputs.get("branch1"),
-                branch2=inputs.get("branch2"),
-                logits=inputs.get("logits"),
-                historical_targets=tuple(inputs.get("historical_targets", [])),
-                period=doc.get("period"),
-                label_radius=float(doc.get("label_radius", DEFAULT_LABEL_RADIUS)),
-                lamap=LamapConfig(**_section(doc, "lamap", LamapConfig)),
-                # CrfConfig.from_json checks the keys; it knows their aliases.
-                crf=CrfConfig.from_json(_section(doc, "crf")),
-                dpl=DplConfig(**{"rng_seed": seed, **_section(doc, "dpl", DplConfig)}),
-                step=int(doc.get("step", 0)),
-            )
-        except (TypeError, ValueError, DataError) as exc:
-            # Nothing is read here, so a DataError (LamapConfig's range
-            # checks) is a bad config value too.
-            raise ConfigError(f"bad config value: {exc}") from exc
+        top = {k: v for k, v in doc.items() if k not in retired}
+        sections = {name: top.pop(name, {}) for name in ("inputs", "lamap", "crf", "dpl")}
+        values = config_values(PipelineConfig, top, "config", names=_TOP_KEYS)
+        inputs = config_values(PipelineConfig, sections["inputs"], "input", names=_INPUT_KEYS)
+        return build_config(
+            PipelineConfig, {}, "config", **values, **inputs,
+            lamap=build_config(LamapConfig, sections["lamap"], "lamap"),
+            crf=CrfConfig.from_json(sections["crf"]),
+            dpl=build_config(DplConfig, sections["dpl"], "dpl", rng_seed=values.get("seed", 0)),
+        )
 
     def canonical_dict(self) -> dict:
-        return {
-            "output_dir": self.output_dir,
-            "stages": list(self.stages),
-            "seed": self.seed,
-            "inputs": {
-                "dem": self.dem,
-                "stack": self.stack,
-                "sites": self.sites,
-                "branch1": self.branch1,
-                "branch2": self.branch2,
-                "logits": self.logits,
-                "historical_targets": list(self.historical_targets),
-            },
-            "period": self.period,
-            "label_radius": self.label_radius,
-            "lamap": _plain(self.lamap),
-            "crf": _plain(self.crf),
-            "dpl": _plain(self.dpl),
-            "step": self.step,
-        }
+        doc = dataclasses.asdict(self)
+        doc["inputs"] = {name: doc.pop(name) for name in _INPUT_KEYS}
+        doc["crf"]["compatibility"] = self.crf.compatibility.tolist()
+        return doc
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
 
-def _section(doc: dict, name: str, cls: type | None = None) -> dict:
-    """The ``name`` object of a config document, its keys checked against
-    the fields of ``cls`` when given."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' must be an object")
-    if cls is not None:
-        names = {f.name for f in dataclasses.fields(cls)}
-        for key in section:
-            if key not in names:
-                raise ConfigError(f"unknown {name} option '{key}'")
-    return section
-
-
-def _plain(sub) -> dict:
-    """A sub-config's fields as JSON values."""
-    return {
-        k: v.tolist() if isinstance(v, np.ndarray) else v
-        for k, v in dataclasses.asdict(sub).items()
-    }
+_INPUT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if f.metadata.get("input")]
+_TOP_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if not f.metadata.get("input")]
 
 
 def build_feature_stack(

@@ -131,7 +131,7 @@ def combine(
             raise ConfigError("combine: alpha=None requires a random generator")
         alpha = float(rng.uniform())
     if not 0.0 <= alpha <= 1.0:
-        raise DataError(f"alpha must be in [0, 1], got {alpha}")
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     a = np.float32(alpha)
     mixed = a * pair.y1.data + (np.float32(1.0) - a) * pair.y2.data
     mask = pair.y1.nodata_mask | pair.y2.nodata_mask
@@ -360,6 +360,8 @@ def dpl_objective(
         ``cfg.confidence_tau`` are excluded from the pseudolabel term; a
         batch with no confident pixel contributes zero.
     """
+    if step < 0:
+        raise ConfigError(f"step must be >= 0, got {step}")
     if labeled is None and not unlabeled:
         raise DataError("objective needs a labeled triple or unlabeled pairs")
     if alphas is not None and len(alphas) != len(unlabeled):

@@ -18,12 +18,12 @@ on its own.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
 import numpy as np
 
+from ..config import read_json
 from ..errors import DataError, EmptyInputError
 from .grid import RasterGrid
 
@@ -149,16 +149,18 @@ def rasterize_lines(
 
 
 def load_targets(path: str | os.PathLike) -> tuple[list, list]:
-    """Load a JSON targets file: ``{"points": [[x, y], ...], "lines": [...]}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    """Load a JSON targets file: ``{"points": [[x, y], ...], "lines": [...]}``.
+
+    A file of any other shape raises DataError.
+    """
+    doc = read_json(path, DataError)
     if not isinstance(doc, dict):
         raise DataError(f"{path}: targets file must hold a JSON object")
-    points = [tuple(map(float, p)) for p in doc.get("points", [])]
-    lines = [[tuple(map(float, v)) for v in ln] for ln in doc.get("lines", [])]
+    try:
+        points = [(float(x), float(y)) for x, y in doc.get("points", [])]
+        lines = [[(float(x), float(y)) for x, y in ln] for ln in doc.get("lines", [])]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed targets: {exc}") from exc
     return points, lines
 
 

@@ -260,8 +260,9 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
     Raises:
         DataError: on a bad magic, a truncated file, bytes after the
             payload, or a header that lacks a required key, holds a size
-            below 1, a geotransform that is not four numbers, a band-name
-            list of the wrong length, or a nodata or meta of the wrong type.
+            that is not an integer of at least 1, a geotransform that is
+            not four numbers, a band-name list of the wrong length, or a
+            nodata or meta of the wrong type.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -283,11 +284,9 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise DataError(f"{path}: header lacks {', '.join(missing)}")
-        try:
-            width, height, bands = (int(header[k]) for k in ("width", "height", "bands"))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: corrupt header: {exc}") from exc
-        if min(width, height, bands) < 1:
+        width, height, bands = (header[k] for k in ("width", "height", "bands"))
+        sizes = (width, height, bands)
+        if any(type(v) is not int for v in sizes) or min(sizes) < 1:
             raise DataError(f"{path}: bad size {bands}x{height}x{width} in header")
         geotransform = header["geotransform"]
         if not (
@@ -302,12 +301,14 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
         nodata, meta = header.get("nodata"), header.get("meta", {})
         if not (nodata is None or _is_number(nodata)) or not isinstance(meta, dict):
             raise DataError(f"{path}: nodata must be a number or null and meta an object")
+        # Sized against the file, so a corrupt size never becomes a huge read.
         count = bands * height * width
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < 4 * count:
             raise DataError(f"{path}: truncated payload")
-        if fh.read(1):
+        if left > 4 * count:
             raise DataError(f"{path}: bytes after the {bands}x{height}x{width} payload")
+        payload = fh.read()
     data = np.frombuffer(payload, dtype="<f4").reshape(bands, height, width)
     data = data.astype(np.float32)
     if nodata is None:

@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError
 from .grid import RasterGrid
 from .sites import SiteRecord
 
@@ -32,7 +32,7 @@ def rasterize_labels(
     the raster extent are skipped with a logged warning.
     """
     if radius < 0:
-        raise DataError(f"label radius must be >= 0, got {radius}")
+        raise ConfigError(f"label radius must be >= 0, got {radius}")
     pos = np.zeros(grid.shape, dtype=bool)
     neg = np.zeros(grid.shape, dtype=bool)
     for site in sites:

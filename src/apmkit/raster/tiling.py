@@ -10,12 +10,12 @@ always covers the full frame.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..config import read_json
 from ..errors import ConfigError, DataError, DimensionError
 from .grid import RasterGrid, write_json
 
@@ -229,11 +229,7 @@ def load_plan(path) -> tuple[list[TileWindow], tuple[int, int], tuple[float, flo
     Returns:
         (windows, (height, width), geotransform).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid plan JSON: {exc}") from exc
+    doc = read_json(path, DataError)
     try:
         shape = (int(doc["height"]), int(doc["width"]))
         gt = tuple(float(v) for v in doc["geotransform"])

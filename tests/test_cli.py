@@ -434,6 +434,105 @@ class TestRunAndErrors:
         assert list((ws / "out").glob("*")) == []
 
     @pytest.mark.parametrize(
+        "patch",
+        [
+            {"inputs": {"dem": 5}},
+            {"output_dir": 7},
+            {"inputs": {"historical_targets": "roads.json"}},
+            {"crf": {"compress_guidance": "no"}},
+            {"crf": {"iterations": 5.5}},
+            {"lamap": {"bands": [0.5]}},
+            {"seed": 1.7},
+            {"seed": "1"},
+            {"step": "3"},
+            {"label_radius": "3"},
+            {"label_radius": -4},
+            {"step": -3},
+            {"stages": "features"},
+            {"stages": [["features"]]},
+        ],
+        ids=lambda patch: json.dumps(patch),
+    )
+    def test_mistyped_value_fails_before_any_stage(self, ws, capsys, patch):
+        doc = {
+            "output_dir": str(ws / "out"),
+            "stages": ["derive-features", "lamap", "crf", "pseudolabel"],
+            "inputs": {
+                "dem": str(ws / "dem.grid"),
+                "sites": str(ws / "sites.csv"),
+                "branch1": str(ws / "branch1.grid"),
+                "branch2": str(ws / "branch2.grid"),
+            },
+        }
+        for key, value in patch.items():
+            both_objects = isinstance(value, dict) and isinstance(doc.get(key), dict)
+            doc[key] = {**doc[key], **value} if both_objects else value
+        (ws / "out").mkdir()
+        cfg_path = ws / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list((ws / "out").glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rasterize-labels", "--grid", "{dem}", "--sites", "{sites}", "--radius", "-1",
+             "--out", "{out}"],
+            ["split-folds", "--sites", "{sites}", "--stack", "{dem}", "--catchment", "-1",
+             "--out", "{out}"],
+            ["evaluate", "--pred", "{branch1}", "--sites", "{sites}", "--bins", "0",
+             "--out", "{out}"],
+            ["pseudolabel", "--branch1", "{branch1}", "--branch2", "{branch2}",
+             "--alpha", "2", "--out-raster", "{out}", "--out-json", "{out}.json"],
+            ["pseudolabel", "--branch1", "{branch1}", "--branch2", "{branch2}",
+             "--step", "-5", "--out-raster", "{out}", "--out-json", "{out}.json"],
+        ],
+        ids=[
+            "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
+            "pseudolabel-alpha", "pseudolabel-step",
+        ],
+    )
+    def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):
+        paths = {
+            "dem": ws / "dem.grid", "sites": ws / "sites.csv", "branch1": ws / "branch1.grid",
+            "branch2": ws / "branch2.grid", "out": ws / "out" / "result",
+        }
+        (ws / "out").mkdir()
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list((ws / "out").glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "targets", [{"points": [["a", 1]]}, {"points": 5}, {"lines": [[1, 2]]}],
+        ids=["point-string", "points-number", "vertex-number"],
+    )
+    @pytest.mark.parametrize("command", ["distance-map", "derive-features", "run"])
+    def test_malformed_targets_is_data_error(self, ws, capsys, targets, command):
+        bad = ws / "bad_targets.json"
+        bad.write_text(json.dumps(targets))
+        out = ws / "out"
+        if command == "distance-map":
+            argv = ["distance-map", "--grid", str(ws / "dem.grid"), "--targets", str(bad),
+                    "--out", str(out / "d.grid")]
+        elif command == "derive-features":
+            argv = ["derive-features", "--dem", str(ws / "dem.grid"), "--targets", str(bad),
+                    "--out", str(out / "s.grid")]
+        else:
+            cfg_path = ws / "cfg.json"
+            cfg_path.write_text(json.dumps({
+                "output_dir": str(out),
+                "stages": ["features"],
+                "inputs": {"dem": str(ws / "dem.grid"), "historical_targets": [str(bad)]},
+            }))
+            argv = ["run", "--config", str(cfg_path)]
+        out.mkdir()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "bad_targets.json" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize(
         "key,value",
         [
             ("width", None),

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from apmkit.errors import DataError
+from apmkit.errors import ConfigError
 from apmkit.raster.labels import rasterize_labels
 from apmkit.raster.sites import SiteRecord
 
@@ -68,7 +68,7 @@ def test_outside_site_warns_and_skips(make_grid, caplog):
 
 def test_negative_radius_rejected(make_grid):
     g = make_grid(np.zeros((4, 4)))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         rasterize_labels(g, [], radius=-1.0)
 
 

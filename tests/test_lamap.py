@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from apmkit.errors import DataError, EmptyInputError
+from apmkit.errors import ConfigError, DataError, EmptyInputError
 from apmkit.lamap import (
     Ecdf,
     LamapConfig,
@@ -354,9 +354,9 @@ class TestSurfaceWrapper:
         )
 
     def test_config_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             LamapConfig(catchment_radius=-1.0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             LamapConfig(kernel_bandwidth=0.0)
 
 

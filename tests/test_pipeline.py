@@ -1,6 +1,7 @@
 """Configured batch runs: staging, artifacts and reproducibility."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,51 @@ class TestConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             PipelineConfig.from_json(path)
+
+    def test_readme_example_and_minimal_config_keep_their_hash(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        assert PipelineConfig.from_json(example).config_hash() == (
+            "d589001bccfa7c2a6a0df161badab8e9b0e784afedcb081683e541b1ccf6aa87"
+        )
+        minimal = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
+        assert PipelineConfig.from_json(minimal).config_hash() == (
+            "3dd383fe3692eca96648d71bf146fabea0f3141dff541cf56d70f1dd180f498e"
+        )
+
+    def test_integer_literal_in_float_field_is_stored_as_float(self):
+        base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
+        cfg = PipelineConfig.from_json({**base, "crf": {"sigma": 3}, "label_radius": 2})
+        assert type(cfg.crf.sigma) is float and cfg.crf.sigma == 3.0
+        assert type(cfg.label_radius) is float
+        as_float = PipelineConfig.from_json({**base, "crf": {"sigma": 3.0}, "label_radius": 2.0})
+        assert cfg.config_hash() == as_float.config_hash()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dem": "d"},
+            {"inputs": {"seed": 1}},
+            {"inputs": ["d"]},
+            {"seed": True},
+            {"period": 1},
+            {"lamap": {"bands": "0"}},
+            {"crf": {"pairwise_weights": [1.0]}},
+            {"crf": {"sigma": float("nan")}},
+            {"dpl": {"class_weights": [1, "2"]}},
+            {"dpl": {"rng_seed": 0.5}},
+        ],
+    )
+    def test_wrong_key_place_or_type_is_config_error(self, doc):
+        base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_json({**base, **doc})
+
+    def test_dpl_seed_follows_run_seed_unless_set(self):
+        base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}, "seed": 9}
+        assert PipelineConfig.from_json(base).dpl.rng_seed == 9
+        cfg = PipelineConfig.from_json({**base, "dpl": {"rng_seed": 2}})
+        assert cfg.dpl.rng_seed == 2
 
 
 class TestFeatureStack:

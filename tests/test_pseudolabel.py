@@ -86,7 +86,7 @@ class TestCombine:
 
     def test_alpha_range(self, make_grid):
         pair = pair_of(make_grid, np.zeros((3, 3)), np.ones((3, 3)))
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             combine(pair, alpha=1.5)
 
     def test_mask_union(self, make_grid, rng):
