@@ -125,16 +125,20 @@ class FoldAssignment:
 
     @staticmethod
     def load(path) -> "FoldAssignment":
+        """Read a file written by :meth:`save`; any other shape raises DataError."""
         doc = read_json(path, DataError)
-        return FoldAssignment(
-            k=int(doc["k"]),
-            assignment={k: int(v) for k, v in doc["assignment"].items()},
-            strategy=doc.get("strategy", "unknown"),
-            seed=int(doc.get("seed", 0)),
-            imbalance=doc.get("imbalance"),
-            fold_means=doc.get("fold_means"),
-            metadata=dict(doc.get("metadata", {})),
-        )
+        try:
+            return FoldAssignment(
+                k=int(doc["k"]),
+                assignment={k: int(v) for k, v in doc["assignment"].items()},
+                strategy=doc.get("strategy", "unknown"),
+                seed=int(doc.get("seed", 0)),
+                imbalance=doc.get("imbalance"),
+                fold_means=doc.get("fold_means"),
+                metadata=dict(doc.get("metadata", {})),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"{path}: malformed fold assignment: {exc}") from exc
 
 
 def _check_split_args(n_sites: int, k: int) -> None:

@@ -407,8 +407,11 @@ def evaluate_surface(
     the smoothed curve, which only :func:`emit_surface_products` builds.
 
     Raises:
+        ConfigError: when ``n_bins`` is below 1, whatever the sites hold.
         DataError: when no site can be sampled from the surface.
     """
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     report = _site_metrics(surface, sites, n_bins, metadata)
     scores = surface.band(0)[~surface.nodata_mask]
     report.density_histogram = [float(v) for v in density_histogram(scores)]

@@ -7,12 +7,23 @@ of Sampled Functions", Theory of Computing 2012): an index sweep along
 columns followed by a parabolic envelope along rows, which is exact (no
 chamfer approximation).
 
-The envelope runs over all rows at once. It walks the columns twice,
-keeping per-row state: the apex columns ``v`` (int32, H x W) and the
-breakpoints ``z`` (float64, H x (W + 1)), about 12 bytes per pixel on top
-of the input and output. Each column step touches only the rows that
-still need to pop a parabola (first walk) or advance to the next one
-(second walk); every row gets the same float64 formulas it would get
+The envelope runs over all rows at once, in two walks over per-row state:
+the apex columns ``v`` (int32) and the breakpoints ``z`` (float64), each
+one flat array with slot ``j`` of row ``r`` at ``r * width + j``: 12 bytes
+per pixel on top of the input and output.
+
+- The build walk goes column by column. Three vectors hold each row's top
+  parabola (``f[v] + p * p``, ``2 * p`` and its left breakpoint), so the
+  first pop test for every row is contiguous arithmetic; only the rows
+  that pop go on to read deeper slots, through flat indices.
+- The evaluation walk has no column loop. The parabola row ``r`` uses at
+  column ``i`` is the number of its breakpoints strictly below ``x_i``:
+  one ``searchsorted`` of the breakpoints against the column positions
+  and a per-row cumulative count. It runs over blocks of rows of about
+  ``_BLOCK_ELEMENTS`` pixels, so its temporaries stay near 2 MB whatever
+  the frame.
+
+Every row gets the same float64 formulas, in the same order, as it would
 on its own.
 """
 
@@ -27,6 +38,9 @@ from ..config import read_json
 from ..errors import DataError, EmptyInputError
 from .grid import RasterGrid
 
+# Pixels per row block of the envelope's evaluation walk.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _lower_envelope_rows(f: np.ndarray, spacing: float) -> np.ndarray:
     """Squared-distance transform of every row of ``f`` at once.
@@ -35,47 +49,98 @@ def _lower_envelope_rows(f: np.ndarray, spacing: float) -> np.ndarray:
     Entries with ``f[r, j] = inf`` contribute no parabola; a row with no
     finite entry stays ``inf``. Each row keeps its own envelope in
     ``k`` (index of its last parabola), ``v`` (parabola apexes) and ``z``
-    (breakpoints); the column walks update only the rows that still need
-    to pop or advance.
+    (breakpoints); ``v`` and ``z`` are flat, slot ``j`` of row ``r`` at
+    ``r * width + j``.
     """
     height, width = f.shape
-    k = np.full(height, -1, dtype=np.int32)
-    v = np.zeros((height, width), dtype=np.int32)
-    z = np.zeros((height, width + 1))
-    s = np.zeros(height)
+    f_flat = f.reshape(-1)
+    row0 = np.arange(height) * width
+    k = np.full(height, -1)
+    v = np.empty(height * width, dtype=np.int32)
+    z = np.empty(height * width)
+    # The top parabola of each row's stack: f[v] + p * p, 2 * p and its
+    # left breakpoint. An empty stack never pops: its breakpoint is -inf,
+    # and its apex sits left of column 0, so the test divides by a
+    # positive number.
+    top_g = np.zeros(height)
+    top_2p = np.full(height, -2.0)
+    top_z = np.full(height, -np.inf)
     for i in range(width):
         fi = f[:, i]
-        rows = np.flatnonzero(np.isfinite(fi))
+        finite = np.isfinite(fi)
+        rows = np.flatnonzero(finite)
         if rows.size == 0:
             continue
         q = i * spacing
-        pop = rows[k[rows] >= 0]
-        while pop.size:
-            kp = k[pop]
-            vk = v[pop, kp]
+        two_q = 2.0 * q
+        g = fi + q * q
+        s = (g - top_g) / (two_q - top_2p)
+        popping = s <= top_z
+        if rows.size == height:
+            # Every row takes part (as after the column sweep): basic
+            # slicing instead of fancy indexing below.
+            rows = slice(None)
+        else:
+            popping &= finite
+        pop = np.flatnonzero(popping)
+        # The popping rows drop their top and test the slot under it.
+        kp = k[pop] - 1
+        while True:
+            k[pop] = kp
+            live = kp >= 0
+            pop = pop[live]
+            if pop.size == 0:
+                break
+            kp = kp[live]
+            base = row0[pop]
+            at = base + kp
+            vk = v[at]
             p = vk * spacing
-            sp = ((fi[pop] + q * q) - (f[pop, vk] + p * p)) / (2.0 * q - 2.0 * p)
+            sp = (g[pop] - (f_flat[base + vk] + p * p)) / (two_q - 2.0 * p)
             s[pop] = sp
-            pop = pop[sp <= z[pop, kp]]
-            k[pop] -= 1
-            pop = pop[k[pop] >= 0]
+            keep = sp <= z[at]
+            pop = pop[keep]
+            kp = kp[keep] - 1
         kr = k[rows] + 1
         k[rows] = kr
-        v[rows, kr] = i
-        z[rows, kr] = np.where(kr == 0, -np.inf, s[rows])
-        z[rows, kr + 1] = np.inf
+        at = row0[rows] + kr
+        v[at] = i
+        zr = np.where(kr == 0, -np.inf, s[rows])
+        z[at] = zr
+        top_g[rows] = g[rows]
+        top_2p[rows] = two_q
+        top_z[rows] = zr
+    # Row r uses parabola j at column i, where j counts the breakpoints
+    # z[r, 1..k] strictly below x_i: breakpoint z counts from column
+    # searchsorted(xs, z, "right") on. Rows go in blocks of about
+    # _BLOCK_ELEMENTS pixels to bound the temporaries.
     out = np.full((height, width), np.inf)
+    xs = np.arange(width) * spacing
+    slots = np.arange(1, width)
     live = np.flatnonzero(k >= 0)
-    j = np.zeros(height, dtype=np.int32)
-    for i in range(width):
-        x = i * spacing
-        step = live
-        while step.size:
-            step = step[z[step, j[step] + 1] < x]
-            j[step] += 1
-        vj = v[live, j[live]]
-        p = vj * spacing
-        out[live, i] = (x - p) ** 2 + f[live, vj]
+    block = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, live.size, block):
+        rows = live[start : start + block]
+        kr = k[rows]
+        base = row0[rows, None]
+        held = (base + slots)[slots <= kr[:, None]]
+        first = np.searchsorted(xs, z[held], side="right")
+        del held
+        first += np.repeat(np.arange(0, rows.size * (width + 1), width + 1), kr)
+        j = np.bincount(first, minlength=rows.size * (width + 1))
+        del first
+        j = j.reshape(rows.size, width + 1)[:, :width].cumsum(axis=1)
+        # (x - p) ** 2 + f[r, v_j], in place: j turns into the flat index
+        # of the slot, then of the apex pixel.
+        j += base
+        vj = v[j]
+        d = vj * spacing
+        np.subtract(xs, d, out=d)
+        np.square(d, out=d)
+        np.add(vj, base, out=j)
+        del vj
+        d += f_flat[j]
+        out[rows] = d
     return out
 
 

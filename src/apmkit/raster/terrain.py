@@ -158,12 +158,20 @@ def flow_accumulation(
     in-degrees by the run lengths; no step of a wave touches the whole
     frame. Accumulations are integer counts held in float64, so the order
     of the sums does not matter. Invalid cells take no part.
+
+    The frame-sized arrays are small: targets are int32 on frames of fewer
+    than 2**31 cells and in-degrees (at most 8) int8. The wave's cell
+    indices stay intp, because numpy converts any other fancy index to
+    intp on every use, which costs more than it saves on the many small
+    waves.
     """
     height, width = values.shape
+    index = np.int32 if values.size < 2**31 else np.int64
     target = d8_flow_targets(values, valid, pixel_size_x, pixel_size_y).ravel()
+    target = target.astype(index)
     acc = np.where(valid, 1.0, 0.0).ravel()
     # A pit's -1 lands in bin 0, which the slice drops.
-    indegree = np.bincount(target + 1, minlength=target.size + 1)[1:]
+    indegree = np.bincount(target + 1, minlength=target.size + 1)[1:].astype(np.int8)
     frontier = np.flatnonzero((indegree == 0) & (target >= 0))
     while frontier.size:
         dest = target[frontier]
@@ -173,7 +181,7 @@ def flow_accumulation(
         run_start[0] = True
         np.not_equal(dest[1:], dest[:-1], out=run_start[1:])
         starts = np.flatnonzero(run_start)
-        heads = dest[starts]
+        heads = dest[starts].astype(np.intp)
         acc[heads] += np.add.reduceat(acc[frontier[order]], starts)
         indegree[heads] -= np.diff(starts, append=dest.size)
         ready = heads[indegree[heads] == 0]

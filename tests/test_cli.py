@@ -291,6 +291,23 @@ class TestEvaluate:
         assert err.startswith("apmkit: error: report ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_zero_bins_is_config_error_with_positives_only(self, tmp_path, capsys):
+        # With one labeled class no bins are computed, so the flag's range
+        # must be checked before the sites are looked at.
+        save_raster(synth_prob(3, 8, 8), tmp_path / "prob.grid")
+        write_sites_csv(tmp_path / "sites.csv", [
+            SiteRecord("p1", 2.5, -2.5, "Roman Imperial", "positive", 1),
+            SiteRecord("p2", 5.5, -6.5, "Roman Imperial", "positive", 2),
+        ])
+        out = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--pred", str(tmp_path / "prob.grid"),
+            "--sites", str(tmp_path / "sites.csv"), "--bins", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert "n_bins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_baseline_without_radar_value_is_data_error(self, ws, capsys):
         base_path = ws / "base.json"
         base_path.write_text(json.dumps({"metrics": {**self.GOOD_METRICS, "iou": None}}))

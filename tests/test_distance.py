@@ -1,11 +1,13 @@
 """Exact Euclidean distance transform and target distance maps."""
 
 import json
+from math import inf
 
 import numpy as np
 import pytest
 
 from apmkit.errors import DataError, EmptyInputError
+from apmkit.raster import distance
 from apmkit.raster.distance import (
     _lower_envelope_rows,
     distance_map,
@@ -137,6 +139,193 @@ class TestEqualsPerRowEnvelope:
         target = _seeded_mask((60, 70), 0.01, 8)
         got = distance_to_mask(target, 0.3, 0.7)
         np.testing.assert_array_max_ulp(got, reference_distance(target, 0.3, 0.7), 1)
+
+
+def column_walk_envelope(f, spacing):
+    """The all-rows envelope that walked every column twice with 2-D indexing."""
+    height, width = f.shape
+    k = np.full(height, -1, dtype=np.int32)
+    v = np.zeros((height, width), dtype=np.int32)
+    z = np.zeros((height, width + 1))
+    s = np.zeros(height)
+    for i in range(width):
+        fi = f[:, i]
+        rows = np.flatnonzero(np.isfinite(fi))
+        if rows.size == 0:
+            continue
+        q = i * spacing
+        pop = rows[k[rows] >= 0]
+        while pop.size:
+            kp = k[pop]
+            vk = v[pop, kp]
+            p = vk * spacing
+            sp = ((fi[pop] + q * q) - (f[pop, vk] + p * p)) / (2.0 * q - 2.0 * p)
+            s[pop] = sp
+            pop = pop[sp <= z[pop, kp]]
+            k[pop] -= 1
+            pop = pop[k[pop] >= 0]
+        kr = k[rows] + 1
+        k[rows] = kr
+        v[rows, kr] = i
+        z[rows, kr] = np.where(kr == 0, -np.inf, s[rows])
+        z[rows, kr + 1] = np.inf
+    out = np.full((height, width), np.inf)
+    live = np.flatnonzero(k >= 0)
+    j = np.zeros(height, dtype=np.int32)
+    for i in range(width):
+        x = i * spacing
+        step = live
+        while step.size:
+            step = step[z[step, j[step] + 1] < x]
+            j[step] += 1
+        vj = v[live, j[live]]
+        p = vj * spacing
+        out[live, i] = (x - p) ** 2 + f[live, vj]
+    return out
+
+
+def column_walk_distance(target, dx, dy):
+    """``distance_to_mask`` with the column-walk envelope."""
+    height, _ = target.shape
+    steps = np.where(target, 0.0, np.inf)
+    for r in range(1, height):
+        steps[r] = np.minimum(steps[r], steps[r - 1] + 1.0)
+    for r in range(height - 2, -1, -1):
+        steps[r] = np.minimum(steps[r], steps[r + 1] + 1.0)
+    sq = np.where(np.isfinite(steps), (steps * abs(dy)) ** 2, np.inf)
+    return np.sqrt(column_walk_envelope(sq, dx))
+
+
+def _gappy_rows(shape, density, seed, scale=40.0):
+    """Rounded values (so ties occur) with inf gaps at the given density."""
+    rng = np.random.default_rng(seed)
+    f = np.round(rng.uniform(0.0, scale, size=shape))
+    f[rng.random(shape) < density] = np.inf
+    return f
+
+
+def _edges_and_ties():
+    # Leading and trailing all-inf columns, an all-inf row, and rows whose
+    # values mirror about the middle so parabolas tie.
+    f = np.full((9, 21), np.inf)
+    half = np.array([5.0, 1.0, 4.0, 4.0, 0.0, 9.0, 2.0])
+    f[:, 3:10] = half
+    f[:, 11:18] = half[::-1]
+    f[2] = np.inf
+    f[4, 10] = 1.0
+    f[6, 3:18] = 7.0
+    return f
+
+
+# Rows of 2 m x + c - x**2 at spacing 0.7 (x = 0.7 * column), whose
+# breakpoints all fall at x = m, so the pop tests meet s == z exactly; one
+# gap or more keeps some pairs apart. Found by a seeded search for rows on
+# which a strict pop test changes the result.
+_BREAKPOINT_TIES = np.array([
+    [18.0, 22.41, inf, 28.29, inf, inf, 29.759999999999998, inf, 25.84,
+     22.410000000000004, 18.0],
+    [13.0, 21.330000000000002, 28.679999999999996, inf, 40.44, 44.85,
+     48.279999999999994, 50.730000000000004, 52.19999999999999, inf, inf],
+    [17.0, 21.41, inf, 27.29, inf, 29.25, 28.759999999999998, inf, inf, inf, inf],
+    [8.0, 17.31, 25.639999999999997, 32.989999999999995, 39.36, 44.75,
+     49.15999999999999, 52.59, 55.03999999999999, 56.510000000000005, 57.0],
+])
+
+
+ENVELOPE_CASES = {
+    "wide-7x300": (_gappy_rows((7, 300), 0.5, 11), 1.0),
+    "tall-300x7": (_gappy_rows((300, 7), 0.3, 12), 1.0),
+    "one-row": (_gappy_rows((1, 64), 0.4, 13), 2.0),
+    "one-column": (_gappy_rows((64, 1), 0.4, 14), 2.0),
+    "one-pixel": (np.array([[3.0]]), 1.0),
+    "one-inf-pixel": (np.array([[np.inf]]), 1.0),
+    "gaps-and-empty-rows": (_gappy_rows((30, 41), 0.95, 15), 2.0),
+    "edges-and-ties": (_edges_and_ties(), 1.0),
+    "spacing-0.3": (_gappy_rows((20, 37), 0.5, 16, scale=3.0), 0.3),
+    "spacing-0.7": (_gappy_rows((20, 37), 0.2, 17, scale=3.0), 0.7),
+    "breakpoint-ties": (_BREAKPOINT_TIES, 0.7),
+}
+
+
+class TestEnvelopeMatchesColumnWalk:
+    """The flat-index envelope returns the column walk's floats bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+    def test_envelope_bit_identical(self, case):
+        f, spacing = ENVELOPE_CASES[case]
+        got = _lower_envelope_rows(f, spacing)
+        assert np.array_equal(got, column_walk_envelope(f, spacing))
+
+    def test_all_inf_rows_stay_inf(self):
+        f = _gappy_rows((12, 17), 0.5, 18)
+        f[[0, 5, 11]] = np.inf
+        assert np.isinf(_lower_envelope_rows(f, 1.0)[[0, 5, 11]]).all()
+
+    @pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
+    def test_distance_bit_identical(self, case):
+        target, dx, dy = EQUALITY_CASES[case]
+        got = distance_to_mask(target, dx, dy)
+        assert np.array_equal(got, column_walk_distance(target, dx, dy))
+
+    @pytest.mark.parametrize("spacings", [(0.3, 0.7), (0.7, 0.3)])
+    def test_distance_inexact_spacing_bit_identical(self, spacings):
+        target = _seeded_mask((60, 70), 0.01, 8)
+        got = distance_to_mask(target, *spacings)
+        assert np.array_equal(got, column_walk_distance(target, *spacings))
+
+    @pytest.mark.parametrize("height", [2, 3, 4, 6, 7])
+    def test_row_blocks(self, monkeypatch, height):
+        # A block of 3 rows at width 20: heights cross a block boundary
+        # by one row and fill blocks exactly.
+        monkeypatch.setattr(distance, "_BLOCK_ELEMENTS", 64)
+        f = _gappy_rows((height, 20), 0.3, 19 + height)
+        f[height // 2] = np.inf
+        assert np.array_equal(_lower_envelope_rows(f, 1.5), column_walk_envelope(f, 1.5))
+
+    def test_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(distance, "_BLOCK_ELEMENTS", 16)
+        f = _gappy_rows((5, 20), 0.3, 30)
+        assert np.array_equal(_lower_envelope_rows(f, 1.0), column_walk_envelope(f, 1.0))
+
+    def test_property_over_shape_density_and_spacing(self, monkeypatch):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        # Small blocks, so that drawn frames span several of them.
+        monkeypatch.setattr(distance, "_BLOCK_ELEMENTS", 96)
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            height=st.integers(1, 9),
+            width=st.integers(1, 60),
+            density=st.floats(0.0, 1.0),
+            spacing=st.sampled_from([0.3, 0.7, 1.0, 10.0]) | st.floats(0.01, 100.0),
+            rounded=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(height, width, density, spacing, rounded, seed):
+            rng = np.random.default_rng(seed)
+            f = rng.uniform(0.0, 50.0, size=(height, width))
+            if rounded:
+                f = np.round(f)
+            f[rng.random(f.shape) < density] = np.inf
+            got = _lower_envelope_rows(f, spacing)
+            assert np.array_equal(got, column_walk_envelope(f, spacing))
+
+        check()
+
+    def test_row_block_boundary_at_shipped_size(self):
+        # 4 * 16385 is just over the block size, so the 4th row opens a
+        # second block of the shipped constant.
+        width = distance._BLOCK_ELEMENTS // 4 + 1
+        assert distance._BLOCK_ELEMENTS // width == 3
+        f = np.full((4, width), np.inf)
+        rng = np.random.default_rng(31)
+        for r in range(4):
+            cols = rng.choice(width, size=40, replace=False)
+            f[r, cols] = np.round(rng.uniform(0.0, 1e4, size=40))
+        assert np.array_equal(_lower_envelope_rows(f, 10.0), column_walk_envelope(f, 10.0))
 
 
 class TestDistanceToMask:

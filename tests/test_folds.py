@@ -1,5 +1,7 @@
 """Stratified site splitting and fold-aware window routing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,17 @@ class TestStratified:
         assert back.strategy == fa.strategy
         assert back.seed == fa.seed
         assert back.imbalance == pytest.approx(fa.imbalance, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"k": 2}, [1, 2], {"k": "x", "assignment": {}}, {"k": 2, "assignment": []}],
+        ids=["no-assignment", "array", "k-not-int", "assignment-list"],
+    )
+    def test_load_malformed_file_is_data_error(self, tmp_path, doc):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="folds.json"):
+            FoldAssignment.load(path)
 
     def test_fold_of_missing_site(self):
         fa = FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0)
