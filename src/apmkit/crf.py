@@ -24,6 +24,19 @@ contiguous 1-D multiply and add. The pairs that reach into the padding
 add only +0.0, so each pixel's sum holds the same nonzero terms in the
 same order as over the frame alone.
 
+A message's multiply-adds run band by band (:func:`_add_pairs`): the
+flat field is cut into ceil(n / _BAND) bands of equal length, _BAND =
+2^15 float64 values (256 KiB), and every (shift, weight) pair of the
+message runs over one band before any runs over the next, so that band
+of the accumulator stays in cache. Within a band each pair keeps its
+order, first ``acc[p] += w[p] * src[p + s]``, then ``acc[p] += w[p - s]
+* src[p - s]``, and the pairs keep theirs, so every pixel receives the
+same additions in the same order as in one pass over the whole field,
+and the result is exact. Reads across a band's edges come from the
+source, which is complete before the pass starts; the spatial column
+pass starts once the row pass has finished. A field of at most _BAND
+values is one band.
+
 The spatial kernel factorises over rows and columns, so its message runs
 as two 1-D passes. The bilateral weights depend only on the guidance, so
 a refinement builds them once (:func:`bilateral_weights`) and each step
@@ -43,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +64,10 @@ import numpy as np
 from .config import build_config, read_json
 from .errors import ConfigError, DataError, DimensionError
 from .raster.grid import RasterGrid
+
+# Most float64 values per band of a message's multiply-adds (256 KiB): a
+# band of the accumulator with its source and weight reads fits a 2 MB L2.
+_BAND = 1 << 15
 
 # Accepted aliases for JSON config keys.
 _CONFIG_ALIASES = {
@@ -152,22 +170,47 @@ def _padded(arr: np.ndarray, pitch: int) -> np.ndarray:
     return out.reshape(*lead, h * pitch)
 
 
-def _add_shifted(
-    acc: np.ndarray, src: np.ndarray, shift: int, weight: float | np.ndarray, buf: np.ndarray
+def _add_pairs(
+    acc: np.ndarray,
+    src: np.ndarray,
+    pairs: Sequence[tuple[int, float | np.ndarray]],
+    buf: np.ndarray,
 ) -> None:
-    """Both directions of one flat offset, in place on ``acc``.
+    """Both directions of every flat offset in ``pairs``, in place on ``acc``.
 
-    ``acc[p] += weight[p] * src[p + shift]``, then
-    ``acc[p + shift] += weight[p] * src[p]``, for every p with p + shift
-    inside the buffer; ``weight`` is a scalar or holds ``acc.size - shift``
-    values. ``buf`` is scratch space of ``acc``'s size.
+    For each ``(shift, weight)`` in list order, ``acc[p] += weight[p] *
+    src[p + shift]`` for every p with p + shift inside the buffer, then
+    ``acc[p] += weight[p - shift] * src[p - shift]`` for every p >= shift;
+    ``weight`` is a scalar or holds ``acc.size - shift`` values. Every
+    pair runs over one band of ``acc`` before any runs over the next (see
+    the module docstring). ``buf`` is scratch space of at least
+    ``min(acc.size, _BAND)`` values, and ``src`` must not alias ``acc``.
     """
-    m = acc.size - shift
-    prod = buf[:m]
-    np.multiply(weight, src[shift:], out=prod)
-    acc[:m] += prod
-    np.multiply(weight, src[:m], out=prod)
-    acc[shift:] += prod
+    n = acc.size
+    bands = -(-n // _BAND)
+    step = -(-n // bands)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        for shift, weight in pairs:
+            per_pixel = isinstance(weight, np.ndarray)
+            end = min(stop, n - shift)
+            if end > start:
+                prod = buf[: end - start]
+                np.multiply(
+                    weight[start:end] if per_pixel else weight,
+                    src[start + shift : end + shift],
+                    out=prod,
+                )
+                acc[start:end] += prod
+            begin = max(start, shift)
+            if stop > begin:
+                prod = buf[: stop - begin]
+                np.multiply(
+                    weight[begin - shift : stop - shift] if per_pixel else weight,
+                    src[begin - shift : stop - shift],
+                    out=prod,
+                )
+                acc[begin:stop] += prod
 
 
 def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
@@ -188,14 +231,12 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
     taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
     pitch = w + radius
     flat = _padded(q, pitch)
-    buf = np.empty_like(flat)
+    buf = np.empty(min(flat.size, _BAND))
     rows = flat.copy()
-    for k, g in taps:
-        _add_shifted(rows, flat, k, g, buf)
+    _add_pairs(rows, flat, taps, buf)
     msg = rows.copy()
     # A column tap of k >= h pairs no two rows of the frame.
-    for k, g in taps[: h - 1]:
-        _add_shifted(msg, rows, k * pitch, g, buf)
+    _add_pairs(msg, rows, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
     msg -= flat
     return msg.reshape(h, pitch)[:, :w]
 
@@ -214,20 +255,49 @@ def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
     )
 
 
-def _bilinear_upsample(arr: np.ndarray, factor: int, h: int, w: int) -> np.ndarray:
-    """Upsample (..., hc, wc) to (..., h, w), aligning block centers."""
-    hc, wc = arr.shape[-2], arr.shape[-1]
+def _upsample_axis(arr: np.ndarray, n: int, factor: int, axis: int) -> np.ndarray:
+    """Linear interpolation of ``arr`` to ``n`` samples along ``axis``
+    (-1 or -2), aligning block centers; ends clip to the edge samples.
+
+    Output sample i reads source ``lo = floor((i - half) / factor)`` and
+    ``lo + 1`` at fraction ``(i - half) / factor - lo``. The factor is a
+    power of two, so that fraction is exact and the same for every i of
+    one phase ``i mod factor``, and the inner samples of a phase are one
+    strided slice of the output and two plain slices of the source. The
+    few samples with a clipped ``lo`` or ``lo + 1`` go one at a time.
+    """
+    m = arr.shape[axis]
     half = (factor - 1) / 2.0
-    ri = (np.arange(h) - half) / factor
-    ci = (np.arange(w) - half) / factor
-    r0 = np.clip(np.floor(ri).astype(int), 0, hc - 1)
-    r1 = np.clip(r0 + 1, 0, hc - 1)
-    fr = np.clip(ri - r0, 0.0, 1.0)
-    c0 = np.clip(np.floor(ci).astype(int), 0, wc - 1)
-    c1 = np.clip(c0 + 1, 0, wc - 1)
-    fc = np.clip(ci - c0, 0.0, 1.0)
-    cols = arr[..., :, c0] * (1 - fc) + arr[..., :, c1] * fc
-    return cols[..., r0, :] * (1 - fr[:, None]) + cols[..., r1, :] * fr[:, None]
+    pos = (np.arange(n) - half) / factor
+    base = np.floor(pos).astype(int)
+    lo = np.clip(base, 0, m - 1)
+    hi = np.clip(lo + 1, 0, m - 1)
+    frac = np.clip(pos - lo, 0.0, 1.0)
+    shape = list(arr.shape)
+    shape[axis] = n
+    out = np.empty(shape)
+
+    def at(a: np.ndarray, index: int | slice) -> np.ndarray:
+        return a[(..., index) if axis == -1 else (..., index, slice(None))]
+
+    inner = (base >= 0) & (base < m - 1)
+    for phase in range(factor):
+        ks = np.flatnonzero(inner[phase::factor])
+        if ks.size:
+            first, last = phase + ks[0] * factor, phase + ks[-1] * factor
+            lo_first, lo_last = lo[first], lo[last]
+            dst = at(out, slice(first, last + 1, factor))
+            np.multiply(at(arr, slice(lo_first, lo_last + 1)), 1 - frac[first], out=dst)
+            dst += at(arr, slice(lo_first + 1, lo_last + 2)) * frac[first]
+    for i in np.flatnonzero(~inner):
+        at(out, i)[...] = at(arr, lo[i]) * (1 - frac[i]) + at(arr, hi[i]) * frac[i]
+    return out
+
+
+def _bilinear_upsample(arr: np.ndarray, factor: int, h: int, w: int) -> np.ndarray:
+    """Upsample (..., hc, wc) to (..., h, w), aligning block centers:
+    columns first, then rows."""
+    return _upsample_axis(_upsample_axis(arr, w, factor, -1), h, factor, -2)
 
 
 @dataclass(frozen=True)
@@ -355,9 +425,7 @@ def _bilateral_message(q: np.ndarray, weights: BilateralWeights) -> np.ndarray:
     gamma = weights.factor
     src = _padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
     msg = np.zeros_like(src)
-    buf = np.empty_like(src)
-    for shift, weight in weights.pairs:
-        _add_shifted(msg, src, shift, weight, buf)
+    _add_pairs(msg, src, weights.pairs, np.empty(min(src.size, _BAND)))
     hc, wc = weights.shape
     msg = msg.reshape(hc, weights.pitch)[:, :wc]
     return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg

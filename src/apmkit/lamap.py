@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyInputError
+from .errors import ConfigError, DataError, EmptyInputError, NumericError
 from .raster.grid import RasterGrid
 from .raster.sites import SiteRecord
 
@@ -202,6 +202,11 @@ def potential_values(
     Site contributions are accumulated in a canonical order (sorted by
     site_id), so any permutation of ``models`` produces bit-identical
     output.
+
+    Raises:
+        NumericError: Every site's distance weight ``exp(-d / bandwidth)``
+            underflows to 0 at some valid pixel, so its potential would be
+            0 / 0; raised before the division.
     """
     cfg = cfg or LamapConfig()
     if not models:
@@ -247,7 +252,16 @@ def potential_values(
         u *= w
         num += u
         den += w
-    np.divide(num, den, out=num)
+    starved = den == 0.0
+    starved &= valid
+    if starved.any():
+        raise NumericError(
+            f"the distance kernel (bandwidth {cfg.kernel_bandwidth:g} map units) "
+            f"underflows to 0 for every site at {np.count_nonzero(starved)} valid "
+            "pixels; use a larger kernel_bandwidth"
+        )
+    # A masked pixel may have no weight either; it becomes NaN below.
+    np.divide(num, den, out=num, where=valid)
     np.clip(num, 0.0, 1.0, out=num)
     num[~valid] = np.nan
     return num

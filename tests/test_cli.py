@@ -390,6 +390,45 @@ class TestRunAndErrors:
         assert "Traceback" not in capsys.readouterr().err
         assert not (ws / "lamap.grid").exists()
 
+    @staticmethod
+    def far_site_ws(tmp_path):
+        """A 64x64 stack of 10 m cells with one positive site near a corner:
+        with a 0.5 m kernel bandwidth no site weighs the far pixels."""
+        rng = np.random.default_rng(7)
+        stack = RasterGrid.from_array(
+            rng.normal(size=(64, 64)).astype(np.float32), (0.0, 640.0, 10.0, -10.0)
+        )
+        save_raster(stack, tmp_path / "stack.grid")
+        write_sites_csv(
+            tmp_path / "sites.csv",
+            [SiteRecord("p1", 25.0, 615.0, "Roman Imperial", "positive", 3)],
+        )
+        return tmp_path
+
+    def test_lamap_kernel_underflow_is_numeric_error(self, tmp_path, capsys):
+        ws = self.far_site_ws(tmp_path)
+        code = main([
+            "lamap", "--stack", str(ws / "stack.grid"), "--sites", str(ws / "sites.csv"),
+            "--catchment", "20", "--bandwidth", "0.5", "--out", str(ws / "lamap.grid"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "bandwidth 0.5" in err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not list(ws.glob("lamap.grid*"))
+
+    def test_run_kernel_underflow_is_numeric_error(self, tmp_path):
+        ws = self.far_site_ws(tmp_path)
+        cfg = {
+            "output_dir": str(ws / "out"),
+            "stages": ["lamap"],
+            "inputs": {"stack": str(ws / "stack.grid"), "sites": str(ws / "sites.csv")},
+            "lamap": {"catchment_radius": 20.0, "kernel_bandwidth": 0.5},
+        }
+        (ws / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(ws / "cfg.json")]) == 4
+        assert not (ws / "out" / "lamap_surface.grid").exists()
+
     @pytest.mark.parametrize("doc", [[1, 2], {"iterations": "5"}, {"sigma": [3]}])
     def test_crf_refine_malformed_config_is_config_error(self, ws, doc):
         config = ws / "crf.json"

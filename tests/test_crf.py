@@ -772,6 +772,154 @@ class TestMatchesTwoClassStep:
         assert np.array_equal(fields[0], valid.astype(np.float64))
 
 
+def loop_add_shifted(acc, src, pairs):
+    """The one pass per offset that the banded helper replaced: both
+    directions of each (shift, weight) over the whole buffer."""
+    buf = np.empty_like(acc)
+    for shift, weight in pairs:
+        m = acc.size - shift
+        prod = buf[:m]
+        np.multiply(weight, src[shift:], out=prod)
+        acc[:m] += prod
+        np.multiply(weight, src[:m], out=prod)
+        acc[shift:] += prod
+
+
+def spread_values(rng, size):
+    """Signed values over many magnitudes, not only [0, 1]."""
+    return rng.normal(size=size) * 10.0 ** rng.uniform(-6.0, 6.0, size=size)
+
+
+class TestBandedPairs:
+    """``_add_pairs`` equals one pass per offset over the whole buffer,
+    bit for bit, wherever the band edges fall. The band is shrunk so that
+    small fields span several; the scratch buffer handed over is exactly
+    one band long, so a pass over more than a band would fail."""
+
+    @staticmethod
+    def banded_and_loop(rng, n, shifts, per_pixel):
+        src = spread_values(rng, n)
+        acc = spread_values(rng, n)
+        pairs = [
+            (s, spread_values(rng, n - s) if per_pixel else float(spread_values(rng, 1)[0]))
+            for s in shifts
+        ]
+        want = acc.copy()
+        loop_add_shifted(want, src, pairs)
+        got = acc.copy()
+        crf._add_pairs(got, src, pairs, np.empty(min(n, crf._BAND)))
+        return got, want
+
+    @pytest.mark.parametrize("per_pixel", [False, True], ids=["scalar", "per-pixel"])
+    @pytest.mark.parametrize(
+        "n,shifts",
+        [
+            pytest.param(5, [1, 2, 4], id="below-one-band"),
+            pytest.param(16, [1, 3, 15], id="one-band"),
+            pytest.param(17, [1, 16, 2], id="one-band-plus-one"),
+            pytest.param(31, [2, 5, 30], id="two-bands-minus-one"),
+            pytest.param(33, [1, 4, 9, 32], id="two-bands-plus-one"),
+            pytest.param(70, [17, 40, 1, 69, 33], id="shifts-beyond-a-band"),
+        ],
+    )
+    def test_matches_one_pass_per_offset(self, rng, monkeypatch, n, shifts, per_pixel):
+        monkeypatch.setattr(crf, "_BAND", 16)
+        got, want = self.banded_and_loop(rng, n, shifts, per_pixel)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"compress_guidance": False}], ids=["compressed", "full-res"]
+    )
+    @pytest.mark.parametrize(
+        "shape", [(1, 40), (40, 1), (13, 17), (1, 1)], ids=["1xN", "Nx1", "2-D", "1x1"]
+    )
+    def test_messages_match_one_pass_per_offset(self, rng, monkeypatch, shape, kwargs):
+        q = spread_values(rng, shape)
+        guidance = rng.normal(size=(2, *shape))
+        cfg = CrfConfig(beta=0.6, **kwargs)
+        weights = crf.bilateral_weights(guidance, cfg, np.ones(shape, dtype=bool))
+
+        def messages():
+            return crf._spatial_message(q, cfg.sigma), crf._bilateral_message(q, weights)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                crf, "_add_pairs", lambda acc, src, pairs, buf: loop_add_shifted(acc, src, pairs)
+            )
+            want = messages()
+        # Nx1 frames pass column shifts of 10 to 90 over bands of 16.
+        monkeypatch.setattr(crf, "_BAND", 16)
+        for got, expected in zip(messages(), want):
+            assert np.array_equal(got, expected)
+
+    def test_property_over_length_shifts_and_band(self, monkeypatch):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            data=st.data(),
+            n=st.integers(2, 150),
+            band=st.integers(1, 48),
+            per_pixel=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(data, n, band, per_pixel, seed):
+            shifts = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6))
+            monkeypatch.setattr(crf, "_BAND", band)
+            got, want = self.banded_and_loop(
+                np.random.default_rng(seed), n, shifts, per_pixel
+            )
+            assert np.array_equal(got, want)
+
+        check()
+
+
+def gather_upsample(arr, factor, h, w):
+    """The fancy-index form that the slice-built upsample replaced."""
+    hc, wc = arr.shape[-2], arr.shape[-1]
+    half = (factor - 1) / 2.0
+    ri = (np.arange(h) - half) / factor
+    ci = (np.arange(w) - half) / factor
+    r0 = np.clip(np.floor(ri).astype(int), 0, hc - 1)
+    r1 = np.clip(r0 + 1, 0, hc - 1)
+    fr = np.clip(ri - r0, 0.0, 1.0)
+    c0 = np.clip(np.floor(ci).astype(int), 0, wc - 1)
+    c1 = np.clip(c0 + 1, 0, wc - 1)
+    fc = np.clip(ci - c0, 0.0, 1.0)
+    cols = arr[..., :, c0] * (1 - fc) + arr[..., :, c1] * fc
+    return cols[..., r0, :] * (1 - fr[:, None]) + cols[..., r1, :] * fr[:, None]
+
+
+class TestUpsampleMatchesGathers:
+    """The strided-slice upsample equals the gather form bit for bit, on
+    both factors, ragged frames and 1-row or 1-column grids."""
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize(
+        "shape",
+        [(16, 24), (13, 17), (1, 9), (9, 1), (1, 1), (2, 3), (5, 6, 7), (2, 3, 11, 10)],
+    )
+    def test_matches_gathers(self, shape, factor):
+        *lead, h, w = shape
+        coarse = (*lead, -(-h // factor), -(-w // factor))
+        for seed in range(20):
+            arr = spread_values(np.random.default_rng(seed), coarse)
+            got = _bilinear_upsample(arr, factor, h, w)
+            assert np.array_equal(got, gather_upsample(arr, factor, h, w))
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_strided_input(self, rng, factor):
+        # The bilateral message hands over a view of its row-padded layout.
+        h, w = 21, 30
+        hc, wc = -(-h // factor), -(-w // factor)
+        padded = spread_values(rng, (hc, wc + 5))
+        arr = padded[:, :wc]
+        got = _bilinear_upsample(arr, factor, h, w)
+        assert np.array_equal(got, gather_upsample(arr, factor, h, w))
+
+
 class TestRasterWrapper:
     def test_refine_raster(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(10, 10)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from apmkit.errors import ConfigError, DataError, EmptyInputError
+from apmkit.errors import ConfigError, DataError, EmptyInputError, NumericError
 from apmkit.lamap import (
     Ecdf,
     LamapConfig,
@@ -200,6 +200,25 @@ class TestPotential:
         out = potential_values(grid, [model], cfg)
         want = similarity(model.ecdfs[0], grid.band(0).astype(np.float64))
         assert np.allclose(out, want, atol=1e-12)
+
+    def test_kernel_underflow_is_numeric_error(self, make_grid, rng):
+        # 10 m cells, one site near a corner: beyond ~373 m every
+        # exp(-d / 0.5) is 0, so those pixels would be 0 / 0.
+        grid = make_grid(rng.normal(size=(64, 64)), (0.0, 640.0, 10.0, -10.0))
+        cfg = LamapConfig(catchment_radius=20.0, kernel_bandwidth=0.5)
+        models = build_site_models(grid, [site("a", 25.0, 615.0)], cfg)
+        with pytest.raises(NumericError, match=r"bandwidth 0\.5 .* at \d+ valid pixels"):
+            potential_values(grid, models, cfg)
+
+    def test_underflow_on_masked_pixels_only_is_fine(self, make_grid, rng):
+        mask = np.zeros((64, 64), dtype=bool)
+        mask[:, 20:] = True
+        grid = make_grid(rng.normal(size=(64, 64)), (0.0, 640.0, 10.0, -10.0), mask)
+        cfg = LamapConfig(catchment_radius=20.0, kernel_bandwidth=0.5)
+        sites = [site(f"s{i}", 25.0, y) for i, y in enumerate((25.0, 325.0, 615.0))]
+        models = build_site_models(grid, sites, cfg)
+        out = potential_values(grid, models, cfg)
+        assert np.isnan(out[mask]).all() and np.isfinite(out[~mask]).all()
 
     def test_nearby_site_dominates(self, make_grid):
         # Two sites with opposite affinity for a probe value; short bandwidth
