@@ -346,12 +346,102 @@ def _finite_scores(scores: np.ndarray) -> np.ndarray:
     return s
 
 
+def _density_edges(n_bins: int) -> np.ndarray:
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    return np.linspace(0.0, 1.0, n_bins + 1)
+
+
+def _histogram(s: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Histogram density of scores already passed through :func:`_finite_scores`."""
+    hist, _ = np.histogram(s, bins=edges)
+    return hist / (s.size * (1.0 / (edges.size - 1)))
+
+
 def density_histogram(scores: np.ndarray, n_bins: int = N_DENSITY_BINS) -> np.ndarray:
     """Histogram density of the finite scores over ``n_bins`` equal-width
     bins of [0, 1]; it integrates to the share of scores inside [0, 1]."""
-    s = _finite_scores(scores)
-    hist, _ = np.histogram(s, bins=np.linspace(0.0, 1.0, n_bins + 1))
-    return hist / (s.size * (1.0 / n_bins))
+    edges = _density_edges(n_bins)
+    return _histogram(_finite_scores(scores), edges)
+
+
+def _percentile(s: np.ndarray, order: np.ndarray, q: float) -> float:
+    """``np.percentile(s, q)``, read through the sorting permutation ``order``
+    with the operations of its default linear method, so the same float.
+    This skips np.percentile's partition and its np.unique call, whose first
+    use imports numpy.ma, a cost every fresh process would pay."""
+    pos = (s.size - 1) * (q / 100)
+    k = math.floor(pos)
+    a, b = s[order[k]], s[order[min(k + 1, s.size - 1)]]
+    t = pos - k
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
+# exp(-0.5 z^2) is exactly 0.0 in float64 once |z| > ~38.6, so a score more
+# than this many bandwidths from a bin centre adds +0.0 to its kernel sum.
+# The margin over 38.6 covers the rounding of (c - s) / h.
+_REACH = 40.0
+# Scores per pass of the kernel loop, so its scratch stays small.
+_CHUNK = 8192
+
+
+def _gaussian(
+    c: float, values: np.ndarray, bandwidth: float, z: np.ndarray, out: np.ndarray
+) -> None:
+    """``out = exp(-0.5 z z)`` for ``z = (c - values) / bandwidth``, by the
+    operations of ``np.exp(-0.5 * z * z)``; ``z`` is scratch and may be
+    ``values`` itself."""
+    np.subtract(c, values, out=z)
+    np.divide(z, bandwidth, out=z)
+    np.multiply(-0.5, z, out=out)
+    np.multiply(out, z, out=out)
+    np.exp(out, out=out)
+
+
+def _kernel_sums(
+    s: np.ndarray, order: np.ndarray, centers: np.ndarray, bandwidth: float
+) -> np.ndarray:
+    """``np.exp(-0.5 * z * z).sum()`` with ``z = (c - s) / bandwidth`` for
+    each centre ``c``, bit for bit; ``order`` sorts ``s``.
+
+    Binary search in the sorted order finds the scores within ``_REACH``
+    bandwidths of a centre. When they are fewer than half the scores, only
+    they are evaluated, and scattered to their own positions in an array
+    that is zero elsewhere: numpy's exp is several times slower where its
+    result underflows, and on a bimodal refined surface almost every
+    centre lies far from almost every score. Otherwise every score is
+    evaluated in place, since a gather and a scatter of most of the scores
+    cost more than the few beyond reach. Either way the summed array holds
+    the same float64 values at the same positions as the one-pass form,
+    where each skipped value is +0.0, so the sum is the same whatever order
+    ``np.sum`` adds in.
+    """
+    reach = _REACH * bandwidth
+    lo = np.searchsorted(s, centers - reach, side="left", sorter=order)
+    hi = np.searchsorted(s, centers + reach, side="right", sorter=order)
+    z = np.empty(min(s.size, _CHUNK))
+    t = np.empty_like(z)
+    kernel = np.zeros(s.size)
+    sums = np.zeros(centers.size)
+    for i, c in enumerate(centers):
+        a, b = lo[i], hi[i]
+        if 2 * (b - a) >= s.size:
+            for j in range(0, s.size, _CHUNK):
+                out = kernel[j:j + _CHUNK]
+                _gaussian(c, s[j:j + _CHUNK], bandwidth, z[:out.size], out)
+            sums[i] = kernel.sum()
+            kernel.fill(0.0)
+        elif a < b:
+            for j in range(a, b, _CHUNK):
+                at = order[j:min(j + _CHUNK, b)]
+                zj, tj = z[:at.size], t[:at.size]
+                np.take(s, at, out=zj, mode="clip")  # "raise" would buffer out
+                _gaussian(c, zj, bandwidth, zj, tj)
+                kernel[at] = tj
+            sums[i] = kernel.sum()
+            kernel[order[a:b]] = 0.0
+    return sums
 
 
 def probability_density(
@@ -361,25 +451,26 @@ def probability_density(
 
     The histogram is :func:`density_histogram`'s. The kernel bandwidth
     follows the Silverman rule ``0.9 min(std, IQR / 1.34) n^(-1/5)`` with
-    a small floor so constant scores stay well defined. The curve costs
-    one pass over the scores per bin; only the density CSV reads it, so
-    callers that need the histogram alone call :func:`density_histogram`.
+    a small floor so constant scores stay well defined.
+
+    Each bin centre evaluates the kernel only on the scores within 40
+    bandwidths of it (:func:`_kernel_sums`). The kernel of every score
+    beyond that underflows to exactly +0.0, and those zeros keep their
+    places in the array that is summed, so the curve equals one pass over
+    all the scores per bin bit for bit. Only the density CSV reads the
+    curve, so callers that need the histogram alone call
+    :func:`density_histogram`.
     """
+    edges = _density_edges(n_bins)
     s = _finite_scores(scores)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    density = density_histogram(s, n_bins)
+    density = _histogram(s, edges)
+    order = np.argsort(s)
     std = float(s.std())
-    q75, q25 = np.percentile(s, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    iqr = _percentile(s, order, 75.0) - _percentile(s, order, 25.0)
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     bandwidth = max(0.9 * spread * s.size ** (-0.2), 1e-3)
-    # One bin centre at a time: a (bins, N) kernel matrix would dominate
-    # the memory of a whole evaluation. Each row sums in the same order.
-    kernel_sums = np.empty(n_bins)
-    for i, c in enumerate(centers):
-        z = (c - s) / bandwidth
-        kernel_sums[i] = np.exp(-0.5 * z * z).sum()
+    kernel_sums = _kernel_sums(s, order, centers, bandwidth)
     smoothed = kernel_sums / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
     return DensityCurve(centers, density, smoothed, bandwidth)
 

@@ -3,11 +3,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apmkit.errors import DataError
+import apmkit
+from apmkit import metrics
+from apmkit.errors import ConfigError, DataError
 from apmkit.metrics import (
     MetricsReport,
     ScoredSample,
@@ -18,6 +24,7 @@ from apmkit.metrics import (
     bin_analysis,
     confusion_from_counts,
     confusion_metrics,
+    density_histogram,
     find_count_correlation,
     probability_density,
     radar_area,
@@ -365,6 +372,168 @@ class TestDensity:
             write_density_csv(path, bad)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["density.csv"]
+
+
+def loop_density(scores, n_bins=100):
+    """Bandwidth and curve from one pass over all the scores per bin, with
+    np.percentile for the quartiles: the form the windowed loop replaced."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    s = s[np.isfinite(s)]
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    std = float(s.std())
+    q75, q25 = np.percentile(s, [75.0, 25.0])
+    iqr = float(q75 - q25)
+    spread = min(std, iqr / 1.34) if iqr > 0 else std
+    bandwidth = max(0.9 * spread * s.size ** (-0.2), 1e-3)
+    kernel_sums = np.empty(n_bins)
+    for i, c in enumerate(centers):
+        z = (c - s) / bandwidth
+        kernel_sums[i] = np.exp(-0.5 * z * z).sum()
+    return bandwidth, kernel_sums / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+def assert_matches_loop(scores, n_bins=100):
+    d = probability_density(scores, n_bins)
+    bandwidth, smoothed = loop_density(scores, n_bins)
+    assert d.bandwidth == bandwidth or (math.isnan(d.bandwidth) and math.isnan(bandwidth))
+    assert np.array_equal(d.smoothed, smoothed, equal_nan=True)
+    return d
+
+
+def bimodal(rng, n):
+    """A refined surface's scores: most near 0, the rest near 1, so the
+    quartiles sit in the low mode and the bandwidth at its 1e-3 floor."""
+    low = rng.random(n - n // 5) * 1e-3
+    return rng.permutation(np.concatenate([low, 1.0 - rng.random(n // 5) * 1e-3]))
+
+
+class TestDensityMatchesLoop:
+    """The windowed kernel loop equals one pass over all scores per bin,
+    bit for bit, on both of its paths and across chunk boundaries."""
+
+    def test_reach_underflows(self):
+        r = metrics._REACH * (1 - 1e-9)
+        assert np.exp(-0.5 * r**2) == 0.0
+        assert not np.exp(np.full(17, -0.5 * r * r)).any()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 8192])
+    def test_bimodal_at_floor(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(metrics, "_CHUNK", chunk)
+        d = assert_matches_loop(bimodal(rng, 5000))
+        assert d.bandwidth == 1e-3
+
+    def test_scores_outside_unit_interval(self, rng):
+        assert_matches_loop(rng.normal(0.5, 3.0, 5000))
+        d = assert_matches_loop(5.0 + rng.random(300))  # no centre in reach
+        assert not d.smoothed.any()
+
+    def test_scores_on_the_reach_boundary(self):
+        bulk = np.full(20_000, 0.5)
+        centers = probability_density(bulk).bin_centers[45:55]
+        reach = metrics._REACH * 1e-3
+        edges = np.concatenate([centers - reach, centers + reach])
+        edges = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        )
+        d = assert_matches_loop(np.concatenate([bulk, edges]))
+        assert d.bandwidth == 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 5000])
+    @pytest.mark.parametrize("value", [0.3, 0.005, -2.0])
+    def test_one_and_constant_scores(self, n, value):
+        assert_matches_loop(np.full(n, value))
+
+    def test_wide_bandwidth_keeps_every_score_in_reach(self, rng):
+        scores = rng.normal(0.5, 0.2, 100)
+        d = assert_matches_loop(scores)
+        assert np.abs(scores[:, None] - d.bin_centers).max() < metrics._REACH * d.bandwidth
+
+    def test_surface_like_mixes_both_paths(self, rng):
+        assert_matches_loop(rng.beta(2.0, 5.0, 25_600))
+
+    def test_scores_near_float_limits(self, rng):
+        with np.errstate(all="ignore"):
+            huge = rng.choice([-1e300, 1e300], 1000) * rng.uniform(0.5, 1.0, 1000)
+            assert_matches_loop(huge)
+            d = assert_matches_loop(rng.choice([-1.7e308, 1.7e308], 1000))
+        assert math.isnan(d.bandwidth) and np.isnan(d.smoothed).all()
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 7, 8, 9, 15, 17, 127, 129, 1000, 8191, 8193, 25_601, 70_001]
+    )
+    def test_lengths(self, rng, n):
+        assert_matches_loop(bimodal(rng, n))
+        assert_matches_loop(rng.beta(0.5, 0.5, n))
+
+    def test_percentile_matches_numpy(self, rng):
+        for n in list(range(1, 40)) * 20 + [1000, 1001]:
+            for scores in (rng.normal(0.0, 1.0, n), rng.integers(-2, 3, n) / 4.0):
+                order = np.argsort(scores)
+                for q in (25.0, 50.0, 75.0, 0.0, 100.0, 33.3):
+                    assert metrics._percentile(scores, order, q) == np.percentile(scores, q)
+
+    def test_density_does_not_import_numpy_ma(self):
+        # np.percentile's first call imports numpy.ma, a cost paid per process.
+        code = (
+            "import sys, numpy as np\n"
+            "from apmkit.metrics import probability_density\n"
+            "probability_density(np.random.default_rng(0).random(1000))\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(apmkit.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_property_over_distribution_length_bins_and_chunk(self, monkeypatch):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=120, deadline=None)
+        @given(
+            kind=st.sampled_from(["uniform", "bimodal", "wide", "beta", "ties", "outside"]),
+            n=st.integers(1, 2000),
+            n_bins=st.integers(1, 150),
+            chunk=st.sampled_from([5, 16, 64, 8192]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(kind, n, n_bins, chunk, seed):
+            rng = np.random.default_rng(seed)
+            scores = {
+                "uniform": lambda: rng.random(n),
+                "bimodal": lambda: bimodal(rng, n),
+                "wide": lambda: rng.normal(0.5, 0.3, n),
+                "beta": lambda: rng.beta(2.0, 5.0, n),
+                "ties": lambda: rng.integers(0, 5, n) / 4.0,
+                "outside": lambda: rng.normal(1.5, 0.5, n),
+            }[kind]()
+            monkeypatch.setattr(metrics, "_CHUNK", chunk)
+            assert_matches_loop(scores, n_bins)
+
+        check()
+
+
+class TestDensityBins:
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_fewer_than_one_bin_is_a_config_error(self, rng, n_bins):
+        with pytest.raises(ConfigError, match="n_bins"):
+            probability_density(rng.random(50), n_bins)
+        with pytest.raises(ConfigError, match="n_bins"):
+            density_histogram(rng.random(50), n_bins)
+
+    def test_histogram_filters_once(self, rng, monkeypatch):
+        calls = []
+        finite = metrics._finite_scores
+
+        def counted(scores):
+            calls.append(1)
+            return finite(scores)
+
+        monkeypatch.setattr(metrics, "_finite_scores", counted)
+        scores = np.concatenate([rng.random(500), [np.nan, np.inf]])
+        d = probability_density(scores)
+        assert len(calls) == 1
+        assert np.array_equal(d.histogram, density_histogram(scores))
 
 
 class TestReport:
