@@ -50,6 +50,16 @@ The bilateral branch can optionally run on a coarsened guidance grid
 (block mean by a compression factor, message passing at reduced
 resolution, bilinear upsampling back), trading fidelity for speed and
 memory on large frames; it does so by default.
+
+Two steps of the set-up avoid numpy's slow paths and stay exact. The
+block sums of the coarsening (:func:`_block_sum`) add strided slices,
+each block's columns and then its rows, in the order numpy's multi-axis
+reduction uses, rather than reducing two axes of a reshaped view. And
+the bilateral weights take exp only where it can be non-zero: an
+argument below ``_EXP_ZERO`` = -746 gives exactly 0.0 in float64 (exp
+underflows below ln 2^-1075 ~ -745.13), so its weight is set to 0.0
+without the call, where numpy's exp is many times slower than on
+ordinary arguments.
 """
 
 from __future__ import annotations
@@ -68,6 +78,10 @@ from .raster.grid import RasterGrid
 # Most float64 values per band of a message's multiply-adds (256 KiB): a
 # band of the accumulator with its source and weight reads fits a 2 MB L2.
 _BAND = 1 << 15
+
+# exp(x) is exactly 0.0 in float64 below ln(2^-1075) = -745.13...: the
+# bilateral weights skip exp there, where numpy's exp is slowest.
+_EXP_ZERO = -746.0
 
 # Accepted aliases for JSON config keys.
 _CONFIG_ALIASES = {
@@ -242,7 +256,17 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Sum over factor x factor blocks, zero-padding ragged edges."""
+    """Sum over factor x factor blocks, zero-padding ragged edges.
+
+    The result is numpy's ``reshape(..., h / factor, factor, w / factor,
+    factor).sum(axis=(-3, -1))`` bit for bit. That reduction adds each
+    block row's ``factor`` values left to right and then the block rows
+    top to bottom, so it is built here from strided slices the same way:
+    the columns of each block summed in place, then their rows. Only a
+    frame one block wide differs: there numpy folds both reduced axes
+    into one pairwise run of factor^2 values, so that shape keeps the
+    reshape-sum.
+    """
     *lead, h, w = arr.shape
     if h % factor or w % factor:
         hp = (h + factor - 1) // factor * factor
@@ -250,9 +274,15 @@ def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
         padded = np.zeros((*lead, hp, wp), dtype=np.float64)
         padded[..., :h, :w] = arr
         arr, h, w = padded, hp, wp
-    return arr.reshape(*lead, h // factor, factor, w // factor, factor).sum(
-        axis=(-3, -1)
-    )
+    if w == factor:
+        return arr.reshape(*lead, h // factor, factor, 1, factor).sum(axis=(-3, -1))
+    cols = arr[..., 0::factor].copy()
+    for j in range(1, factor):
+        cols += arr[..., j::factor]
+    out = cols[..., 0::factor, :].copy()
+    for i in range(1, factor):
+        out += cols[..., i::factor, :]
+    return out
 
 
 def _upsample_axis(arr: np.ndarray, n: int, factor: int, axis: int) -> np.ndarray:
@@ -339,6 +369,13 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _exp_in_place(x: np.ndarray) -> None:
+    """``np.exp(x, out=x)`` bit for bit, without calling exp on the
+    arguments below ``_EXP_ZERO``, whose exp is exactly 0.0."""
+    np.exp(x, out=x, where=x >= _EXP_ZERO)
+    np.maximum(x, 0.0, out=x)
+
+
 def bilateral_weights(
     guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
 ) -> BilateralWeights:
@@ -350,7 +387,12 @@ def bilateral_weights(
     spatial sigma shrinks by the same factor; otherwise on the full frame.
     The squared feature differences of an offset accumulate one channel
     at a time in its weight row, which then takes the exp and the spatial
-    factor in place.
+    factor in place. The exp (:func:`_exp_in_place`) runs only on
+    arguments of at least ``_EXP_ZERO``; the rest, whose exp is exactly
+    0.0 in float64, are set to 0.0 directly. Every weight is the same
+    float as with exp over the whole row, denormal weights included,
+    since those still come from exp; the skipped arguments are the ones
+    on which numpy's exp is slowest.
 
     Raises:
         DimensionError: The cache would exceed the machine's physical
@@ -402,7 +444,7 @@ def bilateral_weights(
             sq *= sq
             weight += sq
         weight *= -half_beta2
-        np.exp(weight, out=weight)
+        _exp_in_place(weight)
         weight *= math.exp(-(di * di + dj * dj) * inv_two_sigma2)
         # Zero the pairs with an end in the pad columns: a target pad
         # column, or a source column past either side of the frame.

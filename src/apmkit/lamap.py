@@ -85,6 +85,11 @@ class LamapConfig:
             raise ConfigError(f"catchment_radius must be >= 0, got {self.catchment_radius}")
         if self.kernel_bandwidth <= 0:
             raise ConfigError(f"kernel_bandwidth must be > 0, got {self.kernel_bandwidth}")
+        if self.bands is not None:
+            if not self.bands:
+                raise ConfigError("bands must name at least one band, got none")
+            if min(self.bands) < 0:
+                raise ConfigError(f"bands must be indices >= 0, got {list(self.bands)}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,8 @@ class SiteModel:
 def _select_bands(stack: RasterGrid, cfg: LamapConfig) -> tuple[int, ...]:
     bands = cfg.bands if cfg.bands is not None else tuple(range(stack.bands))
     for b in bands:
-        if not 0 <= b < stack.bands:
+        if b >= stack.bands:
             raise DataError(f"band index {b} out of range for {stack.bands}-band stack")
-    if not bands:
-        raise DataError("no bands selected")
     return bands
 
 

@@ -73,8 +73,8 @@ class RasterGrid:
         if mask.any():
             data = data.copy()
             data[:, mask] = np.nan
-        bad = ~np.isfinite(data[:, ~mask])
-        if bad.any():
+        # Masked pixels hold NaN, so every band is finite exactly off the mask.
+        if not np.array_equal(np.isfinite(data).all(axis=0), ~mask):
             raise DataError("non-finite values outside the nodata mask")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "geotransform", gt)
@@ -308,14 +308,11 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
             raise DataError(f"{path}: truncated payload")
         if left > 4 * count:
             raise DataError(f"{path}: bytes after the {bands}x{height}x{width} payload")
-        payload = fh.read()
-    data = np.frombuffer(payload, dtype="<f4").reshape(bands, height, width)
-    data = data.astype(np.float32)
-    if nodata is None:
-        mask = np.isnan(data[0])
-    else:
-        mask = data[0] == np.float32(nodata)
-        data = np.where(mask[None, :, :], np.nan, data).astype(np.float32)
+        data = np.empty((bands, height, width), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise DataError(f"{path}: truncated payload")
+    # RasterGrid sets every band to NaN on the mask.
+    mask = np.isnan(data[0]) if nodata is None else data[0] == np.float32(nodata)
     return RasterGrid(data, tuple(geotransform), mask, tuple(band_names), meta)
 
 

@@ -390,6 +390,37 @@ class TestRunAndErrors:
         assert "Traceback" not in capsys.readouterr().err
         assert not (ws / "lamap.grid").exists()
 
+    @pytest.mark.parametrize("bands,code", [("-1", 2), ("0,-2", 2), ("99", 3)])
+    def test_lamap_band_index_exit_code(self, ws, capsys, bands, code):
+        assert main([
+            "lamap", "--stack", str(ws / "dem.grid"), "--sites", str(ws / "sites.csv"),
+            "--catchment", "3", "--bandwidth", "10", f"--bands={bands}",
+            "--out", str(ws / "lamap.grid"),
+        ]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(ws.glob("lamap.grid*"))
+
+    @staticmethod
+    def band_run(ws, bands):
+        (ws / "out").mkdir()
+        (ws / "cfg.json").write_text(json.dumps({
+            "output_dir": str(ws / "out"),
+            "stages": ["features", "labels", "lamap"],
+            "inputs": {"dem": str(ws / "dem.grid"), "sites": str(ws / "sites.csv")},
+            "lamap": {"bands": bands},
+        }))
+        return main(["run", "--config", str(ws / "cfg.json")])
+
+    @pytest.mark.parametrize("bands", [[-1], [], [0, -3]])
+    def test_run_bad_lamap_bands_fail_before_any_stage(self, ws, capsys, bands):
+        assert self.band_run(ws, bands) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list((ws / "out").glob("*")) == []
+
+    def test_run_band_past_the_stack_is_data_error(self, ws):
+        assert self.band_run(ws, [99]) == 3
+        assert not (ws / "out" / "lamap_surface.grid").exists()
+
     @staticmethod
     def far_site_ws(tmp_path):
         """A 64x64 stack of 10 m cells with one positive site near a corner:

@@ -920,6 +920,91 @@ class TestUpsampleMatchesGathers:
         assert np.array_equal(got, gather_upsample(arr, factor, h, w))
 
 
+class TestBlockSumMatchesReduction:
+    """The strided-slice block sums equal numpy's multi-axis reduction of
+    the zero-padded frame bit for bit, one-block-wide frames included."""
+
+    def test_property_over_shape_and_factor(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            h=st.integers(1, 40),
+            w=st.integers(1, 40),
+            lead=st.lists(st.integers(1, 3), max_size=2),
+            factor=st.sampled_from([2, 4]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(h, w, lead, factor, seed):
+            arr = spread_values(np.random.default_rng(seed), (*lead, h, w))
+            got = _block_sum(arr, factor)
+            assert got.shape == (*lead, -(-h // factor), -(-w // factor))
+            assert np.array_equal(got, slice_block_sum(arr, factor))
+
+        check()
+
+    @pytest.mark.parametrize(
+        "shape,factor",
+        [((7, 1), 4), ((7, 2), 4), ((8, 4), 4), ((200, 3), 4), ((2, 7, 1), 4), ((7, 2), 2)],
+    )
+    def test_one_block_wide(self, shape, factor):
+        # numpy sums both reduced axes as one pairwise run on these.
+        for seed in range(20):
+            arr = spread_values(np.random.default_rng(seed), shape)
+            assert np.array_equal(_block_sum(arr, factor), slice_block_sum(arr, factor))
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_criterion_scale(self, rng, factor):
+        arr = spread_values(rng, (1647, 3284))
+        assert np.array_equal(_block_sum(arr, factor), slice_block_sum(arr, factor))
+
+
+class TestExpSkip:
+    """The bilateral weights' exp equals ``np.exp`` bit for bit while it
+    skips the arguments whose exp is exactly 0.0."""
+
+    RANGES = ((-30.0, 0.0), (-745.1, -700.0), (-800.0, -745.5))
+
+    def test_skipped_arguments_underflow(self):
+        below = np.array([crf._EXP_ZERO, np.nextafter(crf._EXP_ZERO, -np.inf), -1e300])
+        assert not np.exp(below).any()
+        assert not np.exp(np.full(33, crf._EXP_ZERO)).any()
+
+    def test_every_lane_position(self, rng):
+        buf = np.empty(48)
+        for n in range(1, 33):
+            for start in (0, 1, 3, 8):
+                for pos in range(n):
+                    for lo, hi in self.RANGES:
+                        kinds = rng.integers(0, 3, size=n)
+                        args = np.array([rng.uniform(*self.RANGES[k]) for k in kinds])
+                        args[pos] = rng.uniform(lo, hi)
+                        buf[:] = 7.0
+                        x = buf[start : start + n]
+                        x[:] = args
+                        crf._exp_in_place(x)
+                        assert np.array_equal(x, np.exp(args))
+                        assert (buf[:start] == 7.0).all() and (buf[start + n :] == 7.0).all()
+
+    def test_special_arguments(self):
+        args = np.array(
+            [0.0, -0.0, -745.13, -745.14, crf._EXP_ZERO, -746.0001, -np.inf, np.nan, -1e-300]
+        )
+        x = args.copy()
+        crf._exp_in_place(x)
+        assert np.array_equal(x, np.exp(args), equal_nan=True)
+
+    def test_mixed_frame(self, rng):
+        args = np.concatenate([rng.uniform(lo, hi, 5000) for lo, hi in self.RANGES])
+        args = rng.permutation(args)
+        x = args.copy()
+        crf._exp_in_place(x)
+        assert np.array_equal(x, np.exp(args))
+        assert (x == 0.0).any() and ((x > 0.0) & (x < np.finfo(np.float64).tiny)).any()
+
+
 class TestRasterWrapper:
     def test_refine_raster(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(10, 10)))

@@ -1,5 +1,7 @@
 """Raster container, binary IO, ESRI ASCII reader, and grid geometry."""
 
+import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +31,29 @@ class TestRasterGridValidation:
         data[0, 0, 0] = np.inf
         with pytest.raises(DataError):
             RasterGrid(data, (0, 0, 1, -1), np.zeros((2, 2), bool), ("b",))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    @pytest.mark.parametrize("masked_elsewhere", [False, True])
+    def test_rejects_non_finite_in_any_band(self, value, band, masked_elsewhere):
+        data = np.ones((3, 4, 5), dtype=np.float32)
+        data[band, 2, 3] = value
+        mask = np.zeros((4, 5), bool)
+        if masked_elsewhere:
+            mask[0, :2] = True
+            mask[3, 4] = True
+        with pytest.raises(DataError):
+            RasterGrid(data, (0, 0, 1, -1), mask, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_under_the_mask_is_nodata(self, value):
+        data = np.ones((3, 4, 5), dtype=np.float32)
+        data[1, 2, 3] = value
+        mask = np.zeros((4, 5), bool)
+        mask[2, 3] = True
+        g = RasterGrid(data, (0, 0, 1, -1), mask, ("a", "b", "c"))
+        assert np.isnan(g.data[:, 2, 3]).all()
+        assert np.isfinite(g.data[:, ~mask]).all()
 
     def test_rejects_bad_pixel_sizes(self):
         data = np.ones((1, 2, 2), dtype=np.float32)
@@ -136,6 +161,48 @@ class TestBinaryContainer:
         path.write_bytes(blob[:-8])
         with pytest.raises(DataError):
             load_raster(path)
+
+    def test_bytes_after_payload(self, tmp_path, make_grid):
+        path = tmp_path / "t.grid"
+        save_raster(make_grid(np.ones((4, 4))), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(DataError, match="bytes after"):
+            load_raster(path)
+
+    def test_numeric_nodata_masks_every_band(self, tmp_path, rng):
+        data = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        data[0, 1, 2] = data[0, 2, 0] = -9999.0
+        header = {
+            "width": 4, "height": 3, "bands": 2, "band_names": ["a", "b"],
+            "geotransform": [0, 0, 1, -1], "nodata": -9999, "meta": {},
+        }
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "n.grid"
+        path.write_bytes(
+            b"APMG" + np.uint32(len(blob)).tobytes() + blob + data.astype("<f4").tobytes()
+        )
+        g = load_raster(path)
+        mask = np.zeros((3, 4), bool)
+        mask[1, 2] = mask[2, 0] = True
+        assert np.array_equal(g.nodata_mask, mask)
+        assert np.isnan(g.data[:, mask]).all()
+        assert np.array_equal(g.data[:, ~mask], data[:, ~mask])
+
+    def test_payload_read_into_one_array(self, tmp_path, rng):
+        data = rng.normal(size=(5, 128, 96)).astype(np.float32)
+        path = tmp_path / "big.grid"
+        save_raster(RasterGrid.from_array(data), path)
+        tracemalloc.start()
+        try:
+            got = load_raster(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.data, data)
+        assert got.data.dtype == np.float32 and got.data.flags.writeable
+        # One payload-sized array plus the one-byte finite flags; a second
+        # copy of the payload would reach 2x.
+        assert peak < 1.5 * data.nbytes
 
 
 class _PayloadFails:

@@ -377,6 +377,11 @@ class TestSurfaceWrapper:
             LamapConfig(catchment_radius=-1.0)
         with pytest.raises(ConfigError):
             LamapConfig(kernel_bandwidth=0.0)
+        with pytest.raises(ConfigError, match="at least one band"):
+            LamapConfig(bands=())
+        with pytest.raises(ConfigError, match=">= 0"):
+            LamapConfig(bands=(0, -1))
+        assert LamapConfig(bands=(0, 7)).bands == (0, 7)
 
 
 def sorted_pixel_potential(stack, models, cfg):
