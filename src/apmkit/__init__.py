@@ -19,12 +19,12 @@ from .errors import (
     NumericError,
     ToolkitError,
 )
-from .raster.grid import RasterGrid, load_raster, read_esri_ascii, save_raster
+from .raster.grid import RasterGrid, load_raster, save_raster
 from .raster.sites import SiteRecord, filter_sites, read_sites_csv, write_sites_csv
 from .raster.terrain import derive_terrain
 from .raster.distance import distance_map, load_targets
 from .raster.labels import rasterize_labels
-from .raster.tiling import TileWindow, extract_window, plan_windows, stitch, tile_plan
+from .raster.tiling import TileWindow, extract_window, plan_windows, stitch
 from .lamap import LamapConfig, SiteModel, build_site_models, lamap_surface, potential_values
 from .crf import CrfConfig, crf_refine, mean_field_step, refine_values
 from .pseudolabel import BranchPair, DplConfig, LossBreakdown, combine, dpl_objective
@@ -34,7 +34,6 @@ from .metrics import (
     aul,
     auroc,
     bin_analysis,
-    confusion_metrics,
     find_count_correlation,
     probability_density,
     radar_area,
@@ -43,8 +42,6 @@ from .metrics import (
 from .folds import (
     FoldAssignment,
     StratVector,
-    folds_to_patches,
-    site_fold_raster,
     site_strat_vector,
     stratified_kfold,
     uniform_kfold,
@@ -62,7 +59,6 @@ __all__ = [
     "RasterGrid",
     "load_raster",
     "save_raster",
-    "read_esri_ascii",
     "SiteRecord",
     "read_sites_csv",
     "write_sites_csv",
@@ -73,7 +69,6 @@ __all__ = [
     "rasterize_labels",
     "TileWindow",
     "plan_windows",
-    "tile_plan",
     "extract_window",
     "stitch",
     "LamapConfig",
@@ -95,7 +90,6 @@ __all__ = [
     "auroc",
     "aul",
     "bin_analysis",
-    "confusion_metrics",
     "find_count_correlation",
     "probability_density",
     "radar_area",
@@ -105,8 +99,6 @@ __all__ = [
     "site_strat_vector",
     "stratified_kfold",
     "uniform_kfold",
-    "site_fold_raster",
-    "folds_to_patches",
     "PipelineConfig",
     "run_pipeline",
 ]

@@ -19,27 +19,22 @@ from .config import build_config, read_json
 from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .folds import site_strat_vector, stratified_kfold, uniform_kfold
-from .lamap import (
-    DEFAULT_CATCHMENT_RADIUS,
-    DEFAULT_KERNEL_BANDWIDTH,
-    LamapConfig,
-    build_site_models,
-    lamap_surface,
-)
+from .lamap import DEFAULT_CATCHMENT_RADIUS, DEFAULT_KERNEL_BANDWIDTH, LamapConfig
 from .metrics import MetricsReport, volume_gain
 from .pipeline import (
     PipelineConfig,
     build_feature_stack,
     evaluate_surface,
+    lamap_from_sites,
+    pseudolabel_with_breakdown,
     run_pipeline,
 )
-from .pseudolabel import BranchPair, DplConfig, confident_pseudolabel, dpl_objective
-from ._rng import module_rng
+from .pseudolabel import BranchPair, DplConfig
 from .raster.distance import distance_map, load_targets
 from .raster.grid import load_raster, save_raster, write_json
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
 from .raster.sites import filter_sites, read_sites_csv
-from .raster.tiling import load_plan, save_plan, stitch, tile_plan
+from .raster.tiling import load_plan, plan_windows, save_plan, stitch
 
 logger = logging.getLogger(__name__)
 
@@ -85,15 +80,11 @@ def _parse_band_list(stack, spec: str) -> tuple[int, ...]:
 def _cmd_lamap(args) -> None:
     stack = load_raster(args.stack)
     sites = _load_sites(args.sites, args.period)
-    positives = filter_sites(sites, polarity="positive")
-    if not positives:
-        raise DataError("no positive sites to model")
     bands = _parse_band_list(stack, args.bands) if args.bands else None
     cfg = LamapConfig(
         catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=bands
     )
-    models = build_site_models(stack, positives, cfg)
-    save_raster(lamap_surface(stack, models, cfg), args.out)
+    save_raster(lamap_from_sites(stack, sites, cfg), args.out)
 
 
 def _cmd_crf_refine(args) -> None:
@@ -117,14 +108,11 @@ def _cmd_pseudolabel(args) -> None:
     pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
     doc = read_json(args.config, ConfigError) if args.config else {}
     cfg = build_config(DplConfig, doc, "dpl", rng_seed=args.seed)
-    labeled = None
-    if args.labels:
-        labeled = (pair.y1, pair.y2, load_raster(args.labels))
-    breakdown = dpl_objective(labeled, [pair], cfg, step=args.step)
-    rng = module_rng(args.seed, "pseudolabel")
-    masked = confident_pseudolabel(pair, cfg, alpha=args.alpha, rng=rng)
+    labels = load_raster(args.labels) if args.labels else None
+    masked, doc = pseudolabel_with_breakdown(
+        pair, labels, cfg, args.seed, args.step, alpha=args.alpha
+    )
     save_raster(masked, args.out_raster)
-    doc = {"step": args.step, "loss_kind": cfg.loss_kind, **breakdown.as_dict()}
     write_json(args.out_json, doc)
 
 
@@ -148,7 +136,7 @@ def _cmd_split_folds(args) -> None:
 def _cmd_stitch(args) -> None:
     if args.out_plan:
         grid = load_raster(args.grid)
-        plan = tile_plan(grid, args.tile, args.overlap)
+        plan = plan_windows(grid.height, grid.width, args.tile, args.overlap)
         save_plan(args.out_plan, plan, grid.shape, grid.geotransform)
         return
     if not (args.plan and args.pred and args.out):

@@ -5,7 +5,8 @@ straddle folds. Each site is summarised by a stratification vector
 (per-band catchment mean and spread, label density, positive ratio); the
 stratified splitter greedily balances the standardized vectors across
 folds, which keeps fold-wise feature distributions comparable. A seeded
-uniform splitter is provided as the baseline.
+uniform splitter is provided as the baseline. The result is a
+site-to-fold mapping, saved as JSON by ``apmkit split-folds``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from .config import read_json
 from .errors import ConfigError, DataError, EmptyInputError
 from .raster.grid import RasterGrid, write_json
 from .raster.sites import SiteRecord
-from .raster.tiling import TileWindow
 
 UNASSIGNED = -1
-CONFLICT = -2
 
 
 @dataclass(frozen=True)
@@ -345,85 +344,3 @@ def uniform_kfold(
     if vectors is not None:
         result.imbalance = fold_imbalance(result, vectors)
     return result
-
-
-# --- window routing ----------------------------------------------------------
-
-
-def site_fold_raster(
-    grid: RasterGrid,
-    sites: list[SiteRecord],
-    assignment: FoldAssignment,
-    radius: float = 295.0,
-) -> RasterGrid:
-    """Per-pixel fold ownership of labeled site disks.
-
-    Pixel values: the owning fold index, ``CONFLICT`` (-2) where disks of
-    sites from different folds overlap, nodata where no site reaches.
-    Sites with polarity ``unlabeled`` claim nothing.
-    """
-    owner = np.full(grid.shape, UNASSIGNED, dtype=np.int64)
-    for site in sites:
-        if site.polarity == "unlabeled":
-            continue
-        fold = assignment.fold_of(site.site_id)
-        if not grid.contains(site.x, site.y):
-            continue
-        disk = grid.disk_mask(site.x, site.y, radius)
-        fresh = disk & (owner == UNASSIGNED)
-        clash = disk & (owner != UNASSIGNED) & (owner != fold)
-        owner[fresh] = fold
-        owner[clash] = CONFLICT
-    mask = owner == UNASSIGNED
-    values = owner.astype(np.float32)
-    values[mask] = np.nan
-    return RasterGrid(
-        values[None, :, :],
-        grid.geotransform,
-        mask,
-        ("fold",),
-        {"label_radius": float(radius), "conflict_value": CONFLICT},
-    )
-
-
-@dataclass(frozen=True)
-class PatchFolds:
-    """Window indices routed per fold, plus shared pools."""
-
-    labeled: dict[int, list[int]]
-    unlabeled: list[int]
-    quarantined: list[int]
-
-
-def folds_to_patches(
-    assignment: FoldAssignment,
-    plan: list[TileWindow],
-    fold_map: RasterGrid,
-) -> PatchFolds:
-    """Route windows to folds by the site pixels they contain.
-
-    A window belongs to fold f when every labeled site pixel inside it is
-    owned by fold-f sites; windows touching several folds (or any
-    conflicted pixel) are quarantined, and windows holding no labeled
-    pixel at all go to the shared unlabeled pool.
-    """
-    owner = fold_map.band(0)
-    labeled: dict[int, list[int]] = {f: [] for f in range(assignment.k)}
-    unlabeled: list[int] = []
-    quarantined: list[int] = []
-    for i, window in enumerate(plan):
-        if window.row0 + window.size > fold_map.height or (
-            window.col0 + window.size > fold_map.width
-        ):
-            raise DataError(f"window {window} overruns the fold map")
-        patch = owner[window.rows(), window.cols()]
-        values = patch[np.isfinite(patch)]
-        if values.size == 0:
-            unlabeled.append(i)
-            continue
-        folds = np.unique(values.astype(np.int64))
-        if folds.size == 1 and folds[0] >= 0:
-            labeled[int(folds[0])].append(i)
-        else:
-            quarantined.append(i)
-    return PatchFolds(labeled=labeled, unlabeled=unlabeled, quarantined=quarantined)

@@ -2,7 +2,7 @@
 
 Ranking metrics (AUROC, the area under the lift curve) are computed from
 midranks in O(N log N), so massive score pools stay cheap and ties are
-handled exactly. Confusion metrics run over labeled pixels only, which is
+handled exactly. Confusion metrics count labeled sites only, which is
 what presence-only evaluation calls for. Reliability is summarised over
 six equal-width probability bins, and surfaces can be reduced to a
 100-bin density histogram, with a Gaussian-smoothed curve for export.
@@ -118,19 +118,12 @@ def aul(scores: np.ndarray, labeled: np.ndarray) -> float:
     return float((ranks[labeled] - 0.5).sum()) / (n_pos * scores.size)
 
 
-def aul_identity(auroc_value: float, prior: float) -> float:
-    """AUL implied by an AUROC and the class prior: ``0.5 a + (1 - a) AUROC``."""
-    if not 0.0 <= prior <= 1.0:
-        raise DataError(f"prior must be in [0, 1], got {prior}")
-    return 0.5 * prior + (1.0 - prior) * float(auroc_value)
-
-
 # --- confusion metrics -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ConfusionMetrics:
-    """Threshold metrics over labeled pixels."""
+    """Threshold metrics over labeled sites."""
 
     tp: int
     fp: int
@@ -159,38 +152,6 @@ def confusion_from_counts(tp: int, fp: int, fn: int, tn: int) -> ConfusionMetric
     iou = (tp / union) if union else 1.0
     accuracy = (tp + tn) / total
     return ConfusionMetrics(tp, fp, fn, tn, dice, iou, dice, accuracy)
-
-
-def confusion_metrics(pred, labels, threshold: float = 0.5) -> ConfusionMetrics:
-    """Confusion metrics of a score field against a {1, 0, nodata} raster.
-
-    Unlabeled (nodata) pixels never enter the counts. Scores at or above
-    ``threshold`` predict positive.
-    """
-    if isinstance(pred, RasterGrid):
-        p_values, p_valid = pred.band(0).astype(np.float64), ~pred.nodata_mask
-    else:
-        p_values = np.asarray(pred, dtype=np.float64)
-        p_valid = np.isfinite(p_values)
-    if isinstance(labels, RasterGrid):
-        l_values, l_valid = labels.band(0).astype(np.float64), ~labels.nodata_mask
-    else:
-        l_values = np.asarray(labels, dtype=np.float64)
-        l_valid = np.isfinite(l_values)
-    if p_values.shape != l_values.shape:
-        raise DataError(
-            f"prediction {p_values.shape} and labels {l_values.shape} shapes differ"
-        )
-    keep = p_valid & l_valid
-    if not keep.any():
-        raise DataError("no labeled pixels to evaluate")
-    truth = l_values[keep] >= 0.5
-    called = p_values[keep] >= threshold
-    tp = int(np.sum(truth & called))
-    fp = int(np.sum(~truth & called))
-    fn = int(np.sum(truth & ~called))
-    tn = int(np.sum(~truth & ~called))
-    return confusion_from_counts(tp, fp, fn, tn)
 
 
 # --- reliability bins --------------------------------------------------------

@@ -126,6 +126,10 @@ class PipelineConfig:
             need(self.dem, "stage 'features' requires inputs.dem")
         if "labels" in self.stages:
             need(self.sites, "stage 'labels' requires inputs.sites")
+            need(
+                self.stack or "features" in self.stages,
+                "stage 'labels' requires inputs.stack or the features stage",
+            )
         if "lamap" in self.stages:
             need(self.sites, "stage 'lamap' requires inputs.sites")
             need(
@@ -296,9 +300,9 @@ class _Run:
         return path
 
     def get_stack(self) -> RasterGrid:
+        # The config requires inputs.stack wherever the features stage does
+        # not run first.
         if self.stack is None:
-            if not self.cfg.stack:
-                raise ConfigError("no feature stack available; run the features stage")
             self.stack = load_raster(self.cfg.stack)
         return self.stack
 
@@ -311,22 +315,28 @@ def _stage_features(run: _Run) -> None:
 
 
 def _stage_labels(run: _Run) -> None:
-    grid = run.get_stack() if (run.cfg.stack or "features" in run.cfg.stages) else None
-    if grid is None:
-        raise ConfigError("stage 'labels' needs a reference frame (stack or dem)")
-    labels = rasterize_labels(grid, run.period_sites, run.cfg.label_radius)
+    labels = rasterize_labels(run.get_stack(), run.period_sites, run.cfg.label_radius)
     run.labels = labels
     run.write_raster("labels", "labels.grid", labels)
 
 
-def _stage_lamap(run: _Run) -> None:
-    cfg = run.cfg
-    stack = run.get_stack()
-    positives = filter_sites(run.period_sites, polarity="positive")
+def lamap_from_sites(stack: RasterGrid, sites, cfg: LamapConfig) -> RasterGrid:
+    """LAMAP potential surface modelled on the positive sites only.
+
+    The one body of the ``lamap`` stage and of ``apmkit lamap``.
+
+    Raises:
+        DataError: when no site is positive.
+    """
+    positives = filter_sites(sites, polarity="positive")
     if not positives:
-        raise DataError("no positive sites for the surface stage")
-    models = build_site_models(stack, positives, cfg.lamap)
-    surface = lamap_surface(stack, models, cfg.lamap)
+        raise DataError("no positive sites to model")
+    models = build_site_models(stack, positives, cfg)
+    return lamap_surface(stack, models, cfg)
+
+
+def _stage_lamap(run: _Run) -> None:
+    surface = lamap_from_sites(run.get_stack(), run.period_sites, run.cfg.lamap)
     run.baseline = surface
     if run.surface is None:
         run.surface = surface
@@ -355,19 +365,34 @@ def _stage_crf(run: _Run) -> None:
     run.write_raster("crf", "refined_surface.grid", refined_grid)
 
 
+def pseudolabel_with_breakdown(
+    pair: BranchPair,
+    labels: RasterGrid | None,
+    cfg: DplConfig,
+    seed: int,
+    step: int,
+    alpha: float | None = None,
+) -> tuple[RasterGrid, dict]:
+    """Confident pseudolabel raster and its loss-breakdown document.
+
+    The one body of the ``pseudolabel`` stage and of ``apmkit pseudolabel``.
+    A given ``alpha`` mixes both the raster and the loss's pseudolabel
+    term. Without one, the raster draws it from the run seed's
+    ``pseudolabel`` stream and the loss from ``cfg.rng_seed``.
+    """
+    rng = module_rng(seed, "pseudolabel")
+    labeled = None if labels is None else (pair.y1, pair.y2, labels)
+    alphas = None if alpha is None else [alpha]
+    breakdown = dpl_objective(labeled, [pair], cfg, step=step, alphas=alphas)
+    masked = confident_pseudolabel(pair, cfg, alpha=alpha, rng=rng)
+    return masked, {"step": step, "loss_kind": cfg.loss_kind, **breakdown.as_dict()}
+
+
 def _stage_pseudolabel(run: _Run) -> None:
     cfg = run.cfg
-    y1 = load_raster(cfg.branch1)
-    y2 = load_raster(cfg.branch2)
-    pair = BranchPair(y1, y2)
-    rng = module_rng(cfg.seed, "pseudolabel")
-    labeled = None
-    if run.labels is not None:
-        labeled = (y1, y2, run.labels)
-    breakdown = dpl_objective(labeled, [pair], cfg.dpl, step=cfg.step)
-    masked = confident_pseudolabel(pair, cfg.dpl, rng=rng)
+    pair = BranchPair(load_raster(cfg.branch1), load_raster(cfg.branch2))
+    masked, doc = pseudolabel_with_breakdown(pair, run.labels, cfg.dpl, cfg.seed, cfg.step)
     run.write_raster("pseudolabel", "pseudolabel.grid", masked)
-    doc = {"step": cfg.step, "loss_kind": cfg.dpl.loss_kind, **breakdown.as_dict()}
     run.write_bytes("pseudolabel", "loss_breakdown.json", json_bytes(doc))
 
 
@@ -454,9 +479,8 @@ def _site_metrics(
 
 
 def _stage_evaluate(run: _Run) -> None:
+    # The config requires a lamap or crf stage, and each sets the surface.
     surface = run.surface
-    if surface is None:
-        raise ConfigError("evaluate stage found no surface to score")
     surface_name = "crf" if "crf" in run.cfg.stages else "lamap"
     report = evaluate_surface(
         surface,

@@ -389,12 +389,10 @@ def dpl_objective(
     hard = cfg.loss_kind in _HARD_TARGET_KINDS
     for j, pair in enumerate(unlabeled):
         alpha = None if alphas is None else float(alphas[j])
-        mixed = combine(pair, alpha=alpha, rng=rng)
-        tilde = mixed.band(0).astype(np.float64)
-        confident = pair.valid & ~mixed.nodata_mask
-        conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
-        confident &= conf >= cfg.confidence_tau
+        masked = confident_pseudolabel(pair, cfg, alpha=alpha, rng=rng)
+        confident = ~masked.nodata_mask
         if confident.any():
+            tilde = masked.band(0).astype(np.float64)  # NaN off the confident pixels
             target = (tilde >= 0.5).astype(np.float64) if hard else tilde
             batch = _loss_from_config(
                 cfg, pair.y1, target, select=confident

@@ -7,7 +7,7 @@ from .distance import (
     rasterize_lines,
     rasterize_points,
 )
-from .grid import RasterGrid, fill_holes, load_raster, read_esri_ascii, save_raster
+from .grid import RasterGrid, fill_holes, load_raster, save_raster
 from .labels import DEFAULT_LABEL_RADIUS, rasterize_labels
 from .sites import (
     CSV_HEADER,
@@ -33,7 +33,6 @@ from .tiling import (
     plan_windows,
     save_plan,
     stitch,
-    tile_plan,
 )
 
 __all__ = [
@@ -61,12 +60,10 @@ __all__ = [
     "rasterize_labels",
     "rasterize_lines",
     "rasterize_points",
-    "read_esri_ascii",
     "read_sites_csv",
     "save_raster",
     "slope_aspect",
     "stitch",
     "stream_mask",
-    "tile_plan",
     "write_sites_csv",
 ]

@@ -8,8 +8,7 @@ single canonical byte representation.
 
 The on-disk container is deliberately minimal and portable: a 4-byte
 magic, a little-endian uint32 header length, a JSON header and a raw
-little-endian float32 payload. A reader for ESRI ASCII grids is provided
-for interchange with GIS tooling.
+little-endian float32 payload.
 """
 
 from __future__ import annotations
@@ -70,7 +69,10 @@ class RasterGrid:
         names = tuple(str(n) for n in self.band_names)
         if len(names) != bands:
             raise DataError(f"{len(names)} band names for {bands} bands")
-        if mask.any():
+        # Copy only when a masked sample is not yet NaN, so the caller's
+        # array is never written to and a grid read back from disk is not
+        # copied again.
+        if mask.any() and not np.isnan(data[:, mask]).all():
             data = data.copy()
             data[:, mask] = np.nan
         # Masked pixels hold NaN, so every band is finite exactly off the mask.
@@ -314,74 +316,6 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
     # RasterGrid sets every band to NaN on the mask.
     mask = np.isnan(data[0]) if nodata is None else data[0] == np.float32(nodata)
     return RasterGrid(data, tuple(geotransform), mask, tuple(band_names), meta)
-
-
-# --- ESRI ASCII interchange ----------------------------------------------
-
-
-def read_esri_ascii(path: str | os.PathLike) -> RasterGrid:
-    """Read a single-band ESRI ASCII grid (``.asc``).
-
-    Supports ``xllcorner``/``yllcorner`` and the cell-center variants.
-    The nodata value, when present, becomes the nodata mask.
-    """
-    keys: dict[str, float] = {}
-    rows: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            head = parts[0].lower()
-            if head in (
-                "ncols",
-                "nrows",
-                "xllcorner",
-                "yllcorner",
-                "xllcenter",
-                "yllcenter",
-                "cellsize",
-                "nodata_value",
-            ):
-                if len(parts) != 2:
-                    raise DataError(f"{path}: malformed header line {line.strip()!r}")
-                keys[head] = float(parts[1])
-            else:
-                rows.append(np.array(parts, dtype=np.float64))
-    for required in ("ncols", "nrows", "cellsize"):
-        if required not in keys:
-            raise DataError(f"{path}: missing ESRI header field '{required}'")
-    ncols = int(keys["ncols"])
-    nrows = int(keys["nrows"])
-    cell = keys["cellsize"]
-    if cell <= 0:
-        raise DataError(f"{path}: cellsize must be positive")
-    flat = np.concatenate(rows) if rows else np.array([], dtype=np.float64)
-    if flat.size != nrows * ncols:
-        raise DataError(
-            f"{path}: expected {nrows * ncols} samples, found {flat.size}"
-        )
-    values = flat.reshape(nrows, ncols)
-    if "xllcorner" in keys:
-        xll = keys["xllcorner"]
-    elif "xllcenter" in keys:
-        xll = keys["xllcenter"] - cell / 2.0
-    else:
-        raise DataError(f"{path}: missing xllcorner/xllcenter")
-    if "yllcorner" in keys:
-        yll = keys["yllcorner"]
-    elif "yllcenter" in keys:
-        yll = keys["yllcenter"] - cell / 2.0
-    else:
-        raise DataError(f"{path}: missing yllcorner/yllcenter")
-    # Rows are stored north to south; our origin is the top-left corner.
-    geotransform = (xll, yll + nrows * cell, cell, -cell)
-    if "nodata_value" in keys:
-        mask = values == keys["nodata_value"]
-    else:
-        mask = np.zeros_like(values, dtype=bool)
-    values = np.where(mask, np.nan, values)
-    return RasterGrid.from_array(values, geotransform, mask, ("band_1",))
 
 
 # --- small array utilities -------------------------------------------------

@@ -100,16 +100,6 @@ def plan_windows(
     ]
 
 
-def tile_plan(
-    grid: RasterGrid,
-    tile_size: int,
-    overlap_fraction: float,
-    crop_margin: int | None = None,
-) -> list[TileWindow]:
-    """Plan windows over ``grid``; see :func:`plan_windows`."""
-    return plan_windows(grid.height, grid.width, tile_size, overlap_fraction, crop_margin)
-
-
 def extract_window(values: np.ndarray, window: TileWindow) -> np.ndarray:
     """View of ``values`` (``(H, W)`` or ``(B, H, W)``) under ``window``."""
     return values[..., window.rows(), window.cols()]

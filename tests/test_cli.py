@@ -11,9 +11,10 @@ from apmkit.folds import FoldAssignment
 from apmkit.lamap import LamapConfig, build_site_models, lamap_surface
 from apmkit.metrics import MetricsReport
 from apmkit.pipeline import build_feature_stack, evaluate_surface
+from apmkit.pseudolabel import BranchPair, DplConfig, dpl_objective
 from apmkit.raster.grid import RasterGrid, load_raster, save_raster
 from apmkit.raster.sites import SiteRecord, write_sites_csv
-from apmkit.raster.tiling import extract_window, load_plan, tile_plan
+from apmkit.raster.tiling import extract_window, load_plan, plan_windows
 
 
 def synth_dem(h=24, w=32):
@@ -153,6 +154,50 @@ class TestSurfaceCommands:
         grid = load_raster(out_raster)
         assert grid.meta["alpha"] == 0.5
 
+    def test_pseudolabel_alpha_sets_the_loss(self, ws):
+        pair = BranchPair(load_raster(ws / "branch1.grid"), load_raster(ws / "branch2.grid"))
+        outputs = []
+        for seed in (0, 1):
+            out = ws / f"seed{seed}"
+            code = main([
+                "pseudolabel", "--branch1", str(ws / "branch1.grid"),
+                "--branch2", str(ws / "branch2.grid"), "--alpha", "0.5",
+                "--seed", str(seed), "--out-raster", f"{out}.grid",
+                "--out-json", f"{out}.json",
+            ])
+            assert code == 0
+            want = dpl_objective(None, [pair], DplConfig(rng_seed=seed), 0, alphas=[0.5])
+            doc = json.loads((ws / f"seed{seed}.json").read_text())
+            assert doc["pseudolabel"] == want.pseudolabel
+            assert doc["total"] == want.total
+            outputs.append(((ws / f"seed{seed}.grid").read_bytes(), doc))
+        # A fixed alpha leaves nothing to the seed.
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_pseudolabel_matches_the_pipeline_stage(self, ws, labels):
+        stages = ["labels", "pseudolabel"] if labels else ["pseudolabel"]
+        inputs = {
+            "stack": str(ws / "dem.grid"), "sites": str(ws / "sites.csv"),
+            "branch1": str(ws / "branch1.grid"), "branch2": str(ws / "branch2.grid"),
+        }
+        cfg_path = ws / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "output_dir": str(ws / "run"), "stages": stages, "seed": 9, "step": 40,
+            "inputs": inputs,
+        }))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        extra = ["--labels", str(ws / "run" / "labels.grid")] if labels else []
+        code = main([
+            "pseudolabel", "--branch1", inputs["branch1"], "--branch2", inputs["branch2"],
+            *extra, "--seed", "9", "--step", "40", "--out-raster", str(ws / "cli.grid"),
+            "--out-json", str(ws / "cli.json"),
+        ])
+        assert code == 0
+        run = ws / "run"
+        assert (ws / "cli.grid").read_bytes() == (run / "pseudolabel.grid").read_bytes()
+        assert (ws / "cli.json").read_bytes() == (run / "loss_breakdown.json").read_bytes()
+
 
 class TestSplitAndStitch:
     def test_split_folds_uniform(self, ws):
@@ -196,7 +241,7 @@ class TestSplitAndStitch:
         windows, shape, gt = load_plan(plan_path)
         dem = load_raster(ws / "dem.grid")
         assert shape == dem.shape
-        assert windows == tile_plan(dem, 8, 0.5)
+        assert windows == plan_windows(dem.height, dem.width, 8, 0.5)
 
         pred_paths = []
         for i, w in enumerate(windows):
@@ -349,6 +394,17 @@ class TestRunAndErrors:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (ws / "out" / "stack.grid").exists()
         assert (ws / "out" / "manifest.json").exists()
+
+    def test_labels_without_a_frame_fails_before_any_output(self, ws, capsys):
+        cfg_path = ws / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "output_dir": str(ws / "out"),
+            "stages": ["labels"],
+            "inputs": {"dem": str(ws / "dem.grid"), "sites": str(ws / "sites.csv")},
+        }))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "stage 'labels' requires inputs.stack" in capsys.readouterr().err
+        assert not (ws / "out").exists()
 
     def test_missing_file_is_data_error(self, ws, capsys):
         code = main([

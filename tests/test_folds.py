@@ -1,4 +1,4 @@
-"""Stratified site splitting and fold-aware window routing."""
+"""Stratified site splitting."""
 
 import json
 
@@ -7,20 +7,16 @@ import pytest
 
 from apmkit.errors import ConfigError, DataError, EmptyInputError
 from apmkit.folds import (
-    CONFLICT,
     FoldAssignment,
     StratVector,
     fold_imbalance,
-    folds_to_patches,
     imbalance_of,
-    site_fold_raster,
     site_strat_vector,
     standardize_components,
     stratified_kfold,
     uniform_kfold,
 )
 from apmkit.raster.sites import SiteRecord
-from apmkit.raster.tiling import TileWindow
 
 
 def site(sid, x=0.5, y=-0.5, polarity="positive"):
@@ -250,84 +246,3 @@ class TestStratified:
             broken.save(path)
         assert (path.read_bytes() if path.exists() else None) == before
         assert [p.name for p in tmp_path.iterdir()] == (["folds.json"] if previous else [])
-
-
-class TestFoldRaster:
-    def fold_map(self, make_grid, radius):
-        grid = make_grid(np.zeros((9, 9)))
-        sites = [site("s0", 2.5, -4.5), site("s1", 6.5, -4.5)]
-        fa = FoldAssignment(2, {"s0": 0, "s1": 1}, "manual", 0)
-        return grid, sites, fa, site_fold_raster(grid, sites, fa, radius=radius)
-
-    def test_disjoint_disks(self, make_grid):
-        _, _, _, fm = self.fold_map(make_grid, radius=1.5)
-        band = fm.band(0)
-        assert band[4, 2] == 0.0
-        assert band[4, 6] == 1.0
-        assert fm.nodata_mask[0, 0]
-        assert np.isnan(band[0, 0])
-        # Radius 1.5 disks are the 3x3 blocks around each site pixel.
-        assert (~fm.nodata_mask).sum() == 18
-
-    def test_conflict_pixel(self, make_grid):
-        _, _, _, fm = self.fold_map(make_grid, radius=2.5)
-        band = fm.band(0)
-        assert band[4, 4] == CONFLICT
-        assert not fm.nodata_mask[4, 4]
-        assert fm.meta["conflict_value"] == CONFLICT
-
-    def test_unlabeled_site_claims_nothing(self, make_grid):
-        grid = make_grid(np.zeros((5, 5)))
-        sites = [site("u", 2.5, -2.5, polarity="unlabeled")]
-        fa = FoldAssignment(2, {"u": 0}, "manual", 0)
-        fm = site_fold_raster(grid, sites, fa, radius=2.0)
-        assert fm.nodata_mask.all()
-
-    def test_offgrid_site_skipped(self, make_grid):
-        grid = make_grid(np.zeros((5, 5)))
-        sites = [site("far", 99.0, -99.0)]
-        fa = FoldAssignment(2, {"far": 1}, "manual", 0)
-        fm = site_fold_raster(grid, sites, fa, radius=2.0)
-        assert fm.nodata_mask.all()
-
-    def test_same_fold_overlap_is_not_conflict(self, make_grid):
-        grid = make_grid(np.zeros((9, 9)))
-        sites = [site("a", 3.5, -4.5), site("b", 5.5, -4.5)]
-        fa = FoldAssignment(2, {"a": 0, "b": 0}, "manual", 0)
-        fm = site_fold_raster(grid, sites, fa, radius=1.5)
-        band = fm.band(0)
-        assert band[4, 4] == 0.0  # covered by both, same fold
-
-
-class TestPatchRouting:
-    def test_routing(self, make_grid):
-        grid = make_grid(np.zeros((9, 9)))
-        sites = [site("s0", 2.5, -4.5), site("s1", 6.5, -4.5)]
-        fa = FoldAssignment(2, {"s0": 0, "s1": 1}, "manual", 0)
-        fm = site_fold_raster(grid, sites, fa, radius=1.5)
-        plan = [
-            TileWindow(3, 1, 3),  # exactly fold 0's block
-            TileWindow(3, 5, 3),  # exactly fold 1's block
-            TileWindow(2, 1, 7),  # spans both folds
-            TileWindow(0, 0, 2),  # labeled nothing
-        ]
-        routed = folds_to_patches(fa, plan, fm)
-        assert routed.labeled[0] == [0]
-        assert routed.labeled[1] == [1]
-        assert routed.quarantined == [2]
-        assert routed.unlabeled == [3]
-
-    def test_conflict_quarantines(self, make_grid):
-        grid = make_grid(np.zeros((9, 9)))
-        sites = [site("s0", 2.5, -4.5), site("s1", 6.5, -4.5)]
-        fa = FoldAssignment(2, {"s0": 0, "s1": 1}, "manual", 0)
-        fm = site_fold_raster(grid, sites, fa, radius=2.5)
-        routed = folds_to_patches(fa, [TileWindow(4, 4, 1)], fm)
-        assert routed.quarantined == [0]
-
-    def test_window_overrun(self, make_grid):
-        grid = make_grid(np.zeros((9, 9)))
-        fa = FoldAssignment(2, {"s0": 0}, "manual", 0)
-        fm = site_fold_raster(grid, [site("s0", 2.5, -4.5)], fa, radius=1.5)
-        with pytest.raises(DataError):
-            folds_to_patches(fa, [TileWindow(8, 8, 2)], fm)

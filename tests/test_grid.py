@@ -1,4 +1,4 @@
-"""Raster container, binary IO, ESRI ASCII reader, and grid geometry."""
+"""Raster container, binary IO and grid geometry."""
 
 import json
 import tracemalloc
@@ -13,7 +13,6 @@ from apmkit.raster.grid import (
     atomic_write,
     fill_holes,
     load_raster,
-    read_esri_ascii,
     save_raster,
 )
 
@@ -54,6 +53,27 @@ class TestRasterGridValidation:
         g = RasterGrid(data, (0, 0, 1, -1), mask, ("a", "b", "c"))
         assert np.isnan(g.data[:, 2, 3]).all()
         assert np.isfinite(g.data[:, ~mask]).all()
+
+    def test_nan_under_the_mask_is_not_copied(self):
+        data = np.ones((2, 4, 5), dtype=np.float32)
+        mask = np.zeros((4, 5), bool)
+        mask[1, 2:4] = True
+        data[:, mask] = np.nan
+        g = RasterGrid(data, (0, 0, 1, -1), mask, ("a", "b"))
+        assert np.shares_memory(g.data, data)
+
+    def test_finite_under_the_mask_is_copied_not_mutated(self):
+        data = np.ones((2, 4, 5), dtype=np.float32)
+        mask = np.zeros((4, 5), bool)
+        mask[1, 2:4] = True
+        data[:, mask] = np.nan
+        data[1, 1, 3] = 7.0  # a finite sample under the mask, in band 1
+        before = data.copy()
+        g = RasterGrid(data, (0, 0, 1, -1), mask, ("a", "b"))
+        assert np.array_equal(data, before, equal_nan=True)
+        assert not np.shares_memory(g.data, data)
+        assert np.isnan(g.data[:, mask]).all()
+        assert np.array_equal(g.data[:, ~mask], data[:, ~mask])
 
     def test_rejects_bad_pixel_sizes(self):
         data = np.ones((1, 2, 2), dtype=np.float32)
@@ -204,6 +224,24 @@ class TestBinaryContainer:
         # copy of the payload would reach 2x.
         assert peak < 1.5 * data.nbytes
 
+    def test_masked_payload_read_into_one_array(self, tmp_path, rng):
+        data = rng.normal(size=(5, 128, 96)).astype(np.float32)
+        mask = np.zeros((128, 96), bool)
+        mask[40:70, 10:30] = True
+        path = tmp_path / "holed.grid"
+        save_raster(RasterGrid.from_array(data, nodata_mask=mask), path)
+        tracemalloc.start()
+        try:
+            got = load_raster(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.nodata_mask, mask)
+        assert np.isnan(got.data[:, mask]).all()
+        assert np.array_equal(got.data[:, ~mask], data[:, ~mask])
+        # The masked samples are NaN on disk, so the payload is not copied.
+        assert peak < 1.5 * data.nbytes
+
 
 class _PayloadFails:
     """Array-like whose conversion raises, after the header is written."""
@@ -247,38 +285,6 @@ class TestAtomicWrite:
         save_raster(make_grid(np.ones((2, 2))), path)
         assert np.all(load_raster(path).data == 1.0)
         assert [p.name for p in tmp_path.iterdir()] == ["g.grid"]
-
-
-class TestEsriAscii:
-    def test_corner_variant(self, tmp_path):
-        path = tmp_path / "a.asc"
-        path.write_text(
-            "ncols 3\nnrows 2\nxllcorner 10\nyllcorner 20\ncellsize 5\n"
-            "NODATA_value -9999\n"
-            "1 2 -9999\n4 5 6\n"
-        )
-        g = read_esri_ascii(path)
-        assert g.shape == (2, 3)
-        # Top-left corner: yll + nrows * cell.
-        assert g.geotransform == (10.0, 30.0, 5.0, -5.0)
-        assert g.band(0)[1, 2] == 6.0
-        assert np.isnan(g.band(0)[0, 2])
-        assert g.nodata_mask[0, 2]
-
-    def test_center_variant_shifts_origin(self, tmp_path):
-        path = tmp_path / "c.asc"
-        path.write_text(
-            "ncols 2\nnrows 2\nxllcenter 10\nyllcenter 20\ncellsize 4\n"
-            "1 2\n3 4\n"
-        )
-        g = read_esri_ascii(path)
-        assert g.geotransform == (8.0, 26.0, 4.0, -4.0)
-
-    def test_sample_count_mismatch(self, tmp_path):
-        path = tmp_path / "m.asc"
-        path.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n")
-        with pytest.raises(DataError):
-            read_esri_ascii(path)
 
 
 class TestFillHoles:

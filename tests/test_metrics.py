@@ -18,12 +18,10 @@ from apmkit.metrics import (
     MetricsReport,
     ScoredSample,
     aul,
-    aul_identity,
     auroc,
     auroc_from_arrays,
     bin_analysis,
     confusion_from_counts,
-    confusion_metrics,
     density_histogram,
     find_count_correlation,
     probability_density,
@@ -32,6 +30,8 @@ from apmkit.metrics import (
     volume_gain,
     write_density_csv,
 )
+from apmkit.pipeline import evaluate_surface
+from apmkit.raster.sites import SiteRecord
 
 UNIT_PENTAGON_AREA = 2.377641290737884  # 0.5 * sin(72 deg) * 5
 
@@ -138,15 +138,11 @@ class TestAul:
         alpha = 0.4
         got = aul(scores, labeled)
         # Finite-sample deviation comes only from within-positive ranking.
-        assert got == pytest.approx(aul_identity(a, alpha), abs=2.0 / 1000)
+        assert got == pytest.approx(0.5 * alpha + (1.0 - alpha) * a, abs=2.0 / 1000)
 
     def test_empty_positive_set(self):
         with pytest.raises(DataError):
             aul(np.array([0.5, 0.6]), np.array([False, False]))
-
-    def test_identity_prior_validation(self):
-        with pytest.raises(DataError):
-            aul_identity(0.8, 1.5)
 
 
 class TestConfusion:
@@ -176,18 +172,33 @@ class TestConfusion:
             confusion_from_counts(0, 0, 0, 0)
 
     def test_field_thresholding(self, make_grid):
-        pred = np.array([[0.9, 0.4], [0.6, 0.2]])
-        labels = np.array([[1.0, 1.0], [0.0, np.nan]])
-        m = confusion_metrics(pred, labels, threshold=0.5)
-        assert (m.tp, m.fp, m.fn, m.tn) == (1, 1, 1, 0)
+        # The surface is thresholded at the labeled sites, 0.5 calling
+        # positive: tp 1 (0.9), fn 1 (0.4), fp 2 (0.6 and 0.5), tn 1 (0.2).
+        surface = make_grid(np.array([[0.9, 0.4, 0.6], [0.5, 0.2, 0.7]]))
+        sites = [
+            SiteRecord("p0", 0.5, -0.5, "Roman Imperial", "positive"),
+            SiteRecord("p1", 1.5, -0.5, "Roman Imperial", "positive"),
+            SiteRecord("n0", 2.5, -0.5, "Roman Imperial", "negative"),
+            SiteRecord("n1", 0.5, -1.5, "Roman Imperial", "negative"),
+            SiteRecord("n2", 1.5, -1.5, "Roman Imperial", "negative"),
+        ]
+        report = evaluate_surface(surface, sites)
+        want = confusion_from_counts(1, 2, 1, 1)
+        assert (report.dice, report.iou, report.f1, report.accuracy) == (
+            want.dice, want.iou, want.f1, want.accuracy
+        )
 
-    def test_unlabeled_pixels_ignored(self, make_grid, rng):
-        pred = make_grid(rng.random((4, 4)))
-        mask = np.ones((4, 4), dtype=bool)
-        mask[0, 0] = False
-        labels = make_grid(np.ones((4, 4)), mask=mask)
-        m = confusion_metrics(pred, labels)
-        assert m.tp + m.fp + m.fn + m.tn == 1
+    def test_unlabeled_pixels_ignored(self, make_grid):
+        # Unlabeled sites, whatever they score, never enter the counts.
+        surface = make_grid(np.array([[0.9, 0.1, 0.95, 0.05]]))
+        sites = [
+            SiteRecord("p", 0.5, -0.5, "Roman Imperial", "positive"),
+            SiteRecord("n", 1.5, -0.5, "Roman Imperial", "negative"),
+            SiteRecord("u0", 2.5, -0.5, "Roman Imperial", "unlabeled"),
+            SiteRecord("u1", 3.5, -0.5, "Roman Imperial", "unlabeled"),
+        ]
+        report = evaluate_surface(surface, sites)
+        assert (report.dice, report.iou, report.accuracy) == (1.0, 1.0, 1.0)
 
 
 class TestBins:

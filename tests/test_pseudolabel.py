@@ -338,3 +338,63 @@ class TestObjective:
         pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
         with pytest.raises(DataError):
             dpl_objective(None, pairs, DplConfig(), step=0, alphas=[0.5, 0.5])
+
+
+def mixing_loop_pseudo_term(unlabeled, cfg, alphas):
+    """The pseudolabel term with the branches mixed and the confidence
+    rule applied inline, as a reference for dpl_objective."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    terms = []
+    for j, pair in enumerate(unlabeled):
+        alpha = None if alphas is None else float(alphas[j])
+        mixed = combine(pair, alpha=alpha, rng=rng)
+        tilde = mixed.band(0).astype(np.float64)
+        confident = pair.valid & ~mixed.nodata_mask
+        conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
+        confident &= conf >= cfg.confidence_tau
+        if not confident.any():
+            terms.append(0.0)
+            continue
+        hard = cfg.loss_kind in ("dice", "dice-focal", "tversky")
+        target = (tilde >= 0.5).astype(np.float64) if hard else tilde
+        kw = dict(
+            select=confident, class_weights=cfg.class_weights, focal_gamma=cfg.focal_gamma,
+            tversky_alpha=cfg.tversky_alpha, tversky_beta=cfg.tversky_beta,
+            smooth=cfg.dice_smooth,
+        )
+        terms.append(
+            seg_loss(cfg.loss_kind, pair.y1, target, **kw)
+            + seg_loss(cfg.loss_kind, pair.y2, target, **kw)
+        )
+    return float(np.mean(terms))
+
+
+class TestObjectiveMatchesMixingLoop:
+    @pytest.mark.parametrize("kind", ["weighted-ce", "dice", "dice-focal", "focal", "tversky"])
+    @pytest.mark.parametrize("alphas", [None, [0.0, 1.0], [0.37, 0.5]])
+    def test_pseudolabel_term_is_identical(self, make_grid, kind, alphas):
+        rng = np.random.default_rng(7)
+        pairs = []
+        for _ in range(2):
+            masks = [rng.random((9, 11)) < 0.2 for _ in range(2)]
+            # Sharp branches, so most mixtures hold confident pixels.
+            y1, y2 = (np.clip(rng.beta(0.3, 0.3, (9, 11)), 1e-3, 1 - 1e-3) for _ in range(2))
+            pairs.append(pair_of(make_grid, y1, y2, masks[0], masks[1]))
+        for tau in (0.7, 0.8, 0.95):
+            cfg = DplConfig(loss_kind=kind, confidence_tau=tau, rng_seed=11)
+            out = dpl_objective(None, pairs, cfg, step=5, alphas=alphas)
+            assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)
+
+    def test_unconfident_and_masked_batches(self, make_grid):
+        lukewarm = np.full((3, 4), 0.55)
+        sharp = np.full((3, 4), 0.99)
+        mask = np.zeros((3, 4), bool)
+        mask[0] = True
+        pairs = [
+            pair_of(make_grid, lukewarm, lukewarm),
+            pair_of(make_grid, sharp, lukewarm, mask1=mask),
+        ]
+        cfg = DplConfig(confidence_tau=0.75, rng_seed=3)
+        for alphas in (None, [0.5, 0.9]):
+            out = dpl_objective(None, pairs, cfg, step=0, alphas=alphas)
+            assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)

@@ -13,7 +13,6 @@ from apmkit.raster.tiling import (
     plan_windows,
     save_plan,
     stitch,
-    tile_plan,
 )
 
 
@@ -158,7 +157,7 @@ class TestStitch:
 class TestPlanIO:
     def test_roundtrip(self, tmp_path, make_grid, rng):
         grid = make_grid(rng.normal(size=(40, 50)), geotransform=(5.0, 9.0, 2.0, -2.0))
-        plan = tile_plan(grid, 16, 0.5)
+        plan = plan_windows(grid.height, grid.width, 16, 0.5)
         path = tmp_path / "plan.json"
         save_plan(path, plan, grid.shape, grid.geotransform)
         windows, shape, gt = load_plan(path)
