@@ -1,15 +1,21 @@
-"""The one JSON file reader, and the one typed builder of config dataclasses.
+"""The one JSON file reader, and the one typed builder of dataclasses from
+JSON documents: run configs, targets files, tile plans, fold assignments,
+baseline reports and ``.grid`` headers.
 
-A config value is checked against its field's annotation when the config
+A value is checked against its field's annotation when the document
 loads: a ``bool`` takes only true/false, an ``int`` an integer (not a bool,
 not 5.5), a ``float`` a finite integer or float (stored as a float), a
-``str`` a string, a ``tuple[...]`` a list of its element type, and
-``X | None`` also null. Nothing is coerced from a string.
+``str`` a string, a ``dict`` an object, a ``tuple[...]`` or ``list[...]`` a
+list of its element type, a ``dict[str, X]`` an object of X values, a
+dataclass an object typed the same way, and ``X | None`` also null.
+Nothing is coerced from a string. A config raises ConfigError (exit 2); a
+data file passes ``error=DataError`` (exit 3).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -19,7 +25,10 @@ from typing import Collection, Mapping
 
 from .errors import ConfigError, ToolkitError
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {
+    bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+    dict: "an object",
+}
 
 
 def read_json(path: str | os.PathLike, error: type[ToolkitError]):
@@ -33,63 +42,93 @@ def read_json(path: str | os.PathLike, error: type[ToolkitError]):
 
 def config_values(
     cls: type, doc, what: str, aliases: Mapping[str, str] = {},
-    names: Collection[str] | None = None,
+    names: Collection[str] | None = None, error: type[ToolkitError] = ConfigError,
 ) -> dict:
     """The entries of the JSON object ``doc`` by field of ``cls``, typed.
 
     A key names a field (of ``names`` when given) or an alias of one.
-    A non-object, an unknown key or a mistyped value raises ConfigError;
+    A non-object, an unknown key or a mistyped value raises ``error``;
     ``what`` names the document in the message.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be an object, got {type(doc).__name__}")
-    hints = typing.get_type_hints(cls)
+        raise error(f"{what} must be an object, got {type(doc).__name__}")
+    hints = _hints(cls)
     if names is None:
         names = [f.name for f in dataclasses.fields(cls) if f.init]
     values = {}
     for key, value in doc.items():
         name = aliases.get(key, key)
         if name not in names:
-            raise ConfigError(f"unknown {what} key '{key}'")
-        values[name] = _typed(value, hints[name], f"{what} {key}")
+            raise error(f"unknown {what} key '{key}'")
+        values[name] = _typed(value, hints[name], f"{what} {key}", error)
     return values
 
 
-def build_config(cls: type, doc, what: str, aliases: Mapping[str, str] = {}, **given):
+def build_config(
+    cls: type, doc, what: str, aliases: Mapping[str, str] = {},
+    error: type[ToolkitError] = ConfigError, **given,
+):
     """``cls`` from ``doc``'s typed entries over the ``given`` field values.
 
-    A TypeError or ValueError from the dataclass's own checks becomes a
-    ConfigError.
+    A required field with no value raises ``error``, and so does a
+    TypeError, ValueError or ``error`` from the dataclass's own checks,
+    with ``what`` named in the message.
     """
-    kwargs = {**given, **config_values(cls, doc, what, aliases)}
+    kwargs = {**given, **config_values(cls, doc, what, aliases, error=error)}
+    missing = [name for name in _required(cls) if name not in kwargs]
+    if missing:
+        raise error(f"{what} lacks {', '.join(missing)}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what} value: {exc}") from exc
+    except (TypeError, ValueError, error) as exc:
+        raise error(f"bad {what} value: {exc}") from exc
 
 
-def _typed(value, hint, name: str):
+@functools.cache
+def _hints(cls: type) -> dict:
+    return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _required(cls: type) -> tuple[str, ...]:
+    missing = dataclasses.MISSING
+    return tuple(
+        f.name for f in dataclasses.fields(cls)
+        if f.init and f.default is missing and f.default_factory is missing
+    )
+
+
+def _typed(value, hint, name: str, error: type[ToolkitError]):
     """``value`` if it fits the annotation ``hint`` (ints widen to float)."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+    if hint in _KINDS:
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if hint is float:
+            # NaN, the infinities and ints past float range fail the bound.
+            if is_number and abs(value) <= sys.float_info.max:
+                return float(value)
+        elif isinstance(value, hint) and (hint is not int or is_number):
+            return value
+        raise error(f"{name} must be {_KINDS[hint]}, got {value!r}")
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (inner,) = (a for a in args if a is not type(None))
-        return _typed(value, inner, name)
-    if typing.get_origin(hint) is tuple:
+        return _typed(value, inner, name, error)
+    if origin in (tuple, list):
         if isinstance(value, list):
-            kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+            kinds = (args[0],) * len(value) if origin is list or args[-1] is Ellipsis else args
             if len(kinds) == len(value):
                 items = enumerate(zip(value, kinds))
-                return tuple(_typed(v, kind, f"{name}[{i}]") for i, (v, kind) in items)
-        size = "" if args[-1] is Ellipsis else f" of {len(args)}"
-        raise ConfigError(f"{name} must be a list{size}, got {value!r}")
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is float:
-        # NaN, the infinities and ints past float range fail the bound.
-        if is_number and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif isinstance(value, hint) and (hint is not int or is_number):
+                return origin(_typed(v, kind, f"{name}[{i}]", error) for i, (v, kind) in items)
+        size = f" of {len(args)}" if origin is tuple and args[-1] is not Ellipsis else ""
+        raise error(f"{name} must be a list{size}, got {value!r}")
+    if origin is dict:
+        if isinstance(value, dict):
+            return {k: _typed(v, args[1], f"{name}[{k!r}]", error) for k, v in value.items()}
+        raise error(f"{name} must be an object, got {value!r}")
+    if dataclasses.is_dataclass(hint):
+        return build_config(hint, value, name, error=error)
+    if isinstance(value, hint):
         return value
-    kind = _KINDS.get(hint, getattr(hint, "__name__", str(hint)))
-    raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    raise error(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")

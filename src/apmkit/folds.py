@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import read_json
+from .config import build_config, read_json
 from .errors import ConfigError, DataError, EmptyInputError
 from .raster.grid import RasterGrid, write_json
 from .raster.sites import SiteRecord
@@ -95,6 +95,11 @@ class FoldAssignment:
     fold_means: list[list[float]] | None = None
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for site_id, fold in self.assignment.items():
+            if not 0 <= fold < self.k:
+                raise DataError(f"site '{site_id}' has fold {fold}, outside [0, {self.k})")
+
     def fold_sizes(self) -> list[int]:
         sizes = [0] * self.k
         for f in self.assignment.values():
@@ -126,18 +131,9 @@ class FoldAssignment:
     def load(path) -> "FoldAssignment":
         """Read a file written by :meth:`save`; any other shape raises DataError."""
         doc = read_json(path, DataError)
-        try:
-            return FoldAssignment(
-                k=int(doc["k"]),
-                assignment={k: int(v) for k, v in doc["assignment"].items()},
-                strategy=doc.get("strategy", "unknown"),
-                seed=int(doc.get("seed", 0)),
-                imbalance=doc.get("imbalance"),
-                fold_means=doc.get("fold_means"),
-                metadata=dict(doc.get("metadata", {})),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise DataError(f"{path}: malformed fold assignment: {exc}") from exc
+        if isinstance(doc, dict):
+            doc.pop("fold_sizes", None)  # derived from the assignment
+        return build_config(FoldAssignment, doc, f"{path} folds", error=DataError)
 
 
 def _check_split_args(n_sites: int, k: int) -> None:

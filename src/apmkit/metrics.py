@@ -11,14 +11,16 @@ six equal-width probability bins, and surfaces can be reduced to a
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import build_config, config_values
 from .errors import ConfigError, DataError
 from .raster.grid import RasterGrid, atomic_write
 
@@ -507,81 +509,23 @@ class MetricsReport:
         }
 
     @staticmethod
-    def from_dict(doc: Mapping) -> "MetricsReport":
+    def from_dict(doc) -> "MetricsReport":
         """Inverse of :meth:`to_dict`.
 
         Raises:
             ConfigError: when ``doc`` does not have a report's shape.
         """
-        _check_report_shape(doc)
-        metrics = doc["metrics"]
-        bins = [
-            BinStats(
-                b["lo"], b["hi"], b["count"], b.get("mean_score"),
-                b.get("positive_ratio"), b.get("calibration_gap"),
-            )
-            for b in doc.get("bins", [])
-        ]
-        return MetricsReport(
-            auroc=metrics.get("auroc"),
-            aul=metrics.get("aul"),
-            dice=metrics.get("dice"),
-            iou=metrics.get("iou"),
-            f1=metrics.get("f1"),
-            accuracy=metrics.get("accuracy"),
-            bins=bins,
-            density_histogram=list(doc.get("density_histogram", [])),
-            find_count_rho=doc.get("find_count_rho"),
-            volume_gain=doc.get("volume_gain"),
-            baseline_name=doc.get("baseline_name"),
-            metadata=dict(doc.get("metadata", {})),
-            schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
+        if not isinstance(doc, dict):
+            raise ConfigError(f"report must be an object, got {type(doc).__name__}")
+        top = dict(doc)
+        metrics = config_values(
+            MetricsReport, top.pop("metrics", None), "report metrics", names=_METRIC_KEYS
         )
+        values = config_values(MetricsReport, top, "report", names=_REPORT_KEYS)
+        return build_config(MetricsReport, {}, "report", **metrics, **values)
 
 
-def _check_report_shape(doc) -> None:
-    """Raise ConfigError unless ``doc`` is shaped like the output of
-    :meth:`MetricsReport.to_dict`: every section of the right container
-    type and every number a number, or null where a report allows it."""
-
-    def fail(where: str, want: str, value) -> NoReturn:
-        raise ConfigError(f"report {where} must be {want}, got {value!r}")
-
-    def number(where: str, value, nullable: bool = True) -> None:
-        if value is None and nullable:
-            return
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail(where, "a number", value)
-
-    if not isinstance(doc, Mapping):
-        fail("document", "a JSON object", doc)
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, Mapping):
-        fail("'metrics'", "an object", metrics)
-    for name in MetricsReport().metric_dict():
-        number(f"metric {name!r}", metrics.get(name))
-    bins = doc.get("bins", [])
-    if not isinstance(bins, list):
-        fail("'bins'", "a list", bins)
-    for i, b in enumerate(bins):
-        if not isinstance(b, Mapping):
-            fail(f"bin {i}", "an object", b)
-        for key in ("lo", "hi", "count"):
-            number(f"bin {i} {key!r}", b.get(key), nullable=False)
-        for key in ("mean_score", "positive_ratio", "calibration_gap"):
-            number(f"bin {i} {key!r}", b.get(key))
-    histogram = doc.get("density_histogram", [])
-    if not isinstance(histogram, list):
-        fail("'density_histogram'", "a list", histogram)
-    for value in histogram:
-        number("'density_histogram' entry", value, nullable=False)
-    for key in ("find_count_rho", "volume_gain"):
-        number(repr(key), doc.get(key))
-    name = doc.get("baseline_name")
-    if name is not None and not isinstance(name, str):
-        fail("'baseline_name'", "a string", name)
-    if not isinstance(doc.get("metadata", {}), Mapping):
-        fail("'metadata'", "an object", doc.get("metadata"))
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if isinstance(version, bool) or not isinstance(version, int):
-        fail("'schema_version'", "an integer", version)
+_METRIC_KEYS = tuple(MetricsReport().metric_dict())
+_REPORT_KEYS = tuple(
+    f.name for f in dataclasses.fields(MetricsReport) if f.name not in _METRIC_KEYS
+)

@@ -376,15 +376,15 @@ def pseudolabel_with_breakdown(
     """Confident pseudolabel raster and its loss-breakdown document.
 
     The one body of the ``pseudolabel`` stage and of ``apmkit pseudolabel``.
-    A given ``alpha`` mixes both the raster and the loss's pseudolabel
-    term. Without one, the raster draws it from the run seed's
-    ``pseudolabel`` stream and the loss from ``cfg.rng_seed``.
+    One ``alpha`` mixes both the raster and the loss's pseudolabel term;
+    without a given one it is drawn from the run seed's ``pseudolabel``
+    stream.
     """
-    rng = module_rng(seed, "pseudolabel")
+    if alpha is None:
+        alpha = float(module_rng(seed, "pseudolabel").uniform())
     labeled = None if labels is None else (pair.y1, pair.y2, labels)
-    alphas = None if alpha is None else [alpha]
-    breakdown = dpl_objective(labeled, [pair], cfg, step=step, alphas=alphas)
-    masked = confident_pseudolabel(pair, cfg, alpha=alpha, rng=rng)
+    breakdown = dpl_objective(labeled, [pair], cfg, step=step, alphas=[alpha])
+    masked = confident_pseudolabel(pair, cfg, alpha=alpha)
     return masked, {"step": step, "loss_kind": cfg.loss_kind, **breakdown.as_dict()}
 
 

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import read_json
+from ..config import build_config, read_json
 from ..errors import DataError, EmptyInputError
 from .grid import RasterGrid
 
@@ -213,20 +214,22 @@ def rasterize_lines(
     return mask
 
 
+@dataclass(frozen=True)
+class _Targets:
+    """A targets file: points and polylines, in map units."""
+
+    points: list[tuple[float, float]] = field(default_factory=list)
+    lines: list[list[tuple[float, float]]] = field(default_factory=list)
+
+
 def load_targets(path: str | os.PathLike) -> tuple[list, list]:
     """Load a JSON targets file: ``{"points": [[x, y], ...], "lines": [...]}``.
 
-    A file of any other shape raises DataError.
+    A file of any other shape, or a coordinate that is not a finite
+    number, raises DataError.
     """
-    doc = read_json(path, DataError)
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: targets file must hold a JSON object")
-    try:
-        points = [(float(x), float(y)) for x, y in doc.get("points", [])]
-        lines = [[(float(x), float(y)) for x, y in ln] for ln in doc.get("lines", [])]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed targets: {exc}") from exc
-    return points, lines
+    targets = build_config(_Targets, read_json(path, DataError), f"{path} targets", error=DataError)
+    return targets.points, targets.lines
 
 
 def distance_map(

@@ -23,6 +23,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from ..config import build_config
 from ..errors import DataError, DimensionError, EmptyInputError
 
 _MAGIC = b"APMG"
@@ -59,6 +60,8 @@ class RasterGrid:
         gt = tuple(float(v) for v in self.geotransform)
         if len(gt) != 4:
             raise DataError("geotransform must have four entries")
+        if not all(map(math.isfinite, gt)):
+            raise DataError(f"geotransform must be finite, got {gt}")
         if gt[2] <= 0.0 or gt[3] == 0.0:
             raise DataError(f"invalid pixel sizes in geotransform {gt}")
         mask = np.ascontiguousarray(self.nodata_mask, dtype=bool)
@@ -249,11 +252,17 @@ def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
         fh.write(np.ascontiguousarray(grid.data, dtype="<f4").tobytes())
 
 
-_HEADER_KEYS = ("width", "height", "bands", "geotransform", "band_names")
+@dataclass(frozen=True)
+class _Header:
+    """The JSON header of a ``.grid`` file."""
 
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    width: int
+    height: int
+    bands: int
+    geotransform: tuple[float, float, float, float]
+    band_names: tuple[str, ...]
+    nodata: float | None = None
+    meta: dict = field(default_factory=dict)
 
 
 def load_raster(path: str | os.PathLike) -> RasterGrid:
@@ -261,10 +270,9 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
 
     Raises:
         DataError: on a bad magic, a truncated file, bytes after the
-            payload, or a header that lacks a required key, holds a size
-            that is not an integer of at least 1, a geotransform that is
-            not four numbers, a band-name list of the wrong length, or a
-            nodata or meta of the wrong type.
+            payload, a header that is not a JSON object typed as
+            :class:`_Header` (an unknown key included), a size below 1 or
+            a band-name list of the wrong length.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -278,31 +286,15 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
         if len(blob) != int(hlen):
             raise DataError(f"{path}: truncated header")
         try:
-            header = json.loads(blob.decode("utf-8"))
+            doc = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise DataError(f"{path}: corrupt header: not a JSON object")
-        missing = [k for k in _HEADER_KEYS if k not in header]
-        if missing:
-            raise DataError(f"{path}: header lacks {', '.join(missing)}")
-        width, height, bands = (header[k] for k in ("width", "height", "bands"))
-        sizes = (width, height, bands)
-        if any(type(v) is not int for v in sizes) or min(sizes) < 1:
+        header = build_config(_Header, doc, f"{path} header", error=DataError)
+        bands, height, width = header.bands, header.height, header.width
+        if min(bands, height, width) < 1:
             raise DataError(f"{path}: bad size {bands}x{height}x{width} in header")
-        geotransform = header["geotransform"]
-        if not (
-            isinstance(geotransform, list)
-            and len(geotransform) == 4
-            and all(_is_number(v) for v in geotransform)
-        ):
-            raise DataError(f"{path}: geotransform must be four numbers, got {geotransform!r}")
-        band_names = header["band_names"]
-        if not isinstance(band_names, list) or len(band_names) != bands:
-            raise DataError(f"{path}: band_names must list {bands} names, got {band_names!r}")
-        nodata, meta = header.get("nodata"), header.get("meta", {})
-        if not (nodata is None or _is_number(nodata)) or not isinstance(meta, dict):
-            raise DataError(f"{path}: nodata must be a number or null and meta an object")
+        if len(header.band_names) != bands:
+            raise DataError(f"{path}: band_names must list {bands} names, got {header.band_names}")
         # Sized against the file, so a corrupt size never becomes a huge read.
         count = bands * height * width
         left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -314,8 +306,9 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
         if fh.readinto(data) != data.nbytes:
             raise DataError(f"{path}: truncated payload")
     # RasterGrid sets every band to NaN on the mask.
+    nodata = header.nodata
     mask = np.isnan(data[0]) if nodata is None else data[0] == np.float32(nodata)
-    return RasterGrid(data, tuple(geotransform), mask, tuple(band_names), meta)
+    return RasterGrid(data, header.geotransform, mask, header.band_names, header.meta)
 
 
 # --- small array utilities -------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..config import read_json
+from ..config import build_config, read_json
 from ..errors import ConfigError, DataError, DimensionError
 from .grid import RasterGrid, write_json
 
@@ -213,23 +213,21 @@ def save_plan(
     write_json(path, doc)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A plan file, as :func:`save_plan` writes it."""
+
+    height: int
+    width: int
+    geotransform: tuple[float, float, float, float]
+    windows: list[TileWindow]
+
+
 def load_plan(path) -> tuple[list[TileWindow], tuple[int, int], tuple[float, float, float, float]]:
     """Read a plan written by :func:`save_plan`.
 
     Returns:
         (windows, (height, width), geotransform).
     """
-    doc = read_json(path, DataError)
-    try:
-        shape = (int(doc["height"]), int(doc["width"]))
-        gt = tuple(float(v) for v in doc["geotransform"])
-        windows = [
-            TileWindow(int(w["row0"]), int(w["col0"]), int(w["size"]),
-                       int(w.get("crop_margin", 0)))
-            for w in doc["windows"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed plan: {exc}") from exc
-    if len(gt) != 4:
-        raise DataError(f"{path}: geotransform must have 4 entries")
-    return windows, shape, gt
+    plan = build_config(_Plan, read_json(path, DataError), f"{path} plan", error=DataError)
+    return plan.windows, (plan.height, plan.width), plan.geotransform

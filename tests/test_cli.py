@@ -174,6 +174,19 @@ class TestSurfaceCommands:
         # A fixed alpha leaves nothing to the seed.
         assert outputs[0] == outputs[1]
 
+    def test_pseudolabel_breakdown_scores_the_raster_alpha(self, ws):
+        pair = BranchPair(load_raster(ws / "branch1.grid"), load_raster(ws / "branch2.grid"))
+        code = main([
+            "pseudolabel", "--branch1", str(ws / "branch1.grid"),
+            "--branch2", str(ws / "branch2.grid"), "--seed", "1",
+            "--out-raster", str(ws / "p.grid"), "--out-json", str(ws / "p.json"),
+        ])
+        assert code == 0
+        alpha = load_raster(ws / "p.grid").meta["alpha"]
+        want = dpl_objective(None, [pair], DplConfig(rng_seed=1), 0, alphas=[alpha])
+        doc = json.loads((ws / "p.json").read_text())
+        assert (doc["pseudolabel"], doc["total"]) == (want.pseudolabel, want.total)
+
     @pytest.mark.parametrize("labels", [False, True])
     def test_pseudolabel_matches_the_pipeline_stage(self, ws, labels):
         stages = ["labels", "pseudolabel"] if labels else ["pseudolabel"]
@@ -647,8 +660,12 @@ class TestRunAndErrors:
         assert list((ws / "out").glob("*")) == []
 
     @pytest.mark.parametrize(
-        "targets", [{"points": [["a", 1]]}, {"points": 5}, {"lines": [[1, 2]]}],
-        ids=["point-string", "points-number", "vertex-number"],
+        "targets",
+        [
+            {"points": [["a", 1]]}, {"points": 5}, {"lines": [[1, 2]]},
+            {"points": [[float("nan"), 1]]}, {"lines": [[[0, 0], [float("inf"), 1]]]},
+        ],
+        ids=["point-string", "points-number", "vertex-number", "point-nan", "vertex-infinity"],
     )
     @pytest.mark.parametrize("command", ["distance-map", "derive-features", "run"])
     def test_malformed_targets_is_data_error(self, ws, capsys, targets, command):

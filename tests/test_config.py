@@ -1,15 +1,23 @@
-"""The typed config builder and the JSON file reader."""
+"""The typed config builder, the JSON file reader, and every JSON document
+the toolkit reads through them."""
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from apmkit.config import build_config, config_values, read_json
 from apmkit.crf import CrfConfig
 from apmkit.errors import ConfigError, DataError
+from apmkit.folds import FoldAssignment
+from apmkit.metrics import BinStats, MetricsReport
+from apmkit.raster.distance import load_targets
+from apmkit.raster.grid import load_raster
+from apmkit.raster.tiling import load_plan
 
 
 @dataclass
@@ -77,6 +85,139 @@ class TestValueRules:
         assert potts.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         with pytest.raises(ConfigError, match="crf compatibility"):
             CrfConfig.from_json({"compatibility": [[0.0, 1.0], [1.0, 0.0]]})
+
+
+@dataclass
+class Nested:
+    inner: Sample
+    rows: list[Sample] = field(default_factory=list)
+    table: dict[str, int] = field(default_factory=dict)
+
+
+class TestNestedValues:
+    def test_dataclass_list_and_dict_fields(self):
+        doc = {"inner": {"count": 2}, "rows": [{}, {"name": "b"}], "table": {"a": 1}}
+        got = build_config(Nested, doc, "doc", error=DataError)
+        assert got == Nested(Sample(count=2), [Sample(), Sample(name="b")], {"a": 1})
+        assert type(got.rows) is list
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({}, "doc lacks inner"),
+            ({"inner": 1}, "doc inner must be an object"),
+            ({"inner": {"count": -1}}, "bad doc inner value: count must be >= 0"),
+            ({"inner": {}, "rows": {}}, "doc rows must be a list"),
+            ({"inner": {}, "rows": [{"count": 1.5}]}, r"doc rows\[0\] count must be an integer"),
+            ({"inner": {}, "table": []}, "doc table must be an object"),
+            ({"inner": {}, "table": {"a": True}}, r"doc table\['a'\] must be an integer"),
+        ],
+    )
+    def test_rejections_take_the_given_error(self, doc, message):
+        with pytest.raises(DataError, match=message):
+            build_config(Nested, doc, "doc", error=DataError)
+
+
+# --- every JSON document the toolkit reads -----------------------------------
+
+_DROP = object()
+
+_DOCUMENTS = {
+    "targets": {"points": [[1, 2]], "lines": [[[0, 0], [3, 3]]]},
+    "plan": {
+        "height": 8, "width": 8, "geotransform": [0, 0, 1, -1],
+        "windows": [{"row0": 0, "col0": 0, "size": 8, "crop_margin": 0}],
+    },
+    "folds": FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0, imbalance=0.5).to_dict(),
+    "report": MetricsReport(auroc=0.7, bins=[BinStats(0.0, 0.5, 2, 0.3, 0.5, 0.2)]).to_dict(),
+    "header": {
+        "width": 3, "height": 2, "bands": 1, "band_names": ["b"],
+        "geotransform": [0, 0, 1, -1], "nodata": None, "meta": {},
+    },
+}
+
+_LOADERS = {
+    "targets": load_targets,
+    "plan": load_plan,
+    "folds": FoldAssignment.load,
+    "report": lambda path: MetricsReport.from_dict(read_json(path, ConfigError)),
+    "header": load_raster,
+}
+
+# Per document, in order: a bool where an integer belongs (targets hold no
+# integer, so a bool where a number belongs), a string where a number
+# belongs, NaN, an unknown key and a missing required key (for targets, a
+# point without its y).
+_MALFORMED = {
+    "targets": [
+        (("points", 0, 0), True), (("points", 0, 1), "2"), (("lines", 0, 1, 0), float("nan")),
+        (("polygons",), []), (("points", 0, 1), _DROP),
+    ],
+    "plan": [
+        (("windows", 0, "row0"), True), (("geotransform", 0), "0"),
+        (("geotransform", 2), float("nan")), (("windows", 0, "extra"), 1), (("height",), _DROP),
+    ],
+    "folds": [
+        (("k",), True), (("imbalance",), "0.5"), (("imbalance",), float("nan")),
+        (("extra",), 1), (("assignment",), _DROP),
+    ],
+    "report": [
+        (("bins", 0, "count"), True), (("metrics", "auroc"), "0.7"),
+        (("metrics", "auroc"), float("nan")), (("metrics", "auc"), 0.7),
+        (("bins", 0, "count"), _DROP),
+    ],
+    "header": [
+        (("width",), True), (("geotransform", 0), "0"), (("geotransform", 2), float("nan")),
+        (("extra",), 1), (("bands",), _DROP),
+    ],
+}
+
+_CASES = [
+    (name, keys, value)
+    for name, edits in _MALFORMED.items()
+    for keys, value in edits
+]
+_IDS = [
+    f"{name}-{kind}"
+    for name in _MALFORMED
+    for kind in ("bool", "string", "nan", "unknown", "missing")
+]
+
+
+def _write_document(path, name, doc) -> None:
+    blob = json.dumps(doc).encode("utf-8")
+    if name == "header":
+        payload = np.zeros(6, dtype="<f4").tobytes()
+        blob = b"APMG" + np.uint32(len(blob)).tobytes() + blob + payload
+    path.write_bytes(blob)
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("name", list(_DOCUMENTS))
+    def test_well_formed_document_loads(self, tmp_path, name):
+        path = tmp_path / f"{name}.doc"
+        _write_document(path, name, _DOCUMENTS[name])
+        _LOADERS[name](path)
+
+    @pytest.mark.parametrize("name,keys,value", _CASES, ids=_IDS)
+    def test_malformed_document_raises_its_error(self, tmp_path, name, keys, value):
+        doc = copy.deepcopy(_DOCUMENTS[name])
+        *outer, last = keys
+        target = doc
+        for key in outer:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+        path = tmp_path / f"{name}.doc"
+        _write_document(path, name, doc)
+        error = ConfigError if name == "report" else DataError
+        with pytest.raises(error) as info:
+            _LOADERS[name](path)
+        assert type(info.value) is error
+        # Report messages name the report; the other documents name their file.
+        assert ("report " if name == "report" else path.name) in str(info.value)
 
 
 class TestReadJson:

@@ -219,8 +219,12 @@ class TestStratified:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"k": 2}, [1, 2], {"k": "x", "assignment": {}}, {"k": 2, "assignment": []}],
-        ids=["no-assignment", "array", "k-not-int", "assignment-list"],
+        [
+            {"k": 2}, [1, 2], {"k": "x", "assignment": {}}, {"k": 2, "assignment": []},
+            {"k": 2, "assignment": {"a": -1}, "strategy": "manual", "seed": 0},
+            {"k": 2, "assignment": {"a": 2}, "strategy": "manual", "seed": 0},
+        ],
+        ids=["no-assignment", "array", "k-not-int", "assignment-list", "fold-negative", "fold-k"],
     )
     def test_load_malformed_file_is_data_error(self, tmp_path, doc):
         path = tmp_path / "folds.json"

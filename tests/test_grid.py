@@ -83,6 +83,24 @@ class TestRasterGridValidation:
         with pytest.raises(DataError):
             RasterGrid(data, (0, 0, 1, 0), mask, ("b",))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    def test_rejects_non_finite_geotransform(self, tmp_path, index, value):
+        gt = [0.0, 0.0, 1.0, -1.0]
+        gt[index] = value
+        data = np.ones((1, 2, 2), dtype=np.float32)
+        with pytest.raises(DataError, match="finite"):
+            RasterGrid(data, tuple(gt), np.zeros((2, 2), bool), ("b",))
+        header = {
+            "width": 2, "height": 2, "bands": 1, "band_names": ["b"],
+            "geotransform": gt, "nodata": None, "meta": {},
+        }
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "gt.grid"
+        path.write_bytes(b"APMG" + np.uint32(len(blob)).tobytes() + blob + data.tobytes())
+        with pytest.raises(DataError, match="gt.grid header geotransform"):
+            load_raster(path)
+
     def test_rejects_wrong_mask_shape_and_band_names(self):
         data = np.ones((1, 2, 2), dtype=np.float32)
         with pytest.raises(DimensionError):
