@@ -9,11 +9,18 @@ to the square window of radius ceil(3 sigma), where the Gaussian tail is
 negligible; within that window the messages are exact, which keeps
 small-field behaviour checkable against a dense all-pairs computation.
 
-The model has two classes and messages are linear in the distribution,
-so each step passes messages for class 1 only: with q0 = valid - q1, the
-class-0 message is the message of the valid mask less that of class 1.
-A refinement builds the valid mask's message once, alongside the
-bilateral weights.
+The model has two classes, so the loop carries the class-1 field q1
+alone, one (H, W) array. Messages are linear in the distribution, so each
+step passes messages for class 1 only: with q0 = valid - q1, the class-0
+message m0 is the message of the valid mask less that of class 1, m1. A
+refinement builds the valid mask's message once, alongside the bilateral
+weights. The 2x2 compatibility applies as four scalars, c00 m0 + c01 m1
+and c10 m0 + c11 m1, and one two-field softmax
+(:func:`_two_class_softmax`) normalises the pair; the (2, H, W) forms of
+the step and :func:`class_softmax` stack its two outputs. Under Potts
+this is the same float as a class-axis einsum and softmax: 0 m0 + 1 m1
+is m1 exactly, and numpy's max and sum over a two-row axis are
+``np.maximum`` and ``+`` of the rows.
 
 Both kernels sum over shifted copies of a field, and they do so on one
 row-padded flat layout: an (h, w) field is stored row-major with a row
@@ -123,8 +130,8 @@ class CrfConfig:
     def __post_init__(self) -> None:
         if not 0.1 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0.1, 1.0], got {self.beta}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.feature_channels not in (16, 32, 64):
             raise ConfigError(
                 f"feature_channels must be 16, 32 or 64, got {self.feature_channels}"
@@ -136,15 +143,15 @@ class CrfConfig:
         if not 2 <= self.iterations <= 10:
             raise ConfigError(f"iterations must be in [2, 10], got {self.iterations}")
         w = tuple(float(v) for v in self.pairwise_weights)
-        if len(w) != 2 or any(v < 0 for v in w):
-            raise ConfigError(f"pairwise_weights must be two non-negative numbers, got {w}")
+        if len(w) != 2 or not all(0 <= v < math.inf for v in w):
+            raise ConfigError(f"pairwise_weights must be two finite numbers >= 0, got {w}")
         self.pairwise_weights = w
         if self.compatibility is None:
             self.compatibility = np.array([[0.0, 1.0], [1.0, 0.0]])
         else:
             m = np.asarray(self.compatibility, dtype=np.float64)
-            if m.shape != (2, 2):
-                raise ConfigError(f"compatibility must be 2x2, got shape {m.shape}")
+            if m.shape != (2, 2) or not np.isfinite(m).all():
+                raise ConfigError(f"compatibility must be a finite 2x2 matrix, got {m.tolist()}")
             self.compatibility = m
 
     @staticmethod
@@ -168,12 +175,23 @@ def unary_potentials(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
     return -arr / float(temperature)
 
 
+def _two_class_softmax(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel softmax of two negative-energy fields, in place on both:
+    shifted by their maximum, exponentiated, divided by their sum."""
+    mx = np.maximum(x0, x1)
+    x0 -= mx
+    x1 -= mx
+    np.exp(x0, out=x0)
+    np.exp(x1, out=x1)
+    total = x0 + x1
+    x0 /= total
+    x1 /= total
+    return x0, x1
+
+
 def class_softmax(neg_energy: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax over the leading class axis, numerically shifted."""
-    out = neg_energy - neg_energy.max(axis=0, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=0, keepdims=True)
-    return out
+    """Per-pixel softmax over the leading class axis of a (2, H, W) field."""
+    return np.stack(_two_class_softmax(*np.array(neg_energy, dtype=np.float64)))
 
 
 def _padded(arr: np.ndarray, pitch: int) -> np.ndarray:
@@ -519,12 +537,16 @@ def mean_field_step(
         Q' = softmax(-unary - compatibility @ message)
 
     Only class 1 passes messages: as q0 = valid - q1 at valid pixels and
-    messages are linear, the class-0 message is ``valid_message`` minus
-    the class-1 one.
+    messages are linear, the class-0 message m0 is ``valid_message`` less
+    the class-1 one m1. The compatibility applies as four scalars,
+    ``x0 = -unary[0] - (c00 m0 + c01 m1)`` and ``x1 = -unary[1] - (c10 m0
+    + c11 m1)``, and one two-field softmax turns (x0, x1) into the new
+    distribution; the step is the same (H, W) computation for either
+    shape of ``q``.
 
     Args:
-        q: Current distribution, (2, H, W), rows summing to 1; only
-            ``q[1]`` is read.
+        q: Current class-1 field (H, W), or the distribution (2, H, W) with
+            rows summing to 1, of which only ``q[1]`` is read.
         unary: Unary energies, (2, H, W).
         guidance: Bilateral guidance features (Cg, H, W) or None to skip
             the bilateral kernel.
@@ -538,27 +560,29 @@ def mean_field_step(
             same weights; built here when None.
 
     Returns:
-        Updated distribution, same shape, per-pixel sums exactly 1.
+        The updated class-1 field for an (H, W) ``q``; for a (2, H, W)
+        ``q`` the updated distribution, per-pixel sums exactly 1.
     """
     q = np.asarray(q, dtype=np.float64)
     unary = np.asarray(unary, dtype=np.float64)
-    if q.shape != unary.shape or q.ndim != 3 or q.shape[0] != 2:
-        raise DataError(
-            f"distribution {q.shape} and unary {unary.shape} must both be (2, H, W)"
-        )
-    guidance = _as_guidance(guidance, q.shape)
+    if unary.ndim != 3 or unary.shape[0] != 2 or q.shape not in (unary.shape, unary.shape[1:]):
+        raise DataError(f"unary {unary.shape} must be (2, H, W), and q {q.shape} that or (H, W)")
+    guidance = _as_guidance(guidance, unary.shape)
     if valid is None:
-        valid = np.ones(q.shape[1:], dtype=bool)
+        valid = np.ones(unary.shape[1:], dtype=bool)
     if guidance is None or cfg.pairwise_weights[1] <= 0:
         weights = None
     elif weights is None:
         weights = bilateral_weights(guidance, cfg, valid)
     if valid_message is None:
         valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
-    m1 = _pairwise_message(q[1] * valid, cfg, weights)
-    message = np.stack([valid_message - m1, m1])
-    energy = np.einsum("ab,bhw->ahw", cfg.compatibility, message)
-    return class_softmax(-unary - energy)
+    m1 = _pairwise_message((q[1] if q.ndim == 3 else q) * valid, cfg, weights)
+    m0 = valid_message - m1
+    (c00, c01), (c10, c11) = cfg.compatibility
+    q0, q1 = _two_class_softmax(
+        -unary[0] - (c00 * m0 + c01 * m1), -unary[1] - (c10 * m0 + c11 * m1)
+    )
+    return np.stack([q0, q1]) if q.ndim == 3 else q1
 
 
 def refine_values(
@@ -571,7 +595,8 @@ def refine_values(
 
     ``logits`` may be (H, W) (single-logit convention: class 0 pinned at
     zero) or (2, H, W). The bilateral weights and the valid mask's message
-    are built once and handed to every step.
+    are built once and handed to every step, and the loop carries the
+    (H, W) class-1 field alone.
     """
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim == 2:
@@ -580,18 +605,19 @@ def refine_values(
         valid = np.ones(arr.shape[1:], dtype=bool)
     if not np.isfinite(arr[:, valid]).all():
         raise DataError("non-finite logits outside the nodata mask")
-    unary = unary_potentials(arr, cfg.temperature)
     guidance = _as_guidance(guidance, arr.shape)
+    unary = unary_potentials(arr, cfg.temperature)
+    del arr  # the logits are not read again; a stack made here is freed
     weights = None
     if guidance is not None and cfg.pairwise_weights[1] > 0:
         weights = bilateral_weights(guidance, cfg, valid)
     valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
-    q = class_softmax(-unary)
+    _, q1 = _two_class_softmax(-unary[0], -unary[1])
     for _ in range(cfg.iterations):
-        q = mean_field_step(
-            q, unary, guidance, cfg, valid, weights=weights, valid_message=valid_message
+        q1 = mean_field_step(
+            q1, unary, guidance, cfg, valid, weights=weights, valid_message=valid_message
         )
-    return q[1]
+    return q1
 
 
 def crf_refine(
@@ -620,15 +646,10 @@ def crf_refine(
         )
     mask = logits.nodata_mask | guidance.nodata_mask
     valid = ~mask
-    if logits.bands == 1:
-        field2 = np.stack(
-            [np.zeros(logits.shape), np.where(valid, logits.band(0), 0.0)]
-        )
-    else:
-        field2 = np.where(valid[None, :, :], logits.data, 0.0).astype(np.float64)
+    field = np.where(valid, logits.data, 0.0)
     k = min(cfg.feature_channels, guidance.bands)
     feats = np.where(valid[None, :, :], guidance.data[:k], 0.0).astype(np.float64)
-    prob = refine_values(field2, feats, cfg, valid)
+    prob = refine_values(field[0] if logits.bands == 1 else field, feats, cfg, valid)
     prob = np.where(valid, prob, np.nan).astype(np.float32)
     meta = {
         "refinement": "mean_field_dense_crf",

@@ -221,6 +221,10 @@ class _Targets:
     points: list[tuple[float, float]] = field(default_factory=list)
     lines: list[list[tuple[float, float]]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if any(len(line) < 2 for line in self.lines):
+            raise DataError("polyline needs at least two vertices")
+
 
 def load_targets(path: str | os.PathLike) -> tuple[list, list]:
     """Load a JSON targets file: ``{"points": [[x, y], ...], "lines": [...]}``.

@@ -643,10 +643,15 @@ class TestRunAndErrors:
              "--alpha", "2", "--out-raster", "{out}", "--out-json", "{out}.json"],
             ["pseudolabel", "--branch1", "{branch1}", "--branch2", "{branch2}",
              "--step", "-5", "--out-raster", "{out}", "--out-json", "{out}.json"],
+            ["crf-refine", "--logits", "{branch1}", "--guidance", "{dem}", "--sigma", "nan",
+             "--out", "{out}"],
+            ["crf-refine", "--logits", "{branch1}", "--guidance", "{dem}", "--sigma", "inf",
+             "--out", "{out}"],
         ],
         ids=[
             "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
-            "pseudolabel-alpha", "pseudolabel-step",
+            "pseudolabel-alpha", "pseudolabel-step", "crf-refine-sigma-nan",
+            "crf-refine-sigma-inf",
         ],
     )
     def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):
@@ -664,8 +669,12 @@ class TestRunAndErrors:
         [
             {"points": [["a", 1]]}, {"points": 5}, {"lines": [[1, 2]]},
             {"points": [[float("nan"), 1]]}, {"lines": [[[0, 0], [float("inf"), 1]]]},
+            {"lines": [[[0.5, -0.5]]]}, {"lines": [[]]},
         ],
-        ids=["point-string", "points-number", "vertex-number", "point-nan", "vertex-infinity"],
+        ids=[
+            "point-string", "points-number", "vertex-number", "point-nan", "vertex-infinity",
+            "line-one-vertex", "line-empty",
+        ],
     )
     @pytest.mark.parametrize("command", ["distance-map", "derive-features", "run"])
     def test_malformed_targets_is_data_error(self, ws, capsys, targets, command):
