@@ -53,6 +53,19 @@ costs 8 * ceil(offsets / 2) * (w + radius) / w bytes per pixel of the
 grid it lives on. A cache larger than the machine's physical memory is
 refused before it is built.
 
+Beyond that cache, a refinement holds little. The guidance keeps the
+dtype it is stored in (float32 for a raster): the weight build casts one
+band at a time to float64, an exact cast, reads it only at valid pixels
+and block-sums it straight into its row of the padded features, so no
+float64 copy of the stack exists. Once the weights exist,
+:func:`refine_values` holds no reference to the guidance, and the steps
+get the weights alone. Each step does the same float operations in the
+same order as its formulas read, written into reused frames: a kernel's
+message is scaled in place and freed once added, the compatibility and
+the unary term go through the two messages, one more field and one
+scratch frame, and the softmax takes its maximum and sum in that scratch
+frame.
+
 The bilateral branch can optionally run on a coarsened guidance grid
 (block mean by a compression factor, message passing at reduced
 resolution, bilinear upsampling back), trading fidelity for speed and
@@ -175,15 +188,18 @@ def unary_potentials(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
     return -arr / float(temperature)
 
 
-def _two_class_softmax(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _two_class_softmax(
+    x0: np.ndarray, x1: np.ndarray, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel softmax of two negative-energy fields, in place on both:
-    shifted by their maximum, exponentiated, divided by their sum."""
-    mx = np.maximum(x0, x1)
+    shifted by their maximum, exponentiated, divided by their sum. The
+    maximum and then the sum go to ``scratch`` when it is given."""
+    mx = np.maximum(x0, x1, out=scratch)
     x0 -= mx
     x1 -= mx
     np.exp(x0, out=x0)
     np.exp(x1, out=x1)
-    total = x0 + x1
+    total = np.add(x0, x1, out=mx)
     x0 /= total
     x1 /= total
     return x0, x1
@@ -254,8 +270,10 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
     Both passes run on the row-padded flat layout (see the module
     docstring), so a tap is a flat shift of k or k * pitch. Pixels outside
     the frame count as zero. The centre tap k(0, 0) = 1 carries the self
-    term, which is subtracted at the end. ``q`` must already be zeroed at
-    invalid pixels.
+    term, which is subtracted at the end: ``q`` itself, whose values are
+    those of the padded copy's frame columns, so that copy is freed once
+    the row pass has read it. ``q`` must already be zeroed at invalid
+    pixels.
     """
     h, w = q.shape
     radius = int(math.ceil(3.0 * sigma))
@@ -266,11 +284,14 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
     buf = np.empty(min(flat.size, _BAND))
     rows = flat.copy()
     _add_pairs(rows, flat, taps, buf)
+    del flat
     msg = rows.copy()
     # A column tap of k >= h pairs no two rows of the frame.
     _add_pairs(msg, rows, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
-    msg -= flat
-    return msg.reshape(h, pitch)[:, :w]
+    del rows
+    msg = msg.reshape(h, pitch)[:, :w]
+    msg -= q
+    return msg
 
 
 def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -394,6 +415,36 @@ def _exp_in_place(x: np.ndarray) -> None:
     np.maximum(x, 0.0, out=x)
 
 
+def _features(
+    guidance: np.ndarray, valid: np.ndarray, factor: int, pitch: int
+) -> np.ndarray:
+    """The bilateral kernel's features of each guidance band, as flat rows
+    of ``pitch`` values (see :func:`_padded`).
+
+    At full resolution (``factor`` 1) a band's features are its values;
+    otherwise its means over the valid pixels of ``factor``-sized blocks,
+    zero for a block with none. Invalid pixels read as zero whatever the
+    guidance holds there. No float64 copy of the stack is made: at full
+    resolution the bands are cast straight into the features, and
+    coarsened, one band at a time passes through a reused float64 frame.
+    The cast is exact.
+    """
+    bands, height, width = guidance.shape
+    if factor == 1:
+        feats = np.zeros((bands, height, pitch))
+        np.copyto(feats[..., :width], guidance, where=valid)
+        return feats.reshape(bands, height * pitch)
+    counts = _block_sum(valid.astype(np.float64), factor)
+    occupied = counts > 0
+    h, w = counts.shape
+    feats = np.zeros((bands, h, pitch))
+    band64 = np.zeros((height, width))  # invalid pixels stay zero
+    for band, row in zip(guidance, feats):
+        np.copyto(band64, band, where=valid)
+        np.divide(_block_sum(band64, factor), counts, out=row[:, :w], where=occupied)
+    return feats.reshape(bands, h * pitch)
+
+
 def bilateral_weights(
     guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
 ) -> BilateralWeights:
@@ -403,6 +454,14 @@ def bilateral_weights(
     ``cfg.compression``-sized blocks, whose features are the means over
     each block's valid pixels (zero for a block with none) and whose
     spatial sigma shrinks by the same factor; otherwise on the full frame.
+    The guidance may have any real dtype and is read only at valid
+    pixels, whatever it holds elsewhere. It is converted without a
+    float64 copy of the stack (:func:`_features`): coarsened, each band's
+    valid pixels, cast to float64 in one reused frame, are block-summed
+    and divided by the valid counts straight into its row of the padded
+    features; at full resolution they are cast straight into those rows.
+    A float32 stack thus gives the same features, and the same weights,
+    as its float64 copy, since the cast is exact.
     The squared feature differences of an offset accumulate one channel
     at a time in its weight row, which then takes the exp and the spatial
     factor in place. The exp (:func:`_exp_in_place`) runs only on
@@ -437,15 +496,11 @@ def bilateral_weights(
             f"more than the {limit} bytes of physical memory "
             f"(compress_guidance is {cfg.compress_guidance})"
         )
-    if cfg.compress_guidance:
-        counts = _block_sum(valid.astype(np.float64), factor)
-        sums = _block_sum(guidance * valid, factor)
-        feats = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    else:
-        feats = guidance
-    # A stack with no bands gets one zero band: the kernel is then the
-    # spatial one, as for equal features.
-    feats = _padded(feats if len(feats) else np.zeros((1, h, w)), pitch)
+    if not len(guidance):
+        # A stack with no bands gets one zero band: the kernel is then the
+        # spatial one, as for equal features.
+        guidance = np.zeros((1, *guidance.shape[1:]))
+    feats = _features(guidance, valid, factor, pitch)
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
     half_beta2 = 0.5 * cfg.beta * cfg.beta
     cache = np.empty((len(offsets), n))
@@ -486,6 +541,7 @@ def _bilateral_message(q: np.ndarray, weights: BilateralWeights) -> np.ndarray:
     src = _padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
     msg = np.zeros_like(src)
     _add_pairs(msg, src, weights.pairs, np.empty(min(src.size, _BAND)))
+    del src
     hc, wc = weights.shape
     msg = msg.reshape(hc, weights.pitch)[:, :wc]
     return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
@@ -497,22 +553,33 @@ def _pairwise_message(
     """Spatial plus bilateral message of one (H, W) field, weighted by
     ``cfg.pairwise_weights``; ``weights`` None skips the bilateral kernel.
 
-    ``field`` must already be zeroed at invalid pixels.
+    ``field`` must already be zeroed at invalid pixels. Each kernel's
+    message is scaled in place and added to a zeroed field, so no more
+    than one kernel's message exists at a time.
     """
     w_sp, w_bil = cfg.pairwise_weights
+    spatial = _spatial_message(field, cfg.sigma) if w_sp > 0 else None
     message = np.zeros_like(field)
-    if w_sp > 0:
-        message += w_sp * _spatial_message(field, cfg.sigma)
+    if spatial is not None:
+        spatial *= w_sp
+        message += spatial
+        del spatial
     if weights is not None:
-        message += w_bil * _bilateral_message(field, weights)
+        bilateral = _bilateral_message(field, weights)
+        bilateral *= w_bil
+        message += bilateral
     return message
 
 
 def _as_guidance(guidance: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Guidance as float64 (Cg, H, W) on the field's frame, or None."""
+    """Guidance as a (Cg, H, W) array on the field's frame, or None.
+
+    The array keeps its dtype: :func:`bilateral_weights` converts one band
+    at a time to float64, so a float32 stack is never copied whole.
+    """
     if guidance is None:
         return None
-    guidance = np.asarray(guidance, dtype=np.float64)
+    guidance = np.asarray(guidance)
     if guidance.ndim != 3 or guidance.shape[1:] != shape[1:]:
         raise DataError(f"guidance shape {guidance.shape} does not match field {shape}")
     return guidance
@@ -542,20 +609,25 @@ def mean_field_step(
     ``x0 = -unary[0] - (c00 m0 + c01 m1)`` and ``x1 = -unary[1] - (c10 m0
     + c11 m1)``, and one two-field softmax turns (x0, x1) into the new
     distribution; the step is the same (H, W) computation for either
-    shape of ``q``.
+    shape of ``q``. Those are the same float operations in the same order
+    as the formulas read, written into four reused frames: the two
+    messages, x0 and one scratch frame.
 
     Args:
         q: Current class-1 field (H, W), or the distribution (2, H, W) with
             rows summing to 1, of which only ``q[1]`` is read.
         unary: Unary energies, (2, H, W).
-        guidance: Bilateral guidance features (Cg, H, W) or None to skip
+        guidance: Bilateral guidance features (Cg, H, W), read only to
+            build the weights when ``weights`` is None; None then skips
             the bilateral kernel.
         cfg: Refinement settings.
         valid: Optional (H, W) bool; False pixels neither send messages
             nor keep meaningful values.
-        weights: The bilateral weights of ``guidance`` under ``cfg`` and
-            ``valid``, as :func:`bilateral_weights` builds them; built
-            here when None.
+        weights: The bilateral weights under ``cfg`` and ``valid``, as
+            :func:`bilateral_weights` builds them; given, they are used
+            and ``guidance`` is not read (it may be None). Either way the
+            bilateral kernel is dropped when ``cfg.pairwise_weights[1]``
+            is not positive.
         valid_message: :func:`_pairwise_message` of ``valid`` under the
             same weights; built here when None.
 
@@ -567,21 +639,29 @@ def mean_field_step(
     unary = np.asarray(unary, dtype=np.float64)
     if unary.ndim != 3 or unary.shape[0] != 2 or q.shape not in (unary.shape, unary.shape[1:]):
         raise DataError(f"unary {unary.shape} must be (2, H, W), and q {q.shape} that or (H, W)")
-    guidance = _as_guidance(guidance, unary.shape)
     if valid is None:
         valid = np.ones(unary.shape[1:], dtype=bool)
-    if guidance is None or cfg.pairwise_weights[1] <= 0:
+    if cfg.pairwise_weights[1] <= 0:
         weights = None
     elif weights is None:
-        weights = bilateral_weights(guidance, cfg, valid)
+        guidance = _as_guidance(guidance, unary.shape)
+        if guidance is not None:
+            weights = bilateral_weights(guidance, cfg, valid)
     if valid_message is None:
         valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
     m1 = _pairwise_message((q[1] if q.ndim == 3 else q) * valid, cfg, weights)
     m0 = valid_message - m1
     (c00, c01), (c10, c11) = cfg.compatibility
-    q0, q1 = _two_class_softmax(
-        -unary[0] - (c00 * m0 + c01 * m1), -unary[1] - (c10 * m0 + c11 * m1)
-    )
+    # x0 = -u0 - (c00 m0 + c01 m1) and x1 = -u1 - (c10 m0 + c11 m1), one
+    # operation at a time; x1 and the last products reuse m0 and m1.
+    x0 = np.multiply(m0, c00)
+    scratch = np.multiply(m1, c01)
+    x0 += scratch
+    np.subtract(np.negative(unary[0], out=scratch), x0, out=x0)
+    x1 = np.multiply(m0, c10, out=m0)
+    x1 += np.multiply(m1, c11, out=m1)
+    np.subtract(np.negative(unary[1], out=scratch), x1, out=x1)
+    q0, q1 = _two_class_softmax(x0, x1, scratch)
     return np.stack([q0, q1]) if q.ndim == 3 else q1
 
 
@@ -596,7 +676,9 @@ def refine_values(
     ``logits`` may be (H, W) (single-logit convention: class 0 pinned at
     zero) or (2, H, W). The bilateral weights and the valid mask's message
     are built once and handed to every step, and the loop carries the
-    (H, W) class-1 field alone.
+    (H, W) class-1 field alone. ``guidance`` is read only to build the
+    weights: once they exist this function drops its reference to it, and
+    the steps get ``guidance=None`` with the weights.
     """
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim == 2:
@@ -611,11 +693,12 @@ def refine_values(
     weights = None
     if guidance is not None and cfg.pairwise_weights[1] > 0:
         weights = bilateral_weights(guidance, cfg, valid)
+    del guidance  # the weights hold all the steps need of it
     valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
     _, q1 = _two_class_softmax(-unary[0], -unary[1])
     for _ in range(cfg.iterations):
         q1 = mean_field_step(
-            q1, unary, guidance, cfg, valid, weights=weights, valid_message=valid_message
+            q1, unary, None, cfg, valid, weights=weights, valid_message=valid_message
         )
     return q1
 
@@ -648,8 +731,9 @@ def crf_refine(
     valid = ~mask
     field = np.where(valid, logits.data, 0.0)
     k = min(cfg.feature_channels, guidance.bands)
-    feats = np.where(valid[None, :, :], guidance.data[:k], 0.0).astype(np.float64)
-    prob = refine_values(field[0] if logits.bands == 1 else field, feats, cfg, valid)
+    # The bands go in as they are stored: the weight build reads them
+    # only at valid pixels, one band at a time.
+    prob = refine_values(field[0] if logits.bands == 1 else field, guidance.data[:k], cfg, valid)
     prob = np.where(valid, prob, np.nan).astype(np.float32)
     meta = {
         "refinement": "mean_field_dense_crf",

@@ -358,6 +358,7 @@ def _stage_crf(run: _Run) -> None:
             ("logit",),
             {"source": "branch1_logit_transform"},
         )
+        del branch, p  # the refinement reads only the logits
     if not logits.same_frame(stack):
         raise DataError("logits and feature stack are on different frames")
     refined_grid = crf_refine(logits, stack, cfg.crf)

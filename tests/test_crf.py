@@ -704,6 +704,120 @@ class TestRefineMemory:
         assert peak < frames * 8 * shape[0] * shape[1]
 
 
+class TestStreamedGuidanceMemory:
+    """No float64 copy of the guidance stack exists, the guidance is not
+    held once the weights exist, and the steps run in reused frames. At
+    256^2 with a 5% mask, 5 float32 bands and one-band logits, crf_refine
+    used to peak at 15.8 float64 frames spatial-only and 31.4 with the
+    default config."""
+
+    SHAPE = (256, 256)
+    FRAME = 8 * 256 * 256
+
+    @pytest.mark.parametrize(
+        "weights,frames", [((1.0, 0.0), 11), ((1.0, 1.0), 27)], ids=["spatial-only", "default"]
+    )
+    def test_crf_refine_traced_peak_in_frames(self, make_grid, rng, weights, frames):
+        mask = rng.random(self.SHAPE) < 0.05
+        logits = make_grid(rng.normal(size=self.SHAPE), mask=mask)
+        guidance = make_grid(rng.normal(size=(5, *self.SHAPE)), mask=mask)
+        assert guidance.data.dtype == np.float32
+        cfg = CrfConfig(pairwise_weights=weights)
+        tracemalloc.start()
+        try:
+            crf_refine(logits, guidance, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames * self.FRAME
+
+    def test_weight_build_traced_peak_above_cache(self, rng):
+        valid = rng.random(self.SHAPE) > 0.05
+        guidance = np.where(valid, rng.normal(size=(5, *self.SHAPE)), 0.0).astype(np.float32)
+        tracemalloc.start()
+        try:
+            weights = crf.bilateral_weights(guidance, CrfConfig(), valid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cache = weights.pairs[0][1].base
+        assert cache.nbytes == 8 * len(weights.pairs) * weights.shape[0] * weights.pitch
+        assert peak < cache.nbytes + 2.5 * self.FRAME
+
+
+GUIDANCE_CASES = [
+    pytest.param((30, 34), 3, True, {}, id="factor-2-masked"),
+    pytest.param((31, 33), 3, False, {}, id="factor-2-ragged"),
+    pytest.param((13, 17), 3, True, {"compression": 4}, id="factor-4-masked-ragged"),
+    pytest.param((9, 2), 2, True, {}, id="factor-2-one-block-wide"),
+    pytest.param((9, 3), 2, False, {"compression": 4}, id="factor-4-one-block-wide"),
+    pytest.param((30, 34), 3, True, {"compress_guidance": False}, id="full-res-masked"),
+    pytest.param((13, 17), 2, False, {"compress_guidance": False}, id="full-res"),
+    pytest.param((30, 34), 0, True, {}, id="zero-bands"),
+    pytest.param((13, 17), 0, True, {"compress_guidance": False}, id="zero-bands-full-res"),
+]
+
+
+def assert_same_weights(got, want):
+    assert (got.factor, got.shape, got.pitch) == (want.factor, want.shape, want.pitch)
+    assert len(got.pairs) == len(want.pairs)
+    for (shift, weight), (want_shift, want_weight) in zip(got.pairs, want.pairs):
+        assert shift == want_shift
+        assert np.array_equal(weight, want_weight)
+
+
+class TestStreamedGuidance:
+    """The weight build casts one band at a time to float64, which is
+    exact, so a float32 stack gives the weights of its float64 copy; it
+    reads the guidance only at valid pixels; and a step handed the weights
+    reads no guidance."""
+
+    @staticmethod
+    def case(rng, shape, channels, masked, kwargs):
+        valid = rng.random(shape) > 0.2 if masked else np.ones(shape, dtype=bool)
+        guidance = (rng.normal(size=(channels, *shape)) * 40.0).astype(np.float32)
+        guidance[:, ~valid] = 0.0
+        return guidance, valid, CrfConfig(**{"beta": 0.6, **kwargs})
+
+    @pytest.mark.parametrize("shape,channels,masked,kwargs", GUIDANCE_CASES)
+    def test_float32_weights_equal_float64_copy(self, rng, shape, channels, masked, kwargs):
+        guidance, valid, cfg = self.case(rng, shape, channels, masked, kwargs)
+        assert_same_weights(
+            crf.bilateral_weights(guidance, cfg, valid),
+            crf.bilateral_weights(guidance.astype(np.float64), cfg, valid),
+        )
+
+    @pytest.mark.parametrize("shape,channels,masked,kwargs", GUIDANCE_CASES)
+    def test_invalid_pixels_not_read(self, rng, shape, channels, masked, kwargs):
+        guidance, valid, cfg = self.case(rng, shape, channels, masked, kwargs)
+        raw = guidance.copy()
+        raw[:, ~valid] = np.nan
+        assert_same_weights(
+            crf.bilateral_weights(raw, cfg, valid), crf.bilateral_weights(guidance, cfg, valid)
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"compress_guidance": False}, {"pairwise_weights": (1.0, 0.0)},
+         {"pairwise_weights": (0.7, 1.3), "compatibility": [[0.1, 0.9], [1.2, -0.3]]}],
+        ids=["default", "full-res", "spatial-only", "non-potts-weights"],
+    )
+    def test_step_given_weights_reads_no_guidance(self, rng, kwargs):
+        shape = (20, 22)
+        guidance, valid, cfg = self.case(rng, shape, 3, True, kwargs)
+        unary = unary_potentials(rng.normal(size=(2, *shape)), cfg.temperature)
+        weights = crf.bilateral_weights(guidance, cfg, valid)
+        # The step drops given weights when the bilateral weight is 0.
+        kernel = weights if cfg.pairwise_weights[1] > 0 else None
+        valid_message = crf._pairwise_message(valid.astype(np.float64), cfg, kernel)
+        q1 = rng.random(shape)
+        for q in (q1, np.stack([1.0 - q1, q1])):
+            got = mean_field_step(
+                q, unary, None, cfg, valid, weights=weights, valid_message=valid_message
+            )
+            assert np.array_equal(got, mean_field_step(q, unary, guidance, cfg, valid))
+
+
 class TestWeightCacheGuard:
     """A weight cache larger than physical memory is refused up front."""
 
