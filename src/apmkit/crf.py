@@ -53,18 +53,26 @@ costs 8 * ceil(offsets / 2) * (w + radius) / w bytes per pixel of the
 grid it lives on. A cache larger than the machine's physical memory is
 refused before it is built.
 
-Beyond that cache, a refinement holds little. The guidance keeps the
-dtype it is stored in (float32 for a raster): the weight build casts one
-band at a time to float64, an exact cast, reads it only at valid pixels
-and block-sums it straight into its row of the padded features, so no
-float64 copy of the stack exists. Once the weights exist,
-:func:`refine_values` holds no reference to the guidance, and the steps
-get the weights alone. Each step does the same float operations in the
-same order as its formulas read, written into reused frames: a kernel's
-message is scaled in place and freed once added, the compatibility and
-the unary term go through the two messages, one more field and one
-scratch frame, and the softmax takes its maximum and sum in that scratch
-frame.
+Beyond that cache, a refinement holds a few float64 frames: through the
+loop, the valid mask's message and the class-1 field, and within a step
+the messages being formed. The guidance keeps the dtype it is stored in
+(float32 for a raster): the weight build casts one band at a time to
+float64, an exact cast, reads it only at valid pixels and block-sums it
+straight into its row of the padded features, so no float64 copy of the
+stack exists, and once the weights exist :func:`refine_values` holds no
+reference to the guidance. No unary field is stored either: each step
+derives -u from the logits as given, ``logits / temperature``, the same
+float as ``-(-logits / temperature)``, and a class 0 pinned at zero is
+the scalar +0.0, so a raster's float32 logits are read where they are.
+The loop hands its field to each step, which zeroes it at invalid pixels
+in place; once the class-1 message m1 exists, that frame holds m0 and
+then x1, m1's frame takes each -u and then the softmax's maximum and sum,
+and x0 is the one frame more. Each step does the same float operations
+in the same order as its formulas read. The coarse bilateral message is
+upsampled one band of rows at a time, each band scaled and added into
+the message, so no upsampled frame exists. A step's peak is then in the
+spatial message's column pass, whose source and result are padded
+frames.
 
 The bilateral branch can optionally run on a coarsened guidance grid
 (block mean by a compression factor, message passing at reduced
@@ -324,32 +332,42 @@ def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def _upsample_axis(arr: np.ndarray, n: int, factor: int, axis: int) -> np.ndarray:
-    """Linear interpolation of ``arr`` to ``n`` samples along ``axis``
-    (-1 or -2), aligning block centers; ends clip to the edge samples.
+def _taps(n: int, m: int, factor: int) -> tuple[np.ndarray, ...]:
+    """Where each of ``n`` samples upsampled from ``m`` reads, aligning
+    block centers: ``(lo, hi, frac, inner)``.
 
-    Output sample i reads source ``lo = floor((i - half) / factor)`` and
-    ``lo + 1`` at fraction ``(i - half) / factor - lo``. The factor is a
-    power of two, so that fraction is exact and the same for every i of
-    one phase ``i mod factor``, and the inner samples of a phase are one
-    strided slice of the output and two plain slices of the source. The
-    few samples with a clipped ``lo`` or ``lo + 1`` go one at a time.
+    Sample i reads source ``lo = floor((i - half) / factor)`` and
+    ``hi = lo + 1`` at fraction ``frac = (i - half) / factor - lo`` of the
+    way to ``hi``; ends clip to the edge samples. ``inner`` marks the
+    samples whose ``lo`` and ``hi`` needed no clipping.
     """
-    m = arr.shape[axis]
     half = (factor - 1) / 2.0
     pos = (np.arange(n) - half) / factor
     base = np.floor(pos).astype(int)
     lo = np.clip(base, 0, m - 1)
     hi = np.clip(lo + 1, 0, m - 1)
     frac = np.clip(pos - lo, 0.0, 1.0)
-    shape = list(arr.shape)
-    shape[axis] = n
-    out = np.empty(shape)
+    return lo, hi, frac, (base >= 0) & (base < m - 1)
+
+
+def _interpolate(
+    arr: np.ndarray, out: np.ndarray, taps: tuple[np.ndarray, ...], factor: int, axis: int
+) -> None:
+    """Linear interpolation of ``arr`` along ``axis`` (-1 or -2) into
+    ``out``: sample i of ``out`` is ``arr[lo[i]] * (1 - frac[i]) +
+    arr[hi[i]] * frac[i]``, with ``taps`` of :func:`_taps` for those
+    samples, indexing ``arr``.
+
+    The factor is a power of two, so the fraction is exact and the same
+    for every inner i of one phase ``i mod factor``, and the inner samples
+    of a phase are one strided slice of ``out`` and two plain slices of
+    ``arr``. The few other samples go one at a time.
+    """
+    lo, hi, frac, inner = taps
 
     def at(a: np.ndarray, index: int | slice) -> np.ndarray:
         return a[(..., index) if axis == -1 else (..., index, slice(None))]
 
-    inner = (base >= 0) & (base < m - 1)
     for phase in range(factor):
         ks = np.flatnonzero(inner[phase::factor])
         if ks.size:
@@ -360,13 +378,40 @@ def _upsample_axis(arr: np.ndarray, n: int, factor: int, axis: int) -> np.ndarra
             dst += at(arr, slice(lo_first + 1, lo_last + 2)) * frac[first]
     for i in np.flatnonzero(~inner):
         at(out, i)[...] = at(arr, lo[i]) * (1 - frac[i]) + at(arr, hi[i]) * frac[i]
-    return out
+
+
+def _upsample_bands(arr: np.ndarray, factor: int, h: int, w: int):
+    """Yield ``(start, band)`` over the bilinear upsample of ``arr``
+    (..., hc, wc) to (..., h, w), aligning block centers.
+
+    Each band holds rows ``start`` on, about ``_BAND`` values, in one
+    reused buffer, so no frame of the upsample exists. A band is built
+    from the coarse rows its rows read: those rows are upsampled along the
+    columns, then the band along the rows. Every value is the one the
+    column pass and the row pass over whole frames give, since both passes
+    work sample by sample.
+    """
+    rows = _taps(h, arr.shape[-2], factor)
+    cols = _taps(w, arr.shape[-1], factor)
+    step = max(1, _BAND // w)
+    buf = np.empty((*arr.shape[:-2], min(step, h), w))
+    for start in range(0, h, step):
+        lo, hi, frac, inner = (t[start : start + step] for t in rows)
+        top, bottom = lo[0], hi[-1] + 1
+        src = np.empty((*arr.shape[:-2], bottom - top, w))
+        _interpolate(arr[..., top:bottom, :], src, cols, factor, -1)
+        band = buf[..., : len(lo), :]
+        _interpolate(src, band, (lo - top, hi - top, frac, inner), factor, -2)
+        yield start, band
 
 
 def _bilinear_upsample(arr: np.ndarray, factor: int, h: int, w: int) -> np.ndarray:
     """Upsample (..., hc, wc) to (..., h, w), aligning block centers:
-    columns first, then rows."""
-    return _upsample_axis(_upsample_axis(arr, w, factor, -1), h, factor, -2)
+    columns first, then rows (:func:`_upsample_bands`)."""
+    out = np.empty((*arr.shape[:-2], h, w))
+    for start, band in _upsample_bands(arr, factor, h, w):
+        out[..., start : start + band.shape[-2], :] = band
+    return out
 
 
 @dataclass(frozen=True)
@@ -528,23 +573,38 @@ def bilateral_weights(
     return BilateralWeights(factor, (h, w), pitch, tuple(pairs))
 
 
-def _bilateral_message(q: np.ndarray, weights: BilateralWeights) -> np.ndarray:
-    """Bilateral message of an (H, W) field, self-contribution excluded.
+def _bilateral_message(
+    q: np.ndarray,
+    weights: BilateralWeights,
+    scale: float = 1.0,
+    message: np.ndarray | None = None,
+) -> np.ndarray:
+    """``scale`` times the bilateral message of an (H, W) field,
+    self-contribution excluded, added to ``message`` (a zeroed field when
+    None), which is returned.
 
     ``q`` must already be zeroed at invalid pixels. On a coarsened grid,
     block sums stand in for the fine-scale contributions, and the message
     is upsampled back bilinearly with no extra scale factor, because the
-    block sums already aggregate the factor^2 fine pixels.
+    block sums already aggregate the factor^2 fine pixels. The upsample
+    goes one band of rows at a time (:func:`_upsample_bands`), each band
+    scaled and added in turn, so no upsampled frame exists.
     """
     h, w = q.shape
     gamma = weights.factor
     src = _padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
-    msg = np.zeros_like(src)
-    _add_pairs(msg, src, weights.pairs, np.empty(min(src.size, _BAND)))
+    coarse = np.zeros_like(src)
+    _add_pairs(coarse, src, weights.pairs, np.empty(min(src.size, _BAND)))
     del src
     hc, wc = weights.shape
-    msg = msg.reshape(hc, weights.pitch)[:, :wc]
-    return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
+    coarse = coarse.reshape(hc, weights.pitch)[:, :wc]
+    if message is None:
+        message = np.zeros((h, w))
+    bands = _upsample_bands(coarse, gamma, h, w) if gamma > 1 else [(0, coarse)]
+    for start, band in bands:
+        band *= scale
+        message[start : start + len(band)] += band
+    return message
 
 
 def _pairwise_message(
@@ -554,8 +614,8 @@ def _pairwise_message(
     ``cfg.pairwise_weights``; ``weights`` None skips the bilateral kernel.
 
     ``field`` must already be zeroed at invalid pixels. Each kernel's
-    message is scaled in place and added to a zeroed field, so no more
-    than one kernel's message exists at a time.
+    message is scaled and added to a zeroed field, so no more than one
+    kernel's message exists at a time.
     """
     w_sp, w_bil = cfg.pairwise_weights
     spatial = _spatial_message(field, cfg.sigma) if w_sp > 0 else None
@@ -565,14 +625,12 @@ def _pairwise_message(
         message += spatial
         del spatial
     if weights is not None:
-        bilateral = _bilateral_message(field, weights)
-        bilateral *= w_bil
-        message += bilateral
+        _bilateral_message(field, weights, w_bil, message)
     return message
 
 
-def _as_guidance(guidance: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Guidance as a (Cg, H, W) array on the field's frame, or None.
+def _as_guidance(guidance: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray | None:
+    """Guidance as a (Cg, H, W) array on the (H, W) frame ``shape``, or None.
 
     The array keeps its dtype: :func:`bilateral_weights` converts one band
     at a time to float64, so a float32 stack is never copied whole.
@@ -580,9 +638,50 @@ def _as_guidance(guidance: np.ndarray | None, shape: tuple[int, ...]) -> np.ndar
     if guidance is None:
         return None
     guidance = np.asarray(guidance)
-    if guidance.ndim != 3 or guidance.shape[1:] != shape[1:]:
+    if guidance.ndim != 3 or guidance.shape[1:] != shape:
         raise DataError(f"guidance shape {guidance.shape} does not match field {shape}")
     return guidance
+
+
+@dataclass(frozen=True)
+class _Logits:
+    """The unary term of :func:`refine_values`' loop, kept as the logits it
+    comes from instead of a stored unary field.
+
+    -u of class k is ``logits[k] / temperature`` in float64: the same float
+    as ``-(-logits[k] / temperature)``, as negation is exact and a quotient
+    only changes sign with its dividend. One-band logits pin class 0 at
+    zero, whose -u is the scalar +0.0.
+
+    Attributes:
+        data: (H, W) class-1 logits, or (2, H, W); float32 or float64.
+        temperature: Divides the logits.
+    """
+
+    data: np.ndarray
+    temperature: float
+
+    def negative(self, k: int, out: np.ndarray) -> np.ndarray | float:
+        """-u of class ``k``, written into ``out``, or +0.0 for a pinned
+        class 0."""
+        if self.data.ndim == 2:
+            if k == 0:
+                return 0.0
+            band = self.data
+        else:
+            band = self.data[k]
+        return np.divide(band, self.temperature, out=out, dtype=np.float64)
+
+
+def _add_scaled(acc: np.ndarray, src: np.ndarray, scale: float) -> None:
+    """``acc += src * scale`` on two contiguous frames, the products formed
+    one band of ``_BAND`` values at a time, so no frame of them exists."""
+    acc, src = acc.reshape(-1), src.reshape(-1)
+    buf = np.empty(min(acc.size, _BAND))
+    for start in range(0, acc.size, _BAND):
+        prod = buf[: min(_BAND, acc.size - start)]
+        np.multiply(src[start : start + _BAND], scale, out=prod)
+        acc[start : start + _BAND] += prod
 
 
 def mean_field_step(
@@ -610,8 +709,12 @@ def mean_field_step(
     + c11 m1)``, and one two-field softmax turns (x0, x1) into the new
     distribution; the step is the same (H, W) computation for either
     shape of ``q``. Those are the same float operations in the same order
-    as the formulas read, written into four reused frames: the two
-    messages, x0 and one scratch frame.
+    as the formulas read, written into three frames: the masked class-1
+    field's, which then holds m0 and then x1; m1's, which then takes each
+    -u and then the softmax's maximum and sum; and x0's. The step writes
+    into none of its arguments: the field is a copy of ``q``, except in
+    :func:`refine_values`' loop, which passes its logits (a private
+    ``_Logits``) in place of ``unary`` and hands its own field over.
 
     Args:
         q: Current class-1 field (H, W), or the distribution (2, H, W) with
@@ -635,33 +738,47 @@ def mean_field_step(
         The updated class-1 field for an (H, W) ``q``; for a (2, H, W)
         ``q`` the updated distribution, per-pixel sums exactly 1.
     """
-    q = np.asarray(q, dtype=np.float64)
-    unary = np.asarray(unary, dtype=np.float64)
-    if unary.ndim != 3 or unary.shape[0] != 2 or q.shape not in (unary.shape, unary.shape[1:]):
-        raise DataError(f"unary {unary.shape} must be (2, H, W), and q {q.shape} that or (H, W)")
-    if valid is None:
-        valid = np.ones(unary.shape[1:], dtype=bool)
+    if isinstance(unary, _Logits):
+        # refine_values' loop hands over its own float64 field to be masked
+        # in place and reused, and -u comes from its logits.
+        field = q
+        negative = unary.negative
+    else:
+        q = np.asarray(q, dtype=np.float64)
+        unary = np.asarray(unary, dtype=np.float64)
+        if unary.ndim != 3 or unary.shape[0] != 2 or q.shape not in (unary.shape, unary.shape[1:]):
+            raise DataError(
+                f"unary {unary.shape} must be (2, H, W), and q {q.shape} that or (H, W)"
+            )
+        if valid is None:
+            valid = np.ones(unary.shape[1:], dtype=bool)
+        field = (q[1] if q.ndim == 3 else q).copy()
+
+        def negative(k: int, out: np.ndarray) -> np.ndarray:
+            return np.negative(unary[k], out=out)
+
+    # Invalid pixels send nothing, whatever the field holds there.
+    np.copyto(field, 0.0, where=~valid)
     if cfg.pairwise_weights[1] <= 0:
         weights = None
     elif weights is None:
-        guidance = _as_guidance(guidance, unary.shape)
+        guidance = _as_guidance(guidance, field.shape)
         if guidance is not None:
             weights = bilateral_weights(guidance, cfg, valid)
     if valid_message is None:
         valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
-    m1 = _pairwise_message((q[1] if q.ndim == 3 else q) * valid, cfg, weights)
-    m0 = valid_message - m1
+    m1 = _pairwise_message(field, cfg, weights)
+    m0 = np.subtract(valid_message, m1, out=field)
     (c00, c01), (c10, c11) = cfg.compatibility
-    # x0 = -u0 - (c00 m0 + c01 m1) and x1 = -u1 - (c10 m0 + c11 m1), one
-    # operation at a time; x1 and the last products reuse m0 and m1.
     x0 = np.multiply(m0, c00)
-    scratch = np.multiply(m1, c01)
-    x0 += scratch
-    np.subtract(np.negative(unary[0], out=scratch), x0, out=x0)
+    _add_scaled(x0, m1, c01)
     x1 = np.multiply(m0, c10, out=m0)
     x1 += np.multiply(m1, c11, out=m1)
-    np.subtract(np.negative(unary[1], out=scratch), x1, out=x1)
-    q0, q1 = _two_class_softmax(x0, x1, scratch)
+    # m1 is read no more: its frame takes each -u, then the softmax's
+    # maximum and sum.
+    np.subtract(negative(0, m1), x0, out=x0)
+    np.subtract(negative(1, m1), x1, out=x1)
+    q0, q1 = _two_class_softmax(x0, x1, m1)
     return np.stack([q0, q1]) if q.ndim == 3 else q1
 
 
@@ -674,28 +791,37 @@ def refine_values(
     """Run the full mean-field loop; returns the class-1 probability field.
 
     ``logits`` may be (H, W) (single-logit convention: class 0 pinned at
-    zero) or (2, H, W). The bilateral weights and the valid mask's message
-    are built once and handed to every step, and the loop carries the
-    (H, W) class-1 field alone. ``guidance`` is read only to build the
+    zero) or (2, H, W). No unary field is stored: the steps derive -u from
+    the logits as given (:class:`_Logits`; float32 and float64 are read
+    as they are, other dtypes converted to float64). The bilateral weights
+    and the valid mask's message are built once and handed to every step,
+    and the loop carries the (H, W) class-1 field alone, which each step
+    reuses for its own frames. ``guidance`` is read only to build the
     weights: once they exist this function drops its reference to it, and
-    the steps get ``guidance=None`` with the weights.
+    the steps get ``guidance=None`` with the weights. No argument is
+    written.
     """
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = np.stack([np.zeros_like(arr), arr])
+    logits = np.asarray(logits)
+    if logits.dtype not in (np.float32, np.float64):
+        logits = logits.astype(np.float64)
+    if logits.ndim != 2 and (logits.ndim != 3 or logits.shape[0] != 2):
+        raise DataError(f"logit field must have shape (H, W) or (2, H, W), got {logits.shape}")
+    shape = logits.shape[-2:]
     if valid is None:
-        valid = np.ones(arr.shape[1:], dtype=bool)
-    if not np.isfinite(arr[:, valid]).all():
+        valid = np.ones(shape, dtype=bool)
+    if not np.isfinite(logits[..., valid]).all():
         raise DataError("non-finite logits outside the nodata mask")
-    guidance = _as_guidance(guidance, arr.shape)
-    unary = unary_potentials(arr, cfg.temperature)
-    del arr  # the logits are not read again; a stack made here is freed
+    guidance = _as_guidance(guidance, shape)
     weights = None
     if guidance is not None and cfg.pairwise_weights[1] > 0:
         weights = bilateral_weights(guidance, cfg, valid)
     del guidance  # the weights hold all the steps need of it
     valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
-    _, q1 = _two_class_softmax(-unary[0], -unary[1])
+    unary = _Logits(logits, cfg.temperature)
+    x0 = np.empty(shape)
+    x0[...] = unary.negative(0, x0)
+    q1 = _two_class_softmax(x0, unary.negative(1, np.empty(shape)))[1]
+    del x0  # the loop carries q1 alone
     for _ in range(cfg.iterations):
         q1 = mean_field_step(
             q1, unary, None, cfg, valid, weights=weights, valid_message=valid_message
@@ -729,11 +855,12 @@ def crf_refine(
         )
     mask = logits.nodata_mask | guidance.nodata_mask
     valid = ~mask
-    field = np.where(valid, logits.data, 0.0)
     k = min(cfg.feature_channels, guidance.bands)
-    # The bands go in as they are stored: the weight build reads them
-    # only at valid pixels, one band at a time.
-    prob = refine_values(field[0] if logits.bands == 1 else field, guidance.data[:k], cfg, valid)
+    # Both rasters go in as they are stored: the weight build reads the
+    # guidance only at valid pixels, one band at a time, and the loop reads
+    # the logits as they are and zeroes its field at masked pixels.
+    prob = refine_values(logits.data[0] if logits.bands == 1 else logits.data,
+                         guidance.data[:k], cfg, valid)
     prob = np.where(valid, prob, np.nan).astype(np.float32)
     meta = {
         "refinement": "mean_field_dense_crf",

@@ -397,20 +397,33 @@ def _stage_pseudolabel(run: _Run) -> None:
     run.write_bytes("pseudolabel", "loss_breakdown.json", json_bytes(doc))
 
 
-def sample_surface_sites(surface: RasterGrid, sites) -> list[ScoredSample]:
+def sample_surface_sites(
+    surface: RasterGrid, sites, warned: set[str] | None = None
+) -> list[ScoredSample]:
     """Read the surface value under each site's containing pixel.
 
     Sites outside the frame or on masked pixels are skipped with a
     warning. Unlabeled sites keep a None label for the PU metrics.
+
+    ``warned`` holds the ids of sites already reported skipped, for a
+    caller that samples several surfaces: a skipped site in it is not
+    reported again, and each one reported here is added to it.
     """
+    warned = set() if warned is None else warned
+
+    def skip(site, why: str) -> None:
+        if site.site_id not in warned:
+            logger.warning("site '%s' %s; skipped", site.site_id, why)
+            warned.add(site.site_id)
+
     samples = []
     for site in sites:
         if not surface.contains(site.x, site.y):
-            logger.warning("site '%s' outside the evaluated surface; skipped", site.site_id)
+            skip(site, "outside the evaluated surface")
             continue
         row, col = surface.pixel_of(site.x, site.y)
         if surface.nodata_mask[row, col]:
-            logger.warning("site '%s' falls on masked pixels; skipped", site.site_id)
+            skip(site, "falls on masked pixels")
             continue
         score = float(surface.band(0)[row, col])
         label = site.polarity if site.polarity in ("positive", "negative") else None
@@ -423,6 +436,8 @@ def evaluate_surface(
     sites,
     n_bins: int = 6,
     metadata: dict | None = None,
+    *,
+    warned: set[str] | None = None,
 ) -> MetricsReport:
     """Score a probability surface at the given sites.
 
@@ -431,6 +446,8 @@ def evaluate_surface(
     sites with counts. Metrics without enough data stay None. The report
     carries the density histogram of the surface's unmasked scores, not
     the smoothed curve, which only :func:`emit_surface_products` builds.
+    Skipped sites are reported as :func:`sample_surface_sites` says,
+    ``warned`` included.
 
     Raises:
         ConfigError: when ``n_bins`` is below 1, whatever the sites hold.
@@ -438,17 +455,21 @@ def evaluate_surface(
     """
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
-    report = _site_metrics(surface, sites, n_bins, metadata)
+    report = _site_metrics(surface, sites, n_bins, metadata, warned)
     scores = surface.band(0)[~surface.nodata_mask]
     report.density_histogram = [float(v) for v in density_histogram(scores)]
     return report
 
 
 def _site_metrics(
-    surface: RasterGrid, sites, n_bins: int = 6, metadata: dict | None = None
+    surface: RasterGrid,
+    sites,
+    n_bins: int = 6,
+    metadata: dict | None = None,
+    warned: set[str] | None = None,
 ) -> MetricsReport:
     """Everything :func:`evaluate_surface` reports except the density."""
-    samples = sample_surface_sites(surface, sites)
+    samples = sample_surface_sites(surface, sites, warned)
     if not samples:
         raise DataError("no evaluable sites on the surface")
     report = MetricsReport(metadata={
@@ -483,16 +504,19 @@ def _stage_evaluate(run: _Run) -> None:
     # The config requires a lamap or crf stage, and each sets the surface.
     surface = run.surface
     surface_name = "crf" if "crf" in run.cfg.stages else "lamap"
+    # Both surfaces are sampled at the sites; each skipped site is reported once.
+    warned: set[str] = set()
     report = evaluate_surface(
         surface,
         run.period_sites,
         metadata={"surface": surface_name, "period": run.cfg.period},
+        warned=warned,
     )
     if run.baseline is not None and run.surface is not run.baseline:
         if report.auroc is not None:
             # The volume gain reads only the site metrics, so the baseline's
             # density histogram is not computed.
-            base_report = _site_metrics(run.baseline, run.period_sites)
+            base_report = _site_metrics(run.baseline, run.period_sites, warned=warned)
             if base_report.auroc is not None:
                 try:
                     report.volume_gain = volume_gain(report, base_report)

@@ -1242,3 +1242,214 @@ class TestRasterWrapper:
         guidance = make_grid(rng.normal(size=(2, 8, 8)))
         out = crf_refine(logits, guidance, CrfConfig(iterations=2))
         assert out.meta["feature_channels"] == 2
+
+
+def stored_unary_refine(logits, guidance, cfg, valid):
+    """The loop with a stored unary: float64 logits, a zero class 0 stacked
+    under one-band ones, ``-logits / temperature`` kept as a (2, H, W)
+    field and negated by every step, and the field masked by multiplying
+    with ``valid``."""
+    arr = np.asarray(logits, dtype=np.float64)
+    if arr.ndim == 2:
+        arr = np.stack([np.zeros_like(arr), arr])
+    unary = unary_potentials(arr, cfg.temperature)
+    weights = None
+    if guidance is not None and cfg.pairwise_weights[1] > 0:
+        weights = crf.bilateral_weights(guidance, cfg, valid)
+    valid_message = crf._pairwise_message(valid.astype(np.float64), cfg, weights)
+    (c00, c01), (c10, c11) = cfg.compatibility
+
+    def class_one(x0, x1):
+        mx = np.maximum(x0, x1)
+        e0, e1 = np.exp(x0 - mx), np.exp(x1 - mx)
+        return e1 / (e0 + e1)
+
+    q1 = class_one(-unary[0], -unary[1])
+    for _ in range(cfg.iterations):
+        m1 = crf._pairwise_message(q1 * valid, cfg, weights)
+        m0 = valid_message - m1
+        q1 = class_one(-unary[0] - (c00 * m0 + c01 * m1), -unary[1] - (c10 * m0 + c11 * m1))
+    return q1
+
+
+KERNEL_CASES = [
+    pytest.param({}, id="coarsened"),
+    pytest.param({"compress_guidance": False}, id="full-res"),
+    pytest.param({"pairwise_weights": (1.0, 0.0)}, id="spatial-only"),
+]
+NON_POTTS = [[0.1, 0.9], [1.2, -0.3]]
+
+
+class TestDerivedUnary:
+    """Each step derives -u from the logits it was given, ``logits /
+    temperature``, the same float as the stored ``-(-logits /
+    temperature)``; a pinned class 0 is +0.0. Invalid pixels send nothing,
+    whatever the logits hold there."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("compatibility", [None, NON_POTTS], ids=["potts", "non-potts"])
+    @pytest.mark.parametrize("kwargs", KERNEL_CASES)
+    def test_equals_stored_unary_loop(self, rng, kwargs, compatibility, masked):
+        shape = (22, 26)
+        valid = rng.random(shape) > 0.15 if masked else np.ones(shape, dtype=bool)
+        guidance = rng.normal(size=(3, *shape)) * valid
+        two = rng.normal(size=(2, *shape)) * 1.5
+        for temperature in (1.0, 2.5, 5.0):
+            cfg = CrfConfig(
+                beta=0.6, iterations=3, temperature=temperature,
+                compatibility=compatibility, **kwargs,
+            )
+            for logits in (two, two[1]):
+                for dtype in (np.float32, np.float64):
+                    given = logits.astype(dtype)
+                    got = refine_values(given, guidance, cfg, valid)
+                    want = stored_unary_refine(given, guidance, cfg, valid)
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kwargs", KERNEL_CASES)
+    def test_logits_at_invalid_pixels_not_read(self, rng, kwargs):
+        # A NaN logit at an invalid pixel used to reach every pixel through
+        # the messages.
+        shape = (20, 22)
+        valid = rng.random(shape) > 0.1
+        logits = rng.normal(size=(2, *shape))
+        guidance = rng.normal(size=(3, *shape))
+        cfg = CrfConfig(iterations=3, **kwargs)
+        got = refine_values(np.where(valid, logits, np.nan), guidance, cfg, valid)
+        want = refine_values(np.where(valid, logits, 0.0), guidance, cfg, valid)
+        assert np.array_equal(got[valid], want[valid])
+
+    @pytest.mark.parametrize("bands", [1, 2])
+    def test_crf_refine_equals_zero_filled_logits(self, make_grid, rng, bands):
+        # crf_refine hands over the stored bands, NaN under the mask, with
+        # no zero-filled copy.
+        shape = (24, 26)
+        mask = rng.random(shape) < 0.1
+        guidance_mask = np.zeros(shape, dtype=bool)
+        guidance_mask[3:6, 4:9] = True
+        logits = make_grid(rng.normal(size=(bands, *shape)), mask=mask)
+        guidance = make_grid(rng.normal(size=(4, *shape)), mask=guidance_mask)
+        cfg = CrfConfig(iterations=3)
+        valid = ~(mask | guidance_mask)
+        zeroed = np.where(valid, logits.data, 0.0)
+        want = refine_values(zeroed[0] if bands == 1 else zeroed, guidance.data, cfg, valid)
+        got = crf_refine(logits, guidance, cfg)
+        assert got.data[0].tobytes() == np.where(valid, want, np.nan).astype(np.float32).tobytes()
+
+
+def snapshot(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestArgumentsUnchanged:
+    """The loop masks and reuses its own field in place; no array a caller
+    passes is written."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [*KERNEL_CASES, pytest.param({"compatibility": NON_POTTS}, id="non-potts")]
+    )
+    def test_refine_values(self, rng, kwargs):
+        shape = (20, 22)
+        valid = rng.random(shape) > 0.1
+        guidance = rng.normal(size=(3, *shape)).astype(np.float32)
+        cfg = CrfConfig(iterations=3, **kwargs)
+        for logits in (rng.normal(size=shape), rng.normal(size=(2, *shape)).astype(np.float32)):
+            before = snapshot(logits, guidance, valid)
+            refine_values(logits, guidance, cfg, valid)
+            assert snapshot(logits, guidance, valid) == before
+
+    @pytest.mark.parametrize("kwargs", KERNEL_CASES)
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_crf_refine(self, make_grid, rng, kwargs, masked):
+        shape = (20, 22)
+        mask = rng.random(shape) < (0.1 if masked else 0.0)
+        logits = make_grid(rng.normal(size=shape), mask=mask)
+        guidance = make_grid(rng.normal(size=(3, *shape)), mask=mask)
+        arrays = (logits.data, logits.nodata_mask, guidance.data, guidance.nodata_mask)
+        before = snapshot(*arrays)
+        crf_refine(logits, guidance, CrfConfig(iterations=3, **kwargs))
+        assert snapshot(*arrays) == before
+
+    @pytest.mark.parametrize(
+        "kwargs", [*KERNEL_CASES, pytest.param({"compatibility": NON_POTTS}, id="non-potts")]
+    )
+    def test_mean_field_step(self, rng, kwargs):
+        shape = (20, 22)
+        valid = rng.random(shape) > 0.1
+        guidance = rng.normal(size=(3, *shape))
+        cfg = CrfConfig(**kwargs)
+        unary = unary_potentials(rng.normal(size=(2, *shape)), cfg.temperature)
+        weights = crf.bilateral_weights(guidance, cfg, valid)
+        valid_message = crf._pairwise_message(valid.astype(np.float64), cfg, weights)
+        q1 = rng.random(shape)
+        for q in (q1, np.stack([1.0 - q1, q1])):
+            for given in ({}, {"weights": weights, "valid_message": valid_message}):
+                arrays = (q, unary, guidance, valid, valid_message,
+                          *(weight for _, weight in weights.pairs))
+                before = snapshot(*arrays)
+                mean_field_step(q, unary, guidance, cfg, valid, **given)
+                assert snapshot(*arrays) == before
+
+
+class TestRefineWorkingSet:
+    """Beyond the weight cache a refinement holds a few frames: no unary
+    field, no copy of the logits, the loop's field reused by each step, and
+    the coarse bilateral message upsampled into the message one band of
+    rows at a time. At 256^2 with a 5% mask, 5 float32 bands and one-band
+    logits, crf_refine used to peak at 8.75 float64 frames spatial-only
+    and 24.90 with the default config, of which the cache is ~15.6."""
+
+    SHAPE = (256, 256)
+    FRAME = 8 * 256 * 256
+
+    @pytest.mark.parametrize(
+        "weights,frames", [((1.0, 0.0), 6), ((1.0, 1.0), 21.5)], ids=["spatial-only", "default"]
+    )
+    def test_crf_refine_traced_peak_in_frames(self, make_grid, rng, weights, frames):
+        mask = rng.random(self.SHAPE) < 0.05
+        logits = make_grid(rng.normal(size=self.SHAPE), mask=mask)
+        guidance = make_grid(rng.normal(size=(5, *self.SHAPE)), mask=mask)
+        cfg = CrfConfig(pairwise_weights=weights)
+        tracemalloc.start()
+        try:
+            crf_refine(logits, guidance, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames * self.FRAME
+
+
+class TestBandedUpsample:
+    """The upsample runs one band of rows at a time, each band from the
+    coarse rows beneath it; wherever the band edges fall it equals the
+    gather form, and the message it is added into equals the one-band
+    message, bit for bit. The band is shrunk so that small frames span
+    several."""
+
+    @pytest.mark.parametrize("band", [1, 7, 16, 40, 100])
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize("shape", [(16, 24), (13, 17), (1, 9), (9, 1), (2, 3), (5, 6, 7)])
+    def test_matches_gathers(self, monkeypatch, shape, factor, band):
+        monkeypatch.setattr(crf, "_BAND", band)
+        *lead, h, w = shape
+        coarse = (*lead, -(-h // factor), -(-w // factor))
+        for seed in range(5):
+            arr = spread_values(np.random.default_rng(seed), coarse)
+            got = _bilinear_upsample(arr, factor, h, w)
+            assert np.array_equal(got, gather_upsample(arr, factor, h, w))
+
+    @pytest.mark.parametrize("band", [1, 29, 64, 200])
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"compression": 4}, {"pairwise_weights": (0.7, 1.3)}],
+        ids=["factor-2", "factor-4", "weighted"],
+    )
+    def test_message_matches_one_band(self, rng, monkeypatch, kwargs, band):
+        shape = (37, 29)
+        valid = rng.random(shape) > 0.1
+        guidance = rng.normal(size=(3, *shape))
+        cfg = CrfConfig(beta=0.6, **kwargs)
+        weights = crf.bilateral_weights(guidance, cfg, valid)
+        q = rng.random(shape) * valid
+        want = crf._pairwise_message(q, cfg, weights)
+        monkeypatch.setattr(crf, "_BAND", band)
+        assert crf._pairwise_message(q, cfg, weights).tobytes() == want.tobytes()

@@ -549,3 +549,49 @@ class TestRun:
         )
         with pytest.raises(ToolkitError, match="stage 'lamap' failed"):
             run_pipeline(cfg)
+
+
+class TestSkippedSitesReportedOnce:
+    def test_crf_and_lamap_surfaces_report_each_skipped_site_once(self, workspace, caplog):
+        # The evaluate stage samples the CRF surface and, for the volume
+        # gain, the LAMAP baseline: a site skipped on both is reported once.
+        dem = synth_dem()
+        mask = np.zeros(dem.shape, dtype=bool)
+        mask[24:30, 18:26] = True
+        save_raster(
+            RasterGrid(dem.data, dem.geotransform, mask, dem.band_names, {}),
+            workspace / "dem.grid",
+        )
+        sites = synth_sites() + [
+            SiteRecord("hole", 22.5, -27.5, "Roman Imperial", "unlabeled"),
+            SiteRecord("off", 99.5, -99.5, "Roman Imperial", "negative"),
+        ]
+        write_sites_csv(workspace / "sites.csv", sites)
+        with caplog.at_level("WARNING", logger="apmkit.pipeline"):
+            run_pipeline(PipelineConfig.from_json(full_config(workspace)))
+        skipped = sorted(
+            r.getMessage() for r in caplog.records
+            if r.name == "apmkit.pipeline" and r.getMessage().endswith("skipped")
+        )
+        assert skipped == [
+            "site 'hole' falls on masked pixels; skipped",
+            "site 'off' outside the evaluated surface; skipped",
+        ]
+        report = json.loads((workspace / "out" / "report.json").read_text())
+        assert report["volume_gain"] is not None  # the baseline was sampled too
+
+    def test_shared_set_across_surfaces(self, make_grid, caplog):
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        surface = make_grid(np.ones((3, 3)) * 0.5, mask=mask)
+        sites = [
+            SiteRecord("hole", 1.5, -1.5, "Byzantine", "positive"),
+            SiteRecord("ok", 0.5, -0.5, "Byzantine", "positive"),
+        ]
+        warned = set()
+        with caplog.at_level("WARNING"):
+            for _ in range(2):
+                assert len(sample_surface_sites(surface, sites, warned)) == 1
+            assert len(sample_surface_sites(surface, sites)) == 1
+        assert warned == {"hole"}
+        assert caplog.text.count("'hole'") == 2
