@@ -16,7 +16,7 @@ import logging
 import sys
 
 from .config import build_config, read_json
-from .crf import CrfConfig, crf_refine
+from .crf import CrfConfig, crf_features, crf_refine, crf_weights
 from .errors import ConfigError, DataError, ToolkitError
 from .folds import site_strat_vector, stratified_kfold, uniform_kfold
 from .lamap import DEFAULT_CATCHMENT_RADIUS, DEFAULT_KERNEL_BANDWIDTH, LamapConfig
@@ -100,8 +100,12 @@ def _cmd_crf_refine(args) -> None:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     logits = load_raster(args.logits)
-    guidance = load_raster(args.guidance)
-    save_raster(crf_refine(logits, guidance, cfg), args.out)
+    # The stack is read for its features alone, and the features go once
+    # the weights exist (see crf_refine).
+    features = crf_features(logits, load_raster(args.guidance), cfg)
+    weights = crf_weights(features)
+    del features
+    save_raster(crf_refine(logits, weights, cfg), args.out)
 
 
 def _cmd_pseudolabel(args) -> None:

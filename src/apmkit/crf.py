@@ -39,10 +39,13 @@ of the accumulator stays in cache. Within a band each pair keeps its
 order, first ``acc[p] += w[p] * src[p + s]``, then ``acc[p] += w[p - s]
 * src[p - s]``, and the pairs keep theirs, so every pixel receives the
 same additions in the same order as in one pass over the whole field,
-and the result is exact. Reads across a band's edges come from the
-source, which is complete before the pass starts; the spatial column
-pass starts once the row pass has finished. A field of at most _BAND
-values is one band.
+and the result is exact. The spatial passes and the coarse bilateral
+message run in place on their padded source
+(:func:`_add_pairs_in_place`): before its pairs run, each band takes a
+halo copy of the source values it reads, the band itself and the
+largest shift on either side, which no band has overwritten yet or the
+previous band's halo still holds. The spatial column pass starts once
+the row pass has finished. A field of at most _BAND values is one band.
 
 The spatial kernel factorises over rows and columns, so its message runs
 as two 1-D passes. The bilateral weights depend only on the guidance, so
@@ -53,26 +56,32 @@ costs 8 * ceil(offsets / 2) * (w + radius) / w bytes per pixel of the
 grid it lives on. A cache larger than the machine's physical memory is
 refused before it is built.
 
-Beyond that cache, a refinement holds a few float64 frames: through the
+Beyond that cache, a refinement holds three float64 frames: through the
 loop, the valid mask's message and the class-1 field, and within a step
-the messages being formed. The guidance keeps the dtype it is stored in
-(float32 for a raster): the weight build casts one band at a time to
-float64, an exact cast, reads it only at valid pixels and block-sums it
+the padded frame of the class-1 message. The guidance keeps the dtype
+it is stored in (float32 for a raster), and a refinement reads it only
+to build the bilateral features: each band is cast to float64, an exact
+cast, at valid pixels only, and block-summed one band of rows at a time
 straight into its row of the padded features, so no float64 copy of the
-stack exists, and once the weights exist :func:`refine_values` holds no
-reference to the guidance. No unary field is stored either: each step
-derives -u from the logits as given, ``logits / temperature``, the same
-float as ``-(-logits / temperature)``, and a class 0 pinned at zero is
-the scalar +0.0, so a raster's float32 logits are read where they are.
-The loop hands its field to each step, which zeroes it at invalid pixels
-in place; once the class-1 message m1 exists, that frame holds m0 and
-then x1, m1's frame takes each -u and then the softmax's maximum and sum,
-and x0 is the one frame more. Each step does the same float operations
-in the same order as its formulas read. The coarse bilateral message is
-upsampled one band of rows at a time, each band scaled and added into
-the message, so no upsampled frame exists. A step's peak is then in the
-spatial message's column pass, whose source and result are padded
-frames.
+stack and no full-resolution float64 frame exists. The weights are then
+built from the features alone. :func:`crf_refine` runs the two builds
+and the loop as separate steps (:func:`crf_features`,
+:func:`crf_weights`), so a caller that drops the stack once the
+features exist, and the features once the weights do, holds neither
+through the loop; the ``crf`` pipeline stage and ``apmkit crf-refine``
+do. No unary field is stored either: each step derives -u from the
+logits as given, ``logits / temperature``, the same float as
+``-(-logits / temperature)``, and a class 0 pinned at zero is the
+scalar +0.0, so a raster's float32 logits are read where they are.
+The loop hands its field to each step, which zeroes it at invalid
+pixels in place. The spatial message's two passes run in place on one
+padded copy of that field, which becomes the message, and the coarse
+bilateral message is upsampled one band of rows at a time, each band
+scaled and added into it, so no upsampled frame exists. The rest of the
+step (the compatibility, -u and the softmax) runs one band of rows at a
+time into band buffers, m0 and x1 in the field's band, and leaves the
+new class-1 field in the field's frame. Each step does the same float
+operations in the same order as its formulas read.
 
 The bilateral branch can optionally run on a coarsened guidance grid
 (block mean by a compression factor, message passing at reduced
@@ -226,6 +235,46 @@ def _padded(arr: np.ndarray, pitch: int) -> np.ndarray:
     return out.reshape(*lead, h * pitch)
 
 
+def _band_step(n: int) -> int:
+    """Length of each of the ceil(n / _BAND) equal bands of n flat values."""
+    return -(-n // -(-n // _BAND))
+
+
+def _add_band(
+    acc: np.ndarray,
+    src: np.ndarray,
+    base: int,
+    start: int,
+    stop: int,
+    pairs: Sequence[tuple[int, float | np.ndarray]],
+    buf: np.ndarray,
+) -> None:
+    """Both directions of every pair in ``pairs`` over ``acc[start:stop]``
+    (see :func:`_add_pairs`), reading flat value j of the source at
+    ``src[j - base]``."""
+    n = acc.size
+    for shift, weight in pairs:
+        per_pixel = isinstance(weight, np.ndarray)
+        end = min(stop, n - shift)
+        if end > start:
+            prod = buf[: end - start]
+            np.multiply(
+                weight[start:end] if per_pixel else weight,
+                src[start + shift - base : end + shift - base],
+                out=prod,
+            )
+            acc[start:end] += prod
+        begin = max(start, shift)
+        if stop > begin:
+            prod = buf[: stop - begin]
+            np.multiply(
+                weight[begin - shift : stop - shift] if per_pixel else weight,
+                src[begin - shift - base : stop - shift - base],
+                out=prod,
+            )
+            acc[begin:stop] += prod
+
+
 def _add_pairs(
     acc: np.ndarray,
     src: np.ndarray,
@@ -243,30 +292,49 @@ def _add_pairs(
     ``min(acc.size, _BAND)`` values, and ``src`` must not alias ``acc``.
     """
     n = acc.size
-    bands = -(-n // _BAND)
-    step = -(-n // bands)
+    step = _band_step(n)
+    for start in range(0, n, step):
+        _add_band(acc, src, 0, start, min(start + step, n), pairs, buf)
+
+
+def _add_pairs_in_place(
+    acc: np.ndarray,
+    pairs: Sequence[tuple[int, float | np.ndarray]],
+    buf: np.ndarray,
+    zeroed: bool = False,
+) -> None:
+    """``_add_pairs(acc, acc.copy(), pairs, buf)`` bit for bit, with no
+    copy of ``acc``; with ``zeroed``, ``_add_pairs(np.zeros_like(acc),
+    acc.copy(), pairs, buf)``, so ``acc`` ends up holding the pairs' sum
+    alone.
+
+    A band's pairs read the source up to the largest shift beyond either
+    end of the band, where the band before has already written ``acc``
+    and this band is writing it. So each band first takes a halo copy of
+    the original values it reads: those past the previous band's end come
+    from ``acc``, which no band has written there yet, and the rest are
+    carried over from the previous halo. The halo holds at most a band
+    plus twice the largest shift.
+    """
+    n = acc.size
+    if not pairs:
+        if zeroed:
+            acc.fill(0.0)
+        return
+    step = _band_step(n)
+    reach = max(shift for shift, _ in pairs)
+    halo = np.empty(min(n, step + 2 * reach))
+    lo = hi = 0  # the halo holds the original acc[lo:hi]
     for start in range(0, n, step):
         stop = min(start + step, n)
-        for shift, weight in pairs:
-            per_pixel = isinstance(weight, np.ndarray)
-            end = min(stop, n - shift)
-            if end > start:
-                prod = buf[: end - start]
-                np.multiply(
-                    weight[start:end] if per_pixel else weight,
-                    src[start + shift : end + shift],
-                    out=prod,
-                )
-                acc[start:end] += prod
-            begin = max(start, shift)
-            if stop > begin:
-                prod = buf[: stop - begin]
-                np.multiply(
-                    weight[begin - shift : stop - shift] if per_pixel else weight,
-                    src[begin - shift : stop - shift],
-                    out=prod,
-                )
-                acc[begin:stop] += prod
+        new_lo, new_hi = max(0, start - reach), min(n, stop + reach)
+        kept = hi - new_lo
+        halo[:kept] = halo[new_lo - lo : hi - lo]
+        halo[kept : new_hi - new_lo] = acc[hi:new_hi]
+        lo, hi = new_lo, new_hi
+        if zeroed:
+            acc[start:stop] = 0.0
+        _add_band(acc, halo, lo, start, stop, pairs, buf)
 
 
 def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
@@ -275,28 +343,23 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
     The Gaussian on the square window of radius ceil(3 sigma) factorises,
     k(di, dj) = g(di) g(dj), so the window sum runs as a pass along rows
     and a pass along columns, each with 2 r taps besides the centre one.
-    Both passes run on the row-padded flat layout (see the module
-    docstring), so a tap is a flat shift of k or k * pitch. Pixels outside
-    the frame count as zero. The centre tap k(0, 0) = 1 carries the self
-    term, which is subtracted at the end: ``q`` itself, whose values are
-    those of the padded copy's frame columns, so that copy is freed once
-    the row pass has read it. ``q`` must already be zeroed at invalid
-    pixels.
+    Both passes run in place on one row-padded flat copy of ``q`` (see
+    the module docstring and :func:`_add_pairs_in_place`), so a tap is a
+    flat shift of k or k * pitch. Pixels outside the frame count as zero.
+    The centre tap k(0, 0) = 1 carries the self term, which is subtracted
+    at the end. The result is the frame columns of that padded copy, a
+    strided view. ``q`` must already be zeroed at invalid pixels.
     """
     h, w = q.shape
     radius = int(math.ceil(3.0 * sigma))
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
     taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
     pitch = w + radius
-    flat = _padded(q, pitch)
-    buf = np.empty(min(flat.size, _BAND))
-    rows = flat.copy()
-    _add_pairs(rows, flat, taps, buf)
-    del flat
-    msg = rows.copy()
+    msg = _padded(q, pitch)
+    buf = np.empty(min(msg.size, _BAND))
+    _add_pairs_in_place(msg, taps, buf)
     # A column tap of k >= h pairs no two rows of the frame.
-    _add_pairs(msg, rows, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
-    del rows
+    _add_pairs_in_place(msg, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
     msg = msg.reshape(h, pitch)[:, :w]
     msg -= q
     return msg
@@ -330,6 +393,33 @@ def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
     for i in range(1, factor):
         out += cols[..., i::factor, :]
     return out
+
+
+def _block_sum_rows(
+    arr: np.ndarray, factor: int, out: np.ndarray, where: np.ndarray | None = None
+) -> None:
+    """``_block_sum(arr, factor)`` of an (h, w) ``arr``, written into
+    ``out`` one band of about ``_BAND`` values' worth of block rows at a
+    time, so no temporary is larger than a band. With ``where``, ``arr``
+    is cast to float64 and read as zero where ``where`` is False, through
+    one band-sized buffer.
+
+    Each block's sum depends on its own values alone, in an order that
+    does not depend on how many block rows are summed at once, so the
+    bands give the one-pass sums bit for bit.
+    """
+    h, w = arr.shape
+    step = factor * max(1, _BAND // (factor * w))
+    buf = None if where is None else np.empty((min(step, h), w))
+    for start in range(0, h, step):
+        band = arr[start : start + step]
+        if buf is not None:
+            rows, band = band, buf[: len(band)]
+            band.fill(0.0)
+            np.copyto(band, rows, where=where[start : start + step])
+        out[start // factor : start // factor + -(-len(band) // factor)] = _block_sum(
+            band, factor
+        )
 
 
 def _taps(n: int, m: int, factor: int) -> tuple[np.ndarray, ...]:
@@ -380,6 +470,12 @@ def _interpolate(
         at(out, i)[...] = at(arr, lo[i]) * (1 - frac[i]) + at(arr, hi[i]) * frac[i]
 
 
+def _row_bands(h: int, w: int) -> range:
+    """Starts of the bands of rows of an (h, w) frame, about ``_BAND``
+    values each; each band holds ``_row_bands(h, w).step`` rows."""
+    return range(0, h, max(1, _BAND // w))
+
+
 def _upsample_bands(arr: np.ndarray, factor: int, h: int, w: int):
     """Yield ``(start, band)`` over the bilinear upsample of ``arr``
     (..., hc, wc) to (..., h, w), aligning block centers.
@@ -393,10 +489,10 @@ def _upsample_bands(arr: np.ndarray, factor: int, h: int, w: int):
     """
     rows = _taps(h, arr.shape[-2], factor)
     cols = _taps(w, arr.shape[-1], factor)
-    step = max(1, _BAND // w)
-    buf = np.empty((*arr.shape[:-2], min(step, h), w))
-    for start in range(0, h, step):
-        lo, hi, frac, inner = (t[start : start + step] for t in rows)
+    bands = _row_bands(h, w)
+    buf = np.empty((*arr.shape[:-2], min(bands.step, h), w))
+    for start in bands:
+        lo, hi, frac, inner = (t[start : start + bands.step] for t in rows)
         top, bottom = lo[0], hi[-1] + 1
         src = np.empty((*arr.shape[:-2], bottom - top, w))
         _interpolate(arr[..., top:bottom, :], src, cols, factor, -1)
@@ -469,24 +565,28 @@ def _features(
     At full resolution (``factor`` 1) a band's features are its values;
     otherwise its means over the valid pixels of ``factor``-sized blocks,
     zero for a block with none. Invalid pixels read as zero whatever the
-    guidance holds there. No float64 copy of the stack is made: at full
-    resolution the bands are cast straight into the features, and
-    coarsened, one band at a time passes through a reused float64 frame.
-    The cast is exact.
+    guidance holds there. No full-resolution float64 frame is made: at
+    full resolution the bands are cast straight into the features, and
+    coarsened, each band is block-summed one band of rows at a time
+    (:func:`_block_sum_rows`) straight into its row of the features,
+    which then takes the division by the valid counts. The cast is
+    exact.
     """
     bands, height, width = guidance.shape
     if factor == 1:
         feats = np.zeros((bands, height, pitch))
         np.copyto(feats[..., :width], guidance, where=valid)
         return feats.reshape(bands, height * pitch)
-    counts = _block_sum(valid.astype(np.float64), factor)
+    h, w = -(-height // factor), -(-width // factor)
+    counts = np.empty((h, w))
+    _block_sum_rows(valid, factor, counts, where=valid)
     occupied = counts > 0
-    h, w = counts.shape
     feats = np.zeros((bands, h, pitch))
-    band64 = np.zeros((height, width))  # invalid pixels stay zero
     for band, row in zip(guidance, feats):
-        np.copyto(band64, band, where=valid)
-        np.divide(_block_sum(band64, factor), counts, out=row[:, :w], where=occupied)
+        # A block with no valid pixel sums to +0.0 and keeps that sum.
+        sums = row[:, :w]
+        _block_sum_rows(band, factor, sums, where=valid)
+        np.divide(sums, counts, out=sums, where=occupied)
     return feats.reshape(bands, h * pitch)
 
 
@@ -520,20 +620,51 @@ def bilateral_weights(
         DimensionError: The cache would exceed the machine's physical
             memory; checked before any weight is allocated.
     """
+    return _weights(_bilateral_features(guidance, cfg, valid), cfg.beta)
+
+
+@dataclass(frozen=True)
+class _Features:
+    """The bilateral kernel's features of a guidance field on the grid its
+    weights live on (see :class:`BilateralWeights`): all that the weight
+    build (:func:`_weights`) reads of the guidance.
+
+    Attributes:
+        factor: Block size of the grid; 1 means full resolution.
+        sigma: Spatial sigma on that grid.
+        shape: ``(h, w)`` of the grid.
+        pitch: Row pitch of the flat layout, ``w + radius``.
+        offsets: The half-window offsets (di, dj) that pair at least two
+            pixels of the grid.
+        rows: (channels, h * pitch) features as flat rows, pad columns zero.
+    """
+
+    factor: int
+    sigma: float
+    shape: tuple[int, int]
+    pitch: int
+    offsets: tuple[tuple[int, int], ...]
+    rows: np.ndarray
+
+
+def _bilateral_features(
+    guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
+) -> _Features:
+    """The first half of :func:`bilateral_weights`: the grid, the cache
+    size check and the features of ``guidance``."""
     factor = cfg.compression if cfg.compress_guidance else 1
     sigma = cfg.sigma / factor
     h, w = (-(-n // factor) for n in guidance.shape[1:])
     radius = int(math.ceil(3.0 * sigma))
     pitch = w + radius
-    n = h * pitch
     reach_i, reach_j = min(radius, h - 1), min(radius, w - 1)
-    offsets = [
+    offsets = tuple(
         (di, dj)
         for di in range(reach_i + 1)
         for dj in range(-reach_j, reach_j + 1)
         if di > 0 or dj > 0
-    ]
-    size = 8 * len(offsets) * n
+    )
+    size = 8 * len(offsets) * h * pitch
     limit = _physical_memory()
     if limit is not None and size > limit:
         raise DimensionError(
@@ -545,13 +676,22 @@ def bilateral_weights(
         # A stack with no bands gets one zero band: the kernel is then the
         # spatial one, as for equal features.
         guidance = np.zeros((1, *guidance.shape[1:]))
-    feats = _features(guidance, valid, factor, pitch)
+    rows = _features(guidance, valid, factor, pitch)
+    return _Features(factor, sigma, (h, w), pitch, offsets, rows)
+
+
+def _weights(features: _Features, beta: float) -> BilateralWeights:
+    """The second half of :func:`bilateral_weights`: the weight cache of
+    ``features``."""
+    feats, pitch, sigma = features.rows, features.pitch, features.sigma
+    h, w = features.shape
+    n = h * pitch
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
-    half_beta2 = 0.5 * cfg.beta * cfg.beta
-    cache = np.empty((len(offsets), n))
+    half_beta2 = 0.5 * beta * beta
+    cache = np.empty((len(features.offsets), n))
     buf = np.empty(n)
     pairs = []
-    for (di, dj), row in zip(offsets, cache):
+    for (di, dj), row in zip(features.offsets, cache):
         shift = di * pitch + dj
         m = n - shift
         weight, sq = row[:m], buf[:m]
@@ -570,7 +710,7 @@ def bilateral_weights(
         grid[:, min(w, w - dj):] = 0.0
         grid[:, : max(0, -dj)] = 0.0
         pairs.append((shift, weight))
-    return BilateralWeights(factor, (h, w), pitch, tuple(pairs))
+    return BilateralWeights(features.factor, (h, w), pitch, tuple(pairs))
 
 
 def _bilateral_message(
@@ -584,19 +724,26 @@ def _bilateral_message(
     None), which is returned.
 
     ``q`` must already be zeroed at invalid pixels. On a coarsened grid,
-    block sums stand in for the fine-scale contributions, and the message
-    is upsampled back bilinearly with no extra scale factor, because the
-    block sums already aggregate the factor^2 fine pixels. The upsample
-    goes one band of rows at a time (:func:`_upsample_bands`), each band
-    scaled and added in turn, so no upsampled frame exists.
+    block sums stand in for the fine-scale contributions, formed one band
+    of rows at a time straight into a padded coarse field, which then
+    becomes the coarse message in place (:func:`_add_pairs_in_place`).
+    That message is upsampled back bilinearly with no extra scale factor,
+    because the block sums already aggregate the factor^2 fine pixels.
+    The upsample goes one band of rows at a time
+    (:func:`_upsample_bands`), each band scaled and added in turn, so no
+    upsampled frame exists.
     """
     h, w = q.shape
     gamma = weights.factor
-    src = _padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
-    coarse = np.zeros_like(src)
-    _add_pairs(coarse, src, weights.pairs, np.empty(min(src.size, _BAND)))
-    del src
     hc, wc = weights.shape
+    if gamma > 1:
+        coarse = np.zeros((hc, weights.pitch))
+        _block_sum_rows(q, gamma, coarse[:, :wc])
+        coarse = coarse.reshape(-1)
+    else:
+        coarse = _padded(q, weights.pitch)
+    # The padded source becomes the coarse message.
+    _add_pairs_in_place(coarse, weights.pairs, np.empty(min(coarse.size, _BAND)), zeroed=True)
     coarse = coarse.reshape(hc, weights.pitch)[:, :wc]
     if message is None:
         message = np.zeros((h, w))
@@ -613,17 +760,19 @@ def _pairwise_message(
     """Spatial plus bilateral message of one (H, W) field, weighted by
     ``cfg.pairwise_weights``; ``weights`` None skips the bilateral kernel.
 
-    ``field`` must already be zeroed at invalid pixels. Each kernel's
-    message is scaled and added to a zeroed field, so no more than one
-    kernel's message exists at a time.
+    ``field`` must already be zeroed at invalid pixels. The message is
+    the scaled spatial message, in the padded frame of its passes, and
+    the bilateral one is scaled and added to it; with no spatial kernel it
+    starts as a zeroed field. For a field of non-negative values, as
+    every step's, the scaled spatial message holds no -0.0, so these are
+    the floats of a sum started from a zeroed field.
     """
     w_sp, w_bil = cfg.pairwise_weights
-    spatial = _spatial_message(field, cfg.sigma) if w_sp > 0 else None
-    message = np.zeros_like(field)
-    if spatial is not None:
-        spatial *= w_sp
-        message += spatial
-        del spatial
+    if w_sp > 0:
+        message = _spatial_message(field, cfg.sigma)
+        message *= w_sp
+    else:
+        message = np.zeros_like(field)
     if weights is not None:
         _bilateral_message(field, weights, w_bil, message)
     return message
@@ -661,27 +810,72 @@ class _Logits:
     data: np.ndarray
     temperature: float
 
-    def negative(self, k: int, out: np.ndarray) -> np.ndarray | float:
-        """-u of class ``k``, written into ``out``, or +0.0 for a pinned
-        class 0."""
+    def negative(self, k: int, rows: slice, out: np.ndarray) -> np.ndarray | float:
+        """-u of class ``k`` over ``rows``, written into ``out``, or +0.0
+        for a pinned class 0."""
         if self.data.ndim == 2:
             if k == 0:
                 return 0.0
-            band = self.data
+            band = self.data[rows]
         else:
-            band = self.data[k]
+            band = self.data[k, rows]
         return np.divide(band, self.temperature, out=out, dtype=np.float64)
 
+    def first_field(self) -> np.ndarray:
+        """The class-1 field before any message: the softmax of -u, one band
+        of rows at a time."""
+        q1 = np.empty(self.data.shape[-2:])
+        bands = _row_bands(*q1.shape)
+        x0_buf = np.empty((min(bands.step, len(q1)), q1.shape[1]))
+        for start in bands:
+            rows = slice(start, start + bands.step)
+            x1 = q1[rows]
+            x0 = x0_buf[: len(x1)]
+            x0[...] = self.negative(0, rows, x0)
+            _two_class_softmax(x0, self.negative(1, rows, x1))
+        return q1
 
-def _add_scaled(acc: np.ndarray, src: np.ndarray, scale: float) -> None:
-    """``acc += src * scale`` on two contiguous frames, the products formed
-    one band of ``_BAND`` values at a time, so no frame of them exists."""
-    acc, src = acc.reshape(-1), src.reshape(-1)
-    buf = np.empty(min(acc.size, _BAND))
-    for start in range(0, acc.size, _BAND):
-        prod = buf[: min(_BAND, acc.size - start)]
-        np.multiply(src[start : start + _BAND], scale, out=prod)
-        acc[start : start + _BAND] += prod
+
+def _step_tail(
+    field: np.ndarray,
+    m1: np.ndarray,
+    valid_message: np.ndarray,
+    compatibility: np.ndarray,
+    negative,
+    q0: np.ndarray | None = None,
+) -> np.ndarray:
+    """A step once the class-1 message ``m1`` exists: the compatibility,
+    -u and the two-field softmax, one band of rows at a time.
+
+    Per band, m0 = ``valid_message - m1`` and then x1 are written into
+    the band of ``field``, which ends up holding the new class-1 field
+    and is returned; x0 goes to ``q0``'s band when given, else to a band
+    buffer, and -u and the softmax's maximum and sum to another. The
+    float operations and their order are those of the formulas on whole
+    frames, so every value is the same; ``field`` and ``q0`` are
+    contiguous, so the exp runs on contiguous bands as it did on frames.
+    ``negative(k, rows, out)`` gives -u of class k over ``rows``.
+    """
+    h, w = field.shape
+    bands = _row_bands(h, w)
+    (c00, c01), (c10, c11) = compatibility
+    x0_buf, scratch_buf = np.empty((2, min(bands.step, h), w))
+    for start in bands:
+        rows = slice(start, start + bands.step)
+        x1 = field[rows]
+        n = len(x1)
+        x0 = q0[rows] if q0 is not None else x0_buf[:n]
+        scratch = scratch_buf[:n]
+        m1_rows = m1[rows]
+        m0 = np.subtract(valid_message[rows], m1_rows, out=x1)
+        np.multiply(m0, c00, out=x0)
+        x0 += np.multiply(m1_rows, c01, out=scratch)
+        m0 *= c10  # m0 is read no more: x1 = c10 m0 + c11 m1
+        x1 += np.multiply(m1_rows, c11, out=scratch)
+        np.subtract(negative(0, rows, scratch), x0, out=x0)
+        np.subtract(negative(1, rows, scratch), x1, out=x1)
+        _two_class_softmax(x0, x1, scratch)
+    return field
 
 
 def mean_field_step(
@@ -709,12 +903,13 @@ def mean_field_step(
     + c11 m1)``, and one two-field softmax turns (x0, x1) into the new
     distribution; the step is the same (H, W) computation for either
     shape of ``q``. Those are the same float operations in the same order
-    as the formulas read, written into three frames: the masked class-1
-    field's, which then holds m0 and then x1; m1's, which then takes each
-    -u and then the softmax's maximum and sum; and x0's. The step writes
-    into none of its arguments: the field is a copy of ``q``, except in
-    :func:`refine_values`' loop, which passes its logits (a private
-    ``_Logits``) in place of ``unary`` and hands its own field over.
+    as the formulas read. The masked class-1 field's frame takes m0 and
+    then x1, and the messages' frames are their own; the rest runs one
+    band of rows at a time (:func:`_step_tail`), so x0 is a frame only
+    for a (2, H, W) ``q``. The step writes into none of its arguments: the
+    field is a copy of ``q``, except in :func:`refine_values`' loop, which
+    passes its logits (a private ``_Logits``) in place of ``unary`` and
+    hands its own field over.
 
     Args:
         q: Current class-1 field (H, W), or the distribution (2, H, W) with
@@ -754,8 +949,8 @@ def mean_field_step(
             valid = np.ones(unary.shape[1:], dtype=bool)
         field = (q[1] if q.ndim == 3 else q).copy()
 
-        def negative(k: int, out: np.ndarray) -> np.ndarray:
-            return np.negative(unary[k], out=out)
+        def negative(k: int, rows: slice, out: np.ndarray) -> np.ndarray:
+            return np.negative(unary[k, rows], out=out)
 
     # Invalid pixels send nothing, whatever the field holds there.
     np.copyto(field, 0.0, where=~valid)
@@ -768,18 +963,11 @@ def mean_field_step(
     if valid_message is None:
         valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
     m1 = _pairwise_message(field, cfg, weights)
-    m0 = np.subtract(valid_message, m1, out=field)
-    (c00, c01), (c10, c11) = cfg.compatibility
-    x0 = np.multiply(m0, c00)
-    _add_scaled(x0, m1, c01)
-    x1 = np.multiply(m0, c10, out=m0)
-    x1 += np.multiply(m1, c11, out=m1)
-    # m1 is read no more: its frame takes each -u, then the softmax's
-    # maximum and sum.
-    np.subtract(negative(0, m1), x0, out=x0)
-    np.subtract(negative(1, m1), x1, out=x1)
-    q0, q1 = _two_class_softmax(x0, x1, m1)
-    return np.stack([q0, q1]) if q.ndim == 3 else q1
+    if q.ndim == 2:
+        return _step_tail(field, m1, valid_message, cfg.compatibility, negative)
+    q0 = np.empty_like(field)
+    q1 = _step_tail(field, m1, valid_message, cfg.compatibility, negative, q0)
+    return np.stack([q0, q1])
 
 
 def refine_values(
@@ -787,6 +975,8 @@ def refine_values(
     guidance: np.ndarray | None,
     cfg: CrfConfig,
     valid: np.ndarray | None = None,
+    *,
+    weights: BilateralWeights | None = None,
 ) -> np.ndarray:
     """Run the full mean-field loop; returns the class-1 probability field.
 
@@ -798,8 +988,10 @@ def refine_values(
     and the loop carries the (H, W) class-1 field alone, which each step
     reuses for its own frames. ``guidance`` is read only to build the
     weights: once they exist this function drops its reference to it, and
-    the steps get ``guidance=None`` with the weights. No argument is
-    written.
+    the steps get ``guidance=None`` with the weights. Given ``weights``,
+    as :func:`bilateral_weights` builds them under ``cfg`` and ``valid``,
+    they are used and ``guidance`` is not read (it may be None). No
+    argument is written.
     """
     logits = np.asarray(logits)
     if logits.dtype not in (np.float32, np.float64):
@@ -811,17 +1003,16 @@ def refine_values(
         valid = np.ones(shape, dtype=bool)
     if not np.isfinite(logits[..., valid]).all():
         raise DataError("non-finite logits outside the nodata mask")
-    guidance = _as_guidance(guidance, shape)
-    weights = None
-    if guidance is not None and cfg.pairwise_weights[1] > 0:
-        weights = bilateral_weights(guidance, cfg, valid)
+    if cfg.pairwise_weights[1] <= 0:
+        weights = None
+    elif weights is None:
+        guidance = _as_guidance(guidance, shape)
+        if guidance is not None:
+            weights = bilateral_weights(guidance, cfg, valid)
     del guidance  # the weights hold all the steps need of it
     valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
     unary = _Logits(logits, cfg.temperature)
-    x0 = np.empty(shape)
-    x0[...] = unary.negative(0, x0)
-    q1 = _two_class_softmax(x0, unary.negative(1, np.empty(shape)))[1]
-    del x0  # the loop carries q1 alone
+    q1 = unary.first_field()
     for _ in range(cfg.iterations):
         q1 = mean_field_step(
             q1, unary, None, cfg, valid, weights=weights, valid_message=valid_message
@@ -829,22 +1020,54 @@ def refine_values(
     return q1
 
 
-def crf_refine(
+@dataclass(frozen=True)
+class CrfFeatures:
+    """All that a refinement reads of its guidance stack, built by
+    :func:`crf_features`; it holds no reference to the stack.
+
+    Attributes:
+        cfg: The settings the features were built under.
+        valid: (H, W) bool, the pixels valid in both the logits and the
+            guidance; the others stay masked.
+        channels: Guidance bands that feed the bilateral kernel.
+        features: The bilateral kernel's features, or None when that
+            kernel is off.
+    """
+
+    cfg: CrfConfig
+    valid: np.ndarray
+    channels: int
+    features: _Features | None
+
+
+@dataclass(frozen=True)
+class CrfWeights:
+    """A refinement's bilateral weights, built by :func:`crf_weights`.
+
+    Attributes:
+        cfg: The settings the weights were built under.
+        valid: (H, W) bool, the pixels refined.
+        channels: Guidance bands that fed the bilateral kernel.
+        weights: The bilateral weights, or None when that kernel is off.
+    """
+
+    cfg: CrfConfig
+    valid: np.ndarray
+    channels: int
+    weights: BilateralWeights | None
+
+
+def crf_features(
     logits: RasterGrid, guidance: RasterGrid, cfg: CrfConfig | None = None
-) -> RasterGrid:
-    """Refine a logit raster against a guidance stack.
+) -> CrfFeatures:
+    """The first step of :func:`crf_refine`, the only one that reads the
+    guidance stack: check the rasters, take the pixels valid in both, and
+    build the bilateral features of the first ``cfg.feature_channels``
+    guidance bands (all bands when the stack is narrower).
 
-    The first ``cfg.feature_channels`` guidance bands drive the bilateral
-    kernel (all bands when the stack is narrower). Masked pixels are
-    carried through unrefined and stay masked.
-
-    Args:
-        logits: One-band (class-1 logit) or two-band (per-class) raster.
-        guidance: Feature stack on the same frame.
-        cfg: Settings; defaults to ``CrfConfig()``.
-
-    Returns:
-        Single-band float32 probability raster in [0, 1].
+    The stack goes in as it is stored: it is read only at valid pixels,
+    one band at a time. A weight cache larger than physical memory is
+    refused here, before any feature is built.
     """
     cfg = cfg or CrfConfig()
     if logits.bands not in (1, 2):
@@ -853,25 +1076,79 @@ def crf_refine(
         raise DataError(
             f"logits {logits.shape} and guidance {guidance.shape} shapes differ"
         )
-    mask = logits.nodata_mask | guidance.nodata_mask
-    valid = ~mask
+    valid = ~(logits.nodata_mask | guidance.nodata_mask)
     k = min(cfg.feature_channels, guidance.bands)
-    # Both rasters go in as they are stored: the weight build reads the
-    # guidance only at valid pixels, one band at a time, and the loop reads
-    # the logits as they are and zeroes its field at masked pixels.
+    features = None
+    if cfg.pairwise_weights[1] > 0:
+        features = _bilateral_features(guidance.data[:k], cfg, valid)
+    return CrfFeatures(cfg, valid, k, features)
+
+
+def crf_weights(features: CrfFeatures) -> CrfWeights:
+    """The second step of :func:`crf_refine`: the bilateral weight cache
+    of ``features``, which the weights make redundant."""
+    weights = None
+    if features.features is not None:
+        weights = _weights(features.features, features.cfg.beta)
+    return CrfWeights(features.cfg, features.valid, features.channels, weights)
+
+
+def crf_refine(
+    logits: RasterGrid,
+    guidance: RasterGrid | CrfWeights,
+    cfg: CrfConfig | None = None,
+) -> RasterGrid:
+    """Refine a logit raster against a guidance stack.
+
+    The first ``cfg.feature_channels`` guidance bands drive the bilateral
+    kernel (all bands when the stack is narrower). Masked pixels are
+    carried through unrefined and stay masked.
+
+    A refinement runs in three steps: :func:`crf_features` reads the
+    stack, :func:`crf_weights` builds the bilateral weights from its
+    features, and the mean-field loop runs on the weights. Given a stack,
+    this runs all three; given :class:`CrfWeights`, the loop alone. The
+    ``crf`` pipeline stage and ``apmkit crf-refine`` call the steps one by
+    one and drop the stack once its features exist, and the features once
+    the weights do, so neither is held while the next is built or through
+    the loop.
+
+    Args:
+        logits: One-band (class-1 logit) or two-band (per-class) raster.
+        guidance: Feature stack on the same frame, or the
+            :class:`CrfWeights` built from it for these logits.
+        cfg: Settings; defaults to ``CrfConfig()``. With :class:`CrfWeights`
+            it may be omitted, and otherwise must be the config they were
+            built under.
+
+    Returns:
+        Single-band float32 probability raster in [0, 1].
+    """
+    if isinstance(guidance, CrfWeights):
+        if cfg is not None and cfg is not guidance.cfg:
+            raise ConfigError("crf_refine: cfg is not the config the weights were built under")
+        if guidance.valid.shape != logits.shape:
+            raise DataError(
+                f"logits {logits.shape} and weights {guidance.valid.shape} frames differ"
+            )
+    else:
+        guidance = crf_weights(crf_features(logits, guidance, cfg))
+    cfg, valid = guidance.cfg, guidance.valid
+    # The loop reads the logits as they are stored and zeroes its field at
+    # masked pixels.
     prob = refine_values(logits.data[0] if logits.bands == 1 else logits.data,
-                         guidance.data[:k], cfg, valid)
+                         None, cfg, valid, weights=guidance.weights)
     prob = np.where(valid, prob, np.nan).astype(np.float32)
     meta = {
         "refinement": "mean_field_dense_crf",
         "beta": cfg.beta,
         "sigma": cfg.sigma,
-        "feature_channels": int(k),
+        "feature_channels": int(guidance.channels),
         "compression": cfg.compression if cfg.compress_guidance else None,
         "temperature": cfg.temperature,
         "iterations": cfg.iterations,
         "pairwise_weights": list(cfg.pairwise_weights),
     }
     return RasterGrid(
-        prob[None, :, :], logits.geotransform, mask, ("probability",), meta
+        prob[None, :, :], logits.geotransform, ~valid, ("probability",), meta
     )

@@ -126,15 +126,15 @@ def build_site_model(
     """
     cfg = cfg or LamapConfig()
     bands = _select_bands(stack, cfg)
-    disk = stack.disk_mask(site.x, site.y, cfg.catchment_radius)
-    disk &= ~stack.nodata_mask
+    box, disk = stack.disk_box(site.x, site.y, cfg.catchment_radius)
+    disk &= ~stack.nodata_mask[box]
     npix = int(disk.sum())
     if npix == 0:
         raise EmptyInputError(
             f"site '{site.site_id}': empty catchment within radius "
             f"{cfg.catchment_radius}"
         )
-    ecdfs = tuple(Ecdf(stack.band(b)[disk]) for b in bands)
+    ecdfs = tuple(Ecdf(stack.band(b)[box][disk]) for b in bands)
     return SiteModel(site.site_id, float(site.x), float(site.y), ecdfs, npix)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from ._rng import module_rng
 from .config import build_config, config_values, read_json
-from .crf import CrfConfig, crf_refine
+from .crf import CrfConfig, crf_features, crf_refine, crf_weights
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
 from .metrics import (
@@ -361,7 +361,14 @@ def _stage_crf(run: _Run) -> None:
         del branch, p  # the refinement reads only the logits
     if not logits.same_frame(stack):
         raise DataError("logits and feature stack are on different frames")
-    refined_grid = crf_refine(logits, stack, cfg.crf)
+    features = crf_features(logits, stack, cfg.crf)
+    # No later stage reads the stack, and the refinement needs only its
+    # features and then only its weights: each goes before the next is built.
+    del stack
+    run.stack = None
+    weights = crf_weights(features)
+    del features
+    refined_grid = crf_refine(logits, weights, cfg.crf)
     run.surface = refined_grid
     run.write_raster("crf", "refined_surface.grid", refined_grid)
 

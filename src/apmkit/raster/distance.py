@@ -196,7 +196,7 @@ def rasterize_lines(
 ) -> np.ndarray:
     """Mark pixels traversed by polylines, by dense sampling along segments."""
     mask = np.zeros(grid.shape, dtype=bool)
-    _, _, px, py = grid.geotransform
+    ox, oy, px, py = grid.geotransform
     step = 0.5 * min(px, abs(py))
     for line in lines:
         if len(line) < 2:
@@ -205,12 +205,11 @@ def rasterize_lines(
             length = math.hypot(x1 - x0, y1 - y0)
             n = max(1, int(math.ceil(length / step)))
             ts = np.linspace(0.0, 1.0, n + 1)
-            xs = x0 + ts * (x1 - x0)
-            ys = y0 + ts * (y1 - y0)
-            for x, y in zip(xs, ys):
-                row, col = grid.pixel_of(float(x), float(y))
-                if 0 <= row < grid.height and 0 <= col < grid.width:
-                    mask[row, col] = True
+            # The samples' pixels, by the float expression of pixel_of.
+            cols = np.floor((x0 + ts * (x1 - x0) - ox) / px)
+            rows = np.floor((y0 + ts * (y1 - y0) - oy) / py)
+            inside = (rows >= 0) & (rows < grid.height) & (cols >= 0) & (cols < grid.width)
+            mask[rows[inside].astype(np.intp), cols[inside].astype(np.intp)] = True
     return mask
 
 

@@ -154,16 +154,17 @@ class RasterGrid:
         y = oy + (np.asarray(rows, dtype=np.float64) + 0.5) * py
         return x, y
 
-    def disk_mask(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Pixels whose center lies within ``radius`` of (x, y), in map units.
-
-        The pixel containing (x, y) is always included when it lies inside
-        the grid, so point geometries survive radii below half a pixel.
+    def disk_box(
+        self, x: float, y: float, radius: float
+    ) -> tuple[tuple[slice, slice], np.ndarray]:
+        """The pixels of :meth:`disk_mask` as a box of the frame and a mask
+        within it: ``(rows, cols), inside``, where ``inside`` has the box's
+        shape. Only the box is computed, so a disk costs its own size, not
+        the frame's. The box is empty when no pixel is in the disk.
         """
         if radius < 0:
             raise DataError(f"negative radius {radius}")
         ox, oy, px, py = self.geotransform
-        out = np.zeros((self.height, self.width), dtype=bool)
         # Candidate index box around the disk, then an exact center check.
         half_c = int(math.ceil(radius / px)) + 1
         half_r = int(math.ceil(radius / abs(py))) + 1
@@ -173,15 +174,28 @@ class RasterGrid:
         r1 = min(self.height - 1, int(math.ceil(rc)) + half_r)
         c0 = max(0, int(math.floor(cc)) - half_c)
         c1 = min(self.width - 1, int(math.ceil(cc)) + half_c)
-        if r0 <= r1 and c0 <= c1:
-            rows = np.arange(r0, r1 + 1)
-            cols = np.arange(c0, c1 + 1)
-            cx, cy = self.center_xy(rows[:, None], cols[None, :])
-            inside = (cx - x) ** 2 + (cy - y) ** 2 <= radius * radius
-            out[r0 : r1 + 1, c0 : c1 + 1] = inside
+        if r0 > r1 or c0 > c1:
+            return (slice(0, 0), slice(0, 0)), np.zeros((0, 0), dtype=bool)
+        rows = np.arange(r0, r1 + 1)
+        cols = np.arange(c0, c1 + 1)
+        cx, cy = self.center_xy(rows[:, None], cols[None, :])
+        inside = (cx - x) ** 2 + (cy - y) ** 2 <= radius * radius
+        # The pixel containing (x, y) lies in the box whenever it is in the
+        # frame: the box reaches a pixel past the disk's center either way.
         row, col = self.pixel_of(x, y)
         if 0 <= row < self.height and 0 <= col < self.width:
-            out[row, col] = True
+            inside[row - r0, col - c0] = True
+        return (slice(r0, r1 + 1), slice(c0, c1 + 1)), inside
+
+    def disk_mask(self, x: float, y: float, radius: float) -> np.ndarray:
+        """Pixels whose center lies within ``radius`` of (x, y), in map units.
+
+        The pixel containing (x, y) is always included when it lies inside
+        the grid, so point geometries survive radii below half a pixel.
+        """
+        box, inside = self.disk_box(x, y, radius)
+        out = np.zeros((self.height, self.width), dtype=bool)
+        out[box] = inside
         return out
 
     def same_frame(self, other: "RasterGrid") -> bool:

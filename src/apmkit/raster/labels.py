@@ -44,11 +44,9 @@ def rasterize_labels(
                 site.site_id, site.x, site.y,
             )
             continue
-        disk = grid.disk_mask(site.x, site.y, radius)
-        if site.polarity == "positive":
-            pos |= disk
-        else:
-            neg |= disk
+        box, inside = grid.disk_box(site.x, site.y, radius)
+        burned = pos if site.polarity == "positive" else neg
+        burned[box] |= inside
     values = np.full(grid.shape, np.nan, dtype=np.float32)
     values[neg] = 0.0
     values[pos] = 1.0  # positive precedence over overlapping negatives

@@ -1,10 +1,12 @@
 """End-to-end subcommand tests on temporary workspaces."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import apmkit.cli as cli_module
 from apmkit import crf
 from apmkit.cli import main
 from apmkit.folds import FoldAssignment
@@ -115,6 +117,35 @@ class TestSurfaceCommands:
             "--out", str(ws / "s.grid"),
         ])
         assert code == 0
+
+    def test_crf_refine_frees_guidance_before_steps(self, ws, monkeypatch):
+        # The guidance is read for its features alone: its data is freed
+        # before the first mean-field step.
+        stack = build_feature_stack(load_raster(ws / "dem.grid"))
+        save_raster(stack, ws / "stack.grid")
+        refs, alive = [], []
+        load, step = cli_module.load_raster, crf.mean_field_step
+
+        def recording_load(path):
+            grid = load(path)
+            if str(path) == str(ws / "stack.grid"):
+                refs.append(weakref.ref(grid.data))
+            return grid
+
+        def recording_step(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "load_raster", recording_load)
+        monkeypatch.setattr(crf, "mean_field_step", recording_step)
+        code = main([
+            "crf-refine", "--logits", str(ws / "branch1.grid"),
+            "--guidance", str(ws / "stack.grid"), "--iters", "3",
+            "--out", str(ws / "refined.grid"),
+        ])
+        assert code == 0
+        assert len(refs) == 1
+        assert alive == [[False]] * 3
 
     def test_crf_refine_with_overrides(self, ws):
         logit_vals = (synth_prob(3).band(0) * 4.0 - 2.0).astype(np.float32)

@@ -1392,20 +1392,26 @@ class TestArgumentsUnchanged:
 
 
 class TestRefineWorkingSet:
-    """Beyond the weight cache a refinement holds a few frames: no unary
-    field, no copy of the logits, the loop's field reused by each step, and
-    the coarse bilateral message upsampled into the message one band of
-    rows at a time. At 256^2 with a 5% mask, 5 float32 bands and one-band
-    logits, crf_refine used to peak at 8.75 float64 frames spatial-only
-    and 24.90 with the default config, of which the cache is ~15.6."""
+    """Beyond the weight cache a refinement holds three frames: the valid
+    mask's message, the loop's field and the padded frame that the
+    spatial passes run in place on and the message is added into. There
+    is no unary field, no copy of the logits and no x0 frame, and the
+    coarse bilateral message is upsampled one band of rows at a time. The
+    band is cut to 2^12 values, a sixteenth of the frame, so that band
+    buffers weigh as little against the frame as on large frames. At
+    256^2 with a 5% mask, 5 float32 bands and one-band logits, crf_refine
+    used to peak at 4.54 float64 frames spatial-only and 20.15 with the
+    default config there, with a second padded frame in the spatial
+    column pass; the cache is ~15.6 frames."""
 
     SHAPE = (256, 256)
     FRAME = 8 * 256 * 256
 
     @pytest.mark.parametrize(
-        "weights,frames", [((1.0, 0.0), 6), ((1.0, 1.0), 21.5)], ids=["spatial-only", "default"]
+        "weights,frames", [((1.0, 0.0), 4), ((1.0, 1.0), 19.75)], ids=["spatial-only", "default"]
     )
-    def test_crf_refine_traced_peak_in_frames(self, make_grid, rng, weights, frames):
+    def test_crf_refine_traced_peak_in_frames(self, make_grid, rng, monkeypatch, weights, frames):
+        monkeypatch.setattr(crf, "_BAND", 1 << 12)
         mask = rng.random(self.SHAPE) < 0.05
         logits = make_grid(rng.normal(size=self.SHAPE), mask=mask)
         guidance = make_grid(rng.normal(size=(5, *self.SHAPE)), mask=mask)
@@ -1453,3 +1459,319 @@ class TestBandedUpsample:
         want = crf._pairwise_message(q, cfg, weights)
         monkeypatch.setattr(crf, "_BAND", band)
         assert crf._pairwise_message(q, cfg, weights).tobytes() == want.tobytes()
+
+
+def copy_spatial_message(q, sigma):
+    """The spatial message with each pass into a fresh padded copy of its
+    source, the form the in-place passes replaced."""
+    h, w = q.shape
+    radius = int(math.ceil(3.0 * sigma))
+    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
+    pitch = w + radius
+    flat = crf._padded(q, pitch)
+    buf = np.empty(min(flat.size, crf._BAND))
+    rows = flat.copy()
+    crf._add_pairs(rows, flat, taps, buf)
+    msg = rows.copy()
+    crf._add_pairs(msg, rows, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
+    msg = msg.reshape(h, pitch)[:, :w]
+    msg -= q
+    return msg
+
+
+def copy_bilateral_message(q, weights, scale=1.0, message=None):
+    """The bilateral message with the block sums over the whole frame and
+    the coarse message in a zeroed field beside its padded source."""
+    h, w = q.shape
+    gamma = weights.factor
+    src = crf._padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
+    coarse = np.zeros_like(src)
+    crf._add_pairs(coarse, src, weights.pairs, np.empty(min(src.size, crf._BAND)))
+    hc, wc = weights.shape
+    coarse = coarse.reshape(hc, weights.pitch)[:, :wc]
+    if message is None:
+        message = np.zeros((h, w))
+    message += (_bilinear_upsample(coarse, gamma, h, w) if gamma > 1 else coarse) * scale
+    return message
+
+
+def copy_pairwise_message(field, cfg, weights):
+    """Each kernel's message scaled and added to a zeroed field."""
+    w_sp, w_bil = cfg.pairwise_weights
+    message = np.zeros_like(field)
+    if w_sp > 0:
+        spatial = copy_spatial_message(field, cfg.sigma)
+        spatial *= w_sp
+        message += spatial
+    if weights is not None:
+        copy_bilateral_message(field, weights, w_bil, message)
+    return message
+
+
+def frame_tail(field, m1, valid_message, compatibility, neg0, neg1):
+    """The step after m1 on whole frames: x0 a frame of its own, the
+    products and the softmax over whole frames."""
+    (c00, c01), (c10, c11) = compatibility
+    m0 = valid_message - m1
+    x0 = m0 * c00
+    x0 += m1 * c01
+    x1 = m0 * c10
+    x1 += m1 * c11
+    x0 = neg0 - x0
+    x1 = neg1 - x1
+    mx = np.maximum(x0, x1)
+    x0 -= mx
+    x1 -= mx
+    np.exp(x0, out=x0)
+    np.exp(x1, out=x1)
+    total = x0 + x1
+    return x0 / total, x1 / total
+
+
+def frame_refine(logits, guidance, cfg, valid):
+    """The loop on whole frames and copied passes: -u as ``logits /
+    temperature`` (+0.0 for a pinned class 0), the messages of the copy
+    forms and each step's tail over whole frames."""
+    two = logits.ndim == 3
+    neg1 = np.divide(logits[1] if two else logits, cfg.temperature, dtype=np.float64)
+    neg0 = np.divide(logits[0], cfg.temperature, dtype=np.float64) if two else 0.0
+    weights = None
+    if guidance is not None and cfg.pairwise_weights[1] > 0:
+        weights = crf.bilateral_weights(guidance, cfg, valid)
+    valid_message = copy_pairwise_message(valid.astype(np.float64), cfg, weights)
+    x0 = np.empty(neg1.shape)
+    x0[...] = neg0
+    q1 = crf._two_class_softmax(x0, neg1.copy())[1]
+    for _ in range(cfg.iterations):
+        field = np.where(valid, q1, 0.0)
+        m1 = copy_pairwise_message(field, cfg, weights)
+        q1 = frame_tail(field, m1, valid_message, cfg.compatibility, neg0, neg1)[1]
+    return q1
+
+
+def contiguous_bytes(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestInPlacePasses:
+    """The spatial row and column passes run in place on one padded frame,
+    and the coarse bilateral message in place on its padded source, each
+    band reading a halo copy of the original values it still needs; they
+    equal the passes into fresh copies bit for bit, wherever the band
+    edges fall. The band is shrunk so that small fields span several, and
+    the scratch buffer is exactly one band long."""
+
+    @staticmethod
+    def in_place_and_copy(rng, n, shifts, per_pixel, zeroed):
+        acc = spread_values(rng, n)
+        pairs = [
+            (s, spread_values(rng, n - s) if per_pixel else float(spread_values(rng, 1)[0]))
+            for s in shifts
+        ]
+        buf = np.empty(min(n, crf._BAND))
+        want = np.zeros(n) if zeroed else acc.copy()
+        crf._add_pairs(want, acc.copy(), pairs, buf)
+        got = acc.copy()
+        crf._add_pairs_in_place(got, pairs, buf, zeroed=zeroed)
+        return got, want
+
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["plus-source", "zeroed"])
+    @pytest.mark.parametrize("per_pixel", [False, True], ids=["scalar", "per-pixel"])
+    @pytest.mark.parametrize(
+        "n,shifts",
+        [
+            pytest.param(5, [1, 2, 4], id="below-one-band"),
+            pytest.param(16, [1, 3, 15], id="one-band"),
+            pytest.param(17, [1, 16, 2], id="one-band-plus-one"),
+            pytest.param(33, [1, 4, 9, 32], id="two-bands-plus-one"),
+            pytest.param(70, [17, 40, 1, 69, 33], id="shifts-beyond-a-band"),
+            pytest.param(200, [3, 6, 9], id="many-bands"),
+            pytest.param(9, [], id="no-pairs"),
+        ],
+    )
+    def test_matches_copied_source(self, rng, monkeypatch, n, shifts, per_pixel, zeroed):
+        monkeypatch.setattr(crf, "_BAND", 16)
+        got, want = self.in_place_and_copy(rng, n, shifts, per_pixel, zeroed)
+        assert got.tobytes() == want.tobytes()
+
+    def test_property_over_length_shifts_and_band(self, monkeypatch):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            data=st.data(),
+            n=st.integers(2, 150),
+            band=st.integers(1, 48),
+            per_pixel=st.booleans(),
+            zeroed=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(data, n, band, per_pixel, zeroed, seed):
+            shifts = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6))
+            monkeypatch.setattr(crf, "_BAND", band)
+            got, want = self.in_place_and_copy(
+                np.random.default_rng(seed), n, shifts, per_pixel, zeroed
+            )
+            assert got.tobytes() == want.tobytes()
+
+        check()
+
+    @pytest.mark.parametrize("band", [16, 200, 1 << 15])
+    @pytest.mark.parametrize("shape,channels,masked,kwargs,raw", FLAT_CASES)
+    def test_messages_match_copies(self, rng, monkeypatch, shape, channels, masked, kwargs, raw,
+                                   band):
+        monkeypatch.setattr(crf, "_BAND", band)
+        _, guidance, valid, cfg = TestFlatLayoutMatchesSlices.case(
+            rng, shape, channels, masked, kwargs, raw
+        )
+        weights = crf.bilateral_weights(guidance, cfg, valid)
+        signed = spread_values(rng, shape) * valid
+        for field in (signed, rng.random(shape) * valid, valid.astype(np.float64)):
+            assert contiguous_bytes(crf._spatial_message(field, cfg.sigma)) == contiguous_bytes(
+                copy_spatial_message(field, cfg.sigma)
+            )
+            assert crf._bilateral_message(field, weights).tobytes() == (
+                copy_bilateral_message(field, weights).tobytes()
+            )
+        # The scaled spatial message is the message for a non-negative field.
+        for weighted in ((1.0, 1.0), (0.7, 1.3), (0.0, 1.0), (1.0, 0.0)):
+            cfg_w = CrfConfig(sigma=cfg.sigma, pairwise_weights=weighted)
+            q = rng.random(shape) * valid
+            assert contiguous_bytes(crf._pairwise_message(q, cfg_w, weights)) == (
+                copy_pairwise_message(q, cfg_w, weights).tobytes()
+            )
+
+
+class TestBandedStepTail:
+    """The compatibility, -u and the two-field softmax run one band of rows
+    at a time into band buffers, so x0 is no frame: the loop and the
+    public step equal the tail on whole frames bit for bit. The band is
+    shrunk so that small frames span several."""
+
+    @pytest.mark.parametrize("shape,channels,masked,kwargs,raw", FLAT_CASES)
+    def test_refine_matches_frame_tail(self, rng, monkeypatch, shape, channels, masked, kwargs,
+                                       raw):
+        # Bands of one or two rows for the tail, of 60 values for the passes.
+        monkeypatch.setattr(crf, "_BAND", 60)
+        logits, guidance, valid, _ = TestFlatLayoutMatchesSlices.case(
+            rng, shape, channels, masked, kwargs, raw
+        )
+        for settings in ({}, {"pairwise_weights": (1.0, 0.0)}):
+            for temperature, compatibility in ((1.0, None), (2.5, NON_POTTS), (5.0, None)):
+                cfg = CrfConfig(
+                    beta=0.6, iterations=3, temperature=temperature,
+                    compatibility=compatibility, **{**kwargs, **settings},
+                )
+                for given in (logits, logits[1].astype(np.float32)):
+                    got = refine_values(given, guidance, cfg, valid)
+                    want = frame_refine(given, guidance, cfg, valid)
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("band", [5, 40])
+    @pytest.mark.parametrize("compatibility", [None, NON_POTTS], ids=["potts", "non-potts"])
+    @pytest.mark.parametrize("kwargs", KERNEL_CASES)
+    def test_public_step_matches_frame_tail(self, rng, monkeypatch, kwargs, compatibility, band):
+        monkeypatch.setattr(crf, "_BAND", band)
+        shape = (19, 23)
+        valid = rng.random(shape) > 0.15
+        guidance = rng.normal(size=(3, *shape))
+        cfg = CrfConfig(beta=0.6, temperature=2.0, compatibility=compatibility, **kwargs)
+        unary = unary_potentials(rng.normal(size=(2, *shape)), cfg.temperature)
+        q1 = rng.random(shape)
+        weights = crf.bilateral_weights(guidance, cfg, valid) if cfg.pairwise_weights[1] else None
+        field = np.where(valid, q1, 0.0)
+        want = frame_tail(
+            field, copy_pairwise_message(field, cfg, weights),
+            copy_pairwise_message(valid.astype(np.float64), cfg, weights),
+            cfg.compatibility, -unary[0], -unary[1],
+        )
+        got = mean_field_step(np.stack([1.0 - q1, q1]), unary, guidance, cfg, valid)
+        assert got.tobytes() == np.stack(want).tobytes()
+        assert mean_field_step(q1, unary, guidance, cfg, valid).tobytes() == want[1].tobytes()
+
+
+def frame_features(guidance, valid, factor, pitch):
+    """The features with each band's valid pixels in one full-resolution
+    float64 frame and the valid counts from a float64 copy of the mask."""
+    bands, height, width = guidance.shape
+    counts = _block_sum(valid.astype(np.float64), factor)
+    occupied = counts > 0
+    h, w = counts.shape
+    feats = np.zeros((bands, h, pitch))
+    band64 = np.zeros((height, width))
+    for band, row in zip(guidance, feats):
+        np.copyto(band64, band, where=valid)
+        np.divide(_block_sum(band64, factor), counts, out=row[:, :w], where=occupied)
+    return feats.reshape(bands, h * pitch)
+
+
+class TestBandStreamedFeatures:
+    """The coarsened features block-sum each band one band of rows at a
+    time, with no full-resolution float64 frame; wherever the band edges
+    fall they equal the full-frame form bit for bit, and so do the
+    weights."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize(
+        "shape", [(16, 24), (13, 17), (1, 9), (9, 1), (9, 2), (9, 3), (5, 4), (30, 34)]
+    )
+    def test_matches_full_frame(self, rng, monkeypatch, shape, factor, dtype):
+        valid = rng.random(shape) > 0.2
+        guidance = rng.normal(size=(3, *shape)).astype(dtype)
+        guidance[:, ~valid] = np.nan  # invalid pixels are never read
+        pitch = -(-shape[1] // factor) + 3
+        want = frame_features(guidance, valid, factor, pitch).tobytes()
+        for band in (1, 7, 40, 1 << 15):
+            monkeypatch.setattr(crf, "_BAND", band)
+            assert crf._features(guidance, valid, factor, pitch).tobytes() == want
+
+    @pytest.mark.parametrize("band", [3, 50])
+    @pytest.mark.parametrize("shape,channels,masked,kwargs,raw", FLAT_CASES)
+    def test_weights_match_one_band(self, rng, monkeypatch, shape, channels, masked, kwargs,
+                                    raw, band):
+        _, guidance, valid, cfg = TestFlatLayoutMatchesSlices.case(
+            rng, shape, channels, masked, kwargs, raw
+        )
+        want = crf.bilateral_weights(guidance, cfg, valid)
+        monkeypatch.setattr(crf, "_BAND", band)
+        assert_same_weights(crf.bilateral_weights(guidance, cfg, valid), want)
+
+
+class TestRefinementSteps:
+    """crf_refine is three steps, features, weights and the loop; run one
+    by one they give the one call's raster byte for byte, and the loop
+    checks that the weights belong to its config and frame."""
+
+    @pytest.mark.parametrize("kwargs", KERNEL_CASES)
+    @pytest.mark.parametrize("bands", [1, 2])
+    def test_steps_equal_one_call(self, make_grid, rng, kwargs, bands):
+        shape = (21, 25)
+        mask = rng.random(shape) < 0.1
+        logits = make_grid(rng.normal(size=(bands, *shape)), mask=mask)
+        guidance = make_grid(rng.normal(size=(3, *shape)))
+        cfg = CrfConfig(iterations=3, **kwargs)
+        features = crf.crf_features(logits, guidance, cfg)
+        assert (features.features is None) == (cfg.pairwise_weights[1] == 0)
+        weights = crf.crf_weights(features)
+        assert weights.channels == 3
+        assert np.array_equal(weights.valid, ~mask)
+        want = crf_refine(logits, guidance, cfg)
+        for given in (cfg, None):
+            got = crf_refine(logits, weights, given)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert np.array_equal(got.nodata_mask, want.nodata_mask)
+            assert got.meta == want.meta
+
+    def test_weights_of_another_config_or_frame(self, make_grid, rng):
+        logits = make_grid(rng.normal(size=(12, 14)))
+        guidance = make_grid(rng.normal(size=(2, 12, 14)))
+        cfg = CrfConfig(iterations=2)
+        weights = crf.crf_weights(crf.crf_features(logits, guidance, cfg))
+        with pytest.raises(ConfigError):
+            crf_refine(logits, weights, CrfConfig(iterations=2))
+        with pytest.raises(DataError):
+            crf_refine(make_grid(rng.normal(size=(12, 15))), weights)

@@ -374,6 +374,31 @@ class TestTargetGeometry:
         # The main diagonal must be fully traversed.
         assert all(mask[i, i] for i in range(5))
 
+    def test_lines_match_per_sample_pixels(self, make_grid, rng):
+        # Each sample's pixel is pixel_of's, segments leaving the frame
+        # included.
+        for gt in [(0.0, 0.0, 1.0, -1.0), (100.0, 200.0, 10.0, -7.5), (-3.0, 5.0, 0.3, 0.3)]:
+            g = make_grid(np.zeros((9, 12)), geotransform=gt)
+            ox, oy, px, py = gt
+            lines = [
+                [(ox + u * 12 * px, oy + v * 9 * py) for u, v in rng.uniform(-0.6, 1.6, (4, 2))]
+                for _ in range(6)
+            ]
+            lines.append([(ox - 5 * px, oy + 4.5 * py), (ox + 20 * px, oy + 4.5 * py)])
+            lines.append([(ox - 5 * px, oy - 5 * py), (ox - 1 * px, oy - 20 * py)])
+            want = np.zeros(g.shape, dtype=bool)
+            step = 0.5 * min(px, abs(py))
+            for line in lines:
+                for (x0, y0), (x1, y1) in zip(line[:-1], line[1:]):
+                    n = max(1, int(np.ceil(np.hypot(x1 - x0, y1 - y0) / step)))
+                    ts = np.linspace(0.0, 1.0, n + 1)
+                    for x, y in zip(x0 + ts * (x1 - x0), y0 + ts * (y1 - y0)):
+                        row, col = g.pixel_of(float(x), float(y))
+                        if 0 <= row < g.height and 0 <= col < g.width:
+                            want[row, col] = True
+            assert want.any() and not want.all()
+            assert np.array_equal(rasterize_lines(g, lines), want)
+
     def test_line_needs_two_vertices(self, make_grid):
         g = make_grid(np.zeros((3, 3)))
         with pytest.raises(DataError):

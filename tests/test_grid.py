@@ -1,6 +1,7 @@
 """Raster container, binary IO and grid geometry."""
 
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -163,6 +164,68 @@ class TestGeometry:
         c = make_grid(np.zeros((3, 4)), geotransform=(0.0, 0.0, 2.0, -2.0))
         assert a.same_frame(b)
         assert not a.same_frame(c)
+
+
+def full_frame_disk(grid, x, y, radius):
+    """The disk over a full-frame mask, the form the box form replaced."""
+    ox, oy, px, py = grid.geotransform
+    out = np.zeros((grid.height, grid.width), dtype=bool)
+    half_c = int(math.ceil(radius / px)) + 1
+    half_r = int(math.ceil(radius / abs(py))) + 1
+    rc = (y - oy) / py - 0.5
+    cc = (x - ox) / px - 0.5
+    r0 = max(0, int(math.floor(rc)) - half_r)
+    r1 = min(grid.height - 1, int(math.ceil(rc)) + half_r)
+    c0 = max(0, int(math.floor(cc)) - half_c)
+    c1 = min(grid.width - 1, int(math.ceil(cc)) + half_c)
+    if r0 <= r1 and c0 <= c1:
+        rows = np.arange(r0, r1 + 1)
+        cols = np.arange(c0, c1 + 1)
+        cx, cy = grid.center_xy(rows[:, None], cols[None, :])
+        out[r0 : r1 + 1, c0 : c1 + 1] = (cx - x) ** 2 + (cy - y) ** 2 <= radius * radius
+    row, col = grid.pixel_of(x, y)
+    if 0 <= row < grid.height and 0 <= col < grid.width:
+        out[row, col] = True
+    return out
+
+
+class TestDiskBox:
+    """A site's disk is computed in its bounding box: the box and the mask
+    within it give the full-frame disk, for sites inside the frame, on its
+    edges and corners and outside it, at radius 0 and at radii below a
+    pixel."""
+
+    GEOTRANSFORMS = [(0.0, 0.0, 1.0, -1.0), (100.0, 200.0, 10.0, -7.5), (-3.0, 5.0, 0.3, 0.3)]
+
+    @pytest.mark.parametrize("gt", GEOTRANSFORMS)
+    def test_matches_full_frame(self, make_grid, rng, gt):
+        g = make_grid(np.zeros((11, 14)), geotransform=gt)
+        ox, oy, px, py = gt
+        span_x, span_y = 14 * px, 11 * py
+        corners = [(ox + fx * span_x, oy + fy * span_y) for fx in (0, 1) for fy in (0, 1)]
+        edges = [(ox + 0.5 * span_x, oy), (ox, oy + 0.5 * span_y),
+                 (ox + span_x, oy + 0.3 * span_y), (ox + 0.7 * span_x, oy + span_y)]
+        outside = [(ox - 2 * span_x, oy), (ox + 0.5 * span_x, oy + 3 * span_y),
+                   (ox - 0.05 * span_x, oy + 0.5 * span_y), (ox + 1.02 * span_x, oy - 0.02 * span_y)]
+        scattered = [(ox + u * span_x, oy + v * span_y) for u, v in rng.uniform(-0.2, 1.2, (40, 2))]
+        pixel = min(abs(px), abs(py))
+        radii = [0.0, 0.01 * pixel, 0.49 * pixel, 0.5 * pixel, pixel, 2.3 * pixel, 40 * pixel]
+        for x, y in corners + edges + outside + scattered:
+            for radius in radii:
+                box, inside = g.disk_box(x, y, radius)
+                assert inside.dtype == bool
+                assert inside.shape == g.data[0][box].shape
+                want = full_frame_disk(g, x, y, radius)
+                got = np.zeros_like(want)
+                got[box] = inside
+                assert np.array_equal(got, want)
+                assert np.array_equal(g.disk_mask(x, y, radius), want)
+                if not want.any():
+                    assert inside.size == 0 or not inside.any()
+
+    def test_negative_radius(self, make_grid):
+        with pytest.raises(DataError):
+            make_grid(np.zeros((4, 4))).disk_box(1.0, -1.0, -0.5)
 
 
 class TestBinaryContainer:

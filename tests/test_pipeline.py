@@ -2,12 +2,15 @@
 
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apmkit.crf as crf_module
 import apmkit.metrics as metrics_module
+import apmkit.pipeline as pipeline_module
 from apmkit.cli import main
 from apmkit.errors import ConfigError, DataError, ToolkitError
 from apmkit.metrics import volume_gain
@@ -595,3 +598,59 @@ class TestSkippedSitesReportedOnce:
             assert len(sample_surface_sites(surface, sites)) == 1
         assert warned == {"hole"}
         assert caplog.text.count("'hole'") == 2
+
+
+class TestStackFreedBeforeSteps:
+    """The crf stage drops the feature stack once its features exist; no
+    later stage reads it, so its data is freed before the first
+    mean-field step, whether it was read from inputs.stack or built by
+    the features stage."""
+
+    @staticmethod
+    def record_steps(monkeypatch, refs):
+        alive = []
+        step = crf_module.mean_field_step
+
+        def recorded(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(crf_module, "mean_field_step", recorded)
+        return alive
+
+    def test_stack_input(self, workspace, monkeypatch):
+        save_raster(build_feature_stack(synth_dem()), workspace / "stack.grid")
+        doc = full_config(workspace)
+        doc["stages"] = ["labels", "lamap", "crf", "pseudolabel", "evaluate"]
+        doc["inputs"]["stack"] = str(workspace / "stack.grid")
+        del doc["inputs"]["dem"]
+        refs = []
+        load = pipeline_module.load_raster
+
+        def recording(path):
+            grid = load(path)
+            if Path(path).name == "stack.grid":
+                refs.append(weakref.ref(grid.data))
+            return grid
+
+        monkeypatch.setattr(pipeline_module, "load_raster", recording)
+        alive = self.record_steps(monkeypatch, refs)
+        run_pipeline(PipelineConfig.from_json(doc))
+        assert len(refs) == 1
+        assert alive == [[False]] * doc["crf"]["iterations"]
+
+    def test_features_stage(self, workspace, monkeypatch):
+        doc = full_config(workspace)
+        refs = []
+        build = pipeline_module.build_feature_stack
+
+        def recording(*args, **kwargs):
+            stack = build(*args, **kwargs)
+            refs.append(weakref.ref(stack.data))
+            return stack
+
+        monkeypatch.setattr(pipeline_module, "build_feature_stack", recording)
+        alive = self.record_steps(monkeypatch, refs)
+        run_pipeline(PipelineConfig.from_json(doc))
+        assert len(refs) == 1
+        assert alive == [[False]] * doc["crf"]["iterations"]
