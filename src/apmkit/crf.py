@@ -8,95 +8,30 @@ spatial Gaussian kernel and a bilateral kernel over concatenated
 to the square window of radius ceil(3 sigma), where the Gaussian tail is
 negligible; within that window the messages are exact, which keeps
 small-field behaviour checkable against a dense all-pairs computation.
+The bilateral kernel runs on the grid of ``compression``-sized blocks, or
+with ``compress_guidance`` off on blocks of one pixel, full resolution.
+The loop carries the class-1 field alone (:func:`mean_field_step`).
 
-The model has two classes, so the loop carries the class-1 field q1
-alone, one (H, W) array. Messages are linear in the distribution, so each
-step passes messages for class 1 only: with q0 = valid - q1, the class-0
-message m0 is the message of the valid mask less that of class 1, m1. A
-refinement builds the valid mask's message once, alongside the bilateral
-weights. The 2x2 compatibility applies as four scalars, c00 m0 + c01 m1
-and c10 m0 + c11 m1, and one two-field softmax
-(:func:`_two_class_softmax`) normalises the pair; the (2, H, W) forms of
-the step and :func:`class_softmax` stack its two outputs. Under Potts
-this is the same float as a class-axis einsum and softmax: 0 m0 + 1 m1
-is m1 exactly, and numpy's max and sum over a two-row axis are
-``np.maximum`` and ``+`` of the rows.
+Both kernels sum over shifted copies of a field on one row-padded flat
+layout: an (h, w) field is stored row-major with a row pitch of
+w + radius, the pad columns zero. A window offset (di, dj) is then the
+constant flat shift di * pitch + dj, since a shift past either side of a
+row lands in a pad column, and every offset or tap is one contiguous 1-D
+multiply and add. The pairs that reach into the padding add only +0.0, so
+each pixel's sum holds the same nonzero terms in the same order as over
+the frame alone.
 
-Both kernels sum over shifted copies of a field, and they do so on one
-row-padded flat layout: an (h, w) field is stored row-major with a row
-pitch of w + radius, the pad columns zero. A window offset (di, dj) is
-then the constant flat shift di * pitch + dj, since a shift past either
-side of a row lands in a pad column, and every offset or tap is one
-contiguous 1-D multiply and add. The pairs that reach into the padding
-add only +0.0, so each pixel's sum holds the same nonzero terms in the
-same order as over the frame alone.
+Every form that saves time or memory is exact: it does the same float
+operations in the same order as the plain formula it replaces, so it
+gives the same floats. The docstring of each function says why; the
+tests keep the plain forms as references.
 
-A message's multiply-adds run band by band (:func:`_add_pairs`): the
-flat field is cut into ceil(n / _BAND) bands of equal length, _BAND =
-2^15 float64 values (256 KiB), and every (shift, weight) pair of the
-message runs over one band before any runs over the next, so that band
-of the accumulator stays in cache. Within a band each pair keeps its
-order, first ``acc[p] += w[p] * src[p + s]``, then ``acc[p] += w[p - s]
-* src[p - s]``, and the pairs keep theirs, so every pixel receives the
-same additions in the same order as in one pass over the whole field,
-and the result is exact. The spatial passes and the coarse bilateral
-message run in place on their padded source
-(:func:`_add_pairs_in_place`): before its pairs run, each band takes a
-halo copy of the source values it reads, the band itself and the
-largest shift on either side, which no band has overwritten yet or the
-previous band's halo still holds. The spatial column pass starts once
-the row pass has finished. A field of at most _BAND values is one band.
-
-The spatial kernel factorises over rows and columns, so its message runs
-as two 1-D passes. The bilateral weights depend only on the guidance, so
-a refinement builds them once (:func:`bilateral_weights`) and each step
-only multiplies and adds. As w(p, p + d) = w(p + d, p), only half the
-window's offsets are stored, each used in both directions: that cache
-costs 8 * ceil(offsets / 2) * (w + radius) / w bytes per pixel of the
-grid it lives on. A cache larger than the machine's physical memory is
-refused before it is built.
-
-Beyond that cache, a refinement holds three float64 frames: through the
-loop, the valid mask's message and the class-1 field, and within a step
-the padded frame of the class-1 message. The guidance keeps the dtype
-it is stored in (float32 for a raster), and a refinement reads it only
-to build the bilateral features: each band is cast to float64, an exact
-cast, at valid pixels only, and block-summed one band of rows at a time
-straight into its row of the padded features, so no float64 copy of the
-stack and no full-resolution float64 frame exists. The weights are then
-built from the features alone. :func:`crf_refine` runs the two builds
-and the loop as separate steps (:func:`crf_features`,
-:func:`crf_weights`), so a caller that drops the stack once the
-features exist, and the features once the weights do, holds neither
-through the loop; the ``crf`` pipeline stage and ``apmkit crf-refine``
-do. No unary field is stored either: each step derives -u from the
-logits as given, ``logits / temperature``, the same float as
-``-(-logits / temperature)``, and a class 0 pinned at zero is the
-scalar +0.0, so a raster's float32 logits are read where they are.
-The loop hands its field to each step, which zeroes it at invalid
-pixels in place. The spatial message's two passes run in place on one
-padded copy of that field, which becomes the message, and the coarse
-bilateral message is upsampled one band of rows at a time, each band
-scaled and added into it, so no upsampled frame exists. The rest of the
-step (the compatibility, -u and the softmax) runs one band of rows at a
-time into band buffers, m0 and x1 in the field's band, and leaves the
-new class-1 field in the field's frame. Each step does the same float
-operations in the same order as its formulas read.
-
-The bilateral branch can optionally run on a coarsened guidance grid
-(block mean by a compression factor, message passing at reduced
-resolution, bilinear upsampling back), trading fidelity for speed and
-memory on large frames; it does so by default.
-
-Two steps of the set-up avoid numpy's slow paths and stay exact. The
-block sums of the coarsening (:func:`_block_sum`) add strided slices,
-each block's columns and then its rows, in the order numpy's multi-axis
-reduction uses, rather than reducing two axes of a reshaped view. And
-the bilateral weights take exp only where it can be non-zero: an
-argument below ``_EXP_ZERO`` = -746 gives exactly 0.0 in float64 (exp
-underflows below ln 2^-1075 ~ -745.13), so its weight is set to 0.0
-without the call, where numpy's exp is many times slower than on
-ordinary arguments.
+Beyond the bilateral weight cache (:class:`BilateralWeights`), a
+refinement holds three float64 frames: through the loop, the valid mask's
+message and the class-1 field, and within a step the padded frame of the
+class-1 message. Every other temporary of a step is about one band of
+``_BAND`` values or a frame of the block grid. The guidance is read only
+to build the features, in the dtype it is stored in; no unary is stored.
 """
 
 from __future__ import annotations
@@ -121,10 +56,7 @@ _BAND = 1 << 15
 _EXP_ZERO = -746.0
 
 # Accepted aliases for JSON config keys.
-_CONFIG_ALIASES = {
-    "compression_factor": "compression",
-    "crf_temperature": "temperature",
-}
+_CONFIG_ALIASES = {"compression_factor": "compression", "crf_temperature": "temperature"}
 
 
 @dataclass
@@ -136,14 +68,12 @@ class CrfConfig:
         sigma: Stddev (pixels) of the spatial Gaussian; window radius is
             ceil(3 sigma).
         feature_channels: How many leading guidance bands feed the
-            bilateral kernel (16, 32 or 64; fewer are used when the
-            guidance has fewer bands).
+            bilateral kernel (16, 32 or 64; all when there are fewer).
         compression: Bilateral coarsening factor (2 or 4).
         temperature: Divides the logits in the unary term, in [1, 5].
         iterations: Mean-field steps, in [2, 10].
         pairwise_weights: (spatial, bilateral) kernel coefficients.
-        compatibility: 2x2 label compatibility matrix; None means Potts
-            ([[0, 1], [1, 0]]).
+        compatibility: 2x2 label compatibility; None is Potts, [[0, 1], [1, 0]].
         compress_guidance: Whether the bilateral branch runs coarsened.
     """
 
@@ -210,7 +140,12 @@ def _two_class_softmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel softmax of two negative-energy fields, in place on both:
     shifted by their maximum, exponentiated, divided by their sum. The
-    maximum and then the sum go to ``scratch`` when it is given."""
+    maximum and then the sum go to ``scratch`` when it is given.
+
+    These are the floats of a softmax over a two-row class axis, as
+    numpy's max and sum over such an axis are ``np.maximum`` and ``+`` of
+    the rows.
+    """
     mx = np.maximum(x0, x1, out=scratch)
     x0 -= mx
     x1 -= mx
@@ -286,10 +221,14 @@ def _add_pairs(
     For each ``(shift, weight)`` in list order, ``acc[p] += weight[p] *
     src[p + shift]`` for every p with p + shift inside the buffer, then
     ``acc[p] += weight[p - shift] * src[p - shift]`` for every p >= shift;
-    ``weight`` is a scalar or holds ``acc.size - shift`` values. Every
-    pair runs over one band of ``acc`` before any runs over the next (see
-    the module docstring). ``buf`` is scratch space of at least
-    ``min(acc.size, _BAND)`` values, and ``src`` must not alias ``acc``.
+    ``weight`` is a scalar or holds ``acc.size - shift`` values. ``buf``
+    is scratch space of at least ``min(acc.size, _BAND)`` values, and
+    ``src`` must not alias ``acc``. ``acc`` is cut into ceil(n / _BAND)
+    bands of equal length, and every pair runs over one band before any
+    runs over the next, so that band of the accumulator stays in cache.
+    Within a band each pair keeps its order, and the pairs keep theirs, so
+    every value receives the same additions in the same order as in one
+    pass per pair over the whole buffer: the result is exact.
     """
     n = acc.size
     step = _band_step(n)
@@ -342,13 +281,13 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
 
     The Gaussian on the square window of radius ceil(3 sigma) factorises,
     k(di, dj) = g(di) g(dj), so the window sum runs as a pass along rows
-    and a pass along columns, each with 2 r taps besides the centre one.
-    Both passes run in place on one row-padded flat copy of ``q`` (see
-    the module docstring and :func:`_add_pairs_in_place`), so a tap is a
-    flat shift of k or k * pitch. Pixels outside the frame count as zero.
-    The centre tap k(0, 0) = 1 carries the self term, which is subtracted
-    at the end. The result is the frame columns of that padded copy, a
-    strided view. ``q`` must already be zeroed at invalid pixels.
+    and then, once it has finished, a pass along columns, each with 2 r
+    taps besides the centre one. Both passes run in place on one
+    row-padded flat copy of ``q`` (:func:`_add_pairs_in_place`), so a tap
+    is a flat shift of k or k * pitch. Pixels outside the frame count as
+    zero. The centre tap k(0, 0) = 1 carries the self term, which is
+    subtracted at the end. The result is the frame columns of that padded
+    copy, a strided view. ``q`` must already be zeroed at invalid pixels.
     """
     h, w = q.shape
     radius = int(math.ceil(3.0 * sigma))
@@ -372,10 +311,10 @@ def _block_sum(arr: np.ndarray, factor: int) -> np.ndarray:
     factor).sum(axis=(-3, -1))`` bit for bit. That reduction adds each
     block row's ``factor`` values left to right and then the block rows
     top to bottom, so it is built here from strided slices the same way:
-    the columns of each block summed in place, then their rows. Only a
-    frame one block wide differs: there numpy folds both reduced axes
-    into one pairwise run of factor^2 values, so that shape keeps the
-    reshape-sum.
+    the columns of each block summed in place, then their rows, which is
+    many times faster than numpy's multi-axis reduction. Only a frame one
+    block wide differs: there numpy folds both reduced axes into one
+    pairwise run of factor^2 values, so that shape keeps the reshape-sum.
     """
     *lead, h, w = arr.shape
     if h % factor or w % factor:
@@ -399,24 +338,24 @@ def _block_sum_rows(
     arr: np.ndarray, factor: int, out: np.ndarray, where: np.ndarray | None = None
 ) -> None:
     """``_block_sum(arr, factor)`` of an (h, w) ``arr``, written into
-    ``out`` one band of about ``_BAND`` values' worth of block rows at a
-    time, so no temporary is larger than a band. With ``where``, ``arr``
-    is cast to float64 and read as zero where ``where`` is False, through
-    one band-sized buffer.
+    ``out`` one band of block rows at a time (:func:`_row_bands`), so no
+    temporary is larger than a band. With ``where``, ``arr`` is cast to
+    float64 and read as zero where ``where`` is False, through one
+    band-sized buffer.
 
     Each block's sum depends on its own values alone, in an order that
     does not depend on how many block rows are summed at once, so the
     bands give the one-pass sums bit for bit.
     """
     h, w = arr.shape
-    step = factor * max(1, _BAND // (factor * w))
-    buf = None if where is None else np.empty((min(step, h), w))
-    for start in range(0, h, step):
-        band = arr[start : start + step]
+    bands = _row_bands(h, w, rows=factor)
+    buf = None if where is None else np.empty((min(bands.step, h), w))
+    for start in bands:
+        band = arr[start : start + bands.step]
         if buf is not None:
             rows, band = band, buf[: len(band)]
             band.fill(0.0)
-            np.copyto(band, rows, where=where[start : start + step])
+            np.copyto(band, rows, where=where[start : start + bands.step])
         out[start // factor : start // factor + -(-len(band) // factor)] = _block_sum(
             band, factor
         )
@@ -424,12 +363,11 @@ def _block_sum_rows(
 
 def _taps(n: int, m: int, factor: int) -> tuple[np.ndarray, ...]:
     """Where each of ``n`` samples upsampled from ``m`` reads, aligning
-    block centers: ``(lo, hi, frac, inner)``.
-
-    Sample i reads source ``lo = floor((i - half) / factor)`` and
-    ``hi = lo + 1`` at fraction ``frac = (i - half) / factor - lo`` of the
-    way to ``hi``; ends clip to the edge samples. ``inner`` marks the
-    samples whose ``lo`` and ``hi`` needed no clipping.
+    block centers: ``(lo, hi, frac, inner)``. Sample i reads source
+    ``lo = floor((i - half) / factor)`` and ``hi = lo + 1`` at fraction
+    ``frac = (i - half) / factor - lo`` of the way to ``hi``; ends clip to
+    the edge samples. ``inner`` marks the samples whose ``lo`` and ``hi``
+    needed no clipping.
     """
     half = (factor - 1) / 2.0
     pos = (np.arange(n) - half) / factor
@@ -446,9 +384,7 @@ def _interpolate(
     """Linear interpolation of ``arr`` along ``axis`` (-1 or -2) into
     ``out``: sample i of ``out`` is ``arr[lo[i]] * (1 - frac[i]) +
     arr[hi[i]] * frac[i]``, with ``taps`` of :func:`_taps` for those
-    samples, indexing ``arr``.
-
-    The factor is a power of two, so the fraction is exact and the same
+    samples, indexing ``arr``. The factor is a power of two, so the fraction is exact and the same
     for every inner i of one phase ``i mod factor``, and the inner samples
     of a phase are one strided slice of ``out`` and two plain slices of
     ``arr``. The few other samples go one at a time.
@@ -470,22 +406,21 @@ def _interpolate(
         at(out, i)[...] = at(arr, lo[i]) * (1 - frac[i]) + at(arr, hi[i]) * frac[i]
 
 
-def _row_bands(h: int, w: int) -> range:
+def _row_bands(h: int, w: int, rows: int = 1) -> range:
     """Starts of the bands of rows of an (h, w) frame, about ``_BAND``
-    values each; each band holds ``_row_bands(h, w).step`` rows."""
-    return range(0, h, max(1, _BAND // w))
+    values each and a multiple of ``rows`` rows; each band holds
+    ``_row_bands(h, w, rows).step`` rows."""
+    return range(0, h, rows * max(1, _BAND // (rows * w)))
 
 
 def _upsample_bands(arr: np.ndarray, factor: int, h: int, w: int):
     """Yield ``(start, band)`` over the bilinear upsample of ``arr``
-    (..., hc, wc) to (..., h, w), aligning block centers.
-
-    Each band holds rows ``start`` on, about ``_BAND`` values, in one
-    reused buffer, so no frame of the upsample exists. A band is built
-    from the coarse rows its rows read: those rows are upsampled along the
-    columns, then the band along the rows. Every value is the one the
-    column pass and the row pass over whole frames give, since both passes
-    work sample by sample.
+    (..., hc, wc) to (..., h, w), aligning block centers. Each band holds
+    rows ``start`` on (:func:`_row_bands`), in one reused buffer, so no
+    frame of the upsample exists. A band is built from the coarse rows its
+    rows read: those rows are upsampled along the columns, then the band
+    along the rows. Every value is the one the column pass and the row
+    pass over whole frames give, since both passes work sample by sample.
     """
     rows = _taps(h, arr.shape[-2], factor)
     cols = _taps(w, arr.shape[-1], factor)
@@ -512,27 +447,21 @@ def _bilinear_upsample(arr: np.ndarray, factor: int, h: int, w: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class BilateralWeights:
-    """Bilateral kernel weights of one guidance field.
+    """Bilateral kernel weights of one guidance field, on the row-padded
+    flat layout of the grid of ``factor``-sized blocks (1: full
+    resolution) of shape ``(h, w)`` and row pitch ``pitch``.
 
     They depend on the guidance alone, so a refinement builds them once
-    and every mean-field step only multiplies and adds. The weights live
-    on the row-padded flat layout of their grid: row pitch
-    ``w + radius``, pad columns zero. ``pairs`` holds one entry per
-    offset d = (di, dj) of half the window (the first non-zero of
-    (di, dj) positive) that pairs at least two pixels of the grid: its
-    flat shift ``di * pitch + dj`` and w(p, p + shift) at every flat p
-    below ``h * pitch - shift``, zero where either end is padding. Since
-    w(p + d, p) is the same number, each entry serves both directions.
-    All entries share one block of ``8 * len(pairs) * h * pitch`` bytes,
-    i.e. ``8 * ceil(offsets / 2) * (w + radius) / w`` bytes per grid
-    pixel.
-
-    Attributes:
-        factor: Block size of the grid the weights live on; 1 means full
-            resolution.
-        shape: ``(h, w)`` of that grid.
-        pitch: Row pitch of the flat layout, ``w + radius``.
-        pairs: ``(shift, weight)`` per half-window offset.
+    and every step only multiplies and adds. ``pairs`` holds one
+    ``(shift, weight)`` per offset d = (di, dj) of half the window (the
+    first non-zero of (di, dj) positive) that pairs at least two pixels of
+    the grid: the flat shift ``di * pitch + dj`` and w(p, p + shift) at
+    every flat p below ``h * pitch - shift``, zero where either end is
+    padding. As w(p + d, p) is the same number, each entry serves both
+    directions. All entries share one block of ``8 * len(pairs) * h *
+    pitch`` bytes, ``8 * ceil(offsets / 2) * (w + radius) / w`` bytes per
+    grid pixel; a cache larger than physical memory is refused before it
+    is built.
     """
 
     factor: int
@@ -551,32 +480,27 @@ def _physical_memory() -> int | None:
 
 def _exp_in_place(x: np.ndarray) -> None:
     """``np.exp(x, out=x)`` bit for bit, without calling exp on the
-    arguments below ``_EXP_ZERO``, whose exp is exactly 0.0."""
+    arguments below ``_EXP_ZERO``, where numpy's exp is many times slower.
+    Their exp is exactly 0.0, and every argument from ``_EXP_ZERO`` up,
+    denormal results included, still goes through exp."""
     np.exp(x, out=x, where=x >= _EXP_ZERO)
     np.maximum(x, 0.0, out=x)
 
 
-def _features(
-    guidance: np.ndarray, valid: np.ndarray, factor: int, pitch: int
-) -> np.ndarray:
-    """The bilateral kernel's features of each guidance band, as flat rows
-    of ``pitch`` values (see :func:`_padded`).
-
-    At full resolution (``factor`` 1) a band's features are its values;
-    otherwise its means over the valid pixels of ``factor``-sized blocks,
-    zero for a block with none. Invalid pixels read as zero whatever the
-    guidance holds there. No full-resolution float64 frame is made: at
-    full resolution the bands are cast straight into the features, and
-    coarsened, each band is block-summed one band of rows at a time
-    (:func:`_block_sum_rows`) straight into its row of the features,
-    which then takes the division by the valid counts. The cast is
-    exact.
+def _features(guidance: np.ndarray, valid: np.ndarray, factor: int, pitch: int) -> np.ndarray:
+    """Each guidance band's means over the valid pixels of
+    ``factor``-sized blocks, zero for a block with none, as flat rows of
+    ``pitch`` values (see :func:`_padded`). Invalid pixels read as zero
+    whatever the guidance holds there. Each
+    band is cast to float64 at valid pixels, an exact cast, and
+    block-summed one band of rows at a time (:func:`_block_sum_rows`)
+    straight into its row of the features, which then takes the division
+    by the valid counts; so neither a float64 copy of the stack nor a
+    full-resolution float64 frame of it exists, and a float32 stack gives
+    the same features as its float64 copy. At factor 1 each block sum is
+    its one value and each count 1, so the features are the values.
     """
     bands, height, width = guidance.shape
-    if factor == 1:
-        feats = np.zeros((bands, height, pitch))
-        np.copyto(feats[..., :width], guidance, where=valid)
-        return feats.reshape(bands, height * pitch)
     h, w = -(-height // factor), -(-width // factor)
     counts = np.empty((h, w))
     _block_sum_rows(valid, factor, counts, where=valid)
@@ -593,51 +517,24 @@ def _features(
 def bilateral_weights(
     guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
 ) -> BilateralWeights:
-    """Build the bilateral weights for ``guidance`` (Cg, H, W).
+    """Build the bilateral weights for ``guidance`` (Cg, H, W), of any
+    real dtype and read only at valid pixels (:func:`_features`).
 
     With ``cfg.compress_guidance`` the weights live on the grid of
-    ``cfg.compression``-sized blocks, whose features are the means over
-    each block's valid pixels (zero for a block with none) and whose
-    spatial sigma shrinks by the same factor; otherwise on the full frame.
-    The guidance may have any real dtype and is read only at valid
-    pixels, whatever it holds elsewhere. It is converted without a
-    float64 copy of the stack (:func:`_features`): coarsened, each band's
-    valid pixels, cast to float64 in one reused frame, are block-summed
-    and divided by the valid counts straight into its row of the padded
-    features; at full resolution they are cast straight into those rows.
-    A float32 stack thus gives the same features, and the same weights,
-    as its float64 copy, since the cast is exact.
-    The squared feature differences of an offset accumulate one channel
-    at a time in its weight row, which then takes the exp and the spatial
-    factor in place. The exp (:func:`_exp_in_place`) runs only on
-    arguments of at least ``_EXP_ZERO``; the rest, whose exp is exactly
-    0.0 in float64, are set to 0.0 directly. Every weight is the same
-    float as with exp over the whole row, denormal weights included,
-    since those still come from exp; the skipped arguments are the ones
-    on which numpy's exp is slowest.
-
-    Raises:
-        DimensionError: The cache would exceed the machine's physical
-            memory; checked before any weight is allocated.
+    ``cfg.compression``-sized blocks, whose spatial sigma shrinks by the
+    same factor; otherwise on the full frame. A cache larger than the
+    machine's physical memory is a DimensionError, before any weight is
+    allocated.
     """
     return _weights(_bilateral_features(guidance, cfg, valid), cfg.beta)
 
 
 @dataclass(frozen=True)
 class _Features:
-    """The bilateral kernel's features of a guidance field on the grid its
-    weights live on (see :class:`BilateralWeights`): all that the weight
-    build (:func:`_weights`) reads of the guidance.
-
-    Attributes:
-        factor: Block size of the grid; 1 means full resolution.
-        sigma: Spatial sigma on that grid.
-        shape: ``(h, w)`` of the grid.
-        pitch: Row pitch of the flat layout, ``w + radius``.
-        offsets: The half-window offsets (di, dj) that pair at least two
-            pixels of the grid.
-        rows: (channels, h * pitch) features as flat rows, pad columns zero.
-    """
+    """All that the weight build (:func:`_weights`) reads of a guidance
+    field: the grid of :class:`BilateralWeights`, its spatial ``sigma``,
+    the half-window ``offsets`` (di, dj) that pair at least two of its
+    pixels, and the (channels, h * pitch) feature ``rows``."""
 
     factor: int
     sigma: float
@@ -682,7 +579,12 @@ def _bilateral_features(
 
 def _weights(features: _Features, beta: float) -> BilateralWeights:
     """The second half of :func:`bilateral_weights`: the weight cache of
-    ``features``."""
+    ``features``.
+
+    The squared feature differences of an offset accumulate one channel
+    at a time in its weight row, which then takes the exp
+    (:func:`_exp_in_place`) and the spatial factor in place.
+    """
     feats, pitch, sigma = features.rows, features.pitch, features.sigma
     h, w = features.shape
     n = h * pitch
@@ -723,32 +625,27 @@ def _bilateral_message(
     self-contribution excluded, added to ``message`` (a zeroed field when
     None), which is returned.
 
-    ``q`` must already be zeroed at invalid pixels. On a coarsened grid,
-    block sums stand in for the fine-scale contributions, formed one band
-    of rows at a time straight into a padded coarse field, which then
-    becomes the coarse message in place (:func:`_add_pairs_in_place`).
-    That message is upsampled back bilinearly with no extra scale factor,
-    because the block sums already aggregate the factor^2 fine pixels.
-    The upsample goes one band of rows at a time
-    (:func:`_upsample_bands`), each band scaled and added in turn, so no
-    upsampled frame exists.
+    ``q`` must already be zeroed at invalid pixels. Block sums stand in
+    for the fine-scale contributions, formed one band of rows at a time
+    straight into a padded coarse field, which then becomes the coarse
+    message in place (:func:`_add_pairs_in_place`). That message is
+    upsampled back bilinearly, with no extra scale factor as the block
+    sums already aggregate the factor^2 fine pixels, one band of rows at a
+    time (:func:`_upsample_bands`), each band scaled and added in turn.
+    At factor 1 each block sum is its one value, and each upsampled value
+    is ``v * 1 + u * 0`` for finite coarse values v and u, which is v, as
+    the coarse message sums from +0.0 and so holds no -0.0.
     """
     h, w = q.shape
-    gamma = weights.factor
     hc, wc = weights.shape
-    if gamma > 1:
-        coarse = np.zeros((hc, weights.pitch))
-        _block_sum_rows(q, gamma, coarse[:, :wc])
-        coarse = coarse.reshape(-1)
-    else:
-        coarse = _padded(q, weights.pitch)
-    # The padded source becomes the coarse message.
+    coarse = np.zeros((hc, weights.pitch))
+    _block_sum_rows(q, weights.factor, coarse[:, :wc])
+    coarse = coarse.reshape(-1)
     _add_pairs_in_place(coarse, weights.pairs, np.empty(min(coarse.size, _BAND)), zeroed=True)
     coarse = coarse.reshape(hc, weights.pitch)[:, :wc]
     if message is None:
         message = np.zeros((h, w))
-    bands = _upsample_bands(coarse, gamma, h, w) if gamma > 1 else [(0, coarse)]
-    for start, band in bands:
+    for start, band in _upsample_bands(coarse, weights.factor, h, w):
         band *= scale
         message[start : start + len(band)] += band
     return message
@@ -759,7 +656,6 @@ def _pairwise_message(
 ) -> np.ndarray:
     """Spatial plus bilateral message of one (H, W) field, weighted by
     ``cfg.pairwise_weights``; ``weights`` None skips the bilateral kernel.
-
     ``field`` must already be zeroed at invalid pixels. The message is
     the scaled spatial message, in the padded frame of its passes, and
     the bilateral one is scaled and added to it; with no spatial kernel it
@@ -778,33 +674,41 @@ def _pairwise_message(
     return message
 
 
-def _as_guidance(guidance: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray | None:
-    """Guidance as a (Cg, H, W) array on the (H, W) frame ``shape``, or None.
-
-    The array keeps its dtype: :func:`bilateral_weights` converts one band
-    at a time to float64, so a float32 stack is never copied whole.
+def _kernels(
+    guidance: np.ndarray | None, cfg: CrfConfig, valid: np.ndarray,
+    weights: BilateralWeights | None = None, valid_message: np.ndarray | None = None,
+) -> tuple[BilateralWeights | None, np.ndarray]:
+    """The bilateral weights and the valid mask's message that a step
+    reads, each built only when not given. The weights are None when
+    ``cfg.pairwise_weights[1]`` is not positive, given ones included.
+    Otherwise given ones are used and ``guidance`` is not read; else they
+    are built from ``guidance`` (Cg, H, W), which keeps its dtype, or are
+    None when it is None too. The valid mask's message is
+    :func:`_pairwise_message` of ``valid`` under those weights.
     """
-    if guidance is None:
-        return None
-    guidance = np.asarray(guidance)
-    if guidance.ndim != 3 or guidance.shape[1:] != shape:
-        raise DataError(f"guidance shape {guidance.shape} does not match field {shape}")
-    return guidance
+    if cfg.pairwise_weights[1] <= 0:
+        weights = None
+    elif weights is None and guidance is not None:
+        guidance = np.asarray(guidance)
+        if guidance.ndim != 3 or guidance.shape[1:] != valid.shape:
+            raise DataError(f"guidance shape {guidance.shape} does not match field {valid.shape}")
+        weights = bilateral_weights(guidance, cfg, valid)
+    if valid_message is None:
+        valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
+    return weights, valid_message
 
 
 @dataclass(frozen=True)
 class _Logits:
-    """The unary term of :func:`refine_values`' loop, kept as the logits it
-    comes from instead of a stored unary field.
+    """The unary term of a step, kept as the logits it comes from instead
+    of a stored unary field.
 
-    -u of class k is ``logits[k] / temperature`` in float64: the same float
-    as ``-(-logits[k] / temperature)``, as negation is exact and a quotient
-    only changes sign with its dividend. One-band logits pin class 0 at
-    zero, whose -u is the scalar +0.0.
-
-    Attributes:
-        data: (H, W) class-1 logits, or (2, H, W); float32 or float64.
-        temperature: Divides the logits.
+    ``data`` holds (H, W) class-1 logits or (2, H, W) ones, float32 or
+    float64. -u of class k is ``logits[k] / temperature`` in float64: the
+    same float as ``-(-logits[k] / temperature)``, as negation is exact
+    and a quotient only changes sign with its dividend. One-band logits
+    pin class 0 at zero, whose -u is the scalar +0.0. A unary field u is
+    the logits -u at temperature 1, as x / 1.0 is x exactly.
     """
 
     data: np.ndarray
@@ -841,20 +745,17 @@ def _step_tail(
     m1: np.ndarray,
     valid_message: np.ndarray,
     compatibility: np.ndarray,
-    negative,
+    logits: _Logits,
     q0: np.ndarray | None = None,
 ) -> np.ndarray:
     """A step once the class-1 message ``m1`` exists: the compatibility,
-    -u and the two-field softmax, one band of rows at a time.
-
-    Per band, m0 = ``valid_message - m1`` and then x1 are written into
-    the band of ``field``, which ends up holding the new class-1 field
-    and is returned; x0 goes to ``q0``'s band when given, else to a band
-    buffer, and -u and the softmax's maximum and sum to another. The
-    float operations and their order are those of the formulas on whole
-    frames, so every value is the same; ``field`` and ``q0`` are
-    contiguous, so the exp runs on contiguous bands as it did on frames.
-    ``negative(k, rows, out)`` gives -u of class k over ``rows``.
+    -u and the two-field softmax, one band of rows at a time. Per band,
+    m0 = ``valid_message - m1`` and then x1 go into the band of ``field``,
+    which ends up holding the new class-1 field and is returned; x0 goes
+    to ``q0``'s band when given, else to a band buffer, and -u and the
+    softmax's maximum and sum to another. The float operations and their
+    order are those of the formulas on whole frames, so every value is the
+    same, and the exp runs on contiguous bands as it did on frames.
     """
     h, w = field.shape
     bands = _row_bands(h, w)
@@ -872,8 +773,8 @@ def _step_tail(
         x0 += np.multiply(m1_rows, c01, out=scratch)
         m0 *= c10  # m0 is read no more: x1 = c10 m0 + c11 m1
         x1 += np.multiply(m1_rows, c11, out=scratch)
-        np.subtract(negative(0, rows, scratch), x0, out=x0)
-        np.subtract(negative(1, rows, scratch), x1, out=x1)
+        np.subtract(logits.negative(0, rows, scratch), x0, out=x0)
+        np.subtract(logits.negative(1, rows, scratch), x1, out=x1)
         _two_class_softmax(x0, x1, scratch)
     return field
 
@@ -888,56 +789,39 @@ def mean_field_step(
     weights: BilateralWeights | None = None,
     valid_message: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One mean-field update.
-
-    Messages from both kernels are combined with the pairwise weights, run
-    through the compatibility transform and re-normalised against the
-    unary term:
-
-        Q' = softmax(-unary - compatibility @ message)
+    """One mean-field update, ``Q' = softmax(-unary - compatibility @
+    message)``, with the messages of both kernels combined by the
+    pairwise weights.
 
     Only class 1 passes messages: as q0 = valid - q1 at valid pixels and
     messages are linear, the class-0 message m0 is ``valid_message`` less
     the class-1 one m1. The compatibility applies as four scalars,
     ``x0 = -unary[0] - (c00 m0 + c01 m1)`` and ``x1 = -unary[1] - (c10 m0
     + c11 m1)``, and one two-field softmax turns (x0, x1) into the new
-    distribution; the step is the same (H, W) computation for either
-    shape of ``q``. Those are the same float operations in the same order
-    as the formulas read. The masked class-1 field's frame takes m0 and
-    then x1, and the messages' frames are their own; the rest runs one
-    band of rows at a time (:func:`_step_tail`), so x0 is a frame only
-    for a (2, H, W) ``q``. The step writes into none of its arguments: the
-    field is a copy of ``q``, except in :func:`refine_values`' loop, which
-    passes its logits (a private ``_Logits``) in place of ``unary`` and
-    hands its own field over.
+    distribution (:func:`_step_tail`), for either shape of ``q``. Under
+    Potts these are the floats of a class-axis einsum and softmax, as
+    0 m0 + 1 m1 is m1 exactly. The step writes into none of its arguments,
+    except in :func:`refine_values`' loop, which passes its logits (a
+    private ``_Logits``) in place of ``unary`` and hands its field over.
 
     Args:
-        q: Current class-1 field (H, W), or the distribution (2, H, W) with
-            rows summing to 1, of which only ``q[1]`` is read.
+        q: Class-1 field (H, W), or the distribution (2, H, W), of which
+            only ``q[1]`` is read.
         unary: Unary energies, (2, H, W).
-        guidance: Bilateral guidance features (Cg, H, W), read only to
-            build the weights when ``weights`` is None; None then skips
-            the bilateral kernel.
+        guidance: Guidance features (Cg, H, W), read only to build the
+            weights when ``weights`` is None; None then skips the
+            bilateral kernel.
         cfg: Refinement settings.
         valid: Optional (H, W) bool; False pixels neither send messages
             nor keep meaningful values.
-        weights: The bilateral weights under ``cfg`` and ``valid``, as
-            :func:`bilateral_weights` builds them; given, they are used
-            and ``guidance`` is not read (it may be None). Either way the
-            bilateral kernel is dropped when ``cfg.pairwise_weights[1]``
-            is not positive.
-        valid_message: :func:`_pairwise_message` of ``valid`` under the
-            same weights; built here when None.
+        weights, valid_message: Built here when None (:func:`_kernels`).
 
     Returns:
-        The updated class-1 field for an (H, W) ``q``; for a (2, H, W)
-        ``q`` the updated distribution, per-pixel sums exactly 1.
+        The new class-1 field for an (H, W) ``q``; for a (2, H, W) ``q``
+        the new distribution, per-pixel sums exactly 1.
     """
     if isinstance(unary, _Logits):
-        # refine_values' loop hands over its own float64 field to be masked
-        # in place and reused, and -u comes from its logits.
         field = q
-        negative = unary.negative
     else:
         q = np.asarray(q, dtype=np.float64)
         unary = np.asarray(unary, dtype=np.float64)
@@ -948,25 +832,15 @@ def mean_field_step(
         if valid is None:
             valid = np.ones(unary.shape[1:], dtype=bool)
         field = (q[1] if q.ndim == 3 else q).copy()
-
-        def negative(k: int, rows: slice, out: np.ndarray) -> np.ndarray:
-            return np.negative(unary[k, rows], out=out)
-
+        unary = _Logits(-unary, 1.0)
     # Invalid pixels send nothing, whatever the field holds there.
     np.copyto(field, 0.0, where=~valid)
-    if cfg.pairwise_weights[1] <= 0:
-        weights = None
-    elif weights is None:
-        guidance = _as_guidance(guidance, field.shape)
-        if guidance is not None:
-            weights = bilateral_weights(guidance, cfg, valid)
-    if valid_message is None:
-        valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
+    weights, valid_message = _kernels(guidance, cfg, valid, weights, valid_message)
     m1 = _pairwise_message(field, cfg, weights)
     if q.ndim == 2:
-        return _step_tail(field, m1, valid_message, cfg.compatibility, negative)
+        return _step_tail(field, m1, valid_message, cfg.compatibility, unary)
     q0 = np.empty_like(field)
-    q1 = _step_tail(field, m1, valid_message, cfg.compatibility, negative, q0)
+    q1 = _step_tail(field, m1, valid_message, cfg.compatibility, unary, q0)
     return np.stack([q0, q1])
 
 
@@ -980,37 +854,25 @@ def refine_values(
 ) -> np.ndarray:
     """Run the full mean-field loop; returns the class-1 probability field.
 
-    ``logits`` may be (H, W) (single-logit convention: class 0 pinned at
-    zero) or (2, H, W). No unary field is stored: the steps derive -u from
-    the logits as given (:class:`_Logits`; float32 and float64 are read
-    as they are, other dtypes converted to float64). The bilateral weights
-    and the valid mask's message are built once and handed to every step,
-    and the loop carries the (H, W) class-1 field alone, which each step
-    reuses for its own frames. ``guidance`` is read only to build the
-    weights: once they exist this function drops its reference to it, and
-    the steps get ``guidance=None`` with the weights. Given ``weights``,
-    as :func:`bilateral_weights` builds them under ``cfg`` and ``valid``,
-    they are used and ``guidance`` is not read (it may be None). No
-    argument is written.
+    ``logits`` may be (H, W) (class 0 pinned at zero) or (2, H, W);
+    float32 and float64 are read as they are (:class:`_Logits`), other
+    dtypes converted to float64. The weights and the valid mask's message
+    are built once (:func:`_kernels`; given ``weights`` are used) and
+    handed to every step, and the loop carries the (H, W) class-1 field
+    alone, which each step reuses for its own frames. The reference to
+    ``guidance`` is dropped once the weights exist. No argument is written.
     """
     logits = np.asarray(logits)
     if logits.dtype not in (np.float32, np.float64):
         logits = logits.astype(np.float64)
     if logits.ndim != 2 and (logits.ndim != 3 or logits.shape[0] != 2):
         raise DataError(f"logit field must have shape (H, W) or (2, H, W), got {logits.shape}")
-    shape = logits.shape[-2:]
     if valid is None:
-        valid = np.ones(shape, dtype=bool)
+        valid = np.ones(logits.shape[-2:], dtype=bool)
     if not np.isfinite(logits[..., valid]).all():
         raise DataError("non-finite logits outside the nodata mask")
-    if cfg.pairwise_weights[1] <= 0:
-        weights = None
-    elif weights is None:
-        guidance = _as_guidance(guidance, shape)
-        if guidance is not None:
-            weights = bilateral_weights(guidance, cfg, valid)
+    weights, valid_message = _kernels(guidance, cfg, valid, weights)
     del guidance  # the weights hold all the steps need of it
-    valid_message = _pairwise_message(valid.astype(np.float64), cfg, weights)
     unary = _Logits(logits, cfg.temperature)
     q1 = unary.first_field()
     for _ in range(cfg.iterations):
@@ -1023,15 +885,10 @@ def refine_values(
 @dataclass(frozen=True)
 class CrfFeatures:
     """All that a refinement reads of its guidance stack, built by
-    :func:`crf_features`; it holds no reference to the stack.
-
-    Attributes:
-        cfg: The settings the features were built under.
-        valid: (H, W) bool, the pixels valid in both the logits and the
-            guidance; the others stay masked.
-        channels: Guidance bands that feed the bilateral kernel.
-        features: The bilateral kernel's features, or None when that
-            kernel is off.
+    :func:`crf_features` under ``cfg``, with no reference to the stack:
+    the (H, W) pixels ``valid`` in both the logits and the guidance (the
+    others stay masked), the guidance ``channels`` that feed the
+    bilateral kernel, and its ``features``, None when that kernel is off.
     """
 
     cfg: CrfConfig
@@ -1042,13 +899,9 @@ class CrfFeatures:
 
 @dataclass(frozen=True)
 class CrfWeights:
-    """A refinement's bilateral weights, built by :func:`crf_weights`.
-
-    Attributes:
-        cfg: The settings the weights were built under.
-        valid: (H, W) bool, the pixels refined.
-        channels: Guidance bands that fed the bilateral kernel.
-        weights: The bilateral weights, or None when that kernel is off.
+    """A refinement's bilateral ``weights`` (None when that kernel is
+    off), built by :func:`crf_weights` under ``cfg`` from the features of
+    ``channels`` guidance bands, and the (H, W) pixels ``valid`` to refine.
     """
 
     cfg: CrfConfig
@@ -1065,16 +918,19 @@ def crf_features(
     build the bilateral features of the first ``cfg.feature_channels``
     guidance bands (all bands when the stack is narrower).
 
-    The stack goes in as it is stored: it is read only at valid pixels,
-    one band at a time. A weight cache larger than physical memory is
-    refused here, before any feature is built.
+    ``cfg`` defaults to ``CrfConfig()``. The stack is read only at valid
+    pixels, one band at a time, in the dtype it is stored in. Logits of
+    neither 1 nor 2 bands, and rasters that differ in shape or
+    geotransform, are a DataError; a weight cache larger than physical
+    memory is refused here, before any feature is built.
     """
     cfg = cfg or CrfConfig()
     if logits.bands not in (1, 2):
         raise DataError(f"logit raster must have 1 or 2 bands, got {logits.bands}")
-    if logits.shape != guidance.shape:
+    if not logits.same_frame(guidance):
         raise DataError(
-            f"logits {logits.shape} and guidance {guidance.shape} shapes differ"
+            f"logits ({logits.shape}, geotransform {logits.geotransform}) and guidance "
+            f"({guidance.shape}, geotransform {guidance.geotransform}) are on different frames"
         )
     valid = ~(logits.nodata_mask | guidance.nodata_mask)
     k = min(cfg.feature_channels, guidance.bands)
@@ -1098,31 +954,20 @@ def crf_refine(
     guidance: RasterGrid | CrfWeights,
     cfg: CrfConfig | None = None,
 ) -> RasterGrid:
-    """Refine a logit raster against a guidance stack.
-
-    The first ``cfg.feature_channels`` guidance bands drive the bilateral
-    kernel (all bands when the stack is narrower). Masked pixels are
+    """Refine a one-band (class-1 logit) or two-band (per-class) logit
+    raster against a guidance stack on the same frame; returns a
+    single-band float32 probability raster in [0, 1]. Masked pixels are
     carried through unrefined and stay masked.
 
     A refinement runs in three steps: :func:`crf_features` reads the
     stack, :func:`crf_weights` builds the bilateral weights from its
     features, and the mean-field loop runs on the weights. Given a stack,
-    this runs all three; given :class:`CrfWeights`, the loop alone. The
-    ``crf`` pipeline stage and ``apmkit crf-refine`` call the steps one by
-    one and drop the stack once its features exist, and the features once
-    the weights do, so neither is held while the next is built or through
-    the loop.
-
-    Args:
-        logits: One-band (class-1 logit) or two-band (per-class) raster.
-        guidance: Feature stack on the same frame, or the
-            :class:`CrfWeights` built from it for these logits.
-        cfg: Settings; defaults to ``CrfConfig()``. With :class:`CrfWeights`
-            it may be omitted, and otherwise must be the config they were
-            built under.
-
-    Returns:
-        Single-band float32 probability raster in [0, 1].
+    this runs all three; given :class:`CrfWeights`, the loop alone, and
+    ``cfg`` must then be omitted or be the config they were built under.
+    A caller that runs the steps one by one can drop the stack once its
+    features exist, and the features once the weights do, so that neither
+    is held while the next is built or through the loop; the ``crf``
+    pipeline stage and ``apmkit crf-refine`` do.
     """
     if isinstance(guidance, CrfWeights):
         if cfg is not None and cfg is not guidance.cfg:
@@ -1138,7 +983,6 @@ def crf_refine(
     # masked pixels.
     prob = refine_values(logits.data[0] if logits.bands == 1 else logits.data,
                          None, cfg, valid, weights=guidance.weights)
-    prob = np.where(valid, prob, np.nan).astype(np.float32)
     meta = {
         "refinement": "mean_field_dense_crf",
         "beta": cfg.beta,
@@ -1149,6 +993,7 @@ def crf_refine(
         "iterations": cfg.iterations,
         "pairwise_weights": list(cfg.pairwise_weights),
     }
+    # RasterGrid writes NaN at the masked pixels.
     return RasterGrid(
-        prob[None, :, :], logits.geotransform, ~valid, ("probability",), meta
+        prob.astype(np.float32)[None, :, :], logits.geotransform, ~valid, ("probability",), meta
     )

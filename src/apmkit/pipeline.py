@@ -219,7 +219,7 @@ def build_feature_stack(
         bands.append(dist.band(0))
         names.append(f"dist_{Path(target_path).stem}")
     return RasterGrid(
-        np.stack([np.where(dem.nodata_mask, np.nan, b) for b in bands]).astype(np.float32),
+        np.stack(bands),
         dem.geotransform,
         dem.nodata_mask,
         tuple(names),
@@ -257,7 +257,7 @@ def emit_surface_products(
         mask = surface.nodata_mask | baseline.nodata_mask
         diff = surface.band(0).astype(np.float64) - baseline.band(0).astype(np.float64)
         diff_grid = RasterGrid(
-            np.where(mask, np.nan, diff).astype(np.float32)[None, :, :],
+            diff.astype(np.float32)[None, :, :],
             surface.geotransform,
             mask,
             ("difference",),
@@ -359,8 +359,6 @@ def _stage_crf(run: _Run) -> None:
             {"source": "branch1_logit_transform"},
         )
         del branch, p  # the refinement reads only the logits
-    if not logits.same_frame(stack):
-        raise DataError("logits and feature stack are on different frames")
     features = crf_features(logits, stack, cfg.crf)
     # No later stage reads the stack, and the refinement needs only its
     # features and then only its weights: each goes before the next is built.

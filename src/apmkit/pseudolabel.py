@@ -162,7 +162,7 @@ def confident_pseudolabel(
     conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
     confident = ~mixed.nodata_mask & (conf >= cfg.confidence_tau)
     return RasterGrid(
-        np.where(confident, tilde, np.nan).astype(np.float32)[None, :, :],
+        tilde.astype(np.float32)[None, :, :],
         mixed.geotransform,
         ~confident,
         ("pseudolabel",),

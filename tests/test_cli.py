@@ -458,6 +458,22 @@ class TestRunAndErrors:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_crf_refine_off_the_guidance_frame_is_data_error(self, tmp_path, capsys):
+        logits = RasterGrid.from_array(np.zeros((16, 16), np.float32), (0.0, 0.0, 1.0, -1.0))
+        stack = RasterGrid.from_array(
+            np.zeros((2, 16, 16), np.float32), (500.0, 900.0, 10.0, -10.0)
+        )
+        save_raster(logits, tmp_path / "logits.grid")
+        save_raster(stack, tmp_path / "stack.grid")
+        out = tmp_path / "out.grid"
+        code = main([
+            "crf-refine", "--logits", str(tmp_path / "logits.grid"),
+            "--guidance", str(tmp_path / "stack.grid"), "--out", str(out),
+        ])
+        assert code == 3
+        assert "different frames" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["logits.grid", "stack.grid"]
+
     def test_bad_config_is_config_error(self, ws):
         bad = ws / "bad.json"
         bad.write_text("{broken")

@@ -1201,6 +1201,23 @@ class TestExpSkip:
         assert (x == 0.0).any() and ((x > 0.0) & (x < np.finfo(np.float64).tiny)).any()
 
 
+class TestGuidanceFrame:
+    """The array API refuses a guidance stack that is not on the field's
+    (H, W) frame."""
+
+    def test_refine_values(self, rng):
+        with pytest.raises(DataError, match="guidance shape"):
+            refine_values(rng.normal(size=(12, 14)), rng.normal(size=(3, 12, 15)), CrfConfig())
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["class-1", "distribution"])
+    def test_mean_field_step(self, rng, stacked):
+        q1 = rng.random((12, 14))
+        q = np.stack([1.0 - q1, q1]) if stacked else q1
+        unary = unary_potentials(rng.normal(size=(2, 12, 14)))
+        with pytest.raises(DataError, match="guidance shape"):
+            mean_field_step(q, unary, rng.normal(size=(3, 12, 15)), CrfConfig())
+
+
 class TestRasterWrapper:
     def test_refine_raster(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(10, 10)))
@@ -1231,6 +1248,13 @@ class TestRasterWrapper:
                 make_grid(rng.normal(size=(8, 9))),
                 CrfConfig(iterations=2),
             )
+
+    def test_geotransform_mismatch(self, make_grid, rng):
+        logits = make_grid(rng.normal(size=(16, 16)))
+        guidance = make_grid(rng.normal(size=(2, 16, 16)), geotransform=(500.0, 900.0, 10.0, -10.0))
+        for step in (crf_refine, crf.crf_features):
+            with pytest.raises(DataError, match="different frames"):
+                step(logits, guidance, CrfConfig(iterations=2))
 
     def test_band_count_validation(self, make_grid, rng):
         bad = make_grid(rng.normal(size=(3, 8, 8)))

@@ -537,6 +537,24 @@ class TestRun:
         assert not (out / "failed" / "loss_breakdown.json").exists()
         assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
+    def test_crf_stage_off_the_stack_frame_is_data_error(self, workspace, capsys):
+        dem = load_raster(workspace / "dem.grid")
+        stack = RasterGrid.from_array(dem.data, (500.0, 900.0, 10.0, -10.0))
+        save_raster(stack, workspace / "stack.grid")
+        cfg_path = workspace / "crf.json"
+        cfg_path.write_text(json.dumps({
+            "output_dir": str(workspace / "out"),
+            "stages": ["crf"],
+            "inputs": {
+                "stack": str(workspace / "stack.grid"),
+                "branch1": str(workspace / "branch1.grid"),
+            },
+            "crf": {"iterations": 2},
+        }))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "different frames" in capsys.readouterr().err
+        assert not list((workspace / "out").rglob("refined_surface.grid"))
+
     def test_stage_error_is_named(self, workspace):
         cfg = PipelineConfig.from_json(
             {
