@@ -887,12 +887,14 @@ class CrfFeatures:
     """All that a refinement reads of its guidance stack, built by
     :func:`crf_features` under ``cfg``, with no reference to the stack:
     the (H, W) pixels ``valid`` in both the logits and the guidance (the
-    others stay masked), the guidance ``channels`` that feed the
-    bilateral kernel, and its ``features``, None when that kernel is off.
+    others stay masked), the ``geotransform`` they share, the guidance
+    ``channels`` that feed the bilateral kernel, and its ``features``,
+    None when that kernel is off.
     """
 
     cfg: CrfConfig
     valid: np.ndarray
+    geotransform: tuple[float, float, float, float]
     channels: int
     features: _Features | None
 
@@ -901,11 +903,13 @@ class CrfFeatures:
 class CrfWeights:
     """A refinement's bilateral ``weights`` (None when that kernel is
     off), built by :func:`crf_weights` under ``cfg`` from the features of
-    ``channels`` guidance bands, and the (H, W) pixels ``valid`` to refine.
+    ``channels`` guidance bands, and the (H, W) pixels ``valid`` to refine
+    on the frame of ``geotransform``.
     """
 
     cfg: CrfConfig
     valid: np.ndarray
+    geotransform: tuple[float, float, float, float]
     channels: int
     weights: BilateralWeights | None
 
@@ -937,7 +941,7 @@ def crf_features(
     features = None
     if cfg.pairwise_weights[1] > 0:
         features = _bilateral_features(guidance.data[:k], cfg, valid)
-    return CrfFeatures(cfg, valid, k, features)
+    return CrfFeatures(cfg, valid, logits.geotransform, k, features)
 
 
 def crf_weights(features: CrfFeatures) -> CrfWeights:
@@ -946,7 +950,9 @@ def crf_weights(features: CrfFeatures) -> CrfWeights:
     weights = None
     if features.features is not None:
         weights = _weights(features.features, features.cfg.beta)
-    return CrfWeights(features.cfg, features.valid, features.channels, weights)
+    return CrfWeights(
+        features.cfg, features.valid, features.geotransform, features.channels, weights
+    )
 
 
 def crf_refine(
@@ -963,7 +969,8 @@ def crf_refine(
     stack, :func:`crf_weights` builds the bilateral weights from its
     features, and the mean-field loop runs on the weights. Given a stack,
     this runs all three; given :class:`CrfWeights`, the loop alone, and
-    ``cfg`` must then be omitted or be the config they were built under.
+    ``cfg`` must then be omitted or be the config they were built under,
+    and logits on another frame (shape or geotransform) are a DataError.
     A caller that runs the steps one by one can drop the stack once its
     features exist, and the features once the weights do, so that neither
     is held while the next is built or through the loop; the ``crf``
@@ -972,9 +979,12 @@ def crf_refine(
     if isinstance(guidance, CrfWeights):
         if cfg is not None and cfg is not guidance.cfg:
             raise ConfigError("crf_refine: cfg is not the config the weights were built under")
-        if guidance.valid.shape != logits.shape:
+        frame = (logits.shape, logits.geotransform)
+        if (guidance.valid.shape, guidance.geotransform) != frame:
             raise DataError(
-                f"logits {logits.shape} and weights {guidance.valid.shape} frames differ"
+                f"logits ({logits.shape}, geotransform {logits.geotransform}) and weights "
+                f"({guidance.valid.shape}, geotransform {guidance.geotransform}) are on "
+                "different frames"
             )
     else:
         guidance = crf_weights(crf_features(logits, guidance, cfg))

@@ -168,21 +168,38 @@ def _value_slots(samples: list[np.ndarray], band: np.ndarray, out: np.ndarray) -
 
 def _affinity_table(ecdf: Ecdf, values: np.ndarray) -> np.ndarray:
     """:func:`similarity` of ``ecdf`` for every slot over ``values``, a
-    superset of its samples (see :func:`_value_slots`)."""
-    counts = np.bincount(np.searchsorted(values, ecdf.samples), minlength=values.size)
-    le = np.cumsum(counts)
-    lt = le - counts
-    twice = np.empty(2 * values.size + 1, dtype=np.int64)  # below + upto
+    superset of its samples (see :func:`_value_slots`).
+
+    With the site's distinct samples ``d_0 < ... < d_{k-1}`` at ``U``
+    indices ``p_j``, ``below + upto`` takes 2k + 1 values in runs along
+    the slots: ``2 lt_j`` on the slots between ``d_{j-1}`` and ``d_j``
+    (``2 (p_j - p_{j-1}) - 1`` of them, ``2 p_0 + 1`` before ``d_0`` and
+    ``2 (|U| - p_{k-1}) - 1`` after ``d_{k-1}``, where it is ``2n``) and
+    ``lt_j + le_j`` on the one slot of ``d_j``. The affinity is computed
+    once per run and repeated, the same float ops on the same integers.
+    """
+    samples = ecdf.samples
+    first = np.empty(samples.size, dtype=bool)
+    first[0] = True
+    np.not_equal(samples[1:], samples[:-1], out=first[1:])
+    lt = np.flatnonzero(first)  # samples below each distinct one
+    le = np.append(lt[1:], samples.size)
+    twice = np.empty(2 * lt.size + 1, dtype=np.int64)  # below + upto
     np.multiply(lt, 2, out=twice[:-1:2])
     np.add(lt, le, out=twice[1::2])
     twice[-1] = 2 * ecdf.n
+    at = np.searchsorted(values, samples[lt])
+    runs = np.ones(twice.size, dtype=np.int64)
+    runs[0] = 2 * at[0] + 1
+    np.subtract(2 * at[1:], 2 * at[:-1] + 1, out=runs[2:-1:2])
+    runs[-1] = 2 * (values.size - at[-1]) - 1
     table = twice * 0.5
     np.divide(table, ecdf.n, out=table)
     np.multiply(table, 2.0, out=table)
     np.subtract(table, 1.0, out=table)
     np.abs(table, out=table)
     np.subtract(1.0, table, out=table)
-    return table
+    return np.repeat(table, runs)
 
 
 def potential_values(

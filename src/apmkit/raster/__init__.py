@@ -1,69 +1,47 @@
-"""Raster core: grid container, IO, terrain, distances, labels, tiling."""
+"""Raster core: grid container, IO, terrain, distances, labels, tiling.
 
-from .distance import (
-    distance_map,
-    distance_to_mask,
-    load_targets,
-    rasterize_lines,
-    rasterize_points,
-)
-from .grid import RasterGrid, fill_holes, load_raster, save_raster
-from .labels import DEFAULT_LABEL_RADIUS, rasterize_labels
-from .sites import (
-    CSV_HEADER,
-    PERIODS,
-    POLARITIES,
-    SiteRecord,
-    filter_sites,
-    read_sites_csv,
-    write_sites_csv,
-)
-from .terrain import (
-    FLAT_ASPECT,
-    derive_terrain,
-    flow_accumulation,
-    horn_gradients,
-    slope_aspect,
-    stream_mask,
-)
-from .tiling import (
-    TileWindow,
-    extract_window,
-    load_plan,
-    plan_windows,
-    save_plan,
-    stitch,
-)
+A lazy namespace like :mod:`apmkit`'s: a public name loads only the
+submodule that defines it, on first access.
+"""
 
-__all__ = [
-    "CSV_HEADER",
-    "DEFAULT_LABEL_RADIUS",
-    "FLAT_ASPECT",
-    "PERIODS",
-    "POLARITIES",
-    "RasterGrid",
-    "SiteRecord",
-    "TileWindow",
-    "derive_terrain",
-    "distance_map",
-    "distance_to_mask",
-    "extract_window",
-    "fill_holes",
-    "filter_sites",
-    "flow_accumulation",
-    "horn_gradients",
-    "load_plan",
-    "load_raster",
-    "load_targets",
-    "plan_windows",
-    "save_plan",
-    "rasterize_labels",
-    "rasterize_lines",
-    "rasterize_points",
-    "read_sites_csv",
-    "save_raster",
-    "slope_aspect",
-    "stitch",
-    "stream_mask",
-    "write_sites_csv",
-]
+from __future__ import annotations
+
+from .. import _lazy
+
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "distance_map": ".distance",
+    "distance_to_mask": ".distance",
+    "load_targets": ".distance",
+    "rasterize_lines": ".distance",
+    "rasterize_points": ".distance",
+    "RasterGrid": ".grid",
+    "fill_holes": ".grid",
+    "load_raster": ".grid",
+    "save_raster": ".grid",
+    "DEFAULT_LABEL_RADIUS": ".labels",
+    "rasterize_labels": ".labels",
+    "CSV_HEADER": ".sites",
+    "PERIODS": ".sites",
+    "POLARITIES": ".sites",
+    "SiteRecord": ".sites",
+    "filter_sites": ".sites",
+    "read_sites_csv": ".sites",
+    "write_sites_csv": ".sites",
+    "FLAT_ASPECT": ".terrain",
+    "derive_terrain": ".terrain",
+    "flow_accumulation": ".terrain",
+    "horn_gradients": ".terrain",
+    "slope_aspect": ".terrain",
+    "stream_mask": ".terrain",
+    "TileWindow": ".tiling",
+    "extract_window": ".tiling",
+    "load_plan": ".tiling",
+    "plan_windows": ".tiling",
+    "save_plan": ".tiling",
+    "stitch": ".tiling",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

@@ -74,12 +74,15 @@ class RasterGrid:
             raise DataError(f"{len(names)} band names for {bands} bands")
         # Copy only when a masked sample is not yet NaN, so the caller's
         # array is never written to and a grid read back from disk is not
-        # copied again.
-        if mask.any() and not np.isnan(data[:, mask]).all():
+        # copied again. Both checks run per sample in one reused flag
+        # frame, with the mask broadcast over the bands: a gather of the
+        # masked samples costs several times more.
+        flags = np.empty(data.shape, dtype=bool)
+        if mask.any() and not np.greater_equal(np.isnan(data, out=flags), mask, out=flags).all():
             data = data.copy()
             data[:, mask] = np.nan
-        # Masked pixels hold NaN, so every band is finite exactly off the mask.
-        if not np.array_equal(np.isfinite(data).all(axis=0), ~mask):
+        # Masked samples hold NaN, so every sample is finite exactly off the mask.
+        if not np.not_equal(np.isfinite(data, out=flags), mask, out=flags).all():
             raise DataError("non-finite values outside the nodata mask")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "geotransform", gt)

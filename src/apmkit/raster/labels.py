@@ -47,12 +47,13 @@ def rasterize_labels(
         box, inside = grid.disk_box(site.x, site.y, radius)
         burned = pos if site.polarity == "positive" else neg
         burned[box] |= inside
-    values = np.full(grid.shape, np.nan, dtype=np.float32)
-    values[neg] = 0.0
-    values[pos] = 1.0  # positive precedence over overlapping negatives
-    labeled = pos | neg
-    mask = ~labeled | grid.nodata_mask
-    values[mask] = np.nan
+    mask = np.logical_or(pos, neg, out=neg)
+    np.logical_not(mask, out=mask)
+    mask |= grid.nodata_mask
+    # 1 on positive disks, 0 on the rest of the labelled pixels: positives
+    # take precedence over overlapping negatives.
+    values = pos.astype(np.float32)
+    np.copyto(values, np.nan, where=mask)
     return RasterGrid(
         values[None, :, :],
         grid.geotransform,

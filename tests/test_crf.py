@@ -1799,3 +1799,16 @@ class TestRefinementSteps:
             crf_refine(logits, weights, CrfConfig(iterations=2))
         with pytest.raises(DataError):
             crf_refine(make_grid(rng.normal(size=(12, 15))), weights)
+
+    def test_weights_refuse_logits_on_another_geotransform(self, make_grid, rng):
+        logits = make_grid(rng.normal(size=(16, 16)), geotransform=(0.0, 0.0, 1.0, -1.0))
+        guidance = make_grid(rng.normal(size=(2, 16, 16)), geotransform=(0.0, 0.0, 1.0, -1.0))
+        cfg = CrfConfig(iterations=2)
+        weights = crf.crf_weights(crf.crf_features(logits, guidance, cfg))
+        assert weights.geotransform == logits.geotransform
+        moved = make_grid(logits.data, geotransform=(500.0, 900.0, 10.0, -10.0))
+        with pytest.raises(DataError, match="different frames"):
+            crf_refine(moved, weights)
+        got = crf_refine(logits, weights)
+        assert got.data.tobytes() == crf_refine(logits, guidance, cfg).data.tobytes()
+        assert got.geotransform == logits.geotransform

@@ -461,3 +461,21 @@ class TestFillHolesEqualsFullFrame:
             mask = rng.random((h, w)) < rng.uniform(0, 0.95)
             mask.flat[rng.integers(0, h * w)] = False
             self._check(rng.normal(size=(h, w)), mask)
+
+
+class TestValidationScratch:
+    @pytest.mark.parametrize("bands", [1, 5])
+    def test_checks_hold_one_flag_byte_per_sample(self, rng, bands):
+        # The NaN-under-the-mask and finiteness checks share one bool frame;
+        # a gather of the masked samples would add four bytes per sample.
+        data = rng.normal(size=(bands, 96, 80)).astype(np.float32)
+        mask = rng.random((96, 80)) < 0.6
+        data[:, mask] = np.nan
+        tracemalloc.start()
+        try:
+            g = RasterGrid(data, (0.0, 0.0, 1.0, -1.0), mask, tuple(f"b{i}" for i in range(bands)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(g.data, data)
+        assert peak < 0.3 * data.nbytes + 4096

@@ -1,6 +1,7 @@
 """Label rasterization: site disks to {1, 0, nodata}."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -86,3 +87,33 @@ def test_meta_records_radius(make_grid):
     labels = rasterize_labels(g, [site("p", 1.5, -1.5, "positive")], radius=1.0)
     assert labels.meta["label_radius"] == 1.0
     assert labels.band_names == ("labels",)
+
+
+def test_matches_per_pixel_oracle(make_grid, rng):
+    # Overlapping disks of both polarities on a masked frame, against a loop
+    # over pixel centres; the raster is float32 1 / 0 / NaN.
+    mask = rng.random((24, 30)) < 0.2
+    g = make_grid(np.zeros((24, 30)), mask=mask)
+    polarities = ("positive", "negative", "unlabeled")
+    sites = [
+        site(f"s{i}", float(rng.uniform(0, 30)), -float(rng.uniform(0, 24)), polarities[i % 3])
+        for i in range(18)
+    ]
+    radius = 3.3
+    labels = rasterize_labels(g, sites, radius=radius)
+    want = np.full((24, 30), np.nan, dtype=np.float32)
+    for r in range(24):
+        for c in range(30):
+            if mask[r, c]:
+                continue
+            near = {
+                s.polarity for s in sites
+                if (c + 0.5 - s.x) ** 2 + (-(r + 0.5) - s.y) ** 2 <= radius * radius
+                or (math.floor(s.x) == c and math.floor(-s.y) == r)
+            }
+            if "positive" in near:
+                want[r, c] = 1.0
+            elif "negative" in near:
+                want[r, c] = 0.0
+    assert labels.data[0].tobytes() == want.tobytes()
+    assert np.array_equal(labels.nodata_mask, np.isnan(want))

@@ -519,3 +519,62 @@ class TestEqualsSortedPixelPath:
             )
             cfg.kernel_bandwidth = float(rng.uniform(0.5, 30))
             self._check(grid, models, cfg)
+
+
+class TestAffinityTable:
+    """A site's affinity table, built from its own distinct samples, holds
+    :func:`similarity` bit for bit at a representative value of every slot
+    over the pooled values ``U``: below ``U[0]``, each ``U[i]``, each
+    midpoint and above ``U[-1]``."""
+
+    @staticmethod
+    def _check(samples, pooled):
+        from apmkit.lamap import _affinity_table, _value_slots
+
+        ecdf = Ecdf(samples)
+        values = np.unique(pooled)
+        mids = (values[:-1] + values[1:]) / 2
+        assert ((values[:-1] < mids) & (mids < values[1:])).all()
+        reps = np.empty(2 * values.size + 1)
+        reps[0] = values[0] - 1.0
+        reps[1::2] = values
+        reps[2:-1:2] = mids
+        reps[-1] = values[-1] + 1.0
+        slots = np.empty(reps.size, dtype=np.int32)
+        assert np.array_equal(_value_slots([ecdf.samples, values], reps, slots), values)
+        assert np.array_equal(slots, np.arange(reps.size))
+        table = _affinity_table(ecdf, values)
+        assert table.dtype == np.float64
+        assert table.tobytes() == similarity(ecdf, reps).tobytes()
+
+    def test_one_sample(self):
+        self._check([2.0], [2.0])
+        self._check([2.0], [-1.0, 2.0, 7.5])
+
+    def test_samples_at_both_ends_with_ties(self):
+        self._check([0.0, 0.0, 3.0, 9.0, 9.0, 9.0], [0.0, 1.0, 3.0, 4.0, 9.0])
+
+    def test_samples_inside_the_pooled_range(self):
+        self._check([4.0, 4.0, 5.5], [-3.0, 0.0, 4.0, 5.0, 5.5, 8.0, 12.0])
+
+    def test_property_over_pools_and_ties(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            pooled=st.lists(st.integers(-60, 60), min_size=1, max_size=40, unique=True),
+            scale=st.sampled_from([1.0, 0.1, 1e-3, 2.5, 1e6]),
+            data=st.data(),
+        )
+        def check(pooled, scale, data):
+            pooled = sorted(pooled)
+            picks = data.draw(
+                st.lists(st.integers(0, len(pooled) - 1), min_size=1, max_size=60)
+            )
+            ends = data.draw(st.sampled_from([(), (0,), (-1,), (0, -1)]))
+            samples = [pooled[i] * scale for i in [*picks, *ends]]
+            self._check(samples, [v * scale for v in pooled])
+
+        check()
