@@ -111,7 +111,7 @@ def _cmd_crf_refine(args) -> None:
 def _cmd_pseudolabel(args) -> None:
     pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
     doc = read_json(args.config, ConfigError) if args.config else {}
-    cfg = build_config(DplConfig, doc, "dpl", rng_seed=args.seed)
+    cfg = build_config(DplConfig, doc, "dpl")
     labels = load_raster(args.labels) if args.labels else None
     masked, doc = pseudolabel_with_breakdown(
         pair, labels, cfg, args.seed, args.step, alpha=args.alpha

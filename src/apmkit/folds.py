@@ -59,23 +59,22 @@ def site_strat_vector(
     """
     if not stack.same_frame(labels):
         raise DataError("stack and label raster disagree in frame")
-    disk = stack.disk_mask(site.x, site.y, radius)
-    valid = disk & ~stack.nodata_mask
+    box, disk = stack.disk_box(site.x, site.y, radius)
+    valid = disk & ~stack.nodata_mask[box]
     if not valid.any():
         raise EmptyInputError(f"site '{site.site_id}': empty catchment")
     comps: list[float] = []
     names: list[str] = []
     for b in range(stack.bands):
-        vals = stack.band(b)[valid].astype(np.float64)
+        vals = stack.band(b)[box][valid].astype(np.float64)
         comps.append(float(vals.mean()))
         comps.append(float(vals.std()))
         names.append(f"{stack.band_names[b]}_mean")
         names.append(f"{stack.band_names[b]}_std")
-    label_vals = labels.band(0)
-    labeled = disk & ~labels.nodata_mask
+    labeled = disk & ~labels.nodata_mask[box]
     density = float(labeled.sum()) / float(disk.sum())
     if labeled.any():
-        positive_ratio = float((label_vals[labeled] >= 0.5).mean())
+        positive_ratio = float((labels.band(0)[box][labeled] >= 0.5).mean())
     else:
         positive_ratio = 0.0
     comps.extend([density, positive_ratio])

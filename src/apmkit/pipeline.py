@@ -183,7 +183,7 @@ class PipelineConfig:
             PipelineConfig, {}, "config", **values, **inputs,
             lamap=build_config(LamapConfig, sections["lamap"], "lamap"),
             crf=CrfConfig.from_json(sections["crf"]),
-            dpl=build_config(DplConfig, sections["dpl"], "dpl", rng_seed=values.get("seed", 0)),
+            dpl=build_config(DplConfig, sections["dpl"], "dpl"),
         )
 
     def canonical_dict(self) -> dict:
@@ -390,7 +390,7 @@ def pseudolabel_with_breakdown(
         alpha = float(module_rng(seed, "pseudolabel").uniform())
     labeled = None if labels is None else (pair.y1, pair.y2, labels)
     breakdown = dpl_objective(labeled, [pair], cfg, step=step, alphas=[alpha])
-    masked = confident_pseudolabel(pair, cfg, alpha=alpha)
+    masked = confident_pseudolabel(pair, cfg, alpha)
     return masked, {"step": step, "loss_kind": cfg.loss_kind, **breakdown.as_dict()}
 
 

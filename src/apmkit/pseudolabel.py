@@ -20,19 +20,19 @@ squared branch disagreement, and entropy is the mean binary entropy of
 the branch outputs (subtracted: confident predictions are rewarded).
 The time-dependent weights follow a sigmoid ramp
 ``lambda(t) = lambda_max * exp(-5 (1 - min(t, 1))^2)``.
+Every alpha is the caller's (the pipeline draws one per run, see
+``pipeline.pseudolabel_with_breakdown``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .raster.grid import RasterGrid
-
-LOSS_KINDS = ("weighted-ce", "dice", "dice-focal", "focal", "tversky")
 
 EPS = 1e-7
 
@@ -60,7 +60,9 @@ class DplConfig:
     """Weights and knobs of the combined objective.
 
     ``total_steps`` fixes the training horizon; the consistency and
-    entropy weights ramp up over the first ``ramp_fraction`` of it.
+    entropy weights ramp up over the first ``ramp_fraction`` of it. The
+    last five fields set :func:`seg_loss`; without smoothing the Tversky
+    loss of all-0 targets is 0 / 0 unless ``tversky_alpha`` is positive.
     """
 
     loss_kind: str = "dice"
@@ -75,7 +77,6 @@ class DplConfig:
     tversky_alpha: float = 0.3
     tversky_beta: float = 0.7
     dice_smooth: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.loss_kind not in LOSS_KINDS:
@@ -86,9 +87,14 @@ class DplConfig:
             raise ConfigError(
                 f"confidence_tau must be in [0.7, 0.95], got {self.confidence_tau}"
             )
-        for name in ("lambda_p", "lambda_c_max", "lambda_e_max"):
+        for name in (
+            "lambda_p", "lambda_c_max", "lambda_e_max",
+            "focal_gamma", "tversky_alpha", "tversky_beta", "dice_smooth",
+        ):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.tversky_alpha == 0 and self.dice_smooth == 0:
+            raise ConfigError("tversky_alpha must be > 0 when dice_smooth is 0")
         if not 0.0 < self.ramp_fraction <= 1.0:
             raise ConfigError(
                 f"ramp_fraction must be in (0, 1], got {self.ramp_fraction}"
@@ -105,68 +111,65 @@ class DplConfig:
         return max(1, int(round(self.ramp_fraction * self.total_steps)))
 
 
-def _values_and_mask(field) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a RasterGrid or a bare array; return (float64 values, valid)."""
+def _float64(field) -> np.ndarray:
+    """A single-band RasterGrid or a bare array as float64 values.
+
+    A grid holds NaN under its mask and finite values elsewhere, so the
+    valid pixels of either are ``np.isfinite`` of the result.
+    """
     if isinstance(field, RasterGrid):
         if field.bands != 1:
             raise DataError(f"expected a single-band field, got {field.bands} bands")
-        return field.band(0).astype(np.float64), ~field.nodata_mask
-    arr = np.asarray(field, dtype=np.float64)
-    return arr, np.isfinite(arr)
+        field = field.band(0)
+    return np.asarray(field, dtype=np.float64)
 
 
-def combine(
-    pair: BranchPair,
-    alpha: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> RasterGrid:
-    """Convex branch mixture ``alpha * y1 + (1 - alpha) * y2``.
-
-    With ``alpha=None`` the coefficient is drawn uniformly from [0, 1)
-    using ``rng`` (required in that case). ``alpha=1`` reproduces branch 1
-    bit-exactly, ``alpha=0`` branch 2.
-    """
-    if alpha is None:
-        if rng is None:
-            raise ConfigError("combine: alpha=None requires a random generator")
-        alpha = float(rng.uniform())
+def _mixture(pair: BranchPair, alpha: float) -> np.ndarray:
+    """The float32 ``alpha * y1 + (1 - alpha) * y2``, NaN off ``pair.valid``."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     a = np.float32(alpha)
-    mixed = a * pair.y1.data + (np.float32(1.0) - a) * pair.y2.data
-    mask = pair.y1.nodata_mask | pair.y2.nodata_mask
+    return a * pair.y1.band(0) + (np.float32(1.0) - a) * pair.y2.band(0)
+
+
+def _confident(tilde: np.ndarray, tau: float) -> np.ndarray:
+    """Pixels whose confidence ``max(p, 1 - p)`` (float64) reaches ``tau``;
+    a NaN pixel fails the comparison."""
+    conf = 1.0 - tilde
+    np.maximum(conf, tilde, out=conf)
+    return conf >= tau
+
+
+def combine(pair: BranchPair, alpha: float) -> RasterGrid:
+    """Convex branch mixture ``alpha * y1 + (1 - alpha) * y2``.
+
+    ``alpha=1`` reproduces branch 1 bit-exactly, ``alpha=0`` branch 2.
+    """
     return RasterGrid(
-        mixed,
+        _mixture(pair, alpha)[None],
         pair.y1.geotransform,
-        mask,
+        pair.y1.nodata_mask | pair.y2.nodata_mask,
         ("pseudolabel",),
         {"alpha": float(alpha)},
     )
 
 
-def confident_pseudolabel(
-    pair: BranchPair,
-    cfg: DplConfig | None = None,
-    alpha: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> RasterGrid:
+def confident_pseudolabel(pair: BranchPair, cfg: DplConfig, alpha: float) -> RasterGrid:
     """Mixed pseudolabel raster masked to its confident pixels.
 
-    The branches are combined with ``alpha`` (drawn from ``rng`` when
-    None), then pixels whose confidence ``max(p, 1 - p)`` falls below
-    ``cfg.confidence_tau`` are masked out along with the input nodata.
+    The branches are combined with ``alpha``, then pixels whose confidence
+    ``max(p, 1 - p)`` falls below ``cfg.confidence_tau`` are masked out
+    along with the input nodata.
     """
-    cfg = cfg or DplConfig()
-    mixed = combine(pair, alpha=alpha, rng=rng)
-    tilde = mixed.band(0).astype(np.float64)
-    conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
-    confident = ~mixed.nodata_mask & (conf >= cfg.confidence_tau)
+    tilde = _mixture(pair, alpha)
+    unsure = ~_confident(tilde.astype(np.float64), cfg.confidence_tau)
+    tilde[unsure] = np.nan
     return RasterGrid(
-        tilde.astype(np.float32)[None, :, :],
-        mixed.geotransform,
-        ~confident,
+        tilde[None],
+        pair.y1.geotransform,
+        unsure,
         ("pseudolabel",),
-        {"confidence_tau": cfg.confidence_tau, "alpha": mixed.meta["alpha"]},
+        {"confidence_tau": cfg.confidence_tau, "alpha": float(alpha)},
     )
 
 
@@ -184,123 +187,113 @@ def ramp_weight(step: int, ramp_steps: int, lambda_max: float) -> float:
     return float(lambda_max) * float(np.exp(-5.0 * (1.0 - t) ** 2))
 
 
-def binary_entropy(pred, eps: float = EPS) -> float:
+def binary_entropy(pred) -> float:
     """Mean Bernoulli entropy (nats) of a probability field.
 
     ``H(p) = -p ln p - (1 - p) ln(1 - p)`` with probabilities clamped to
-    [eps, 1 - eps]; the mean runs over valid pixels only.
+    [EPS, 1 - EPS]; the mean runs over valid pixels only.
     """
-    values, valid = _values_and_mask(pred)
+    values = _float64(pred)
+    valid = np.isfinite(values)
     if not valid.any():
         raise DataError("entropy of a fully masked field is undefined")
-    p = np.clip(values[valid], eps, 1.0 - eps)
+    p = values[valid]
+    np.clip(p, EPS, 1.0 - EPS, out=p)
     h = -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
     return float(h.mean())
 
 
-def consistency(pair: BranchPair) -> float:
-    """Mean squared disagreement between the two branches."""
-    valid = pair.valid
+def consistency(y1, y2) -> float:
+    """Mean squared disagreement of two branch fields (RasterGrid or
+    array) over the pixels valid in both."""
+    a, b = _float64(y1), _float64(y2)
+    if a.shape != b.shape:
+        raise DataError(f"branch fields {a.shape} and {b.shape} shapes differ")
+    valid = np.isfinite(a)
+    valid &= np.isfinite(b)
     if not valid.any():
         raise DataError("consistency of fully masked branches is undefined")
-    d = pair.y1.band(0).astype(np.float64)[valid] - pair.y2.band(0).astype(np.float64)[valid]
+    d = a[valid] - b[valid]
     return float(np.mean(d * d))
 
 
 # --- segmentation losses -----------------------------------------------------
+# Each takes the selected predictions ``p`` (clamped to [EPS, 1 - EPS]), their
+# targets ``t`` and the settings.
 
 
-def seg_loss(
-    kind: str,
-    pred,
-    target,
-    select: np.ndarray | None = None,
-    class_weights: tuple[float, float] = (1.0, 1.0),
-    focal_gamma: float = 2.0,
-    tversky_alpha: float = 0.3,
-    tversky_beta: float = 0.7,
-    smooth: float = 1.0,
-    eps: float = EPS,
-) -> float:
+def _weighted_ce(p, t, cfg: DplConfig) -> float:
+    w0, w1 = cfg.class_weights
+    ll = w1 * t * np.log(p) + w0 * (1.0 - t) * np.log(1.0 - p)
+    return float(-ll.mean())
+
+
+def _dice(p, t, cfg: DplConfig) -> float:
+    inter = float(np.sum(p * t))
+    smooth = cfg.dice_smooth
+    return 1.0 - (2.0 * inter + smooth) / (float(np.sum(p) + np.sum(t)) + smooth)
+
+
+def _focal(p, t, cfg: DplConfig) -> float:
+    g = cfg.focal_gamma
+    fl = t * (1.0 - p) ** g * np.log(p) + (1.0 - t) * p ** g * np.log(1.0 - p)
+    return float(-fl.mean())
+
+
+def _tversky(p, t, cfg: DplConfig) -> float:
+    inter = float(np.sum(p * t))
+    fp = float(np.sum(p * (1.0 - t)))
+    fn = float(np.sum((1.0 - p) * t))
+    smooth = cfg.dice_smooth
+    return 1.0 - (inter + smooth) / (
+        inter + cfg.tversky_alpha * fp + cfg.tversky_beta * fn + smooth
+    )
+
+
+_LOSSES = {
+    "weighted-ce": _weighted_ce,
+    "dice": _dice,
+    "dice-focal": lambda p, t, cfg: _dice(p, t, cfg) + _focal(p, t, cfg),
+    "focal": _focal,
+    "tversky": _tversky,
+}
+
+LOSS_KINDS = tuple(_LOSSES)
+
+
+def seg_loss(pred, target, cfg: DplConfig, select: np.ndarray | None = None) -> float:
     """Scalar segmentation loss between a prediction and a target field.
 
     Args:
-        kind: One of ``weighted-ce``, ``dice``, ``dice-focal``, ``focal``,
-            ``tversky``.
         pred: Probability field (RasterGrid or array).
         target: Target field, same shape; {0, 1} or soft values.
+        cfg: ``loss_kind`` (one of ``LOSS_KINDS``) and its settings:
+            ``class_weights``, ``focal_gamma``, ``tversky_alpha``,
+            ``tversky_beta`` and ``dice_smooth``.
         select: Optional bool array restricting the loss to a pixel subset
-            (on top of validity masks).
-        class_weights: (negative, positive) weights for ``weighted-ce``.
-        focal_gamma: Focusing exponent of the focal term.
-        tversky_alpha: False-positive penalty of the Tversky loss.
-        tversky_beta: False-negative penalty of the Tversky loss.
-        smooth: Additive smoothing of the overlap losses.
-        eps: Probability clamp for the logarithmic losses.
+            (on top of the fields' valid pixels).
 
     Returns:
         Non-negative float64 scalar.
     """
-    if kind not in LOSS_KINDS:
-        raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {kind!r}")
-    p_values, p_valid = _values_and_mask(pred)
-    t_values, t_valid = _values_and_mask(target)
+    loss = _LOSSES.get(cfg.loss_kind)
+    if loss is None:  # DplConfig is mutable: its check may be stale
+        raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {cfg.loss_kind!r}")
+    p_values = _float64(pred)
+    t_values = _float64(target)
     if p_values.shape != t_values.shape:
         raise DataError(
             f"prediction {p_values.shape} and target {t_values.shape} shapes differ"
         )
-    keep = p_valid & t_valid
+    keep = np.isfinite(p_values)
+    keep &= np.isfinite(t_values)
     if select is not None:
         keep &= np.asarray(select, dtype=bool)
     if not keep.any():
         raise DataError("no pixels selected for the loss")
-    p = np.clip(p_values[keep], eps, 1.0 - eps)
-    t = t_values[keep]
-
-    def ce() -> float:
-        w0, w1 = class_weights
-        ll = w1 * t * np.log(p) + w0 * (1.0 - t) * np.log(1.0 - p)
-        return float(-ll.mean())
-
-    def dice() -> float:
-        inter = float(np.sum(p * t))
-        return 1.0 - (2.0 * inter + smooth) / (float(np.sum(p) + np.sum(t)) + smooth)
-
-    def focal() -> float:
-        fl = t * (1.0 - p) ** focal_gamma * np.log(p) + (1.0 - t) * p ** focal_gamma * np.log(
-            1.0 - p
-        )
-        return float(-fl.mean())
-
-    def tversky() -> float:
-        inter = float(np.sum(p * t))
-        fp = float(np.sum(p * (1.0 - t)))
-        fn = float(np.sum((1.0 - p) * t))
-        return 1.0 - (inter + smooth) / (inter + tversky_alpha * fp + tversky_beta * fn + smooth)
-
-    if kind == "weighted-ce":
-        return ce()
-    if kind == "dice":
-        return dice()
-    if kind == "focal":
-        return focal()
-    if kind == "tversky":
-        return tversky()
-    return dice() + focal()  # dice-focal
-
-
-def _loss_from_config(cfg: DplConfig, pred, target, select=None) -> float:
-    return seg_loss(
-        cfg.loss_kind,
-        pred,
-        target,
-        select=select,
-        class_weights=cfg.class_weights,
-        focal_gamma=cfg.focal_gamma,
-        tversky_alpha=cfg.tversky_alpha,
-        tversky_beta=cfg.tversky_beta,
-        smooth=cfg.dice_smooth,
-    )
+    p = p_values[keep]
+    np.clip(p, EPS, 1.0 - EPS, out=p)
+    return loss(p, t_values[keep], cfg)
 
 
 # --- combined objective ------------------------------------------------------
@@ -317,13 +310,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "supervised": self.supervised,
-            "pseudolabel": self.pseudolabel,
-            "consistency": self.consistency,
-            "entropy": self.entropy,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 _HARD_TARGET_KINDS = ("dice", "dice-focal", "tversky")
@@ -334,7 +321,7 @@ def dpl_objective(
     unlabeled: Sequence[BranchPair],
     cfg: DplConfig,
     step: int,
-    alphas: Sequence[float] | None = None,
+    alphas: Sequence[float],
 ) -> LossBreakdown:
     """Evaluate the combined objective at one training step.
 
@@ -347,8 +334,7 @@ def dpl_objective(
             computed on them is averaged over the batches.
         cfg: Objective settings.
         step: Training step, used by the ramped weights.
-        alphas: Optional explicit mixture coefficients, one per batch;
-            drawn from the seeded generator otherwise.
+        alphas: Mixture coefficients, one per unlabeled batch.
 
     Returns:
         LossBreakdown with the unweighted terms and the weighted total.
@@ -358,50 +344,55 @@ def dpl_objective(
         hard-thresholded at 0.5 and logarithmic losses soft. Pixels whose
         pseudolabel confidence ``max(y~, 1 - y~)`` falls below
         ``cfg.confidence_tau`` are excluded from the pseudolabel term; a
-        batch with no confident pixel contributes zero.
+        batch with no confident pixel contributes zero. Each raster is
+        read as float64 once: a labeled prediction that is also a batch's
+        branch serves both terms from one read.
     """
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
     if labeled is None and not unlabeled:
         raise DataError("objective needs a labeled triple or unlabeled pairs")
-    if alphas is not None and len(alphas) != len(unlabeled):
+    if len(alphas) != len(unlabeled):
         raise DataError(
             f"{len(alphas)} alphas supplied for {len(unlabeled)} unlabeled batches"
         )
-    rng = np.random.default_rng(cfg.rng_seed)
 
     supervised = 0.0
+    reads: dict[int, np.ndarray] = {}  # labeled predictions that are also branches
     if labeled is not None:
         pred1, pred2, label_grid = labeled
         if not (pred1.same_frame(label_grid) and pred2.same_frame(label_grid)):
             raise DataError("labeled predictions and labels disagree in frame")
-        labeled_pixels = ~label_grid.nodata_mask
-        if not labeled_pixels.any():
+        if label_grid.nodata_mask.all():
             raise DataError("label raster holds no labeled pixels")
-        supervised = 0.5 * (
-            _loss_from_config(cfg, pred1, label_grid, select=labeled_pixels)
-            + _loss_from_config(cfg, pred2, label_grid, select=labeled_pixels)
-        )
+        labels = _float64(label_grid)  # NaN off the labeled pixels
+        y1, y2 = _float64(pred1), _float64(pred2)
+        supervised = 0.5 * (seg_loss(y1, labels, cfg) + seg_loss(y2, labels, cfg))
+        del labels
+        branches = {id(g) for pair in unlabeled for g in (pair.y1, pair.y2)}
+        reads = {id(g): v for g, v in ((pred1, y1), (pred2, y2)) if id(g) in branches}
+        del y1, y2
 
     pseudo_terms: list[float] = []
     cons_terms: list[float] = []
     ent_terms: list[float] = []
     hard = cfg.loss_kind in _HARD_TARGET_KINDS
-    for j, pair in enumerate(unlabeled):
-        alpha = None if alphas is None else float(alphas[j])
-        masked = confident_pseudolabel(pair, cfg, alpha=alpha, rng=rng)
-        confident = ~masked.nodata_mask
+    for pair, alpha in zip(unlabeled, alphas):
+        y1, y2 = (reads[id(g)] if id(g) in reads else _float64(g) for g in (pair.y1, pair.y2))
+        tilde = _mixture(pair, float(alpha)).astype(np.float64)  # NaN off pair.valid
+        confident = _confident(tilde, cfg.confidence_tau)
+        target = (tilde >= 0.5).astype(np.float64) if hard else tilde
+        del tilde
         if confident.any():
-            tilde = masked.band(0).astype(np.float64)  # NaN off the confident pixels
-            target = (tilde >= 0.5).astype(np.float64) if hard else tilde
-            batch = _loss_from_config(
-                cfg, pair.y1, target, select=confident
-            ) + _loss_from_config(cfg, pair.y2, target, select=confident)
+            batch = seg_loss(y1, target, cfg, select=confident) + seg_loss(
+                y2, target, cfg, select=confident
+            )
         else:
             batch = 0.0
+        del target, confident
         pseudo_terms.append(batch)
-        cons_terms.append(consistency(pair))
-        ent_terms.append(binary_entropy(pair.y1) + binary_entropy(pair.y2))
+        cons_terms.append(consistency(y1, y2))
+        ent_terms.append(binary_entropy(y1) + binary_entropy(y2))
 
     pseudo = float(np.mean(pseudo_terms)) if pseudo_terms else 0.0
     cons = float(np.mean(cons_terms)) if cons_terms else 0.0

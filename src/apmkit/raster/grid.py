@@ -160,10 +160,14 @@ class RasterGrid:
     def disk_box(
         self, x: float, y: float, radius: float
     ) -> tuple[tuple[slice, slice], np.ndarray]:
-        """The pixels of :meth:`disk_mask` as a box of the frame and a mask
-        within it: ``(rows, cols), inside``, where ``inside`` has the box's
-        shape. Only the box is computed, so a disk costs its own size, not
-        the frame's. The box is empty when no pixel is in the disk.
+        """Pixels whose center lies within ``radius`` of (x, y), in map
+        units, as a box of the frame and a mask within it: ``(rows, cols),
+        inside``, where ``inside`` has the box's shape.
+
+        The pixel containing (x, y) is always included when it lies inside
+        the grid, so point geometries survive radii below half a pixel.
+        Only the box is computed, so a disk costs its own size, not the
+        frame's. The box is empty when no pixel is in the disk.
         """
         if radius < 0:
             raise DataError(f"negative radius {radius}")
@@ -189,17 +193,6 @@ class RasterGrid:
         if 0 <= row < self.height and 0 <= col < self.width:
             inside[row - r0, col - c0] = True
         return (slice(r0, r1 + 1), slice(c0, c1 + 1)), inside
-
-    def disk_mask(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Pixels whose center lies within ``radius`` of (x, y), in map units.
-
-        The pixel containing (x, y) is always included when it lies inside
-        the grid, so point geometries survive radii below half a pixel.
-        """
-        box, inside = self.disk_box(x, y, radius)
-        out = np.zeros((self.height, self.width), dtype=bool)
-        out[box] = inside
-        return out
 
     def same_frame(self, other: "RasterGrid") -> bool:
         """True when shapes and geotransforms agree."""

@@ -197,7 +197,7 @@ class TestSurfaceCommands:
                 "--out-json", f"{out}.json",
             ])
             assert code == 0
-            want = dpl_objective(None, [pair], DplConfig(rng_seed=seed), 0, alphas=[0.5])
+            want = dpl_objective(None, [pair], DplConfig(), 0, alphas=[0.5])
             doc = json.loads((ws / f"seed{seed}.json").read_text())
             assert doc["pseudolabel"] == want.pseudolabel
             assert doc["total"] == want.total
@@ -214,7 +214,7 @@ class TestSurfaceCommands:
         ])
         assert code == 0
         alpha = load_raster(ws / "p.grid").meta["alpha"]
-        want = dpl_objective(None, [pair], DplConfig(rng_seed=1), 0, alphas=[alpha])
+        want = dpl_objective(None, [pair], DplConfig(), 0, alphas=[alpha])
         doc = json.loads((ws / "p.json").read_text())
         assert (doc["pseudolabel"], doc["total"]) == (want.pseudolabel, want.total)
 
@@ -611,6 +611,45 @@ class TestRunAndErrors:
             "--out-raster", str(ws / "p.grid"), "--out-json", str(ws / "p.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"rng_seed": 1}, "rng_seed"),
+            (
+                {"loss_kind": "tversky", "tversky_alpha": 0, "tversky_beta": 0, "dice_smooth": 0},
+                "tversky_alpha",
+            ),
+            ({"dice_smooth": -1.0}, "dice_smooth"),
+        ],
+        ids=["rng-seed", "tversky-no-weights", "negative-smoothing"],
+    )
+    def test_pseudolabel_config_is_checked_before_any_output(self, tmp_path, capsys, doc, key):
+        # 4x4 branches of 0.05 and 0.03: every hard pseudolabel target is 0.
+        for name, value in (("b1.grid", 0.05), ("b2.grid", 0.03)):
+            save_raster(RasterGrid.from_array(np.full((4, 4), value, np.float32)), tmp_path / name)
+        (tmp_path / "dpl.json").write_text(json.dumps(doc))
+        code = main([
+            "pseudolabel", "--branch1", str(tmp_path / "b1.grid"),
+            "--branch2", str(tmp_path / "b2.grid"), "--alpha", "0.5",
+            "--config", str(tmp_path / "dpl.json"),
+            "--out-raster", str(tmp_path / "p.grid"), "--out-json", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not list(tmp_path.glob("p.*"))
+
+    def test_run_config_with_dpl_rng_seed_is_config_error(self, ws, capsys):
+        cfg_path = ws / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "output_dir": str(ws / "out"), "stages": ["pseudolabel"], "seed": 3,
+            "inputs": {"branch1": str(ws / "branch1.grid"), "branch2": str(ws / "branch2.grid")},
+            "dpl": {"rng_seed": 3},
+        }))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "unknown dpl key 'rng_seed'" in capsys.readouterr().err
+        assert not (ws / "out").exists() or list((ws / "out").glob("*")) == []
 
     @pytest.mark.parametrize(
         "section",

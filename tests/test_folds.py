@@ -17,6 +17,7 @@ from apmkit.folds import (
     uniform_kfold,
 )
 from apmkit.raster.sites import SiteRecord
+from test_grid import full_frame_disk
 
 
 def site(sid, x=0.5, y=-0.5, polarity="positive"):
@@ -87,6 +88,39 @@ class TestStratVector:
             "slope_mean", "slope_std", "aspect_mean", "aspect_std",
             "label_density", "positive_ratio",
         )
+
+
+    def test_matches_full_frame_disk_oracle(self, make_grid, rng):
+        # Each site's disk is read in its box; the vector equals the one
+        # built from a full-frame disk bit for bit, for sites inside, on the
+        # edges of and just outside the frame.
+        gt = (100.0, 200.0, 10.0, -7.5)
+        h, w = 23, 31
+        stack = make_grid(rng.normal(size=(3, h, w)), gt, mask=rng.random((h, w)) < 0.15)
+        unlabeled = rng.random((h, w)) < 0.5
+        labels = make_grid((rng.random((h, w)) < 0.4).astype(float), gt, mask=unlabeled)
+        checked = 0
+        for u, v in rng.uniform(-0.15, 1.15, (60, 2)):
+            x, y = 100.0 + u * w * 10.0, 200.0 - v * h * 7.5
+            for radius in (0.0, 4.0, 10.0, 37.0, 120.0):
+                disk = full_frame_disk(stack, x, y, radius)
+                valid = disk & ~stack.nodata_mask
+                if not valid.any():
+                    with pytest.raises(EmptyInputError):
+                        site_strat_vector(site("s", x, y), stack, labels, radius)
+                    continue
+                want = []
+                for b in range(stack.bands):
+                    vals = stack.band(b)[valid].astype(np.float64)
+                    want += [float(vals.mean()), float(vals.std())]
+                labeled = disk & ~labels.nodata_mask
+                want.append(float(labeled.sum()) / float(disk.sum()))
+                ratio = (labels.band(0)[labeled] >= 0.5).mean() if labeled.any() else 0.0
+                want.append(float(ratio))
+                got = site_strat_vector(site("s", x, y), stack, labels, radius)
+                assert got.components.tobytes() == np.array(want).tobytes()
+                checked += 1
+        assert checked > 150
 
 
 class TestStandardize:

@@ -163,7 +163,6 @@ class TestConfig:
         assert cfg.lamap.bands == (0, 2)
         assert cfg.crf.compression == 4
         assert cfg.dpl.confidence_tau == 0.9
-        assert cfg.dpl.rng_seed == 5
 
     def test_retired_tiling_keys_warn_and_are_ignored(self, caplog):
         base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
@@ -198,11 +197,11 @@ class TestConfig:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
         assert PipelineConfig.from_json(example).config_hash() == (
-            "d589001bccfa7c2a6a0df161badab8e9b0e784afedcb081683e541b1ccf6aa87"
+            "f90cea2f4a1cd05158d6e5c03091e4dd542c07b477bf7774816b41be95b1391b"
         )
         minimal = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
         assert PipelineConfig.from_json(minimal).config_hash() == (
-            "3dd383fe3692eca96648d71bf146fabea0f3141dff541cf56d70f1dd180f498e"
+            "8414eb98fbfbc000f3779c0e2e21b78c0e18d84cf13b489c1be146ae9b5cb78b"
         )
 
     def test_integer_literal_in_float_field_is_stored_as_float(self):
@@ -233,11 +232,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_json({**base, **doc})
 
-    def test_dpl_seed_follows_run_seed_unless_set(self):
+    def test_dpl_rng_seed_is_an_unknown_key(self):
+        # The pseudolabel alpha comes from the run seed alone.
         base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}, "seed": 9}
-        assert PipelineConfig.from_json(base).dpl.rng_seed == 9
-        cfg = PipelineConfig.from_json({**base, "dpl": {"rng_seed": 2}})
-        assert cfg.dpl.rng_seed == 2
+        with pytest.raises(ConfigError, match="unknown dpl key 'rng_seed'"):
+            PipelineConfig.from_json({**base, "dpl": {"rng_seed": 2}})
 
 
 class TestFeatureStack:

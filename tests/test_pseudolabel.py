@@ -30,6 +30,10 @@ def pair_of(make_grid, a, b, mask1=None, mask2=None):
     return BranchPair(make_grid(a, mask=mask1), make_grid(b, mask=mask2))
 
 
+def loss(kind, pred, target, select=None, **settings):
+    return seg_loss(pred, target, DplConfig(loss_kind=kind, **settings), select=select)
+
+
 class TestConfig:
     def test_defaults_and_ramp_steps(self):
         cfg = DplConfig()
@@ -55,6 +59,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DplConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"focal_gamma": -1.0},
+            {"tversky_alpha": -0.1},
+            {"tversky_beta": -0.1},
+            {"dice_smooth": -1.0},
+            {"tversky_alpha": 0.0, "tversky_beta": 0.0, "dice_smooth": 0.0},
+            {"tversky_alpha": 0.0, "dice_smooth": 0.0},
+        ],
+        ids=["gamma", "alpha", "beta", "smooth", "no-weights", "no-fp-weight"],
+    )
+    def test_loss_settings_that_break_the_loss(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ConfigError, match=name):
+            DplConfig(**kwargs)
+
+    def test_unsmoothed_tversky_needs_only_its_false_positive_weight(self):
+        # The denominator is sum(p t) + a sum(p (1 - t)) + b sum((1 - p) t):
+        # with a > 0 it is positive for any targets in [0, 1], so b may be 0.
+        p = np.array([0.05, 0.03, 0.9])
+        for t in (np.zeros(3), np.ones(3)):
+            got = loss("tversky", p, t, tversky_beta=0.0, dice_smooth=0.0)
+            assert 0.0 <= got <= 1.0
+        assert loss("tversky", p, np.zeros(3), tversky_alpha=0.0) == pytest.approx(0.0)
+
     def test_construct_from_json_dict(self):
         cfg = DplConfig(**{"loss_kind": "focal", "class_weights": [2.0, 1.0]})
         assert cfg.class_weights == (2.0, 1.0)
@@ -76,13 +106,6 @@ class TestCombine:
         pair = pair_of(make_grid, a, b)
         assert np.array_equal(combine(pair, alpha=1.0).band(0), a)
         assert np.array_equal(combine(pair, alpha=0.0).band(0), b)
-
-    def test_random_alpha_needs_rng(self, make_grid, rng):
-        pair = pair_of(make_grid, np.zeros((3, 3)), np.ones((3, 3)))
-        with pytest.raises(ConfigError):
-            combine(pair)
-        m = combine(pair, rng=np.random.default_rng(7))
-        assert 0.0 <= m.meta["alpha"] < 1.0
 
     def test_alpha_range(self, make_grid):
         pair = pair_of(make_grid, np.zeros((3, 3)), np.ones((3, 3)))
@@ -114,6 +137,21 @@ class TestConfidentPseudolabel:
         assert keep.tolist() == [[True, False], [True, False]]
         assert np.isnan(out.band(0)[0, 1])
         assert out.meta["confidence_tau"] == 0.9
+
+    def test_matches_the_combined_raster(self, make_grid, rng):
+        # Masked branch pixels are NaN in the mixture and fail the
+        # confidence test; the raster is the mixture masked off the rest.
+        masks = [rng.random((7, 9)) < 0.3 for _ in range(2)]
+        pair = pair_of(make_grid, rng.random((7, 9)), rng.random((7, 9)), *masks)
+        out = confident_pseudolabel(pair, DplConfig(confidence_tau=0.75), alpha=0.3)
+        mixed = combine(pair, alpha=0.3)
+        tilde = mixed.band(0).astype(np.float64)
+        conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
+        confident = ~mixed.nodata_mask & (conf >= 0.75)
+        assert np.array_equal(out.nodata_mask, ~confident)
+        assert np.array_equal(out.band(0)[confident], mixed.band(0)[confident])
+        assert np.isnan(out.band(0)[~confident]).all()
+        assert out.meta == {"confidence_tau": 0.75, "alpha": 0.3}
 
 
 class TestRamp:
@@ -162,54 +200,74 @@ class TestEntropyAndConsistency:
         pair = pair_of(
             make_grid, np.array([[0.2, 0.4]]), np.array([[0.5, 0.4]])
         )
-        assert consistency(pair) == pytest.approx(0.5 * 0.3**2, abs=1e-7)
+        assert consistency(pair.y1, pair.y2) == pytest.approx(0.5 * 0.3**2, abs=1e-7)
 
     def test_identical_branches_zero(self, make_grid, rng):
         a = rng.random((5, 5))
-        assert consistency(pair_of(make_grid, a, a)) == 0.0
+        pair = pair_of(make_grid, a, a)
+        assert consistency(pair.y1, pair.y2) == 0.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DataError):
+            consistency(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_float64_reads_equal_the_rasters(self, make_grid, rng):
+        # dpl_objective passes float64 reads: a raster holds NaN exactly
+        # under its mask, so an array's finite pixels are the raster's valid ones.
+        masks = [rng.random((6, 8)) < 0.3 for _ in range(2)]
+        pair = pair_of(make_grid, rng.random((6, 8)), rng.random((6, 8)), *masks)
+        y1, y2 = (g.band(0).astype(np.float64) for g in (pair.y1, pair.y2))
+        assert binary_entropy(y1) == binary_entropy(pair.y1)
+        assert consistency(y1, y2) == consistency(pair.y1, pair.y2)
+        target = (y2 >= 0.5).astype(np.float64)
+        for kind in ("weighted-ce", "dice", "dice-focal", "focal", "tversky"):
+            assert loss(kind, y1, target) == loss(kind, pair.y1, target)
 
 
 class TestSegLoss:
     def test_focal_frozen(self):
-        assert seg_loss("focal", PRED4, TARG4) == pytest.approx(FOCAL4, abs=1e-9)
+        assert loss("focal", PRED4, TARG4) == pytest.approx(FOCAL4, abs=1e-9)
 
     def test_weighted_ce_frozen(self):
-        assert seg_loss("weighted-ce", PRED4, TARG4) == pytest.approx(CE4, abs=1e-9)
-        assert seg_loss(
+        assert loss("weighted-ce", PRED4, TARG4) == pytest.approx(CE4, abs=1e-9)
+        assert loss(
             "weighted-ce", PRED4, TARG4, class_weights=(2.0, 1.0)
         ) == pytest.approx(CE4_W21, abs=1e-9)
 
     def test_dice_frozen(self):
-        assert seg_loss("dice", PRED4, TARG4) == pytest.approx(DICE4, abs=1e-9)
+        assert loss("dice", PRED4, TARG4) == pytest.approx(DICE4, abs=1e-9)
 
     def test_tversky_frozen(self):
-        assert seg_loss("tversky", PRED4, TARG4) == pytest.approx(TVERSKY4, abs=1e-9)
+        assert loss("tversky", PRED4, TARG4) == pytest.approx(TVERSKY4, abs=1e-9)
 
     def test_dice_focal_is_sum(self):
-        assert seg_loss("dice-focal", PRED4, TARG4) == pytest.approx(
+        assert loss("dice-focal", PRED4, TARG4) == pytest.approx(
             DICE4 + FOCAL4, abs=1e-9
         )
 
     def test_perfect_prediction_near_zero(self):
         t = np.array([1.0, 0.0, 1.0])
         for kind in ("weighted-ce", "focal"):
-            assert seg_loss(kind, t, t) < 1e-5
+            assert loss(kind, t, t) < 1e-5
         # Overlap losses keep a smoothing floor but stay small.
-        assert seg_loss("dice", t, t) < 0.2
+        assert loss("dice", t, t) < 0.2
 
     def test_select_subset(self):
         sel = np.array([[True, True], [False, False]])
-        got = seg_loss("weighted-ce", PRED4, TARG4, select=sel)
+        got = loss("weighted-ce", PRED4, TARG4, select=sel)
         want = -(np.log(0.9) + np.log(0.9)) / 2.0
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_validation(self):
+        # DplConfig is mutable, so the loss checks the kind it is given.
+        cfg = DplConfig()
+        cfg.loss_kind = "hinge"
         with pytest.raises(ConfigError):
-            seg_loss("hinge", PRED4, TARG4)
+            seg_loss(PRED4, TARG4, cfg)
         with pytest.raises(DataError):
-            seg_loss("dice", PRED4, TARG4[:1])
+            loss("dice", PRED4, TARG4[:1])
         with pytest.raises(DataError):
-            seg_loss("dice", PRED4, TARG4, select=np.zeros((2, 2), dtype=bool))
+            loss("dice", PRED4, TARG4, select=np.zeros((2, 2), dtype=bool))
 
 
 class TestObjective:
@@ -225,12 +283,12 @@ class TestObjective:
         labeled = self.make_labeled(make_grid, rng)
         pairs = [pair_of(make_grid, rng.random((6, 6)), rng.random((6, 6)))]
         cfg = DplConfig(lambda_p=0.0, lambda_c_max=0.0, lambda_e_max=0.0)
-        out = dpl_objective(labeled, pairs, cfg, step=500)
+        out = dpl_objective(labeled, pairs, cfg, step=500, alphas=[0.5])
         assert out.total == out.supervised
         labeled_pixels = ~labeled[2].nodata_mask
         want = 0.5 * (
-            seg_loss("dice", labeled[0], labeled[2], select=labeled_pixels)
-            + seg_loss("dice", labeled[1], labeled[2], select=labeled_pixels)
+            seg_loss(labeled[0], labeled[2], cfg, select=labeled_pixels)
+            + seg_loss(labeled[1], labeled[2], cfg, select=labeled_pixels)
         )
         assert out.supervised == pytest.approx(want, abs=1e-12)
 
@@ -251,7 +309,7 @@ class TestObjective:
         cfg = DplConfig(loss_kind="dice", confidence_tau=0.7)
         out = dpl_objective(None, [pair], cfg, step=0, alphas=[0.4])
         assert out.consistency == 0.0
-        want = 2.0 * seg_loss("dice", pair.y1, np.ones_like(field))
+        want = 2.0 * seg_loss(pair.y1, np.ones_like(field), cfg)
         assert out.pseudolabel == pytest.approx(want, abs=1e-12)
 
     def test_hard_targets_for_overlap_losses(self, make_grid, rng):
@@ -263,8 +321,8 @@ class TestObjective:
         tilde = combine(pair, alpha=0.5).band(0).astype(np.float64)
         conf = np.maximum(tilde, 1.0 - tilde) >= 0.7
         hard = (tilde >= 0.5).astype(float)
-        want = seg_loss("dice", pair.y1, hard, select=conf) + seg_loss(
-            "dice", pair.y2, hard, select=conf
+        want = seg_loss(pair.y1, hard, cfg, select=conf) + seg_loss(
+            pair.y2, hard, cfg, select=conf
         )
         assert out.pseudolabel == pytest.approx(want, abs=1e-12)
 
@@ -276,8 +334,8 @@ class TestObjective:
         out = dpl_objective(None, [pair], cfg, step=0, alphas=[0.5])
         tilde = combine(pair, alpha=0.5).band(0).astype(np.float64)
         conf = np.maximum(tilde, 1.0 - tilde) >= 0.7
-        want = seg_loss("focal", pair.y1, tilde, select=conf) + seg_loss(
-            "focal", pair.y2, tilde, select=conf
+        want = seg_loss(pair.y1, tilde, cfg, select=conf) + seg_loss(
+            pair.y2, tilde, cfg, select=conf
         )
         assert out.pseudolabel == pytest.approx(want, abs=1e-12)
 
@@ -318,13 +376,6 @@ class TestObjective:
         )
         assert out.total == pytest.approx(want, abs=1e-12)
 
-    def test_seeded_alpha_draw_is_deterministic(self, make_grid, rng):
-        pairs = [pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))]
-        cfg = DplConfig(rng_seed=42, confidence_tau=0.7)
-        a = dpl_objective(None, pairs, cfg, step=3)
-        b = dpl_objective(None, pairs, cfg, step=3)
-        assert a == b
-
     def test_as_dict_roundtrip_keys(self, make_grid, rng):
         pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
         out = dpl_objective(None, pairs, DplConfig(), step=0, alphas=[0.5])
@@ -334,7 +385,7 @@ class TestObjective:
 
     def test_input_validation(self, make_grid, rng):
         with pytest.raises(DataError):
-            dpl_objective(None, [], DplConfig(), step=0)
+            dpl_objective(None, [], DplConfig(), step=0, alphas=[])
         pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
         with pytest.raises(DataError):
             dpl_objective(None, pairs, DplConfig(), step=0, alphas=[0.5, 0.5])
@@ -343,11 +394,9 @@ class TestObjective:
 def mixing_loop_pseudo_term(unlabeled, cfg, alphas):
     """The pseudolabel term with the branches mixed and the confidence
     rule applied inline, as a reference for dpl_objective."""
-    rng = np.random.default_rng(cfg.rng_seed)
     terms = []
-    for j, pair in enumerate(unlabeled):
-        alpha = None if alphas is None else float(alphas[j])
-        mixed = combine(pair, alpha=alpha, rng=rng)
+    for pair, alpha in zip(unlabeled, alphas):
+        mixed = combine(pair, alpha=float(alpha))
         tilde = mixed.band(0).astype(np.float64)
         confident = pair.valid & ~mixed.nodata_mask
         conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
@@ -357,14 +406,9 @@ def mixing_loop_pseudo_term(unlabeled, cfg, alphas):
             continue
         hard = cfg.loss_kind in ("dice", "dice-focal", "tversky")
         target = (tilde >= 0.5).astype(np.float64) if hard else tilde
-        kw = dict(
-            select=confident, class_weights=cfg.class_weights, focal_gamma=cfg.focal_gamma,
-            tversky_alpha=cfg.tversky_alpha, tversky_beta=cfg.tversky_beta,
-            smooth=cfg.dice_smooth,
-        )
         terms.append(
-            seg_loss(cfg.loss_kind, pair.y1, target, **kw)
-            + seg_loss(cfg.loss_kind, pair.y2, target, **kw)
+            seg_loss(pair.y1, target, cfg, select=confident)
+            + seg_loss(pair.y2, target, cfg, select=confident)
         )
     return float(np.mean(terms))
 
@@ -380,8 +424,10 @@ class TestObjectiveMatchesMixingLoop:
             # Sharp branches, so most mixtures hold confident pixels.
             y1, y2 = (np.clip(rng.beta(0.3, 0.3, (9, 11)), 1e-3, 1 - 1e-3) for _ in range(2))
             pairs.append(pair_of(make_grid, y1, y2, masks[0], masks[1]))
+        if alphas is None:  # drawn, as the pseudolabel stage draws its alpha
+            alphas = rng.uniform(size=2).tolist()
         for tau in (0.7, 0.8, 0.95):
-            cfg = DplConfig(loss_kind=kind, confidence_tau=tau, rng_seed=11)
+            cfg = DplConfig(loss_kind=kind, confidence_tau=tau)
             out = dpl_objective(None, pairs, cfg, step=5, alphas=alphas)
             assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)
 
@@ -394,7 +440,7 @@ class TestObjectiveMatchesMixingLoop:
             pair_of(make_grid, lukewarm, lukewarm),
             pair_of(make_grid, sharp, lukewarm, mask1=mask),
         ]
-        cfg = DplConfig(confidence_tau=0.75, rng_seed=3)
-        for alphas in (None, [0.5, 0.9]):
+        cfg = DplConfig(confidence_tau=0.75)
+        for alphas in ([0.21, 0.64], [0.5, 0.9]):
             out = dpl_objective(None, pairs, cfg, step=0, alphas=alphas)
             assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)
