@@ -44,6 +44,11 @@ def _load_sites(path: str, period: str | None) -> list:
     return filter_sites(sites, period=period) if period else sites
 
 
+def _load_settings(cls: type, path: str | None, what: str):
+    doc = read_json(path, ConfigError) if path else {}
+    return build_config(cls, doc, what)
+
+
 # --- subcommand handlers ------------------------------------------------------
 
 
@@ -88,7 +93,7 @@ def _cmd_lamap(args) -> None:
 
 
 def _cmd_crf_refine(args) -> None:
-    cfg = CrfConfig.from_json(args.config) if args.config else CrfConfig()
+    cfg = _load_settings(CrfConfig, args.config, "crf")
     overrides = {
         "beta": args.beta,
         "sigma": args.sigma,
@@ -110,8 +115,7 @@ def _cmd_crf_refine(args) -> None:
 
 def _cmd_pseudolabel(args) -> None:
     pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
-    doc = read_json(args.config, ConfigError) if args.config else {}
-    cfg = build_config(DplConfig, doc, "dpl")
+    cfg = _load_settings(DplConfig, args.config, "dpl")
     labels = load_raster(args.labels) if args.labels else None
     masked, doc = pseudolabel_with_breakdown(
         pair, labels, cfg, args.seed, args.step, alpha=args.alpha

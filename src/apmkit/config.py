@@ -2,6 +2,10 @@
 JSON documents: run configs, targets files, tile plans, fold assignments,
 baseline reports and ``.grid`` headers.
 
+Each document has one dataclass, nested sections included: ``build_config``
+reads it and ``dataclasses.asdict`` writes it. A key is a field's name, or
+the ``alias`` in the field's metadata.
+
 A value is checked against its field's annotation when the document
 loads: a ``bool`` takes only true/false, an ``int`` an integer (not a bool,
 not 5.5), a ``float`` a finite integer or float (stored as a float), a
@@ -21,7 +25,7 @@ import os
 import sys
 import types
 import typing
-from typing import Collection, Mapping
+from typing import Collection
 
 from .errors import ConfigError, ToolkitError
 
@@ -41,40 +45,35 @@ def read_json(path: str | os.PathLike, error: type[ToolkitError]):
 
 
 def config_values(
-    cls: type, doc, what: str, aliases: Mapping[str, str] = {},
-    names: Collection[str] | None = None, error: type[ToolkitError] = ConfigError,
+    cls: type, doc, what: str, names: Collection[str] | None = None,
+    error: type[ToolkitError] = ConfigError,
 ) -> dict:
     """The entries of the JSON object ``doc`` by field of ``cls``, typed.
 
-    A key names a field (of ``names`` when given) or an alias of one.
+    A key names a field (of ``names`` when given) or its alias.
     A non-object, an unknown key or a mistyped value raises ``error``;
     ``what`` names the document in the message.
     """
     if not isinstance(doc, dict):
         raise error(f"{what} must be an object, got {type(doc).__name__}")
-    hints = _hints(cls)
-    if names is None:
-        names = [f.name for f in dataclasses.fields(cls) if f.init]
+    hints, keys = _hints(cls), _keys(cls)
     values = {}
     for key, value in doc.items():
-        name = aliases.get(key, key)
-        if name not in names:
+        name = keys.get(key)
+        if name is None or (names is not None and name not in names):
             raise error(f"unknown {what} key '{key}'")
         values[name] = _typed(value, hints[name], f"{what} {key}", error)
     return values
 
 
-def build_config(
-    cls: type, doc, what: str, aliases: Mapping[str, str] = {},
-    error: type[ToolkitError] = ConfigError, **given,
-):
+def build_config(cls: type, doc, what: str, error: type[ToolkitError] = ConfigError, **given):
     """``cls`` from ``doc``'s typed entries over the ``given`` field values.
 
     A required field with no value raises ``error``, and so does a
     TypeError, ValueError or ``error`` from the dataclass's own checks,
     with ``what`` named in the message.
     """
-    kwargs = {**given, **config_values(cls, doc, what, aliases, error=error)}
+    kwargs = {**given, **config_values(cls, doc, what, error=error)}
     missing = [name for name in _required(cls) if name not in kwargs]
     if missing:
         raise error(f"{what} lacks {', '.join(missing)}")
@@ -87,6 +86,19 @@ def build_config(
 @functools.cache
 def _hints(cls: type) -> dict:
     return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _keys(cls: type) -> dict[str, str]:
+    """The field each JSON key of ``cls`` names: every init field by its
+    name, and by its ``alias`` where its metadata has one."""
+    keys = {}
+    for f in dataclasses.fields(cls):
+        if f.init:
+            keys[f.name] = f.name
+            if "alias" in f.metadata:
+                keys[f.metadata["alias"]] = f.name
+    return keys
 
 
 @functools.cache

@@ -39,11 +39,10 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import build_config, read_json
 from .errors import ConfigError, DataError, DimensionError
 from .raster.grid import RasterGrid
 
@@ -55,11 +54,8 @@ _BAND = 1 << 15
 # bilateral weights skip exp there, where numpy's exp is slowest.
 _EXP_ZERO = -746.0
 
-# Accepted aliases for JSON config keys.
-_CONFIG_ALIASES = {"compression_factor": "compression", "crf_temperature": "temperature"}
 
-
-@dataclass
+@dataclass(frozen=True)
 class CrfConfig:
     """Mean-field refinement settings.
 
@@ -69,8 +65,10 @@ class CrfConfig:
             ceil(3 sigma).
         feature_channels: How many leading guidance bands feed the
             bilateral kernel (16, 32 or 64; all when there are fewer).
-        compression: Bilateral coarsening factor (2 or 4).
-        temperature: Divides the logits in the unary term, in [1, 5].
+        compression: Bilateral coarsening factor (2 or 4); JSON key
+            ``compression`` or ``compression_factor``.
+        temperature: Divides the logits in the unary term, in [1, 5]; JSON
+            key ``temperature`` or ``crf_temperature``.
         iterations: Mean-field steps, in [2, 10].
         pairwise_weights: (spatial, bilateral) kernel coefficients.
         compatibility: 2x2 label compatibility; None is Potts, [[0, 1], [1, 0]].
@@ -80,8 +78,8 @@ class CrfConfig:
     beta: float = 0.5
     sigma: float = 3.0
     feature_channels: int = 16
-    compression: int = 2
-    temperature: float = 1.0
+    compression: int = field(default=2, metadata={"alias": "compression_factor"})
+    temperature: float = field(default=1.0, metadata={"alias": "crf_temperature"})
     iterations: int = 5
     pairwise_weights: tuple[float, float] = (1.0, 1.0)
     compatibility: np.ndarray | None = None
@@ -105,20 +103,16 @@ class CrfConfig:
         w = tuple(float(v) for v in self.pairwise_weights)
         if len(w) != 2 or not all(0 <= v < math.inf for v in w):
             raise ConfigError(f"pairwise_weights must be two finite numbers >= 0, got {w}")
-        self.pairwise_weights = w
+        object.__setattr__(self, "pairwise_weights", w)
         if self.compatibility is None:
-            self.compatibility = np.array([[0.0, 1.0], [1.0, 0.0]])
+            m = np.array([[0.0, 1.0], [1.0, 0.0]])
         else:
-            m = np.asarray(self.compatibility, dtype=np.float64)
+            m = np.array(self.compatibility, dtype=np.float64)  # the caller's stays writable
             if m.shape != (2, 2) or not np.isfinite(m).all():
                 raise ConfigError(f"compatibility must be a finite 2x2 matrix, got {m.tolist()}")
-            self.compatibility = m
-
-    @staticmethod
-    def from_json(source: str | os.PathLike | dict) -> "CrfConfig":
-        """Build a config from a JSON object or the path of a JSON file."""
-        doc = read_json(source, ConfigError) if isinstance(source, (str, os.PathLike)) else source
-        return build_config(CrfConfig, doc, "crf", _CONFIG_ALIASES)
+        # Read-only, so the check holds for as long as the config does.
+        m.flags.writeable = False
+        object.__setattr__(self, "compatibility", m)
 
 
 def unary_potentials(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

@@ -11,7 +11,7 @@ site-to-fold mapping, saved as JSON by ``apmkit split-folds``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -112,16 +112,7 @@ class FoldAssignment:
             raise DataError(f"site '{site_id}' is not in the fold assignment") from None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "assignment": dict(sorted(self.assignment.items())),
-            "fold_sizes": self.fold_sizes(),
-            "imbalance": self.imbalance,
-            "fold_means": self.fold_means,
-            "metadata": self.metadata,
-        }
+        return {**asdict(self), "fold_sizes": self.fold_sizes()}
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())

@@ -65,7 +65,7 @@ def similarity(ecdf: Ecdf, values: np.ndarray | float) -> np.ndarray | float:
     return float(u) if np.isscalar(values) else u
 
 
-@dataclass
+@dataclass(frozen=True)
 class LamapConfig:
     """Knobs for site models and surface evaluation.
 
@@ -73,7 +73,7 @@ class LamapConfig:
         catchment_radius: Radius (map units) of the disk sampled around
             each site when building its ECDFs.
         kernel_bandwidth: Distance scale tau of the exponential weights.
-        bands: Band indices to model; None means every band.
+        bands: Band indices to model, each once; None means every band.
     """
 
     catchment_radius: float = DEFAULT_CATCHMENT_RADIUS
@@ -90,6 +90,8 @@ class LamapConfig:
                 raise ConfigError("bands must name at least one band, got none")
             if min(self.bands) < 0:
                 raise ConfigError(f"bands must be indices >= 0, got {list(self.bands)}")
+            if len(set(self.bands)) != len(self.bands):
+                raise ConfigError(f"bands must name each band once, got {list(self.bands)}")
 
 
 @dataclass(frozen=True)

@@ -490,17 +490,7 @@ class MetricsReport:
         return {
             "schema_version": self.schema_version,
             "metrics": self.metric_dict(),
-            "bins": [
-                {
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "count": b.count,
-                    "mean_score": b.mean_score,
-                    "positive_ratio": b.positive_ratio,
-                    "calibration_gap": b.calibration_gap,
-                }
-                for b in self.bins
-            ],
+            "bins": [dataclasses.asdict(b) for b in self.bins],
             "density_histogram": list(self.density_histogram),
             "find_count_rho": self.find_count_rho,
             "volume_gain": self.volume_gain,

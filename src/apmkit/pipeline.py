@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import module_rng
-from .config import build_config, config_values, read_json
+from .config import build_config, read_json
 from .crf import CrfConfig, crf_features, crf_refine, crf_weights
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
@@ -69,29 +69,31 @@ STAGES = ("features", "labels", "lamap", "crf", "pseudolabel", "evaluate")
 _RETIRED_KEYS = ("tile_size", "overlap", "threads")
 
 
-# Metadata of the fields read from the config's "inputs" object.
-_INPUT = {"input": True}
+@dataclass(frozen=True)
+class RunInputs:
+    """The ``inputs`` section of a run config: the paths a run reads."""
+
+    dem: str | None = None
+    stack: str | None = None
+    sites: str | None = None
+    branch1: str | None = None
+    branch2: str | None = None
+    logits: str | None = None
+    historical_targets: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Validated run configuration.
 
-    Attributes mirror the JSON schema; see ``from_json``. The fields
-    marked ``_INPUT`` sit in the document's ``inputs`` object. Only the
-    stages listed in ``stages`` run, in canonical order.
+    Attributes mirror the JSON schema; see ``from_json``. Only the stages
+    listed in ``stages`` run, in canonical order.
     """
 
     output_dir: str = ""
     stages: tuple[str, ...] = ()
     seed: int = 0
-    dem: str | None = field(default=None, metadata=_INPUT)
-    stack: str | None = field(default=None, metadata=_INPUT)
-    sites: str | None = field(default=None, metadata=_INPUT)
-    branch1: str | None = field(default=None, metadata=_INPUT)
-    branch2: str | None = field(default=None, metadata=_INPUT)
-    logits: str | None = field(default=None, metadata=_INPUT)
-    historical_targets: tuple[str, ...] = field(default=(), metadata=_INPUT)
+    inputs: RunInputs = field(default_factory=RunInputs)
     period: str | None = None
     label_radius: float = DEFAULT_LABEL_RADIUS
     lamap: LamapConfig = field(default_factory=LamapConfig)
@@ -110,7 +112,7 @@ class PipelineConfig:
         if not stages:
             raise ConfigError("no stages requested")
         # Keep canonical order regardless of listing order.
-        self.stages = tuple(s for s in STAGES if s in stages)
+        object.__setattr__(self, "stages", tuple(s for s in STAGES if s in stages))
         if self.label_radius < 0:
             raise ConfigError(f"label_radius must be >= 0, got {self.label_radius}")
         if self.step < 0:
@@ -122,36 +124,37 @@ class PipelineConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        inputs = self.inputs
         if "features" in self.stages:
-            need(self.dem, "stage 'features' requires inputs.dem")
+            need(inputs.dem, "stage 'features' requires inputs.dem")
         if "labels" in self.stages:
-            need(self.sites, "stage 'labels' requires inputs.sites")
+            need(inputs.sites, "stage 'labels' requires inputs.sites")
             need(
-                self.stack or "features" in self.stages,
+                inputs.stack or "features" in self.stages,
                 "stage 'labels' requires inputs.stack or the features stage",
             )
         if "lamap" in self.stages:
-            need(self.sites, "stage 'lamap' requires inputs.sites")
+            need(inputs.sites, "stage 'lamap' requires inputs.sites")
             need(
-                self.stack or "features" in self.stages,
+                inputs.stack or "features" in self.stages,
                 "stage 'lamap' requires inputs.stack or the features stage",
             )
         if "crf" in self.stages:
             need(
-                self.logits or self.branch1,
+                inputs.logits or inputs.branch1,
                 "stage 'crf' requires inputs.logits or inputs.branch1",
             )
             need(
-                self.stack or "features" in self.stages,
+                inputs.stack or "features" in self.stages,
                 "stage 'crf' requires inputs.stack or the features stage",
             )
         if "pseudolabel" in self.stages:
             need(
-                self.branch1 and self.branch2,
+                inputs.branch1 and inputs.branch2,
                 "stage 'pseudolabel' requires inputs.branch1 and inputs.branch2",
             )
         if "evaluate" in self.stages:
-            need(self.sites, "stage 'evaluate' requires inputs.sites")
+            need(inputs.sites, "stage 'evaluate' requires inputs.sites")
             need(
                 "lamap" in self.stages or "crf" in self.stages,
                 "stage 'evaluate' requires a surface stage (lamap or crf)",
@@ -161,10 +164,10 @@ class PipelineConfig:
     def from_json(source: str | os.PathLike | dict) -> "PipelineConfig":
         """Load and validate a config document (path or dict).
 
-        Every key and value is checked here, the ``lamap``, ``crf`` and
-        ``dpl`` sections included, so a bad one fails before any stage
-        runs. The retired keys ``tile_size``, ``overlap`` and ``threads``
-        are accepted and ignored with a warning.
+        Every key and value is checked here, the ``inputs``, ``lamap``,
+        ``crf`` and ``dpl`` sections included, so a bad one fails before
+        any stage runs. The retired keys ``tile_size``, ``overlap`` and
+        ``threads`` are accepted and ignored with a warning.
         """
         doc = read_json(source, ConfigError) if isinstance(source, (str, os.PathLike)) else source
         if not isinstance(doc, dict):
@@ -176,29 +179,16 @@ class PipelineConfig:
                 ", ".join(retired),
             )
         top = {k: v for k, v in doc.items() if k not in retired}
-        sections = {name: top.pop(name, {}) for name in ("inputs", "lamap", "crf", "dpl")}
-        values = config_values(PipelineConfig, top, "config", names=_TOP_KEYS)
-        inputs = config_values(PipelineConfig, sections["inputs"], "input", names=_INPUT_KEYS)
-        return build_config(
-            PipelineConfig, {}, "config", **values, **inputs,
-            lamap=build_config(LamapConfig, sections["lamap"], "lamap"),
-            crf=CrfConfig.from_json(sections["crf"]),
-            dpl=build_config(DplConfig, sections["dpl"], "dpl"),
-        )
+        return build_config(PipelineConfig, top, "config")
 
     def canonical_dict(self) -> dict:
         doc = dataclasses.asdict(self)
-        doc["inputs"] = {name: doc.pop(name) for name in _INPUT_KEYS}
         doc["crf"]["compatibility"] = self.crf.compatibility.tolist()
         return doc
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
-
-
-_INPUT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if f.metadata.get("input")]
-_TOP_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if not f.metadata.get("input")]
 
 
 def build_feature_stack(
@@ -280,7 +270,7 @@ class _Run:
         self.labels: RasterGrid | None = None
         self.baseline: RasterGrid | None = None
         self.surface: RasterGrid | None = None
-        self.sites = read_sites_csv(cfg.sites) if cfg.sites else []
+        self.sites = read_sites_csv(cfg.inputs.sites) if cfg.inputs.sites else []
         self.period_sites = (
             filter_sites(self.sites, period=cfg.period) if cfg.period else self.sites
         )
@@ -303,13 +293,13 @@ class _Run:
         # The config requires inputs.stack wherever the features stage does
         # not run first.
         if self.stack is None:
-            self.stack = load_raster(self.cfg.stack)
+            self.stack = load_raster(self.cfg.inputs.stack)
         return self.stack
 
 
 def _stage_features(run: _Run) -> None:
-    dem = load_raster(run.cfg.dem)
-    stack = build_feature_stack(dem, run.cfg.historical_targets)
+    dem = load_raster(run.cfg.inputs.dem)
+    stack = build_feature_stack(dem, run.cfg.inputs.historical_targets)
     run.stack = stack
     run.write_raster("features", "stack.grid", stack)
 
@@ -346,10 +336,10 @@ def _stage_lamap(run: _Run) -> None:
 def _stage_crf(run: _Run) -> None:
     cfg = run.cfg
     stack = run.get_stack()
-    if cfg.logits:
-        logits = load_raster(cfg.logits)
+    if cfg.inputs.logits:
+        logits = load_raster(cfg.inputs.logits)
     else:
-        branch = load_raster(cfg.branch1)
+        branch = load_raster(cfg.inputs.branch1)
         p = np.clip(branch.band(0).astype(np.float64), 1e-7, 1.0 - 1e-7)
         logits = RasterGrid(
             np.log(p / (1.0 - p)).astype(np.float32)[None, :, :],
@@ -396,7 +386,7 @@ def pseudolabel_with_breakdown(
 
 def _stage_pseudolabel(run: _Run) -> None:
     cfg = run.cfg
-    pair = BranchPair(load_raster(cfg.branch1), load_raster(cfg.branch2))
+    pair = BranchPair(load_raster(cfg.inputs.branch1), load_raster(cfg.inputs.branch2))
     masked, doc = pseudolabel_with_breakdown(pair, run.labels, cfg.dpl, cfg.seed, cfg.step)
     run.write_raster("pseudolabel", "pseudolabel.grid", masked)
     run.write_bytes("pseudolabel", "loss_breakdown.json", json_bytes(doc))

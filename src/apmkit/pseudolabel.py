@@ -55,7 +55,7 @@ class BranchPair:
         return ~(self.y1.nodata_mask | self.y2.nodata_mask)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DplConfig:
     """Weights and knobs of the combined objective.
 
@@ -104,7 +104,7 @@ class DplConfig:
         w = tuple(float(v) for v in self.class_weights)
         if len(w) != 2 or any(v < 0 for v in w):
             raise ConfigError(f"class_weights must be two non-negative numbers, got {w}")
-        self.class_weights = w
+        object.__setattr__(self, "class_weights", w)
 
     @property
     def ramp_steps(self) -> int:
@@ -276,9 +276,6 @@ def seg_loss(pred, target, cfg: DplConfig, select: np.ndarray | None = None) -> 
     Returns:
         Non-negative float64 scalar.
     """
-    loss = _LOSSES.get(cfg.loss_kind)
-    if loss is None:  # DplConfig is mutable: its check may be stale
-        raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {cfg.loss_kind!r}")
     p_values = _float64(pred)
     t_values = _float64(target)
     if p_values.shape != t_values.shape:
@@ -293,7 +290,7 @@ def seg_loss(pred, target, cfg: DplConfig, select: np.ndarray | None = None) -> 
         raise DataError("no pixels selected for the loss")
     p = p_values[keep]
     np.clip(p, EPS, 1.0 - EPS, out=p)
-    return loss(p, t_values[keep], cfg)
+    return _LOSSES[cfg.loss_kind](p, t_values[keep], cfg)
 
 
 # --- combined objective ------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -242,17 +242,10 @@ def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
     pixels are stored as NaN; the header records ``"nodata": null`` to say
     exactly that.
     """
-    header = {
-        "width": grid.width,
-        "height": grid.height,
-        "bands": grid.bands,
-        "band_names": list(grid.band_names),
-        "geotransform": list(grid.geotransform),
-        "nodata": None,
-        "meta": grid.meta,
-    }
+    header = _Header(grid.width, grid.height, grid.bands, grid.geotransform, grid.band_names,
+                     meta=grid.meta)
     try:
-        blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
+        blob = json.dumps(asdict(header), sort_keys=True, allow_nan=False).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise DataError(f"raster metadata is not JSON-serialisable: {exc}") from exc
     with atomic_write(path) as fh:

@@ -10,7 +10,7 @@ always covers the full frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -196,21 +196,8 @@ def save_plan(
 ) -> None:
     """Write a window plan, with its frame shape and geotransform, as JSON,
     atomically."""
-    doc = {
-        "height": int(shape[0]),
-        "width": int(shape[1]),
-        "geotransform": [float(v) for v in geotransform],
-        "windows": [
-            {
-                "row0": w.row0,
-                "col0": w.col0,
-                "size": w.size,
-                "crop_margin": w.crop_margin,
-            }
-            for w in plan
-        ],
-    }
-    write_json(path, doc)
+    doc = _Plan(int(shape[0]), int(shape[1]), tuple(float(v) for v in geotransform), list(plan))
+    write_json(path, asdict(doc))
 
 
 @dataclass(frozen=True)

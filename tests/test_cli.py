@@ -506,7 +506,11 @@ class TestRunAndErrors:
         assert "Traceback" not in capsys.readouterr().err
         assert not (ws / "lamap.grid").exists()
 
-    @pytest.mark.parametrize("bands,code", [("-1", 2), ("0,-2", 2), ("99", 3)])
+    # A band named twice, by name and index or by index alone, is a config
+    # error: it would count twice in every site's affinity.
+    @pytest.mark.parametrize(
+        "bands,code", [("-1", 2), ("0,-2", 2), ("99", 3), ("band_1,0", 2), ("0,0", 2)]
+    )
     def test_lamap_band_index_exit_code(self, ws, capsys, bands, code):
         assert main([
             "lamap", "--stack", str(ws / "dem.grid"), "--sites", str(ws / "sites.csv"),
@@ -527,7 +531,7 @@ class TestRunAndErrors:
         }))
         return main(["run", "--config", str(ws / "cfg.json")])
 
-    @pytest.mark.parametrize("bands", [[-1], [], [0, -3]])
+    @pytest.mark.parametrize("bands", [[-1], [], [0, -3], [0, 2, 0]])
     def test_run_bad_lamap_bands_fail_before_any_stage(self, ws, capsys, bands):
         assert self.band_run(ws, bands) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -648,7 +652,7 @@ class TestRunAndErrors:
             "dpl": {"rng_seed": 3},
         }))
         assert main(["run", "--config", str(cfg_path)]) == 2
-        assert "unknown dpl key 'rng_seed'" in capsys.readouterr().err
+        assert "unknown config dpl key 'rng_seed'" in capsys.readouterr().err
         assert not (ws / "out").exists() or list((ws / "out").glob("*")) == []
 
     @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ the toolkit reads through them."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from apmkit.config import build_config, config_values, read_json
 from apmkit.crf import CrfConfig
 from apmkit.errors import ConfigError, DataError
 from apmkit.folds import FoldAssignment
+from apmkit.lamap import LamapConfig
 from apmkit.metrics import BinStats, MetricsReport
+from apmkit.pipeline import PipelineConfig, RunInputs
+from apmkit.pseudolabel import DplConfig
 from apmkit.raster.distance import load_targets
-from apmkit.raster.grid import load_raster
-from apmkit.raster.tiling import load_plan
+from apmkit.raster.grid import RasterGrid, load_raster, save_raster, write_json
+from apmkit.raster.tiling import load_plan, plan_windows, save_plan
 
 
 @dataclass
@@ -33,6 +37,12 @@ class Sample:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("count must be >= 0")
+
+
+@dataclass
+class Aliased:
+    count: int = field(default=1, metadata={"alias": "n"})
+    name: str = "a"
 
 
 class TestValueRules:
@@ -69,22 +79,26 @@ class TestValueRules:
                 build_config(Sample, doc, "sample")
 
     def test_aliases_given_values_and_names(self):
-        cfg = build_config(Sample, {"n": 4}, "sample", {"n": "count"}, name="z")
+        cfg = build_config(Aliased, {"n": 4}, "sample", name="z")
         assert (cfg.count, cfg.name) == (4, "z")
+        assert build_config(Aliased, {"count": 5}, "sample").count == 5
         assert build_config(Sample, {"name": "y"}, "sample", name="z").name == "y"
-        assert config_values(Sample, {"count": 2}, "sample", names=["count"]) == {"count": 2}
+        assert config_values(Aliased, {"n": 2}, "sample", names=["count"]) == {"count": 2}
         with pytest.raises(ConfigError, match="unknown sample key 'name'"):
             config_values(Sample, {"name": "y"}, "sample", names=["count"])
+        # An alias belongs to its own class only.
+        with pytest.raises(ConfigError, match="unknown sample key 'n'"):
+            build_config(Sample, {"n": 4}, "sample")
 
     def test_dataclass_checks_become_config_errors(self):
         with pytest.raises(ConfigError, match="count must be >= 0"):
             build_config(Sample, {"count": -1}, "sample")
 
     def test_crf_compatibility_takes_only_null(self):
-        potts = CrfConfig.from_json({"compatibility": None}).compatibility
+        potts = build_config(CrfConfig, {"compatibility": None}, "crf").compatibility
         assert potts.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         with pytest.raises(ConfigError, match="crf compatibility"):
-            CrfConfig.from_json({"compatibility": [[0.0, 1.0], [1.0, 0.0]]})
+            build_config(CrfConfig, {"compatibility": [[0.0, 1.0], [1.0, 0.0]]}, "crf")
 
 
 @dataclass
@@ -234,3 +248,62 @@ class TestReadJson:
         path.write_bytes(blob)
         with pytest.raises(error, match="a.json: invalid JSON"):
             read_json(path, error)
+
+
+class TestFrozenConfigs:
+    @pytest.mark.parametrize(
+        "cfg,name",
+        [
+            (LamapConfig(), "bands"),
+            (CrfConfig(), "sigma"),
+            (DplConfig(), "loss_kind"),
+            (RunInputs(), "dem"),
+            (PipelineConfig(output_dir="x", stages=("features",), inputs=RunInputs(dem="d")),
+             "seed"),
+        ],
+        ids=["lamap", "crf", "dpl", "inputs", "run"],
+    )
+    def test_assignment_is_refused(self, cfg, name):
+        before = getattr(cfg, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(cfg, name)
+
+
+def _write_each_document(out) -> None:
+    mask = np.array([[False, True], [False, False]])
+    data = np.arange(4, dtype=np.float32).reshape(1, 2, 2)
+    grid = RasterGrid(data, (10.0, 20.0, 0.5, -0.5), mask, ("elev",), {"source": "test", "n": 3})
+    save_raster(grid, out / "grid.grid")
+    save_plan(out / "plan.json", plan_windows(6, 5, 4, 0.5), (6, 5), (1.0, 2.0, 0.5, -0.5))
+    FoldAssignment(
+        3, {"s2": 1, "s1": 0, "s3": 2, "s0": 1}, "stratified", 7, 0.25,
+        [[1.0, 2.0], [0.5, 0.25], [3.0, 4.0]], {"catchment": 295.0},
+    ).save(out / "folds.json")
+    report = MetricsReport(
+        auroc=0.75, aul=0.5, dice=0.4, iou=0.25, f1=0.4, accuracy=0.6,
+        bins=[BinStats(0.0, 0.5, 3, 0.2, 0.25, 0.05), BinStats(0.5, 1.0, 2, 0.8, None, None)],
+        density_histogram=[0.5, 1.5], find_count_rho=0.1, volume_gain=1.2,
+        baseline_name="lamap", metadata={"surface": "crf", "period": None},
+    )
+    write_json(out / "report.json", report.to_dict())
+
+
+class TestWrittenDocuments:
+    """Each writer writes its reader's dataclass; the bytes are those the
+    hand-built documents of earlier versions had (SHA-256 pinned)."""
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("grid.grid", "63208b28f91959c5d56ffb80cc5f6e9a000fd8a58d0bc6f58b0ea0d15c5897b1"),
+            ("plan.json", "88f36b3e7a0e1c1a7a8959ce96ac125d3159cf1fe320467ffee3547457aa67db"),
+            ("folds.json", "93891cbe702eb03cb3e62dd68e6794cef1407c38afca0cbe287eea6137bc39ee"),
+            ("report.json", "6b15119edc3c0893eaed6cd690f7e92f95e8fdf8c0552561b12d91da4b32bb63"),
+        ],
+        ids=["header", "plan", "folds", "report"],
+    )
+    def test_bytes_are_pinned(self, tmp_path, name, digest):
+        _write_each_document(tmp_path)
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -3,11 +3,14 @@
 import math
 import tracemalloc
 from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from apmkit import crf
+from apmkit.cli import main
+from apmkit.config import build_config, read_json
 from apmkit.crf import (
     CrfConfig,
     _bilinear_upsample,
@@ -61,27 +64,46 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CrfConfig(**kwargs)
 
+    def test_compatibility_is_a_read_only_copy(self):
+        given = np.array([[0.0, 2.0], [2.0, 0.0]])
+        cfg = CrfConfig(compatibility=given)
+        given[0, 1] = math.nan
+        assert cfg.compatibility.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        for held in (cfg.compatibility, CrfConfig().compatibility):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 1] = math.nan
+
     def test_json_aliases(self, tmp_path):
-        cfg = CrfConfig.from_json(
-            {"compression_factor": 4, "crf_temperature": 2.0, "beta": 0.3}
+        aliases = {f.name: f.metadata["alias"] for f in fields(CrfConfig) if "alias" in f.metadata}
+        assert aliases == {"compression": "compression_factor", "temperature": "crf_temperature"}
+        cfg = build_config(
+            CrfConfig, {"compression_factor": 4, "crf_temperature": 2.0, "beta": 0.3}, "crf"
         )
         assert cfg.compression == 4
         assert cfg.temperature == 2.0
         assert cfg.beta == 0.3
         path = tmp_path / "crf.json"
         path.write_text('{"sigma": 2.0, "iterations": 3}')
-        cfg2 = CrfConfig.from_json(path)
+        cfg2 = build_config(CrfConfig, read_json(path, ConfigError), "crf")
         assert cfg2.sigma == 2.0 and cfg2.iterations == 3
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            CrfConfig.from_json({"bandwidth": 3.0})
+        with pytest.raises(ConfigError, match="unknown crf key 'bandwidth'"):
+            build_config(CrfConfig, {"bandwidth": 3.0}, "crf")
 
-    def test_invalid_json_file(self, tmp_path):
+    def test_invalid_json_file(self, tmp_path, capsys):
+        # crf-refine reads its settings before any raster, so the missing
+        # rasters are never opened.
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            CrfConfig.from_json(path)
+        code = main([
+            "crf-refine", "--logits", str(tmp_path / "none.grid"),
+            "--guidance", str(tmp_path / "none.grid"), "--config", str(path),
+            "--out", str(tmp_path / "out.grid"),
+        ])
+        assert code == 2
+        assert "bad.json: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out.grid").exists()
 
 
 class TestUnary:

@@ -1,5 +1,7 @@
 """Site-signature potential surfaces."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,8 @@ class TestSurfaceWrapper:
             LamapConfig(bands=())
         with pytest.raises(ConfigError, match=">= 0"):
             LamapConfig(bands=(0, -1))
+        with pytest.raises(ConfigError, match="each band once"):
+            LamapConfig(bands=(0, 0, 2))
         assert LamapConfig(bands=(0, 7)).bands == (0, 7)
 
 
@@ -517,7 +521,9 @@ class TestEqualsSortedPixelPath:
             models, cfg = _overlapping_models(
                 grid, int(rng.integers(1, 20)), float(rng.uniform(0, 6)), rng
             )
-            cfg.kernel_bandwidth = float(rng.uniform(0.5, 30))
+            with pytest.raises(FrozenInstanceError):
+                cfg.kernel_bandwidth = 1.0
+            cfg = replace(cfg, kernel_bandwidth=float(rng.uniform(0.5, 30)))
             self._check(grid, models, cfg)
 
 

@@ -113,7 +113,7 @@ class TestConfig:
                 {"output_dir": "x", "stages": ["features"],
                  "inputs": {"dem": "d"}, "workers": 4}
             )
-        with pytest.raises(ConfigError, match="unknown input key"):
+        with pytest.raises(ConfigError, match="unknown config inputs key 'dsm'"):
             PipelineConfig.from_json(
                 {"output_dir": "x", "stages": ["features"], "inputs": {"dsm": "d"}}
             )
@@ -204,6 +204,36 @@ class TestConfig:
             "8414eb98fbfbc000f3779c0e2e21b78c0e18d84cf13b489c1be146ae9b5cb78b"
         )
 
+    def test_config_setting_every_key_keeps_its_hash(self):
+        # Every key of every section, both CRF aliases and a retired key.
+        doc = {
+            "output_dir": "out", "stages": list(pipeline_module.STAGES), "seed": 11,
+            "period": "Roman Imperial", "label_radius": 2.5, "step": 40, "tile_size": 64,
+            "inputs": {
+                "dem": "dem.grid", "stack": "stack.grid", "sites": "sites.csv",
+                "branch1": "b1.grid", "branch2": "b2.grid", "logits": "logits.grid",
+                "historical_targets": ["roads.json", "rivers.json"],
+            },
+            "lamap": {"catchment_radius": 150.0, "kernel_bandwidth": 800.0, "bands": [0, 2]},
+            "crf": {
+                "beta": 0.4, "sigma": 2.5, "feature_channels": 32, "compression_factor": 4,
+                "crf_temperature": 2.0, "iterations": 4, "pairwise_weights": [0.5, 2.0],
+                "compatibility": None, "compress_guidance": False,
+            },
+            "dpl": {
+                "loss_kind": "tversky", "lambda_p": 0.5, "lambda_c_max": 2.0,
+                "lambda_e_max": 0.2, "confidence_tau": 0.9, "ramp_fraction": 0.5,
+                "total_steps": 500, "class_weights": [1.0, 3.0], "focal_gamma": 1.5,
+                "tversky_alpha": 0.4, "tversky_beta": 0.6, "dice_smooth": 0.5,
+            },
+        }
+        cfg = PipelineConfig.from_json(doc)
+        assert (cfg.crf.compression, cfg.crf.temperature) == (4, 2.0)
+        assert cfg.inputs.historical_targets == ("roads.json", "rivers.json")
+        assert cfg.config_hash() == (
+            "377e354d8e847e1481abf817b54a0c3abdf05909af190b08e410798a7afdb32f"
+        )
+
     def test_integer_literal_in_float_field_is_stored_as_float(self):
         base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
         cfg = PipelineConfig.from_json({**base, "crf": {"sigma": 3}, "label_radius": 2})
@@ -235,7 +265,7 @@ class TestConfig:
     def test_dpl_rng_seed_is_an_unknown_key(self):
         # The pseudolabel alpha comes from the run seed alone.
         base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}, "seed": 9}
-        with pytest.raises(ConfigError, match="unknown dpl key 'rng_seed'"):
+        with pytest.raises(ConfigError, match="unknown config dpl key 'rng_seed'"):
             PipelineConfig.from_json({**base, "dpl": {"rng_seed": 2}})
 
 

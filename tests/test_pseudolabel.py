@@ -1,5 +1,7 @@
 """Pseudolabel mixing and the combined semi-supervised objective."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,12 @@ class TestConfig:
             got = loss("tversky", p, t, tversky_beta=0.0, dice_smooth=0.0)
             assert 0.0 <= got <= 1.0
         assert loss("tversky", p, np.zeros(3), tversky_alpha=0.0) == pytest.approx(0.0)
+
+    def test_replace_reruns_the_checks(self):
+        # The config is frozen, so replace() is the one way to change it.
+        with pytest.raises(ConfigError, match="tversky_alpha"):
+            replace(DplConfig(), tversky_alpha=0, dice_smooth=0)
+        assert replace(DplConfig(), tversky_alpha=0).dice_smooth == 1.0
 
     def test_construct_from_json_dict(self):
         cfg = DplConfig(**{"loss_kind": "focal", "class_weights": [2.0, 1.0]})
@@ -259,11 +267,12 @@ class TestSegLoss:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_validation(self):
-        # DplConfig is mutable, so the loss checks the kind it is given.
+        # DplConfig is frozen, so the kind seg_loss reads passed the check.
         cfg = DplConfig()
-        cfg.loss_kind = "hinge"
-        with pytest.raises(ConfigError):
-            seg_loss(PRED4, TARG4, cfg)
+        with pytest.raises(FrozenInstanceError):
+            cfg.loss_kind = "hinge"
+        with pytest.raises(ConfigError, match="loss_kind"):
+            replace(cfg, loss_kind="hinge")
         with pytest.raises(DataError):
             loss("dice", PRED4, TARG4[:1])
         with pytest.raises(DataError):
