@@ -169,8 +169,11 @@ def _cmd_evaluate(args) -> None:
     )
     if args.baseline_report:
         baseline = MetricsReport.from_dict(read_json(args.baseline_report, ConfigError))
-        report.volume_gain = volume_gain(report, baseline)
-        report.baseline_name = baseline.metadata.get("surface") or "baseline"
+        report = dataclasses.replace(
+            report,
+            volume_gain=volume_gain(report, baseline),
+            baseline_name=baseline.metadata.get("surface") or "baseline",
+        )
     write_json(args.out, report.to_dict())
 
 

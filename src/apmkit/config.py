@@ -25,7 +25,6 @@ import os
 import sys
 import types
 import typing
-from typing import Collection
 
 from .errors import ConfigError, ToolkitError
 
@@ -44,15 +43,12 @@ def read_json(path: str | os.PathLike, error: type[ToolkitError]):
             raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
-def config_values(
-    cls: type, doc, what: str, names: Collection[str] | None = None,
-    error: type[ToolkitError] = ConfigError,
-) -> dict:
+def config_values(cls: type, doc, what: str, error: type[ToolkitError] = ConfigError) -> dict:
     """The entries of the JSON object ``doc`` by field of ``cls``, typed.
 
-    A key names a field (of ``names`` when given) or its alias.
-    A non-object, an unknown key or a mistyped value raises ``error``;
-    ``what`` names the document in the message.
+    A key names a field or its alias. A non-object, an unknown key, a
+    field given twice (by its name and its alias) or a mistyped value
+    raises ``error``; ``what`` names the document in the message.
     """
     if not isinstance(doc, dict):
         raise error(f"{what} must be an object, got {type(doc).__name__}")
@@ -60,8 +56,11 @@ def config_values(
     values = {}
     for key, value in doc.items():
         name = keys.get(key)
-        if name is None or (names is not None and name not in names):
+        if name is None:
             raise error(f"unknown {what} key '{key}'")
+        if name in values:
+            first = next(k for k in doc if keys[k] == name)
+            raise error(f"{what} keys '{first}' and '{key}' both give {name}")
         values[name] = _typed(value, hints[name], f"{what} {key}", error)
     return values
 

@@ -11,7 +11,7 @@ site-to-fold mapping, saved as JSON by ``apmkit split-folds``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def site_strat_vector(
     return StratVector(site.site_id, np.array(comps), tuple(names))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldAssignment:
     """A site-to-fold mapping plus balance diagnostics."""
 
@@ -328,5 +328,5 @@ def uniform_kfold(
         metadata={"ordering": "seeded_shuffle_round_robin"},
     )
     if vectors is not None:
-        result.imbalance = fold_imbalance(result, vectors)
+        result = replace(result, imbalance=fold_imbalance(result, vectors))
     return result

@@ -16,11 +16,11 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import build_config, config_values
+from .config import build_config
 from .errors import ConfigError, DataError
 from .raster.grid import RasterGrid, atomic_write
 
@@ -227,22 +227,15 @@ def radar_area(values: Sequence[float]) -> float:
     return float(0.5 * math.sin(angle) * np.sum(v * np.roll(v, -1)))
 
 
-def _radar_values(report: Mapping | "MetricsReport") -> list[float]:
-    if isinstance(report, MetricsReport):
-        source = report.metric_dict()
-    else:
-        source = dict(report)
-    try:
-        values = [source[name] for name in RADAR_AXES]
-    except KeyError as exc:
-        raise DataError(f"report is missing radar metric {exc.args[0]!r}") from None
+def _radar_values(report: "MetricsReport") -> list[float]:
+    values = [getattr(report.metrics, name) for name in RADAR_AXES]
     for name, value in zip(RADAR_AXES, values):
         if value is None:
             raise DataError(f"report has no value for radar metric {name!r}")
     return [float(v) for v in values]
 
 
-def volume_gain(report: Mapping | "MetricsReport", baseline: Mapping | "MetricsReport") -> float:
+def volume_gain(report: "MetricsReport", baseline: "MetricsReport") -> float:
     """Relative radar-polygon area gain of ``report`` over ``baseline``.
 
     Axes are ordered accuracy, AUROC, F1, dice, IoU at equal angles; the
@@ -250,7 +243,8 @@ def volume_gain(report: Mapping | "MetricsReport", baseline: Mapping | "MetricsR
     metric therefore reads as a gain of 3.
 
     Raises:
-        DataError: when the baseline polygon has zero area.
+        DataError: when a radar metric of either report is None, or the
+            baseline polygon has zero area.
     """
     area_r = radar_area(_radar_values(report))
     area_b = radar_area(_radar_values(baseline))
@@ -458,9 +452,10 @@ def surface_density(surface: RasterGrid, n_bins: int = N_DENSITY_BINS) -> Densit
 # --- report ------------------------------------------------------------------
 
 
-@dataclass
-class MetricsReport:
-    """A full evaluation summary, serialisable to versioned JSON."""
+@dataclass(frozen=True)
+class Metrics:
+    """The ranking and threshold metrics of a report; None where the sites
+    held too little to compute one."""
 
     auroc: float | None = None
     aul: float | None = None
@@ -468,35 +463,23 @@ class MetricsReport:
     iou: float | None = None
     f1: float | None = None
     accuracy: float | None = None
-    bins: list[BinStats] = field(default_factory=list)
-    density_histogram: list[float] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """A full evaluation summary, shaped like its versioned JSON document."""
+
+    metrics: Metrics
+    bins: tuple[BinStats, ...] = ()
+    density_histogram: tuple[float, ...] = ()
     find_count_rho: float | None = None
     volume_gain: float | None = None
     baseline_name: str | None = None
     metadata: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def metric_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "aul": self.aul,
-            "dice": self.dice,
-            "iou": self.iou,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-        }
-
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "metrics": self.metric_dict(),
-            "bins": [dataclasses.asdict(b) for b in self.bins],
-            "density_histogram": list(self.density_histogram),
-            "find_count_rho": self.find_count_rho,
-            "volume_gain": self.volume_gain,
-            "baseline_name": self.baseline_name,
-            "metadata": self.metadata,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc) -> "MetricsReport":
@@ -505,17 +488,4 @@ class MetricsReport:
         Raises:
             ConfigError: when ``doc`` does not have a report's shape.
         """
-        if not isinstance(doc, dict):
-            raise ConfigError(f"report must be an object, got {type(doc).__name__}")
-        top = dict(doc)
-        metrics = config_values(
-            MetricsReport, top.pop("metrics", None), "report metrics", names=_METRIC_KEYS
-        )
-        values = config_values(MetricsReport, top, "report", names=_REPORT_KEYS)
-        return build_config(MetricsReport, {}, "report", **metrics, **values)
-
-
-_METRIC_KEYS = tuple(MetricsReport().metric_dict())
-_REPORT_KEYS = tuple(
-    f.name for f in dataclasses.fields(MetricsReport) if f.name not in _METRIC_KEYS
-)
+        return build_config(MetricsReport, doc, "report")

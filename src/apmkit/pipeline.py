@@ -35,6 +35,7 @@ from .crf import CrfConfig, crf_features, crf_refine, crf_weights
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
 from .metrics import (
+    Metrics,
     MetricsReport,
     ScoredSample,
     aul,
@@ -217,48 +218,6 @@ def build_feature_stack(
     )
 
 
-def emit_surface_products(
-    surface: RasterGrid,
-    out_dir: str | os.PathLike,
-    stem: str,
-    baseline: RasterGrid | None = None,
-) -> list[str]:
-    """Write a surface raster, its density CSV and an optional difference.
-
-    The CSV is the only artifact that carries the smoothed density curve,
-    so the curve is built here. The difference raster is
-    ``surface - baseline`` (signed) and requires both grids on the same
-    frame.
-
-    Returns the list of written paths.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: list[str] = []
-    raster_path = out / f"{stem}.grid"
-    save_raster(surface, raster_path)
-    paths.append(str(raster_path))
-    density_path = out / f"{stem}_density.csv"
-    write_density_csv(density_path, surface_density(surface))
-    paths.append(str(density_path))
-    if baseline is not None:
-        if not surface.same_frame(baseline):
-            raise DataError("surface and baseline are on different frames")
-        mask = surface.nodata_mask | baseline.nodata_mask
-        diff = surface.band(0).astype(np.float64) - baseline.band(0).astype(np.float64)
-        diff_grid = RasterGrid(
-            diff.astype(np.float32)[None, :, :],
-            surface.geotransform,
-            mask,
-            ("difference",),
-            {"difference": "surface_minus_baseline"},
-        )
-        diff_path = out / f"{stem}_difference.grid"
-        save_raster(diff_grid, diff_path)
-        paths.append(str(diff_path))
-    return paths
-
-
 class _Run:
     """Mutable state threaded through the stages of one pipeline run."""
 
@@ -276,18 +235,19 @@ class _Run:
         )
         self.artifacts: dict[str, list[str]] = {}
 
-    def write_raster(self, stage: str, name: str, grid: RasterGrid) -> Path:
+    def path(self, stage: str, name: str) -> Path:
+        """The output path of ``name``, recorded as ``stage``'s before it
+        is written, so that a failed stage quarantines every file it wrote."""
         path = self.out / name
-        save_raster(grid, path)
         self.artifacts.setdefault(stage, []).append(str(path))
         return path
 
-    def write_bytes(self, stage: str, name: str, blob: bytes) -> Path:
-        path = self.out / name
-        with atomic_write(path) as fh:
+    def write_raster(self, stage: str, name: str, grid: RasterGrid) -> None:
+        save_raster(grid, self.path(stage, name))
+
+    def write_bytes(self, stage: str, name: str, blob: bytes) -> None:
+        with atomic_write(self.path(stage, name)) as fh:
             fh.write(blob)
-        self.artifacts.setdefault(stage, []).append(str(path))
-        return path
 
     def get_stack(self) -> RasterGrid:
         # The config requires inputs.stack wherever the features stage does
@@ -440,9 +400,9 @@ def evaluate_surface(
     classes; AUL needs positives; the find-count correlation needs 3+
     sites with counts. Metrics without enough data stay None. The report
     carries the density histogram of the surface's unmasked scores, not
-    the smoothed curve, which only :func:`emit_surface_products` builds.
-    Skipped sites are reported as :func:`sample_surface_sites` says,
-    ``warned`` included.
+    the smoothed curve, which only the evaluate stage's density CSV
+    holds. Skipped sites are reported as :func:`sample_surface_sites`
+    says, ``warned`` included.
 
     Raises:
         ConfigError: when ``n_bins`` is below 1, whatever the sites hold.
@@ -452,8 +412,7 @@ def evaluate_surface(
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     report = _site_metrics(surface, sites, n_bins, metadata, warned)
     scores = surface.band(0)[~surface.nodata_mask]
-    report.density_histogram = [float(v) for v in density_histogram(scores)]
-    return report
+    return dataclasses.replace(report, density_histogram=tuple(density_histogram(scores).tolist()))
 
 
 def _site_metrics(
@@ -467,37 +426,37 @@ def _site_metrics(
     samples = sample_surface_sites(surface, sites, warned)
     if not samples:
         raise DataError("no evaluable sites on the surface")
-    report = MetricsReport(metadata={
-        "bins": "equal_width",
-        "volume": "radar_polygon_area",
-        **(metadata or {}),
-    })
+    values: dict = {}
+    bins: tuple = ()
     labeled = [s for s in samples if s.label is not None]
     has_pos = any(s.label == "positive" for s in labeled)
     has_neg = any(s.label == "negative" for s in labeled)
     if has_pos and has_neg:
-        report.auroc = auroc(labeled)
         tp = sum(1 for s in labeled if s.label == "positive" and s.score >= 0.5)
         fp = sum(1 for s in labeled if s.label == "negative" and s.score >= 0.5)
         fn = sum(1 for s in labeled if s.label == "positive" and s.score < 0.5)
         tn = sum(1 for s in labeled if s.label == "negative" and s.score < 0.5)
         cm = confusion_from_counts(tp, fp, fn, tn)
-        report.dice, report.iou = cm.dice, cm.iou
-        report.f1, report.accuracy = cm.f1, cm.accuracy
-        report.bins = bin_analysis(labeled, n_bins)
+        values.update(
+            auroc=auroc(labeled), dice=cm.dice, iou=cm.iou, f1=cm.f1, accuracy=cm.accuracy
+        )
+        bins = tuple(bin_analysis(labeled, n_bins))
     if has_pos:
         scores = np.array([s.score for s in samples])
         flags = np.array([s.label == "positive" for s in samples])
-        report.aul = aul(scores, flags)
+        values["aul"] = aul(scores, flags)
     with_counts = [s for s in samples if s.find_count is not None]
-    if len(with_counts) >= 3:
-        report.find_count_rho = find_count_correlation(samples)
-    return report
+    return MetricsReport(
+        Metrics(**values),
+        bins=bins,
+        find_count_rho=find_count_correlation(samples) if len(with_counts) >= 3 else None,
+        metadata={"bins": "equal_width", "volume": "radar_polygon_area", **(metadata or {})},
+    )
 
 
 def _stage_evaluate(run: _Run) -> None:
     # The config requires a lamap or crf stage, and each sets the surface.
-    surface = run.surface
+    surface, baseline = run.surface, run.baseline
     surface_name = "crf" if "crf" in run.cfg.stages else "lamap"
     # Both surfaces are sampled at the sites; each skipped site is reported once.
     warned: set[str] = set()
@@ -507,21 +466,30 @@ def _stage_evaluate(run: _Run) -> None:
         metadata={"surface": surface_name, "period": run.cfg.period},
         warned=warned,
     )
-    if run.baseline is not None and run.surface is not run.baseline:
-        if report.auroc is not None:
+    if baseline is not None and surface is not baseline:
+        if report.metrics.auroc is not None:
             # The volume gain reads only the site metrics, so the baseline's
             # density histogram is not computed.
-            base_report = _site_metrics(run.baseline, run.period_sites, warned=warned)
-            if base_report.auroc is not None:
+            base_report = _site_metrics(baseline, run.period_sites, warned=warned)
+            if base_report.metrics.auroc is not None:
                 try:
-                    report.volume_gain = volume_gain(report, base_report)
-                    report.baseline_name = "lamap"
+                    gain = volume_gain(report, base_report)
+                    report = dataclasses.replace(report, volume_gain=gain, baseline_name="lamap")
                 except DataError:
                     logger.warning("baseline radar area is zero; volume gain omitted")
-        products = emit_surface_products(
-            surface, run.out, "surface", baseline=run.baseline
-        )
-        run.artifacts.setdefault("evaluate", []).extend(products)
+        if not surface.same_frame(baseline):
+            raise DataError("surface and baseline are on different frames")
+        run.write_raster("evaluate", "surface.grid", surface)
+        # The CSV is the only artifact that carries the smoothed density curve.
+        write_density_csv(run.path("evaluate", "surface_density.csv"), surface_density(surface))
+        diff = surface.band(0).astype(np.float64) - baseline.band(0).astype(np.float64)
+        run.write_raster("evaluate", "surface_difference.grid", RasterGrid(
+            diff.astype(np.float32)[None, :, :],
+            surface.geotransform,
+            surface.nodata_mask | baseline.nodata_mask,
+            ("difference",),
+            {"difference": "surface_minus_baseline"},
+        ))
     run.write_bytes("evaluate", "report.json", json_bytes(report.to_dict()))
 
 
@@ -542,7 +510,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     Raises:
         ToolkitError: re-raised from the failing stage, which is named in
-            the message; its partial outputs move under ``failed/``.
+            the message, as a DataError where the stage's error was an
+            OSError; the stage's partial outputs move under ``failed/``.
     """
     run = _Run(cfg)
     manifest_stages = []
@@ -554,7 +523,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             _quarantine_outputs(run, stage)
             if isinstance(exc, ToolkitError):
                 raise type(exc)(f"stage '{stage}' failed: {exc}") from exc
-            raise ToolkitError(f"stage '{stage}' failed: {exc}") from exc
+            # A missing or unreadable file is a data error, as in every subcommand.
+            kind = DataError if isinstance(exc, OSError) else ToolkitError
+            raise kind(f"stage '{stage}' failed: {exc}") from exc
         manifest_stages.append(
             {
                 "name": stage,

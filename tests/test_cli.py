@@ -1,6 +1,7 @@
 """End-to-end subcommand tests on temporary workspaces."""
 
 import json
+import re
 import weakref
 
 import numpy as np
@@ -353,6 +354,7 @@ class TestEvaluate:
         [
             [1, 2],
             {"auroc": "x"},
+            {"bins": []},
             {"metrics": [0.7, 0.6]},
             {"metrics": {**GOOD_METRICS, "auroc": "x"}},
             {"metrics": GOOD_METRICS, "bins": {"lo": 0.0}},
@@ -362,8 +364,9 @@ class TestEvaluate:
             {"metrics": GOOD_METRICS, "schema_version": "1"},
         ],
         ids=[
-            "array", "no-metrics", "metrics-list", "metric-string", "bins-object",
-            "bin-missing-count", "histogram-string", "metadata-number", "version-string",
+            "array", "no-metrics", "metrics-missing", "metrics-list", "metric-string",
+            "bins-object", "bin-missing-count", "histogram-string", "metadata-number",
+            "version-string",
         ],
     )
     def test_malformed_baseline_report_is_config_error(self, ws, capsys, doc):
@@ -377,7 +380,8 @@ class TestEvaluate:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("apmkit: error: report ") and "Traceback" not in err
+        # The message names the report, as "report ..." or "unknown report key ...".
+        assert re.match(r"apmkit: error: (unknown )?report ", err) and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_bins_is_config_error_with_positives_only(self, tmp_path, capsys):
@@ -457,6 +461,25 @@ class TestRunAndErrors:
         ])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_errors", [False, True], ids=["plain", "json"])
+    def test_run_missing_input_is_data_error(self, ws, capsys, json_errors):
+        # The subcommands exit 3 on a missing file; a run exits 3 as well.
+        cfg_path = ws / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "output_dir": str(ws / "out"), "stages": ["features"],
+            "inputs": {"dem": str(ws / "missing.grid")},
+        }))
+        code = main(["--json-errors"] * json_errors + ["run", "--config", str(cfg_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if json_errors:
+            doc = json.loads(err.strip().splitlines()[-1])
+            assert (doc["error"], doc["exit_code"]) == ("DataError", 3)
+            err = doc["message"]
+        assert "stage 'features' failed" in err and "missing.grid" in err
+        assert list((ws / "out").iterdir()) == []
 
     def test_crf_refine_off_the_guidance_frame_is_data_error(self, tmp_path, capsys):
         logits = RasterGrid.from_array(np.zeros((16, 16), np.float32), (0.0, 0.0, 1.0, -1.0))
@@ -580,7 +603,12 @@ class TestRunAndErrors:
         assert main(["run", "--config", str(ws / "cfg.json")]) == 4
         assert not (ws / "out" / "lamap_surface.grid").exists()
 
-    @pytest.mark.parametrize("doc", [[1, 2], {"iterations": "5"}, {"sigma": [3]}])
+    @pytest.mark.parametrize("doc", [
+        [1, 2], {"iterations": "5"}, {"sigma": [3]},
+        # A field given by its name and its alias, in either order.
+        {"compression": 2, "compression_factor": 4},
+        {"crf_temperature": 2.0, "temperature": 1.0},
+    ])
     def test_crf_refine_malformed_config_is_config_error(self, ws, doc):
         config = ws / "crf.json"
         config.write_text(json.dumps(doc))

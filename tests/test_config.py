@@ -16,7 +16,7 @@ from apmkit.crf import CrfConfig
 from apmkit.errors import ConfigError, DataError
 from apmkit.folds import FoldAssignment
 from apmkit.lamap import LamapConfig
-from apmkit.metrics import BinStats, MetricsReport
+from apmkit.metrics import BinStats, Metrics, MetricsReport
 from apmkit.pipeline import PipelineConfig, RunInputs
 from apmkit.pseudolabel import DplConfig
 from apmkit.raster.distance import load_targets
@@ -83,12 +83,24 @@ class TestValueRules:
         assert (cfg.count, cfg.name) == (4, "z")
         assert build_config(Aliased, {"count": 5}, "sample").count == 5
         assert build_config(Sample, {"name": "y"}, "sample", name="z").name == "y"
-        assert config_values(Aliased, {"n": 2}, "sample", names=["count"]) == {"count": 2}
-        with pytest.raises(ConfigError, match="unknown sample key 'name'"):
-            config_values(Sample, {"name": "y"}, "sample", names=["count"])
+        assert config_values(Aliased, {"n": 2}, "sample") == {"count": 2}
         # An alias belongs to its own class only.
         with pytest.raises(ConfigError, match="unknown sample key 'n'"):
             build_config(Sample, {"n": 4}, "sample")
+
+    @pytest.mark.parametrize("name,alias", [
+        ("compression", "compression_factor"), ("temperature", "crf_temperature"),
+    ])
+    @pytest.mark.parametrize("swap", [False, True], ids=["name-first", "alias-first"])
+    def test_crf_field_given_twice_is_refused_in_either_order(self, name, alias, swap):
+        keys = (alias, name) if swap else (name, alias)
+        doc = dict(zip(keys, (2, 4)))
+        message = f"crf keys '{keys[0]}' and '{keys[1]}' both give {name}"
+        with pytest.raises(ConfigError, match=message):
+            build_config(CrfConfig, doc, "crf")
+        run = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}, "crf": doc}
+        with pytest.raises(ConfigError, match=f"config crf keys '{keys[0]}' and '{keys[1]}'"):
+            PipelineConfig.from_json(run)
 
     def test_dataclass_checks_become_config_errors(self):
         with pytest.raises(ConfigError, match="count must be >= 0"):
@@ -143,7 +155,9 @@ _DOCUMENTS = {
         "windows": [{"row0": 0, "col0": 0, "size": 8, "crop_margin": 0}],
     },
     "folds": FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0, imbalance=0.5).to_dict(),
-    "report": MetricsReport(auroc=0.7, bins=[BinStats(0.0, 0.5, 2, 0.3, 0.5, 0.2)]).to_dict(),
+    "report": MetricsReport(
+        Metrics(auroc=0.7), bins=(BinStats(0.0, 0.5, 2, 0.3, 0.5, 0.2),)
+    ).to_dict(),
     "header": {
         "width": 3, "height": 2, "bands": 1, "band_names": ["b"],
         "geotransform": [0, 0, 1, -1], "nodata": None, "meta": {},
@@ -260,8 +274,11 @@ class TestFrozenConfigs:
             (RunInputs(), "dem"),
             (PipelineConfig(output_dir="x", stages=("features",), inputs=RunInputs(dem="d")),
              "seed"),
+            (FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0), "imbalance"),
+            (MetricsReport(Metrics(auroc=0.7)), "volume_gain"),
+            (Metrics(auroc=0.7), "auroc"),
         ],
-        ids=["lamap", "crf", "dpl", "inputs", "run"],
+        ids=["lamap", "crf", "dpl", "inputs", "run", "folds", "report", "report-metrics"],
     )
     def test_assignment_is_refused(self, cfg, name):
         before = getattr(cfg, name)
@@ -282,9 +299,9 @@ def _write_each_document(out) -> None:
         [[1.0, 2.0], [0.5, 0.25], [3.0, 4.0]], {"catchment": 295.0},
     ).save(out / "folds.json")
     report = MetricsReport(
-        auroc=0.75, aul=0.5, dice=0.4, iou=0.25, f1=0.4, accuracy=0.6,
-        bins=[BinStats(0.0, 0.5, 3, 0.2, 0.25, 0.05), BinStats(0.5, 1.0, 2, 0.8, None, None)],
-        density_histogram=[0.5, 1.5], find_count_rho=0.1, volume_gain=1.2,
+        Metrics(auroc=0.75, aul=0.5, dice=0.4, iou=0.25, f1=0.4, accuracy=0.6),
+        bins=(BinStats(0.0, 0.5, 3, 0.2, 0.25, 0.05), BinStats(0.5, 1.0, 2, 0.8, None, None)),
+        density_histogram=(0.5, 1.5), find_count_rho=0.1, volume_gain=1.2,
         baseline_name="lamap", metadata={"surface": "crf", "period": None},
     )
     write_json(out / "report.json", report.to_dict())

@@ -15,6 +15,7 @@ import apmkit
 from apmkit import metrics
 from apmkit.errors import ConfigError, DataError
 from apmkit.metrics import (
+    Metrics,
     MetricsReport,
     ScoredSample,
     aul,
@@ -34,6 +35,10 @@ from apmkit.pipeline import evaluate_surface
 from apmkit.raster.sites import SiteRecord
 
 UNIT_PENTAGON_AREA = 2.377641290737884  # 0.5 * sin(72 deg) * 5
+
+
+def radar_report(metrics: dict) -> MetricsReport:
+    return MetricsReport(Metrics(**metrics))
 
 
 def pairwise_auroc(pos, neg):
@@ -184,9 +189,8 @@ class TestConfusion:
         ]
         report = evaluate_surface(surface, sites)
         want = confusion_from_counts(1, 2, 1, 1)
-        assert (report.dice, report.iou, report.f1, report.accuracy) == (
-            want.dice, want.iou, want.f1, want.accuracy
-        )
+        m = report.metrics
+        assert (m.dice, m.iou, m.f1, m.accuracy) == (want.dice, want.iou, want.f1, want.accuracy)
 
     def test_unlabeled_pixels_ignored(self, make_grid):
         # Unlabeled sites, whatever they score, never enter the counts.
@@ -198,7 +202,8 @@ class TestConfusion:
             SiteRecord("u1", 3.5, -0.5, "Roman Imperial", "unlabeled"),
         ]
         report = evaluate_surface(surface, sites)
-        assert (report.dice, report.iou, report.accuracy) == (1.0, 1.0, 1.0)
+        m = report.metrics
+        assert (m.dice, m.iou, m.accuracy) == (1.0, 1.0, 1.0)
 
 
 class TestBins:
@@ -258,25 +263,28 @@ class TestRadar:
     def test_doubling_gains_three(self):
         base = {"accuracy": 0.4, "auroc": 0.5, "f1": 0.3, "dice": 0.3, "iou": 0.2}
         better = {k: 2.0 * v for k, v in base.items()}
-        assert volume_gain(better, base) == pytest.approx(3.0, abs=1e-12)
+        assert volume_gain(radar_report(better), radar_report(base)) == pytest.approx(
+            3.0, abs=1e-12
+        )
 
     def test_equal_reports_gain_zero(self):
-        r = {"accuracy": 0.7, "auroc": 0.8, "f1": 0.6, "dice": 0.6, "iou": 0.5}
+        r = radar_report({"accuracy": 0.7, "auroc": 0.8, "f1": 0.6, "dice": 0.6, "iou": 0.5})
         assert volume_gain(r, r) == 0.0
 
     def test_zero_baseline(self):
         zero = {k: 0.0 for k in ("accuracy", "auroc", "f1", "dice", "iou")}
         good = {k: 0.5 for k in zero}
-        with pytest.raises(DataError):
-            volume_gain(good, zero)
-
-    def test_report_objects_accepted(self):
-        r = MetricsReport(auroc=0.8, dice=0.6, iou=0.5, f1=0.6, accuracy=0.7)
-        assert volume_gain(r, r) == 0.0
+        with pytest.raises(DataError, match="baseline radar area is zero"):
+            volume_gain(radar_report(good), radar_report(zero))
 
     def test_missing_axis(self):
-        with pytest.raises(DataError, match="iou"):
-            volume_gain({"accuracy": 1, "auroc": 1, "f1": 1, "dice": 1}, {})
+        # The AUL is no radar axis; a None IoU on either side is named.
+        full = radar_report({"accuracy": 1, "auroc": 1, "f1": 1, "dice": 1, "iou": 1})
+        partial = radar_report({"accuracy": 1, "auroc": 1, "f1": 1, "dice": 1})
+        assert full.metrics.aul is None and volume_gain(full, full) == 0.0
+        for report, baseline in ((full, partial), (partial, full)):
+            with pytest.raises(DataError, match="radar metric 'iou'"):
+                volume_gain(report, baseline)
 
     def test_validation(self):
         with pytest.raises(DataError):
@@ -556,14 +564,9 @@ class TestReport:
             ]
         )
         report = MetricsReport(
-            auroc=0.8,
-            aul=0.7,
-            dice=0.6,
-            iou=0.45,
-            f1=0.6,
-            accuracy=0.75,
-            bins=bins,
-            density_histogram=[0.5, 1.5],
+            Metrics(auroc=0.8, aul=0.7, dice=0.6, iou=0.45, f1=0.6, accuracy=0.75),
+            bins=tuple(bins),
+            density_histogram=(0.5, 1.5),
             find_count_rho=0.3,
             volume_gain=0.1,
             baseline_name="baseline",
@@ -574,9 +577,13 @@ class TestReport:
         assert back == report
         assert doc["schema_version"] == 1
 
-    def test_metric_dict_keys(self):
-        assert set(MetricsReport().metric_dict()) == {
-            "auroc", "aul", "dice", "iou", "f1", "accuracy",
+    def test_document_has_the_dataclass_shape(self):
+        doc = MetricsReport(Metrics(auroc=0.8)).to_dict()
+        assert doc == dataclasses.asdict(MetricsReport(Metrics(auroc=0.8)))
+        assert set(doc["metrics"]) == {"auroc", "aul", "dice", "iou", "f1", "accuracy"}
+        assert set(doc) == {
+            "schema_version", "metrics", "bins", "density_histogram", "find_count_rho",
+            "volume_gain", "baseline_name", "metadata",
         }
 
     def test_sample_validation(self):

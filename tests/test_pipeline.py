@@ -1,5 +1,6 @@
 """Configured batch runs: staging, artifacts and reproducibility."""
 
+import dataclasses
 import json
 import re
 import weakref
@@ -13,11 +14,10 @@ import apmkit.metrics as metrics_module
 import apmkit.pipeline as pipeline_module
 from apmkit.cli import main
 from apmkit.errors import ConfigError, DataError, ToolkitError
-from apmkit.metrics import volume_gain
+from apmkit.metrics import surface_density, volume_gain, write_density_csv
 from apmkit.pipeline import (
     PipelineConfig,
     build_feature_stack,
-    emit_surface_products,
     evaluate_surface,
     run_pipeline,
     sample_surface_sites,
@@ -332,9 +332,9 @@ class TestEvaluateSurface:
             SiteRecord("n", 0.5, -0.5, "Byzantine", "negative"),
         ]
         report = evaluate_surface(surface, sites)
-        assert report.auroc == 1.0
-        assert report.accuracy == 1.0
-        assert report.aul is not None
+        assert report.metrics.auroc == 1.0
+        assert report.metrics.accuracy == 1.0
+        assert report.metrics.aul is not None
         assert len(report.bins) == 6
         assert len(report.density_histogram) == 100
 
@@ -342,9 +342,9 @@ class TestEvaluateSurface:
         surface = make_grid(np.linspace(0.0, 1.0, 16).reshape(4, 4))
         sites = [SiteRecord("p", 3.5, -3.5, "Byzantine", "positive")]
         report = evaluate_surface(surface, sites)
-        assert report.auroc is None
-        assert report.dice is None
-        assert report.aul is not None
+        assert report.metrics.auroc is None
+        assert report.metrics.dice is None
+        assert report.metrics.aul is not None
 
     def test_no_sites(self, make_grid):
         surface = make_grid(np.ones((3, 3)))
@@ -359,36 +359,79 @@ class TestEvaluateSurface:
         assert report.metadata["bins"] == "equal_width"
 
 
+def evaluate_run(ws, stages, out_name="out"):
+    """A run of the given stages over the workspace's full config; its manifest."""
+    doc = full_config(ws, out_name)
+    doc["stages"] = stages
+    return run_pipeline(PipelineConfig.from_json(doc))
+
+
+def stage_artifacts(manifest, stage):
+    (entry,) = (s for s in manifest["stages"] if s["name"] == stage)
+    return [Path(p).name for p in entry["artifacts"]]
+
+
+EVALUATE_FILES = ["surface.grid", "surface_density.csv", "surface_difference.grid", "report.json"]
+
+
 class TestSurfaceProducts:
-    def test_without_baseline(self, make_grid, tmp_path, rng):
-        surface = make_grid(rng.random((8, 8)))
-        paths = emit_surface_products(surface, tmp_path, "surf")
-        assert [Path(p).name for p in paths] == ["surf.grid", "surf_density.csv"]
-        assert all(Path(p).exists() for p in paths)
+    """The evaluate stage writes the surface, its density CSV and its
+    difference from the LAMAP baseline when the surface is not that baseline."""
 
-    def test_difference_oracle(self, make_grid, tmp_path, rng):
-        base_values = rng.random((8, 8)).astype(np.float32)
-        surface = make_grid(np.clip(base_values + 0.1, 0.0, 1.0))
-        baseline = make_grid(base_values)
-        paths = emit_surface_products(surface, tmp_path, "surf", baseline=baseline)
-        diff = load_raster(paths[2])
-        want = surface.band(0).astype(np.float64) - base_values
-        assert np.allclose(diff.band(0), want, atol=1e-6)
+    def test_without_baseline(self, workspace):
+        # The LAMAP surface is its own baseline: the report alone is written.
+        manifest = evaluate_run(workspace, ["derive-features", "lamap", "evaluate"])
+        assert stage_artifacts(manifest, "evaluate") == ["report.json"]
+        assert not list((workspace / "out").glob("surface*"))
 
-    def test_zero_difference(self, make_grid, tmp_path, rng):
-        surface = make_grid(rng.random((6, 6)))
-        paths = emit_surface_products(surface, tmp_path, "surf", baseline=surface)
-        diff = load_raster(paths[2])
-        assert np.allclose(diff.band(0), 0.0, atol=0.0)
+    def test_difference_oracle(self, workspace):
+        manifest = evaluate_run(workspace, ["derive-features", "lamap", "crf", "evaluate"])
+        assert stage_artifacts(manifest, "evaluate") == EVALUATE_FILES
+        out = workspace / "out"
+        surface = load_raster(out / "refined_surface.grid")
+        baseline = load_raster(out / "lamap_surface.grid")
+        assert (out / "surface.grid").read_bytes() == (out / "refined_surface.grid").read_bytes()
+        diff = load_raster(out / "surface_difference.grid")
+        want = surface.band(0).astype(np.float64) - baseline.band(0).astype(np.float64)
+        mask = surface.nodata_mask | baseline.nodata_mask
+        assert np.array_equal(diff.nodata_mask, mask)
+        assert np.allclose(diff.band(0)[~mask], want[~mask], atol=1e-6)
 
-    def test_frame_mismatch(self, make_grid, tmp_path, rng):
-        with pytest.raises(DataError):
-            emit_surface_products(
-                make_grid(rng.random((6, 6))),
-                tmp_path,
-                "surf",
-                baseline=make_grid(rng.random((6, 7))),
-            )
+    def test_zero_difference(self, workspace, monkeypatch):
+        out = workspace / "out"
+        # A CRF surface equal to, but not the same object as, the baseline.
+        monkeypatch.setattr(
+            pipeline_module, "crf_refine", lambda *args: load_raster(out / "lamap_surface.grid")
+        )
+        evaluate_run(workspace, ["derive-features", "lamap", "crf", "evaluate"])
+        diff = load_raster(out / "surface_difference.grid")
+        assert np.allclose(diff.band(0)[~diff.nodata_mask], 0.0, atol=0.0)
+
+    def test_frame_mismatch(self, workspace, monkeypatch):
+        wider = RasterGrid.from_array(np.full((32, 65), 0.5, np.float32), (0.0, 0.0, 1.0, -1.0))
+        monkeypatch.setattr(pipeline_module, "crf_refine", lambda *args: wider)
+        with pytest.raises(DataError, match="stage 'evaluate' failed: .*different frames"):
+            evaluate_run(workspace, ["derive-features", "lamap", "crf", "evaluate"])
+        names = {p.name for p in (workspace / "out").rglob("*")}
+        assert not names & set(EVALUATE_FILES)
+
+    def test_failed_write_quarantines_every_evaluate_file(self, workspace, monkeypatch):
+        save = pipeline_module.save_raster
+
+        def failing(grid, path):
+            if Path(path).name == "surface_difference.grid":
+                raise OSError("No space left on device")
+            save(grid, path)
+
+        monkeypatch.setattr(pipeline_module, "save_raster", failing)
+        with pytest.raises(DataError, match="stage 'evaluate' failed: No space left"):
+            evaluate_run(workspace, ["derive-features", "lamap", "crf", "evaluate"])
+        out = workspace / "out"
+        assert sorted(p.name for p in (out / "failed").iterdir()) == [
+            "surface.grid", "surface_density.csv",
+        ]
+        assert not {p.name for p in out.iterdir()} & set(EVALUATE_FILES)
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestRun:
@@ -485,14 +528,32 @@ class TestRun:
         baseline = load_raster(out / "lamap_surface.grid")
         sites = read_sites_csv(workspace / "sites.csv")
         report = evaluate_surface(surface, sites, metadata={"surface": "crf", "period": None})
-        report.volume_gain = volume_gain(report, evaluate_surface(baseline, sites))
-        report.baseline_name = "lamap"
+        gain = volume_gain(report, evaluate_surface(baseline, sites))
+        report = dataclasses.replace(report, volume_gain=gain, baseline_name="lamap")
         want = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         assert (out / "report.json").read_text() == want
-        emit_surface_products(surface, workspace / "lib", "surface", baseline=baseline)
+        write_density_csv(workspace / "lib_density.csv", surface_density(surface))
         assert (out / "surface_density.csv").read_bytes() == (
-            workspace / "lib" / "surface_density.csv"
+            workspace / "lib_density.csv"
         ).read_bytes()
+
+    def test_zero_baseline_radar_area_omits_volume_gain(self, workspace, monkeypatch, caplog):
+        def inverted(stack, sites, cfg):
+            # Positives score below 0.5 and negatives above: the baseline's
+            # accuracy, AUROC, F1, dice and IoU are all 0.
+            values = np.full(stack.shape, 0.9, np.float32)
+            for site in sites:
+                if site.polarity == "positive":
+                    values[stack.pixel_of(site.x, site.y)] = 0.1
+            return RasterGrid.from_array(values, stack.geotransform)
+
+        monkeypatch.setattr(pipeline_module, "lamap_from_sites", inverted)
+        with caplog.at_level("WARNING"):
+            evaluate_run(workspace, ["derive-features", "lamap", "crf", "evaluate"])
+        report = json.loads((workspace / "out" / "report.json").read_text())
+        assert report["metrics"]["auroc"] is not None
+        assert (report["volume_gain"], report["baseline_name"]) == (None, None)
+        assert caplog.text.count("baseline radar area is zero; volume gain omitted") == 1
 
     @pytest.mark.parametrize(
         "stage,surface_file",
