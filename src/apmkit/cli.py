@@ -16,7 +16,7 @@ import logging
 import sys
 
 from .config import build_config, read_json
-from .crf import CrfConfig, crf_features, crf_refine, crf_weights
+from .crf import CrfConfig
 from .errors import ConfigError, DataError, ToolkitError
 from .folds import site_strat_vector, stratified_kfold, uniform_kfold
 from .lamap import DEFAULT_CATCHMENT_RADIUS, DEFAULT_KERNEL_BANDWIDTH, LamapConfig
@@ -24,6 +24,7 @@ from .metrics import MetricsReport, volume_gain
 from .pipeline import (
     PipelineConfig,
     build_feature_stack,
+    crf_from_stack,
     evaluate_surface,
     lamap_from_sites,
     pseudolabel_with_breakdown,
@@ -31,17 +32,12 @@ from .pipeline import (
 )
 from .pseudolabel import BranchPair, DplConfig
 from .raster.distance import distance_map, load_targets
-from .raster.grid import load_raster, save_raster, write_json
+from .raster.grid import commit_outputs, json_bytes, load_raster, save_raster, write_json
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
-from .raster.sites import filter_sites, read_sites_csv
+from .raster.sites import read_sites_csv
 from .raster.tiling import load_plan, plan_windows, save_plan, stitch
 
 logger = logging.getLogger(__name__)
-
-
-def _load_sites(path: str, period: str | None) -> list:
-    sites = read_sites_csv(path)
-    return filter_sites(sites, period=period) if period else sites
 
 
 def _load_settings(cls: type, path: str | None, what: str):
@@ -66,7 +62,7 @@ def _cmd_distance_map(args) -> None:
 
 def _cmd_rasterize_labels(args) -> None:
     grid = load_raster(args.grid)
-    sites = _load_sites(args.sites, args.period)
+    sites = read_sites_csv(args.sites, args.period)
     save_raster(rasterize_labels(grid, sites, args.radius), args.out)
 
 
@@ -84,7 +80,7 @@ def _parse_band_list(stack, spec: str) -> tuple[int, ...]:
 
 def _cmd_lamap(args) -> None:
     stack = load_raster(args.stack)
-    sites = _load_sites(args.sites, args.period)
+    sites = read_sites_csv(args.sites, args.period)
     bands = _parse_band_list(stack, args.bands) if args.bands else None
     cfg = LamapConfig(
         catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=bands
@@ -104,13 +100,8 @@ def _cmd_crf_refine(args) -> None:
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    logits = load_raster(args.logits)
-    # The stack is read for its features alone, and the features go once
-    # the weights exist (see crf_refine).
-    features = crf_features(logits, load_raster(args.guidance), cfg)
-    weights = crf_weights(features)
-    del features
-    save_raster(crf_refine(logits, weights, cfg), args.out)
+    refined = crf_from_stack(load_raster(args.logits), lambda: load_raster(args.guidance), cfg)
+    save_raster(refined, args.out)
 
 
 def _cmd_pseudolabel(args) -> None:
@@ -120,8 +111,10 @@ def _cmd_pseudolabel(args) -> None:
     masked, doc = pseudolabel_with_breakdown(
         pair, labels, cfg, args.seed, args.step, alpha=args.alpha
     )
-    save_raster(masked, args.out_raster)
-    write_json(args.out_json, doc)
+    # Both files or neither: a failed write leaves no file that looks good.
+    with commit_outputs() as outputs:
+        save_raster(masked, outputs.temp(args.out_raster))
+        outputs.temp(args.out_json).write_bytes(json_bytes(doc))
 
 
 def _cmd_split_folds(args) -> None:
@@ -163,7 +156,7 @@ def _cmd_stitch(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     surface = load_raster(args.pred)
-    sites = _load_sites(args.sites, args.period)
+    sites = read_sites_csv(args.sites, args.period)
     report = evaluate_surface(
         surface, sites, n_bins=args.bins, metadata={"period": args.period}
     )

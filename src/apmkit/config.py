@@ -34,6 +34,19 @@ _KINDS = {
 }
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses writes, for a mapping field of a frozen document
+    (``dataclasses.asdict`` cannot copy a ``MappingProxyType``)."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def read_json(path: str | os.PathLike, error: type[ToolkitError]):
     """The JSON value in the file at ``path``; ``error`` if it is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:

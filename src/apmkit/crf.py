@@ -965,10 +965,8 @@ def crf_refine(
     this runs all three; given :class:`CrfWeights`, the loop alone, and
     ``cfg`` must then be omitted or be the config they were built under,
     and logits on another frame (shape or geotransform) are a DataError.
-    A caller that runs the steps one by one can drop the stack once its
-    features exist, and the features once the weights do, so that neither
-    is held while the next is built or through the loop; the ``crf``
-    pipeline stage and ``apmkit crf-refine`` do.
+    ``pipeline.crf_from_stack`` runs the steps one by one, so that neither
+    the stack nor the features is held while the next is built.
     """
     if isinstance(guidance, CrfWeights):
         if cfg is not None and cfg is not guidance.cfg:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import build_config, read_json
+from .config import ReadOnlyDict, build_config, read_json
 from .errors import ConfigError, DataError, EmptyInputError
 from .raster.grid import RasterGrid, write_json
 from .raster.sites import SiteRecord
@@ -84,20 +84,24 @@ def site_strat_vector(
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """A site-to-fold mapping plus balance diagnostics."""
+    """A site-to-fold mapping plus balance diagnostics, read-only throughout."""
 
     k: int
     assignment: dict[str, int]
     strategy: str
     seed: int
     imbalance: float | None = None
-    fold_means: list[list[float]] | None = None
+    fold_means: tuple[tuple[float, ...], ...] | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for site_id, fold in self.assignment.items():
             if not 0 <= fold < self.k:
                 raise DataError(f"site '{site_id}' has fold {fold}, outside [0, {self.k})")
+        object.__setattr__(self, "assignment", ReadOnlyDict(self.assignment))
+        object.__setattr__(self, "metadata", ReadOnlyDict(self.metadata))
+        if self.fold_means is not None:
+            object.__setattr__(self, "fold_means", tuple(map(tuple, self.fold_means)))
 
     def fold_sizes(self) -> list[int]:
         sizes = [0] * self.k

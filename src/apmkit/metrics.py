@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import build_config
+from .config import ReadOnlyDict, build_config
 from .errors import ConfigError, DataError
 from .raster.grid import RasterGrid, atomic_write
 
@@ -477,6 +477,9 @@ class MetricsReport:
     baseline_name: str | None = None
     metadata: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "metadata", ReadOnlyDict(self.metadata))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -8,9 +8,9 @@ seed, so reruns with an identical config and seed produce byte-identical
 rasters and reports; the manifest is the only file allowed to differ
 (it records timings).
 
-On a stage failure the run aborts with the failing stage named, and that
-stage's partial outputs are moved under a ``failed/`` prefix so they are
-never mistaken for good artifacts.
+Each stage commits its artifacts together (:func:`commit_outputs`), so a
+failing stage leaves no file of its own, unless the process dies between
+two of the commit's renames; the run then aborts with the stage named.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import hashlib
 import json
 import logging
 import os
-import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,8 +50,9 @@ from .metrics import (
 from .pseudolabel import BranchPair, DplConfig, confident_pseudolabel, dpl_objective
 from .raster.distance import distance_map, load_targets
 from .raster.grid import (
+    Outputs,
     RasterGrid,
-    atomic_write,
+    commit_outputs,
     json_bytes,
     load_raster,
     save_raster,
@@ -64,7 +64,6 @@ from .raster.terrain import derive_terrain
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("features", "labels", "lamap", "crf", "pseudolabel", "evaluate")
 
 # Keys of the retired tiled CRF path; older configs still carry them.
 _RETIRED_KEYS = ("tile_size", "overlap", "threads")
@@ -121,45 +120,14 @@ class PipelineConfig:
         self._require_inputs()
 
     def _require_inputs(self) -> None:
-        def need(cond, msg: str) -> None:
-            if not cond:
-                raise ConfigError(msg)
-
-        inputs = self.inputs
-        if "features" in self.stages:
-            need(inputs.dem, "stage 'features' requires inputs.dem")
-        if "labels" in self.stages:
-            need(inputs.sites, "stage 'labels' requires inputs.sites")
-            need(
-                inputs.stack or "features" in self.stages,
-                "stage 'labels' requires inputs.stack or the features stage",
-            )
-        if "lamap" in self.stages:
-            need(inputs.sites, "stage 'lamap' requires inputs.sites")
-            need(
-                inputs.stack or "features" in self.stages,
-                "stage 'lamap' requires inputs.stack or the features stage",
-            )
-        if "crf" in self.stages:
-            need(
-                inputs.logits or inputs.branch1,
-                "stage 'crf' requires inputs.logits or inputs.branch1",
-            )
-            need(
-                inputs.stack or "features" in self.stages,
-                "stage 'crf' requires inputs.stack or the features stage",
-            )
-        if "pseudolabel" in self.stages:
-            need(
-                inputs.branch1 and inputs.branch2,
-                "stage 'pseudolabel' requires inputs.branch1 and inputs.branch2",
-            )
-        if "evaluate" in self.stages:
-            need(inputs.sites, "stage 'evaluate' requires inputs.sites")
-            need(
-                "lamap" in self.stages or "crf" in self.stages,
-                "stage 'evaluate' requires a surface stage (lamap or crf)",
-            )
+        present = {key for key, value in vars(self.inputs).items() if value}
+        present.update(self.stages)
+        for stage in STAGE_TABLE:
+            if stage.name not in self.stages:
+                continue
+            for says, any_of in stage.needs:
+                if not any(set(names.split()) <= present for names in any_of):
+                    raise ConfigError(f"stage '{stage.name}' requires {says}")
 
     @staticmethod
     def from_json(source: str | os.PathLike | dict) -> "PipelineConfig":
@@ -229,25 +197,13 @@ class _Run:
         self.labels: RasterGrid | None = None
         self.baseline: RasterGrid | None = None
         self.surface: RasterGrid | None = None
-        self.sites = read_sites_csv(cfg.inputs.sites) if cfg.inputs.sites else []
-        self.period_sites = (
-            filter_sites(self.sites, period=cfg.period) if cfg.period else self.sites
-        )
-        self.artifacts: dict[str, list[str]] = {}
+        sites = cfg.inputs.sites
+        self.period_sites = read_sites_csv(sites, cfg.period) if sites else []
+        self.outputs = Outputs()  # the running stage's
 
-    def path(self, stage: str, name: str) -> Path:
-        """The output path of ``name``, recorded as ``stage``'s before it
-        is written, so that a failed stage quarantines every file it wrote."""
-        path = self.out / name
-        self.artifacts.setdefault(stage, []).append(str(path))
-        return path
-
-    def write_raster(self, stage: str, name: str, grid: RasterGrid) -> None:
-        save_raster(grid, self.path(stage, name))
-
-    def write_bytes(self, stage: str, name: str, blob: bytes) -> None:
-        with atomic_write(self.path(stage, name)) as fh:
-            fh.write(blob)
+    def output(self, name: str) -> Path:
+        """Where to write artifact ``name``; the stage's commit moves it."""
+        return self.outputs.temp(self.out / name)
 
     def get_stack(self) -> RasterGrid:
         # The config requires inputs.stack wherever the features stage does
@@ -256,18 +212,21 @@ class _Run:
             self.stack = load_raster(self.cfg.inputs.stack)
         return self.stack
 
+    def take_stack(self) -> RasterGrid:
+        """The stack, let go of by the run: no stage after the crf reads it."""
+        stack, self.stack = self.get_stack(), None
+        return stack
+
 
 def _stage_features(run: _Run) -> None:
-    dem = load_raster(run.cfg.inputs.dem)
-    stack = build_feature_stack(dem, run.cfg.inputs.historical_targets)
-    run.stack = stack
-    run.write_raster("features", "stack.grid", stack)
+    inputs = run.cfg.inputs
+    run.stack = build_feature_stack(load_raster(inputs.dem), inputs.historical_targets)
+    save_raster(run.stack, run.output("stack.grid"))
 
 
 def _stage_labels(run: _Run) -> None:
-    labels = rasterize_labels(run.get_stack(), run.period_sites, run.cfg.label_radius)
-    run.labels = labels
-    run.write_raster("labels", "labels.grid", labels)
+    run.labels = rasterize_labels(run.get_stack(), run.period_sites, run.cfg.label_radius)
+    save_raster(run.labels, run.output("labels.grid"))
 
 
 def lamap_from_sites(stack: RasterGrid, sites, cfg: LamapConfig) -> RasterGrid:
@@ -287,19 +246,28 @@ def lamap_from_sites(stack: RasterGrid, sites, cfg: LamapConfig) -> RasterGrid:
 
 def _stage_lamap(run: _Run) -> None:
     surface = lamap_from_sites(run.get_stack(), run.period_sites, run.cfg.lamap)
-    run.baseline = surface
-    if run.surface is None:
-        run.surface = surface
-    run.write_raster("lamap", "lamap_surface.grid", surface)
+    run.baseline = run.surface = surface  # the crf stage, if it runs, replaces the surface
+    save_raster(surface, run.output("lamap_surface.grid"))
+
+
+def crf_from_stack(
+    logits: RasterGrid, stack: Callable[[], RasterGrid], cfg: CrfConfig
+) -> RasterGrid:
+    """CRF refinement of ``logits`` guided by the stack that ``stack()``
+    returns: the one body of the ``crf`` stage and of ``apmkit crf-refine``.
+    The stack goes once its features exist, and they go once the weights
+    do. ``stack`` loads rather than is the stack, as Python 3.10 holds a
+    call's arguments until it returns."""
+    weights = crf_weights(crf_features(logits, stack(), cfg))
+    return crf_refine(logits, weights, cfg)
 
 
 def _stage_crf(run: _Run) -> None:
-    cfg = run.cfg
-    stack = run.get_stack()
-    if cfg.inputs.logits:
-        logits = load_raster(cfg.inputs.logits)
+    inputs = run.cfg.inputs
+    if inputs.logits:
+        logits = load_raster(inputs.logits)
     else:
-        branch = load_raster(cfg.inputs.branch1)
+        branch = load_raster(inputs.branch1)
         p = np.clip(branch.band(0).astype(np.float64), 1e-7, 1.0 - 1e-7)
         logits = RasterGrid(
             np.log(p / (1.0 - p)).astype(np.float32)[None, :, :],
@@ -309,16 +277,8 @@ def _stage_crf(run: _Run) -> None:
             {"source": "branch1_logit_transform"},
         )
         del branch, p  # the refinement reads only the logits
-    features = crf_features(logits, stack, cfg.crf)
-    # No later stage reads the stack, and the refinement needs only its
-    # features and then only its weights: each goes before the next is built.
-    del stack
-    run.stack = None
-    weights = crf_weights(features)
-    del features
-    refined_grid = crf_refine(logits, weights, cfg.crf)
-    run.surface = refined_grid
-    run.write_raster("crf", "refined_surface.grid", refined_grid)
+    run.surface = crf_from_stack(logits, run.take_stack, run.cfg.crf)
+    save_raster(run.surface, run.output("refined_surface.grid"))
 
 
 def pseudolabel_with_breakdown(
@@ -348,8 +308,8 @@ def _stage_pseudolabel(run: _Run) -> None:
     cfg = run.cfg
     pair = BranchPair(load_raster(cfg.inputs.branch1), load_raster(cfg.inputs.branch2))
     masked, doc = pseudolabel_with_breakdown(pair, run.labels, cfg.dpl, cfg.seed, cfg.step)
-    run.write_raster("pseudolabel", "pseudolabel.grid", masked)
-    run.write_bytes("pseudolabel", "loss_breakdown.json", json_bytes(doc))
+    save_raster(masked, run.output("pseudolabel.grid"))
+    run.output("loss_breakdown.json").write_bytes(json_bytes(doc))
 
 
 def sample_surface_sites(
@@ -479,60 +439,82 @@ def _stage_evaluate(run: _Run) -> None:
                     logger.warning("baseline radar area is zero; volume gain omitted")
         if not surface.same_frame(baseline):
             raise DataError("surface and baseline are on different frames")
-        run.write_raster("evaluate", "surface.grid", surface)
+        save_raster(surface, run.output("surface.grid"))
         # The CSV is the only artifact that carries the smoothed density curve.
-        write_density_csv(run.path("evaluate", "surface_density.csv"), surface_density(surface))
+        write_density_csv(run.output("surface_density.csv"), surface_density(surface))
         diff = surface.band(0).astype(np.float64) - baseline.band(0).astype(np.float64)
-        run.write_raster("evaluate", "surface_difference.grid", RasterGrid(
+        save_raster(RasterGrid(
             diff.astype(np.float32)[None, :, :],
             surface.geotransform,
             surface.nodata_mask | baseline.nodata_mask,
             ("difference",),
             {"difference": "surface_minus_baseline"},
-        ))
-    run.write_bytes("evaluate", "report.json", json_bytes(report.to_dict()))
+        ), run.output("surface_difference.grid"))
+    run.output("report.json").write_bytes(json_bytes(report.to_dict()))
 
 
-_STAGE_FUNCS = {
-    "features": _stage_features,
-    "labels": _stage_labels,
-    "lamap": _stage_lamap,
-    "crf": _stage_crf,
-    "pseudolabel": _stage_pseudolabel,
-    "evaluate": _stage_evaluate,
-}
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage: its needs, the artifacts it may write and its body.
+    A need is (what the error calls it, alternatives): met when every name
+    of one alternative is an ``inputs`` key the config sets or a stage it
+    runs."""
+
+    name: str
+    needs: tuple[tuple[str, tuple[str, ...]], ...]
+    outputs: tuple[str, ...]
+    body: Callable[[_Run], None]
+
+
+_SITES = ("inputs.sites", ("sites",))
+_STACK = ("inputs.stack or the features stage", ("stack", "features"))
+# In run order.
+STAGE_TABLE = (
+    Stage("features", (("inputs.dem", ("dem",)),), ("stack.grid",), _stage_features),
+    Stage("labels", (_SITES, _STACK), ("labels.grid",), _stage_labels),
+    Stage("lamap", (_SITES, _STACK), ("lamap_surface.grid",), _stage_lamap),
+    Stage("crf", (("inputs.logits or inputs.branch1", ("logits", "branch1")), _STACK),
+          ("refined_surface.grid",), _stage_crf),
+    Stage("pseudolabel", (("inputs.branch1 and inputs.branch2", ("branch1 branch2",)),),
+          ("pseudolabel.grid", "loss_breakdown.json"), _stage_pseudolabel),
+    Stage("evaluate", (_SITES, ("a surface stage (lamap or crf)", ("lamap", "crf"))),
+          ("surface.grid", "surface_density.csv", "surface_difference.grid", "report.json"),
+          _stage_evaluate),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+# run_pipeline calls each body through this dict, so that a caller may wrap one.
+_STAGE_FUNCS = {stage.name: stage.body for stage in STAGE_TABLE}
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the configured stages and write the run manifest.
+
+    Each stage commits its artifacts together, listed in write order.
 
     Returns the manifest dict (also written to ``manifest.json``).
 
     Raises:
         ToolkitError: re-raised from the failing stage, which is named in
             the message, as a DataError where the stage's error was an
-            OSError; the stage's partial outputs move under ``failed/``.
+            OSError. The stage leaves no file of its own, and no manifest
+            is written.
     """
     run = _Run(cfg)
     manifest_stages = []
     for stage in cfg.stages:
         start = time.perf_counter()
         try:
-            _STAGE_FUNCS[stage](run)
+            with commit_outputs() as run.outputs:
+                _STAGE_FUNCS[stage](run)
         except Exception as exc:
-            _quarantine_outputs(run, stage)
             if isinstance(exc, ToolkitError):
                 raise type(exc)(f"stage '{stage}' failed: {exc}") from exc
             # A missing or unreadable file is a data error, as in every subcommand.
             kind = DataError if isinstance(exc, OSError) else ToolkitError
             raise kind(f"stage '{stage}' failed: {exc}") from exc
-        manifest_stages.append(
-            {
-                "name": stage,
-                "wall_time_s": time.perf_counter() - start,
-                "artifacts": run.artifacts.get(stage, []),
-            }
-        )
+        wall_time_s = time.perf_counter() - start
+        artifacts = [str(path) for path in run.outputs]
+        manifest_stages.append({"name": stage, "wall_time_s": wall_time_s, "artifacts": artifacts})
     manifest = {
         "toolkit_version": __version__,
         "config_hash": cfg.config_hash(),
@@ -541,17 +523,3 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     }
     write_json(run.out / "manifest.json", manifest)
     return manifest
-
-
-def _quarantine_outputs(run: _Run, stage: str) -> None:
-    """Move the failing stage's partial outputs under ``failed/``."""
-    paths = run.artifacts.get(stage, [])
-    if not paths:
-        return
-    failed_dir = run.out / "failed"
-    failed_dir.mkdir(exist_ok=True)
-    for p in paths:
-        src = Path(p)
-        if src.exists():
-            shutil.move(str(src), str(failed_dir / src.name))
-    run.artifacts[stage] = [str(failed_dir / Path(p).name) for p in paths]

@@ -202,24 +202,43 @@ class RasterGrid:
 # --- binary container ----------------------------------------------------
 
 
+class Outputs(dict):
+    """The temp path of each target of a :func:`commit_outputs` block."""
+
+    def temp(self, path: str | os.PathLike) -> Path:
+        """The temp path to write ``path`` at; the commit moves it there."""
+        target = Path(path)
+        self[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        return self[target]
+
+
+@contextmanager
+def commit_outputs() -> Iterator[Outputs]:
+    """Write several files that appear together or not at all.
+
+    Each file is written at ``outputs.temp(path)``, beside its target. If
+    the block exits cleanly every temp replaces its target (:func:`os.replace`,
+    in write order); if it raises, every temp is removed. A crash between
+    two renames still leaves the earlier files moved and the later not.
+    """
+    outputs = Outputs()
+    try:
+        yield outputs
+        for target, temp in outputs.items():
+            os.replace(temp, target)
+    except BaseException:
+        for temp in outputs.values():
+            temp.unlink(missing_ok=True)
+        raise
+
+
 @contextmanager
 def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
-    """Open a binary file that appears at ``path`` only once fully written.
-
-    Bytes go to a temp file in the target's directory, which replaces
-    ``path`` with :func:`os.replace` when the block exits cleanly. If the
-    block raises, the temp file is removed and ``path`` keeps whatever it
-    held before (or stays absent).
-    """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Open a binary file that appears at ``path`` only once fully written,
+    as a :func:`commit_outputs` block of one file: if the block raises,
+    ``path`` keeps whatever it held before (or stays absent)."""
+    with commit_outputs() as outputs, open(outputs.temp(path), "wb") as fh:
+        yield fh
 
 
 def json_bytes(doc) -> bytes:

@@ -59,8 +59,9 @@ class SiteRecord:
             raise DataError(f"site '{self.site_id}': negative find_count")
 
 
-def read_sites_csv(path: str | os.PathLike) -> list[SiteRecord]:
-    """Read site records, validating schema and field values.
+def read_sites_csv(path: str | os.PathLike, period: str | None = None) -> list[SiteRecord]:
+    """Read site records, validating schema and field values; with a
+    ``period``, keep only that period's.
 
     Raises:
         DataError: on a wrong header, duplicate ids, or malformed rows.
@@ -84,13 +85,13 @@ def read_sites_csv(path: str | os.PathLike) -> list[SiteRecord]:
                 raise DataError(
                     f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                 )
-            site_id, x, y, period, polarity, find_count = (c.strip() for c in row)
+            site_id, x, y, row_period, polarity, find_count = (c.strip() for c in row)
             try:
                 record = SiteRecord(
                     site_id=site_id,
                     x=float(x),
                     y=float(y),
-                    period=period,
+                    period=row_period,
                     polarity=polarity,
                     find_count=int(find_count) if find_count else None,
                 )
@@ -102,7 +103,7 @@ def read_sites_csv(path: str | os.PathLike) -> list[SiteRecord]:
                 raise DataError(f"{path}:{lineno}: duplicate site_id '{record.site_id}'")
             seen.add(record.site_id)
             sites.append(record)
-    return sites
+    return filter_sites(sites, period=period) if period else sites
 
 
 def write_sites_csv(path: str | os.PathLike, sites: list[SiteRecord]) -> None:

@@ -672,6 +672,20 @@ class TestRunAndErrors:
         assert key in err and "Traceback" not in err
         assert not list(tmp_path.glob("p.*"))
 
+    def test_pseudolabel_failed_json_write_leaves_no_raster(self, tmp_path, capsys):
+        # The JSON's directory is missing: the raster, written first, goes too.
+        for name, value in (("b1.grid", 0.2), ("b2.grid", 0.3)):
+            save_raster(RasterGrid.from_array(np.full((4, 4), value, np.float32)), tmp_path / name)
+        code = main([
+            "pseudolabel", "--branch1", str(tmp_path / "b1.grid"),
+            "--branch2", str(tmp_path / "b2.grid"), "--alpha", "0.5",
+            "--out-raster", str(tmp_path / "out.grid"),
+            "--out-json", str(tmp_path / "missing" / "out.json"),
+        ])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["b1.grid", "b2.grid"]
+
     def test_run_config_with_dpl_rng_seed_is_config_error(self, ws, capsys):
         cfg_path = ws / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -4,6 +4,7 @@ the toolkit reads through them."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -287,6 +288,48 @@ class TestFrozenConfigs:
         with pytest.raises(FrozenInstanceError):
             delattr(cfg, name)
 
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda d: d.__setitem__("a", 5),
+            lambda d: d.__delitem__("a"),
+            lambda d: d.update(a=5),
+            lambda d: d.setdefault("z", 5),
+            lambda d: d.pop("a"),
+            lambda d: d.popitem(),
+            lambda d: d.clear(),
+            lambda d: d.__ior__({"a": 5}),
+        ],
+        ids=["set", "del", "update", "setdefault", "pop", "popitem", "clear", "ior"],
+    )
+    @pytest.mark.parametrize(
+        "doc,name",
+        [
+            (FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0), "assignment"),
+            (FoldAssignment(2, {"a": 0}, "manual", 0, metadata={"a": 1}), "metadata"),
+            (MetricsReport(Metrics(auroc=0.7), metadata={"a": "crf"}), "metadata"),
+        ],
+        ids=["folds-assignment", "folds-metadata", "report-metadata"],
+    )
+    def test_mapping_write_is_refused(self, doc, name, write):
+        before = doc.to_dict()
+        with pytest.raises(TypeError, match="read-only"):
+            write(getattr(doc, name))
+        assert doc.to_dict() == before
+
+    def test_fold_means_are_tuples(self):
+        fa = FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0, fold_means=[[1.0], [2.0]])
+        assert fa.fold_means == ((1.0,), (2.0,))
+        with pytest.raises(AttributeError):
+            fa.fold_means[0].append(3.0)
+
+    def test_read_only_documents_copy_and_rebuild(self):
+        fa = FoldAssignment(2, {"a": 0, "b": 1}, "manual", 0, metadata={"m": 1})
+        assert copy.deepcopy(fa) == fa
+        assert dataclasses.replace(fa, seed=1).assignment == {"a": 0, "b": 1}
+        report = MetricsReport(Metrics(auroc=0.7), metadata={"surface": "crf"})
+        assert MetricsReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 def _write_each_document(out) -> None:
     mask = np.array([[False, True], [False, False]])

@@ -118,19 +118,70 @@ class TestConfig:
                 {"output_dir": "x", "stages": ["features"], "inputs": {"dsm": "d"}}
             )
 
+    # Every requirement of every stage, by its full message. Each id names
+    # the case's place in the list and the input or stage it leaves out.
     @pytest.mark.parametrize(
-        "stages,inputs,missing",
+        "stages,inputs,message",
         [
-            (["features"], {}, "dem"),
-            (["labels"], {}, "sites"),
-            (["lamap"], {"sites": "s"}, "stack"),
-            (["crf"], {"stack": "f"}, "logits"),
-            (["pseudolabel"], {"branch1": "b1"}, "branch2"),
-            (["lamap", "evaluate"], {"stack": "f"}, "sites"),
+            pytest.param(
+                ["features"], {},
+                "stage 'features' requires inputs.dem",
+                id="stages0-inputs0-dem",
+            ),
+            pytest.param(
+                ["labels"], {},
+                "stage 'labels' requires inputs.sites",
+                id="stages1-inputs1-sites",
+            ),
+            pytest.param(
+                ["lamap"], {"sites": "s"},
+                "stage 'lamap' requires inputs.stack or the features stage",
+                id="stages2-inputs2-stack",
+            ),
+            pytest.param(
+                ["crf"], {"stack": "f"},
+                "stage 'crf' requires inputs.logits or inputs.branch1",
+                id="stages3-inputs3-logits",
+            ),
+            pytest.param(
+                ["pseudolabel"], {"branch1": "b1"},
+                "stage 'pseudolabel' requires inputs.branch1 and inputs.branch2",
+                id="stages4-inputs4-branch2",
+            ),
+            pytest.param(
+                ["lamap", "evaluate"], {"stack": "f"},
+                "stage 'lamap' requires inputs.sites",
+                id="stages5-inputs5-sites",
+            ),
+            pytest.param(
+                ["labels"], {"sites": "s"},
+                "stage 'labels' requires inputs.stack or the features stage",
+                id="stages6-inputs6-stack",
+            ),
+            pytest.param(
+                ["crf"], {"branch1": "b1"},
+                "stage 'crf' requires inputs.stack or the features stage",
+                id="stages7-inputs7-stack",
+            ),
+            pytest.param(
+                ["pseudolabel"], {"branch2": "b2"},
+                "stage 'pseudolabel' requires inputs.branch1 and inputs.branch2",
+                id="stages8-inputs8-branch1",
+            ),
+            pytest.param(
+                ["crf", "evaluate"], {"stack": "f", "logits": "l"},
+                "stage 'evaluate' requires inputs.sites",
+                id="stages9-inputs9-sites",
+            ),
+            pytest.param(
+                ["evaluate"], {"sites": "s"},
+                "stage 'evaluate' requires a surface stage (lamap or crf)",
+                id="stages10-inputs10-surface",
+            ),
         ],
     )
-    def test_missing_stage_inputs(self, stages, inputs, missing):
-        with pytest.raises(ConfigError, match=missing):
+    def test_missing_stage_inputs(self, stages, inputs, message):
+        with pytest.raises(ConfigError, match=f"^bad config value: {re.escape(message)}$"):
             PipelineConfig.from_json(
                 {"output_dir": "x", "stages": stages, "inputs": inputs}
             )
@@ -416,22 +467,25 @@ class TestSurfaceProducts:
         assert not names & set(EVALUATE_FILES)
 
     def test_failed_write_quarantines_every_evaluate_file(self, workspace, monkeypatch):
+        # The third write of the stage fails: the two files written before
+        # it go with it, and no temp file is left.
         save = pipeline_module.save_raster
+        written = []
 
         def failing(grid, path):
-            if Path(path).name == "surface_difference.grid":
+            written.append(Path(path).name)
+            if "surface_difference.grid" in Path(path).name:
                 raise OSError("No space left on device")
             save(grid, path)
 
         monkeypatch.setattr(pipeline_module, "save_raster", failing)
         with pytest.raises(DataError, match="stage 'evaluate' failed: No space left"):
             evaluate_run(workspace, ["derive-features", "lamap", "crf", "evaluate"])
+        assert any("surface.grid" in name for name in written)
         out = workspace / "out"
-        assert sorted(p.name for p in (out / "failed").iterdir()) == [
-            "surface.grid", "surface_density.csv",
+        assert sorted(p.name for p in out.rglob("*")) == [
+            "lamap_surface.grid", "refined_surface.grid", "stack.grid",
         ]
-        assert not {p.name for p in out.iterdir()} & set(EVALUATE_FILES)
-        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestRun:
@@ -607,12 +661,13 @@ class TestRun:
         monkeypatch.setattr(pipeline_module, "json_bytes", boom)
         with pytest.raises(ToolkitError, match="stage 'pseudolabel' failed"):
             run_pipeline(cfg)
+        # The stage's raster was written before its JSON failed; neither is
+        # left, nor a temp file. Earlier stages keep their artifacts, and
+        # no manifest is written.
         out = workspace / "broken"
-        assert (out / "failed" / "pseudolabel.grid").exists()
-        assert not (out / "pseudolabel.grid").exists()
-        # Earlier stages keep their artifacts in place.
-        assert (out / "lamap_surface.grid").exists()
-        assert not (out / "manifest.json").exists()
+        assert sorted(p.name for p in out.rglob("*")) == [
+            "labels.grid", "lamap_surface.grid", "refined_surface.grid", "stack.grid",
+        ]
 
     def test_failed_json_write_leaves_no_partial_file(self, workspace, monkeypatch):
         import apmkit.pipeline as pipeline_module
@@ -626,6 +681,34 @@ class TestRun:
         assert not (out / "loss_breakdown.json").exists()
         assert not (out / "failed" / "loss_breakdown.json").exists()
         assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_each_stage_writes_the_artifacts_it_declares(self, workspace):
+        manifest = run_pipeline(PipelineConfig.from_json(full_config(workspace)))
+        declared = {stage.name: list(stage.outputs) for stage in pipeline_module.STAGE_TABLE}
+        written = {s["name"]: [Path(p).name for p in s["artifacts"]] for s in manifest["stages"]}
+        assert written == declared
+        names = sorted(p.name for p in (workspace / "out").iterdir())
+        assert names == sorted(["manifest.json", *(n for ns in declared.values() for n in ns)])
+
+    @pytest.mark.parametrize("stage", list(pipeline_module.STAGES))
+    def test_failed_write_in_any_stage_leaves_no_file_of_it(self, workspace, monkeypatch, stage):
+        # The stage's last raster write leaves a partial file and fails.
+        table = {s.name: s for s in pipeline_module.STAGE_TABLE}
+        last = [n for n in table[stage].outputs if n.endswith(".grid")][-1]
+        save = pipeline_module.save_raster
+
+        def failing(grid, path):
+            if last in Path(path).name:
+                Path(path).write_bytes(b"partial")
+                raise OSError("No space left on device")
+            save(grid, path)
+
+        monkeypatch.setattr(pipeline_module, "save_raster", failing)
+        with pytest.raises(DataError, match=f"stage '{stage}' failed: No space left"):
+            run_pipeline(PipelineConfig.from_json(full_config(workspace)))
+        earlier = pipeline_module.STAGES[: pipeline_module.STAGES.index(stage)]
+        kept = sorted(n for s in earlier for n in table[s].outputs)
+        assert sorted(p.name for p in (workspace / "out").rglob("*")) == kept
 
     def test_crf_stage_off_the_stack_frame_is_data_error(self, workspace, capsys):
         dem = load_raster(workspace / "dem.grid")

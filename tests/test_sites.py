@@ -45,6 +45,9 @@ def test_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == ",".join(CSV_HEADER)
     back = read_sites_csv(path)
     assert back == sites
+    # Only the period asked for, whatever the last row's period.
+    assert read_sites_csv(path, "Roman Imperial") == sites[:1]
+    assert read_sites_csv(path, "Byzantine") == []
 
 
 @pytest.mark.parametrize("previous", [False, True])
