@@ -16,7 +16,7 @@ import logging
 import sys
 
 from .config import build_config, read_json
-from .crf import CrfConfig
+from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .folds import site_strat_vector, stratified_kfold, uniform_kfold
 from .lamap import DEFAULT_CATCHMENT_RADIUS, DEFAULT_KERNEL_BANDWIDTH, LamapConfig
@@ -24,7 +24,6 @@ from .metrics import MetricsReport, volume_gain
 from .pipeline import (
     PipelineConfig,
     build_feature_stack,
-    crf_from_stack,
     evaluate_surface,
     lamap_from_sites,
     pseudolabel_with_breakdown,
@@ -100,7 +99,7 @@ def _cmd_crf_refine(args) -> None:
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    refined = crf_from_stack(load_raster(args.logits), lambda: load_raster(args.guidance), cfg)
+    refined = crf_refine(load_raster(args.logits), lambda: load_raster(args.guidance), cfg)
     save_raster(refined, args.out)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,8 +179,8 @@ def _add_band(
     buf: np.ndarray,
 ) -> None:
     """Both directions of every pair in ``pairs`` over ``acc[start:stop]``
-    (see :func:`_add_pairs`), reading flat value j of the source at
-    ``src[j - base]``."""
+    (see :func:`_add_pairs_in_place`), reading flat value j of the source
+    at ``src[j - base]``."""
     n = acc.size
     for shift, weight in pairs:
         per_pixel = isinstance(weight, np.ndarray)
@@ -204,42 +204,29 @@ def _add_band(
             acc[begin:stop] += prod
 
 
-def _add_pairs(
-    acc: np.ndarray,
-    src: np.ndarray,
-    pairs: Sequence[tuple[int, float | np.ndarray]],
-    buf: np.ndarray,
-) -> None:
-    """Both directions of every flat offset in ``pairs``, in place on ``acc``.
-
-    For each ``(shift, weight)`` in list order, ``acc[p] += weight[p] *
-    src[p + shift]`` for every p with p + shift inside the buffer, then
-    ``acc[p] += weight[p - shift] * src[p - shift]`` for every p >= shift;
-    ``weight`` is a scalar or holds ``acc.size - shift`` values. ``buf``
-    is scratch space of at least ``min(acc.size, _BAND)`` values, and
-    ``src`` must not alias ``acc``. ``acc`` is cut into ceil(n / _BAND)
-    bands of equal length, and every pair runs over one band before any
-    runs over the next, so that band of the accumulator stays in cache.
-    Within a band each pair keeps its order, and the pairs keep theirs, so
-    every value receives the same additions in the same order as in one
-    pass per pair over the whole buffer: the result is exact.
-    """
-    n = acc.size
-    step = _band_step(n)
-    for start in range(0, n, step):
-        _add_band(acc, src, 0, start, min(start + step, n), pairs, buf)
-
-
 def _add_pairs_in_place(
     acc: np.ndarray,
     pairs: Sequence[tuple[int, float | np.ndarray]],
     buf: np.ndarray,
     zeroed: bool = False,
 ) -> None:
-    """``_add_pairs(acc, acc.copy(), pairs, buf)`` bit for bit, with no
-    copy of ``acc``; with ``zeroed``, ``_add_pairs(np.zeros_like(acc),
-    acc.copy(), pairs, buf)``, so ``acc`` ends up holding the pairs' sum
-    alone.
+    """Both directions of every flat offset in ``pairs``, in place on
+    ``acc``, each reading the values ``acc`` held before any was added.
+
+    With ``src`` those values, for each ``(shift, weight)`` in list order,
+    ``acc[p] += weight[p] * src[p + shift]`` for every p with p + shift
+    inside the buffer, then ``acc[p] += weight[p - shift] * src[p -
+    shift]`` for every p >= shift; ``weight`` is a scalar or holds
+    ``acc.size - shift`` values. With ``zeroed``, ``acc`` starts from
+    zero, so it ends up holding the pairs' sum alone. ``buf`` is scratch
+    space of at least ``min(acc.size, _BAND)`` values.
+
+    ``acc`` is cut into ceil(n / _BAND) bands of equal length, and every
+    pair runs over one band before any runs over the next, so that band of
+    the accumulator stays in cache. Within a band each pair keeps its
+    order, and the pairs keep theirs, so every value receives the same
+    additions in the same order as in one pass per pair over the whole
+    buffer: the result is exact.
 
     A band's pairs read the source up to the largest shift beyond either
     end of the band, where the band before has already written ``acc``
@@ -428,15 +415,6 @@ def _upsample_bands(arr: np.ndarray, factor: int, h: int, w: int):
         band = buf[..., : len(lo), :]
         _interpolate(src, band, (lo - top, hi - top, frac, inner), factor, -2)
         yield start, band
-
-
-def _bilinear_upsample(arr: np.ndarray, factor: int, h: int, w: int) -> np.ndarray:
-    """Upsample (..., hc, wc) to (..., h, w), aligning block centers:
-    columns first, then rows (:func:`_upsample_bands`)."""
-    out = np.empty((*arr.shape[:-2], h, w))
-    for start, band in _upsample_bands(arr, factor, h, w):
-        out[..., start : start + band.shape[-2], :] = band
-    return out
 
 
 @dataclass(frozen=True)
@@ -876,53 +854,31 @@ def refine_values(
     return q1
 
 
-@dataclass(frozen=True)
-class CrfFeatures:
-    """All that a refinement reads of its guidance stack, built by
-    :func:`crf_features` under ``cfg``, with no reference to the stack:
-    the (H, W) pixels ``valid`` in both the logits and the guidance (the
-    others stay masked), the ``geotransform`` they share, the guidance
-    ``channels`` that feed the bilateral kernel, and its ``features``,
-    None when that kernel is off.
-    """
+def crf_refine(
+    logits: RasterGrid, stack: Callable[[], RasterGrid], cfg: CrfConfig | None = None
+) -> RasterGrid:
+    """Refine a one-band (class-1 logit) or two-band (per-class) logit
+    raster against the guidance stack that ``stack()`` returns, on the
+    same frame; returns a single-band float32 probability raster in
+    [0, 1]. Pixels masked in either raster are carried through unrefined
+    and stay masked. ``cfg`` defaults to ``CrfConfig()``.
 
-    cfg: CrfConfig
-    valid: np.ndarray
-    geotransform: tuple[float, float, float, float]
-    channels: int
-    features: _Features | None
+    The bilateral features are built from the first
+    ``cfg.feature_channels`` guidance bands (all when the stack is
+    narrower), read only at valid pixels, one band at a time, in the dtype
+    they are stored in. The stack goes once its features exist, and they
+    go once the weights do, so neither is held while the next is built or
+    through the loop. ``stack`` loads rather than is the stack, as Python
+    3.10 holds a call's arguments until it returns.
 
-
-@dataclass(frozen=True)
-class CrfWeights:
-    """A refinement's bilateral ``weights`` (None when that kernel is
-    off), built by :func:`crf_weights` under ``cfg`` from the features of
-    ``channels`` guidance bands, and the (H, W) pixels ``valid`` to refine
-    on the frame of ``geotransform``.
-    """
-
-    cfg: CrfConfig
-    valid: np.ndarray
-    geotransform: tuple[float, float, float, float]
-    channels: int
-    weights: BilateralWeights | None
-
-
-def crf_features(
-    logits: RasterGrid, guidance: RasterGrid, cfg: CrfConfig | None = None
-) -> CrfFeatures:
-    """The first step of :func:`crf_refine`, the only one that reads the
-    guidance stack: check the rasters, take the pixels valid in both, and
-    build the bilateral features of the first ``cfg.feature_channels``
-    guidance bands (all bands when the stack is narrower).
-
-    ``cfg`` defaults to ``CrfConfig()``. The stack is read only at valid
-    pixels, one band at a time, in the dtype it is stored in. Logits of
-    neither 1 nor 2 bands, and rasters that differ in shape or
-    geotransform, are a DataError; a weight cache larger than physical
-    memory is refused here, before any feature is built.
+    Raises:
+        DataError: logits of neither 1 nor 2 bands, or rasters that differ
+            in shape or geotransform.
+        DimensionError: a weight cache larger than physical memory, before
+            any feature is built.
     """
     cfg = cfg or CrfConfig()
+    guidance = stack()
     if logits.bands not in (1, 2):
         raise DataError(f"logit raster must have 1 or 2 bands, got {logits.bands}")
     if not logits.same_frame(guidance):
@@ -931,65 +887,22 @@ def crf_features(
             f"({guidance.shape}, geotransform {guidance.geotransform}) are on different frames"
         )
     valid = ~(logits.nodata_mask | guidance.nodata_mask)
-    k = min(cfg.feature_channels, guidance.bands)
+    channels = min(cfg.feature_channels, guidance.bands)
     features = None
     if cfg.pairwise_weights[1] > 0:
-        features = _bilateral_features(guidance.data[:k], cfg, valid)
-    return CrfFeatures(cfg, valid, logits.geotransform, k, features)
-
-
-def crf_weights(features: CrfFeatures) -> CrfWeights:
-    """The second step of :func:`crf_refine`: the bilateral weight cache
-    of ``features``, which the weights make redundant."""
-    weights = None
-    if features.features is not None:
-        weights = _weights(features.features, features.cfg.beta)
-    return CrfWeights(
-        features.cfg, features.valid, features.geotransform, features.channels, weights
-    )
-
-
-def crf_refine(
-    logits: RasterGrid,
-    guidance: RasterGrid | CrfWeights,
-    cfg: CrfConfig | None = None,
-) -> RasterGrid:
-    """Refine a one-band (class-1 logit) or two-band (per-class) logit
-    raster against a guidance stack on the same frame; returns a
-    single-band float32 probability raster in [0, 1]. Masked pixels are
-    carried through unrefined and stay masked.
-
-    A refinement runs in three steps: :func:`crf_features` reads the
-    stack, :func:`crf_weights` builds the bilateral weights from its
-    features, and the mean-field loop runs on the weights. Given a stack,
-    this runs all three; given :class:`CrfWeights`, the loop alone, and
-    ``cfg`` must then be omitted or be the config they were built under,
-    and logits on another frame (shape or geotransform) are a DataError.
-    ``pipeline.crf_from_stack`` runs the steps one by one, so that neither
-    the stack nor the features is held while the next is built.
-    """
-    if isinstance(guidance, CrfWeights):
-        if cfg is not None and cfg is not guidance.cfg:
-            raise ConfigError("crf_refine: cfg is not the config the weights were built under")
-        frame = (logits.shape, logits.geotransform)
-        if (guidance.valid.shape, guidance.geotransform) != frame:
-            raise DataError(
-                f"logits ({logits.shape}, geotransform {logits.geotransform}) and weights "
-                f"({guidance.valid.shape}, geotransform {guidance.geotransform}) are on "
-                "different frames"
-            )
-    else:
-        guidance = crf_weights(crf_features(logits, guidance, cfg))
-    cfg, valid = guidance.cfg, guidance.valid
+        features = _bilateral_features(guidance.data[:channels], cfg, valid)
+    del guidance  # the features hold all the weights read of it
+    weights = None if features is None else _weights(features, cfg.beta)
+    del features  # the weights hold all the loop reads of them
     # The loop reads the logits as they are stored and zeroes its field at
     # masked pixels.
     prob = refine_values(logits.data[0] if logits.bands == 1 else logits.data,
-                         None, cfg, valid, weights=guidance.weights)
+                         None, cfg, valid, weights=weights)
     meta = {
         "refinement": "mean_field_dense_crf",
         "beta": cfg.beta,
         "sigma": cfg.sigma,
-        "feature_channels": int(guidance.channels),
+        "feature_channels": channels,
         "compression": cfg.compression if cfg.compress_guidance else None,
         "temperature": cfg.temperature,
         "iterations": cfg.iterations,

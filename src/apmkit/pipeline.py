@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from ._rng import module_rng
 from .config import build_config, read_json
-from .crf import CrfConfig, crf_features, crf_refine, crf_weights
+from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
 from .metrics import (
@@ -250,18 +250,6 @@ def _stage_lamap(run: _Run) -> None:
     save_raster(surface, run.output("lamap_surface.grid"))
 
 
-def crf_from_stack(
-    logits: RasterGrid, stack: Callable[[], RasterGrid], cfg: CrfConfig
-) -> RasterGrid:
-    """CRF refinement of ``logits`` guided by the stack that ``stack()``
-    returns: the one body of the ``crf`` stage and of ``apmkit crf-refine``.
-    The stack goes once its features exist, and they go once the weights
-    do. ``stack`` loads rather than is the stack, as Python 3.10 holds a
-    call's arguments until it returns."""
-    weights = crf_weights(crf_features(logits, stack(), cfg))
-    return crf_refine(logits, weights, cfg)
-
-
 def _stage_crf(run: _Run) -> None:
     inputs = run.cfg.inputs
     if inputs.logits:
@@ -277,7 +265,7 @@ def _stage_crf(run: _Run) -> None:
             {"source": "branch1_logit_transform"},
         )
         del branch, p  # the refinement reads only the logits
-    run.surface = crf_from_stack(logits, run.take_stack, run.cfg.crf)
+    run.surface = crf_refine(logits, run.take_stack, run.cfg.crf)
     save_raster(run.surface, run.output("refined_surface.grid"))
 
 

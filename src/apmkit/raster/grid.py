@@ -23,7 +23,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from ..config import build_config
+from ..config import ReadOnlyDict, build_config
 from ..errors import DataError, DimensionError, EmptyInputError
 
 _MAGIC = b"APMG"
@@ -42,6 +42,12 @@ class RasterGrid:
         nodata_mask: Boolean array ``(height, width)``; True marks nodata.
         band_names: One name per band.
         meta: Free-form JSON-serialisable metadata.
+
+    ``data`` and ``nodata_mask`` are read-only views and ``meta`` a
+    :class:`~apmkit.config.ReadOnlyDict`, so no write through the grid,
+    a copy of it or an unpickled one can break the NaN-on-the-mask rule.
+    The arrays given are viewed, not copied, and stay writable to their
+    owner.
     """
 
     data: np.ndarray
@@ -84,11 +90,16 @@ class RasterGrid:
         # Masked samples hold NaN, so every sample is finite exactly off the mask.
         if not np.not_equal(np.isfinite(data, out=flags), mask, out=flags).all():
             raise DataError("non-finite values outside the nodata mask")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _read_only(data))
         object.__setattr__(self, "geotransform", gt)
-        object.__setattr__(self, "nodata_mask", mask)
+        object.__setattr__(self, "nodata_mask", _read_only(mask))
         object.__setattr__(self, "band_names", names)
-        object.__setattr__(self, "meta", dict(self.meta))
+        object.__setattr__(self, "meta", ReadOnlyDict(self.meta))
+
+    def __reduce__(self):
+        # Rebuilt through __post_init__, so a copy's arrays are read-only too.
+        return RasterGrid, (self.data, self.geotransform, self.nodata_mask, self.band_names,
+                            self.meta)
 
     # --- construction -------------------------------------------------
 
@@ -199,6 +210,13 @@ class RasterGrid:
         return self.shape == other.shape and self.geotransform == other.geotransform
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``, which itself stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 # --- binary container ----------------------------------------------------
 
 
@@ -220,15 +238,22 @@ def commit_outputs() -> Iterator[Outputs]:
     the block exits cleanly every temp replaces its target (:func:`os.replace`,
     in write order); if it raises, every temp is removed. A crash between
     two renames still leaves the earlier files moved and the later not.
+    An OSError that names a temp is re-raised naming its target instead,
+    the path the caller gave, with its class and errno kept.
     """
     outputs = Outputs()
     try:
         yield outputs
         for target, temp in outputs.items():
             os.replace(temp, target)
-    except BaseException:
+    except BaseException as exc:
         for temp in outputs.values():
             temp.unlink(missing_ok=True)
+        targets = {str(temp): str(target) for target, temp in outputs.items()}
+        if isinstance(exc, OSError) and exc.filename in targets:
+            # os.replace names the target second: naming it alone loses nothing.
+            named = type(exc)(exc.errno, exc.strerror, targets[exc.filename])
+            raise named.with_traceback(exc.__traceback__) from None
         raise
 
 

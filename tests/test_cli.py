@@ -683,8 +683,19 @@ class TestRunAndErrors:
             "--out-json", str(tmp_path / "missing" / "out.json"),
         ])
         assert code == 3
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # The error names the path given, not the temp written beside it.
+        assert str(tmp_path / "missing" / "out.json") in err and ".tmp" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["b1.grid", "b2.grid"]
+
+    def test_raster_write_into_missing_directory_names_the_target(self, ws, capsys):
+        out = ws / "missing" / "stack.grid"
+        code = main(["derive-features", "--dem", str(ws / "dem.grid"), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"No such file or directory: '{out}'" in err and ".tmp" not in err
 
     def test_run_config_with_dpl_rng_seed_is_config_error(self, ws, capsys):
         cfg_path = ws / "cfg.json"

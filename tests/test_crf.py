@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from collections import namedtuple
 from dataclasses import fields
 
@@ -13,7 +14,6 @@ from apmkit.cli import main
 from apmkit.config import build_config, read_json
 from apmkit.crf import (
     CrfConfig,
-    _bilinear_upsample,
     _block_sum,
     class_softmax,
     crf_refine,
@@ -288,6 +288,15 @@ class TestMeanField:
         assert after < before
 
 
+def bilinear_upsample(arr, factor, h, w):
+    """The bilinear upsample of (..., hc, wc) to (..., h, w), aligning
+    block centers, gathered from the message's bands into one frame."""
+    out = np.empty((*arr.shape[:-2], h, w))
+    for start, band in crf._upsample_bands(arr, factor, h, w):
+        out[..., start : start + band.shape[-2], :] = band
+    return out
+
+
 def _offset_slices(h, w, di, dj):
     """Target and source slices so target[i] pairs with source[i + (di, dj)]."""
     rt = slice(max(0, -di), h - max(0, di))
@@ -334,7 +343,7 @@ def direct_compressed_bilateral(q, guidance, cfg, valid):
     _, msg_c = direct_messages(
         qc, gc, cfg.sigma / gamma, cfg.beta, want_spatial=False, want_bilateral=True
     )
-    return _bilinear_upsample(msg_c, gamma, h, w)
+    return bilinear_upsample(msg_c, gamma, h, w)
 
 
 def reference_step(q, unary, guidance, cfg, valid):
@@ -523,7 +532,7 @@ def slice_bilateral_message(q, weights):
     for rt, ct, rs, cs, weight in weights.pairs:
         msg[rt, ct] += weight * src[rs, cs]
         msg[rs, cs] += weight * src[rt, ct]
-    return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
+    return bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
 
 
 def slice_pairwise_message(field, cfg, weights):
@@ -696,9 +705,9 @@ class TestClassOneStep:
         logit = rng.normal(size=(20, 22))
         guidance = make_grid(rng.normal(size=(3, 20, 22)))
         cfg = CrfConfig(iterations=3)
-        one = crf_refine(make_grid(logit, mask=mask), guidance, cfg)
+        one = crf_refine(make_grid(logit, mask=mask), lambda: guidance, cfg)
         two = crf_refine(make_grid(np.stack([np.zeros_like(logit), logit]), mask=mask),
-                         guidance, cfg)
+                         lambda: guidance, cfg)
         assert np.array_equal(one.data, two.data, equal_nan=True)
         assert np.array_equal(one.nodata_mask, two.nodata_mask)
 
@@ -747,7 +756,7 @@ class TestStreamedGuidanceMemory:
         cfg = CrfConfig(pairwise_weights=weights)
         tracemalloc.start()
         try:
-            crf_refine(logits, guidance, cfg)
+            crf_refine(logits, lambda: guidance, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -855,7 +864,7 @@ class TestWeightCacheGuard:
         tracemalloc.start()
         try:
             with pytest.raises(DimensionError, match="compress_guidance") as err:
-                crf_refine(logits, guidance, cfg)
+                crf_refine(logits, lambda: guidance, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -868,13 +877,13 @@ class TestWeightCacheGuard:
         logits = make_grid(rng.normal(size=(16, 16)))
         guidance = make_grid(rng.normal(size=(3, 16, 16)))
         cfg = CrfConfig(compress_guidance=False, iterations=2)
-        crf_refine(logits, guidance, cfg)
+        crf_refine(logits, lambda: guidance, cfg)
 
     def test_unknown_memory_skips_the_check(self, make_grid, rng, monkeypatch):
         monkeypatch.setattr(crf, "_physical_memory", lambda: None)
         logits = make_grid(rng.normal(size=(16, 16)))
         guidance = make_grid(rng.normal(size=(3, 16, 16)))
-        crf_refine(logits, guidance, CrfConfig(compress_guidance=False, iterations=2))
+        crf_refine(logits, lambda: guidance, CrfConfig(compress_guidance=False, iterations=2))
 
     def test_physical_memory_lookup(self):
         mem = crf._physical_memory()
@@ -907,7 +916,7 @@ def two_class_bilateral_message(q, weights):
     for rt, ct, rs, cs, weight in weights.pairs:
         msg[:, rt, ct] += weight * src[:, rs, cs]
         msg[:, rs, cs] += weight * src[:, rt, ct]
-    return _bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
+    return bilinear_upsample(msg, gamma, h, w) if gamma > 1 else msg
 
 
 def two_class_step(q, unary, guidance, cfg, valid):
@@ -990,6 +999,25 @@ class TestMatchesTwoClassStep:
         assert np.array_equal(fields[0], valid.astype(np.float64))
 
 
+def add_pairs(acc, src, pairs, buf):
+    """Both directions of every flat offset in ``pairs`` into ``acc``,
+    read from a separate ``src``, one band of ``acc`` at a time: the form
+    that the in-place passes replaced."""
+    n = acc.size
+    step = crf._band_step(n)
+    for start in range(0, n, step):
+        crf._add_band(acc, src, 0, start, min(start + step, n), pairs, buf)
+
+
+def loop_add_in_place(acc, pairs, buf, zeroed=False):
+    """``crf._add_pairs_in_place`` as one pass per offset (see
+    :func:`loop_add_shifted`) from a copy of ``acc``."""
+    src = acc.copy()
+    if zeroed:
+        acc.fill(0.0)
+    loop_add_shifted(acc, src, pairs)
+
+
 def loop_add_shifted(acc, src, pairs):
     """The one pass per offset that the banded helper replaced: both
     directions of each (shift, weight) over the whole buffer."""
@@ -1009,10 +1037,11 @@ def spread_values(rng, size):
 
 
 class TestBandedPairs:
-    """``_add_pairs`` equals one pass per offset over the whole buffer,
-    bit for bit, wherever the band edges fall. The band is shrunk so that
-    small fields span several; the scratch buffer handed over is exactly
-    one band long, so a pass over more than a band would fail."""
+    """The banded pairs (:func:`add_pairs`, and the messages' in-place
+    passes) equal one pass per offset over the whole buffer, bit for bit,
+    wherever the band edges fall. The band is shrunk so that small fields
+    span several; the scratch buffer handed over is exactly one band long,
+    so a pass over more than a band would fail."""
 
     @staticmethod
     def banded_and_loop(rng, n, shifts, per_pixel):
@@ -1025,7 +1054,7 @@ class TestBandedPairs:
         want = acc.copy()
         loop_add_shifted(want, src, pairs)
         got = acc.copy()
-        crf._add_pairs(got, src, pairs, np.empty(min(n, crf._BAND)))
+        add_pairs(got, src, pairs, np.empty(min(n, crf._BAND)))
         return got, want
 
     @pytest.mark.parametrize("per_pixel", [False, True], ids=["scalar", "per-pixel"])
@@ -1061,9 +1090,7 @@ class TestBandedPairs:
             return crf._spatial_message(q, cfg.sigma), crf._bilateral_message(q, weights)
 
         with monkeypatch.context() as patch:
-            patch.setattr(
-                crf, "_add_pairs", lambda acc, src, pairs, buf: loop_add_shifted(acc, src, pairs)
-            )
+            patch.setattr(crf, "_add_pairs_in_place", loop_add_in_place)
             want = messages()
         # Nx1 frames pass column shifts of 10 to 90 over bands of 16.
         monkeypatch.setattr(crf, "_BAND", 16)
@@ -1124,7 +1151,7 @@ class TestUpsampleMatchesGathers:
         coarse = (*lead, -(-h // factor), -(-w // factor))
         for seed in range(20):
             arr = spread_values(np.random.default_rng(seed), coarse)
-            got = _bilinear_upsample(arr, factor, h, w)
+            got = bilinear_upsample(arr, factor, h, w)
             assert np.array_equal(got, gather_upsample(arr, factor, h, w))
 
     @pytest.mark.parametrize("factor", [2, 4])
@@ -1134,7 +1161,7 @@ class TestUpsampleMatchesGathers:
         hc, wc = -(-h // factor), -(-w // factor)
         padded = spread_values(rng, (hc, wc + 5))
         arr = padded[:, :wc]
-        got = _bilinear_upsample(arr, factor, h, w)
+        got = bilinear_upsample(arr, factor, h, w)
         assert np.array_equal(got, gather_upsample(arr, factor, h, w))
 
 
@@ -1244,7 +1271,7 @@ class TestRasterWrapper:
     def test_refine_raster(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(10, 10)))
         guidance = make_grid(rng.normal(size=(3, 10, 10)))
-        out = crf_refine(logits, guidance, CrfConfig(sigma=2.0, iterations=2))
+        out = crf_refine(logits, lambda: guidance, CrfConfig(sigma=2.0, iterations=2))
         assert out.bands == 1
         assert out.band_names == ("probability",)
         assert out.data.dtype == np.float32
@@ -1258,7 +1285,7 @@ class TestRasterWrapper:
         gm[7, 7] = True
         logits = make_grid(rng.normal(size=(8, 8)), mask=lm)
         guidance = make_grid(rng.normal(size=(2, 8, 8)), mask=gm)
-        out = crf_refine(logits, guidance, CrfConfig(sigma=2.0, iterations=2))
+        out = crf_refine(logits, lambda: guidance, CrfConfig(sigma=2.0, iterations=2))
         assert out.nodata_mask[0, 0] and out.nodata_mask[7, 7]
         assert np.isnan(out.band(0)[0, 0]) and np.isnan(out.band(0)[7, 7])
         assert np.isfinite(out.band(0)[3, 3])
@@ -1267,26 +1294,25 @@ class TestRasterWrapper:
         with pytest.raises(DataError):
             crf_refine(
                 make_grid(rng.normal(size=(8, 8))),
-                make_grid(rng.normal(size=(8, 9))),
+                lambda: make_grid(rng.normal(size=(8, 9))),
                 CrfConfig(iterations=2),
             )
 
     def test_geotransform_mismatch(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(16, 16)))
         guidance = make_grid(rng.normal(size=(2, 16, 16)), geotransform=(500.0, 900.0, 10.0, -10.0))
-        for step in (crf_refine, crf.crf_features):
-            with pytest.raises(DataError, match="different frames"):
-                step(logits, guidance, CrfConfig(iterations=2))
+        with pytest.raises(DataError, match="different frames"):
+            crf_refine(logits, lambda: guidance, CrfConfig(iterations=2))
 
     def test_band_count_validation(self, make_grid, rng):
         bad = make_grid(rng.normal(size=(3, 8, 8)))
         with pytest.raises(DataError):
-            crf_refine(bad, make_grid(rng.normal(size=(8, 8))), CrfConfig(iterations=2))
+            crf_refine(bad, lambda: make_grid(rng.normal(size=(8, 8))), CrfConfig(iterations=2))
 
     def test_feature_channel_cap(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(8, 8)))
         guidance = make_grid(rng.normal(size=(2, 8, 8)))
-        out = crf_refine(logits, guidance, CrfConfig(iterations=2))
+        out = crf_refine(logits, lambda: guidance, CrfConfig(iterations=2))
         assert out.meta["feature_channels"] == 2
 
 
@@ -1379,7 +1405,7 @@ class TestDerivedUnary:
         valid = ~(mask | guidance_mask)
         zeroed = np.where(valid, logits.data, 0.0)
         want = refine_values(zeroed[0] if bands == 1 else zeroed, guidance.data, cfg, valid)
-        got = crf_refine(logits, guidance, cfg)
+        got = crf_refine(logits, lambda: guidance, cfg)
         assert got.data[0].tobytes() == np.where(valid, want, np.nan).astype(np.float32).tobytes()
 
 
@@ -1413,7 +1439,7 @@ class TestArgumentsUnchanged:
         guidance = make_grid(rng.normal(size=(3, *shape)), mask=mask)
         arrays = (logits.data, logits.nodata_mask, guidance.data, guidance.nodata_mask)
         before = snapshot(*arrays)
-        crf_refine(logits, guidance, CrfConfig(iterations=3, **kwargs))
+        crf_refine(logits, lambda: guidance, CrfConfig(iterations=3, **kwargs))
         assert snapshot(*arrays) == before
 
     @pytest.mark.parametrize(
@@ -1464,7 +1490,7 @@ class TestRefineWorkingSet:
         cfg = CrfConfig(pairwise_weights=weights)
         tracemalloc.start()
         try:
-            crf_refine(logits, guidance, cfg)
+            crf_refine(logits, lambda: guidance, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1487,7 +1513,7 @@ class TestBandedUpsample:
         coarse = (*lead, -(-h // factor), -(-w // factor))
         for seed in range(5):
             arr = spread_values(np.random.default_rng(seed), coarse)
-            got = _bilinear_upsample(arr, factor, h, w)
+            got = bilinear_upsample(arr, factor, h, w)
             assert np.array_equal(got, gather_upsample(arr, factor, h, w))
 
     @pytest.mark.parametrize("band", [1, 29, 64, 200])
@@ -1518,9 +1544,9 @@ def copy_spatial_message(q, sigma):
     flat = crf._padded(q, pitch)
     buf = np.empty(min(flat.size, crf._BAND))
     rows = flat.copy()
-    crf._add_pairs(rows, flat, taps, buf)
+    add_pairs(rows, flat, taps, buf)
     msg = rows.copy()
-    crf._add_pairs(msg, rows, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
+    add_pairs(msg, rows, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
     msg = msg.reshape(h, pitch)[:, :w]
     msg -= q
     return msg
@@ -1533,12 +1559,12 @@ def copy_bilateral_message(q, weights, scale=1.0, message=None):
     gamma = weights.factor
     src = crf._padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
     coarse = np.zeros_like(src)
-    crf._add_pairs(coarse, src, weights.pairs, np.empty(min(src.size, crf._BAND)))
+    add_pairs(coarse, src, weights.pairs, np.empty(min(src.size, crf._BAND)))
     hc, wc = weights.shape
     coarse = coarse.reshape(hc, weights.pitch)[:, :wc]
     if message is None:
         message = np.zeros((h, w))
-    message += (_bilinear_upsample(coarse, gamma, h, w) if gamma > 1 else coarse) * scale
+    message += (bilinear_upsample(coarse, gamma, h, w) if gamma > 1 else coarse) * scale
     return message
 
 
@@ -1617,7 +1643,7 @@ class TestInPlacePasses:
         ]
         buf = np.empty(min(n, crf._BAND))
         want = np.zeros(n) if zeroed else acc.copy()
-        crf._add_pairs(want, acc.copy(), pairs, buf)
+        add_pairs(want, acc.copy(), pairs, buf)
         got = acc.copy()
         crf._add_pairs_in_place(got, pairs, buf, zeroed=zeroed)
         return got, want
@@ -1788,9 +1814,10 @@ class TestBandStreamedFeatures:
 
 
 class TestRefinementSteps:
-    """crf_refine is three steps, features, weights and the loop; run one
-    by one they give the one call's raster byte for byte, and the loop
-    checks that the weights belong to its config and frame."""
+    """crf_refine runs three steps, features, weights and the loop; run one
+    by one through the array layer they give the one call's raster byte
+    for byte. The stack goes once its features exist, and they go once the
+    weights do."""
 
     @pytest.mark.parametrize("kwargs", KERNEL_CASES)
     @pytest.mark.parametrize("bands", [1, 2])
@@ -1800,37 +1827,38 @@ class TestRefinementSteps:
         logits = make_grid(rng.normal(size=(bands, *shape)), mask=mask)
         guidance = make_grid(rng.normal(size=(3, *shape)))
         cfg = CrfConfig(iterations=3, **kwargs)
-        features = crf.crf_features(logits, guidance, cfg)
-        assert (features.features is None) == (cfg.pairwise_weights[1] == 0)
-        weights = crf.crf_weights(features)
-        assert weights.channels == 3
-        assert np.array_equal(weights.valid, ~mask)
-        want = crf_refine(logits, guidance, cfg)
-        for given in (cfg, None):
-            got = crf_refine(logits, weights, given)
-            assert got.data.tobytes() == want.data.tobytes()
-            assert np.array_equal(got.nodata_mask, want.nodata_mask)
-            assert got.meta == want.meta
+        valid = ~mask
+        weights = None
+        if cfg.pairwise_weights[1] > 0:
+            weights = crf.bilateral_weights(guidance.data, cfg, valid)
+        field = logits.data[0] if bands == 1 else logits.data
+        want = refine_values(field, None, cfg, valid, weights=weights)
+        got = crf_refine(logits, lambda: guidance, cfg)
+        assert got.data[0].tobytes() == np.where(valid, want, np.nan).astype(np.float32).tobytes()
+        assert np.array_equal(got.nodata_mask, mask)
+        assert got.meta["feature_channels"] == 3
 
-    def test_weights_of_another_config_or_frame(self, make_grid, rng):
-        logits = make_grid(rng.normal(size=(12, 14)))
-        guidance = make_grid(rng.normal(size=(2, 12, 14)))
-        cfg = CrfConfig(iterations=2)
-        weights = crf.crf_weights(crf.crf_features(logits, guidance, cfg))
-        with pytest.raises(ConfigError):
-            crf_refine(logits, weights, CrfConfig(iterations=2))
-        with pytest.raises(DataError):
-            crf_refine(make_grid(rng.normal(size=(12, 15))), weights)
+    @pytest.mark.parametrize("kwargs", KERNEL_CASES[:2])
+    def test_stack_and_features_let_go(self, make_grid, rng, monkeypatch, kwargs):
+        shape = (21, 25)
+        refs, alive = {}, {}
+        build, step = crf._weights, crf.mean_field_step
 
-    def test_weights_refuse_logits_on_another_geotransform(self, make_grid, rng):
-        logits = make_grid(rng.normal(size=(16, 16)), geotransform=(0.0, 0.0, 1.0, -1.0))
-        guidance = make_grid(rng.normal(size=(2, 16, 16)), geotransform=(0.0, 0.0, 1.0, -1.0))
-        cfg = CrfConfig(iterations=2)
-        weights = crf.crf_weights(crf.crf_features(logits, guidance, cfg))
-        assert weights.geotransform == logits.geotransform
-        moved = make_grid(logits.data, geotransform=(500.0, 900.0, 10.0, -10.0))
-        with pytest.raises(DataError, match="different frames"):
-            crf_refine(moved, weights)
-        got = crf_refine(logits, weights)
-        assert got.data.tobytes() == crf_refine(logits, guidance, cfg).data.tobytes()
-        assert got.geotransform == logits.geotransform
+        def load():
+            stack = make_grid(rng.normal(size=(3, *shape)))
+            refs["stack"] = [weakref.ref(stack), weakref.ref(stack.data)]
+            return stack
+
+        def recorded_build(features, beta):
+            alive["stack at weights"] = [ref() is not None for ref in refs["stack"]]
+            refs["features"] = weakref.ref(features)
+            return build(features, beta)
+
+        def recorded_step(*args, **kwargs):
+            alive.setdefault("features at steps", []).append(refs["features"]() is not None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(crf, "_weights", recorded_build)
+        monkeypatch.setattr(crf, "mean_field_step", recorded_step)
+        crf_refine(make_grid(rng.normal(size=shape)), load, CrfConfig(iterations=3, **kwargs))
+        assert alive == {"stack at weights": [False, False], "features at steps": [False] * 3}

@@ -1,7 +1,9 @@
 """Raster container, binary IO and grid geometry."""
 
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 from types import SimpleNamespace
 
@@ -119,6 +121,73 @@ class TestRasterGridValidation:
         with pytest.raises(DataError):
             g.band_index("missing")
 
+
+
+class TestReadOnly:
+    """A grid refuses writes to its samples, its mask and its metadata, so
+    it cannot disagree with the file it saves to; the arrays it was given
+    stay writable and are not copied."""
+
+    @staticmethod
+    def grid():
+        data = np.ones((2, 3, 4), dtype=np.float32)
+        mask = np.zeros((3, 4), bool)
+        mask[0, 0] = True
+        data[:, mask] = np.nan  # already NaN on the mask, so not copied
+        return RasterGrid(data, (0, 0, 1, -1), mask, ("a", "b"), {"k": 0}), data, mask
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda g: g.data.__setitem__((0, 1, 1), np.nan),
+            lambda g: g.band(1).fill(0.0),
+            lambda g: g.nodata_mask.__setitem__((1, 1), True),
+        ],
+        ids=["data", "band", "nodata_mask"],
+    )
+    def test_array_write_raises(self, write):
+        g, _, _ = self.grid()
+        with pytest.raises(ValueError, match="read-only"):
+            write(g)
+        assert np.isfinite(g.data[:, 1:, :]).all() and not g.nodata_mask[1, 1]
+
+    def test_meta_write_raises(self):
+        g, _, _ = self.grid()
+        with pytest.raises(TypeError):
+            g.meta["k"] = 1
+        assert g.meta == {"k": 0}
+
+    def test_given_arrays_stay_writable_and_shared(self):
+        g, data, mask = self.grid()
+        assert data.flags.writeable and mask.flags.writeable
+        assert np.shares_memory(g.data, data) and np.shares_memory(g.nodata_mask, mask)
+        meta = {"k": 0}
+        g = RasterGrid(data, (0, 0, 1, -1), mask, ("a", "b"), meta)
+        meta["k"] = 1
+        assert g.meta == {"k": 0}
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_read_only(self, clone):
+        g, _, _ = self.grid()
+        got = clone(g)
+        assert not got.data.flags.writeable and not got.nodata_mask.flags.writeable
+        with pytest.raises(TypeError):
+            got.meta["k"] = 1
+        assert np.array_equal(got.data, g.data, equal_nan=True) and got.same_frame(g)
+        assert np.array_equal(got.nodata_mask, g.nodata_mask) and got.meta == g.meta
+        assert got.band_names == g.band_names
+
+    def test_loaded_grid_is_read_only(self, tmp_path):
+        g, _, _ = self.grid()
+        save_raster(g, tmp_path / "g.grid")
+        got = load_raster(tmp_path / "g.grid")
+        assert not got.data.flags.writeable and not got.nodata_mask.flags.writeable
+        with pytest.raises(TypeError):
+            got.meta["k"] = 1
 
 class TestGeometry:
     def test_pixel_of_floor_semantics(self, make_grid):
@@ -300,7 +369,7 @@ class TestBinaryContainer:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got.data, data)
-        assert got.data.dtype == np.float32 and got.data.flags.writeable
+        assert got.data.dtype == np.float32 and not got.data.flags.writeable
         # One payload-sized array plus the one-byte finite flags; a second
         # copy of the payload would reach 2x.
         assert peak < 1.5 * data.nbytes
@@ -359,6 +428,21 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == (["g.grid"] if previous else [])
         if previous:
             assert np.array_equal(load_raster(path).data, good.data)
+
+    def test_missing_directory_names_the_target(self, tmp_path, make_grid):
+        path = tmp_path / "missing" / "g.grid"
+        with pytest.raises(FileNotFoundError) as err:
+            save_raster(make_grid(np.zeros((2, 2))), path)
+        assert err.value.filename == str(path)
+        assert str(path) in str(err.value) and ".tmp" not in str(err.value)
+
+    def test_failed_rename_names_the_target(self, tmp_path):
+        (tmp_path / "a.bin").mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            with atomic_write(tmp_path / "a.bin") as fh:
+                fh.write(b"bytes")
+        assert ".tmp" not in str(err.value) and str(tmp_path / "a.bin") in str(err.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
     def test_rewrite_replaces_bytes(self, tmp_path, make_grid):
         path = tmp_path / "g.grid"
