@@ -29,9 +29,11 @@ tests keep the plain forms as references.
 Beyond the bilateral weight cache (:class:`BilateralWeights`), a
 refinement holds three float64 frames: through the loop, the valid mask's
 message and the class-1 field, and within a step the padded frame of the
-class-1 message. Every other temporary of a step is about one band of
-``_BAND`` values or a frame of the block grid. The guidance is read only
-to build the features, in the dtype it is stored in; no unary is stored.
+class-1 message. Every other temporary of a step is one band of
+:func:`~apmkit.raster.grid.row_bands`, the package's one band rule (at
+most ``grid.BAND`` values unless one row is wider), or a frame of the
+block grid. The guidance is read only to build the features, in the
+dtype it is stored in; no unary is stored.
 """
 
 from __future__ import annotations
@@ -44,11 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .raster.grid import RasterGrid
-
-# Most float64 values per band of a message's multiply-adds (256 KiB): a
-# band of the accumulator with its source and weight reads fits a 2 MB L2.
-_BAND = 1 << 15
+from .raster.grid import RasterGrid, row_bands
 
 # exp(x) is exactly 0.0 in float64 below ln(2^-1075) = -745.13...: the
 # bilateral weights skip exp there, where numpy's exp is slowest.
@@ -164,11 +162,6 @@ def _padded(arr: np.ndarray, pitch: int) -> np.ndarray:
     return out.reshape(*lead, h * pitch)
 
 
-def _band_step(n: int) -> int:
-    """Length of each of the ceil(n / _BAND) equal bands of n flat values."""
-    return -(-n // -(-n // _BAND))
-
-
 def _add_band(
     acc: np.ndarray,
     src: np.ndarray,
@@ -219,9 +212,9 @@ def _add_pairs_in_place(
     shift]`` for every p >= shift; ``weight`` is a scalar or holds
     ``acc.size - shift`` values. With ``zeroed``, ``acc`` starts from
     zero, so it ends up holding the pairs' sum alone. ``buf`` is scratch
-    space of at least ``min(acc.size, _BAND)`` values.
+    space of at least one band of ``row_bands(acc.size, 1)``.
 
-    ``acc`` is cut into ceil(n / _BAND) bands of equal length, and every
+    ``acc`` is cut into the bands of ``row_bands(acc.size, 1)``, and every
     pair runs over one band before any runs over the next, so that band of
     the accumulator stays in cache. Within a band each pair keeps its
     order, and the pairs keep theirs, so every value receives the same
@@ -241,12 +234,12 @@ def _add_pairs_in_place(
         if zeroed:
             acc.fill(0.0)
         return
-    step = _band_step(n)
+    bands = row_bands(n, 1)
     reach = max(shift for shift, _ in pairs)
-    halo = np.empty(min(n, step + 2 * reach))
+    halo = np.empty(min(n, bands.step + 2 * reach))
     lo = hi = 0  # the halo holds the original acc[lo:hi]
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    for start in bands:
+        stop = min(start + bands.step, n)
         new_lo, new_hi = max(0, start - reach), min(n, stop + reach)
         kept = hi - new_lo
         halo[:kept] = halo[new_lo - lo : hi - lo]
@@ -276,7 +269,7 @@ def _spatial_message(q: np.ndarray, sigma: float) -> np.ndarray:
     taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
     pitch = w + radius
     msg = _padded(q, pitch)
-    buf = np.empty(min(msg.size, _BAND))
+    buf = np.empty(min(msg.size, row_bands(msg.size, 1).step))
     _add_pairs_in_place(msg, taps, buf)
     # A column tap of k >= h pairs no two rows of the frame.
     _add_pairs_in_place(msg, [(k * pitch, g) for k, g in taps[: h - 1]], buf)
@@ -319,7 +312,7 @@ def _block_sum_rows(
     arr: np.ndarray, factor: int, out: np.ndarray, where: np.ndarray | None = None
 ) -> None:
     """``_block_sum(arr, factor)`` of an (h, w) ``arr``, written into
-    ``out`` one band of block rows at a time (:func:`_row_bands`), so no
+    ``out`` one band of block rows at a time (:func:`row_bands`), so no
     temporary is larger than a band. With ``where``, ``arr`` is cast to
     float64 and read as zero where ``where`` is False, through one
     band-sized buffer.
@@ -329,7 +322,7 @@ def _block_sum_rows(
     bands give the one-pass sums bit for bit.
     """
     h, w = arr.shape
-    bands = _row_bands(h, w, rows=factor)
+    bands = row_bands(h, w, rows=factor)
     buf = None if where is None else np.empty((min(bands.step, h), w))
     for start in bands:
         band = arr[start : start + bands.step]
@@ -387,17 +380,10 @@ def _interpolate(
         at(out, i)[...] = at(arr, lo[i]) * (1 - frac[i]) + at(arr, hi[i]) * frac[i]
 
 
-def _row_bands(h: int, w: int, rows: int = 1) -> range:
-    """Starts of the bands of rows of an (h, w) frame, about ``_BAND``
-    values each and a multiple of ``rows`` rows; each band holds
-    ``_row_bands(h, w, rows).step`` rows."""
-    return range(0, h, rows * max(1, _BAND // (rows * w)))
-
-
 def _upsample_bands(arr: np.ndarray, factor: int, h: int, w: int):
     """Yield ``(start, band)`` over the bilinear upsample of ``arr``
     (..., hc, wc) to (..., h, w), aligning block centers. Each band holds
-    rows ``start`` on (:func:`_row_bands`), in one reused buffer, so no
+    rows ``start`` on (:func:`row_bands`), in one reused buffer, so no
     frame of the upsample exists. A band is built from the coarse rows its
     rows read: those rows are upsampled along the columns, then the band
     along the rows. Every value is the one the column pass and the row
@@ -405,7 +391,7 @@ def _upsample_bands(arr: np.ndarray, factor: int, h: int, w: int):
     """
     rows = _taps(h, arr.shape[-2], factor)
     cols = _taps(w, arr.shape[-1], factor)
-    bands = _row_bands(h, w)
+    bands = row_bands(h, w)
     buf = np.empty((*arr.shape[:-2], min(bands.step, h), w))
     for start in bands:
         lo, hi, frac, inner = (t[start : start + bands.step] for t in rows)
@@ -613,7 +599,8 @@ def _bilateral_message(
     coarse = np.zeros((hc, weights.pitch))
     _block_sum_rows(q, weights.factor, coarse[:, :wc])
     coarse = coarse.reshape(-1)
-    _add_pairs_in_place(coarse, weights.pairs, np.empty(min(coarse.size, _BAND)), zeroed=True)
+    n = coarse.size
+    _add_pairs_in_place(coarse, weights.pairs, np.empty(min(n, row_bands(n, 1).step)), zeroed=True)
     coarse = coarse.reshape(hc, weights.pitch)[:, :wc]
     if message is None:
         message = np.zeros((h, w))
@@ -701,7 +688,7 @@ class _Logits:
         """The class-1 field before any message: the softmax of -u, one band
         of rows at a time."""
         q1 = np.empty(self.data.shape[-2:])
-        bands = _row_bands(*q1.shape)
+        bands = row_bands(*q1.shape)
         x0_buf = np.empty((min(bands.step, len(q1)), q1.shape[1]))
         for start in bands:
             rows = slice(start, start + bands.step)
@@ -730,7 +717,7 @@ def _step_tail(
     same, and the exp runs on contiguous bands as it did on frames.
     """
     h, w = field.shape
-    bands = _row_bands(h, w)
+    bands = row_bands(h, w)
     (c00, c01), (c10, c11) = compatibility
     x0_buf, scratch_buf = np.empty((2, min(bands.step, h), w))
     for start in bands:

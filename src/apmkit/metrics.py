@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ReadOnlyDict, build_config
 from .errors import ConfigError, DataError
-from .raster.grid import RasterGrid, atomic_write
+from .raster.grid import RasterGrid, atomic_write, row_bands
 
 SCHEMA_VERSION = 1
 
@@ -339,8 +339,6 @@ def _percentile(s: np.ndarray, order: np.ndarray, q: float) -> float:
 # than this many bandwidths from a bin centre adds +0.0 to its kernel sum.
 # The margin over 38.6 covers the rounding of (c - s) / h.
 _REACH = 40.0
-# Scores per pass of the kernel loop, so its scratch stays small.
-_CHUNK = 8192
 
 
 def _gaussian(
@@ -377,21 +375,22 @@ def _kernel_sums(
     reach = _REACH * bandwidth
     lo = np.searchsorted(s, centers - reach, side="left", sorter=order)
     hi = np.searchsorted(s, centers + reach, side="right", sorter=order)
-    z = np.empty(min(s.size, _CHUNK))
+    chunk = row_bands(s.size, 1).step  # scores per pass of the kernel loop
+    z = np.empty(min(s.size, chunk))
     t = np.empty_like(z)
     kernel = np.zeros(s.size)
     sums = np.zeros(centers.size)
     for i, c in enumerate(centers):
         a, b = lo[i], hi[i]
         if 2 * (b - a) >= s.size:
-            for j in range(0, s.size, _CHUNK):
-                out = kernel[j:j + _CHUNK]
-                _gaussian(c, s[j:j + _CHUNK], bandwidth, z[:out.size], out)
+            for j in range(0, s.size, chunk):
+                out = kernel[j:j + chunk]
+                _gaussian(c, s[j:j + chunk], bandwidth, z[:out.size], out)
             sums[i] = kernel.sum()
             kernel.fill(0.0)
         elif a < b:
-            for j in range(a, b, _CHUNK):
-                at = order[j:min(j + _CHUNK, b)]
+            for j in range(a, b, chunk):
+                at = order[j:min(j + chunk, b)]
                 zj, tj = z[:at.size], t[:at.size]
                 np.take(s, at, out=zj, mode="clip")  # "raise" would buffer out
                 _gaussian(c, zj, bandwidth, zj, tj)

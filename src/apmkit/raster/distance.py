@@ -19,9 +19,9 @@ per pixel on top of the input and output.
 - The evaluation walk has no column loop. The parabola row ``r`` uses at
   column ``i`` is the number of its breakpoints strictly below ``x_i``:
   one ``searchsorted`` of the breakpoints against the column positions
-  and a per-row cumulative count. It runs over blocks of rows of about
-  ``_BLOCK_ELEMENTS`` pixels, so its temporaries stay near 2 MB whatever
-  the frame.
+  and a per-row cumulative count. It runs over the row bands of
+  :func:`~apmkit.raster.grid.row_bands`, about ``grid.BAND`` pixels each,
+  so its temporaries stay near 1 MB whatever the frame.
 
 Every row gets the same float64 formulas, in the same order, as it would
 on its own.
@@ -37,10 +37,7 @@ import numpy as np
 
 from ..config import build_config, read_json
 from ..errors import DataError, EmptyInputError
-from .grid import RasterGrid
-
-# Pixels per row block of the envelope's evaluation walk.
-_BLOCK_ELEMENTS = 1 << 16
+from .grid import RasterGrid, row_bands
 
 
 def _lower_envelope_rows(f: np.ndarray, spacing: float) -> np.ndarray:
@@ -113,15 +110,15 @@ def _lower_envelope_rows(f: np.ndarray, spacing: float) -> np.ndarray:
         top_z[rows] = zr
     # Row r uses parabola j at column i, where j counts the breakpoints
     # z[r, 1..k] strictly below x_i: breakpoint z counts from column
-    # searchsorted(xs, z, "right") on. Rows go in blocks of about
-    # _BLOCK_ELEMENTS pixels to bound the temporaries.
+    # searchsorted(xs, z, "right") on. The live rows go in row bands to
+    # bound the temporaries.
     out = np.full((height, width), np.inf)
     xs = np.arange(width) * spacing
     slots = np.arange(1, width)
     live = np.flatnonzero(k >= 0)
-    block = max(1, _BLOCK_ELEMENTS // width)
-    for start in range(0, live.size, block):
-        rows = live[start : start + block]
+    bands = row_bands(live.size, width)
+    for start in bands:
+        rows = live[start : start + bands.step]
         kr = k[rows]
         base = row0[rows, None]
         held = (base + slots)[slots <= kr[:, None]]

@@ -13,6 +13,7 @@ little-endian float32 payload.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -236,14 +237,18 @@ def commit_outputs() -> Iterator[Outputs]:
 
     Each file is written at ``outputs.temp(path)``, beside its target. If
     the block exits cleanly every temp replaces its target (:func:`os.replace`,
-    in write order); if it raises, every temp is removed. A crash between
-    two renames still leaves the earlier files moved and the later not.
-    An OSError that names a temp is re-raised naming its target instead,
-    the path the caller gave, with its class and errno kept.
+    in write order); if it raises, or a target is an existing directory,
+    every temp is removed and no target moves. A crash between two renames
+    still leaves the earlier files moved and the later not. An OSError
+    that names a temp is re-raised naming its target instead, the path the
+    caller gave, with its class and errno kept.
     """
     outputs = Outputs()
     try:
         yield outputs
+        for target in outputs:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         for target, temp in outputs.items():
             os.replace(temp, target)
     except BaseException as exc:
@@ -359,6 +364,18 @@ def load_raster(path: str | os.PathLike) -> RasterGrid:
 
 
 # --- small array utilities -------------------------------------------------
+
+# Most float64 values one banded numpy pass touches (256 KiB): a band with
+# the few arrays read beside it fits a 2 MB L2. Only row_bands reads it.
+BAND = 1 << 15
+
+
+def row_bands(h: int, w: int, rows: int = 1) -> range:
+    """Starts of the bands of rows of an (h, w) frame, each band
+    ``row_bands(h, w, rows).step`` rows: a multiple of ``rows``, and about
+    ``BAND`` values. A flat buffer of n values is ``row_bands(n, 1)``.
+    Every banded pass of the package, and its scratch, is sized by it."""
+    return range(0, h, rows * max(1, BAND // (rows * w)))
 
 
 def fill_holes(values: np.ndarray, hole_mask: np.ndarray) -> np.ndarray:

@@ -689,6 +689,23 @@ class TestRunAndErrors:
         assert str(tmp_path / "missing" / "out.json") in err and ".tmp" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["b1.grid", "b2.grid"]
 
+    def test_pseudolabel_json_onto_a_directory_leaves_no_raster(self, tmp_path, capsys):
+        # --out-json names an existing directory, which is refused before
+        # the raster, written first, is renamed.
+        for name, value in (("b1.grid", 0.2), ("b2.grid", 0.3)):
+            save_raster(RasterGrid.from_array(np.full((4, 4), value, np.float32)), tmp_path / name)
+        (tmp_path / "d").mkdir()
+        code = main([
+            "pseudolabel", "--branch1", str(tmp_path / "b1.grid"),
+            "--branch2", str(tmp_path / "b2.grid"), "--alpha", "0.5",
+            "--out-raster", str(tmp_path / "out.grid"), "--out-json", str(tmp_path / "d"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"Is a directory: '{tmp_path / 'd'}'" in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["b1.grid", "b2.grid", "d"]
+
     def test_raster_write_into_missing_directory_names_the_target(self, ws, capsys):
         out = ws / "missing" / "stack.grid"
         code = main(["derive-features", "--dem", str(ws / "dem.grid"), "--out", str(out)])

@@ -22,6 +22,7 @@ from apmkit.crf import (
     unary_potentials,
 )
 from apmkit.errors import ConfigError, DataError, DimensionError
+from apmkit.raster import grid
 
 
 class TestConfig:
@@ -1004,9 +1005,9 @@ def add_pairs(acc, src, pairs, buf):
     read from a separate ``src``, one band of ``acc`` at a time: the form
     that the in-place passes replaced."""
     n = acc.size
-    step = crf._band_step(n)
-    for start in range(0, n, step):
-        crf._add_band(acc, src, 0, start, min(start + step, n), pairs, buf)
+    bands = grid.row_bands(n, 1)
+    for start in bands:
+        crf._add_band(acc, src, 0, start, min(start + bands.step, n), pairs, buf)
 
 
 def loop_add_in_place(acc, pairs, buf, zeroed=False):
@@ -1054,7 +1055,7 @@ class TestBandedPairs:
         want = acc.copy()
         loop_add_shifted(want, src, pairs)
         got = acc.copy()
-        add_pairs(got, src, pairs, np.empty(min(n, crf._BAND)))
+        add_pairs(got, src, pairs, np.empty(min(n, grid.BAND)))
         return got, want
 
     @pytest.mark.parametrize("per_pixel", [False, True], ids=["scalar", "per-pixel"])
@@ -1070,7 +1071,7 @@ class TestBandedPairs:
         ],
     )
     def test_matches_one_pass_per_offset(self, rng, monkeypatch, n, shifts, per_pixel):
-        monkeypatch.setattr(crf, "_BAND", 16)
+        monkeypatch.setattr(grid, "BAND", 16)
         got, want = self.banded_and_loop(rng, n, shifts, per_pixel)
         assert np.array_equal(got, want)
 
@@ -1093,7 +1094,7 @@ class TestBandedPairs:
             patch.setattr(crf, "_add_pairs_in_place", loop_add_in_place)
             want = messages()
         # Nx1 frames pass column shifts of 10 to 90 over bands of 16.
-        monkeypatch.setattr(crf, "_BAND", 16)
+        monkeypatch.setattr(grid, "BAND", 16)
         for got, expected in zip(messages(), want):
             assert np.array_equal(got, expected)
 
@@ -1112,7 +1113,7 @@ class TestBandedPairs:
         )
         def check(data, n, band, per_pixel, seed):
             shifts = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6))
-            monkeypatch.setattr(crf, "_BAND", band)
+            monkeypatch.setattr(grid, "BAND", band)
             got, want = self.banded_and_loop(
                 np.random.default_rng(seed), n, shifts, per_pixel
             )
@@ -1483,7 +1484,7 @@ class TestRefineWorkingSet:
         "weights,frames", [((1.0, 0.0), 4), ((1.0, 1.0), 19.75)], ids=["spatial-only", "default"]
     )
     def test_crf_refine_traced_peak_in_frames(self, make_grid, rng, monkeypatch, weights, frames):
-        monkeypatch.setattr(crf, "_BAND", 1 << 12)
+        monkeypatch.setattr(grid, "BAND", 1 << 12)
         mask = rng.random(self.SHAPE) < 0.05
         logits = make_grid(rng.normal(size=self.SHAPE), mask=mask)
         guidance = make_grid(rng.normal(size=(5, *self.SHAPE)), mask=mask)
@@ -1508,7 +1509,7 @@ class TestBandedUpsample:
     @pytest.mark.parametrize("factor", [2, 4])
     @pytest.mark.parametrize("shape", [(16, 24), (13, 17), (1, 9), (9, 1), (2, 3), (5, 6, 7)])
     def test_matches_gathers(self, monkeypatch, shape, factor, band):
-        monkeypatch.setattr(crf, "_BAND", band)
+        monkeypatch.setattr(grid, "BAND", band)
         *lead, h, w = shape
         coarse = (*lead, -(-h // factor), -(-w // factor))
         for seed in range(5):
@@ -1529,7 +1530,7 @@ class TestBandedUpsample:
         weights = crf.bilateral_weights(guidance, cfg, valid)
         q = rng.random(shape) * valid
         want = crf._pairwise_message(q, cfg, weights)
-        monkeypatch.setattr(crf, "_BAND", band)
+        monkeypatch.setattr(grid, "BAND", band)
         assert crf._pairwise_message(q, cfg, weights).tobytes() == want.tobytes()
 
 
@@ -1542,7 +1543,7 @@ def copy_spatial_message(q, sigma):
     taps = [(k, math.exp(-k * k * inv_two_sigma2)) for k in range(1, radius + 1)]
     pitch = w + radius
     flat = crf._padded(q, pitch)
-    buf = np.empty(min(flat.size, crf._BAND))
+    buf = np.empty(min(flat.size, grid.BAND))
     rows = flat.copy()
     add_pairs(rows, flat, taps, buf)
     msg = rows.copy()
@@ -1559,7 +1560,7 @@ def copy_bilateral_message(q, weights, scale=1.0, message=None):
     gamma = weights.factor
     src = crf._padded(_block_sum(q, gamma) if gamma > 1 else q, weights.pitch)
     coarse = np.zeros_like(src)
-    add_pairs(coarse, src, weights.pairs, np.empty(min(src.size, crf._BAND)))
+    add_pairs(coarse, src, weights.pairs, np.empty(min(src.size, grid.BAND)))
     hc, wc = weights.shape
     coarse = coarse.reshape(hc, weights.pitch)[:, :wc]
     if message is None:
@@ -1641,7 +1642,7 @@ class TestInPlacePasses:
             (s, spread_values(rng, n - s) if per_pixel else float(spread_values(rng, 1)[0]))
             for s in shifts
         ]
-        buf = np.empty(min(n, crf._BAND))
+        buf = np.empty(min(n, grid.BAND))
         want = np.zeros(n) if zeroed else acc.copy()
         add_pairs(want, acc.copy(), pairs, buf)
         got = acc.copy()
@@ -1663,7 +1664,7 @@ class TestInPlacePasses:
         ],
     )
     def test_matches_copied_source(self, rng, monkeypatch, n, shifts, per_pixel, zeroed):
-        monkeypatch.setattr(crf, "_BAND", 16)
+        monkeypatch.setattr(grid, "BAND", 16)
         got, want = self.in_place_and_copy(rng, n, shifts, per_pixel, zeroed)
         assert got.tobytes() == want.tobytes()
 
@@ -1683,7 +1684,7 @@ class TestInPlacePasses:
         )
         def check(data, n, band, per_pixel, zeroed, seed):
             shifts = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6))
-            monkeypatch.setattr(crf, "_BAND", band)
+            monkeypatch.setattr(grid, "BAND", band)
             got, want = self.in_place_and_copy(
                 np.random.default_rng(seed), n, shifts, per_pixel, zeroed
             )
@@ -1695,7 +1696,7 @@ class TestInPlacePasses:
     @pytest.mark.parametrize("shape,channels,masked,kwargs,raw", FLAT_CASES)
     def test_messages_match_copies(self, rng, monkeypatch, shape, channels, masked, kwargs, raw,
                                    band):
-        monkeypatch.setattr(crf, "_BAND", band)
+        monkeypatch.setattr(grid, "BAND", band)
         _, guidance, valid, cfg = TestFlatLayoutMatchesSlices.case(
             rng, shape, channels, masked, kwargs, raw
         )
@@ -1727,7 +1728,7 @@ class TestBandedStepTail:
     def test_refine_matches_frame_tail(self, rng, monkeypatch, shape, channels, masked, kwargs,
                                        raw):
         # Bands of one or two rows for the tail, of 60 values for the passes.
-        monkeypatch.setattr(crf, "_BAND", 60)
+        monkeypatch.setattr(grid, "BAND", 60)
         logits, guidance, valid, _ = TestFlatLayoutMatchesSlices.case(
             rng, shape, channels, masked, kwargs, raw
         )
@@ -1746,7 +1747,7 @@ class TestBandedStepTail:
     @pytest.mark.parametrize("compatibility", [None, NON_POTTS], ids=["potts", "non-potts"])
     @pytest.mark.parametrize("kwargs", KERNEL_CASES)
     def test_public_step_matches_frame_tail(self, rng, monkeypatch, kwargs, compatibility, band):
-        monkeypatch.setattr(crf, "_BAND", band)
+        monkeypatch.setattr(grid, "BAND", band)
         shape = (19, 23)
         valid = rng.random(shape) > 0.15
         guidance = rng.normal(size=(3, *shape))
@@ -1798,7 +1799,7 @@ class TestBandStreamedFeatures:
         pitch = -(-shape[1] // factor) + 3
         want = frame_features(guidance, valid, factor, pitch).tobytes()
         for band in (1, 7, 40, 1 << 15):
-            monkeypatch.setattr(crf, "_BAND", band)
+            monkeypatch.setattr(grid, "BAND", band)
             assert crf._features(guidance, valid, factor, pitch).tobytes() == want
 
     @pytest.mark.parametrize("band", [3, 50])
@@ -1809,7 +1810,7 @@ class TestBandStreamedFeatures:
             rng, shape, channels, masked, kwargs, raw
         )
         want = crf.bilateral_weights(guidance, cfg, valid)
-        monkeypatch.setattr(crf, "_BAND", band)
+        monkeypatch.setattr(grid, "BAND", band)
         assert_same_weights(crf.bilateral_weights(guidance, cfg, valid), want)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from apmkit.errors import DataError, EmptyInputError
-from apmkit.raster import distance
+from apmkit.raster import grid
 from apmkit.raster.distance import (
     _lower_envelope_rows,
     distance_map,
@@ -277,13 +277,13 @@ class TestEnvelopeMatchesColumnWalk:
     def test_row_blocks(self, monkeypatch, height):
         # A block of 3 rows at width 20: heights cross a block boundary
         # by one row and fill blocks exactly.
-        monkeypatch.setattr(distance, "_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(grid, "BAND", 64)
         f = _gappy_rows((height, 20), 0.3, 19 + height)
         f[height // 2] = np.inf
         assert np.array_equal(_lower_envelope_rows(f, 1.5), column_walk_envelope(f, 1.5))
 
     def test_one_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(distance, "_BLOCK_ELEMENTS", 16)
+        monkeypatch.setattr(grid, "BAND", 16)
         f = _gappy_rows((5, 20), 0.3, 30)
         assert np.array_equal(_lower_envelope_rows(f, 1.0), column_walk_envelope(f, 1.0))
 
@@ -293,7 +293,7 @@ class TestEnvelopeMatchesColumnWalk:
         from hypothesis import strategies as st
 
         # Small blocks, so that drawn frames span several of them.
-        monkeypatch.setattr(distance, "_BLOCK_ELEMENTS", 96)
+        monkeypatch.setattr(grid, "BAND", 96)
 
         @settings(max_examples=150, deadline=None)
         @given(
@@ -316,10 +316,10 @@ class TestEnvelopeMatchesColumnWalk:
         check()
 
     def test_row_block_boundary_at_shipped_size(self):
-        # 4 * 16385 is just over the block size, so the 4th row opens a
-        # second block of the shipped constant.
-        width = distance._BLOCK_ELEMENTS // 4 + 1
-        assert distance._BLOCK_ELEMENTS // width == 3
+        # 4 * 8193 is just over the shipped band of 2^15 pixels, so the
+        # 4th row opens a second band.
+        width = grid.BAND // 4 + 1
+        assert grid.BAND // width == 3
         f = np.full((4, width), np.inf)
         rng = np.random.default_rng(31)
         for r in range(4):

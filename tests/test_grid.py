@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from apmkit.errors import DataError, DimensionError, EmptyInputError
+from apmkit.raster import grid
 from apmkit.raster.grid import (
     RasterGrid,
     atomic_write,
+    commit_outputs,
     fill_holes,
     load_raster,
+    row_bands,
     save_raster,
 )
 
@@ -444,12 +447,65 @@ class TestAtomicWrite:
         assert ".tmp" not in str(err.value) and str(tmp_path / "a.bin") in str(err.value)
         assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
+    def test_directory_target_moves_no_file(self, tmp_path):
+        # The first target's rename would succeed; the directory is refused
+        # before it, so neither file appears and no temp is left.
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            with commit_outputs() as outputs:
+                outputs.temp(tmp_path / "first.bin").write_bytes(b"first")
+                outputs.temp(tmp_path / "d").write_bytes(b"second")
+        assert err.value.filename == str(tmp_path / "d")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d"]
+
     def test_rewrite_replaces_bytes(self, tmp_path, make_grid):
         path = tmp_path / "g.grid"
         save_raster(make_grid(np.zeros((2, 2))), path)
         save_raster(make_grid(np.ones((2, 2))), path)
         assert np.all(load_raster(path).data == 1.0)
         assert [p.name for p in tmp_path.iterdir()] == ["g.grid"]
+
+
+class TestRowBands:
+    """Every banded pass is sized by ``row_bands``: its bands cover the
+    rows once, in order, each a multiple of ``rows`` rows and as many as
+    ``BAND`` values allow, with one group of ``rows`` rows the least."""
+
+    @staticmethod
+    def assert_bands(h, w, rows):
+        bands = row_bands(h, w, rows)
+        assert bands.step > 0 and bands.step % rows == 0
+        assert all(start % rows == 0 for start in bands)
+        covered = [r for start in bands for r in range(start, min(start + bands.step, h))]
+        assert covered == list(range(h))
+        if rows * w <= grid.BAND:
+            assert bands.step * w <= grid.BAND < (bands.step + rows) * w
+        else:
+            assert bands.step == rows
+
+    @pytest.mark.parametrize(
+        "h,w,rows", [(0, 5, 1), (1, 1, 1), (384, 384, 1), (192, 197, 2), (3, 1 << 16, 4),
+                     (1 << 20, 1, 1), (9, 8193, 1)],
+    )
+    def test_shipped_band(self, h, w, rows):
+        assert grid.BAND == 1 << 15
+        self.assert_bands(h, w, rows)
+
+    def test_property_over_frame_rows_and_band(self, monkeypatch):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            h=st.integers(0, 300), w=st.integers(1, 200), rows=st.integers(1, 8),
+            band=st.integers(1, 3000),
+        )
+        def check(h, w, rows, band):
+            monkeypatch.setattr(grid, "BAND", band)
+            self.assert_bands(h, w, rows)
+
+        check()
 
 
 class TestFillHoles:

@@ -32,6 +32,7 @@ from apmkit.metrics import (
     write_density_csv,
 )
 from apmkit.pipeline import evaluate_surface
+from apmkit.raster import grid
 from apmkit.raster.sites import SiteRecord
 
 UNIT_PENTAGON_AREA = 2.377641290737884  # 0.5 * sin(72 deg) * 5
@@ -438,7 +439,7 @@ class TestDensityMatchesLoop:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 8192])
     def test_bimodal_at_floor(self, rng, monkeypatch, chunk):
-        monkeypatch.setattr(metrics, "_CHUNK", chunk)
+        monkeypatch.setattr(grid, "BAND", chunk)
         d = assert_matches_loop(bimodal(rng, 5000))
         assert d.bandwidth == 1e-3
 
@@ -526,7 +527,7 @@ class TestDensityMatchesLoop:
                 "ties": lambda: rng.integers(0, 5, n) / 4.0,
                 "outside": lambda: rng.normal(1.5, 0.5, n),
             }[kind]()
-            monkeypatch.setattr(metrics, "_CHUNK", chunk)
+            monkeypatch.setattr(grid, "BAND", chunk)
             assert_matches_loop(scores, n_bins)
 
         check()
