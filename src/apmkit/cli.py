@@ -139,8 +139,6 @@ def _cmd_stitch(args) -> None:
         plan = plan_windows(grid.height, grid.width, args.tile, args.overlap)
         save_plan(args.out_plan, plan, grid.shape, grid.geotransform)
         return
-    if not (args.plan and args.pred and args.out):
-        raise ConfigError("stitch needs --plan, --pred and --out (or --out-plan)")
     windows, shape, gt = load_plan(args.plan)
     if len(args.pred) != len(windows):
         raise DataError(
@@ -286,8 +284,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "stitch" and not args.out_plan and args.grid and not args.plan:
-        parser.error("stitch: use --out-plan with --grid, or --plan/--pred/--out")
+    if args.command == "stitch":
+        planning, stitching = (args.grid, args.out_plan), (args.plan, args.pred, args.out)
+        if not (all(planning) and not any(stitching) or all(stitching) and not any(planning)):
+            parser.error("stitch: plan with --grid and --out-plan, "
+                         "or stitch with --plan, --pred and --out")
     try:
         args.func(args)
     except ToolkitError as exc:

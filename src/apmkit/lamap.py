@@ -17,6 +17,7 @@ Affinities and weights both live in [0, 1], so P does too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +82,14 @@ class LamapConfig:
     bands: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.catchment_radius < 0:
-            raise ConfigError(f"catchment_radius must be >= 0, got {self.catchment_radius}")
-        if self.kernel_bandwidth <= 0:
-            raise ConfigError(f"kernel_bandwidth must be > 0, got {self.kernel_bandwidth}")
+        if not 0 <= self.catchment_radius < math.inf:
+            raise ConfigError(
+                f"catchment_radius must be finite and >= 0, got {self.catchment_radius}"
+            )
+        if not 0 < self.kernel_bandwidth < math.inf:
+            raise ConfigError(
+                f"kernel_bandwidth must be finite and > 0, got {self.kernel_bandwidth}"
+            )
         if self.bands is not None:
             if not self.bands:
                 raise ConfigError("bands must name at least one band, got none")

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -59,7 +60,7 @@ from .raster.grid import (
     write_json,
 )
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
-from .raster.sites import filter_sites, read_sites_csv
+from .raster.sites import PERIODS, filter_sites, read_sites_csv
 from .raster.terrain import derive_terrain
 
 logger = logging.getLogger(__name__)
@@ -113,8 +114,10 @@ class PipelineConfig:
             raise ConfigError("no stages requested")
         # Keep canonical order regardless of listing order.
         object.__setattr__(self, "stages", tuple(s for s in STAGES if s in stages))
-        if self.label_radius < 0:
-            raise ConfigError(f"label_radius must be >= 0, got {self.label_radius}")
+        if self.period is not None and self.period not in PERIODS:
+            raise ConfigError(f"unknown period {self.period!r}; expected one of {PERIODS}")
+        if not 0 <= self.label_radius < math.inf:
+            raise ConfigError(f"label_radius must be finite and >= 0, got {self.label_radius}")
         if self.step < 0:
             raise ConfigError(f"step must be >= 0, got {self.step}")
         self._require_inputs()
@@ -191,14 +194,15 @@ class _Run:
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
+        # Sites first: a bad sites file fails the run before output_dir exists.
+        sites = cfg.inputs.sites
+        self.period_sites = read_sites_csv(sites, cfg.period) if sites else []
         self.out = Path(cfg.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.stack: RasterGrid | None = None
         self.labels: RasterGrid | None = None
         self.baseline: RasterGrid | None = None
         self.surface: RasterGrid | None = None
-        sites = cfg.inputs.sites
-        self.period_sites = read_sites_csv(sites, cfg.period) if sites else []
         self.outputs = Outputs()  # the running stage's
 
     def output(self, name: str) -> Path:

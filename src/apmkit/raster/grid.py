@@ -181,8 +181,8 @@ class RasterGrid:
         Only the box is computed, so a disk costs its own size, not the
         frame's. The box is empty when no pixel is in the disk.
         """
-        if radius < 0:
-            raise DataError(f"negative radius {radius}")
+        if not 0 <= radius < math.inf:
+            raise DataError(f"radius must be finite and >= 0, got {radius}")
         ox, oy, px, py = self.geotransform
         # Candidate index box around the disk, then an exact center check.
         half_c = int(math.ceil(radius / px)) + 1
@@ -301,7 +301,7 @@ def save_raster(grid: RasterGrid, path: str | os.PathLike) -> None:
         fh.write(_MAGIC)
         fh.write(np.uint32(len(blob)).tobytes())
         fh.write(blob)
-        fh.write(np.ascontiguousarray(grid.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(grid.data, dtype="<f4"))  # the buffer, not a copy
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -31,8 +32,8 @@ def rasterize_labels(
     Sites with polarity ``unlabeled`` contribute nothing. Sites outside
     the raster extent are skipped with a logged warning.
     """
-    if radius < 0:
-        raise ConfigError(f"label radius must be >= 0, got {radius}")
+    if not 0 <= radius < math.inf:
+        raise ConfigError(f"label radius must be finite and >= 0, got {radius}")
     pos = np.zeros(grid.shape, dtype=bool)
     neg = np.zeros(grid.shape, dtype=bool)
     for site in sites:

@@ -1,15 +1,16 @@
 """Site records and the site CSV interchange format.
 
 The CSV schema is fixed: ``site_id,x,y,period,polarity,find_count`` with
-one row per site. ``period`` must be one of the seven supported
-chronological periods, ``polarity`` one of ``positive``, ``negative`` or
-``unlabeled``, and ``find_count`` may be empty.
+one row per site. ``x`` and ``y`` must be finite, ``period`` one of the
+seven supported chronological periods, ``polarity`` one of ``positive``,
+``negative`` or ``unlabeled``, and ``find_count`` may be empty.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,6 +46,10 @@ class SiteRecord:
     def __post_init__(self) -> None:
         if not self.site_id:
             raise DataError("site_id must be non-empty")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DataError(
+                f"site '{self.site_id}': coordinates must be finite, got ({self.x}, {self.y})"
+            )
         if self.period not in PERIODS:
             raise DataError(
                 f"site '{self.site_id}': unknown period {self.period!r}; "

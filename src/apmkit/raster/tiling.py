@@ -4,8 +4,9 @@ A plan is a list of equal-size windows covering the grid; overlapping
 windows let per-tile predictions be blended back into a seamless surface.
 Each window carries a crop margin: at stitch time only its retained
 center region contributes, except that windows touching the grid border
-keep their context pixels on that side so the union of retained regions
-always covers the full frame.
+keep their context pixels on that side, so the retained regions of a
+planned pass cover the full frame. A stitched pixel is the mean of its
+retained contributions, or nodata where none covers it or one is NaN.
 """
 
 from __future__ import annotations
@@ -66,18 +67,15 @@ def _axis_positions(extent: int, tile: int, stride: int) -> list[int]:
 
 
 def plan_windows(
-    height: int,
-    width: int,
-    tile_size: int,
-    overlap_fraction: float,
-    crop_margin: int | None = None,
+    height: int, width: int, tile_size: int, overlap_fraction: float
 ) -> list[TileWindow]:
     """Plan a full-coverage sliding-window pass over an ``(H, W)`` frame.
 
     The stride is ``max(1, round(tile_size * (1 - overlap_fraction)))``;
     boundary windows are clamped inward so every window is full size.
-    When ``crop_margin`` is None a margin is chosen so that retained
-    center regions still cover every pixel: ``(tile_size - stride) // 2``.
+    Each window's crop margin is ``(tile_size - stride) // 2``, so the
+    retained center regions still cover every pixel; with a stride of at
+    least 1 it stays below half the tile.
 
     Windows are ordered row-major by corner.
     """
@@ -90,9 +88,7 @@ def plan_windows(
             f"tile_size {tile_size} exceeds grid extent {height}x{width}"
         )
     stride = max(1, int(round(tile_size * (1.0 - overlap_fraction))))
-    if crop_margin is None:
-        crop_margin = max(0, (tile_size - stride) // 2)
-        crop_margin = min(crop_margin, (tile_size - 1) // 2)
+    crop_margin = (tile_size - stride) // 2
     rows = _axis_positions(height, tile_size, stride)
     cols = _axis_positions(width, tile_size, stride)
     return [
@@ -103,19 +99,6 @@ def plan_windows(
 def extract_window(values: np.ndarray, window: TileWindow) -> np.ndarray:
     """View of ``values`` (``(H, W)`` or ``(B, H, W)``) under ``window``."""
     return values[..., window.rows(), window.cols()]
-
-
-def _nearest_covered_fill(band: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Give uncovered pixels the value of the nearest covered one."""
-    if not covered.any():
-        raise DataError("no pixel is covered by any retained window region")
-    out = band.copy()
-    cov_rc = np.argwhere(covered)
-    for r, c in np.argwhere(~covered):
-        d2 = (cov_rc[:, 0] - r) ** 2 + (cov_rc[:, 1] - c) ** 2
-        rr, cc = cov_rc[int(np.argmin(d2))]
-        out[r, c] = band[rr, cc]
-    return out
 
 
 def stitch(
@@ -130,9 +113,10 @@ def stitch(
 
     Each output pixel is the mean of the retained-center contributions
     covering it; sums and counts are accumulated in float64 and divided
-    once, so the result does not depend on window order. Should a pixel
-    end up covered by no retained region (possible only with hand-built
-    plans), it falls back to the value of the nearest covered pixel.
+    once, so the result does not depend on window order. A pixel that no
+    retained region covers (possible only with hand-built plans) is 0 / 0,
+    and a NaN contribution (a masked prediction pixel) keeps its sum NaN:
+    either way the pixel is nodata in every band.
 
     Args:
         predictions: One array per window, ``(size, size)`` or
@@ -141,7 +125,7 @@ def stitch(
         shape: Output ``(height, width)``.
 
     Returns:
-        Stitched RasterGrid (float32).
+        Stitched RasterGrid (float32), masked where any band is NaN.
     """
     height, width = int(shape[0]), int(shape[1])
     if len(predictions) != len(plan):
@@ -170,22 +154,12 @@ def stitch(
         abs_c = slice(window.col0 + rel_c.start, window.col0 + rel_c.stop)
         acc[:, abs_r, abs_c] += arr[:, rel_r, rel_c]
         count[abs_r, abs_c] += 1.0
-    covered = count > 0
-    out = np.empty_like(acc)
-    for b in range(nbands):
-        band = np.divide(acc[b], count, out=np.zeros_like(count), where=covered)
-        if not covered.all():
-            band = _nearest_covered_fill(band, covered)
-        out[b] = band
+    with np.errstate(invalid="ignore"):
+        acc /= count
+    nodata_mask = np.isnan(acc).any(axis=0)
     if band_names is None:
         band_names = tuple(f"band_{i + 1}" for i in range(nbands))
-    return RasterGrid(
-        out.astype(np.float32),
-        geotransform,
-        np.zeros((height, width), dtype=bool),
-        band_names,
-        meta or {},
-    )
+    return RasterGrid(acc.astype(np.float32), geotransform, nodata_mask, band_names, meta or {})
 
 
 def save_plan(

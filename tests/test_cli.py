@@ -314,6 +314,52 @@ class TestSplitAndStitch:
         with pytest.raises(SystemExit):
             main(["stitch", "--grid", str(ws / "dem.grid")])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--out-plan", "{plan}"],
+            ["--grid", "{dem}", "--out-plan", "{plan}", "--plan", "{plan}"],
+            ["--grid", "{dem}", "--out-plan", "{plan}", "--out", "{out}"],
+            ["--plan", "{plan}", "--pred", "{dem}"],
+            ["--plan", "{plan}", "--pred", "{dem}", "--out", "{out}", "--grid", "{dem}"],
+            ["--plan", "{plan}", "--pred", "{dem}", "--out", "{out}", "--out-plan", "{plan}"],
+            [],
+        ],
+        ids=["out-plan-alone", "plan-with-plan", "plan-with-out", "stitch-without-out",
+             "stitch-with-grid", "stitch-with-out-plan", "no-mode"],
+    )
+    def test_stitch_mode_errors_exit_2(self, ws, capsys, argv):
+        paths = {"dem": ws / "dem.grid", "plan": ws / "p.json", "out": ws / "s.grid"}
+        with pytest.raises(SystemExit) as exc:
+            main(["stitch", *(a.format(**paths) for a in argv)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (ws / "p.json").exists() and not (ws / "s.grid").exists()
+
+    def test_stitch_masked_window_predictions(self, ws):
+        rng = np.random.default_rng(5)
+        mask = rng.random((8, 8)) < 0.25
+        mask[2:4, 5:7] = True
+        frame = RasterGrid.from_array(rng.normal(size=(8, 8)).astype(np.float32),
+                                      (0.0, 0.0, 1.0, -1.0), mask)
+        save_raster(frame, ws / "frame.grid")
+        plan_path = ws / "plan.json"
+        assert main(["stitch", "--grid", str(ws / "frame.grid"), "--tile", "4",
+                     "--overlap", "0.5", "--out-plan", str(plan_path)]) == 0
+        windows, _, gt = load_plan(plan_path)
+        pred_paths = []
+        for i, w in enumerate(windows):
+            sub = RasterGrid.from_array(np.array(extract_window(frame.data, w)), gt,
+                                        np.array(extract_window(frame.nodata_mask, w)))
+            save_raster(sub, ws / f"pred_{i}.grid")
+            pred_paths.append(str(ws / f"pred_{i}.grid"))
+        out = ws / "stitched.grid"
+        assert main(["stitch", "--plan", str(plan_path), "--pred", *pred_paths,
+                     "--out", str(out)]) == 0
+        got = load_raster(out)
+        assert np.array_equal(got.nodata_mask, mask)
+        assert np.allclose(got.band(0)[~mask], frame.band(0)[~mask], atol=1e-6)
+
 
 class TestEvaluate:
     def test_report(self, ws):
@@ -454,6 +500,37 @@ class TestRunAndErrors:
         assert "stage 'labels' requires inputs.stack" in capsys.readouterr().err
         assert not (ws / "out").exists()
 
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["rasterize-labels", "evaluate", "run"])
+    def test_non_finite_site_coordinate_is_data_error(self, ws, capsys, coord, command):
+        bad = ws / "bad_sites.csv"
+        bad.write_text(f"{(ws / 'sites.csv').read_text()}a,{coord},5,Roman Imperial,positive,\n")
+        (ws / "cfg.json").write_text(json.dumps({
+            "output_dir": str(ws / "out"), "stages": ["labels"],
+            "inputs": {"stack": str(ws / "dem.grid"), "sites": str(bad)},
+        }))
+        argv = {
+            "rasterize-labels": ["--grid", str(ws / "dem.grid"), "--out", str(ws / "out")],
+            "evaluate": ["--pred", str(ws / "branch1.grid"), "--out", str(ws / "out")],
+            "run": ["--config", str(ws / "cfg.json")],
+        }[command]
+        sites = [] if command == "run" else ["--sites", str(bad)]
+        assert main([command, *argv, *sites]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "bad_sites.csv:5: site 'a': coordinates must be finite" in err
+        assert not (ws / "out").exists()
+
+    def test_run_unknown_period_fails_before_output_dir(self, ws, capsys):
+        (ws / "cfg.json").write_text(json.dumps({
+            "output_dir": str(ws / "out"), "stages": ["labels"], "period": "Bronze Age",
+            "inputs": {"stack": str(ws / "dem.grid"), "sites": str(ws / "sites.csv")},
+        }))
+        assert main(["run", "--config", str(ws / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown period 'Bronze Age'" in err and "Traceback" not in err
+        assert not (ws / "out").exists()
+
     def test_missing_file_is_data_error(self, ws, capsys):
         code = main([
             "evaluate", "--pred", str(ws / "nope.grid"),
@@ -519,7 +596,10 @@ class TestRunAndErrors:
         assert doc["exit_code"] == 3
         assert "nope.grid" in doc["message"]
 
-    @pytest.mark.parametrize("flag,value", [("--bandwidth", "0"), ("--catchment", "-1")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--bandwidth", "0"), ("--catchment", "-1"), ("--catchment", "nan"),
+        ("--catchment", "inf"), ("--bandwidth", "nan"), ("--bandwidth", "inf"),
+    ])
     def test_lamap_out_of_range_flag_is_config_error(self, ws, capsys, flag, value):
         code = main([
             "lamap", "--stack", str(ws / "dem.grid"), "--sites", str(ws / "sites.csv"),
@@ -807,11 +887,15 @@ class TestRunAndErrors:
              "--out", "{out}"],
             ["crf-refine", "--logits", "{branch1}", "--guidance", "{dem}", "--sigma", "inf",
              "--out", "{out}"],
+            ["rasterize-labels", "--grid", "{dem}", "--sites", "{sites}", "--radius", "nan",
+             "--out", "{out}"],
+            ["rasterize-labels", "--grid", "{dem}", "--sites", "{sites}", "--radius", "inf",
+             "--out", "{out}"],
         ],
         ids=[
             "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
             "pseudolabel-alpha", "pseudolabel-step", "crf-refine-sigma-nan",
-            "crf-refine-sigma-inf",
+            "crf-refine-sigma-inf", "rasterize-labels-radius-nan", "rasterize-labels-radius-inf",
         ],
     )
     def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):

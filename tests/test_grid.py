@@ -299,6 +299,11 @@ class TestDiskBox:
         with pytest.raises(DataError):
             make_grid(np.zeros((4, 4))).disk_box(1.0, -1.0, -0.5)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius(self, make_grid, radius):
+        with pytest.raises(DataError, match="finite"):
+            make_grid(np.zeros((4, 4))).disk_box(1.0, -1.0, radius)
+
 
 class TestBinaryContainer:
     def test_roundtrip_bit_exact(self, tmp_path, rng):
@@ -394,6 +399,17 @@ class TestBinaryContainer:
         assert np.array_equal(got.data[:, ~mask], data[:, ~mask])
         # The masked samples are NaN on disk, so the payload is not copied.
         assert peak < 1.5 * data.nbytes
+
+    def test_save_writes_the_payload_without_a_copy(self, tmp_path, rng):
+        grid = RasterGrid.from_array(rng.normal(size=(5, 128, 96)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            save_raster(grid, tmp_path / "big.grid")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * grid.data.nbytes
+        assert np.array_equal(load_raster(tmp_path / "big.grid").data, grid.data)
 
 
 class _PayloadFails:

@@ -73,6 +73,13 @@ def test_negative_radius_rejected(make_grid):
         rasterize_labels(g, [], radius=-1.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_non_finite_radius_rejected(make_grid, radius):
+    g = make_grid(np.zeros((4, 4)))
+    with pytest.raises(ConfigError, match="finite"):
+        rasterize_labels(g, [], radius=radius)
+
+
 def test_grid_mask_wins_over_labels(make_grid):
     mask = np.zeros((5, 5), bool)
     mask[2, 2] = True

@@ -1,5 +1,6 @@
 """Site-signature potential surfaces."""
 
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -386,6 +387,12 @@ class TestSurfaceWrapper:
         with pytest.raises(ConfigError, match="each band once"):
             LamapConfig(bands=(0, 0, 2))
         assert LamapConfig(bands=(0, 7)).bands == (0, 7)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["catchment_radius", "kernel_bandwidth"])
+    def test_non_finite_config_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            LamapConfig(**{key: value})
 
 
 def sorted_pixel_potential(stack, models, cfg):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import weakref
 from pathlib import Path
@@ -202,6 +203,19 @@ class TestConfig:
             PipelineConfig.from_json({**base, "dpl": {"confidence_tau": 0.5}})
         with pytest.raises(ConfigError, match="must be an object"):
             PipelineConfig.from_json({**base, "crf": [1, 2]})
+
+    def test_unknown_period_is_config_error(self):
+        base = {"output_dir": "x", "stages": ["features"], "inputs": {"dem": "d"}}
+        with pytest.raises(ConfigError, match="unknown period 'Bronze Age'"):
+            PipelineConfig.from_json({**base, "period": "Bronze Age"})
+        assert PipelineConfig.from_json({**base, "period": "Byzantine"}).period == "Byzantine"
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_label_radius_is_config_error(self, radius):
+        cfg = PipelineConfig.from_json({"output_dir": "x", "stages": ["features"],
+                                        "inputs": {"dem": "d"}})
+        with pytest.raises(ConfigError, match="label_radius must be finite"):
+            dataclasses.replace(cfg, label_radius=radius)
 
     def test_sub_configs_built_up_front(self):
         cfg = PipelineConfig.from_json({

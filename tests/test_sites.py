@@ -86,6 +86,20 @@ def test_row_errors_carry_line_numbers(tmp_path):
         read_sites_csv(path)
 
 
+@pytest.mark.parametrize("x, y", [("nan", "5"), ("1", "inf"), ("-inf", "2"), ("NaN", "nan")])
+def test_non_finite_coordinates_rejected(tmp_path, x, y):
+    with pytest.raises(DataError, match="coordinates must be finite"):
+        SiteRecord("a", float(x), float(y), "Roman Imperial", "positive")
+    path = tmp_path / "rows.csv"
+    path.write_text(
+        ",".join(CSV_HEADER)
+        + "\ns1,1.0,2.0,Roman Imperial,positive,\n"
+        + f"a,{x},{y},Roman Imperial,positive,\n"
+    )
+    with pytest.raises(DataError, match=r"rows\.csv:3: site 'a': coordinates must be finite"):
+        read_sites_csv(path)
+
+
 def test_duplicate_ids(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text(

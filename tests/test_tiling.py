@@ -1,5 +1,6 @@
 """Sliding-window planning and seamless stitching."""
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +74,13 @@ class TestPlan:
                 ] = True
             assert covered.all()
 
+    @pytest.mark.parametrize("tile", [1, 2, 7, 16, 128])
+    @pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5, 0.9, 0.99])
+    def test_margin_is_derived_from_stride(self, tile, overlap):
+        stride = max(1, int(round(tile * (1.0 - overlap))))
+        plan = plan_windows(200, 200, tile, overlap)
+        assert {w.crop_margin for w in plan} == {(tile - stride) // 2}
+
     def test_margin_validation(self):
         with pytest.raises(DataError):
             TileWindow(0, 0, 8, crop_margin=4)
@@ -135,14 +143,70 @@ class TestStitch:
         assert out.bands == 3
         assert np.allclose(out.data, values, atol=1e-6)
 
-    def test_uncovered_pixel_falls_back_to_nearest(self):
-        # A hand-built plan leaving the right column uncovered.
+    @pytest.mark.parametrize("h, w", [(23, 23), (40, 57), (64, 31)])
+    @pytest.mark.parametrize("tile", [1, 4, 9, 16])
+    @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.75, 0.9])
+    def test_planned_stitch_matches_per_band_divide(self, h, w, tile, overlap):
+        # Reference: the per-band divide over covered pixels that the one
+        # in-place division replaced. Every planned pixel is covered.
+        rng = np.random.default_rng(h * w + tile)
+        values = rng.normal(size=(2, h, w))
+        plan = plan_windows(h, w, tile, overlap)
+        preds = [np.asarray(extract_window(values, win)) for win in plan]
+        acc = np.zeros((2, h, w))
+        count = np.zeros((h, w))
+        for win, pred in zip(plan, preds):
+            rel_r, rel_c = win.retained(h, w)
+            abs_r = slice(win.row0 + rel_r.start, win.row0 + rel_r.stop)
+            abs_c = slice(win.col0 + rel_c.start, win.col0 + rel_c.stop)
+            acc[:, abs_r, abs_c] += pred[:, rel_r, rel_c]
+            count[abs_r, abs_c] += 1.0
+        covered = count > 0
+        want = np.stack([
+            np.divide(acc[b], count, out=np.zeros_like(count), where=covered)
+            for b in range(2)
+        ]).astype(np.float32)
+        out = stitch(preds, plan, (h, w))
+        assert not out.nodata_mask.any()
+        assert out.data.tobytes() == want.tobytes()
+
+    def test_uncovered_pixels_are_nodata(self):
+        # A hand-built plan leaving the two right columns uncovered.
         plan = [TileWindow(0, 0, 4, 0)]
-        preds = [np.arange(16.0).reshape(4, 4)]
+        preds = [np.arange(32.0).reshape(2, 4, 4)]
         out = stitch(preds, plan, (4, 6))
-        band = out.band(0)
-        assert band[0, 4] == band[0, 3]  # nearest covered neighbour
-        assert band[3, 5] == band[3, 3]
+        assert np.array_equal(out.nodata_mask[:, 4:], np.ones((4, 2), dtype=bool))
+        assert not out.nodata_mask[:, :4].any()
+        assert np.isnan(out.data[:, :, 4:]).all()
+        assert np.array_equal(out.data[:, :, :4], preds[0])
+
+    def test_large_uncovered_area_is_fast(self):
+        # One 200² window over a 400² frame: three quarters uncovered.
+        values = np.ones((200, 200))
+        start = time.perf_counter()
+        out = stitch([values], [TileWindow(0, 0, 200, 0)], (400, 400))
+        assert time.perf_counter() - start < 1.0
+        assert int(out.nodata_mask.sum()) == 400 * 400 - 200 * 200
+        assert not out.nodata_mask[:200, :200].any()
+
+    def test_masked_predictions_carry_the_mask(self, rng):
+        values = rng.normal(size=(2, 33, 41))
+        mask = rng.random((33, 41)) < 0.2
+        mask[5:15, 10:30] = True
+        masked = np.where(mask, np.nan, values)
+        plan = plan_windows(33, 41, 8, 0.75)
+        clean = stitch([np.asarray(extract_window(values, w)) for w in plan], plan, (33, 41))
+        out = stitch([np.asarray(extract_window(masked, w)) for w in plan], plan, (33, 41))
+        assert np.array_equal(out.nodata_mask, mask)
+        assert np.isnan(out.data[:, mask]).all()
+        assert np.array_equal(out.data[:, ~mask], clean.data[:, ~mask])
+
+    def test_nan_in_one_band_masks_every_band(self):
+        pred = np.ones((2, 4, 4))
+        pred[1, 2, 3] = np.nan
+        out = stitch([pred], [TileWindow(0, 0, 4, 0)], (4, 4))
+        assert out.nodata_mask[2, 3] and out.nodata_mask.sum() == 1
+        assert np.isnan(out.data[:, 2, 3]).all()
 
     def test_count_mismatch(self):
         plan = plan_windows(16, 16, 8, 0.0)
