@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 
 from .config import build_config, read_json
@@ -117,6 +118,8 @@ def _cmd_pseudolabel(args) -> None:
 
 
 def _cmd_split_folds(args) -> None:
+    if not (math.isfinite(args.catchment) and args.catchment >= 0):
+        raise ConfigError(f"--catchment must be finite and >= 0, got {args.catchment}")
     sites = read_sites_csv(args.sites)
     if args.strategy == "stratified":
         if not args.stack:

@@ -284,15 +284,15 @@ def pseudolabel_with_breakdown(
     """Confident pseudolabel raster and its loss-breakdown document.
 
     The one body of the ``pseudolabel`` stage and of ``apmkit pseudolabel``.
-    One ``alpha`` mixes both the raster and the loss's pseudolabel term;
+    One ``alpha`` mixes the raster, and the loss scores that raster;
     without a given one it is drawn from the run seed's ``pseudolabel``
     stream.
     """
     if alpha is None:
         alpha = float(module_rng(seed, "pseudolabel").uniform())
     labeled = None if labels is None else (pair.y1, pair.y2, labels)
-    breakdown = dpl_objective(labeled, [pair], cfg, step=step, alphas=[alpha])
     masked = confident_pseudolabel(pair, cfg, alpha)
+    breakdown = dpl_objective(labeled, [pair], cfg, step, [masked])
     return masked, {"step": step, "loss_kind": cfg.loss_kind, **breakdown.as_dict()}
 
 

@@ -20,8 +20,10 @@ squared branch disagreement, and entropy is the mean binary entropy of
 the branch outputs (subtracted: confident predictions are rewarded).
 The time-dependent weights follow a sigmoid ramp
 ``lambda(t) = lambda_max * exp(-5 (1 - min(t, 1))^2)``.
-Every alpha is the caller's (the pipeline draws one per run, see
-``pipeline.pseudolabel_with_breakdown``).
+:func:`confident_pseudolabel` is the one place that mixes the branches
+and applies the confidence rule; :func:`dpl_objective` scores the
+rasters it returns. Every alpha is the caller's (the pipeline draws one
+per run, see ``pipeline.pseudolabel_with_breakdown``).
 """
 
 from __future__ import annotations
@@ -132,14 +134,6 @@ def _mixture(pair: BranchPair, alpha: float) -> np.ndarray:
     return a * pair.y1.band(0) + (np.float32(1.0) - a) * pair.y2.band(0)
 
 
-def _confident(tilde: np.ndarray, tau: float) -> np.ndarray:
-    """Pixels whose confidence ``max(p, 1 - p)`` (float64) reaches ``tau``;
-    a NaN pixel fails the comparison."""
-    conf = 1.0 - tilde
-    np.maximum(conf, tilde, out=conf)
-    return conf >= tau
-
-
 def combine(pair: BranchPair, alpha: float) -> RasterGrid:
     """Convex branch mixture ``alpha * y1 + (1 - alpha) * y2``.
 
@@ -158,11 +152,15 @@ def confident_pseudolabel(pair: BranchPair, cfg: DplConfig, alpha: float) -> Ras
     """Mixed pseudolabel raster masked to its confident pixels.
 
     The branches are combined with ``alpha``, then pixels whose confidence
-    ``max(p, 1 - p)`` falls below ``cfg.confidence_tau`` are masked out
-    along with the input nodata.
+    ``max(p, 1 - p)`` (in float64) falls below ``cfg.confidence_tau`` are
+    masked out along with the input nodata, where the NaN mixture fails
+    the comparison. This is the pseudolabel :func:`dpl_objective` scores.
     """
     tilde = _mixture(pair, alpha)
-    unsure = ~_confident(tilde.astype(np.float64), cfg.confidence_tau)
+    conf = 1.0 - tilde.astype(np.float64)
+    np.maximum(conf, tilde, out=conf)
+    unsure = ~(conf >= cfg.confidence_tau)
+    del conf
     tilde[unsure] = np.nan
     return RasterGrid(
         tilde[None],
@@ -318,7 +316,7 @@ def dpl_objective(
     unlabeled: Sequence[BranchPair],
     cfg: DplConfig,
     step: int,
-    alphas: Sequence[float],
+    pseudolabels: Sequence[RasterGrid],
 ) -> LossBreakdown:
     """Evaluate the combined objective at one training step.
 
@@ -331,28 +329,34 @@ def dpl_objective(
             computed on them is averaged over the batches.
         cfg: Objective settings.
         step: Training step, used by the ramped weights.
-        alphas: Mixture coefficients, one per unlabeled batch.
+        pseudolabels: One single-band raster per unlabeled batch, on its
+            pair's frame, as :func:`confident_pseudolabel` returns it:
+            the branch mixture with its unconfident pixels masked.
 
     Returns:
         LossBreakdown with the unweighted terms and the weighted total.
 
     Notes:
-        Pseudolabels enter overlap losses (dice, dice-focal, tversky)
-        hard-thresholded at 0.5 and logarithmic losses soft. Pixels whose
-        pseudolabel confidence ``max(y~, 1 - y~)`` falls below
-        ``cfg.confidence_tau`` are excluded from the pseudolabel term; a
-        batch with no confident pixel contributes zero. Each raster is
-        read as float64 once: a labeled prediction that is also a batch's
-        branch serves both terms from one read.
+        The pseudolabel term runs over each raster's unmasked pixels; a
+        batch whose raster masks every pixel contributes zero. Those
+        values enter overlap losses (dice, dice-focal, tversky)
+        hard-thresholded at 0.5 and logarithmic losses soft. Each raster
+        is read as float64 once: a labeled prediction that is also a
+        batch's branch serves both terms from one read.
     """
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
     if labeled is None and not unlabeled:
         raise DataError("objective needs a labeled triple or unlabeled pairs")
-    if len(alphas) != len(unlabeled):
+    if len(pseudolabels) != len(unlabeled):
         raise DataError(
-            f"{len(alphas)} alphas supplied for {len(unlabeled)} unlabeled batches"
+            f"{len(pseudolabels)} pseudolabels supplied for {len(unlabeled)} unlabeled batches"
         )
+    for pair, pseudolabel in zip(unlabeled, pseudolabels):
+        if pseudolabel.bands != 1:
+            raise DataError(f"a pseudolabel must be single-band, got {pseudolabel.bands} bands")
+        if not pseudolabel.same_frame(pair.y1):
+            raise DataError("a pseudolabel and its branch pair disagree in frame")
 
     supervised = 0.0
     reads: dict[int, np.ndarray] = {}  # labeled predictions that are also branches
@@ -374,12 +378,12 @@ def dpl_objective(
     cons_terms: list[float] = []
     ent_terms: list[float] = []
     hard = cfg.loss_kind in _HARD_TARGET_KINDS
-    for pair, alpha in zip(unlabeled, alphas):
+    for pair, pseudolabel in zip(unlabeled, pseudolabels):
         y1, y2 = (reads[id(g)] if id(g) in reads else _float64(g) for g in (pair.y1, pair.y2))
-        tilde = _mixture(pair, float(alpha)).astype(np.float64)  # NaN off pair.valid
-        confident = _confident(tilde, cfg.confidence_tau)
-        target = (tilde >= 0.5).astype(np.float64) if hard else tilde
-        del tilde
+        confident = ~pseudolabel.nodata_mask
+        values = _float64(pseudolabel)  # NaN off the confident pixels
+        target = (values >= 0.5).astype(np.float64) if hard else values
+        del values
         if confident.any():
             batch = seg_loss(y1, target, cfg, select=confident) + seg_loss(
                 y2, target, cfg, select=confident

@@ -31,7 +31,14 @@ from apmkit.metrics import (
     confusion_from_counts,
 )
 from apmkit.pipeline import PipelineConfig, run_pipeline
-from apmkit.pseudolabel import BranchPair, DplConfig, binary_entropy, combine, dpl_objective
+from apmkit.pseudolabel import (
+    BranchPair,
+    DplConfig,
+    binary_entropy,
+    combine,
+    confident_pseudolabel,
+    dpl_objective,
+)
 from apmkit.raster.grid import RasterGrid, save_raster
 from apmkit.raster.sites import SiteRecord, write_sites_csv
 from apmkit.raster.tiling import extract_window, plan_windows, stitch
@@ -233,17 +240,16 @@ def test_c05_objective_algebra():
         (rng.random((12, 14)) < 0.5).astype(np.float32), (0.0, 0.0, 1.0, -1.0)
     )
     labeled = (pair.y1, pair.y2, labels)
-    alphas = [0.35]
 
     zeroed = DplConfig(lambda_p=0.0, lambda_c_max=0.0, lambda_e_max=0.0)
-    b0 = dpl_objective(labeled, [pair], zeroed, step=17, alphas=alphas)
+    b0 = dpl_objective(labeled, [pair], zeroed, 17, [confident_pseudolabel(pair, zeroed, 0.35)])
     degenerate_exact = b0.total == b0.supervised
 
     base = DplConfig(lambda_p=0.7)
     h = 0.5
     bumped = DplConfig(lambda_p=0.7 + h)
-    t1 = dpl_objective(labeled, [pair], base, step=17, alphas=alphas)
-    t2 = dpl_objective(labeled, [pair], bumped, step=17, alphas=alphas)
+    t1 = dpl_objective(labeled, [pair], base, 17, [confident_pseudolabel(pair, base, 0.35)])
+    t2 = dpl_objective(labeled, [pair], bumped, 17, [confident_pseudolabel(pair, bumped, 0.35)])
     slope = (t2.total - t1.total) / h
     slope_dev = abs(slope - t1.pseudolabel)
 

@@ -14,7 +14,7 @@ from apmkit.folds import FoldAssignment
 from apmkit.lamap import LamapConfig, build_site_models, lamap_surface
 from apmkit.metrics import MetricsReport
 from apmkit.pipeline import build_feature_stack, evaluate_surface
-from apmkit.pseudolabel import BranchPair, DplConfig, dpl_objective
+from apmkit.pseudolabel import BranchPair, DplConfig, confident_pseudolabel, dpl_objective
 from apmkit.raster.grid import RasterGrid, load_raster, save_raster
 from apmkit.raster.sites import SiteRecord, write_sites_csv
 from apmkit.raster.tiling import extract_window, load_plan, plan_windows
@@ -198,7 +198,8 @@ class TestSurfaceCommands:
                 "--out-json", f"{out}.json",
             ])
             assert code == 0
-            want = dpl_objective(None, [pair], DplConfig(), 0, alphas=[0.5])
+            pseudolabel = confident_pseudolabel(pair, DplConfig(), 0.5)
+            want = dpl_objective(None, [pair], DplConfig(), 0, [pseudolabel])
             doc = json.loads((ws / f"seed{seed}.json").read_text())
             assert doc["pseudolabel"] == want.pseudolabel
             assert doc["total"] == want.total
@@ -206,7 +207,8 @@ class TestSurfaceCommands:
         # A fixed alpha leaves nothing to the seed.
         assert outputs[0] == outputs[1]
 
-    def test_pseudolabel_breakdown_scores_the_raster_alpha(self, ws):
+    def test_pseudolabel_breakdown_scores_the_written_raster(self, ws):
+        # The seeded alpha mixes the raster; the loss is that raster's loss.
         pair = BranchPair(load_raster(ws / "branch1.grid"), load_raster(ws / "branch2.grid"))
         code = main([
             "pseudolabel", "--branch1", str(ws / "branch1.grid"),
@@ -214,10 +216,9 @@ class TestSurfaceCommands:
             "--out-raster", str(ws / "p.grid"), "--out-json", str(ws / "p.json"),
         ])
         assert code == 0
-        alpha = load_raster(ws / "p.grid").meta["alpha"]
-        want = dpl_objective(None, [pair], DplConfig(), 0, alphas=[alpha])
+        want = dpl_objective(None, [pair], DplConfig(), 0, [load_raster(ws / "p.grid")])
         doc = json.loads((ws / "p.json").read_text())
-        assert (doc["pseudolabel"], doc["total"]) == (want.pseudolabel, want.total)
+        assert doc == {"step": 0, "loss_kind": "dice", **want.as_dict()}
 
     @pytest.mark.parametrize("labels", [False, True])
     def test_pseudolabel_matches_the_pipeline_stage(self, ws, labels):
@@ -275,6 +276,26 @@ class TestSplitAndStitch:
         ])
         assert code == 2
         assert "requires --stack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("catchment", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["derived", "labels"])
+    def test_out_of_range_catchment_is_config_error(self, ws, capsys, catchment, with_labels):
+        labels = []
+        if with_labels:
+            assert main([
+                "rasterize-labels", "--grid", str(ws / "dem.grid"), "--sites",
+                str(ws / "sites.csv"), "--radius", "3", "--out", str(ws / "labels.grid"),
+            ]) == 0
+            labels = ["--labels", str(ws / "labels.grid")]
+        out = ws / "folds.json"
+        code = main([
+            "split-folds", "--sites", str(ws / "sites.csv"), "--stack", str(ws / "dem.grid"),
+            *labels, "--catchment", catchment, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--catchment must be finite and >= 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_stitch_plan_and_identity(self, ws):
         plan_path = ws / "plan.json"

@@ -23,6 +23,7 @@ from apmkit.pipeline import (
     run_pipeline,
     sample_surface_sites,
 )
+from apmkit.pseudolabel import BranchPair, dpl_objective
 from apmkit.raster.grid import RasterGrid, load_raster, save_raster
 from apmkit.raster.sites import SiteRecord, read_sites_csv, write_sites_csv
 
@@ -550,6 +551,26 @@ class TestRun:
         assert {"supervised", "pseudolabel", "consistency", "entropy", "total"} <= set(
             breakdown
         )
+
+    @pytest.mark.parametrize(
+        "stages", [["pseudolabel"], ["features", "labels", "pseudolabel"]], ids=["alone", "labels"]
+    )
+    def test_loss_breakdown_scores_the_written_pseudolabel(self, workspace, stages):
+        doc = {**full_config(workspace), "stages": stages, "step": 40}
+        cfg = PipelineConfig.from_json(doc)
+        run_pipeline(cfg)
+        out = workspace / "out"
+        pair = BranchPair(
+            load_raster(workspace / "branch1.grid"), load_raster(workspace / "branch2.grid")
+        )
+        labeled = None
+        if "labels" in stages:
+            labeled = (pair.y1, pair.y2, load_raster(out / "labels.grid"))
+        written = load_raster(out / "pseudolabel.grid")
+        want = dpl_objective(labeled, [pair], cfg.dpl, 40, [written])
+        breakdown = json.loads((out / "loss_breakdown.json").read_text())
+        assert breakdown == {"step": 40, "loss_kind": cfg.dpl.loss_kind, **want.as_dict()}
+        assert (want.supervised != 0.0) == ("labels" in stages)
 
     def test_crf_stage_matches_crf_refine_command(self, workspace):
         # The 32x64 frame exceeds the retired tile_size of 32 that

@@ -5,7 +5,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import apmkit.pseudolabel as pseudolabel_module
 from apmkit.errors import ConfigError, DataError
+from apmkit.pipeline import pseudolabel_with_breakdown
 from apmkit.pseudolabel import (
     BranchPair,
     DplConfig,
@@ -30,6 +32,11 @@ TVERSKY4 = 0.09999999999999998
 
 def pair_of(make_grid, a, b, mask1=None, mask2=None):
     return BranchPair(make_grid(a, mask=mask1), make_grid(b, mask=mask2))
+
+
+def masked(pairs, cfg, alphas):
+    """One confident pseudolabel per batch, as the pipeline builds it."""
+    return [confident_pseudolabel(p, cfg, a) for p, a in zip(pairs, alphas, strict=True)]
 
 
 def loss(kind, pred, target, select=None, **settings):
@@ -292,7 +299,7 @@ class TestObjective:
         labeled = self.make_labeled(make_grid, rng)
         pairs = [pair_of(make_grid, rng.random((6, 6)), rng.random((6, 6)))]
         cfg = DplConfig(lambda_p=0.0, lambda_c_max=0.0, lambda_e_max=0.0)
-        out = dpl_objective(labeled, pairs, cfg, step=500, alphas=[0.5])
+        out = dpl_objective(labeled, pairs, cfg, 500, masked(pairs, cfg, [0.5]))
         assert out.total == out.supervised
         labeled_pixels = ~labeled[2].nodata_mask
         want = 0.5 * (
@@ -305,8 +312,8 @@ class TestObjective:
         pairs = [pair_of(make_grid, rng.random((6, 6)), rng.random((6, 6)))]
         base = DplConfig(lambda_p=1.0, confidence_tau=0.7)
         bumped = DplConfig(lambda_p=1.0 + 1e-3, confidence_tau=0.7)
-        lo = dpl_objective(None, pairs, base, step=10, alphas=[0.3])
-        hi = dpl_objective(None, pairs, bumped, step=10, alphas=[0.3])
+        lo = dpl_objective(None, pairs, base, 10, masked(pairs, base, [0.3]))
+        hi = dpl_objective(None, pairs, bumped, 10, masked(pairs, bumped, [0.3]))
         slope = (hi.total - lo.total) / 1e-3
         assert slope == pytest.approx(lo.pseudolabel, abs=1e-9)
 
@@ -316,7 +323,7 @@ class TestObjective:
         field = np.full((2, 1), 0.9)
         pair = pair_of(make_grid, field, field)
         cfg = DplConfig(loss_kind="dice", confidence_tau=0.7)
-        out = dpl_objective(None, [pair], cfg, step=0, alphas=[0.4])
+        out = dpl_objective(None, [pair], cfg, 0, masked([pair], cfg, [0.4]))
         assert out.consistency == 0.0
         want = 2.0 * seg_loss(pair.y1, np.ones_like(field), cfg)
         assert out.pseudolabel == pytest.approx(want, abs=1e-12)
@@ -326,7 +333,7 @@ class TestObjective:
         y2 = rng.random((5, 5))
         pair = pair_of(make_grid, y1, y2)
         cfg = DplConfig(loss_kind="dice", confidence_tau=0.7)
-        out = dpl_objective(None, [pair], cfg, step=0, alphas=[0.5])
+        out = dpl_objective(None, [pair], cfg, 0, masked([pair], cfg, [0.5]))
         tilde = combine(pair, alpha=0.5).band(0).astype(np.float64)
         conf = np.maximum(tilde, 1.0 - tilde) >= 0.7
         hard = (tilde >= 0.5).astype(float)
@@ -340,7 +347,7 @@ class TestObjective:
         y2 = rng.random((5, 5))
         pair = pair_of(make_grid, y1, y2)
         cfg = DplConfig(loss_kind="focal", confidence_tau=0.7)
-        out = dpl_objective(None, [pair], cfg, step=0, alphas=[0.5])
+        out = dpl_objective(None, [pair], cfg, 0, masked([pair], cfg, [0.5]))
         tilde = combine(pair, alpha=0.5).band(0).astype(np.float64)
         conf = np.maximum(tilde, 1.0 - tilde) >= 0.7
         want = seg_loss(pair.y1, tilde, cfg, select=conf) + seg_loss(
@@ -351,9 +358,10 @@ class TestObjective:
     def test_unconfident_batch_contributes_zero(self, make_grid):
         lukewarm = np.full((3, 3), 0.6)
         pair = pair_of(make_grid, lukewarm, lukewarm)
-        out = dpl_objective(
-            None, [pair], DplConfig(confidence_tau=0.8), step=0, alphas=[0.5]
-        )
+        cfg = DplConfig(confidence_tau=0.8)
+        pseudolabels = masked([pair], cfg, [0.5])
+        assert pseudolabels[0].nodata_mask.all()
+        out = dpl_objective(None, [pair], cfg, 0, pseudolabels)
         assert out.pseudolabel == 0.0
         assert out.consistency == 0.0
         assert out.entropy > 0.0
@@ -362,9 +370,9 @@ class TestObjective:
         p1 = pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))
         p2 = pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))
         cfg = DplConfig(confidence_tau=0.7)
-        a = dpl_objective(None, [p1], cfg, step=9, alphas=[0.3])
-        b = dpl_objective(None, [p2], cfg, step=9, alphas=[0.8])
-        both = dpl_objective(None, [p1, p2], cfg, step=9, alphas=[0.3, 0.8])
+        a = dpl_objective(None, [p1], cfg, 9, masked([p1], cfg, [0.3]))
+        b = dpl_objective(None, [p2], cfg, 9, masked([p2], cfg, [0.8]))
+        both = dpl_objective(None, [p1, p2], cfg, 9, masked([p1, p2], cfg, [0.3, 0.8]))
         assert both.pseudolabel == pytest.approx(
             (a.pseudolabel + b.pseudolabel) / 2, abs=1e-12
         )
@@ -377,7 +385,7 @@ class TestObjective:
         pairs = [pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))]
         cfg = DplConfig(lambda_c_max=2.0, lambda_e_max=0.5, confidence_tau=0.7)
         step = 37
-        out = dpl_objective(None, pairs, cfg, step=step, alphas=[0.6])
+        out = dpl_objective(None, pairs, cfg, step, masked(pairs, cfg, [0.6]))
         lam_c = ramp_weight(step, cfg.ramp_steps, 2.0)
         lam_e = ramp_weight(step, cfg.ramp_steps, 0.5)
         want = (
@@ -387,17 +395,18 @@ class TestObjective:
 
     def test_as_dict_roundtrip_keys(self, make_grid, rng):
         pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
-        out = dpl_objective(None, pairs, DplConfig(), step=0, alphas=[0.5])
+        out = dpl_objective(None, pairs, DplConfig(), 0, masked(pairs, DplConfig(), [0.5]))
         d = out.as_dict()
         assert set(d) == {"supervised", "pseudolabel", "consistency", "entropy", "total"}
         assert d["total"] == out.total
 
     def test_input_validation(self, make_grid, rng):
         with pytest.raises(DataError):
-            dpl_objective(None, [], DplConfig(), step=0, alphas=[])
+            dpl_objective(None, [], DplConfig(), 0, masked([], DplConfig(), []))
         pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
-        with pytest.raises(DataError):
-            dpl_objective(None, pairs, DplConfig(), step=0, alphas=[0.5, 0.5])
+        for pseudolabels in ([], masked(pairs, DplConfig(), [0.5]) * 2):
+            with pytest.raises(DataError, match="pseudolabels supplied for 1 unlabeled"):
+                dpl_objective(None, pairs, DplConfig(), 0, pseudolabels)
 
 
 def mixing_loop_pseudo_term(unlabeled, cfg, alphas):
@@ -437,7 +446,7 @@ class TestObjectiveMatchesMixingLoop:
             alphas = rng.uniform(size=2).tolist()
         for tau in (0.7, 0.8, 0.95):
             cfg = DplConfig(loss_kind=kind, confidence_tau=tau)
-            out = dpl_objective(None, pairs, cfg, step=5, alphas=alphas)
+            out = dpl_objective(None, pairs, cfg, 5, masked(pairs, cfg, alphas))
             assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)
 
     def test_unconfident_and_masked_batches(self, make_grid):
@@ -451,5 +460,39 @@ class TestObjectiveMatchesMixingLoop:
         ]
         cfg = DplConfig(confidence_tau=0.75)
         for alphas in ([0.21, 0.64], [0.5, 0.9]):
-            out = dpl_objective(None, pairs, cfg, step=0, alphas=alphas)
+            out = dpl_objective(None, pairs, cfg, 0, masked(pairs, cfg, alphas))
             assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)
+
+
+class TestObjectiveScoresThePseudolabel:
+    """dpl_objective scores the rasters confident_pseudolabel builds."""
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_one_mixture_per_stage_call(self, make_grid, rng, monkeypatch, with_labels):
+        pair = pair_of(make_grid, rng.random((6, 7)), rng.random((6, 7)))
+        labels = make_grid((rng.random((6, 7)) < 0.5).astype(float)) if with_labels else None
+        calls = []
+        mixture = pseudolabel_module._mixture
+
+        def counted(*args):
+            calls.append(args)
+            return mixture(*args)
+
+        monkeypatch.setattr(pseudolabel_module, "_mixture", counted)
+        masked_grid, _ = pseudolabel_with_breakdown(pair, labels, DplConfig(), seed=3, step=5)
+        assert len(calls) == 1
+        assert masked_grid.meta["alpha"] == calls[0][1]
+
+    @pytest.mark.parametrize(
+        "values,geotransform",
+        [
+            (np.full((3, 4), 0.95), (0.0, 0.0, 1.0, -1.0)),
+            (np.full((3, 3), 0.95), (5.0, 0.0, 1.0, -1.0)),
+            (np.full((2, 3, 3), 0.95), (0.0, 0.0, 1.0, -1.0)),
+        ],
+        ids=["shape", "geotransform", "two-band"],
+    )
+    def test_bad_pseudolabel_is_data_error(self, make_grid, rng, values, geotransform):
+        pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
+        with pytest.raises(DataError, match="pseudolabel"):
+            dpl_objective(None, pairs, DplConfig(), 0, [make_grid(values, geotransform)])
