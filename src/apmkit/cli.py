@@ -34,7 +34,7 @@ from .pseudolabel import BranchPair, DplConfig
 from .raster.distance import distance_map, load_targets
 from .raster.grid import commit_outputs, json_bytes, load_raster, save_raster, write_json
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
-from .raster.sites import read_sites_csv
+from .raster.sites import PERIODS, read_sites_csv
 from .raster.tiling import load_plan, plan_windows, save_plan, stitch
 
 logger = logging.getLogger(__name__)
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rasterize-labels", help="1/0 label disks around sites")
     p.add_argument("--grid", required=True, help="reference raster")
     p.add_argument("--sites", required=True, help="sites CSV")
-    p.add_argument("--period", help="restrict to one period")
+    p.add_argument("--period", choices=PERIODS, help="restrict to one period")
     p.add_argument("--radius", type=float, default=DEFAULT_LABEL_RADIUS,
                    help="disk radius in map units")
     p.add_argument("--out", required=True)
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lamap", help="site-affinity potential surface")
     p.add_argument("--stack", required=True, help="feature stack raster")
     p.add_argument("--sites", required=True, help="sites CSV")
-    p.add_argument("--period", help="restrict to one period")
+    p.add_argument("--period", choices=PERIODS, help="restrict to one period")
     p.add_argument("--catchment", type=float, default=DEFAULT_CATCHMENT_RADIUS,
                    help="catchment radius in map units")
     p.add_argument("--bandwidth", type=float, default=DEFAULT_KERNEL_BANDWIDTH,
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a surface at labeled sites")
     p.add_argument("--pred", required=True, help="probability surface raster")
     p.add_argument("--sites", required=True, help="sites CSV")
-    p.add_argument("--period", help="restrict to one period")
+    p.add_argument("--period", choices=PERIODS, help="restrict to one period")
     p.add_argument("--bins", type=int, default=6, help="reliability bins")
     p.add_argument("--baseline-report", help="baseline report JSON for volume gain")
     p.add_argument("--out", default="report.json", help="report JSON path")

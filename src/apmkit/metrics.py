@@ -287,10 +287,9 @@ def find_count_correlation(samples: Sequence[ScoredSample]) -> float | None:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Histogram density plus a Gaussian-smoothed curve on bin centers."""
+    """A Gaussian-smoothed score density on bin centers."""
 
     bin_centers: np.ndarray
-    histogram: np.ndarray
     smoothed: np.ndarray
     bandwidth: float
 
@@ -309,17 +308,13 @@ def _density_edges(n_bins: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_bins + 1)
 
 
-def _histogram(s: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Histogram density of scores already passed through :func:`_finite_scores`."""
-    hist, _ = np.histogram(s, bins=edges)
-    return hist / (s.size * (1.0 / (edges.size - 1)))
-
-
 def density_histogram(scores: np.ndarray, n_bins: int = N_DENSITY_BINS) -> np.ndarray:
     """Histogram density of the finite scores over ``n_bins`` equal-width
     bins of [0, 1]; it integrates to the share of scores inside [0, 1]."""
     edges = _density_edges(n_bins)
-    return _histogram(_finite_scores(scores), edges)
+    s = _finite_scores(scores)
+    hist, _ = np.histogram(s, bins=edges)
+    return hist / (s.size * (1.0 / n_bins))
 
 
 def _percentile(s: np.ndarray, order: np.ndarray, q: float) -> float:
@@ -403,24 +398,21 @@ def _kernel_sums(
 def probability_density(
     scores: np.ndarray, n_bins: int = N_DENSITY_BINS
 ) -> DensityCurve:
-    """Score density over [0, 1]: histogram plus Gaussian-kernel curve.
-
-    The histogram is :func:`density_histogram`'s. The kernel bandwidth
-    follows the Silverman rule ``0.9 min(std, IQR / 1.34) n^(-1/5)`` with
-    a small floor so constant scores stay well defined.
+    """Gaussian-kernel score density on the centres of ``n_bins`` equal-width
+    bins of [0, 1]. The kernel bandwidth follows the Silverman rule
+    ``0.9 min(std, IQR / 1.34) n^(-1/5)`` with a small floor so constant
+    scores stay well defined.
 
     Each bin centre evaluates the kernel only on the scores within 40
     bandwidths of it (:func:`_kernel_sums`). The kernel of every score
     beyond that underflows to exactly +0.0, and those zeros keep their
     places in the array that is summed, so the curve equals one pass over
-    all the scores per bin bit for bit. Only the density CSV reads the
-    curve, so callers that need the histogram alone call
-    :func:`density_histogram`.
+    all the scores per bin bit for bit. The curve carries no histogram:
+    :func:`density_histogram` builds that, once per surface.
     """
     edges = _density_edges(n_bins)
     s = _finite_scores(scores)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    density = _histogram(s, edges)
     order = np.argsort(s)
     std = float(s.std())
     iqr = _percentile(s, order, 75.0) - _percentile(s, order, 25.0)
@@ -428,16 +420,19 @@ def probability_density(
     bandwidth = max(0.9 * spread * s.size ** (-0.2), 1e-3)
     kernel_sums = _kernel_sums(s, order, centers, bandwidth)
     smoothed = kernel_sums / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
-    return DensityCurve(centers, density, smoothed, bandwidth)
+    return DensityCurve(centers, smoothed, bandwidth)
 
 
-def write_density_csv(path: str | os.PathLike, density: DensityCurve) -> None:
-    """Write the density curve as CSV with a fixed three-column schema."""
+def write_density_csv(
+    path: str | os.PathLike, histogram: Sequence[float], density: DensityCurve
+) -> None:
+    """Write a report's ``histogram`` beside the density curve of the same
+    scores, as CSV with a fixed three-column schema."""
     with atomic_write(path) as raw:
         fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         writer = csv.writer(fh)
         writer.writerow(["bin_center", "histogram_density", "smoothed_density"])
-        for c, h, s in zip(density.bin_centers, density.histogram, density.smoothed):
+        for c, h, s in zip(density.bin_centers, histogram, density.smoothed, strict=True):
             writer.writerow([f"{c:.10g}", f"{h:.10g}", f"{s:.10g}"])
         fh.flush()
 

@@ -358,10 +358,13 @@ def evaluate_surface(
 
     Raises:
         ConfigError: when ``n_bins`` is below 1, whatever the sites hold.
-        DataError: when no site can be sampled from the surface.
+        DataError: when the surface has more than one band, or no site can
+            be sampled from it.
     """
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    if surface.bands != 1:
+        raise DataError(f"the surface must be single-band, got {surface.bands} bands")
     report = _site_metrics(surface, sites, n_bins, metadata, warned)
     scores = surface.band(0)[~surface.nodata_mask]
     return dataclasses.replace(report, density_histogram=tuple(density_histogram(scores).tolist()))
@@ -432,11 +435,12 @@ def _stage_evaluate(run: _Run) -> None:
         if not surface.same_frame(baseline):
             raise DataError("surface and baseline are on different frames")
         save_raster(surface, run.output("surface.grid"))
-        # The CSV is the only artifact that carries the smoothed density curve.
-        write_density_csv(run.output("surface_density.csv"), surface_density(surface))
-        diff = surface.band(0).astype(np.float64) - baseline.band(0).astype(np.float64)
+        # The CSV holds the report's histogram and the only smoothed density curve.
+        write_density_csv(run.output("surface_density.csv"), report.density_histogram,
+                          surface_density(surface))
+        diff = surface.band(0) - baseline.band(0)  # float32: the float64 difference, rounded
         save_raster(RasterGrid(
-            diff.astype(np.float32)[None, :, :],
+            diff[None, :, :],
             surface.geotransform,
             surface.nodata_mask | baseline.nodata_mask,
             ("difference",),

@@ -451,6 +451,26 @@ class TestEvaluate:
         assert re.match(r"apmkit: error: (unknown )?report ", err) and "Traceback" not in err
         assert not out.exists()
 
+    def test_multi_band_surface_is_data_error(self, tmp_path, capsys):
+        # A per-class raster [1 - p, p]: its band 0 would score AUROC 0
+        # where the one-band surface p scores 1.
+        p = np.linspace(0.05, 0.95, 64, dtype=np.float32).reshape(8, 8)
+        gt = (0.0, 0.0, 1.0, -1.0)
+        save_raster(RasterGrid.from_array(p, gt), tmp_path / "p.grid")
+        save_raster(RasterGrid.from_array(np.stack([1.0 - p, p]), gt), tmp_path / "classes.grid")
+        write_sites_csv(tmp_path / "sites.csv", [
+            SiteRecord("p1", 7.5, -7.5, "Roman Imperial", "positive", 1),
+            SiteRecord("n1", 0.5, -0.5, "Roman Imperial", "negative", 1),
+        ])
+        args = ["evaluate", "--sites", str(tmp_path / "sites.csv"), "--out"]
+        assert main([*args, str(tmp_path / "p.json"), "--pred", str(tmp_path / "p.grid")]) == 0
+        assert json.loads((tmp_path / "p.json").read_text())["metrics"]["auroc"] == 1.0
+        out = tmp_path / "classes.json"
+        assert main([*args, str(out), "--pred", str(tmp_path / "classes.grid")]) == 3
+        err = capsys.readouterr().err
+        assert "single-band, got 2 bands" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_bins_is_config_error_with_positives_only(self, tmp_path, capsys):
         # With one labeled class no bins are computed, so the flag's range
         # must be checked before the sites are looked at.
@@ -541,6 +561,25 @@ class TestRunAndErrors:
         assert "Traceback" not in err
         assert "bad_sites.csv:5: site 'a': coordinates must be finite" in err
         assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--pred", "missing.grid", "--sites", "missing.csv"],
+            ["lamap", "--stack", "missing.grid", "--sites", "missing.csv", "--out", "o.grid"],
+            ["rasterize-labels", "--grid", "missing.grid", "--sites", "missing.csv",
+             "--out", "o.grid"],
+        ],
+        ids=["evaluate", "lamap", "rasterize-labels"],
+    )
+    def test_unknown_period_flag_exits_2_before_any_read(self, tmp_path, capsys, argv):
+        # The inputs do not exist: a read would be exit 3.
+        with pytest.raises(SystemExit) as exc:
+            main([*(str(tmp_path / a) if "." in a else a for a in argv), "--period", "Bronze"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'Bronze'" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_unknown_period_fails_before_output_dir(self, ws, capsys):
         (ws / "cfg.json").write_text(json.dumps({

@@ -344,8 +344,8 @@ class TestDensity:
         assert np.array_equal(d.smoothed, broadcast_smoothed(scores, d.bandwidth))
 
     def test_histogram_integrates_to_one(self, rng):
-        d = probability_density(rng.random(2000))
-        assert d.histogram.sum() / d.histogram.size == pytest.approx(1.0, abs=1e-9)
+        h = density_histogram(rng.random(2000))
+        assert h.sum() / h.size == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_scores_floor_bandwidth(self):
         d = probability_density(np.full(100, 0.5))
@@ -368,28 +368,49 @@ class TestDensity:
         mask[0] = True
         grid = make_grid(rng.random((10, 10)), mask=mask)
         d = surface_density(grid)
-        assert d.histogram.size == 100
+        assert d.bin_centers.size == d.smoothed.size == 100
 
     def test_csv_schema(self, tmp_path, rng):
-        d = probability_density(rng.random(50), n_bins=4)
+        scores = rng.random(50)
+        d = probability_density(scores, n_bins=4)
+        hist = density_histogram(scores, n_bins=4)
         path = tmp_path / "density.csv"
-        write_density_csv(path, d)
+        write_density_csv(path, hist, d)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_center,histogram_density,smoothed_density"
         assert len(lines) == 5
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.125, abs=1e-9)
+        assert [row.split(",")[1] for row in lines[1:]] == [f"{h:.10g}" for h in hist]
+
+    def test_report_histogram_writes_the_same_bytes_as_the_array(self, tmp_path, rng):
+        # A report carries the histogram as Python floats; .10g formats
+        # them as it formats the float64 array they came from.
+        scores = rng.beta(2.0, 5.0, 5000)
+        d = probability_density(scores)
+        hist = density_histogram(scores)
+        write_density_csv(tmp_path / "array.csv", hist, d)
+        write_density_csv(tmp_path / "tuple.csv", tuple(hist.tolist()), d)
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
+
+    def test_histogram_of_other_bins_is_refused(self, tmp_path, rng):
+        d = probability_density(rng.random(50), n_bins=4)
+        path = tmp_path / "density.csv"
+        with pytest.raises(ValueError):
+            write_density_csv(path, density_histogram(rng.random(50), n_bins=5), d)
+        assert not list(tmp_path.iterdir())
 
     def test_failed_csv_write_keeps_previous_file(self, tmp_path, rng):
         d = probability_density(rng.random(50), n_bins=4)
+        hist = [0.5, 1.0, 1.5, 1.0]
         path = tmp_path / "density.csv"
-        write_density_csv(path, d)
+        write_density_csv(path, hist, d)
         before = path.read_bytes()
         smoothed = list(d.smoothed)
         smoothed[2] = "not a number"  # formatting the third row raises
         bad = dataclasses.replace(d, smoothed=smoothed)
         with pytest.raises(ValueError):
-            write_density_csv(path, bad)
+            write_density_csv(path, hist, bad)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["density.csv"]
 
@@ -551,9 +572,26 @@ class TestDensityBins:
 
         monkeypatch.setattr(metrics, "_finite_scores", counted)
         scores = np.concatenate([rng.random(500), [np.nan, np.inf]])
-        d = probability_density(scores)
+        probability_density(scores)
         assert len(calls) == 1
-        assert np.array_equal(d.histogram, density_histogram(scores))
+        h = density_histogram(scores)
+        assert len(calls) == 2
+        want, _ = np.histogram(scores[:500], bins=np.linspace(0.0, 1.0, 101))
+        assert np.array_equal(h, want / (500 * 0.01))
+
+    def test_curve_builds_no_histogram(self, rng, monkeypatch):
+        calls = []
+        histogram = np.histogram
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return histogram(*args, **kwargs)
+
+        monkeypatch.setattr(np, "histogram", counted)
+        d = probability_density(rng.random(500))
+        assert calls == [] and not hasattr(d, "histogram")
+        density_histogram(rng.random(500))
+        assert calls == [1]
 
 
 class TestReport:

@@ -15,7 +15,7 @@ import apmkit.metrics as metrics_module
 import apmkit.pipeline as pipeline_module
 from apmkit.cli import main
 from apmkit.errors import ConfigError, DataError, ToolkitError
-from apmkit.metrics import surface_density, volume_gain, write_density_csv
+from apmkit.metrics import density_histogram, surface_density, volume_gain, write_density_csv
 from apmkit.pipeline import (
     PipelineConfig,
     build_feature_stack,
@@ -437,6 +437,28 @@ def stage_artifacts(manifest, stage):
     return [Path(p).name for p in entry["artifacts"]]
 
 
+def evaluate_stage_histograms(monkeypatch):
+    """A list that gains one entry per numpy.histogram call made inside the
+    evaluate stage."""
+    calls, inside = [], []
+    histogram, body = np.histogram, pipeline_module._STAGE_FUNCS["evaluate"]
+
+    def counted(*args, **kwargs):
+        calls.extend(inside)
+        return histogram(*args, **kwargs)
+
+    def evaluate(run):
+        inside.append(1)
+        try:
+            body(run)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(np, "histogram", counted)
+    monkeypatch.setitem(pipeline_module._STAGE_FUNCS, "evaluate", evaluate)
+    return calls
+
+
 EVALUATE_FILES = ["surface.grid", "surface_density.csv", "surface_difference.grid", "report.json"]
 
 
@@ -451,6 +473,24 @@ class TestSurfaceProducts:
         assert not list((workspace / "out").glob("surface*"))
 
     def test_difference_oracle(self, workspace):
+        self.check_difference(workspace, holed=False)
+
+    def test_difference_oracle_under_a_mask(self, workspace, monkeypatch):
+        # A nodata block on the refined surface only: the difference is
+        # masked where either input is.
+        refine = pipeline_module.crf_refine
+
+        def with_hole(*args):
+            grid = refine(*args)
+            mask = grid.nodata_mask.copy()
+            mask[4:12, 8:20] = True
+            return RasterGrid(grid.data, grid.geotransform, mask, grid.band_names)
+
+        monkeypatch.setattr(pipeline_module, "crf_refine", with_hole)
+        self.check_difference(workspace, holed=True)
+
+    @staticmethod
+    def check_difference(workspace, holed):
         manifest = evaluate_run(workspace, ["derive-features", "lamap", "crf", "evaluate"])
         assert stage_artifacts(manifest, "evaluate") == EVALUATE_FILES
         out = workspace / "out"
@@ -458,10 +498,29 @@ class TestSurfaceProducts:
         baseline = load_raster(out / "lamap_surface.grid")
         assert (out / "surface.grid").read_bytes() == (out / "refined_surface.grid").read_bytes()
         diff = load_raster(out / "surface_difference.grid")
+        # The float64 route the stage once took, kept as the oracle.
         want = surface.band(0).astype(np.float64) - baseline.band(0).astype(np.float64)
         mask = surface.nodata_mask | baseline.nodata_mask
+        assert mask.any() == holed and not mask.all()
         assert np.array_equal(diff.nodata_mask, mask)
-        assert np.allclose(diff.band(0)[~mask], want[~mask], atol=1e-6)
+        assert np.array_equal(diff.band(0).view(np.uint32), want.astype(np.float32).view(np.uint32))
+
+    def test_float32_difference_is_the_rounded_float64_difference(self, rng):
+        # float64 has 53 >= 2 * 24 + 2 significand bits, so a float32
+        # subtraction done in float64 and rounded once is the correctly
+        # rounded float32 result. Bit patterns cover every float32 class:
+        # zeros of both signs, subnormals, normals, infinities and NaNs.
+        a = rng.integers(0, 2**32, 2**20, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        b = rng.integers(0, 2**32, 2**20, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        tiny = np.float32(np.finfo(np.float32).smallest_subnormal)
+        a[:4096] = rng.integers(-2000, 2000, 4096) * tiny
+        b[:4096] = rng.integers(-2000, 2000, 4096) * tiny
+        with np.errstate(all="ignore"):
+            got = a - b
+            want = (a.astype(np.float64) - b.astype(np.float64)).astype(np.float32)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
 
     def test_zero_difference(self, workspace, monkeypatch):
         out = workspace / "out"
@@ -607,8 +666,10 @@ class TestRun:
             return density(*args, **kwargs)
 
         monkeypatch.setattr(metrics_module, "probability_density", counted)
+        histograms = evaluate_stage_histograms(monkeypatch)
         run_pipeline(PipelineConfig.from_json(full_config(workspace)))
         assert len(calls) == 1
+        assert len(histograms) == 1  # the report's histogram is the CSV's
         monkeypatch.undo()
 
         # The report and CSV equal what the library functions compute directly.
@@ -621,10 +682,16 @@ class TestRun:
         report = dataclasses.replace(report, volume_gain=gain, baseline_name="lamap")
         want = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         assert (out / "report.json").read_text() == want
-        write_density_csv(workspace / "lib_density.csv", surface_density(surface))
+        write_density_csv(
+            workspace / "lib_density.csv", report.density_histogram, surface_density(surface)
+        )
         assert (out / "surface_density.csv").read_bytes() == (
             workspace / "lib_density.csv"
         ).read_bytes()
+        rows = (out / "surface_density.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [
+            format(h, ".10g") for h in json.loads(want)["density_histogram"]
+        ]
 
     def test_zero_baseline_radar_area_omits_volume_gain(self, workspace, monkeypatch, caplog):
         def inverted(stack, sites, cfg):
@@ -660,17 +727,19 @@ class TestRun:
             return density(*args, **kwargs)
 
         monkeypatch.setattr(metrics_module, "probability_density", counted)
+        histograms = evaluate_stage_histograms(monkeypatch)
         doc = full_config(workspace)
         doc["stages"] = [stage, "evaluate"]
         doc["inputs"]["stack"] = doc["inputs"].pop("dem")
         run_pipeline(PipelineConfig.from_json(doc))
         assert calls == []
+        assert len(histograms) == 1
         monkeypatch.undo()
 
         out = workspace / "out"
         assert not (out / "surface_density.csv").exists()
         surface = load_raster(out / surface_file)
-        want = density(surface.band(0)[~surface.nodata_mask]).histogram
+        want = density_histogram(surface.band(0)[~surface.nodata_mask])
         got = json.loads((out / "report.json").read_text())["density_histogram"]
         assert np.array_equal(np.array(got), want)
 
