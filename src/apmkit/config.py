@@ -78,14 +78,14 @@ def config_values(cls: type, doc, what: str, error: type[ToolkitError] = ConfigE
     return values
 
 
-def build_config(cls: type, doc, what: str, error: type[ToolkitError] = ConfigError, **given):
-    """``cls`` from ``doc``'s typed entries over the ``given`` field values.
+def build_config(cls: type, doc, what: str, error: type[ToolkitError] = ConfigError):
+    """``cls`` from ``doc``'s typed entries.
 
     A required field with no value raises ``error``, and so does a
     TypeError, ValueError or ``error`` from the dataclass's own checks,
     with ``what`` named in the message.
     """
-    kwargs = {**given, **config_values(cls, doc, what, error=error)}
+    kwargs = config_values(cls, doc, what, error=error)
     missing = [name for name in _required(cls) if name not in kwargs]
     if missing:
         raise error(f"{what} lacks {', '.join(missing)}")

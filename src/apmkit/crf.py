@@ -475,8 +475,9 @@ def _features(guidance: np.ndarray, valid: np.ndarray, factor: int, pitch: int) 
 def bilateral_weights(
     guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
 ) -> BilateralWeights:
-    """Build the bilateral weights for ``guidance`` (Cg, H, W), of any
-    real dtype and read only at valid pixels (:func:`_features`).
+    """Build the bilateral weights for the first ``cfg.feature_channels``
+    bands of ``guidance`` (Cg, H, W), of any real dtype and read only at
+    valid pixels (:func:`_features`).
 
     With ``cfg.compress_guidance`` the weights live on the grid of
     ``cfg.compression``-sized blocks, whose spatial sigma shrinks by the
@@ -506,7 +507,9 @@ def _bilateral_features(
     guidance: np.ndarray, cfg: CrfConfig, valid: np.ndarray
 ) -> _Features:
     """The first half of :func:`bilateral_weights`: the grid, the cache
-    size check and the features of ``guidance``."""
+    size check and the features of ``guidance``, cut to its first
+    ``cfg.feature_channels`` bands here for every entry."""
+    guidance = guidance[:cfg.feature_channels]
     factor = cfg.compression if cfg.compress_guidance else 1
     sigma = cfg.sigma / factor
     h, w = (-(-n // factor) for n in guidance.shape[1:])
@@ -767,7 +770,8 @@ def mean_field_step(
         q: Class-1 field (H, W), or the distribution (2, H, W), of which
             only ``q[1]`` is read.
         unary: Unary energies, (2, H, W).
-        guidance: Guidance features (Cg, H, W), read only to build the
+        guidance: Guidance features (Cg, H, W), of which the first
+            ``cfg.feature_channels`` bands are read, only to build the
             weights when ``weights`` is None; None then skips the
             bilateral kernel.
         cfg: Refinement settings.
@@ -877,7 +881,7 @@ def crf_refine(
     channels = min(cfg.feature_channels, guidance.bands)
     features = None
     if cfg.pairwise_weights[1] > 0:
-        features = _bilateral_features(guidance.data[:channels], cfg, valid)
+        features = _bilateral_features(guidance.data, cfg, valid)
     del guidance  # the features hold all the weights read of it
     weights = None if features is None else _weights(features, cfg.beta)
     del features  # the weights hold all the loop reads of them

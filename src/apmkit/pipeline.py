@@ -39,7 +39,7 @@ from .metrics import (
     MetricsReport,
     ScoredSample,
     aul,
-    auroc,
+    auroc_from_arrays,
     bin_analysis,
     confusion_from_counts,
     density_histogram,
@@ -60,7 +60,7 @@ from .raster.grid import (
     write_json,
 )
 from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
-from .raster.sites import PERIODS, filter_sites, read_sites_csv
+from .raster.sites import PERIODS, SiteRecord, filter_sites, read_sites_csv
 from .raster.terrain import derive_terrain
 
 logger = logging.getLogger(__name__)
@@ -304,38 +304,36 @@ def _stage_pseudolabel(run: _Run) -> None:
     run.output("loss_breakdown.json").write_bytes(json_bytes(doc))
 
 
-def sample_surface_sites(
-    surface: RasterGrid, sites, warned: set[str] | None = None
-) -> list[ScoredSample]:
+def _site_pixels(surface: RasterGrid, sites) -> list[tuple[SiteRecord, int, int]]:
+    """(site, row, col) of each site on an unmasked pixel of ``surface``,
+    one lookup per site; every other site is skipped with a warning."""
+    located = []
+    for site in sites:
+        row, col = surface.pixel_of(site.x, site.y)
+        if not (0 <= row < surface.height and 0 <= col < surface.width):
+            logger.warning("site '%s' outside the evaluated surface; skipped", site.site_id)
+        elif surface.nodata_mask[row, col]:
+            logger.warning("site '%s' falls on masked pixels; skipped", site.site_id)
+        else:
+            located.append((site, row, col))
+    return located
+
+
+def _samples_at(surface: RasterGrid, located) -> list[ScoredSample]:
+    band, labels = surface.band(0), ("positive", "negative")
+    return [
+        ScoredSample(float(band[r, c]), s.polarity if s.polarity in labels else None, s.find_count)
+        for s, r, c in located
+    ]
+
+
+def sample_surface_sites(surface: RasterGrid, sites) -> list[ScoredSample]:
     """Read the surface value under each site's containing pixel.
 
     Sites outside the frame or on masked pixels are skipped with a
     warning. Unlabeled sites keep a None label for the PU metrics.
-
-    ``warned`` holds the ids of sites already reported skipped, for a
-    caller that samples several surfaces: a skipped site in it is not
-    reported again, and each one reported here is added to it.
     """
-    warned = set() if warned is None else warned
-
-    def skip(site, why: str) -> None:
-        if site.site_id not in warned:
-            logger.warning("site '%s' %s; skipped", site.site_id, why)
-            warned.add(site.site_id)
-
-    samples = []
-    for site in sites:
-        if not surface.contains(site.x, site.y):
-            skip(site, "outside the evaluated surface")
-            continue
-        row, col = surface.pixel_of(site.x, site.y)
-        if surface.nodata_mask[row, col]:
-            skip(site, "falls on masked pixels")
-            continue
-        score = float(surface.band(0)[row, col])
-        label = site.polarity if site.polarity in ("positive", "negative") else None
-        samples.append(ScoredSample(score, label, site.find_count))
-    return samples
+    return _samples_at(surface, _site_pixels(surface, sites))
 
 
 def evaluate_surface(
@@ -344,7 +342,7 @@ def evaluate_surface(
     n_bins: int = 6,
     metadata: dict | None = None,
     *,
-    warned: set[str] | None = None,
+    baseline: tuple[str, RasterGrid] | None = None,
 ) -> MetricsReport:
     """Score a probability surface at the given sites.
 
@@ -353,53 +351,61 @@ def evaluate_surface(
     sites with counts. Metrics without enough data stay None. The report
     carries the density histogram of the surface's unmasked scores, not
     the smoothed curve, which only the evaluate stage's density CSV
-    holds. Skipped sites are reported as :func:`sample_surface_sites`
-    says, ``warned`` included.
+    holds. Skipped sites are reported as :func:`sample_surface_sites` says.
+    A (name, surface) ``baseline`` on the same frame is read at the
+    pixels the surface was sampled at; when both classes were, the report
+    carries the volume gain over it, or none, with a warning, where the
+    baseline's radar area is zero.
 
     Raises:
         ConfigError: when ``n_bins`` is below 1, whatever the sites hold.
-        DataError: when the surface has more than one band, or no site can
-            be sampled from it.
+        DataError: when the surface has more than one band, the baseline
+            is on another frame or masked at a sampled pixel, or no site
+            can be sampled from the surface.
     """
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     if surface.bands != 1:
         raise DataError(f"the surface must be single-band, got {surface.bands} bands")
-    report = _site_metrics(surface, sites, n_bins, metadata, warned)
+    if baseline is not None and not surface.same_frame(baseline[1]):
+        raise DataError("surface and baseline are on different frames")
+    located = _site_pixels(surface, sites)
+    report = _site_metrics(_samples_at(surface, located), n_bins, metadata)
+    if baseline is not None and report.metrics.auroc is not None:
+        # The baseline's site metrics only: the gain reads no density histogram.
+        base = _site_metrics(_samples_at(baseline[1], located))
+        try:
+            gain = volume_gain(report, base)
+        except DataError:
+            logger.warning("baseline radar area is zero; volume gain omitted")
+        else:
+            report = dataclasses.replace(report, volume_gain=gain, baseline_name=baseline[0])
     scores = surface.band(0)[~surface.nodata_mask]
     return dataclasses.replace(report, density_histogram=tuple(density_histogram(scores).tolist()))
 
 
 def _site_metrics(
-    surface: RasterGrid,
-    sites,
-    n_bins: int = 6,
-    metadata: dict | None = None,
-    warned: set[str] | None = None,
+    samples: Sequence[ScoredSample], n_bins: int = 6, metadata: dict | None = None
 ) -> MetricsReport:
-    """Everything :func:`evaluate_surface` reports except the density."""
-    samples = sample_surface_sites(surface, sites, warned)
+    """Everything :func:`evaluate_surface` reports but the density and the gain."""
     if not samples:
         raise DataError("no evaluable sites on the surface")
+    scores = np.array([s.score for s in samples])
+    positive = np.array([s.label == "positive" for s in samples])
+    negative = np.array([s.label == "negative" for s in samples])
     values: dict = {}
     bins: tuple = ()
-    labeled = [s for s in samples if s.label is not None]
-    has_pos = any(s.label == "positive" for s in labeled)
-    has_neg = any(s.label == "negative" for s in labeled)
-    if has_pos and has_neg:
-        tp = sum(1 for s in labeled if s.label == "positive" and s.score >= 0.5)
-        fp = sum(1 for s in labeled if s.label == "negative" and s.score >= 0.5)
-        fn = sum(1 for s in labeled if s.label == "positive" and s.score < 0.5)
-        tn = sum(1 for s in labeled if s.label == "negative" and s.score < 0.5)
-        cm = confusion_from_counts(tp, fp, fn, tn)
+    if positive.any() and negative.any():
+        labeled, hit = positive | negative, scores >= 0.5
+        tp, fp = int(np.count_nonzero(positive & hit)), int(np.count_nonzero(negative & hit))
+        cm = confusion_from_counts(tp, fp, int(positive.sum()) - tp, int(negative.sum()) - fp)
         values.update(
-            auroc=auroc(labeled), dice=cm.dice, iou=cm.iou, f1=cm.f1, accuracy=cm.accuracy
+            auroc=auroc_from_arrays(scores[labeled], positive[labeled]),
+            dice=cm.dice, iou=cm.iou, f1=cm.f1, accuracy=cm.accuracy,
         )
-        bins = tuple(bin_analysis(labeled, n_bins))
-    if has_pos:
-        scores = np.array([s.score for s in samples])
-        flags = np.array([s.label == "positive" for s in samples])
-        values["aul"] = aul(scores, flags)
+        bins = tuple(bin_analysis([s for s in samples if s.label is not None], n_bins))
+    if positive.any():
+        values["aul"] = aul(scores, positive)
     with_counts = [s for s in samples if s.find_count is not None]
     return MetricsReport(
         Metrics(**values),
@@ -412,28 +418,16 @@ def _site_metrics(
 def _stage_evaluate(run: _Run) -> None:
     # The config requires a lamap or crf stage, and each sets the surface.
     surface, baseline = run.surface, run.baseline
-    surface_name = "crf" if "crf" in run.cfg.stages else "lamap"
-    # Both surfaces are sampled at the sites; each skipped site is reported once.
-    warned: set[str] = set()
+    compare = baseline is not None and surface is not baseline
+    # Both are scored where the surface can be: its mask holds the baseline's.
     report = evaluate_surface(
         surface,
         run.period_sites,
-        metadata={"surface": surface_name, "period": run.cfg.period},
-        warned=warned,
+        metadata={"surface": "crf" if "crf" in run.cfg.stages else "lamap",
+                  "period": run.cfg.period},
+        baseline=("lamap", baseline) if compare else None,
     )
-    if baseline is not None and surface is not baseline:
-        if report.metrics.auroc is not None:
-            # The volume gain reads only the site metrics, so the baseline's
-            # density histogram is not computed.
-            base_report = _site_metrics(baseline, run.period_sites, warned=warned)
-            if base_report.metrics.auroc is not None:
-                try:
-                    gain = volume_gain(report, base_report)
-                    report = dataclasses.replace(report, volume_gain=gain, baseline_name="lamap")
-                except DataError:
-                    logger.warning("baseline radar area is zero; volume gain omitted")
-        if not surface.same_frame(baseline):
-            raise DataError("surface and baseline are on different frames")
+    if compare:
         save_raster(surface, run.output("surface.grid"))
         # The CSV holds the report's histogram and the only smoothed density curve.
         write_density_csv(run.output("surface_density.csv"), report.density_histogram,

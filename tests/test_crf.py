@@ -1268,6 +1268,36 @@ class TestGuidanceFrame:
             mean_field_step(q, unary, rng.normal(size=(3, 12, 15)), CrfConfig())
 
 
+class TestFeatureChannels:
+    """Every entry builds its weights from the first ``feature_channels``
+    guidance bands only, as :func:`crf_refine` does."""
+
+    @staticmethod
+    def wide(rng, shape=(12, 14)):
+        return rng.normal(size=(20, *shape)), CrfConfig(sigma=2.0, iterations=2)
+
+    def test_refine_values(self, rng):
+        guidance, cfg = self.wide(rng)
+        logits = rng.normal(size=guidance.shape[1:])
+        got = refine_values(logits, guidance, cfg)
+        assert np.array_equal(got, refine_values(logits, guidance[:16], cfg))
+
+    def test_mean_field_step(self, rng):
+        guidance, cfg = self.wide(rng)
+        q = rng.random(guidance.shape[1:])
+        unary = unary_potentials(rng.normal(size=(2, *guidance.shape[1:])))
+        got = mean_field_step(q, unary, guidance, cfg)
+        assert np.array_equal(got, mean_field_step(q, unary, guidance[:16], cfg))
+
+    def test_crf_refine_equals_refine_values(self, make_grid, rng):
+        guidance, cfg = self.wide(rng)
+        logits = rng.normal(size=guidance.shape[1:]).astype(np.float32)
+        out = crf_refine(make_grid(logits), lambda: make_grid(guidance), cfg)
+        want = refine_values(logits, make_grid(guidance).data, cfg)
+        assert np.array_equal(out.band(0), want.astype(np.float32))
+        assert out.meta["feature_channels"] == 16
+
+
 class TestRasterWrapper:
     def test_refine_raster(self, make_grid, rng):
         logits = make_grid(rng.normal(size=(10, 10)))

@@ -417,6 +417,26 @@ class TestEvaluateSurface:
         with pytest.raises(DataError):
             evaluate_surface(surface, [])
 
+    def test_baseline_on_another_frame_fails_before_any_site_is_read(self, make_grid, caplog):
+        surface = make_grid(np.ones((3, 3)) * 0.5)
+        baseline = make_grid(np.ones((3, 4)) * 0.5)
+        sites = [SiteRecord("off", 99.0, -99.0, "Byzantine", "positive")]
+        with caplog.at_level("WARNING"), pytest.raises(DataError, match="different frames"):
+            evaluate_surface(surface, sites, baseline=("lamap", baseline))
+        assert "skipped" not in caplog.text
+
+    def test_baseline_masked_at_a_sampled_pixel_is_data_error(self, make_grid):
+        surface = make_grid(np.linspace(0.0, 1.0, 9).reshape(3, 3))
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[2, 2] = True
+        baseline = make_grid(np.full((3, 3), 0.5), mask=mask)
+        sites = [
+            SiteRecord("p", 2.5, -2.5, "Byzantine", "positive"),
+            SiteRecord("n", 0.5, -0.5, "Byzantine", "negative"),
+        ]
+        with pytest.raises(DataError, match="score must be finite"):
+            evaluate_surface(surface, sites, baseline=("lamap", baseline))
+
     def test_metadata_merged(self, make_grid):
         surface = make_grid(np.ones((3, 3)) * 0.5)
         sites = [SiteRecord("p", 0.5, -0.5, "Byzantine", "positive")]
@@ -437,15 +457,15 @@ def stage_artifacts(manifest, stage):
     return [Path(p).name for p in entry["artifacts"]]
 
 
-def evaluate_stage_histograms(monkeypatch):
-    """A list that gains one entry per numpy.histogram call made inside the
-    evaluate stage."""
+def evaluate_stage_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of ``owner.name`` made inside
+    the evaluate stage."""
     calls, inside = [], []
-    histogram, body = np.histogram, pipeline_module._STAGE_FUNCS["evaluate"]
+    func, body = getattr(owner, name), pipeline_module._STAGE_FUNCS["evaluate"]
 
     def counted(*args, **kwargs):
         calls.extend(inside)
-        return histogram(*args, **kwargs)
+        return func(*args, **kwargs)
 
     def evaluate(run):
         inside.append(1)
@@ -454,7 +474,7 @@ def evaluate_stage_histograms(monkeypatch):
         finally:
             inside.clear()
 
-    monkeypatch.setattr(np, "histogram", counted)
+    monkeypatch.setattr(owner, name, counted)
     monkeypatch.setitem(pipeline_module._STAGE_FUNCS, "evaluate", evaluate)
     return calls
 
@@ -666,7 +686,7 @@ class TestRun:
             return density(*args, **kwargs)
 
         monkeypatch.setattr(metrics_module, "probability_density", counted)
-        histograms = evaluate_stage_histograms(monkeypatch)
+        histograms = evaluate_stage_calls(monkeypatch, np, "histogram")
         run_pipeline(PipelineConfig.from_json(full_config(workspace)))
         assert len(calls) == 1
         assert len(histograms) == 1  # the report's histogram is the CSV's
@@ -727,7 +747,7 @@ class TestRun:
             return density(*args, **kwargs)
 
         monkeypatch.setattr(metrics_module, "probability_density", counted)
-        histograms = evaluate_stage_histograms(monkeypatch)
+        histograms = evaluate_stage_calls(monkeypatch, np, "histogram")
         doc = full_config(workspace)
         doc["stages"] = [stage, "evaluate"]
         doc["inputs"]["stack"] = doc["inputs"].pop("dem")
@@ -851,8 +871,9 @@ class TestRun:
 
 class TestSkippedSitesReportedOnce:
     def test_crf_and_lamap_surfaces_report_each_skipped_site_once(self, workspace, caplog):
-        # The evaluate stage samples the CRF surface and, for the volume
-        # gain, the LAMAP baseline: a site skipped on both is reported once.
+        # The evaluate stage reads the CRF surface and, for the volume gain,
+        # the LAMAP baseline at the same pixels: each skipped site is
+        # reported once.
         dem = synth_dem()
         mask = np.zeros(dem.shape, dtype=bool)
         mask[24:30, 18:26] = True
@@ -878,21 +899,61 @@ class TestSkippedSitesReportedOnce:
         report = json.loads((workspace / "out" / "report.json").read_text())
         assert report["volume_gain"] is not None  # the baseline was sampled too
 
-    def test_shared_set_across_surfaces(self, make_grid, caplog):
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[1, 1] = True
-        surface = make_grid(np.ones((3, 3)) * 0.5, mask=mask)
-        sites = [
-            SiteRecord("hole", 1.5, -1.5, "Byzantine", "positive"),
-            SiteRecord("ok", 0.5, -0.5, "Byzantine", "positive"),
-        ]
-        warned = set()
-        with caplog.at_level("WARNING"):
-            for _ in range(2):
-                assert len(sample_surface_sites(surface, sites, warned)) == 1
-            assert len(sample_surface_sites(surface, sites)) == 1
-        assert warned == {"hole"}
-        assert caplog.text.count("'hole'") == 2
+
+def scattered_sites(n=90, seed=5):
+    """``n`` sites spread over the synthetic frame, cycling through the
+    positive, negative and unlabeled polarities, most with find counts."""
+    rng = np.random.default_rng(seed)
+    polarities = ("positive", "negative", "unlabeled")
+    return [
+        SiteRecord(
+            f"s{i}", float(rng.uniform(0.0, 64.0)), float(rng.uniform(-32.0, 0.0)),
+            "Roman Imperial", polarities[i % 3], int(rng.integers(0, 9)) if i % 4 else None,
+        )
+        for i in range(n)
+    ]
+
+
+class TestBaselineAtSurfaceSites:
+    """The evaluate stage finds each site's pixel once, on the refined
+    surface, and scores the LAMAP baseline at the same pixels."""
+
+    @staticmethod
+    def masked_branch_workspace(ws):
+        sites = scattered_sites()
+        write_sites_csv(ws / "sites.csv", sites)
+        branch = synth_branch(sites, seed=1)
+        mask = np.zeros(branch.shape, dtype=bool)
+        mask[:16, :24] = True
+        save_raster(
+            RasterGrid(branch.data, branch.geotransform, mask, branch.band_names, {}),
+            ws / "branch1.grid",
+        )
+        return sites
+
+    def test_volume_gain_compares_the_same_sites(self, workspace):
+        sites = self.masked_branch_workspace(workspace)
+        run_pipeline(PipelineConfig.from_json(full_config(workspace)))
+        out = workspace / "out"
+        surface = load_raster(out / "refined_surface.grid")
+        baseline = load_raster(out / "lamap_surface.grid")
+        # Some labelled sites are masked on the surface but not on the baseline.
+        assert len(sample_surface_sites(surface, sites)) < len(
+            sample_surface_sites(baseline, sites)
+        )
+        remasked = RasterGrid(
+            baseline.data, baseline.geotransform, surface.nodata_mask, baseline.band_names, {}
+        )
+        want = volume_gain(evaluate_surface(surface, sites), evaluate_surface(remasked, sites))
+        report = json.loads((out / "report.json").read_text())
+        assert report["volume_gain"] == want
+        assert report["baseline_name"] == "lamap"
+
+    def test_one_pixel_lookup_per_site(self, workspace, monkeypatch):
+        sites = self.masked_branch_workspace(workspace)
+        calls = evaluate_stage_calls(monkeypatch, RasterGrid, "pixel_of")
+        run_pipeline(PipelineConfig.from_json(full_config(workspace)))
+        assert 0 < len(calls) <= len(sites)
 
 
 class TestStackFreedBeforeSteps:
