@@ -58,7 +58,7 @@ _EXPORTS = {
     "dpl_objective": ".pseudolabel",
     "MetricsReport": ".metrics",
     "ScoredSample": ".metrics",
-    "auroc": ".metrics",
+    "auroc_from_arrays": ".metrics",
     "aul": ".metrics",
     "bin_analysis": ".metrics",
     "find_count_correlation": ".metrics",

@@ -11,12 +11,15 @@ import zlib
 
 import numpy as np
 
+from .config import check_seed
+
 
 def module_rng(seed: int, module: str) -> np.random.Generator:
     """Return the deterministic generator for ``module`` under ``seed``.
 
     The module name is hashed with CRC-32 so the stream depends only on
-    the (seed, name) pair, not on call order.
+    the (seed, name) pair, not on call order. A negative seed is a ConfigError.
     """
+    check_seed(seed)
     key = zlib.crc32(module.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([int(seed), key]))

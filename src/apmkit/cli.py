@@ -16,7 +16,7 @@ import logging
 import math
 import sys
 
-from .config import build_config, read_json
+from .config import build_config, check_seed, read_json
 from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .folds import site_strat_vector, stratified_kfold, uniform_kfold
@@ -40,9 +40,16 @@ from .raster.tiling import load_plan, plan_windows, save_plan, stitch
 logger = logging.getLogger(__name__)
 
 
+def _optional(value: str | None, flag: str) -> str | None:
+    """An optional flag's value, None if absent; an empty one is a ConfigError."""
+    if value == "":
+        raise ConfigError(f"{flag} given but empty")
+    return value
+
+
 def _load_settings(cls: type, path: str | None, what: str):
-    doc = read_json(path, ConfigError) if path else {}
-    return build_config(cls, doc, what)
+    path = _optional(path, "--config")
+    return build_config(cls, {} if path is None else read_json(path, ConfigError), what)
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -81,7 +88,7 @@ def _parse_band_list(stack, spec: str) -> tuple[int, ...]:
 def _cmd_lamap(args) -> None:
     stack = load_raster(args.stack)
     sites = read_sites_csv(args.sites, args.period)
-    bands = _parse_band_list(stack, args.bands) if args.bands else None
+    bands = None if args.bands is None else _parse_band_list(stack, args.bands)
     cfg = LamapConfig(
         catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=bands
     )
@@ -105,9 +112,11 @@ def _cmd_crf_refine(args) -> None:
 
 
 def _cmd_pseudolabel(args) -> None:
-    pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
+    check_seed(args.seed)
     cfg = _load_settings(DplConfig, args.config, "dpl")
-    labels = load_raster(args.labels) if args.labels else None
+    labels_path = _optional(args.labels, "--labels")
+    pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
+    labels = None if labels_path is None else load_raster(labels_path)
     masked, doc = pseudolabel_with_breakdown(
         pair, labels, cfg, args.seed, args.step, alpha=args.alpha
     )
@@ -118,15 +127,17 @@ def _cmd_pseudolabel(args) -> None:
 
 
 def _cmd_split_folds(args) -> None:
+    check_seed(args.seed)
     if not (math.isfinite(args.catchment) and args.catchment >= 0):
         raise ConfigError(f"--catchment must be finite and >= 0, got {args.catchment}")
+    labels_path = _optional(args.labels, "--labels")
     sites = read_sites_csv(args.sites)
     if args.strategy == "stratified":
         if not args.stack:
             raise ConfigError("--strategy stratified requires --stack")
         stack = load_raster(args.stack)
-        if args.labels:
-            labels = load_raster(args.labels)
+        if labels_path is not None:
+            labels = load_raster(labels_path)
         else:
             labels = rasterize_labels(stack, sites, args.catchment)
         vectors = [site_strat_vector(s, stack, labels, args.catchment) for s in sites]
@@ -155,13 +166,14 @@ def _cmd_stitch(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
+    baseline_path = _optional(args.baseline_report, "--baseline-report")
     surface = load_raster(args.pred)
     sites = read_sites_csv(args.sites, args.period)
     report = evaluate_surface(
         surface, sites, n_bins=args.bins, metadata={"period": args.period}
     )
-    if args.baseline_report:
-        baseline = MetricsReport.from_dict(read_json(args.baseline_report, ConfigError))
+    if baseline_path is not None:
+        baseline = MetricsReport.from_dict(read_json(baseline_path, ConfigError))
         report = dataclasses.replace(
             report,
             volume_gain=volume_gain(report, baseline),

@@ -1,6 +1,6 @@
 """The one JSON file reader, and the one typed builder of dataclasses from
 JSON documents: run configs, targets files, tile plans, fold assignments,
-baseline reports and ``.grid`` headers.
+baseline reports and ``.grid`` headers. ``check_seed`` is the one seed check.
 
 Each document has one dataclass, nested sections included: ``build_config``
 reads it and ``dataclasses.asdict`` writes it. A key is a field's name, or
@@ -54,6 +54,12 @@ def read_json(path: str | os.PathLike, error: type[ToolkitError]):
             return json.load(fh)
         except ValueError as exc:
             raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigError for a negative seed, which numpy's generators refuse."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def config_values(cls: type, doc, what: str, error: type[ToolkitError] = ConfigError) -> dict:

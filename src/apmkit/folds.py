@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import ReadOnlyDict, build_config, read_json
+from .config import ReadOnlyDict, build_config, check_seed, read_json
 from .errors import ConfigError, DataError, EmptyInputError
 from .raster.grid import RasterGrid, write_json
 from .raster.sites import SiteRecord
@@ -130,7 +130,8 @@ class FoldAssignment:
         return build_config(FoldAssignment, doc, f"{path} folds", error=DataError)
 
 
-def _check_split_args(n_sites: int, k: int) -> None:
+def _check_split_args(n_sites: int, k: int, seed: int) -> None:
+    check_seed(seed)
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     if n_sites < k:
@@ -270,7 +271,7 @@ def stratified_kfold(
     refined assignments is returned. Fold sizes never differ by more
     than one, and the result is deterministic for a given seed.
     """
-    _check_split_args(len(sites), k)
+    _check_split_args(len(sites), k, seed)
     if len(vectors) != len(sites):
         raise DataError(f"{len(vectors)} vectors for {len(sites)} sites")
     by_id = {v.site_id: v for v in vectors}
@@ -321,7 +322,7 @@ def uniform_kfold(
     Ignores stratification; pass ``vectors`` to have the imbalance score
     of the result recorded for comparison.
     """
-    _check_split_args(len(sites), k)
+    _check_split_args(len(sites), k, seed)
     fold_ids = _round_robin_ids(len(sites), k, seed)
     assignment = {s.site_id: int(fold_ids[i]) for i, s in enumerate(sites)}
     result = FoldAssignment(

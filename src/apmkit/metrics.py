@@ -4,7 +4,7 @@ Ranking metrics (AUROC, the area under the lift curve) are computed from
 midranks in O(N log N), so massive score pools stay cheap and ties are
 handled exactly. Confusion metrics count labeled sites only, which is
 what presence-only evaluation calls for. Reliability is summarised over
-six equal-width probability bins, and surfaces can be reduced to a
+six equal-width probability bins, and a surface's scores reduce to a
 100-bin density histogram, with a Gaussian-smoothed curve for export.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ReadOnlyDict, build_config
 from .errors import ConfigError, DataError
-from .raster.grid import RasterGrid, atomic_write, row_bands
+from .raster.grid import atomic_write, row_bands
 
 SCHEMA_VERSION = 1
 
@@ -84,18 +84,6 @@ def auroc_from_arrays(scores: np.ndarray, positive: np.ndarray) -> float:
     rank_sum = float(ranks[: pos.size].sum())
     u = rank_sum - pos.size * (pos.size + 1) / 2.0
     return u / (pos.size * neg.size)
-
-
-def auroc(samples: Sequence[ScoredSample]) -> float:
-    """AUROC of the labeled samples; unlabeled ones are left out.
-
-    Raises:
-        DataError: when either class is absent, naming the missing one.
-    """
-    labeled = [s for s in samples if s.label is not None]
-    scores = np.array([s.score for s in labeled], dtype=np.float64)
-    positive = np.array([s.label == "positive" for s in labeled], dtype=bool)
-    return auroc_from_arrays(scores, positive)
 
 
 def aul(scores: np.ndarray, labeled: np.ndarray) -> float:
@@ -435,12 +423,6 @@ def write_density_csv(
         for c, h, s in zip(density.bin_centers, histogram, density.smoothed, strict=True):
             writer.writerow([f"{c:.10g}", f"{h:.10g}", f"{s:.10g}"])
         fh.flush()
-
-
-def surface_density(surface: RasterGrid, n_bins: int = N_DENSITY_BINS) -> DensityCurve:
-    """Density of a surface's unmasked scores."""
-    values = surface.band(0)[~surface.nodata_mask]
-    return probability_density(values, n_bins)
 
 
 # --- report ------------------------------------------------------------------

@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, metrics
 from ._rng import module_rng
-from .config import build_config, read_json
+from .config import build_config, check_seed, read_json
 from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .lamap import LamapConfig, build_site_models, lamap_surface
@@ -44,7 +44,6 @@ from .metrics import (
     confusion_from_counts,
     density_histogram,
     find_count_correlation,
-    surface_density,
     volume_gain,
     write_density_csv,
 )
@@ -118,6 +117,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown period {self.period!r}; expected one of {PERIODS}")
         if not 0 <= self.label_radius < math.inf:
             raise ConfigError(f"label_radius must be finite and >= 0, got {self.label_radius}")
+        check_seed(self.seed)
         if self.step < 0:
             raise ConfigError(f"step must be >= 0, got {self.step}")
         self._require_inputs()
@@ -327,15 +327,6 @@ def _samples_at(surface: RasterGrid, located) -> list[ScoredSample]:
     ]
 
 
-def sample_surface_sites(surface: RasterGrid, sites) -> list[ScoredSample]:
-    """Read the surface value under each site's containing pixel.
-
-    Sites outside the frame or on masked pixels are skipped with a
-    warning. Unlabeled sites keep a None label for the PU metrics.
-    """
-    return _samples_at(surface, _site_pixels(surface, sites))
-
-
 def evaluate_surface(
     surface: RasterGrid,
     sites,
@@ -351,7 +342,8 @@ def evaluate_surface(
     sites with counts. Metrics without enough data stay None. The report
     carries the density histogram of the surface's unmasked scores, not
     the smoothed curve, which only the evaluate stage's density CSV
-    holds. Skipped sites are reported as :func:`sample_surface_sites` says.
+    holds. Each site is read at its containing pixel; sites outside the
+    frame or on masked pixels are skipped with a warning.
     A (name, surface) ``baseline`` on the same frame is read at the
     pixels the surface was sampled at; when both classes were, the report
     carries the volume gain over it, or none, with a warning, where the
@@ -430,8 +422,9 @@ def _stage_evaluate(run: _Run) -> None:
     if compare:
         save_raster(surface, run.output("surface.grid"))
         # The CSV holds the report's histogram and the only smoothed density curve.
-        write_density_csv(run.output("surface_density.csv"), report.density_histogram,
-                          surface_density(surface))
+        # Looked up on the module at call time, so a wrapper set there sees the call.
+        density = metrics.probability_density(surface.band(0)[~surface.nodata_mask])
+        write_density_csv(run.output("surface_density.csv"), report.density_histogram, density)
         diff = surface.band(0) - baseline.band(0)  # float32: the float64 difference, rounded
         save_raster(RasterGrid(
             diff[None, :, :],

@@ -591,6 +591,52 @@ class TestRunAndErrors:
         assert "unknown period 'Bronze Age'" in err and "Traceback" not in err
         assert not (ws / "out").exists()
 
+    def test_run_negative_seed_fails_before_output_dir(self, ws, capsys):
+        (ws / "cfg.json").write_text(json.dumps({
+            "output_dir": str(ws / "out"), "seed": -1,
+            "stages": ["derive-features", "labels", "lamap", "crf", "pseudolabel", "evaluate"],
+            "inputs": {
+                "dem": str(ws / "dem.grid"), "sites": str(ws / "sites.csv"),
+                "branch1": str(ws / "branch1.grid"), "branch2": str(ws / "branch2.grid"),
+            },
+        }))
+        assert main(["run", "--config", str(ws / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lamap", "--stack", "{dem}", "--sites", "{sites}", "--bands", "", "--out", "{out}"],
+            ["pseudolabel", "--branch1", "{branch1}", "--branch2", "{branch2}", "--labels", "",
+             "--out-raster", "{out}", "--out-json", "{out}.json"],
+            ["crf-refine", "--logits", "{branch1}", "--guidance", "{dem}", "--config", "",
+             "--out", "{out}"],
+            ["pseudolabel", "--branch1", "{branch1}", "--branch2", "{branch2}", "--config", "",
+             "--out-raster", "{out}", "--out-json", "{out}.json"],
+            ["evaluate", "--pred", "{branch1}", "--sites", "{sites}", "--baseline-report", "",
+             "--out", "{out}"],
+            ["split-folds", "--sites", "{sites}", "--stack", "{dem}", "--labels", "",
+             "--out", "{out}"],
+        ],
+        ids=[
+            "lamap-bands", "pseudolabel-labels", "crf-refine-config", "pseudolabel-config",
+            "evaluate-baseline-report", "split-folds-labels",
+        ],
+    )
+    def test_empty_optional_flag_is_config_error(self, ws, capsys, argv):
+        # An empty value is not an absent flag: it exits 2 and writes nothing.
+        paths = {
+            "dem": ws / "dem.grid", "sites": ws / "sites.csv", "branch1": ws / "branch1.grid",
+            "branch2": ws / "branch2.grid", "out": ws / "out" / "result",
+        }
+        (ws / "out").mkdir()
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "given but empty" in err and "Traceback" not in err
+        assert list((ws / "out").glob("*")) == []
+
     def test_missing_file_is_data_error(self, ws, capsys):
         code = main([
             "evaluate", "--pred", str(ws / "nope.grid"),
@@ -951,11 +997,16 @@ class TestRunAndErrors:
              "--out", "{out}"],
             ["rasterize-labels", "--grid", "{dem}", "--sites", "{sites}", "--radius", "inf",
              "--out", "{out}"],
+            ["pseudolabel", "--branch1", "{branch1}", "--branch2", "{branch2}",
+             "--seed", "-1", "--out-raster", "{out}", "--out-json", "{out}.json"],
+            ["split-folds", "--sites", "{sites}", "--strategy", "uniform", "--k", "2",
+             "--seed", "-1", "--out", "{out}"],
         ],
         ids=[
             "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
             "pseudolabel-alpha", "pseudolabel-step", "crf-refine-sigma-nan",
             "crf-refine-sigma-inf", "rasterize-labels-radius-nan", "rasterize-labels-radius-inf",
+            "pseudolabel-seed", "split-folds-seed",
         ],
     )
     def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):

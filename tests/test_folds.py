@@ -166,6 +166,17 @@ class TestUniform:
             uniform_kfold(sites, 4)
 
 
+@pytest.mark.parametrize("strategy", ["uniform", "stratified"])
+def test_negative_seed_is_config_error(rng, strategy):
+    sites = [site(f"s{i}") for i in range(6)]
+    vectors = [vec(s.site_id, rng.normal(size=2)) for s in sites]
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        if strategy == "uniform":
+            uniform_kfold(sites, 2, seed=-1)
+        else:
+            stratified_kfold(sites, vectors, 2, seed=-1)
+
+
 class TestStratified:
     def make_instance(self, rng, n=20, d=3):
         sites = [site(f"s{i}") for i in range(n)]

@@ -19,7 +19,6 @@ from apmkit.metrics import (
     MetricsReport,
     ScoredSample,
     aul,
-    auroc,
     auroc_from_arrays,
     bin_analysis,
     confusion_from_counts,
@@ -27,7 +26,6 @@ from apmkit.metrics import (
     find_count_correlation,
     probability_density,
     radar_area,
-    surface_density,
     volume_gain,
     write_density_csv,
 )
@@ -61,58 +59,36 @@ def pairwise_aul(scores, labeled):
     return wins / (len(pos) * len(scores))
 
 
-def labeled_samples(pos, neg):
-    return [ScoredSample(float(s), "positive") for s in pos] + [
-        ScoredSample(float(s), "negative") for s in neg
-    ]
+def auroc(pos, neg):
+    """AUROC of the positive scores ``pos`` against the negatives ``neg``."""
+    scores = np.array([*pos, *neg], dtype=np.float64)
+    return auroc_from_arrays(scores, np.arange(scores.size) < len(pos))
 
 
 class TestAuroc:
     def test_hand_example(self):
         # pos {0.9, 0.4}, neg {0.6, 0.1}: three winning pairs of four.
-        assert auroc(labeled_samples([0.9, 0.4], [0.6, 0.1])) == 0.75
+        assert auroc([0.9, 0.4], [0.6, 0.1]) == 0.75
 
     def test_perfect_and_inverted(self):
-        assert auroc(labeled_samples([0.8, 0.9], [0.1, 0.2])) == 1.0
-        assert auroc(labeled_samples([0.1, 0.2], [0.8, 0.9])) == 0.0
+        assert auroc([0.8, 0.9], [0.1, 0.2]) == 1.0
+        assert auroc([0.1, 0.2], [0.8, 0.9]) == 0.0
 
     def test_ties_get_half_credit(self):
-        assert auroc(labeled_samples([0.5], [0.5])) == 0.5
+        assert auroc([0.5], [0.5]) == 0.5
 
     def test_matches_pair_counting(self, rng):
         for _ in range(20):
             pos = rng.integers(0, 20, size=rng.integers(1, 30)) / 10.0
             neg = rng.integers(0, 20, size=rng.integers(1, 30)) / 10.0
-            got = auroc(labeled_samples(pos, neg))
+            got = auroc(pos, neg)
             assert got == pytest.approx(pairwise_auroc(pos, neg), abs=1e-12)
 
     def test_missing_class(self):
         with pytest.raises(DataError, match="positive"):
-            auroc(labeled_samples([], [0.5]))
+            auroc([], [0.5])
         with pytest.raises(DataError, match="negative"):
-            auroc(labeled_samples([0.5], []))
-
-    def test_array_front_end(self, rng):
-        scores = rng.random(50)
-        positive = rng.random(50) > 0.5
-        want = auroc(
-            [
-                ScoredSample(float(s), "positive" if p else "negative")
-                for s, p in zip(scores, positive)
-            ]
-        )
-        assert auroc_from_arrays(scores, positive) == want
-
-    def test_sample_and_array_forms_agree_with_ties(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 80))
-            scores = rng.integers(0, 8, size=n) / 4.0
-            positive = rng.random(n) < 0.4
-            positive[:2] = (True, False)
-            labels = np.where(positive, "positive", "negative")
-            samples = [ScoredSample(float(s), str(lab)) for s, lab in zip(scores, labels)]
-            samples.append(ScoredSample(0.5, None))
-            assert auroc(samples) == auroc_from_arrays(scores, positive)
+            auroc([0.5], [])
 
 
 class TestAul:
@@ -140,7 +116,7 @@ class TestAul:
         scores = np.concatenate([pos, neg])
         labeled = np.zeros(1000, dtype=bool)
         labeled[:400] = True
-        a = auroc(labeled_samples(pos, neg))
+        a = auroc(pos, neg)
         alpha = 0.4
         got = aul(scores, labeled)
         # Finite-sample deviation comes only from within-positive ranking.
@@ -362,13 +338,6 @@ class TestDensity:
     def test_empty_raises(self):
         with pytest.raises(DataError):
             probability_density(np.array([np.nan]))
-
-    def test_surface_front_end(self, make_grid, rng):
-        mask = np.zeros((10, 10), dtype=bool)
-        mask[0] = True
-        grid = make_grid(rng.random((10, 10)), mask=mask)
-        d = surface_density(grid)
-        assert d.bin_centers.size == d.smoothed.size == 100
 
     def test_csv_schema(self, tmp_path, rng):
         scores = rng.random(50)

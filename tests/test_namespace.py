@@ -41,7 +41,7 @@ def test_public_names_are_unchanged():
         "LamapConfig", "SiteModel", "build_site_models", "potential_values", "lamap_surface",
         "CrfConfig", "crf_refine", "mean_field_step", "refine_values",
         "BranchPair", "DplConfig", "LossBreakdown", "combine", "dpl_objective",
-        "MetricsReport", "ScoredSample", "auroc", "aul", "bin_analysis",
+        "MetricsReport", "ScoredSample", "auroc_from_arrays", "aul", "bin_analysis",
         "find_count_correlation", "probability_density", "radar_area", "volume_gain",
         "FoldAssignment", "StratVector", "site_strat_vector", "stratified_kfold",
         "uniform_kfold",

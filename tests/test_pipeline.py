@@ -15,13 +15,18 @@ import apmkit.metrics as metrics_module
 import apmkit.pipeline as pipeline_module
 from apmkit.cli import main
 from apmkit.errors import ConfigError, DataError, ToolkitError
-from apmkit.metrics import density_histogram, surface_density, volume_gain, write_density_csv
+from apmkit.metrics import (
+    auroc_from_arrays,
+    density_histogram,
+    probability_density,
+    volume_gain,
+    write_density_csv,
+)
 from apmkit.pipeline import (
     PipelineConfig,
     build_feature_stack,
     evaluate_surface,
     run_pipeline,
-    sample_surface_sites,
 )
 from apmkit.pseudolabel import BranchPair, dpl_objective
 from apmkit.raster.grid import RasterGrid, load_raster, save_raster
@@ -359,6 +364,11 @@ class TestFeatureStack:
         assert np.isnan(stack.band(0)[0, 0])
 
 
+def sample_sites(surface, sites):
+    """The evaluate path's samples: each site's pixel found, then read."""
+    return pipeline_module._samples_at(surface, pipeline_module._site_pixels(surface, sites))
+
+
 class TestSampling:
     def test_reads_containing_pixels(self, make_grid):
         surface = make_grid(np.arange(12.0).reshape(3, 4) / 12.0)
@@ -367,7 +377,7 @@ class TestSampling:
             SiteRecord("b", 3.5, -2.5, "Byzantine", "negative", 4),
             SiteRecord("u", 0.5, -0.5, "Byzantine", "unlabeled"),
         ]
-        samples = sample_surface_sites(surface, sites)
+        samples = sample_sites(surface, sites)
         assert len(samples) == 3
         assert samples[0].score == pytest.approx(1 / 12, abs=1e-6)
         assert samples[0].label == "positive"
@@ -385,7 +395,7 @@ class TestSampling:
             SiteRecord("ok", 0.5, -0.5, "Byzantine", "positive"),
         ]
         with caplog.at_level("WARNING"):
-            samples = sample_surface_sites(surface, sites)
+            samples = sample_sites(surface, sites)
         assert len(samples) == 1
         assert "off" in caplog.text and "hole" in caplog.text
 
@@ -403,6 +413,19 @@ class TestEvaluateSurface:
         assert report.metrics.aul is not None
         assert len(report.bins) == 6
         assert len(report.density_histogram) == 100
+
+    def test_auroc_leaves_unlabeled_sites_out_with_ties(self, make_grid, rng):
+        values = rng.integers(0, 8, size=(6, 10)) / 8.0  # tied scores
+        surface = make_grid(values)
+        polarities = rng.choice(["positive", "negative", "unlabeled"], size=values.shape)
+        polarities[0, :2] = ("positive", "negative")
+        sites = [
+            SiteRecord(f"s{r}_{c}", c + 0.5, -r - 0.5, "Byzantine", str(polarities[r, c]))
+            for r in range(6) for c in range(10)
+        ]
+        labeled = polarities != "unlabeled"
+        want = auroc_from_arrays(values[labeled], polarities[labeled] == "positive")
+        assert evaluate_surface(surface, sites).metrics.auroc == want
 
     def test_positives_only(self, make_grid):
         surface = make_grid(np.linspace(0.0, 1.0, 16).reshape(4, 4))
@@ -702,8 +725,9 @@ class TestRun:
         report = dataclasses.replace(report, volume_gain=gain, baseline_name="lamap")
         want = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         assert (out / "report.json").read_text() == want
+        scores = surface.band(0)[~surface.nodata_mask]
         write_density_csv(
-            workspace / "lib_density.csv", report.density_histogram, surface_density(surface)
+            workspace / "lib_density.csv", report.density_histogram, probability_density(scores)
         )
         assert (out / "surface_density.csv").read_bytes() == (
             workspace / "lib_density.csv"
@@ -938,9 +962,8 @@ class TestBaselineAtSurfaceSites:
         surface = load_raster(out / "refined_surface.grid")
         baseline = load_raster(out / "lamap_surface.grid")
         # Some labelled sites are masked on the surface but not on the baseline.
-        assert len(sample_surface_sites(surface, sites)) < len(
-            sample_surface_sites(baseline, sites)
-        )
+        site_pixels = pipeline_module._site_pixels
+        assert len(site_pixels(surface, sites)) < len(site_pixels(baseline, sites))
         remasked = RasterGrid(
             baseline.data, baseline.geotransform, surface.nodata_mask, baseline.band_names, {}
         )

@@ -483,6 +483,11 @@ class TestObjectiveScoresThePseudolabel:
         assert len(calls) == 1
         assert masked_grid.meta["alpha"] == calls[0][1]
 
+    def test_negative_seed_is_config_error(self, make_grid, rng):
+        pair = pair_of(make_grid, rng.random((6, 7)), rng.random((6, 7)))
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            pseudolabel_with_breakdown(pair, None, DplConfig(), seed=-1, step=0)
+
     @pytest.mark.parametrize(
         "values,geotransform",
         [
