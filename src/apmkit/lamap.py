@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError, NumericError
-from .raster.grid import RasterGrid
+from .raster.grid import RasterGrid, row_bands
 from .raster.sites import SiteRecord
 
 DEFAULT_CATCHMENT_RADIUS = 295.0
@@ -35,12 +35,20 @@ class Ecdf:
 
     ``cdf(v)`` returns ``(#{s < v} + 0.5 * #{s == v}) / n``, so a value
     equal to the unique median evaluates to exactly 0.5.
+
+    ``samples`` is sorted; float32 samples stay float32, as a
+    :class:`RasterGrid`'s are, and any other input becomes float64.
+    ``cdf`` compares in float64, to which every float32 widens exactly,
+    so both dtypes give the same counts at any probe.
     """
 
     __slots__ = ("samples",)
 
     def __init__(self, samples: np.ndarray) -> None:
-        arr = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+        arr = np.asarray(samples)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
+        arr = np.sort(arr.ravel())
         if arr.size == 0:
             raise EmptyInputError("ECDF needs at least one sample")
         if not np.isfinite(arr).all():
@@ -157,7 +165,10 @@ def _value_slots(samples: list[np.ndarray], band: np.ndarray, out: np.ndarray) -
 
     Writes each pixel's slot into ``out``: ``2i`` when its value lies
     strictly between ``U[i-1]`` and ``U[i]``, ``2i + 1`` when it equals
-    ``U[i]``. Comparisons are in float64.
+    ``U[i]``. ``U`` keeps the samples' dtype: float32 for models built
+    from a stack, so the search runs on float32 against the float32
+    ``band``, and float64 once a pool mixes in float64 samples, where the
+    band widens exactly. Either way every compared value is exact.
     """
     # np.sort and a neighbour mask rather than np.unique, whose first call
     # imports numpy.ma for good.
@@ -220,8 +231,11 @@ def potential_values(
     ``2 lt`` between values, ``lt + le`` on a value and ``2n`` past the
     last one, with ``lt`` and ``le`` counting the site's samples below and
     up to each ``U`` value. The affinity is computed once per slot
-    (:func:`_affinity_table`) and gathered to the pixels. The comparisons
-    are in float64 and the counts are integers, and
+    (:func:`_affinity_table`) and gathered to the pixels, one band of
+    rows (:func:`~apmkit.raster.grid.row_bands`) at a time into one
+    band-sized buffer. Every compared value is exact in the dtype of the
+    comparison (float32 samples against float32 pixels, or both widened
+    to float64) and the counts are integers, and
     ``0.5 * (below + upto) / n`` equals :meth:`Ecdf.cdf`'s
     ``(below + 0.5 * (upto - below)) / n`` bit for bit because both
     numerators are the same exact half-integer.
@@ -255,7 +269,8 @@ def potential_values(
         for i, b in enumerate(bands)
     ]
     col_x, row_y = stack.center_xy(np.arange(stack.height), np.arange(stack.width))
-    f = np.empty(stack.shape, dtype=np.float64)
+    rows = row_bands(*stack.shape)
+    f = np.empty((min(rows.step, stack.height), stack.width), dtype=np.float64)
     w = np.empty(stack.shape, dtype=np.float64)
     u = np.empty(stack.shape, dtype=np.float64)
     num = np.zeros(stack.shape, dtype=np.float64)
@@ -267,14 +282,18 @@ def potential_values(
         np.divide(w, -cfg.kernel_bandwidth, out=w)
         np.exp(w, out=w)
         # The first band's affinities go straight into u: every table entry
-        # is >= +0.0, so 0.0 + f == f bit for bit. Every slot indexes its
-        # table, so mode="clip" only skips the bounds-checked take's
-        # full-frame buffer.
+        # is >= +0.0, so 0.0 + f == f bit for bit. The later bands add in
+        # the same order per pixel, one band of rows at a time. Every slot
+        # indexes its table, so mode="clip" changes no value; it spares
+        # take a buffered copy of its output.
         for i, (ecdf, values, slot) in enumerate(zip(model.ecdfs, band_values, slots)):
             table = _affinity_table(ecdf, values)
-            np.take(table, slot, out=f if i else u, mode="clip")
-            if i:
-                u += f
+            for start in rows:
+                ub = u[start : start + rows.step]
+                fb = f[: len(ub)]
+                np.take(table, slot[start : start + rows.step], out=fb if i else ub, mode="clip")
+                if i:
+                    ub += fb
         u /= len(bands)
         u *= w
         num += u

@@ -53,6 +53,7 @@ def _lower_envelope_rows(f: np.ndarray, spacing: float) -> np.ndarray:
     height, width = f.shape
     f_flat = f.reshape(-1)
     row0 = np.arange(height) * width
+    row1 = row0 + 1
     k = np.full(height, -1)
     v = np.empty(height * width, dtype=np.int32)
     z = np.empty(height * width)
@@ -66,21 +67,15 @@ def _lower_envelope_rows(f: np.ndarray, spacing: float) -> np.ndarray:
     for i in range(width):
         fi = f[:, i]
         finite = np.isfinite(fi)
-        rows = np.flatnonzero(finite)
-        if rows.size == 0:
+        if not finite.any():
             continue
         q = i * spacing
         two_q = 2.0 * q
+        # A row with no parabola at this column gets g = inf, so s = inf:
+        # it never pops.
         g = fi + q * q
         s = (g - top_g) / (two_q - top_2p)
-        popping = s <= top_z
-        if rows.size == height:
-            # Every row takes part (as after the column sweep): basic
-            # slicing instead of fancy indexing below.
-            rows = slice(None)
-        else:
-            popping &= finite
-        pop = np.flatnonzero(popping)
+        pop = np.flatnonzero(s <= top_z)
         # The popping rows drop their top and test the slot under it.
         kp = k[pop] - 1
         while True:
@@ -99,15 +94,17 @@ def _lower_envelope_rows(f: np.ndarray, spacing: float) -> np.ndarray:
             keep = sp <= z[at]
             pop = pop[keep]
             kp = kp[keep] - 1
-        kr = k[rows] + 1
-        k[rows] = kr
-        at = row0[rows] + kr
+        # Every row writes the slot above its top (k < i, so the slot is in
+        # its own row), but only a row with a parabola here moves its top
+        # up to it: the other rows' writes are never read.
+        s[k < 0] = -np.inf  # a first parabola's breakpoint
+        at = row1 + k
         v[at] = i
-        zr = np.where(kr == 0, -np.inf, s[rows])
-        z[at] = zr
-        top_g[rows] = g[rows]
-        top_2p[rows] = two_q
-        top_z[rows] = zr
+        z[at] = s
+        k += finite
+        np.copyto(top_g, g, where=finite)
+        np.copyto(top_2p, two_q, where=finite)
+        np.copyto(top_z, s, where=finite)
     # Row r uses parabola j at column i, where j counts the breakpoints
     # z[r, 1..k] strictly below x_i: breakpoint z counts from column
     # searchsorted(xs, z, "right") on. The live rows go in row bands to

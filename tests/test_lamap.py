@@ -1,6 +1,7 @@
 """Site-signature potential surfaces."""
 
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from apmkit.lamap import (
     potential_values,
     similarity,
 )
+from apmkit.raster import grid as gridmod
+from apmkit.raster.grid import row_bands
 from apmkit.raster.sites import SiteRecord
 
 
@@ -63,6 +66,32 @@ class TestEcdf:
         assert e.n == 1
         assert e.cdf(7.0) == 0.5
 
+    def test_float32_samples_match_float64(self, rng):
+        samples = np.round(rng.normal(size=60), 1).astype(np.float32)
+        narrow, wide = Ecdf(samples), Ecdf(samples.astype(np.float64))
+        assert narrow.samples.dtype == np.float32
+        assert np.array_equal(narrow.samples, wide.samples)
+        exact = wide.samples
+        above = np.nextafter(narrow.samples, np.float32(np.inf)).astype(np.float64)
+        between = (exact + above) / 2.0  # no float32 lies strictly between
+        assert ((exact < between) & (between < above)).all()
+        ulp_up, ulp_down = np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)
+        # A float32 comparison would take these for ties.
+        assert np.array_equal(ulp_up.astype(np.float32), narrow.samples)
+        probes = np.concatenate([exact, ulp_up, ulp_down, between])
+        for query in (probes, narrow.samples):
+            assert narrow.cdf(query).tobytes() == wide.cdf(query).tobytes()
+            assert similarity(narrow, query).tobytes() == similarity(wide, query).tobytes()
+        for v in probes[::11]:
+            assert narrow.cdf(float(v)) == wide.cdf(float(v))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float16, np.float64])
+    def test_other_samples_become_float64(self, dtype):
+        e = Ecdf(np.array([3, 1, 2], dtype=dtype))
+        assert e.samples.dtype == np.float64
+        assert e.samples.tolist() == [1.0, 2.0, 3.0]
+        assert Ecdf([2, 1]).samples.dtype == np.float64
+
 
 class TestSimilarity:
     def test_median_scores_one(self):
@@ -93,6 +122,13 @@ class TestSiteModel:
         model = build_site_model(grid, site("a", 4.5, -4.5), LamapConfig(2.0))
         assert np.array_equal(model.ecdfs[0].samples, np.full(13, 4.5))
         assert model.catchment_pixels == 13
+
+    def test_samples_keep_the_stack_float32(self, make_grid, rng):
+        grid = make_grid(rng.normal(size=(2, 9, 9)))
+        model = build_site_model(grid, site("a", 4.5, -4.5), LamapConfig(2.0))
+        for b, ecdf in enumerate(model.ecdfs):
+            assert ecdf.samples.dtype == np.float32
+            assert set(ecdf.samples.tolist()) <= set(grid.band(b).ravel().tolist())
 
     def test_subpixel_radius_single_sample(self, make_grid):
         values = np.arange(25.0).reshape(5, 5)
@@ -532,6 +568,60 @@ class TestEqualsSortedPixelPath:
                 cfg.kernel_bandwidth = 1.0
             cfg = replace(cfg, kernel_bandwidth=float(rng.uniform(0.5, 30)))
             self._check(grid, models, cfg)
+
+
+class TestMixedSampleDtypes:
+    def test_float64_model_among_float32_models(self, make_grid, rng):
+        # The pool promotes to float64 and the pixels widen exactly.
+        grid = make_grid(np.round(rng.normal(size=(2, 15, 18)), 2))
+        models, cfg = _overlapping_models(grid, 7, 2.5, rng)
+        assert all(e.samples.dtype == np.float32 for m in models for e in m.ecdfs)
+        pixels = np.unique(grid.band(0).astype(np.float64))
+        base = rng.choice(pixels[:-1], size=6)
+        near = np.concatenate([np.nextafter(base, np.inf), np.nextafter(base, -np.inf), base])
+        ecdfs = (Ecdf(near), Ecdf(grid.band(1)[3:6, 4:9].astype(np.float64)))
+        models.append(SiteModel("hand", 9.0, -7.0, ecdfs, near.size))
+        got = potential_values(grid, models, cfg)
+        assert np.array_equal(got, sorted_pixel_potential(grid, models, cfg), equal_nan=True)
+
+
+class TestBandedGather:
+    """The affinities are gathered and added one band of rows at a time
+    into one band-sized buffer."""
+
+    @pytest.mark.parametrize("bands", [None, (2, 0)], ids=["all-bands", "subset"])
+    @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "ragged"])
+    def test_band_height_is_bit_irrelevant(self, make_grid, rng, monkeypatch, rows, bands):
+        h, w = 23, 19  # bands of five rows leave a last band of three
+        mask = rng.random((h, w)) < 0.15
+        grid = make_grid(np.round(rng.normal(size=(3, h, w)), 1), mask=mask)
+        models, cfg = _overlapping_models(grid, 8, 3.0, rng, bands=bands)
+        want = potential_values(grid, models, cfg)
+        assert row_bands(h, w).step >= h
+        monkeypatch.setattr(gridmod, "BAND", rows * w)
+        assert row_bands(h, w).step == rows
+        assert potential_values(grid, models, cfg).tobytes() == want.tobytes()
+
+    def test_traced_peak(self, make_grid, rng):
+        # At most the int32 slots, four float64 frames (weights, affinities,
+        # numerator, denominator), the models and one band: its float64
+        # buffer and np.take's intp copy of its slots. The allowance covers
+        # the valid mask and ufunc buffers. A full-frame scratch and index
+        # copy would add two float64 frames.
+        h, w, nb = 256, 256, 3
+        mask = rng.random((h, w)) < 0.05
+        grid = make_grid(np.round(rng.normal(size=(nb, h, w)), 2), mask=mask)
+        models, cfg = _overlapping_models(grid, 24, 4.0, rng)
+        sample_bytes = sum(e.samples.nbytes for m in models for e in m.ecdfs)
+        tracemalloc.start()
+        try:
+            potential_values(grid, models, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slots, frames, band = 4 * nb * h * w, 4 * 8 * h * w, 16 * gridmod.BAND
+        allowance = h * w + (256 << 10)
+        assert peak <= slots + frames + 4 * sample_bytes + band + allowance
 
 
 class TestAffinityTable:
