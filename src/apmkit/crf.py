@@ -69,7 +69,8 @@ class CrfConfig:
             key ``temperature`` or ``crf_temperature``.
         iterations: Mean-field steps, in [2, 10].
         pairwise_weights: (spatial, bilateral) kernel coefficients.
-        compatibility: 2x2 label compatibility; None is Potts, [[0, 1], [1, 0]].
+        compatibility: 2x2 label compatibility, a tuple of two rows of
+            floats; None (JSON null) is Potts, [[0, 1], [1, 0]].
         compress_guidance: Whether the bilateral branch runs coarsened.
     """
 
@@ -80,7 +81,7 @@ class CrfConfig:
     temperature: float = field(default=1.0, metadata={"alias": "crf_temperature"})
     iterations: int = 5
     pairwise_weights: tuple[float, float] = (1.0, 1.0)
-    compatibility: np.ndarray | None = None
+    compatibility: tuple[tuple[float, float], tuple[float, float]] | None = None
     compress_guidance: bool = True
 
     def __post_init__(self) -> None:
@@ -102,15 +103,10 @@ class CrfConfig:
         if len(w) != 2 or not all(0 <= v < math.inf for v in w):
             raise ConfigError(f"pairwise_weights must be two finite numbers >= 0, got {w}")
         object.__setattr__(self, "pairwise_weights", w)
-        if self.compatibility is None:
-            m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        else:
-            m = np.array(self.compatibility, dtype=np.float64)  # the caller's stays writable
-            if m.shape != (2, 2) or not np.isfinite(m).all():
-                raise ConfigError(f"compatibility must be a finite 2x2 matrix, got {m.tolist()}")
-        # Read-only, so the check holds for as long as the config does.
-        m.flags.writeable = False
-        object.__setattr__(self, "compatibility", m)
+        m = np.array(((0, 1), (1, 0)) if self.compatibility is None else self.compatibility, float)
+        if m.shape != (2, 2) or not np.isfinite(m).all():
+            raise ConfigError(f"compatibility must be a finite 2x2 matrix, got {m.tolist()}")
+        object.__setattr__(self, "compatibility", tuple(map(tuple, m.tolist())))
 
 
 def unary_potentials(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -706,7 +702,7 @@ def _step_tail(
     field: np.ndarray,
     m1: np.ndarray,
     valid_message: np.ndarray,
-    compatibility: np.ndarray,
+    compatibility: tuple[tuple[float, float], tuple[float, float]],
     logits: _Logits,
     q0: np.ndarray | None = None,
 ) -> np.ndarray:

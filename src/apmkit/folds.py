@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import ReadOnlyDict, build_config, check_seed, read_json
 from .errors import ConfigError, DataError, EmptyInputError
+from .lamap import DEFAULT_CATCHMENT_RADIUS
 from .raster.grid import RasterGrid, write_json
 from .raster.sites import SiteRecord
 
@@ -46,7 +47,7 @@ def site_strat_vector(
     site: SiteRecord,
     stack: RasterGrid,
     labels: RasterGrid,
-    radius: float = 295.0,
+    radius: float = DEFAULT_CATCHMENT_RADIUS,
 ) -> StratVector:
     """Summarise a site's catchment for stratification.
 

@@ -153,13 +153,8 @@ class PipelineConfig:
         top = {k: v for k, v in doc.items() if k not in retired}
         return build_config(PipelineConfig, top, "config")
 
-    def canonical_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["crf"]["compatibility"] = self.crf.compatibility.tolist()
-        return doc
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -190,7 +185,12 @@ def build_feature_stack(
 
 
 class _Run:
-    """Mutable state threaded through the stages of one pipeline run."""
+    """Mutable state threaded through the stages of one pipeline run.
+
+    ``values`` holds the rasters stages hand on: each stage's result under
+    its name (``features``, ``labels``, ``lamap``, ``crf``) and the loaded
+    ``inputs.stack`` under ``stack``. The run lets a value go when its last
+    reader, the last requested stage whose needs name it, reads it."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -199,38 +199,41 @@ class _Run:
         self.period_sites = read_sites_csv(sites, cfg.period) if sites else []
         self.out = Path(cfg.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.stack: RasterGrid | None = None
-        self.labels: RasterGrid | None = None
-        self.baseline: RasterGrid | None = None
-        self.surface: RasterGrid | None = None
+        self.values: dict[str, RasterGrid] = {}
+        self.stage = ""  # the running stage's name
         self.outputs = Outputs()  # the running stage's
+        self._last_reader = {name: stage.name for stage in STAGE_TABLE if stage.name in cfg.stages
+                             for _, any_of in stage.needs for names in any_of
+                             for name in names.split()}
 
     def output(self, name: str) -> Path:
         """Where to write artifact ``name``; the stage's commit moves it."""
         return self.outputs.temp(self.out / name)
 
-    def get_stack(self) -> RasterGrid:
-        # The config requires inputs.stack wherever the features stage does
-        # not run first.
-        if self.stack is None:
-            self.stack = load_raster(self.cfg.inputs.stack)
-        return self.stack
-
-    def take_stack(self) -> RasterGrid:
-        """The stack, let go of by the run: no stage after the crf reads it."""
-        stack, self.stack = self.get_stack(), None
-        return stack
+    def read(self, *names: str) -> RasterGrid | None:
+        """The first of ``names`` that an earlier stage set, or that the
+        config names as ``inputs.stack`` (loaded once); None if none is."""
+        for name in names:
+            if name == "stack" and name not in self.values and self.cfg.inputs.stack:
+                self.values[name] = load_raster(self.cfg.inputs.stack)
+            if name in self.values:
+                if self._last_reader.get(name) == self.stage:
+                    return self.values.pop(name)
+                return self.values[name]
+        return None
 
 
 def _stage_features(run: _Run) -> None:
     inputs = run.cfg.inputs
-    run.stack = build_feature_stack(load_raster(inputs.dem), inputs.historical_targets)
-    save_raster(run.stack, run.output("stack.grid"))
+    stack = build_feature_stack(load_raster(inputs.dem), inputs.historical_targets)
+    run.values["features"] = stack
+    save_raster(stack, run.output("stack.grid"))
 
 
 def _stage_labels(run: _Run) -> None:
-    run.labels = rasterize_labels(run.get_stack(), run.period_sites, run.cfg.label_radius)
-    save_raster(run.labels, run.output("labels.grid"))
+    stack = run.read("features", "stack")
+    run.values["labels"] = labels = rasterize_labels(stack, run.period_sites, run.cfg.label_radius)
+    save_raster(labels, run.output("labels.grid"))
 
 
 def lamap_from_sites(stack: RasterGrid, sites, cfg: LamapConfig) -> RasterGrid:
@@ -249,8 +252,8 @@ def lamap_from_sites(stack: RasterGrid, sites, cfg: LamapConfig) -> RasterGrid:
 
 
 def _stage_lamap(run: _Run) -> None:
-    surface = lamap_from_sites(run.get_stack(), run.period_sites, run.cfg.lamap)
-    run.baseline = run.surface = surface  # the crf stage, if it runs, replaces the surface
+    surface = lamap_from_sites(run.read("features", "stack"), run.period_sites, run.cfg.lamap)
+    run.values["lamap"] = surface
     save_raster(surface, run.output("lamap_surface.grid"))
 
 
@@ -260,17 +263,17 @@ def _stage_crf(run: _Run) -> None:
         logits = load_raster(inputs.logits)
     else:
         branch = load_raster(inputs.branch1)
+        if branch.bands != 1:
+            raise DataError(f"branch1 must be single-band, got {branch.bands} bands")
         p = np.clip(branch.band(0).astype(np.float64), 1e-7, 1.0 - 1e-7)
         logits = RasterGrid(
-            np.log(p / (1.0 - p)).astype(np.float32)[None, :, :],
-            branch.geotransform,
-            branch.nodata_mask,
-            ("logit",),
-            {"source": "branch1_logit_transform"},
+            np.log(p / (1.0 - p)).astype(np.float32)[None, :, :], branch.geotransform,
+            branch.nodata_mask, ("logit",), {"source": "branch1_logit_transform"},
         )
         del branch, p  # the refinement reads only the logits
-    run.surface = crf_refine(logits, run.take_stack, run.cfg.crf)
-    save_raster(run.surface, run.output("refined_surface.grid"))
+    surface = crf_refine(logits, lambda: run.read("features", "stack"), run.cfg.crf)
+    run.values["crf"] = surface
+    save_raster(surface, run.output("refined_surface.grid"))
 
 
 def pseudolabel_with_breakdown(
@@ -297,9 +300,9 @@ def pseudolabel_with_breakdown(
 
 
 def _stage_pseudolabel(run: _Run) -> None:
-    cfg = run.cfg
+    cfg, labels = run.cfg, run.values.get("labels")
     pair = BranchPair(load_raster(cfg.inputs.branch1), load_raster(cfg.inputs.branch2))
-    masked, doc = pseudolabel_with_breakdown(pair, run.labels, cfg.dpl, cfg.seed, cfg.step)
+    masked, doc = pseudolabel_with_breakdown(pair, labels, cfg.dpl, cfg.seed, cfg.step)
     save_raster(masked, run.output("pseudolabel.grid"))
     run.output("loss_breakdown.json").write_bytes(json_bytes(doc))
 
@@ -408,18 +411,16 @@ def _site_metrics(
 
 
 def _stage_evaluate(run: _Run) -> None:
-    # The config requires a lamap or crf stage, and each sets the surface.
-    surface, baseline = run.surface, run.baseline
-    compare = baseline is not None and surface is not baseline
+    # The config requires a lamap or crf stage. Lamap's surface is the baseline of crf's.
+    name, surface, baseline = "crf", run.read("crf"), run.read("lamap")
+    if surface is None:
+        name, surface, baseline = "lamap", baseline, None
     # Both are scored where the surface can be: its mask holds the baseline's.
     report = evaluate_surface(
-        surface,
-        run.period_sites,
-        metadata={"surface": "crf" if "crf" in run.cfg.stages else "lamap",
-                  "period": run.cfg.period},
-        baseline=("lamap", baseline) if compare else None,
+        surface, run.period_sites, metadata={"surface": name, "period": run.cfg.period},
+        baseline=None if baseline is None else ("lamap", baseline),
     )
-    if compare:
+    if baseline is not None:
         save_raster(surface, run.output("surface.grid"))
         # The CSV holds the report's histogram and the only smoothed density curve.
         # Looked up on the module at call time, so a wrapper set there sees the call.
@@ -441,7 +442,7 @@ class Stage:
     """A pipeline stage: its needs, the artifacts it may write and its body.
     A need is (what the error calls it, alternatives): met when every name
     of one alternative is an ``inputs`` key the config sets or a stage it
-    runs."""
+    runs. The body reads the run's values by these names (``_Run.read``)."""
 
     name: str
     needs: tuple[tuple[str, tuple[str, ...]], ...]
@@ -486,6 +487,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     manifest_stages = []
     for stage in cfg.stages:
         start = time.perf_counter()
+        run.stage = stage
         try:
             with commit_outputs() as run.outputs:
                 _STAGE_FUNCS[stage](run)

@@ -105,11 +105,15 @@ class TestValueRules:
         with pytest.raises(ConfigError, match="count must be >= 0"):
             build_config(Sample, {"count": -1}, "sample")
 
-    def test_crf_compatibility_takes_only_null(self):
+    def test_crf_compatibility_takes_null_or_a_finite_2x2_list(self):
         potts = build_config(CrfConfig, {"compatibility": None}, "crf").compatibility
-        assert potts.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        with pytest.raises(ConfigError, match="crf compatibility"):
-            build_config(CrfConfig, {"compatibility": [[0.0, 1.0], [1.0, 0.0]]}, "crf")
+        assert potts == ((0.0, 1.0), (1.0, 0.0))
+        given = build_config(CrfConfig, {"compatibility": [[0, 0.5], [2, 0]]}, "crf")
+        assert given.compatibility == ((0.0, 0.5), (2.0, 0.0))
+        with pytest.raises(ConfigError, match="crf compatibility must be a list of 2"):
+            build_config(CrfConfig, {"compatibility": [[0, 1], [1, 0], [1, 1]]}, "crf")
+        with pytest.raises(ConfigError, match=r"crf compatibility\[0\]\[1\] must be a finite"):
+            build_config(CrfConfig, {"compatibility": [[0.0, float("nan")], [1.0, 0.0]]}, "crf")
 
 
 @dataclass

@@ -66,13 +66,17 @@ class TestConfig:
             CrfConfig(**kwargs)
 
     def test_compatibility_is_a_read_only_copy(self):
+        # The config holds a tuple of float rows; the caller's array is
+        # neither changed nor frozen, and writing to it leaves the config be.
         given = np.array([[0.0, 2.0], [2.0, 0.0]])
         cfg = CrfConfig(compatibility=given)
-        given[0, 1] = math.nan
-        assert cfg.compatibility.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert cfg.compatibility == ((0.0, 2.0), (2.0, 0.0))
+        assert CrfConfig().compatibility == ((0.0, 1.0), (1.0, 0.0))
         for held in (cfg.compatibility, CrfConfig().compatibility):
-            with pytest.raises(ValueError, match="read-only"):
-                held[0, 1] = math.nan
+            assert all(type(v) is float for row in held for v in row)
+        assert given.flags.writeable and given.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        given[0, 1] = math.nan
+        assert cfg.compatibility == ((0.0, 2.0), (2.0, 0.0))
 
     def test_json_aliases(self, tmp_path):
         aliases = {f.name: f.metadata["alias"] for f in fields(CrfConfig) if "alias" in f.metadata}

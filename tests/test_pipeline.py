@@ -246,7 +246,7 @@ class TestConfig:
         assert all(k in warnings[0].getMessage() for k in ("tile_size", "overlap", "threads"))
         for key in ("tile_size", "overlap", "threads"):
             assert not hasattr(cfg, key)
-            assert key not in cfg.canonical_dict()
+            assert key not in dataclasses.asdict(cfg)
         assert cfg.config_hash() == PipelineConfig.from_json(base).config_hash()
 
     def test_config_hash_tracks_content(self):
@@ -876,6 +876,23 @@ class TestRun:
         assert "different frames" in capsys.readouterr().err
         assert not list((workspace / "out").rglob("refined_surface.grid"))
 
+    def test_crf_stage_refuses_a_multi_band_branch1(self, workspace, monkeypatch, capsys):
+        # As the pseudolabel stage does, and before any refinement.
+        branch = load_raster(workspace / "branch1.grid")
+        two = RasterGrid.from_array(np.stack([branch.band(0)] * 2), branch.geotransform)
+        save_raster(two, workspace / "branch1.grid")
+        refined = []
+        monkeypatch.setattr(pipeline_module, "crf_refine", lambda *args: refined.append(1))
+        doc = {**full_config(workspace), "stages": ["features", "crf"]}
+        cfg_path = workspace / "crf.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "stage 'crf' failed: branch1 must be single-band, got 2 bands" in (
+            capsys.readouterr().err
+        )
+        assert refined == []
+        assert not list((workspace / "out").rglob("refined_surface.grid"))
+
     def test_stage_error_is_named(self, workspace):
         cfg = PipelineConfig.from_json(
             {
@@ -922,6 +939,66 @@ class TestSkippedSitesReportedOnce:
         ]
         report = json.loads((workspace / "out" / "report.json").read_text())
         assert report["volume_gain"] is not None  # the baseline was sampled too
+
+
+class TestRunValues:
+    """Stages hand rasters on by name: the evaluate stage scores crf's
+    surface when crf ran, against lamap's when that ran too, and a value
+    leaves the run after the last requested stage whose needs name it."""
+
+    @pytest.mark.parametrize(
+        "stages,surface,baseline",
+        [
+            (["derive-features", "lamap", "evaluate"], "lamap", None),
+            (["derive-features", "crf", "evaluate"], "crf", None),
+            (["derive-features", "lamap", "crf", "evaluate"], "crf", "lamap"),
+        ],
+        ids=["lamap", "crf", "lamap-crf"],
+    )
+    def test_report_names_its_surface_and_baseline(self, workspace, stages, surface, baseline):
+        evaluate_run(workspace, stages)
+        report = json.loads((workspace / "out" / "report.json").read_text())
+        assert report["metadata"]["surface"] == surface
+        assert report["baseline_name"] == baseline
+        assert (report["volume_gain"] is not None) == (baseline is not None)
+
+    @pytest.mark.parametrize("source", ["features", "stack"])
+    def test_stack_gone_when_evaluate_starts(self, workspace, monkeypatch, source):
+        # Without a crf stage the lamap stage is the stack's last reader.
+        doc, refs = full_config(workspace), []
+        if source == "features":
+            doc["stages"] = ["features", "labels", "lamap", "evaluate"]
+            build = pipeline_module.build_feature_stack
+
+            def recording(*args, **kwargs):
+                stack = build(*args, **kwargs)
+                refs.append(weakref.ref(stack.data))
+                return stack
+
+            monkeypatch.setattr(pipeline_module, "build_feature_stack", recording)
+        else:
+            save_raster(build_feature_stack(synth_dem()), workspace / "stack.grid")
+            doc["stages"] = ["labels", "lamap", "evaluate"]
+            doc["inputs"]["stack"] = str(workspace / "stack.grid")
+            load = pipeline_module.load_raster
+
+            def recording(path):
+                grid = load(path)
+                if Path(path).name == "stack.grid":
+                    refs.append(weakref.ref(grid.data))
+                return grid
+
+            monkeypatch.setattr(pipeline_module, "load_raster", recording)
+        alive, evaluate = [], pipeline_module._STAGE_FUNCS["evaluate"]
+
+        def recorded(run):
+            alive.append([ref() is not None for ref in refs])
+            evaluate(run)
+
+        monkeypatch.setitem(pipeline_module._STAGE_FUNCS, "evaluate", recorded)
+        run_pipeline(PipelineConfig.from_json(doc))
+        assert len(refs) == 1
+        assert alive == [[False]]
 
 
 def scattered_sites(n=90, seed=5):
