@@ -21,7 +21,7 @@ from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
 from .folds import site_strat_vector, stratified_kfold, uniform_kfold
 from .lamap import DEFAULT_CATCHMENT_RADIUS, DEFAULT_KERNEL_BANDWIDTH, LamapConfig
-from .metrics import MetricsReport, volume_gain
+from .metrics import MetricsReport, check_n_bins, volume_gain
 from .pipeline import (
     PipelineConfig,
     build_feature_stack,
@@ -30,10 +30,10 @@ from .pipeline import (
     pseudolabel_with_breakdown,
     run_pipeline,
 )
-from .pseudolabel import BranchPair, DplConfig
+from .pseudolabel import BranchPair, DplConfig, check_alpha, check_step
 from .raster.distance import distance_map, load_targets
 from .raster.grid import commit_outputs, json_bytes, load_raster, save_raster, write_json
-from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
+from .raster.labels import DEFAULT_LABEL_RADIUS, check_label_radius, rasterize_labels
 from .raster.sites import PERIODS, read_sites_csv
 from .raster.tiling import load_plan, plan_windows, save_plan, stitch
 
@@ -68,6 +68,7 @@ def _cmd_distance_map(args) -> None:
 
 
 def _cmd_rasterize_labels(args) -> None:
+    check_label_radius(args.radius)
     grid = load_raster(args.grid)
     sites = read_sites_csv(args.sites, args.period)
     save_raster(rasterize_labels(grid, sites, args.radius), args.out)
@@ -86,12 +87,11 @@ def _parse_band_list(stack, spec: str) -> tuple[int, ...]:
 
 
 def _cmd_lamap(args) -> None:
+    cfg = LamapConfig(catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth)
     stack = load_raster(args.stack)
     sites = read_sites_csv(args.sites, args.period)
-    bands = None if args.bands is None else _parse_band_list(stack, args.bands)
-    cfg = LamapConfig(
-        catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=bands
-    )
+    if args.bands is not None:
+        cfg = dataclasses.replace(cfg, bands=_parse_band_list(stack, args.bands))
     save_raster(lamap_from_sites(stack, sites, cfg), args.out)
 
 
@@ -113,6 +113,9 @@ def _cmd_crf_refine(args) -> None:
 
 def _cmd_pseudolabel(args) -> None:
     check_seed(args.seed)
+    check_step(args.step)
+    if args.alpha is not None:
+        check_alpha(args.alpha)
     cfg = _load_settings(DplConfig, args.config, "dpl")
     labels_path = _optional(args.labels, "--labels")
     pair = BranchPair(load_raster(args.branch1), load_raster(args.branch2))
@@ -166,6 +169,7 @@ def _cmd_stitch(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
+    check_n_bins(args.bins)
     baseline_path = _optional(args.baseline_report, "--baseline-report")
     surface = load_raster(args.pred)
     sites = read_sites_csv(args.sites, args.period)

@@ -163,6 +163,12 @@ class BinStats:
     calibration_gap: float | None
 
 
+def check_n_bins(n_bins: int) -> None:
+    """Raise ConfigError for a bin count below 1."""
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+
+
 def bin_analysis(
     samples: Sequence[ScoredSample], n_bins: int = N_RELIABILITY_BINS
 ) -> list[BinStats]:
@@ -173,8 +179,7 @@ def bin_analysis(
     positive/negative label. The calibration gap of a non-empty bin is
     ``|mean_score - positive_ratio|``.
     """
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    check_n_bins(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)
     score_sums = np.zeros(n_bins, dtype=np.float64)
     pos_counts = np.zeros(n_bins, dtype=np.int64)
@@ -291,8 +296,7 @@ def _finite_scores(scores: np.ndarray) -> np.ndarray:
 
 
 def _density_edges(n_bins: int) -> np.ndarray:
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    check_n_bins(n_bins)
     return np.linspace(0.0, 1.0, n_bins + 1)
 
 

@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -41,13 +40,14 @@ from .metrics import (
     aul,
     auroc_from_arrays,
     bin_analysis,
+    check_n_bins,
     confusion_from_counts,
     density_histogram,
     find_count_correlation,
     volume_gain,
     write_density_csv,
 )
-from .pseudolabel import BranchPair, DplConfig, confident_pseudolabel, dpl_objective
+from .pseudolabel import BranchPair, DplConfig, check_step, confident_pseudolabel, dpl_objective
 from .raster.distance import distance_map, load_targets
 from .raster.grid import (
     Outputs,
@@ -58,7 +58,7 @@ from .raster.grid import (
     save_raster,
     write_json,
 )
-from .raster.labels import DEFAULT_LABEL_RADIUS, rasterize_labels
+from .raster.labels import DEFAULT_LABEL_RADIUS, check_label_radius, rasterize_labels
 from .raster.sites import PERIODS, SiteRecord, filter_sites, read_sites_csv
 from .raster.terrain import derive_terrain
 
@@ -115,11 +115,9 @@ class PipelineConfig:
         object.__setattr__(self, "stages", tuple(s for s in STAGES if s in stages))
         if self.period is not None and self.period not in PERIODS:
             raise ConfigError(f"unknown period {self.period!r}; expected one of {PERIODS}")
-        if not 0 <= self.label_radius < math.inf:
-            raise ConfigError(f"label_radius must be finite and >= 0, got {self.label_radius}")
+        check_label_radius(self.label_radius)
         check_seed(self.seed)
-        if self.step < 0:
-            raise ConfigError(f"step must be >= 0, got {self.step}")
+        check_step(self.step)
         self._require_inputs()
 
     def _require_inputs(self) -> None:
@@ -189,8 +187,10 @@ class _Run:
 
     ``values`` holds the rasters stages hand on: each stage's result under
     its name (``features``, ``labels``, ``lamap``, ``crf``) and the loaded
-    ``inputs.stack`` under ``stack``. The run lets a value go when its last
-    reader, the last requested stage whose needs name it, reads it."""
+    ``inputs.stack`` under ``stack``. A value stays only while a requested
+    stage will still read it: ``keep`` holds a result only when some
+    requested stage's needs name it, and the last of those, its last
+    reader, takes it out of the run when it reads it."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -205,6 +205,11 @@ class _Run:
         self._last_reader = {name: stage.name for stage in STAGE_TABLE if stage.name in cfg.stages
                              for _, any_of in stage.needs for names in any_of
                              for name in names.split()}
+
+    def keep(self, name: str, value: RasterGrid) -> None:
+        """Hold ``value`` under ``name`` if a requested stage will read it."""
+        if name in self._last_reader:
+            self.values[name] = value
 
     def output(self, name: str) -> Path:
         """Where to write artifact ``name``; the stage's commit moves it."""
@@ -226,13 +231,14 @@ class _Run:
 def _stage_features(run: _Run) -> None:
     inputs = run.cfg.inputs
     stack = build_feature_stack(load_raster(inputs.dem), inputs.historical_targets)
-    run.values["features"] = stack
+    run.keep("features", stack)
     save_raster(stack, run.output("stack.grid"))
 
 
 def _stage_labels(run: _Run) -> None:
     stack = run.read("features", "stack")
-    run.values["labels"] = labels = rasterize_labels(stack, run.period_sites, run.cfg.label_radius)
+    labels = rasterize_labels(stack, run.period_sites, run.cfg.label_radius)
+    run.keep("labels", labels)
     save_raster(labels, run.output("labels.grid"))
 
 
@@ -253,7 +259,7 @@ def lamap_from_sites(stack: RasterGrid, sites, cfg: LamapConfig) -> RasterGrid:
 
 def _stage_lamap(run: _Run) -> None:
     surface = lamap_from_sites(run.read("features", "stack"), run.period_sites, run.cfg.lamap)
-    run.values["lamap"] = surface
+    run.keep("lamap", surface)
     save_raster(surface, run.output("lamap_surface.grid"))
 
 
@@ -272,7 +278,7 @@ def _stage_crf(run: _Run) -> None:
         )
         del branch, p  # the refinement reads only the logits
     surface = crf_refine(logits, lambda: run.read("features", "stack"), run.cfg.crf)
-    run.values["crf"] = surface
+    run.keep("crf", surface)
     save_raster(surface, run.output("refined_surface.grid"))
 
 
@@ -293,14 +299,13 @@ def pseudolabel_with_breakdown(
     """
     if alpha is None:
         alpha = float(module_rng(seed, "pseudolabel").uniform())
-    labeled = None if labels is None else (pair.y1, pair.y2, labels)
     masked = confident_pseudolabel(pair, cfg, alpha)
-    breakdown = dpl_objective(labeled, [pair], cfg, step, [masked])
+    breakdown = dpl_objective(pair, labels, cfg, step, masked)
     return masked, {"step": step, "loss_kind": cfg.loss_kind, **breakdown.as_dict()}
 
 
 def _stage_pseudolabel(run: _Run) -> None:
-    cfg, labels = run.cfg, run.values.get("labels")
+    cfg, labels = run.cfg, run.read("labels")
     pair = BranchPair(load_raster(cfg.inputs.branch1), load_raster(cfg.inputs.branch2))
     masked, doc = pseudolabel_with_breakdown(pair, labels, cfg.dpl, cfg.seed, cfg.step)
     save_raster(masked, run.output("pseudolabel.grid"))
@@ -358,8 +363,7 @@ def evaluate_surface(
             is on another frame or masked at a sampled pixel, or no site
             can be sampled from the surface.
     """
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    check_n_bins(n_bins)
     if surface.bands != 1:
         raise DataError(f"the surface must be single-band, got {surface.bands} bands")
     if baseline is not None and not surface.same_frame(baseline[1]):
@@ -442,7 +446,8 @@ class Stage:
     """A pipeline stage: its needs, the artifacts it may write and its body.
     A need is (what the error calls it, alternatives): met when every name
     of one alternative is an ``inputs`` key the config sets or a stage it
-    runs. The body reads the run's values by these names (``_Run.read``)."""
+    runs, so an empty alternative makes a need optional. The body reads the
+    run's values by these names (``_Run.read``)."""
 
     name: str
     needs: tuple[tuple[str, tuple[str, ...]], ...]
@@ -459,7 +464,8 @@ STAGE_TABLE = (
     Stage("lamap", (_SITES, _STACK), ("lamap_surface.grid",), _stage_lamap),
     Stage("crf", (("inputs.logits or inputs.branch1", ("logits", "branch1")), _STACK),
           ("refined_surface.grid",), _stage_crf),
-    Stage("pseudolabel", (("inputs.branch1 and inputs.branch2", ("branch1 branch2",)),),
+    Stage("pseudolabel", (("inputs.branch1 and inputs.branch2", ("branch1 branch2",)),
+                          ("the labels stage", ("labels", ""))),
           ("pseudolabel.grid", "loss_breakdown.json"), _stage_pseudolabel),
     Stage("evaluate", (_SITES, ("a surface stage (lamap or crf)", ("lamap", "crf"))),
           ("surface.grid", "surface_density.csv", "surface_difference.grid", "report.json"),

@@ -1,7 +1,7 @@
 """Dynamic pseudolabel objective for two-branch semi-supervised training.
 
 The toolkit does not train networks; it provides the loss algebra for
-externally supplied branch predictions. For each unlabeled batch the two
+externally supplied branch predictions. At one training step the two
 branch outputs are mixed into a pseudolabel
 
     y~ = alpha * y1 + (1 - alpha) * y2,    alpha ~ U(0, 1),
@@ -21,15 +21,15 @@ the branch outputs (subtracted: confident predictions are rewarded).
 The time-dependent weights follow a sigmoid ramp
 ``lambda(t) = lambda_max * exp(-5 (1 - min(t, 1))^2)``.
 :func:`confident_pseudolabel` is the one place that mixes the branches
-and applies the confidence rule; :func:`dpl_objective` scores the
-rasters it returns. Every alpha is the caller's (the pipeline draws one
-per run, see ``pipeline.pseudolabel_with_breakdown``).
+and applies the confidence rule; :func:`dpl_objective` scores one branch
+pair against its optional labels and the raster that function returns.
+Every alpha is the caller's (the pipeline draws one per run, see
+``pipeline.pseudolabel_with_breakdown``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -126,10 +126,21 @@ def _float64(field) -> np.ndarray:
     return np.asarray(field, dtype=np.float64)
 
 
-def _mixture(pair: BranchPair, alpha: float) -> np.ndarray:
-    """The float32 ``alpha * y1 + (1 - alpha) * y2``, NaN off ``pair.valid``."""
+def check_alpha(alpha: float) -> None:
+    """Raise ConfigError for a mixture coefficient outside [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+
+
+def check_step(step: int) -> None:
+    """Raise ConfigError for a negative training step."""
+    if step < 0:
+        raise ConfigError(f"step must be >= 0, got {step}")
+
+
+def _mixture(pair: BranchPair, alpha: float) -> np.ndarray:
+    """The float32 ``alpha * y1 + (1 - alpha) * y2``, NaN off ``pair.valid``."""
+    check_alpha(alpha)
     a = np.float32(alpha)
     return a * pair.y1.band(0) + (np.float32(1.0) - a) * pair.y2.band(0)
 
@@ -312,99 +323,66 @@ _HARD_TARGET_KINDS = ("dice", "dice-focal", "tversky")
 
 
 def dpl_objective(
-    labeled: tuple[RasterGrid, RasterGrid, RasterGrid] | None,
-    unlabeled: Sequence[BranchPair],
+    pair: BranchPair,
+    labels: RasterGrid | None,
     cfg: DplConfig,
     step: int,
-    pseudolabels: Sequence[RasterGrid],
+    pseudolabel: RasterGrid,
 ) -> LossBreakdown:
     """Evaluate the combined objective at one training step.
 
     Args:
-        labeled: Optional (branch-1 prediction, branch-2 prediction,
-            label raster) triple; the label raster uses 1/0/nodata and
+        pair: The two branch predictions.
+        labels: Optional label raster on the pair's frame, 1/0/nodata;
             the supervised loss runs over its labeled pixels, averaged
             over both branches. None contributes zero.
-        unlabeled: Branch pairs for the unlabeled batches. Every term
-            computed on them is averaged over the batches.
         cfg: Objective settings.
         step: Training step, used by the ramped weights.
-        pseudolabels: One single-band raster per unlabeled batch, on its
-            pair's frame, as :func:`confident_pseudolabel` returns it:
-            the branch mixture with its unconfident pixels masked.
+        pseudolabel: Single-band raster on the pair's frame, as
+            :func:`confident_pseudolabel` returns it: the branch mixture
+            with its unconfident pixels masked.
 
     Returns:
         LossBreakdown with the unweighted terms and the weighted total.
 
     Notes:
-        The pseudolabel term runs over each raster's unmasked pixels; a
-        batch whose raster masks every pixel contributes zero. Those
-        values enter overlap losses (dice, dice-focal, tversky)
-        hard-thresholded at 0.5 and logarithmic losses soft. Each raster
-        is read as float64 once: a labeled prediction that is also a
-        batch's branch serves both terms from one read.
+        The pseudolabel term runs over the raster's unmasked pixels, and
+        is zero when it masks every pixel. Those values enter overlap
+        losses (dice, dice-focal, tversky) hard-thresholded at 0.5 and
+        logarithmic losses soft. Each branch is read as float64 once.
     """
-    if step < 0:
-        raise ConfigError(f"step must be >= 0, got {step}")
-    if labeled is None and not unlabeled:
-        raise DataError("objective needs a labeled triple or unlabeled pairs")
-    if len(pseudolabels) != len(unlabeled):
-        raise DataError(
-            f"{len(pseudolabels)} pseudolabels supplied for {len(unlabeled)} unlabeled batches"
-        )
-    for pair, pseudolabel in zip(unlabeled, pseudolabels):
-        if pseudolabel.bands != 1:
-            raise DataError(f"a pseudolabel must be single-band, got {pseudolabel.bands} bands")
-        if not pseudolabel.same_frame(pair.y1):
-            raise DataError("a pseudolabel and its branch pair disagree in frame")
-
+    check_step(step)
+    if pseudolabel.bands != 1:
+        raise DataError(f"a pseudolabel must be single-band, got {pseudolabel.bands} bands")
+    if not pseudolabel.same_frame(pair.y1):
+        raise DataError("the pseudolabel and its branch pair disagree in frame")
+    y1, y2 = _float64(pair.y1), _float64(pair.y2)
     supervised = 0.0
-    reads: dict[int, np.ndarray] = {}  # labeled predictions that are also branches
-    if labeled is not None:
-        pred1, pred2, label_grid = labeled
-        if not (pred1.same_frame(label_grid) and pred2.same_frame(label_grid)):
-            raise DataError("labeled predictions and labels disagree in frame")
-        if label_grid.nodata_mask.all():
+    if labels is not None:
+        if not labels.same_frame(pair.y1):
+            raise DataError("the branch pair and its labels disagree in frame")
+        if labels.nodata_mask.all():
             raise DataError("label raster holds no labeled pixels")
-        labels = _float64(label_grid)  # NaN off the labeled pixels
-        y1, y2 = _float64(pred1), _float64(pred2)
-        supervised = 0.5 * (seg_loss(y1, labels, cfg) + seg_loss(y2, labels, cfg))
-        del labels
-        branches = {id(g) for pair in unlabeled for g in (pair.y1, pair.y2)}
-        reads = {id(g): v for g, v in ((pred1, y1), (pred2, y2)) if id(g) in branches}
-        del y1, y2
+        target = _float64(labels)  # NaN off the labeled pixels
+        supervised = 0.5 * (seg_loss(y1, target, cfg) + seg_loss(y2, target, cfg))
+        del target
 
-    pseudo_terms: list[float] = []
-    cons_terms: list[float] = []
-    ent_terms: list[float] = []
-    hard = cfg.loss_kind in _HARD_TARGET_KINDS
-    for pair, pseudolabel in zip(unlabeled, pseudolabels):
-        y1, y2 = (reads[id(g)] if id(g) in reads else _float64(g) for g in (pair.y1, pair.y2))
-        confident = ~pseudolabel.nodata_mask
-        values = _float64(pseudolabel)  # NaN off the confident pixels
-        target = (values >= 0.5).astype(np.float64) if hard else values
-        del values
-        if confident.any():
-            batch = seg_loss(y1, target, cfg, select=confident) + seg_loss(
-                y2, target, cfg, select=confident
-            )
-        else:
-            batch = 0.0
-        del target, confident
-        pseudo_terms.append(batch)
-        cons_terms.append(consistency(y1, y2))
-        ent_terms.append(binary_entropy(y1) + binary_entropy(y2))
-
-    pseudo = float(np.mean(pseudo_terms)) if pseudo_terms else 0.0
-    cons = float(np.mean(cons_terms)) if cons_terms else 0.0
-    ent = float(np.mean(ent_terms)) if ent_terms else 0.0
+    pseudo = 0.0
+    confident = ~pseudolabel.nodata_mask
+    if confident.any():
+        target = _float64(pseudolabel)  # NaN off the confident pixels
+        if cfg.loss_kind in _HARD_TARGET_KINDS:
+            target = (target >= 0.5).astype(np.float64)
+        pseudo = seg_loss(y1, target, cfg, select=confident) + seg_loss(
+            y2, target, cfg, select=confident
+        )
+        del target
+    del confident
+    cons = consistency(y1, y2)
+    ent = binary_entropy(y1) + binary_entropy(y2)
     lam_c = ramp_weight(step, cfg.ramp_steps, cfg.lambda_c_max)
     lam_e = ramp_weight(step, cfg.ramp_steps, cfg.lambda_e_max)
     total = supervised + cfg.lambda_p * pseudo + lam_c * cons - lam_e * ent
     return LossBreakdown(
-        supervised=float(supervised),
-        pseudolabel=pseudo,
-        consistency=cons,
-        entropy=ent,
-        total=float(total),
+        supervised=supervised, pseudolabel=pseudo, consistency=cons, entropy=ent, total=total
     )

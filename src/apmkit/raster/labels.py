@@ -16,6 +16,12 @@ logger = logging.getLogger(__name__)
 DEFAULT_LABEL_RADIUS = 295.0
 
 
+def check_label_radius(radius: float) -> None:
+    """Raise ConfigError for a label radius that is negative or not finite."""
+    if not 0 <= radius < math.inf:
+        raise ConfigError(f"label_radius must be finite and >= 0, got {radius}")
+
+
 def rasterize_labels(
     grid: RasterGrid,
     sites: list[SiteRecord],
@@ -32,8 +38,7 @@ def rasterize_labels(
     Sites with polarity ``unlabeled`` contribute nothing. Sites outside
     the raster extent are skipped with a logged warning.
     """
-    if not 0 <= radius < math.inf:
-        raise ConfigError(f"label radius must be finite and >= 0, got {radius}")
+    check_label_radius(radius)
     pos = np.zeros(grid.shape, dtype=bool)
     neg = np.zeros(grid.shape, dtype=bool)
     for site in sites:

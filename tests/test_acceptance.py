@@ -239,17 +239,16 @@ def test_c05_objective_algebra():
     labels = RasterGrid.from_array(
         (rng.random((12, 14)) < 0.5).astype(np.float32), (0.0, 0.0, 1.0, -1.0)
     )
-    labeled = (pair.y1, pair.y2, labels)
 
     zeroed = DplConfig(lambda_p=0.0, lambda_c_max=0.0, lambda_e_max=0.0)
-    b0 = dpl_objective(labeled, [pair], zeroed, 17, [confident_pseudolabel(pair, zeroed, 0.35)])
+    b0 = dpl_objective(pair, labels, zeroed, 17, confident_pseudolabel(pair, zeroed, 0.35))
     degenerate_exact = b0.total == b0.supervised
 
     base = DplConfig(lambda_p=0.7)
     h = 0.5
     bumped = DplConfig(lambda_p=0.7 + h)
-    t1 = dpl_objective(labeled, [pair], base, 17, [confident_pseudolabel(pair, base, 0.35)])
-    t2 = dpl_objective(labeled, [pair], bumped, 17, [confident_pseudolabel(pair, bumped, 0.35)])
+    t1 = dpl_objective(pair, labels, base, 17, confident_pseudolabel(pair, base, 0.35))
+    t2 = dpl_objective(pair, labels, bumped, 17, confident_pseudolabel(pair, bumped, 0.35))
     slope = (t2.total - t1.total) / h
     slope_dev = abs(slope - t1.pseudolabel)
 

@@ -199,7 +199,7 @@ class TestSurfaceCommands:
             ])
             assert code == 0
             pseudolabel = confident_pseudolabel(pair, DplConfig(), 0.5)
-            want = dpl_objective(None, [pair], DplConfig(), 0, [pseudolabel])
+            want = dpl_objective(pair, None, DplConfig(), 0, pseudolabel)
             doc = json.loads((ws / f"seed{seed}.json").read_text())
             assert doc["pseudolabel"] == want.pseudolabel
             assert doc["total"] == want.total
@@ -216,7 +216,7 @@ class TestSurfaceCommands:
             "--out-raster", str(ws / "p.grid"), "--out-json", str(ws / "p.json"),
         ])
         assert code == 0
-        want = dpl_objective(None, [pair], DplConfig(), 0, [load_raster(ws / "p.grid")])
+        want = dpl_objective(pair, None, DplConfig(), 0, load_raster(ws / "p.grid"))
         doc = json.loads((ws / "p.json").read_text())
         assert doc == {"step": 0, "loss_kind": "dice", **want.as_dict()}
 
@@ -1001,23 +1001,30 @@ class TestRunAndErrors:
              "--seed", "-1", "--out-raster", "{out}", "--out-json", "{out}.json"],
             ["split-folds", "--sites", "{sites}", "--strategy", "uniform", "--k", "2",
              "--seed", "-1", "--out", "{out}"],
+            ["lamap", "--stack", "{dem}", "--sites", "{sites}", "--catchment", "-1",
+             "--out", "{out}"],
+            ["lamap", "--stack", "{dem}", "--sites", "{sites}", "--bandwidth", "0",
+             "--out", "{out}"],
         ],
         ids=[
             "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
             "pseudolabel-alpha", "pseudolabel-step", "crf-refine-sigma-nan",
             "crf-refine-sigma-inf", "rasterize-labels-radius-nan", "rasterize-labels-radius-inf",
-            "pseudolabel-seed", "split-folds-seed",
+            "pseudolabel-seed", "split-folds-seed", "lamap-catchment", "lamap-bandwidth",
         ],
     )
     def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):
-        paths = {
-            "dem": ws / "dem.grid", "sites": ws / "sites.csv", "branch1": ws / "branch1.grid",
-            "branch2": ws / "branch2.grid", "out": ws / "out" / "result",
-        }
+        # The flag is checked before any input is read, so missing inputs exit 2 too.
         (ws / "out").mkdir()
-        assert main([a.format(**paths) for a in argv]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert list((ws / "out").glob("*")) == []
+        for inputs in (ws, ws / "missing"):
+            paths = {
+                "dem": inputs / "dem.grid", "sites": inputs / "sites.csv",
+                "branch1": inputs / "branch1.grid", "branch2": inputs / "branch2.grid",
+                "out": ws / "out" / "result",
+            }
+            assert main([a.format(**paths) for a in argv]) == 2
+            assert "Traceback" not in capsys.readouterr().err
+            assert list((ws / "out").glob("*")) == []
 
     @pytest.mark.parametrize(
         "targets",

@@ -665,11 +665,9 @@ class TestRun:
         pair = BranchPair(
             load_raster(workspace / "branch1.grid"), load_raster(workspace / "branch2.grid")
         )
-        labeled = None
-        if "labels" in stages:
-            labeled = (pair.y1, pair.y2, load_raster(out / "labels.grid"))
+        labels = load_raster(out / "labels.grid") if "labels" in stages else None
         written = load_raster(out / "pseudolabel.grid")
-        want = dpl_objective(labeled, [pair], cfg.dpl, 40, [written])
+        want = dpl_objective(pair, labels, cfg.dpl, 40, written)
         breakdown = json.loads((out / "loss_breakdown.json").read_text())
         assert breakdown == {"step": 40, "loss_kind": cfg.dpl.loss_kind, **want.as_dict()}
         assert (want.supervised != 0.0) == ("labels" in stages)
@@ -998,6 +996,26 @@ class TestRunValues:
         monkeypatch.setitem(pipeline_module._STAGE_FUNCS, "evaluate", recorded)
         run_pipeline(PipelineConfig.from_json(doc))
         assert len(refs) == 1
+        assert alive == [[False]]
+
+    def test_labels_gone_when_lamap_starts(self, workspace, monkeypatch):
+        # Only a pseudolabel stage reads the labels raster, and none runs.
+        doc, refs, alive = full_config(workspace), [], []
+        doc["stages"] = ["features", "labels", "lamap", "evaluate"]
+        rasterize, lamap = pipeline_module.rasterize_labels, pipeline_module._STAGE_FUNCS["lamap"]
+
+        def recording(*args, **kwargs):
+            labels = rasterize(*args, **kwargs)
+            refs.append(weakref.ref(labels.data))
+            return labels
+
+        def recorded(run):
+            alive.append([ref() is not None for ref in refs])
+            lamap(run)
+
+        monkeypatch.setattr(pipeline_module, "rasterize_labels", recording)
+        monkeypatch.setitem(pipeline_module._STAGE_FUNCS, "lamap", recorded)
+        run_pipeline(PipelineConfig.from_json(doc))
         assert alive == [[False]]
 
 

@@ -34,11 +34,6 @@ def pair_of(make_grid, a, b, mask1=None, mask2=None):
     return BranchPair(make_grid(a, mask=mask1), make_grid(b, mask=mask2))
 
 
-def masked(pairs, cfg, alphas):
-    """One confident pseudolabel per batch, as the pipeline builds it."""
-    return [confident_pseudolabel(p, cfg, a) for p, a in zip(pairs, alphas, strict=True)]
-
-
 def loss(kind, pred, target, select=None, **settings):
     return seg_loss(pred, target, DplConfig(loss_kind=kind, **settings), select=select)
 
@@ -288,32 +283,33 @@ class TestSegLoss:
 
 class TestObjective:
     def make_labeled(self, make_grid, rng):
-        pred1 = make_grid(rng.random((6, 6)).astype(np.float32))
-        pred2 = make_grid(rng.random((6, 6)).astype(np.float32))
+        pair = pair_of(
+            make_grid,
+            rng.random((6, 6)).astype(np.float32),
+            rng.random((6, 6)).astype(np.float32),
+        )
         label_mask = rng.random((6, 6)) > 0.4
         labels = np.where(label_mask, (rng.random((6, 6)) > 0.5).astype(float), np.nan)
-        label_grid = make_grid(labels, mask=~label_mask)
-        return pred1, pred2, label_grid
+        return pair, make_grid(labels, mask=~label_mask)
 
     def test_zero_lambdas_reduce_to_supervised(self, make_grid, rng):
-        labeled = self.make_labeled(make_grid, rng)
-        pairs = [pair_of(make_grid, rng.random((6, 6)), rng.random((6, 6)))]
+        pair, labels = self.make_labeled(make_grid, rng)
         cfg = DplConfig(lambda_p=0.0, lambda_c_max=0.0, lambda_e_max=0.0)
-        out = dpl_objective(labeled, pairs, cfg, 500, masked(pairs, cfg, [0.5]))
+        out = dpl_objective(pair, labels, cfg, 500, confident_pseudolabel(pair, cfg, 0.5))
         assert out.total == out.supervised
-        labeled_pixels = ~labeled[2].nodata_mask
+        labeled_pixels = ~labels.nodata_mask
         want = 0.5 * (
-            seg_loss(labeled[0], labeled[2], cfg, select=labeled_pixels)
-            + seg_loss(labeled[1], labeled[2], cfg, select=labeled_pixels)
+            seg_loss(pair.y1, labels, cfg, select=labeled_pixels)
+            + seg_loss(pair.y2, labels, cfg, select=labeled_pixels)
         )
         assert out.supervised == pytest.approx(want, abs=1e-12)
 
     def test_total_is_linear_in_lambda_p(self, make_grid, rng):
-        pairs = [pair_of(make_grid, rng.random((6, 6)), rng.random((6, 6)))]
+        pair = pair_of(make_grid, rng.random((6, 6)), rng.random((6, 6)))
         base = DplConfig(lambda_p=1.0, confidence_tau=0.7)
         bumped = DplConfig(lambda_p=1.0 + 1e-3, confidence_tau=0.7)
-        lo = dpl_objective(None, pairs, base, 10, masked(pairs, base, [0.3]))
-        hi = dpl_objective(None, pairs, bumped, 10, masked(pairs, bumped, [0.3]))
+        lo = dpl_objective(pair, None, base, 10, confident_pseudolabel(pair, base, 0.3))
+        hi = dpl_objective(pair, None, bumped, 10, confident_pseudolabel(pair, bumped, 0.3))
         slope = (hi.total - lo.total) / 1e-3
         assert slope == pytest.approx(lo.pseudolabel, abs=1e-9)
 
@@ -323,7 +319,7 @@ class TestObjective:
         field = np.full((2, 1), 0.9)
         pair = pair_of(make_grid, field, field)
         cfg = DplConfig(loss_kind="dice", confidence_tau=0.7)
-        out = dpl_objective(None, [pair], cfg, 0, masked([pair], cfg, [0.4]))
+        out = dpl_objective(pair, None, cfg, 0, confident_pseudolabel(pair, cfg, 0.4))
         assert out.consistency == 0.0
         want = 2.0 * seg_loss(pair.y1, np.ones_like(field), cfg)
         assert out.pseudolabel == pytest.approx(want, abs=1e-12)
@@ -333,7 +329,7 @@ class TestObjective:
         y2 = rng.random((5, 5))
         pair = pair_of(make_grid, y1, y2)
         cfg = DplConfig(loss_kind="dice", confidence_tau=0.7)
-        out = dpl_objective(None, [pair], cfg, 0, masked([pair], cfg, [0.5]))
+        out = dpl_objective(pair, None, cfg, 0, confident_pseudolabel(pair, cfg, 0.5))
         tilde = combine(pair, alpha=0.5).band(0).astype(np.float64)
         conf = np.maximum(tilde, 1.0 - tilde) >= 0.7
         hard = (tilde >= 0.5).astype(float)
@@ -347,7 +343,7 @@ class TestObjective:
         y2 = rng.random((5, 5))
         pair = pair_of(make_grid, y1, y2)
         cfg = DplConfig(loss_kind="focal", confidence_tau=0.7)
-        out = dpl_objective(None, [pair], cfg, 0, masked([pair], cfg, [0.5]))
+        out = dpl_objective(pair, None, cfg, 0, confident_pseudolabel(pair, cfg, 0.5))
         tilde = combine(pair, alpha=0.5).band(0).astype(np.float64)
         conf = np.maximum(tilde, 1.0 - tilde) >= 0.7
         want = seg_loss(pair.y1, tilde, cfg, select=conf) + seg_loss(
@@ -359,33 +355,18 @@ class TestObjective:
         lukewarm = np.full((3, 3), 0.6)
         pair = pair_of(make_grid, lukewarm, lukewarm)
         cfg = DplConfig(confidence_tau=0.8)
-        pseudolabels = masked([pair], cfg, [0.5])
-        assert pseudolabels[0].nodata_mask.all()
-        out = dpl_objective(None, [pair], cfg, 0, pseudolabels)
+        pseudolabel = confident_pseudolabel(pair, cfg, 0.5)
+        assert pseudolabel.nodata_mask.all()
+        out = dpl_objective(pair, None, cfg, 0, pseudolabel)
         assert out.pseudolabel == 0.0
         assert out.consistency == 0.0
         assert out.entropy > 0.0
 
-    def test_terms_average_over_batches(self, make_grid, rng):
-        p1 = pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))
-        p2 = pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))
-        cfg = DplConfig(confidence_tau=0.7)
-        a = dpl_objective(None, [p1], cfg, 9, masked([p1], cfg, [0.3]))
-        b = dpl_objective(None, [p2], cfg, 9, masked([p2], cfg, [0.8]))
-        both = dpl_objective(None, [p1, p2], cfg, 9, masked([p1, p2], cfg, [0.3, 0.8]))
-        assert both.pseudolabel == pytest.approx(
-            (a.pseudolabel + b.pseudolabel) / 2, abs=1e-12
-        )
-        assert both.consistency == pytest.approx(
-            (a.consistency + b.consistency) / 2, abs=1e-12
-        )
-        assert both.entropy == pytest.approx((a.entropy + b.entropy) / 2, abs=1e-12)
-
     def test_ramped_total_formula(self, make_grid, rng):
-        pairs = [pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))]
+        pair = pair_of(make_grid, rng.random((4, 4)), rng.random((4, 4)))
         cfg = DplConfig(lambda_c_max=2.0, lambda_e_max=0.5, confidence_tau=0.7)
         step = 37
-        out = dpl_objective(None, pairs, cfg, step, masked(pairs, cfg, [0.6]))
+        out = dpl_objective(pair, None, cfg, step, confident_pseudolabel(pair, cfg, 0.6))
         lam_c = ramp_weight(step, cfg.ramp_steps, 2.0)
         lam_e = ramp_weight(step, cfg.ramp_steps, 0.5)
         want = (
@@ -394,41 +375,45 @@ class TestObjective:
         assert out.total == pytest.approx(want, abs=1e-12)
 
     def test_as_dict_roundtrip_keys(self, make_grid, rng):
-        pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
-        out = dpl_objective(None, pairs, DplConfig(), 0, masked(pairs, DplConfig(), [0.5]))
+        pair = pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))
+        out = dpl_objective(
+            pair, None, DplConfig(), 0, confident_pseudolabel(pair, DplConfig(), 0.5)
+        )
         d = out.as_dict()
         assert set(d) == {"supervised", "pseudolabel", "consistency", "entropy", "total"}
         assert d["total"] == out.total
 
     def test_input_validation(self, make_grid, rng):
-        with pytest.raises(DataError):
-            dpl_objective(None, [], DplConfig(), 0, masked([], DplConfig(), []))
-        pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
-        for pseudolabels in ([], masked(pairs, DplConfig(), [0.5]) * 2):
-            with pytest.raises(DataError, match="pseudolabels supplied for 1 unlabeled"):
-                dpl_objective(None, pairs, DplConfig(), 0, pseudolabels)
+        pair, labels = self.make_labeled(make_grid, rng)
+        pseudolabel = confident_pseudolabel(pair, DplConfig(), 0.5)
+        with pytest.raises(ConfigError, match="step must be >= 0, got -1"):
+            dpl_objective(pair, labels, DplConfig(), -1, pseudolabel)
+        shifted = make_grid(labels.band(0), (1.0, 0.0, 1.0, -1.0), mask=labels.nodata_mask)
+        with pytest.raises(DataError, match="labels disagree in frame"):
+            dpl_objective(pair, shifted, DplConfig(), 0, pseudolabel)
+        unlabeled = make_grid(np.full((6, 6), np.nan), mask=np.ones((6, 6), bool))
+        with pytest.raises(DataError, match="no labeled pixels"):
+            dpl_objective(pair, unlabeled, DplConfig(), 0, pseudolabel)
+        two_band = make_grid(np.stack([labels.band(0)] * 2), mask=labels.nodata_mask)
+        with pytest.raises(DataError, match="single-band"):
+            dpl_objective(pair, two_band, DplConfig(), 0, pseudolabel)
 
 
-def mixing_loop_pseudo_term(unlabeled, cfg, alphas):
+def mixing_loop_pseudo_term(pair, cfg, alpha):
     """The pseudolabel term with the branches mixed and the confidence
     rule applied inline, as a reference for dpl_objective."""
-    terms = []
-    for pair, alpha in zip(unlabeled, alphas):
-        mixed = combine(pair, alpha=float(alpha))
-        tilde = mixed.band(0).astype(np.float64)
-        confident = pair.valid & ~mixed.nodata_mask
-        conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
-        confident &= conf >= cfg.confidence_tau
-        if not confident.any():
-            terms.append(0.0)
-            continue
-        hard = cfg.loss_kind in ("dice", "dice-focal", "tversky")
-        target = (tilde >= 0.5).astype(np.float64) if hard else tilde
-        terms.append(
-            seg_loss(pair.y1, target, cfg, select=confident)
-            + seg_loss(pair.y2, target, cfg, select=confident)
-        )
-    return float(np.mean(terms))
+    mixed = combine(pair, alpha=float(alpha))
+    tilde = mixed.band(0).astype(np.float64)
+    confident = pair.valid & ~mixed.nodata_mask
+    conf = np.where(np.isnan(tilde), 0.0, np.maximum(tilde, 1.0 - tilde))
+    confident &= conf >= cfg.confidence_tau
+    if not confident.any():
+        return 0.0
+    hard = cfg.loss_kind in ("dice", "dice-focal", "tversky")
+    target = (tilde >= 0.5).astype(np.float64) if hard else tilde
+    return seg_loss(pair.y1, target, cfg, select=confident) + seg_loss(
+        pair.y2, target, cfg, select=confident
+    )
 
 
 class TestObjectiveMatchesMixingLoop:
@@ -446,8 +431,9 @@ class TestObjectiveMatchesMixingLoop:
             alphas = rng.uniform(size=2).tolist()
         for tau in (0.7, 0.8, 0.95):
             cfg = DplConfig(loss_kind=kind, confidence_tau=tau)
-            out = dpl_objective(None, pairs, cfg, 5, masked(pairs, cfg, alphas))
-            assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)
+            for pair, alpha in zip(pairs, alphas, strict=True):
+                out = dpl_objective(pair, None, cfg, 5, confident_pseudolabel(pair, cfg, alpha))
+                assert out.pseudolabel == mixing_loop_pseudo_term(pair, cfg, alpha)
 
     def test_unconfident_and_masked_batches(self, make_grid):
         lukewarm = np.full((3, 4), 0.55)
@@ -460,8 +446,9 @@ class TestObjectiveMatchesMixingLoop:
         ]
         cfg = DplConfig(confidence_tau=0.75)
         for alphas in ([0.21, 0.64], [0.5, 0.9]):
-            out = dpl_objective(None, pairs, cfg, 0, masked(pairs, cfg, alphas))
-            assert out.pseudolabel == mixing_loop_pseudo_term(pairs, cfg, alphas)
+            for pair, alpha in zip(pairs, alphas, strict=True):
+                out = dpl_objective(pair, None, cfg, 0, confident_pseudolabel(pair, cfg, alpha))
+                assert out.pseudolabel == mixing_loop_pseudo_term(pair, cfg, alpha)
 
 
 class TestObjectiveScoresThePseudolabel:
@@ -498,6 +485,6 @@ class TestObjectiveScoresThePseudolabel:
         ids=["shape", "geotransform", "two-band"],
     )
     def test_bad_pseudolabel_is_data_error(self, make_grid, rng, values, geotransform):
-        pairs = [pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))]
+        pair = pair_of(make_grid, rng.random((3, 3)), rng.random((3, 3)))
         with pytest.raises(DataError, match="pseudolabel"):
-            dpl_objective(None, pairs, DplConfig(), 0, [make_grid(values, geotransform)])
+            dpl_objective(pair, None, DplConfig(), 0, make_grid(values, geotransform))
