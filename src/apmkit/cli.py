@@ -19,7 +19,7 @@ import sys
 from .config import build_config, check_seed, read_json
 from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
-from .folds import site_strat_vector, stratified_kfold, uniform_kfold
+from .folds import check_k, site_strat_vector, stratified_kfold, uniform_kfold
 from .lamap import DEFAULT_CATCHMENT_RADIUS, DEFAULT_KERNEL_BANDWIDTH, LamapConfig
 from .metrics import MetricsReport, check_n_bins, volume_gain
 from .pipeline import (
@@ -74,24 +74,22 @@ def _cmd_rasterize_labels(args) -> None:
     save_raster(rasterize_labels(grid, sites, args.radius), args.out)
 
 
-def _parse_band_list(stack, spec: str) -> tuple[int, ...]:
-    indices = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        indices.append(int(token) if token.lstrip("-").isdigit() else stack.band_index(token))
-    if not indices:
+def _band_tokens(spec: str) -> list[str]:
+    """The names and indices in a ``--bands`` list; none is a ConfigError."""
+    tokens = [token.strip() for token in spec.split(",") if token.strip()]
+    if not tokens:
         raise ConfigError("--bands given but empty")
-    return tuple(indices)
+    return tokens
 
 
 def _cmd_lamap(args) -> None:
     cfg = LamapConfig(catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth)
+    tokens = None if args.bands is None else _band_tokens(args.bands)
     stack = load_raster(args.stack)
     sites = read_sites_csv(args.sites, args.period)
-    if args.bands is not None:
-        cfg = dataclasses.replace(cfg, bands=_parse_band_list(stack, args.bands))
+    if tokens is not None:
+        bands = [int(t) if t.lstrip("-").isdigit() else stack.band_index(t) for t in tokens]
+        cfg = dataclasses.replace(cfg, bands=tuple(bands))
     save_raster(lamap_from_sites(stack, sites, cfg), args.out)
 
 
@@ -131,6 +129,7 @@ def _cmd_pseudolabel(args) -> None:
 
 def _cmd_split_folds(args) -> None:
     check_seed(args.seed)
+    check_k(args.k)
     if not (math.isfinite(args.catchment) and args.catchment >= 0):
         raise ConfigError(f"--catchment must be finite and >= 0, got {args.catchment}")
     labels_path = _optional(args.labels, "--labels")

@@ -131,10 +131,15 @@ class FoldAssignment:
         return build_config(FoldAssignment, doc, f"{path} folds", error=DataError)
 
 
-def _check_split_args(n_sites: int, k: int, seed: int) -> None:
-    check_seed(seed)
+def check_k(k: int) -> None:
+    """Raise ConfigError for fewer than two folds."""
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
+
+
+def _check_split_args(n_sites: int, k: int, seed: int) -> None:
+    check_seed(seed)
+    check_k(k)
     if n_sites < k:
         raise DataError(f"cannot split {n_sites} sites into {k} folds")
 

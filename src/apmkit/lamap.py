@@ -160,15 +160,11 @@ def build_site_models(
     return [build_site_model(stack, s, cfg) for s in sites]
 
 
-def _value_slots(samples: list[np.ndarray], band: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _distinct_values(samples: list[np.ndarray]) -> np.ndarray:
     """The sorted distinct values ``U`` of the pooled ``samples``.
 
-    Writes each pixel's slot into ``out``: ``2i`` when its value lies
-    strictly between ``U[i-1]`` and ``U[i]``, ``2i + 1`` when it equals
-    ``U[i]``. ``U`` keeps the samples' dtype: float32 for models built
-    from a stack, so the search runs on float32 against the float32
-    ``band``, and float64 once a pool mixes in float64 samples, where the
-    band widens exactly. Either way every compared value is exact.
+    ``U`` keeps the samples' dtype: float32 for models built from a
+    stack, and float64 once a pool mixes in float64 samples.
     """
     # np.sort and a neighbour mask rather than np.unique, whose first call
     # imports numpy.ma for good.
@@ -176,12 +172,23 @@ def _value_slots(samples: list[np.ndarray], band: np.ndarray, out: np.ndarray) -
     distinct = np.empty(pooled.size, dtype=bool)
     distinct[0] = True
     np.not_equal(pooled[1:], pooled[:-1], out=distinct[1:])
-    values = pooled[distinct]
+    return pooled[distinct]
+
+
+def _value_slots(values: np.ndarray, band: np.ndarray, out: np.ndarray) -> None:
+    """Write each pixel's slot among the sorted distinct ``values`` into
+    ``out``: ``2i`` when its value lies strictly between ``values[i-1]``
+    and ``values[i]``, ``2i + 1`` when it equals ``values[i]``.
+
+    The search runs on float32 against a float32 ``band``, or on float64
+    where the band widens exactly, so every compared value is exact. The
+    largest slot is ``2 |values|``, which ``out``'s unsigned dtype must
+    hold.
+    """
     at = np.searchsorted(values, band, side="left")
     on_value = values[np.minimum(at, values.size - 1)] == band
     np.multiply(at, 2, out=at)
-    np.add(at, on_value, out=out)
-    return values
+    np.add(at, on_value, out=out, casting="unsafe")
 
 
 def _affinity_table(ecdf: Ecdf, values: np.ndarray) -> np.ndarray:
@@ -226,7 +233,8 @@ def potential_values(
     """Float64 potential surface; NaN where the stack is masked.
 
     Per band, each pixel gets a slot among the distinct values ``U`` of
-    every modelled site's samples (:func:`_value_slots`). A site's samples
+    every modelled site's samples (:func:`_value_slots`), stored in the
+    narrowest unsigned dtype that holds ``2 max |U|``. A site's samples
     are a subset of ``U``, so ``below + upto`` takes one value per slot:
     ``2 lt`` between values, ``lt + le`` on a value and ``2n`` past the
     last one, with ``lt`` and ``le`` counting the site's samples below and
@@ -262,12 +270,15 @@ def potential_values(
     if not valid.any():
         raise EmptyInputError("stack is fully masked")
     models = sorted(models, key=lambda m: m.site_id)
-    # One int32 block for all bands' slots: 4 bytes per pixel and band.
-    slots = np.empty((len(bands), *stack.shape), dtype=np.int32)
     band_values = [
-        _value_slots([m.ecdfs[i].samples for m in models], stack.band(b), slots[i])
-        for i, b in enumerate(bands)
+        _distinct_values([m.ecdfs[i].samples for m in models]) for i in range(len(bands))
     ]
+    # One block for all bands' slots, in the narrowest unsigned dtype that
+    # holds the largest slot, 2 |U|.
+    slot_type = np.min_scalar_type(2 * max(values.size for values in band_values))
+    slots = np.empty((len(bands), *stack.shape), dtype=slot_type)
+    for values, b, out in zip(band_values, bands, slots):
+        _value_slots(values, stack.band(b), out)
     col_x, row_y = stack.center_xy(np.arange(stack.height), np.arange(stack.width))
     rows = row_bands(*stack.shape)
     f = np.empty((min(rows.step, stack.height), stack.width), dtype=np.float64)

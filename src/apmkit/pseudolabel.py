@@ -188,8 +188,7 @@ def ramp_weight(step: int, ramp_steps: int, lambda_max: float) -> float:
     ``t = step / ramp_steps``; the weight starts at ``lambda_max * e^-5``
     and saturates at ``lambda_max`` once ``step >= ramp_steps``.
     """
-    if step < 0:
-        raise DataError(f"step must be >= 0, got {step}")
+    check_step(step)
     if ramp_steps < 1:
         raise ConfigError(f"ramp_steps must be >= 1, got {ramp_steps}")
     t = min(step / ramp_steps, 1.0)

@@ -10,8 +10,8 @@
   grid's cell count.
 
 D8 flow directions and accumulation are array code: the directions come
-from one pass per neighbour offset, and accumulation passes counts
-downstream in in-degree waves that touch only the current frontier.
+from one pass per neighbour offset, and accumulation doubles pointers
+down the flow paths, about log2(longest path) whole-frame passes.
 """
 
 from __future__ import annotations
@@ -150,43 +150,26 @@ def flow_accumulation(
 ) -> np.ndarray:
     """D8 accumulation: number of cells (self included) draining through each.
 
-    Cells are passed downstream in waves (Barnes, "Parallel non-divergent
-    flow accumulation", Environ. Model. Softw. 2017). A cell joins the
-    frontier once every cell draining into it has been passed, so its
-    accumulation is final. Each wave sorts only the frontier's targets,
-    sums the frontier's accumulations per target and lowers the targets'
-    in-degrees by the run lengths; no step of a wave touches the whole
-    frame. Accumulations are integer counts held in float64, so the order
-    of the sums does not matter. Invalid cells take no part.
-
-    The frame-sized arrays are small: targets are int32 on frames of fewer
-    than 2**31 cells and in-degrees (at most 8) int8. The wave's cell
-    indices stay intp, because numpy converts any other fancy index to
-    intp on every use, which costs more than it saves on the many small
-    waves.
+    Pointer doubling (Wyllie, "The complexity of parallel computations",
+    PhD thesis, Cornell, 1979): ``jump`` starts at each cell's D8 target,
+    with pits and invalid cells pointing at one extra sink cell that
+    points at itself. Each pass adds every cell's count to the cell it
+    points at, then doubles every pointer, so after pass ``j`` a cell
+    holds the count of every cell that reaches it in fewer than ``2**j``
+    steps. The passes stop once every pointer is at the sink:
+    ceil(log2(longest path + 1)) whole-frame passes. Accumulations are
+    integer counts held in float64, so the order of the sums does not
+    matter. Invalid cells count 0.
     """
-    height, width = values.shape
-    index = np.int32 if values.size < 2**31 else np.int64
-    target = d8_flow_targets(values, valid, pixel_size_x, pixel_size_y).ravel()
-    target = target.astype(index)
-    acc = np.where(valid, 1.0, 0.0).ravel()
-    # A pit's -1 lands in bin 0, which the slice drops.
-    indegree = np.bincount(target + 1, minlength=target.size + 1)[1:].astype(np.int8)
-    frontier = np.flatnonzero((indegree == 0) & (target >= 0))
-    while frontier.size:
-        dest = target[frontier]
-        order = np.argsort(dest, kind="stable")
-        dest = dest[order]
-        run_start = np.empty(dest.size, dtype=bool)
-        run_start[0] = True
-        np.not_equal(dest[1:], dest[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        heads = dest[starts].astype(np.intp)
-        acc[heads] += np.add.reduceat(acc[frontier[order]], starts)
-        indegree[heads] -= np.diff(starts, append=dest.size)
-        ready = heads[indegree[heads] == 0]
-        frontier = ready[target[ready] >= 0]
-    return acc.reshape(height, width)
+    n = values.size
+    jump = np.append(d8_flow_targets(values, valid, pixel_size_x, pixel_size_y), n)
+    jump[jump < 0] = n
+    acc = np.append(np.where(valid, 1.0, 0.0), 0.0)
+    while (jump != n).any():
+        acc += np.bincount(jump, weights=acc, minlength=n + 1)
+        acc[n] = 0.0
+        jump = jump[jump]
+    return acc[:n].reshape(values.shape)
 
 
 def stream_mask(

@@ -1005,12 +1005,17 @@ class TestRunAndErrors:
              "--out", "{out}"],
             ["lamap", "--stack", "{dem}", "--sites", "{sites}", "--bandwidth", "0",
              "--out", "{out}"],
+            ["lamap", "--stack", "{dem}", "--sites", "{sites}", "--bands", "",
+             "--out", "{out}"],
+            ["split-folds", "--sites", "{sites}", "--strategy", "uniform", "--k", "1",
+             "--out", "{out}"],
         ],
         ids=[
             "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
             "pseudolabel-alpha", "pseudolabel-step", "crf-refine-sigma-nan",
             "crf-refine-sigma-inf", "rasterize-labels-radius-nan", "rasterize-labels-radius-inf",
             "pseudolabel-seed", "split-folds-seed", "lamap-catchment", "lamap-bandwidth",
+            "lamap-bands-empty", "split-folds-k",
         ],
     )
     def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):

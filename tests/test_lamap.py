@@ -549,6 +549,37 @@ class TestEqualsSortedPixelPath:
         assert sum(m.ecdfs[0].n for m in models) > grid.height * grid.width
         self._check(grid, models, cfg)
 
+    @pytest.mark.parametrize(
+        "pool,dtype",
+        [(127, np.uint8), (128, np.uint16), (32767, np.uint16), (32768, np.uint32)],
+    )
+    def test_slot_dtype_follows_the_pool_size(self, make_grid, rng, monkeypatch, pool, dtype):
+        # The largest slot is 2 |U|, so the slots take the narrowest
+        # unsigned dtype that holds it, and the floats do not change.
+        import apmkit.lamap
+
+        values = np.linspace(-4.0, 4.0, pool).astype(np.float32)
+        assert np.unique(values).size == pool
+        pixels = rng.normal(size=(2, 9, 11)).astype(np.float32) * 3
+        pixels[0, ::2] = rng.choice(values, size=(5, 11))  # ties with U
+        grid = make_grid(pixels)
+        models = [
+            SiteModel(f"s{i}", float(rng.uniform(0, 11)), float(-rng.uniform(0, 9)),
+                      (Ecdf(np.concatenate([values[i::3], values[:5]])),
+                       Ecdf(pixels[1, i : i + 3].ravel())), values.size)
+            for i in range(3)
+        ]
+        seen = []
+        value_slots = apmkit.lamap._value_slots
+
+        def spy(values, band, out):
+            seen.append(out.dtype)
+            return value_slots(values, band, out)
+
+        monkeypatch.setattr(apmkit.lamap, "_value_slots", spy)
+        self._check(grid, models, LamapConfig(kernel_bandwidth=8.0))
+        assert seen == [np.dtype(dtype)] * 2
+
     def test_seeded_random_frames(self, make_grid, rng):
         for trial in range(30):
             h, w = (int(v) for v in rng.integers(1, 25, size=2))
@@ -603,7 +634,7 @@ class TestBandedGather:
         assert potential_values(grid, models, cfg).tobytes() == want.tobytes()
 
     def test_traced_peak(self, make_grid, rng):
-        # At most the int32 slots, four float64 frames (weights, affinities,
+        # At most the slot block, four float64 frames (weights, affinities,
         # numerator, denominator), the models and one band: its float64
         # buffer and np.take's intp copy of its slots. The allowance covers
         # the valid mask and ufunc buffers. A full-frame scratch and index
@@ -619,7 +650,13 @@ class TestBandedGather:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        slots, frames, band = 4 * nb * h * w, 4 * 8 * h * w, 16 * gridmod.BAND
+        # The slot block takes the narrowest unsigned dtype that holds
+        # 2 |U|, U a band's pooled distinct samples: here uint16.
+        pool = max(np.unique(np.concatenate([m.ecdfs[b].samples for m in models])).size
+                   for b in range(nb))
+        itemsize = np.min_scalar_type(2 * pool).itemsize
+        assert itemsize == 2
+        slots, frames, band = itemsize * nb * h * w, 4 * 8 * h * w, 16 * gridmod.BAND
         allowance = h * w + (256 << 10)
         assert peak <= slots + frames + 4 * sample_bytes + band + allowance
 
@@ -632,7 +669,7 @@ class TestAffinityTable:
 
     @staticmethod
     def _check(samples, pooled):
-        from apmkit.lamap import _affinity_table, _value_slots
+        from apmkit.lamap import _affinity_table, _distinct_values, _value_slots
 
         ecdf = Ecdf(samples)
         values = np.unique(pooled)
@@ -644,7 +681,8 @@ class TestAffinityTable:
         reps[2:-1:2] = mids
         reps[-1] = values[-1] + 1.0
         slots = np.empty(reps.size, dtype=np.int32)
-        assert np.array_equal(_value_slots([ecdf.samples, values], reps, slots), values)
+        assert np.array_equal(_distinct_values([ecdf.samples, values]), values)
+        _value_slots(values, reps, slots)
         assert np.array_equal(slots, np.arange(reps.size))
         table = _affinity_table(ecdf, values)
         assert table.dtype == np.float64

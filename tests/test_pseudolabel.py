@@ -177,7 +177,7 @@ class TestRamp:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="step must be >= 0, got -1"):
             ramp_weight(-1, 10, 1.0)
         with pytest.raises(ConfigError):
             ramp_weight(0, 0, 1.0)

@@ -207,8 +207,8 @@ def offset_loop_targets(values, valid, pixel_size_x, pixel_size_y):
 
 
 def descending_loop_accumulation(values, valid, pixel_size_x, pixel_size_y):
-    """The per-cell loop ``flow_accumulation`` ran before the frontier waves:
-    every cell, highest first, adds its count to its target's."""
+    """The per-cell loop: every cell, highest first, adds its count to its
+    target's."""
     target = offset_loop_targets(values, valid, pixel_size_x, pixel_size_y).ravel()
     acc = np.where(valid, 1.0, 0.0).ravel()
     z = np.where(valid, values, -np.inf).ravel()
@@ -218,10 +218,31 @@ def descending_loop_accumulation(values, valid, pixel_size_x, pixel_size_y):
     return acc.reshape(values.shape)
 
 
+def _ramp(n):
+    """A 1 x n strictly falling ramp: one flow path of n - 1 steps."""
+    return np.arange(n, 0, -1, dtype=np.float64)[None, :], np.ones((1, n), bool)
+
+
 def _hole(shape, rows, cols):
     valid = np.ones(shape, bool)
     valid[rows, cols] = False
     return valid
+
+
+def _serpentine(height=41, width=40):
+    """A corridor along the even rows, joined at alternate ends through
+    one cell of each odd row, between invalid walls. Elevation falls along
+    it, so one flow path runs through nearly every valid cell."""
+    valid = np.zeros((height, width), bool)
+    valid[::2] = True
+    valid[1::4, -1] = valid[3::4, 0] = True
+    path = []
+    for r in range(height):
+        cols = range(width) if r % 4 == 0 else range(width - 1, -1, -1)
+        path += [(r, c) for c in cols if valid[r, c]]
+    z = np.zeros((height, width))
+    z[tuple(np.array(path).T)] = np.arange(len(path), 0, -1)
+    return z, valid
 
 
 def _named_cases():
@@ -253,6 +274,8 @@ def _named_cases():
         "one_valid_pixel": (field, ~_hole(shape, 4, 9)),
         "row_1xN": (field[:1], np.ones((1, 15), bool)),
         "column_Nx1": (field[:, :1], _hole((12, 1), 5, 0)),
+        "ramp_1x1000": _ramp(1000),  # one path of 999 steps
+        "serpentine_41x40": _serpentine(),
     }
     return cases
 
@@ -275,6 +298,26 @@ class TestFrontierMatchesLoops:
         got = flow_accumulation(z, valid, px, py)
         want = descending_loop_accumulation(z, valid, px, py)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "case,passes",
+        [(_ramp(1), 0), (_ramp(2), 1), (_ramp(3), 2), (_ramp(1000), 10),
+         (NAMED_CASES["constant"], 0), (NAMED_CASES["one_valid_pixel"], 0)],
+        ids=["ramp-1", "ramp-2", "ramp-3", "ramp-1000", "constant", "one_valid_pixel"],
+    )
+    def test_doubling_pass_count(self, monkeypatch, case, passes):
+        # ceil(log2(longest path + 1)) passes, one bincount each.
+        calls = []
+        bincount = np.bincount
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        z, valid = case
+        flow_accumulation(z, valid, 1.0, -1.0)
+        assert len(calls) == passes
 
     @pytest.mark.parametrize("seed", range(48))
     def test_random_frames(self, seed):
