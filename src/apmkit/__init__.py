@@ -57,7 +57,6 @@ _EXPORTS = {
     "combine": ".pseudolabel",
     "dpl_objective": ".pseudolabel",
     "MetricsReport": ".metrics",
-    "ScoredSample": ".metrics",
     "auroc_from_arrays": ".metrics",
     "aul": ".metrics",
     "bin_analysis": ".metrics",

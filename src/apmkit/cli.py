@@ -35,7 +35,7 @@ from .raster.distance import distance_map, load_targets
 from .raster.grid import commit_outputs, json_bytes, load_raster, save_raster, write_json
 from .raster.labels import DEFAULT_LABEL_RADIUS, check_label_radius, rasterize_labels
 from .raster.sites import PERIODS, read_sites_csv
-from .raster.tiling import load_plan, plan_windows, save_plan, stitch
+from .raster.tiling import check_plan, load_plan, plan_windows, save_plan, stitch
 
 logger = logging.getLogger(__name__)
 
@@ -133,10 +133,10 @@ def _cmd_split_folds(args) -> None:
     if not (math.isfinite(args.catchment) and args.catchment >= 0):
         raise ConfigError(f"--catchment must be finite and >= 0, got {args.catchment}")
     labels_path = _optional(args.labels, "--labels")
+    if args.strategy == "stratified" and not args.stack:
+        raise ConfigError("--strategy stratified requires --stack")
     sites = read_sites_csv(args.sites)
     if args.strategy == "stratified":
-        if not args.stack:
-            raise ConfigError("--strategy stratified requires --stack")
         stack = load_raster(args.stack)
         if labels_path is not None:
             labels = load_raster(labels_path)
@@ -151,6 +151,7 @@ def _cmd_split_folds(args) -> None:
 
 def _cmd_stitch(args) -> None:
     if args.out_plan:
+        check_plan(args.tile, args.overlap)
         grid = load_raster(args.grid)
         plan = plan_windows(grid.height, grid.width, args.tile, args.overlap)
         save_plan(args.out_plan, plan, grid.shape, grid.geotransform)

@@ -33,21 +33,6 @@ N_DENSITY_BINS = 100
 RADAR_AXES = ("accuracy", "auroc", "f1", "dice", "iou")
 
 
-@dataclass(frozen=True)
-class ScoredSample:
-    """One evaluation point: a score, an optional label, optional finds."""
-
-    score: float
-    label: str | None = None
-    find_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.label not in (None, "positive", "negative"):
-            raise DataError(f"label must be positive/negative/None, got {self.label!r}")
-        if not math.isfinite(self.score):
-            raise DataError(f"score must be finite, got {self.score}")
-
-
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged (midrank convention)."""
     v = np.asarray(values, dtype=np.float64)
@@ -62,6 +47,15 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _parallel(scores, other, name: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` as float64 and ``other`` as ``dtype``, checked to be
+    parallel 1-D arrays."""
+    scores, other = np.asarray(scores, dtype=np.float64), np.asarray(other, dtype=dtype)
+    if scores.shape != other.shape or scores.ndim != 1:
+        raise DataError(f"scores and {name} must be parallel 1-D arrays")
+    return scores, other
+
+
 def auroc_from_arrays(scores: np.ndarray, positive: np.ndarray) -> float:
     """Area under the ROC curve by the rank-sum formulation.
 
@@ -72,8 +66,7 @@ def auroc_from_arrays(scores: np.ndarray, positive: np.ndarray) -> float:
     Raises:
         DataError: when either class is absent, naming the missing one.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    positive = np.asarray(positive, dtype=bool)
+    scores, positive = _parallel(scores, positive, "positive", bool)
     pos = scores[positive]
     neg = scores[~positive]
     if pos.size == 0:
@@ -97,10 +90,7 @@ def aul(scores: np.ndarray, labeled: np.ndarray) -> float:
     Raises:
         DataError: when no sample is labeled.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labeled = np.asarray(labeled, dtype=bool)
-    if scores.shape != labeled.shape or scores.ndim != 1:
-        raise DataError("scores and labeled must be parallel 1-D arrays")
+    scores, labeled = _parallel(scores, labeled, "labeled", bool)
     n_pos = int(labeled.sum())
     if n_pos == 0:
         raise DataError("AUL undefined: empty positive set")
@@ -170,28 +160,30 @@ def check_n_bins(n_bins: int) -> None:
 
 
 def bin_analysis(
-    samples: Sequence[ScoredSample], n_bins: int = N_RELIABILITY_BINS
+    scores: np.ndarray, positive: np.ndarray, n_bins: int = N_RELIABILITY_BINS
 ) -> list[BinStats]:
     """Equal-width reliability bins over [0, 1].
 
+    ``scores`` and the boolean ``positive`` are parallel arrays over
+    labeled samples; every score not flagged positive is a negative.
     Bins are [lo, hi) with the last closed; a score sitting exactly on an
-    interior edge goes to the higher bin. Every sample must carry a
-    positive/negative label. The calibration gap of a non-empty bin is
-    ``|mean_score - positive_ratio|``.
+    interior edge goes to the higher bin. The calibration gap of a
+    non-empty bin is ``|mean_score - positive_ratio|``.
+
+    Raises:
+        DataError: when a score is outside [0, 1] or NaN, or the arrays
+            are not parallel and 1-D.
     """
     check_n_bins(n_bins)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    score_sums = np.zeros(n_bins, dtype=np.float64)
-    pos_counts = np.zeros(n_bins, dtype=np.int64)
-    for s in samples:
-        if s.label is None:
-            raise DataError("bin analysis requires labeled samples")
-        if not 0.0 <= s.score <= 1.0:
-            raise DataError(f"scores must lie in [0, 1], got {s.score}")
-        idx = min(int(s.score * n_bins), n_bins - 1)
-        counts[idx] += 1
-        score_sums[idx] += s.score
-        pos_counts[idx] += s.label == "positive"
+    scores, positive = _parallel(scores, positive, "positive", bool)
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        raise DataError(f"scores must lie in [0, 1], got {scores[outside][0]}")
+    idx = np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    # bincount adds the weights in input order, as a loop over the samples would.
+    score_sums = np.bincount(idx, weights=scores, minlength=n_bins)
+    pos_counts = np.bincount(idx[positive], minlength=n_bins)
     out = []
     for i in range(n_bins):
         lo, hi = i / n_bins, (i + 1) / n_bins
@@ -249,22 +241,18 @@ def volume_gain(report: "MetricsReport", baseline: "MetricsReport") -> float:
 # --- rank correlation --------------------------------------------------------
 
 
-def find_count_correlation(samples: Sequence[ScoredSample]) -> float | None:
-    """Spearman correlation between scores and find counts, ties midranked.
-
-    Uses the samples that carry a find count. Returns None when either
-    variable is constant (the coefficient is undefined there).
+def find_count_correlation(scores: np.ndarray, counts: np.ndarray) -> float | None:
+    """Spearman correlation between parallel arrays of scores and find
+    counts, ties midranked. Returns None when either variable is constant
+    (the coefficient is undefined there).
 
     Raises:
-        DataError: with fewer than 3 usable samples.
+        DataError: with fewer than 3 samples, or arrays that are not
+            parallel and 1-D.
     """
-    pairs = [(s.score, s.find_count) for s in samples if s.find_count is not None]
-    if len(pairs) < 3:
-        raise DataError(
-            f"need at least 3 samples with find counts, got {len(pairs)}"
-        )
-    scores = np.array([p[0] for p in pairs], dtype=np.float64)
-    counts = np.array([p[1] for p in pairs], dtype=np.float64)
+    scores, counts = _parallel(scores, counts, "counts", np.float64)
+    if scores.size < 3:
+        raise DataError(f"need at least 3 samples with find counts, got {scores.size}")
     rs = _midranks(scores)
     rc = _midranks(counts)
     rs -= rs.mean()

@@ -36,7 +36,6 @@ from .lamap import LamapConfig, build_site_models, lamap_surface
 from .metrics import (
     Metrics,
     MetricsReport,
-    ScoredSample,
     aul,
     auroc_from_arrays,
     bin_analysis,
@@ -312,10 +311,10 @@ def _stage_pseudolabel(run: _Run) -> None:
     run.output("loss_breakdown.json").write_bytes(json_bytes(doc))
 
 
-def _site_pixels(surface: RasterGrid, sites) -> list[tuple[SiteRecord, int, int]]:
-    """(site, row, col) of each site on an unmasked pixel of ``surface``,
-    one lookup per site; every other site is skipped with a warning."""
-    located = []
+def _site_pixels(surface: RasterGrid, sites) -> tuple[list[SiteRecord], tuple[np.ndarray, ...]]:
+    """The sites on unmasked pixels of ``surface`` and their (rows, cols)
+    index, one lookup per site; every other site is skipped with a warning."""
+    kept, pixels = [], []
     for site in sites:
         row, col = surface.pixel_of(site.x, site.y)
         if not (0 <= row < surface.height and 0 <= col < surface.width):
@@ -323,16 +322,9 @@ def _site_pixels(surface: RasterGrid, sites) -> list[tuple[SiteRecord, int, int]
         elif surface.nodata_mask[row, col]:
             logger.warning("site '%s' falls on masked pixels; skipped", site.site_id)
         else:
-            located.append((site, row, col))
-    return located
-
-
-def _samples_at(surface: RasterGrid, located) -> list[ScoredSample]:
-    band, labels = surface.band(0), ("positive", "negative")
-    return [
-        ScoredSample(float(band[r, c]), s.polarity if s.polarity in labels else None, s.find_count)
-        for s, r, c in located
-    ]
+            kept.append(site)
+            pixels.append((row, col))
+    return kept, tuple(np.array(pixels, dtype=np.intp).reshape(-1, 2).T)
 
 
 def evaluate_surface(
@@ -368,11 +360,14 @@ def evaluate_surface(
         raise DataError(f"the surface must be single-band, got {surface.bands} bands")
     if baseline is not None and not surface.same_frame(baseline[1]):
         raise DataError("surface and baseline are on different frames")
-    located = _site_pixels(surface, sites)
-    report = _site_metrics(_samples_at(surface, located), n_bins, metadata)
+    kept, pixels = _site_pixels(surface, sites)
+    report = _site_metrics(surface.band(0)[pixels], kept, n_bins, metadata)
     if baseline is not None and report.metrics.auroc is not None:
+        base_scores = baseline[1].band(0)[pixels]
+        if not np.isfinite(base_scores).all():
+            raise DataError("the baseline is masked at a sampled site: its score must be finite")
         # The baseline's site metrics only: the gain reads no density histogram.
-        base = _site_metrics(_samples_at(baseline[1], located))
+        base = _site_metrics(base_scores, kept)
         try:
             gain = volume_gain(report, base)
         except DataError:
@@ -384,14 +379,14 @@ def evaluate_surface(
 
 
 def _site_metrics(
-    samples: Sequence[ScoredSample], n_bins: int = 6, metadata: dict | None = None
+    scores: np.ndarray, sites: Sequence[SiteRecord], n_bins: int = 6, metadata: dict | None = None
 ) -> MetricsReport:
-    """Everything :func:`evaluate_surface` reports but the density and the gain."""
-    if not samples:
+    """Everything :func:`evaluate_surface` reports but the density and the
+    gain, from the surface's ``scores`` at ``sites``, in site order."""
+    if not sites:
         raise DataError("no evaluable sites on the surface")
-    scores = np.array([s.score for s in samples])
-    positive = np.array([s.label == "positive" for s in samples])
-    negative = np.array([s.label == "negative" for s in samples])
+    polarity = np.array([s.polarity for s in sites])
+    positive, negative = polarity == "positive", polarity == "negative"
     values: dict = {}
     bins: tuple = ()
     if positive.any() and negative.any():
@@ -402,14 +397,15 @@ def _site_metrics(
             auroc=auroc_from_arrays(scores[labeled], positive[labeled]),
             dice=cm.dice, iou=cm.iou, f1=cm.f1, accuracy=cm.accuracy,
         )
-        bins = tuple(bin_analysis([s for s in samples if s.label is not None], n_bins))
+        bins = tuple(bin_analysis(scores[labeled], positive[labeled], n_bins))
     if positive.any():
         values["aul"] = aul(scores, positive)
-    with_counts = [s for s in samples if s.find_count is not None]
+    counted = [i for i, s in enumerate(sites) if s.find_count is not None]
+    finds = [sites[i].find_count for i in counted]
     return MetricsReport(
         Metrics(**values),
         bins=bins,
-        find_count_rho=find_count_correlation(samples) if len(with_counts) >= 3 else None,
+        find_count_rho=find_count_correlation(scores[counted], finds) if len(finds) >= 3 else None,
         metadata={"bins": "equal_width", "volume": "radar_polygon_area", **(metadata or {})},
     )
 

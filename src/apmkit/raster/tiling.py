@@ -66,6 +66,14 @@ def _axis_positions(extent: int, tile: int, stride: int) -> list[int]:
     return positions
 
 
+def check_plan(tile_size: int, overlap_fraction: float) -> None:
+    """Raise ConfigError for an overlap outside [0, 1) or a tile below 1."""
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise ConfigError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
+    if tile_size < 1:
+        raise ConfigError(f"tile_size must be >= 1, got {tile_size}")
+
+
 def plan_windows(
     height: int, width: int, tile_size: int, overlap_fraction: float
 ) -> list[TileWindow]:
@@ -79,10 +87,7 @@ def plan_windows(
 
     Windows are ordered row-major by corner.
     """
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ConfigError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
-    if tile_size < 1:
-        raise ConfigError(f"tile_size must be >= 1, got {tile_size}")
+    check_plan(tile_size, overlap_fraction)
     if tile_size > height or tile_size > width:
         raise DimensionError(
             f"tile_size {tile_size} exceeds grid extent {height}x{width}"

@@ -24,7 +24,6 @@ from apmkit.crf import (
 from apmkit.folds import StratVector, stratified_kfold, uniform_kfold
 from apmkit.lamap import LamapConfig, build_site_models, lamap_surface, potential_values
 from apmkit.metrics import (
-    ScoredSample,
     aul,
     auroc_from_arrays,
     bin_analysis,
@@ -430,11 +429,7 @@ def test_c09_bernoulli_calibration():
     n = 100_000
     scores = rng.random(n)
     labels = rng.random(n) < scores
-    samples = [
-        ScoredSample(float(s), "positive" if flag else "negative")
-        for s, flag in zip(scores, labels)
-    ]
-    bins = bin_analysis(samples, 6)
+    bins = bin_analysis(scores, labels, 6)
     gaps = [b.calibration_gap for b in bins]
     worst = max(gaps)
     verdict(

@@ -1009,13 +1009,17 @@ class TestRunAndErrors:
              "--out", "{out}"],
             ["split-folds", "--sites", "{sites}", "--strategy", "uniform", "--k", "1",
              "--out", "{out}"],
+            ["stitch", "--grid", "{dem}", "--out-plan", "{out}", "--overlap", "1.5"],
+            ["stitch", "--grid", "{dem}", "--out-plan", "{out}", "--tile", "0"],
+            ["split-folds", "--sites", "{sites}", "--out", "{out}"],
         ],
         ids=[
             "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
             "pseudolabel-alpha", "pseudolabel-step", "crf-refine-sigma-nan",
             "crf-refine-sigma-inf", "rasterize-labels-radius-nan", "rasterize-labels-radius-inf",
             "pseudolabel-seed", "split-folds-seed", "lamap-catchment", "lamap-bandwidth",
-            "lamap-bands-empty", "split-folds-k",
+            "lamap-bands-empty", "split-folds-k", "stitch-overlap", "stitch-tile",
+            "split-folds-no-stack",
         ],
     )
     def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):

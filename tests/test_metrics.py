@@ -17,7 +17,6 @@ from apmkit.errors import ConfigError, DataError
 from apmkit.metrics import (
     Metrics,
     MetricsReport,
-    ScoredSample,
     aul,
     auroc_from_arrays,
     bin_analysis,
@@ -185,17 +184,16 @@ class TestConfusion:
 
 class TestBins:
     def test_edge_goes_to_higher_bin(self):
-        samples = [ScoredSample(0.5, "positive")]
-        bins = bin_analysis(samples, n_bins=6)
+        bins = bin_analysis([0.5], [True], n_bins=6)
         assert bins[3].count == 1
         assert bins[3].lo == 0.5
 
     def test_top_edge_closed(self):
-        bins = bin_analysis([ScoredSample(1.0, "positive")], n_bins=6)
+        bins = bin_analysis([1.0], [True], n_bins=6)
         assert bins[5].count == 1
 
     def test_empty_bins_are_none(self):
-        bins = bin_analysis([ScoredSample(0.05, "negative")], n_bins=6)
+        bins = bin_analysis([0.05], [False], n_bins=6)
         assert bins[0].count == 1
         for b in bins[1:]:
             assert b.count == 0
@@ -203,30 +201,39 @@ class TestBins:
             assert b.calibration_gap is None
 
     def test_statistics(self):
-        samples = [
-            ScoredSample(0.1, "positive"),
-            ScoredSample(0.12, "negative"),
-            ScoredSample(0.14, "negative"),
-        ]
-        b = bin_analysis(samples, n_bins=6)[0]
+        b = bin_analysis([0.1, 0.12, 0.14], [True, False, False], n_bins=6)[0]
         assert b.count == 3
         assert b.mean_score == pytest.approx(0.12, abs=1e-12)
         assert b.positive_ratio == pytest.approx(1 / 3, abs=1e-12)
         assert b.calibration_gap == pytest.approx(abs(0.12 - 1 / 3), abs=1e-12)
 
-    def test_requires_labels_and_unit_range(self):
-        with pytest.raises(DataError):
-            bin_analysis([ScoredSample(0.5)])
-        with pytest.raises(DataError):
-            bin_analysis([ScoredSample(1.5, "positive")])
+    def test_requires_unit_range(self):
+        # NaN fails the range test too; a boolean positive array is always labeled.
+        for bad in (np.nan, 1.5, -0.1):
+            with pytest.raises(DataError, match=r"scores must lie in \[0, 1\]"):
+                bin_analysis([0.5, bad], [True, False])
+
+    def test_arrays_must_be_parallel_and_1d(self):
+        with pytest.raises(DataError, match="parallel 1-D"):
+            bin_analysis([0.5, 0.6], [True])
+        with pytest.raises(DataError, match="parallel 1-D"):
+            bin_analysis([[0.5]], [[True]])
 
     def test_counts_partition_samples(self, rng):
-        samples = [
-            ScoredSample(float(s), "positive" if p > 0.5 else "negative")
-            for s, p in zip(rng.random(500), rng.random(500))
-        ]
-        bins = bin_analysis(samples, n_bins=6)
+        bins = bin_analysis(rng.random(500), rng.random(500) > 0.5, n_bins=6)
         assert sum(b.count for b in bins) == 500
+
+    def test_equals_a_loop_over_the_samples(self, rng):
+        # The sums bincount forms equal a per-sample loop's, float for float.
+        scores = np.r_[rng.random(997), 0.0, 0.5, 1.0]
+        positive = rng.random(scores.size) > 0.4
+        for n_bins in (1, 6, 7):
+            counts, sums, hits = [0] * n_bins, [0.0] * n_bins, [0] * n_bins
+            for s, p in zip(scores.tolist(), positive.tolist()):
+                i = min(int(s * n_bins), n_bins - 1)
+                counts[i], sums[i], hits[i] = counts[i] + 1, sums[i] + s, hits[i] + p
+            for b, c, t, h in zip(bin_analysis(scores, positive, n_bins), counts, sums, hits):
+                assert b.count == c and b.mean_score == t / c and b.positive_ratio == h / c
 
 
 class TestRadar:
@@ -274,32 +281,34 @@ class TestSpearman:
     def test_frozen_tie_example(self):
         # scores (0.1, 0.4, 0.4, 0.7, 0.9) vs counts (1..5):
         # score ranks (1, 2.5, 2.5, 4, 5) -> rho = 9.5 / sqrt(95).
-        samples = [
-            ScoredSample(s, "positive", c)
-            for s, c in zip((0.1, 0.4, 0.4, 0.7, 0.9), (1, 2, 3, 4, 5))
-        ]
-        assert find_count_correlation(samples) == pytest.approx(
-            9.5 / math.sqrt(95.0), abs=1e-12
-        )
+        rho = find_count_correlation([0.1, 0.4, 0.4, 0.7, 0.9], [1, 2, 3, 4, 5])
+        assert rho == pytest.approx(9.5 / math.sqrt(95.0), abs=1e-12)
 
     def test_monotone_is_one(self):
-        samples = [ScoredSample(s / 10, None, s) for s in range(1, 8)]
-        assert find_count_correlation(samples) == pytest.approx(1.0, abs=1e-12)
+        counts = np.arange(1, 8)
+        assert find_count_correlation(counts / 10, counts) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_variable_is_none(self):
-        samples = [ScoredSample(0.5, None, c) for c in (1, 2, 3)]
-        assert find_count_correlation(samples) is None
+        assert find_count_correlation([0.5, 0.5, 0.5], [1, 2, 3]) is None
 
     def test_too_few_counted_samples(self):
-        samples = [ScoredSample(0.5, None, 1), ScoredSample(0.6, None, 2),
-                   ScoredSample(0.7, None, None)]
-        with pytest.raises(DataError):
-            find_count_correlation(samples)
+        with pytest.raises(DataError, match="at least 3"):
+            find_count_correlation([0.5, 0.6], [1, 2])
 
-    def test_uncounted_samples_skipped(self):
-        counted = [ScoredSample(s / 10, None, s) for s in (1, 2, 3, 4)]
-        padded = counted + [ScoredSample(0.99, None, None)]
-        assert find_count_correlation(padded) == find_count_correlation(counted)
+    def test_arrays_must_be_parallel_and_1d(self):
+        with pytest.raises(DataError, match="parallel 1-D"):
+            find_count_correlation([0.5, 0.6, 0.7], [1, 2])
+
+    def test_uncounted_samples_skipped(self, make_grid):
+        # A site with no find count leaves the rho over the counted sites.
+        surface = make_grid(np.array([[0.1, 0.4, 0.2, 0.3, 0.99]]))
+        sites = [
+            SiteRecord(f"s{c}", c + 0.5, -0.5, "Byzantine", "positive", count)
+            for c, count in enumerate((1, 3, 2, 4, None))
+        ]
+        want = find_count_correlation([0.1, 0.4, 0.2, 0.3], [1, 3, 2, 4])
+        assert evaluate_surface(surface, sites).find_count_rho == want
+        assert evaluate_surface(surface, sites[:4]).find_count_rho == want
 
 
 def broadcast_smoothed(scores, bandwidth, n_bins=100):
@@ -565,12 +574,7 @@ class TestDensityBins:
 
 class TestReport:
     def test_roundtrip(self, rng):
-        bins = bin_analysis(
-            [
-                ScoredSample(float(s), "positive" if p > 0.5 else "negative")
-                for s, p in zip(rng.random(40), rng.random(40))
-            ]
-        )
+        bins = bin_analysis(rng.random(40), rng.random(40) > 0.5)
         report = MetricsReport(
             Metrics(auroc=0.8, aul=0.7, dice=0.6, iou=0.45, f1=0.6, accuracy=0.75),
             bins=tuple(bins),
@@ -593,9 +597,3 @@ class TestReport:
             "schema_version", "metrics", "bins", "density_histogram", "find_count_rho",
             "volume_gain", "baseline_name", "metadata",
         }
-
-    def test_sample_validation(self):
-        with pytest.raises(DataError):
-            ScoredSample(np.nan, "positive")
-        with pytest.raises(DataError):
-            ScoredSample(0.5, "maybe")

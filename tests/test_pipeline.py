@@ -365,8 +365,10 @@ class TestFeatureStack:
 
 
 def sample_sites(surface, sites):
-    """The evaluate path's samples: each site's pixel found, then read."""
-    return pipeline_module._samples_at(surface, pipeline_module._site_pixels(surface, sites))
+    """The evaluate path's site scores: the kept sites and the band read at
+    their (rows, cols) index."""
+    kept, pixels = pipeline_module._site_pixels(surface, sites)
+    return kept, surface.band(0)[pixels]
 
 
 class TestSampling:
@@ -377,13 +379,14 @@ class TestSampling:
             SiteRecord("b", 3.5, -2.5, "Byzantine", "negative", 4),
             SiteRecord("u", 0.5, -0.5, "Byzantine", "unlabeled"),
         ]
-        samples = sample_sites(surface, sites)
-        assert len(samples) == 3
-        assert samples[0].score == pytest.approx(1 / 12, abs=1e-6)
-        assert samples[0].label == "positive"
-        assert samples[1].score == pytest.approx(11 / 12, abs=1e-6)
-        assert samples[2].label is None
-        assert samples[1].find_count == 4
+        kept, scores = sample_sites(surface, sites)
+        assert kept == sites
+        assert scores.shape == (3,)
+        assert scores[0] == pytest.approx(1 / 12, abs=1e-6)
+        assert scores[1] == pytest.approx(11 / 12, abs=1e-6)
+        assert scores[2] == 0.0
+        assert [s.polarity for s in kept] == ["positive", "negative", "unlabeled"]
+        assert [s.find_count for s in kept] == [None, 4, None]
 
     def test_skips_outside_and_masked(self, make_grid, caplog):
         mask = np.zeros((3, 3), dtype=bool)
@@ -395,8 +398,8 @@ class TestSampling:
             SiteRecord("ok", 0.5, -0.5, "Byzantine", "positive"),
         ]
         with caplog.at_level("WARNING"):
-            samples = sample_sites(surface, sites)
-        assert len(samples) == 1
+            kept, scores = sample_sites(surface, sites)
+        assert kept == sites[2:] and scores.tolist() == [0.5]
         assert "off" in caplog.text and "hole" in caplog.text
 
 
@@ -1058,7 +1061,7 @@ class TestBaselineAtSurfaceSites:
         baseline = load_raster(out / "lamap_surface.grid")
         # Some labelled sites are masked on the surface but not on the baseline.
         site_pixels = pipeline_module._site_pixels
-        assert len(site_pixels(surface, sites)) < len(site_pixels(baseline, sites))
+        assert len(site_pixels(surface, sites)[0]) < len(site_pixels(baseline, sites)[0])
         remasked = RasterGrid(
             baseline.data, baseline.geotransform, surface.nodata_mask, baseline.band_names, {}
         )
