@@ -65,8 +65,7 @@ _EXPORTS = {
     "radar_area": ".metrics",
     "volume_gain": ".metrics",
     "FoldAssignment": ".folds",
-    "StratVector": ".folds",
-    "site_strat_vector": ".folds",
+    "strat_components": ".folds",
     "stratified_kfold": ".folds",
     "uniform_kfold": ".folds",
     "PipelineConfig": ".pipeline",

@@ -3,8 +3,8 @@
 Every subcommand is a thin wrapper over one library operation; the CLI
 adds argument parsing, error mapping and nothing else. Exit codes:
 0 success, 2 config error, 3 data error, 4 numeric failure, 1 anything
-else. With ``--json-errors`` failures print a machine-readable JSON
-object to stderr instead of a plain message.
+else. With ``--json-errors`` every failure, usage errors too, prints a
+machine-readable JSON object to stderr instead of a plain message.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from .config import build_config, check_seed, read_json
 from .crf import CrfConfig, crf_refine
 from .errors import ConfigError, DataError, ToolkitError
-from .folds import check_k, site_strat_vector, stratified_kfold, uniform_kfold
+from .folds import check_k, strat_components, stratified_kfold, uniform_kfold
 from .lamap import DEFAULT_CATCHMENT_RADIUS, DEFAULT_KERNEL_BANDWIDTH, LamapConfig
 from .metrics import MetricsReport, check_n_bins, volume_gain
 from .pipeline import (
@@ -74,21 +74,25 @@ def _cmd_rasterize_labels(args) -> None:
     save_raster(rasterize_labels(grid, sites, args.radius), args.out)
 
 
-def _band_tokens(spec: str) -> list[str]:
-    """The names and indices in a ``--bands`` list; none is a ConfigError."""
+def _band_list(spec: str) -> list[int | str]:
+    """The indices (ints) and names in a ``--bands`` list; none is a ConfigError."""
     tokens = [token.strip() for token in spec.split(",") if token.strip()]
     if not tokens:
         raise ConfigError("--bands given but empty")
-    return tokens
+    return [int(t) if t.removeprefix("-").isdecimal() else t for t in tokens]
 
 
 def _cmd_lamap(args) -> None:
-    cfg = LamapConfig(catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth)
-    tokens = None if args.bands is None else _band_tokens(args.bands)
+    bands = None if args.bands is None else _band_list(args.bands)
+    # The indices are checked before any read; only band names need the stack.
+    indices = tuple(b for b in bands or () if isinstance(b, int)) or None
+    cfg = LamapConfig(
+        catchment_radius=args.catchment, kernel_bandwidth=args.bandwidth, bands=indices
+    )
     stack = load_raster(args.stack)
     sites = read_sites_csv(args.sites, args.period)
-    if tokens is not None:
-        bands = [int(t) if t.lstrip("-").isdigit() else stack.band_index(t) for t in tokens]
+    if bands is not None:
+        bands = [b if isinstance(b, int) else stack.band_index(b) for b in bands]
         cfg = dataclasses.replace(cfg, bands=tuple(bands))
     save_raster(lamap_from_sites(stack, sites, cfg), args.out)
 
@@ -142,8 +146,8 @@ def _cmd_split_folds(args) -> None:
             labels = load_raster(labels_path)
         else:
             labels = rasterize_labels(stack, sites, args.catchment)
-        vectors = [site_strat_vector(s, stack, labels, args.catchment) for s in sites]
-        assignment = stratified_kfold(sites, vectors, args.k, args.seed)
+        names, components = strat_components(sites, stack, labels, args.catchment)
+        assignment = stratified_kfold(sites, names, components, args.k, args.seed)
     else:
         assignment = uniform_kfold(sites, args.k, args.seed)
     assignment.save(args.out)
@@ -193,8 +197,19 @@ def _cmd_run(args) -> None:
 # --- parser -------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A usage error: args are the parser that found it and the message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, for ``main`` to print as JSON or as usage text."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apmkit",
         description="Raster toolkit for archaeological predictive mapping.",
     )
@@ -302,14 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "stitch":
-        planning, stitching = (args.grid, args.out_plan), (args.plan, args.pred, args.out)
-        if not (all(planning) and not any(stitching) or all(stitching) and not any(planning)):
-            parser.error("stitch: plan with --grid and --out-plan, "
-                         "or stitch with --plan, --pred and --out")
+    # --json-errors lands here before a subcommand's parser can fail.
+    args = argparse.Namespace(json_errors=False)
     try:
+        parser.parse_args(argv, args)
+        if args.command == "stitch":
+            planning, stitching = (args.grid, args.out_plan), (args.plan, args.pred, args.out)
+            if not (all(planning) and not any(stitching) or all(stitching) and not any(planning)):
+                parser.error("stitch: plan with --grid and --out-plan, "
+                             "or stitch with --plan, --pred and --out")
         args.func(args)
+    except _UsageError as exc:
+        if not args.json_errors:
+            argparse.ArgumentParser.error(*exc.args)  # usage text, exit 2
+        _report_error(ConfigError(exc.args[1]), True)
+        return ConfigError.exit_code
     except ToolkitError as exc:
         _report_error(exc, args.json_errors)
         return exc.exit_code

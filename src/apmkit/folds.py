@@ -1,17 +1,18 @@
 """Site-level k-fold splitting with environmental stratification.
 
 Splitting happens at the site level so that a site's labeled pixels never
-straddle folds. Each site is summarised by a stratification vector
-(per-band catchment mean and spread, label density, positive ratio); the
-stratified splitter greedily balances the standardized vectors across
-folds, which keeps fold-wise feature distributions comparable. A seeded
-uniform splitter is provided as the baseline. The result is a
-site-to-fold mapping, saved as JSON by ``apmkit split-folds``.
+straddle folds. :func:`strat_components` summarises the sites in one
+float64 component matrix, one row per site in site order (per-band
+catchment mean and spread, label density, positive ratio), and returns
+the component names once. The stratified splitter greedily balances the
+standardized rows across folds, which keeps fold-wise feature
+distributions comparable; a seeded uniform splitter is the baseline. The
+result is a site-to-fold mapping, saved as JSON by ``apmkit split-folds``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,63 +25,40 @@ from .raster.sites import SiteRecord
 UNASSIGNED = -1
 
 
-@dataclass(frozen=True)
-class StratVector:
-    """Per-site stratification features, fixed component order."""
-
-    site_id: str
-    components: np.ndarray
-    names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        comp = np.asarray(self.components, dtype=np.float64)
-        if comp.ndim != 1 or comp.size != len(self.names):
-            raise DataError(
-                f"site '{self.site_id}': {comp.size} components for {len(self.names)} names"
-            )
-        if not np.isfinite(comp).all():
-            raise DataError(f"site '{self.site_id}': non-finite stratification component")
-        object.__setattr__(self, "components", comp)
-
-
-def site_strat_vector(
-    site: SiteRecord,
+def strat_components(
+    sites: list[SiteRecord],
     stack: RasterGrid,
     labels: RasterGrid,
     radius: float = DEFAULT_CATCHMENT_RADIUS,
-) -> StratVector:
-    """Summarise a site's catchment for stratification.
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Summarise each site's catchment for stratification.
 
-    Components: per-band mean and standard deviation over the unmasked
-    catchment pixels, then the labeled-pixel density of the neighbourhood
-    and its positive-label ratio (zero when nothing there is labeled).
+    Returns the component names and a float64 ``(len(sites), len(names))``
+    matrix with one row per site, in site order. Components: per-band mean
+    and standard deviation over the unmasked catchment pixels, then the
+    labeled-pixel density of the neighbourhood and its positive-label
+    ratio (zero when nothing there is labeled).
 
     Raises:
-        EmptyInputError: when the catchment holds no valid stack pixel.
+        EmptyInputError: when a site's catchment holds no valid stack pixel.
     """
     if not stack.same_frame(labels):
         raise DataError("stack and label raster disagree in frame")
-    box, disk = stack.disk_box(site.x, site.y, radius)
-    valid = disk & ~stack.nodata_mask[box]
-    if not valid.any():
-        raise EmptyInputError(f"site '{site.site_id}': empty catchment")
-    comps: list[float] = []
-    names: list[str] = []
-    for b in range(stack.bands):
-        vals = stack.band(b)[box][valid].astype(np.float64)
-        comps.append(float(vals.mean()))
-        comps.append(float(vals.std()))
-        names.append(f"{stack.band_names[b]}_mean")
-        names.append(f"{stack.band_names[b]}_std")
-    labeled = disk & ~labels.nodata_mask[box]
-    density = float(labeled.sum()) / float(disk.sum())
-    if labeled.any():
-        positive_ratio = float((labels.band(0)[box][labeled] >= 0.5).mean())
-    else:
-        positive_ratio = 0.0
-    comps.extend([density, positive_ratio])
-    names.extend(["label_density", "positive_ratio"])
-    return StratVector(site.site_id, np.array(comps), tuple(names))
+    names = tuple(f"{band}_{stat}" for band in stack.band_names for stat in ("mean", "std"))
+    names += ("label_density", "positive_ratio")
+    components = np.empty((len(sites), len(names)), dtype=np.float64)
+    for site, row in zip(sites, components):
+        box, disk = stack.disk_box(site.x, site.y, radius)
+        valid = disk & ~stack.nodata_mask[box]
+        if not valid.any():
+            raise EmptyInputError(f"site '{site.site_id}': empty catchment")
+        for b in range(stack.bands):
+            vals = stack.band(b)[box][valid].astype(np.float64)
+            row[2 * b : 2 * b + 2] = vals.mean(), vals.std()
+        labeled = disk & ~labels.nodata_mask[box]
+        row[-2] = float(labeled.sum()) / float(disk.sum())
+        row[-1] = (labels.band(0)[box][labeled] >= 0.5).mean() if labeled.any() else 0.0
+    return names, components
 
 
 @dataclass(frozen=True)
@@ -144,9 +122,21 @@ def _check_split_args(n_sites: int, k: int, seed: int) -> None:
         raise DataError(f"cannot split {n_sites} sites into {k} folds")
 
 
-def standardize_components(vectors: list[StratVector]) -> np.ndarray:
+def _checked(sites: list[SiteRecord], components: np.ndarray, names=None) -> np.ndarray:
+    """The component matrix as float64: one finite row per site, and one
+    column per name when names are given; anything else is a DataError."""
+    comp = np.atleast_1d(np.asarray(components, dtype=np.float64))
+    want = (len(sites), comp.shape[-1] if names is None else len(names))
+    if comp.shape != want:
+        raise DataError(f"component matrix of shape {comp.shape}, expected {want}")
+    bad = np.flatnonzero(~np.isfinite(comp).all(axis=1))
+    if bad.size:
+        raise DataError(f"site '{sites[bad[0]].site_id}': non-finite stratification component")
+    return comp
+
+
+def standardize_components(mat: np.ndarray) -> np.ndarray:
     """Z-score the component matrix; constant components become zero."""
-    mat = np.stack([v.components for v in vectors])
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
     std_safe = np.where(std > 0, std, 1.0)
@@ -164,13 +154,6 @@ def imbalance_of(fold_ids: np.ndarray, z: np.ndarray, k: int) -> float:
         if members.any():
             means[f] = z[members].mean(axis=0)
     return float(means.std(axis=0).mean())
-
-
-def fold_imbalance(assignment: FoldAssignment, vectors: list[StratVector]) -> float:
-    """Imbalance of an existing assignment on the given vectors."""
-    z = standardize_components(vectors)
-    fold_ids = np.array([assignment.fold_of(v.site_id) for v in vectors])
-    return imbalance_of(fold_ids, z, assignment.k)
 
 
 def _capacity_candidates(sizes: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -197,7 +180,7 @@ def _greedy_seed(z: np.ndarray, k: int, seed: int) -> np.ndarray:
 
     Standardized components sum to zero globally, so a perfectly balanced
     fold has a component sum near zero; each site goes to the
-    capacity-feasible fold whose running sum its vector best cancels.
+    capacity-feasible fold whose running sum its row best cancels.
     """
     n, d = z.shape
     shuffled = np.random.default_rng(seed).permutation(n)
@@ -262,29 +245,27 @@ def _swap_refine(
 
 def stratified_kfold(
     sites: list[SiteRecord],
-    vectors: list[StratVector],
+    names: tuple[str, ...],
+    components: np.ndarray,
     k: int,
     seed: int = 0,
 ) -> FoldAssignment:
-    """Balanced split of sites into k folds by stratification vector.
+    """Balanced split of sites into k folds by stratification components.
 
-    Standardized vectors are placed largest-norm first (a seeded shuffle
-    breaks norm ties) into the capacity-feasible fold that best cancels
-    the fold's running component sum, then a deterministic pairwise-swap
-    pass lowers the imbalance objective further. A second local search
+    ``components`` holds one row per site, in site order, and one column
+    per name, as :func:`strat_components` returns them. Standardized rows
+    are placed largest-norm first (a seeded shuffle breaks norm ties) into
+    the capacity-feasible fold that best cancels the fold's running
+    component sum, then a deterministic pairwise-swap pass lowers the
+    imbalance objective further. A second local search
     from the seeded round-robin start keeps the result at least as good
     as the uniform splitter on the same inputs: the better of the two
     refined assignments is returned. Fold sizes never differ by more
     than one, and the result is deterministic for a given seed.
     """
     _check_split_args(len(sites), k, seed)
-    if len(vectors) != len(sites):
-        raise DataError(f"{len(vectors)} vectors for {len(sites)} sites")
-    by_id = {v.site_id: v for v in vectors}
-    if set(by_id) != {s.site_id for s in sites}:
-        raise DataError("stratification vectors do not match the site list")
-    ordered_vectors = [by_id[s.site_id] for s in sites]
-    z = standardize_components(ordered_vectors)
+    components = _checked(sites, components, names)
+    z = standardize_components(components)
     n, d = z.shape
     fold_ids = _swap_refine(_greedy_seed(z, k, seed), z, k)
     imbalance = imbalance_of(fold_ids, z, k)
@@ -295,22 +276,17 @@ def stratified_kfold(
     if baseline_imbalance < imbalance:
         fold_ids = baseline_ids
         imbalance = baseline_imbalance
-    assignment = {sites[i].site_id: int(fold_ids[i]) for i in range(n)}
-    fold_means = []
-    for f in range(k):
-        members = fold_ids == f
-        raw = np.stack([ordered_vectors[i].components for i in np.flatnonzero(members)])
-        fold_means.append([float(v) for v in raw.mean(axis=0)])
+    fold_means = [components[fold_ids == f].mean(axis=0).tolist() for f in range(k)]
     return FoldAssignment(
         k=k,
-        assignment=assignment,
+        assignment={s.site_id: int(f) for s, f in zip(sites, fold_ids)},
         strategy="stratified",
         seed=int(seed),
         imbalance=imbalance,
         fold_means=fold_means,
         metadata={
             "objective": "mean_component_std_across_folds",
-            "components": list(ordered_vectors[0].names),
+            "components": list(names),
             "ordering": "norm_descending",
             "refinement": "pairwise_swap_local_search",
         },
@@ -321,23 +297,24 @@ def uniform_kfold(
     sites: list[SiteRecord],
     k: int,
     seed: int = 0,
-    vectors: list[StratVector] | None = None,
+    components: np.ndarray | None = None,
 ) -> FoldAssignment:
     """Seeded shuffle followed by round-robin fold assignment.
 
-    Ignores stratification; pass ``vectors`` to have the imbalance score
-    of the result recorded for comparison.
+    Ignores stratification; pass ``components`` (one row per site, in
+    site order) to have the imbalance score of the result recorded for
+    comparison.
     """
     _check_split_args(len(sites), k, seed)
     fold_ids = _round_robin_ids(len(sites), k, seed)
-    assignment = {s.site_id: int(fold_ids[i]) for i, s in enumerate(sites)}
-    result = FoldAssignment(
+    imbalance = None
+    if components is not None:
+        imbalance = imbalance_of(fold_ids, standardize_components(_checked(sites, components)), k)
+    return FoldAssignment(
         k=k,
-        assignment=assignment,
+        assignment={s.site_id: int(f) for s, f in zip(sites, fold_ids)},
         strategy="uniform",
         seed=int(seed),
+        imbalance=imbalance,
         metadata={"ordering": "seeded_shuffle_round_robin"},
     )
-    if vectors is not None:
-        result = replace(result, imbalance=fold_imbalance(result, vectors))
-    return result

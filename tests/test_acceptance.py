@@ -21,7 +21,7 @@ from apmkit.crf import (
     refine_values,
     unary_potentials,
 )
-from apmkit.folds import StratVector, stratified_kfold, uniform_kfold
+from apmkit.folds import stratified_kfold, uniform_kfold
 from apmkit.lamap import LamapConfig, build_site_models, lamap_surface, potential_values
 from apmkit.metrics import (
     aul,
@@ -399,12 +399,10 @@ def test_c08_fold_properties_and_imbalance():
             SiteRecord(f"s{i}", float(i), -1.0, "Roman Imperial", "positive")
             for i in range(n)
         ]
-        vecs = [
-            StratVector(f"s{i}", rng.normal(size=dim), tuple(f"c{j}" for j in range(dim)))
-            for i in range(n)
-        ]
-        strat = stratified_kfold(sites, vecs, k, seed)
-        uni = uniform_kfold(sites, k, seed, vectors=vecs)
+        comps = rng.normal(size=(n, dim))
+        names = tuple(f"c{j}" for j in range(dim))
+        strat = stratified_kfold(sites, names, comps, k, seed)
+        uni = uniform_kfold(sites, k, seed, components=comps)
         for fa in (strat, uni):
             partition_ok &= sorted(fa.assignment) == sorted(s.site_id for s in sites)
             partition_ok &= all(0 <= f < k for f in fa.assignment.values())

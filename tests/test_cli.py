@@ -702,6 +702,26 @@ class TestRunAndErrors:
         assert doc["exit_code"] == 3
         assert "nope.grid" in doc["message"]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["evaluate", "--pred", "missing.grid", "--sites", "missing.csv",
+              "--period", "Bronze", "--out", "r.json"], "invalid choice: 'Bronze'"),
+            (["stitch", "--grid", "missing.grid"], "stitch: plan with --grid and --out-plan"),
+        ],
+        ids=["unknown-period", "stitch-mode"],
+    )
+    def test_json_errors_usage_error(self, tmp_path, capsys, argv, message):
+        # A usage error is one JSON line too, with the config exit code.
+        code = main(["--json-errors", *(str(tmp_path / a) if "." in a else a for a in argv)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert (doc["error"], doc["exit_code"]) == ("ConfigError", 2)
+        assert message in doc["message"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value", [
         ("--bandwidth", "0"), ("--catchment", "-1"), ("--catchment", "nan"),
         ("--catchment", "inf"), ("--bandwidth", "nan"), ("--bandwidth", "inf"),
@@ -1012,6 +1032,10 @@ class TestRunAndErrors:
             ["stitch", "--grid", "{dem}", "--out-plan", "{out}", "--overlap", "1.5"],
             ["stitch", "--grid", "{dem}", "--out-plan", "{out}", "--tile", "0"],
             ["split-folds", "--sites", "{sites}", "--out", "{out}"],
+            ["lamap", "--stack", "{dem}", "--sites", "{sites}", "--bands", "0,0",
+             "--out", "{out}"],
+            ["lamap", "--stack", "{dem}", "--sites", "{sites}", "--bands", "-1",
+             "--out", "{out}"],
         ],
         ids=[
             "rasterize-labels-radius", "split-folds-catchment", "evaluate-bins",
@@ -1019,7 +1043,7 @@ class TestRunAndErrors:
             "crf-refine-sigma-inf", "rasterize-labels-radius-nan", "rasterize-labels-radius-inf",
             "pseudolabel-seed", "split-folds-seed", "lamap-catchment", "lamap-bandwidth",
             "lamap-bands-empty", "split-folds-k", "stitch-overlap", "stitch-tile",
-            "split-folds-no-stack",
+            "split-folds-no-stack", "lamap-bands-repeated", "lamap-bands-negative",
         ],
     )
     def test_out_of_range_flag_is_config_error(self, ws, capsys, argv):

@@ -43,8 +43,7 @@ def test_public_names_are_unchanged():
         "BranchPair", "DplConfig", "LossBreakdown", "combine", "dpl_objective",
         "MetricsReport", "auroc_from_arrays", "aul", "bin_analysis",
         "find_count_correlation", "probability_density", "radar_area", "volume_gain",
-        "FoldAssignment", "StratVector", "site_strat_vector", "stratified_kfold",
-        "uniform_kfold",
+        "FoldAssignment", "strat_components", "stratified_kfold", "uniform_kfold",
         "PipelineConfig", "run_pipeline",
     }
     assert set(apmkit.raster.__all__) == {
